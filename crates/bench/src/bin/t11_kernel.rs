@@ -22,11 +22,9 @@
 //! * `decision` — the end-to-end calendar + forum decision path through
 //!   the enforcement proxy (interned kernel only; absolute throughput).
 //!
-//! Before any timing, a workload-replay differential gate drives the
-//! complete calendar and forum workloads through planned and unplanned
-//! proxies and asserts the run records are bit-identical, and the kernel
-//! oracle suite replays every benchmark problem through both kernels.
-//! `--smoke` runs only these gates, as a CI step.
+//! Before any timing, the kernel oracle suite replays every benchmark
+//! problem through both kernels. `--smoke` runs only this gate, as a CI
+//! step.
 //!
 //! Results are written to `BENCH_t11.json`.
 //!
@@ -50,8 +48,6 @@ const PROBLEMS: usize = 60;
 const SMOKE_PROBLEMS: usize = 12;
 /// Requests drawn per app for the decision path.
 const N_REQUESTS: usize = 120;
-/// Requests drawn per app under `--smoke`.
-const SMOKE_REQUESTS: usize = 24;
 /// Homomorphisms enumerated per hom-search problem (the instance-eval and
 /// rewriting paths enumerate, not just decide).
 const HOM_LIMIT: usize = 512;
@@ -551,13 +547,12 @@ struct DecisionResult {
     errors: usize,
 }
 
-/// Drives the full workload through an unplanned proxy (every request a
-/// fresh proof: the kernel-bound path) single-threaded.
+/// Drives the full workload through a caches-off proxy (every request a
+/// fresh concrete proof: the kernel-bound path) single-threaded.
 fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
     let config = ProxyConfig {
         template_cache: false,
         session_cache: false,
-        plan_cache: false,
         ..Default::default()
     };
     let proxy = proxy_for(env, config);
@@ -599,60 +594,12 @@ fn drive_decisions(sim: &'static SimApp, env: &AppEnv) -> DecisionResult {
     }
 }
 
-/// Replays the whole workload through planned and unplanned proxies and
-/// asserts the complete run records are bit-identical (same gate as T10:
-/// the interned kernel is a representation change, never a decision
-/// change). Returns the number of comparisons.
-fn differential(env: &AppEnv) -> usize {
-    let planned = proxy_for(env, ProxyConfig::default());
-    let unplanned = proxy_for(
-        env,
-        ProxyConfig {
-            template_cache: false,
-            session_cache: false,
-            plan_cache: false,
-            ..Default::default()
-        },
-    );
-    let app = env.sim.app();
-    let mut compared = 0usize;
-    for round in 0..2 {
-        for req in &env.requests {
-            let handler = app.handler(&req.handler).expect("handler");
-            let params = salted_params(&req.params, round);
-            let run = |proxy: &bep_core::SqlProxy| {
-                let session = proxy.begin_session(req.session.clone());
-                let mut port = ProxyPort { proxy, session };
-                let r = appdsl::run_handler(
-                    &mut port,
-                    handler,
-                    &req.session,
-                    &params,
-                    appdsl::Limits::default(),
-                );
-                proxy.end_session(session);
-                format!("{r:?}")
-            };
-            let want = run(&unplanned);
-            let got = run(&planned);
-            assert_eq!(
-                got, want,
-                "planned diverged from unplanned on {} round {round}",
-                req.handler
-            );
-            compared += 1;
-        }
-    }
-    compared
-}
-
-fn json_of(kernels: &[KernelResult], decisions: &[DecisionResult], compared: usize) -> String {
+fn json_of(kernels: &[KernelResult], decisions: &[DecisionResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"bench\": \"t11_kernel\",\n");
     out.push_str(&format!("  \"problems_per_kernel\": {PROBLEMS},\n"));
     out.push_str(&format!("  \"replicas_best_of\": {REPLICAS},\n"));
-    out.push_str(&format!("  \"workload_replays_compared\": {compared},\n"));
     out.push_str("  \"kernels\": [\n");
     for (i, k) in kernels.iter().enumerate() {
         out.push_str(&format!(
@@ -688,19 +635,6 @@ fn json_of(kernels: &[KernelResult], decisions: &[DecisionResult], compared: usi
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let n_problems = if smoke { SMOKE_PROBLEMS } else { PROBLEMS };
-    let n_requests = if smoke { SMOKE_REQUESTS } else { N_REQUESTS };
-
-    // Workload-replay differential gate first: the interned kernel must
-    // make byte-identical decisions across planned and unplanned proxies
-    // on the full calendar and forum workloads.
-    let mut compared = 0usize;
-    for sim in [&CALENDAR, &FORUM] {
-        let env = app_env(sim, 17, Scale::small(), n_requests);
-        let n = differential(&env);
-        println!("differential [{}]: {n} replayed runs identical", sim.name);
-        compared += n;
-    }
-    println!();
 
     // Kernel problems. Sizes chosen so the full run stays in seconds but
     // each op is large enough to time (hundreds of candidate atoms).
@@ -738,14 +672,14 @@ fn main() {
 
     if smoke {
         println!();
-        println!("smoke mode: differential + oracle gates passed, skipping the sweep");
+        println!("smoke mode: oracle gate passed, skipping the sweep");
         return;
     }
 
     println!();
     let mut decisions = Vec::new();
     for sim in [&CALENDAR, &FORUM] {
-        let env = app_env(sim, 17, Scale::small(), n_requests);
+        let env = app_env(sim, 17, Scale::small(), N_REQUESTS);
         let d = drive_decisions(sim, &env);
         println!(
             "decision [{}]: {} ops in {:.3}s = {:.0} ops/s, {} errors",
@@ -755,7 +689,7 @@ fn main() {
         decisions.push(d);
     }
 
-    let json = json_of(&kernels, &decisions, compared);
+    let json = json_of(&kernels, &decisions);
     std::fs::write("BENCH_t11.json", &json).expect("write BENCH_t11.json");
     println!();
     println!("wrote BENCH_t11.json");

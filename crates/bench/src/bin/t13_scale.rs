@@ -1,19 +1,19 @@
 //! T13 — Scenario-fleet scale soak: the generated fleet (social, store,
 //! review) at 10^5 users each, Zipf traffic with churning sessions driven
-//! through the wire servers, a decision-differential gate, a thread
+//! through the wire server, a decision-differential gate, a thread
 //! sweep, and a resident-memory trajectory.
 //!
 //! Three experiments, in order:
 //!
 //! 1. **Differential gate** (always first): for every fleet app at a
-//!    small population, one sequential client drives the same seeded
-//!    traffic stream against an event-driven server, a blocking server,
-//!    and a second event-driven run with the same seed. Every
-//!    per-statement outcome, the aggregate allowed/blocked counters, and
-//!    the decision journals (template hash, verdict, cache tier) must
-//!    match across all three — the generated apps decide identically
-//!    regardless of front-end, and identically across reruns.
-//! 2. **Scale soak**: each (app, mode, workers) cell populates the app
+//!    small population, one sequential caller drives the same seeded
+//!    traffic stream over the wire (server + client), embedded
+//!    (`SqlProxy::execute` in-process), and over the wire again with the
+//!    same seed. Every per-statement outcome, the aggregate
+//!    allowed/blocked counters, and the decision journals (template hash,
+//!    verdict, cache tier) must match across all three — the server
+//!    changes cost, never answers, and reruns repeat exactly.
+//! 2. **Scale soak**: each (app, workers) cell populates the app
 //!    at scale, starts a server, and lets `m` open-loop-ish workers each
 //!    drive an independent traffic engine (derived seed, disjoint
 //!    fresh-id range) over a persistent connection. The run is split
@@ -22,16 +22,16 @@
 //!    resident-memory-per-live-session trajectory. Decision errors — a
 //!    handler request proxy-blocked, or a raw probe not blocked — must
 //!    be zero in every cell.
-//! 3. **Thread sweep**: workers m ∈ {1,2,4} for both server modes. On a
+//! 3. **Thread sweep**: workers m ∈ {1,2,4}. On a
 //!    multi-core host the sweep asserts multi-worker throughput does not
 //!    collapse; on a single core it only records the numbers.
 //!
 //! `--smoke` runs the gate plus two short social-app cells at 10^4 users
-//! (seconds); the full run covers all 18 cells at 10^5 users and writes
+//! (seconds); the full run covers all 9 cells at 10^5 users and writes
 //! `BENCH_t13.json`.
 //!
 //! `--users N` (e.g. `--users 1000000`) is the host-gated big cell: the
-//! gate, then a single event-driven soak of the first fleet app at N
+//! gate, then a single soak of the first fleet app at N
 //! users. Populating 10^6 users takes minutes and gigabytes, so this
 //! cell never runs in CI — results are recorded in `EXPERIMENTS.md`.
 //!
@@ -43,11 +43,11 @@ use std::time::{Duration, Instant};
 use appdsl::{run_handler, App, DslError, Limits, Outcome, PortOutcome, QueryPort};
 use appsim::AppSpec;
 use bep_bench::{f2, header, row};
-use bep_core::{read_process_memory, ComplianceChecker, ProxyConfig, SqlProxy};
+use bep_core::{read_process_memory, ComplianceChecker, ProxyConfig, ProxyResponse, SqlProxy};
 use bep_scenario::{
     derive, fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp, FRESH_ID_BASE,
 };
-use bep_server::{Client, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ExecOutcome, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -73,41 +73,75 @@ const PHASE_OPS_SMOKE: usize = 400;
 /// Per-operation client I/O timeout.
 const IO: Duration = Duration::from_secs(30);
 
-fn mode_label(mode: ServerMode) -> &'static str {
-    match mode {
-        ServerMode::EventDriven => "event",
-        ServerMode::Blocking => "blocking",
+/// The system under test as the traffic driver sees it: over the wire,
+/// or the proxy called in-process. Outcomes come back in the wire
+/// client's form with the human-readable `detail` (which only the wire
+/// carries) blanked, so the two are comparable entry by entry.
+enum Front {
+    Wire(Client),
+    Embedded(Arc<SqlProxy>),
+}
+
+impl Front {
+    fn begin(&mut self, uid: i64) -> u64 {
+        let bindings = vec![("MyUId".into(), Value::Int(uid))];
+        match self {
+            Front::Wire(c) => c.begin(bindings).expect("begin"),
+            Front::Embedded(p) => p.begin_session(bindings),
+        }
+    }
+
+    fn end(&mut self, session: u64) {
+        match self {
+            Front::Wire(c) => {
+                c.end(session).expect("end");
+            }
+            Front::Embedded(p) => {
+                p.end_session(session);
+            }
+        }
+    }
+
+    fn execute(
+        &mut self,
+        session: u64,
+        sql: &str,
+        bindings: &[(String, Value)],
+    ) -> Result<ExecOutcome, String> {
+        let blocked = |reason: String| ExecOutcome::Blocked {
+            reason,
+            detail: String::new(),
+        };
+        match self {
+            Front::Wire(c) => match c.execute(session, sql, bindings) {
+                Ok(ExecOutcome::Blocked { reason, .. }) => Ok(blocked(reason)),
+                Ok(other) => Ok(other),
+                Err(e) => Err(e.to_string()),
+            },
+            Front::Embedded(p) => match p.execute(session, sql, bindings) {
+                Ok(ProxyResponse::Rows(r)) => Ok(ExecOutcome::Rows(r)),
+                Ok(ProxyResponse::Affected(n)) => Ok(ExecOutcome::Affected(n as u64)),
+                Ok(ProxyResponse::Blocked(reason)) => Ok(blocked(reason.label().to_string())),
+                Err(e) => Err(e.to_string()),
+            },
+        }
     }
 }
 
-fn config_for(mode: ServerMode, workers: usize) -> ServerConfig {
-    match mode {
-        ServerMode::EventDriven => ServerConfig::default(),
-        ServerMode::Blocking => ServerConfig {
-            mode: ServerMode::Blocking,
-            // Persistent connections occupy a worker each; never starve
-            // the sweep by design.
-            workers: workers.max(4),
-            queue_capacity: workers.max(4),
-            ..Default::default()
-        },
-    }
-}
-
-/// Forwards each handler statement over the wire client, optionally
-/// logging every outcome (the gate compares those logs entry by entry).
-struct ClientPort<'a> {
-    client: &'a mut Client,
+/// Forwards each handler statement to the front, optionally logging every
+/// outcome (the gate compares those logs entry by entry).
+struct FrontPort<'a> {
+    front: &'a mut Front,
     session: u64,
     log: Option<Vec<String>>,
 }
 
-impl QueryPort for ClientPort<'_> {
+impl QueryPort for FrontPort<'_> {
     fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
         let out = self
-            .client
+            .front
             .execute(self.session, sql, bindings)
-            .map_err(|e| DslError::Port(e.to_string()))?;
+            .map_err(DslError::Port)?;
         if let Some(log) = &mut self.log {
             log.push(format!("{out:?}"));
         }
@@ -171,11 +205,16 @@ fn gate_cfg() -> TrafficConfig {
     }
 }
 
-fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
+fn gate_run(prep: &PreparedApp, wire: bool, seed: u64) -> GateRun {
     let proxy = proxy_of(prep);
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, 1), "127.0.0.1:0")
-        .expect("start server");
-    let mut client = Client::connect(server.addr(), IO).expect("connect");
+    let server = wire.then(|| {
+        Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0")
+            .expect("start server")
+    });
+    let mut front = match &server {
+        Some(server) => Front::Wire(Client::connect(server.addr(), IO).expect("connect")),
+        None => Front::Embedded(Arc::clone(&proxy)),
+    };
     let mut engine = TrafficEngine::new(&prep.app, gate_cfg(), seed);
     let mut sessions: Vec<Option<u64>> = vec![None; gate_cfg().target_sessions];
     let mut log = Vec::with_capacity(GATE_OPS * 2);
@@ -186,27 +225,23 @@ fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
                 uid,
                 user_index,
             } => {
-                let id = client
-                    .begin(vec![("MyUId".into(), Value::Int(uid))])
-                    .expect("begin");
-                sessions[slot] = Some(id);
+                sessions[slot] = Some(front.begin(uid));
                 log.push(format!("begin u{user_index}"));
             }
             TrafficOp::End { slot } => {
-                let id = sessions[slot].take().expect("live session");
-                client.end(id).expect("end");
+                front.end(sessions[slot].take().expect("live session"));
                 log.push("end".to_string());
             }
             TrafficOp::RawProbe { slot, sql } | TrafficOp::RawWriteProbe { slot, sql } => {
                 let id = sessions[slot].expect("live session");
-                let out = client.execute(id, &sql, &[]).expect("raw probe executes");
+                let out = front.execute(id, &sql, &[]).expect("raw probe executes");
                 log.push(format!("raw {out:?}"));
             }
             TrafficOp::Request { slot, request, .. } => {
                 let id = sessions[slot].expect("live session");
                 let handler = prep.parsed.handler(&request.handler).expect("handler");
-                let mut port = ClientPort {
-                    client: &mut client,
+                let mut port = FrontPort {
+                    front: &mut front,
                     session: id,
                     log: Some(Vec::new()),
                 };
@@ -224,10 +259,12 @@ fn gate_run(prep: &PreparedApp, mode: ServerMode, seed: u64) -> GateRun {
         }
     }
     for id in sessions.iter().flatten() {
-        client.end(*id).expect("end");
+        front.end(*id);
     }
-    drop(client);
-    server.shutdown();
+    drop(front);
+    if let Some(server) = server {
+        server.shutdown();
+    }
     let stats = proxy.stats();
     let journal = proxy
         .journal()
@@ -273,15 +310,14 @@ fn compare_runs(name: &str, label: &str, a: &GateRun, b: &GateRun) -> usize {
     mismatches
 }
 
-/// Drives the same seeded traffic against both front-ends and an
-/// event-driven rerun; returns (log entries, mismatches). Mismatches
-/// must be zero.
+/// Drives the same seeded traffic over the wire, embedded, and over the
+/// wire again; returns (log entries, mismatches). Mismatches must be zero.
 fn differential_gate(prep: &PreparedApp) -> (usize, usize) {
-    let event = gate_run(prep, ServerMode::EventDriven, 99);
-    let blocking = gate_run(prep, ServerMode::Blocking, 99);
-    let rerun = gate_run(prep, ServerMode::EventDriven, 99);
-    let mut mismatches = compare_runs(&prep.app.name, "event vs blocking", &event, &blocking);
-    mismatches += compare_runs(&prep.app.name, "event vs rerun", &event, &rerun);
+    let event = gate_run(prep, true, 99);
+    let embedded = gate_run(prep, false, 99);
+    let rerun = gate_run(prep, true, 99);
+    let mut mismatches = compare_runs(&prep.app.name, "wire vs embedded", &event, &embedded);
+    mismatches += compare_runs(&prep.app.name, "wire vs rerun", &event, &rerun);
     println!(
         "gate[{}]: {} log entries, {} journal events, {}/{} allowed/blocked, {} mismatches",
         prep.app.name,
@@ -308,7 +344,6 @@ struct PhaseStat {
 
 struct CellResult {
     app: String,
-    mode: &'static str,
     workers: usize,
     ops: usize,
     wall_s: f64,
@@ -346,15 +381,9 @@ struct WorkerReport {
 /// One soak cell: `m` workers, each with its own connection, traffic
 /// engine (derived seed, disjoint fresh-id range), and session slots,
 /// against one server. The driver thread samples RSS at phase barriers.
-fn soak(
-    prep: &PreparedApp,
-    mode: ServerMode,
-    m: usize,
-    phases: usize,
-    phase_ops: usize,
-) -> CellResult {
+fn soak(prep: &PreparedApp, m: usize, phases: usize, phase_ops: usize) -> CellResult {
     let proxy = proxy_of(prep);
-    let server = Server::start(Arc::clone(&proxy), config_for(mode, m), "127.0.0.1:0")
+    let server = Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0")
         .expect("start server");
     let addr = server.addr();
     let baseline = read_process_memory().resident_bytes;
@@ -374,7 +403,7 @@ fn soak(
                     let slots = cfg.target_sessions;
                     let mut engine = TrafficEngine::new(app, cfg, derive(cell_seed, w as u64))
                         .with_fresh_base(FRESH_ID_BASE + (w as i64 + 1) * 1_000_000_000);
-                    let mut client = Client::connect(addr, IO).expect("connect");
+                    let mut front = Front::Wire(Client::connect(addr, IO).expect("connect"));
                     let mut sessions: Vec<Option<u64>> = vec![None; slots];
                     let mut report = WorkerReport {
                         phase_latencies_us: Vec::with_capacity(phases),
@@ -389,19 +418,15 @@ fn soak(
                             let t0 = Instant::now();
                             match engine.next_op() {
                                 TrafficOp::Begin { slot, uid, .. } => {
-                                    let id = client
-                                        .begin(vec![("MyUId".into(), Value::Int(uid))])
-                                        .expect("begin");
-                                    sessions[slot] = Some(id);
+                                    sessions[slot] = Some(front.begin(uid));
                                 }
                                 TrafficOp::End { slot } => {
-                                    let id = sessions[slot].take().expect("live session");
-                                    client.end(id).expect("end");
+                                    front.end(sessions[slot].take().expect("live session"));
                                 }
                                 TrafficOp::RawProbe { slot, sql }
                                 | TrafficOp::RawWriteProbe { slot, sql } => {
                                     let id = sessions[slot].expect("live session");
-                                    match client.execute(id, &sql, &[]) {
+                                    match front.execute(id, &sql, &[]) {
                                         Ok(ExecOutcome::Blocked { .. }) => {}
                                         // A raw probe that is not blocked is
                                         // a decision error, full stop.
@@ -412,8 +437,8 @@ fn soak(
                                     let id = sessions[slot].expect("live session");
                                     let handler =
                                         parsed.handler(&request.handler).expect("handler");
-                                    let mut port = ClientPort {
-                                        client: &mut client,
+                                    let mut port = FrontPort {
+                                        front: &mut front,
                                         session: id,
                                         log: None,
                                     };
@@ -445,7 +470,7 @@ fn soak(
                         phase_resume.wait();
                     }
                     for id in sessions.iter().flatten() {
-                        client.end(*id).expect("end");
+                        front.end(*id);
                     }
                     report.sessions_begun = engine.sessions_begun();
                     report
@@ -495,7 +520,6 @@ fn soak(
     let wall_s = rss_samples.last().expect("phases ran").0;
     CellResult {
         app: prep.app.name.clone(),
-        mode: mode_label(mode),
         workers: m,
         ops,
         wall_s,
@@ -550,11 +574,10 @@ fn json_of(
     out.push_str("  \"results\": [\n");
     for (i, r) in results.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"app\": \"{}\", \"mode\": \"{}\", \"workers\": {}, \"ops\": {}, \
+            "    {{\"app\": \"{}\", \"workers\": {}, \"ops\": {}, \
              \"wall_s\": {:.2}, \"throughput_ops_s\": {:.1}, \"decision_errors\": {}, \
              \"sessions\": {}, \"allowed\": {}, \"blocked\": {},\n",
             r.app,
-            r.mode,
             r.workers,
             r.ops,
             r.wall_s,
@@ -630,7 +653,7 @@ fn main() {
     assert_eq!(
         mismatches, 0,
         "differential gate: generated-app decisions must be identical \
-         across front-ends and same-seed reruns"
+         over the wire, embedded, and across same-seed reruns"
     );
 
     // Phase 2: populate at scale and soak.
@@ -640,8 +663,8 @@ fn main() {
     } else {
         (PHASES_FULL, PHASE_OPS_FULL)
     };
-    // The big host-gated cell runs one app in one mode at one worker
-    // count — the point is the population size, not the cell matrix.
+    // The big host-gated cell runs one app at one worker count — the
+    // point is the population size, not the cell matrix.
     let single_app = smoke || users_override.is_some();
     let apps = if single_app {
         fleet(FLEET_SEED, users)
@@ -658,11 +681,6 @@ fn main() {
     } else {
         &SWEEP
     };
-    let modes: &[ServerMode] = if users_override.is_some() {
-        &[ServerMode::EventDriven]
-    } else {
-        &[ServerMode::Blocking, ServerMode::EventDriven]
-    };
 
     let preps: Vec<PreparedApp> = apps
         .into_iter()
@@ -676,38 +694,34 @@ fn main() {
         })
         .collect();
 
-    let widths = [8usize, 9, 3, 7, 9, 10, 10, 6, 8, 8, 5];
+    let widths = [8usize, 3, 7, 9, 10, 10, 6, 8, 8, 5];
     header(
         &[
-            "app", "mode", "m", "ops", "ops/s", "p50-us", "p99-us", "rss/s-kb", "ok", "denied",
-            "err",
+            "app", "m", "ops", "ops/s", "p50-us", "p99-us", "rss/s-kb", "ok", "denied", "err",
         ],
         &widths,
     );
     let mut results: Vec<CellResult> = Vec::new();
     for prep in &preps {
         for &m in sweep {
-            for &mode in modes {
-                let r = soak(prep, mode, m, phases, phase_ops);
-                let last = r.phases.last().expect("phases");
-                row(
-                    &[
-                        r.app.clone(),
-                        r.mode.to_string(),
-                        r.workers.to_string(),
-                        r.ops.to_string(),
-                        f2(r.throughput),
-                        f2(last.p50_us),
-                        f2(last.p99_us),
-                        (last.rss_per_session_bytes / 1024).to_string(),
-                        r.allowed.to_string(),
-                        r.blocked.to_string(),
-                        r.decision_errors.to_string(),
-                    ],
-                    &widths,
-                );
-                results.push(r);
-            }
+            let r = soak(prep, m, phases, phase_ops);
+            let last = r.phases.last().expect("phases");
+            row(
+                &[
+                    r.app.clone(),
+                    r.workers.to_string(),
+                    r.ops.to_string(),
+                    f2(r.throughput),
+                    f2(last.p50_us),
+                    f2(last.p99_us),
+                    (last.rss_per_session_bytes / 1024).to_string(),
+                    r.allowed.to_string(),
+                    r.blocked.to_string(),
+                    r.decision_errors.to_string(),
+                ],
+                &widths,
+            );
+            results.push(r);
         }
         println!();
     }
@@ -717,8 +731,8 @@ fn main() {
     for r in &results {
         assert_eq!(
             r.decision_errors, 0,
-            "{} {} m={}: decision errors in a scale soak",
-            r.app, r.mode, r.workers
+            "{} m={}: decision errors in a scale soak",
+            r.app, r.workers
         );
     }
 
@@ -736,18 +750,16 @@ fn main() {
         if users_override.is_none() {
             assert!(
                 last.rss_per_session_bytes < 8 * 1024 * 1024,
-                "{} {} m={}: {} bytes resident per live session",
+                "{} m={}: {} bytes resident per live session",
                 r.app,
-                r.mode,
                 r.workers,
                 last.rss_per_session_bytes
             );
         } else {
             assert!(
                 last.rss_per_session_bytes <= 2 * first.rss_per_session_bytes,
-                "{} {} m={}: per-session residency grew across phases: {} -> {}",
+                "{} m={}: per-session residency grew across phases: {} -> {}",
                 r.app,
-                r.mode,
                 r.workers,
                 first.rss_per_session_bytes,
                 last.rss_per_session_bytes
@@ -759,31 +771,27 @@ fn main() {
     // actually run workers in parallel; a 1-core host just records it.
     if !smoke && users_override.is_none() && cores >= 2 {
         for prep in &preps {
-            for mode in ["event", "blocking"] {
-                let of = |m: usize| {
-                    results
-                        .iter()
-                        .find(|r| r.app == prep.app.name && r.mode == mode && r.workers == m)
-                        .map(|r| r.throughput)
-                        .unwrap_or(0.0)
-                };
-                let single = of(SWEEP[0]);
-                let best = SWEEP[1..].iter().map(|&m| of(m)).fold(0.0, f64::max);
-                println!(
-                    "{} [{}]: 1 worker {:.1} ops/s, best multi-worker {:.1} ops/s ({:+.1}%)",
-                    prep.app.name,
-                    mode,
-                    single,
-                    best,
-                    (best / single - 1.0) * 100.0
-                );
-                assert!(
-                    best >= 0.8 * single,
-                    "{} [{}]: multi-worker throughput collapsed",
-                    prep.app.name,
-                    mode
-                );
-            }
+            let of = |m: usize| {
+                results
+                    .iter()
+                    .find(|r| r.app == prep.app.name && r.workers == m)
+                    .map(|r| r.throughput)
+                    .unwrap_or(0.0)
+            };
+            let single = of(SWEEP[0]);
+            let best = SWEEP[1..].iter().map(|&m| of(m)).fold(0.0, f64::max);
+            println!(
+                "{}: 1 worker {:.1} ops/s, best multi-worker {:.1} ops/s ({:+.1}%)",
+                prep.app.name,
+                single,
+                best,
+                (best / single - 1.0) * 100.0
+            );
+            assert!(
+                best >= 0.8 * single,
+                "{}: multi-worker throughput collapsed",
+                prep.app.name
+            );
         }
     }
 

@@ -14,9 +14,9 @@
 //! Decision fidelity is asserted, not assumed: each (app, clients) point
 //! must reproduce the in-process proxy's exact allowed/blocked totals on
 //! the same workload seed under the same session-reuse schedule, and a
-//! deterministic overload probe against a blocking-mode server must
-//! receive a typed `busy` (never a hang) carrying the pool's queue depth
-//! and worker count.
+//! deterministic overload probe against a server at its connection cap
+//! must receive a typed `busy` (never a hang) carrying the server's load
+//! snapshot.
 //!
 //! Results go to `BENCH_t8.json`, recording host parallelism — on a
 //! 1-core host the sweep measures protocol and scheduling overhead, not
@@ -29,9 +29,9 @@ use std::time::{Duration, Instant};
 
 use appdsl::{DslError, PortOutcome, QueryPort};
 use appsim::{ProxyPort, Scale, SimApp, CALENDAR, FORUM};
-use bep_bench::{app_env, f2, header, proxy_for, row, AppEnv};
+use bep_bench::{app_env, f2, header, proxy_for, row, salted_params, AppEnv};
 use bep_core::{ProxyConfig, SqlProxy};
-use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
 use sqlir::Value;
 
 /// Rounds each client replays its share of the workload.
@@ -40,8 +40,6 @@ const ROUNDS: usize = 2;
 const N_REQUESTS: usize = 120;
 /// Client counts swept.
 const CLIENTS: [usize; 4] = [1, 2, 4, 8];
-/// Worker pool of the blocking-mode overload probe.
-const PROBE_WORKERS: usize = 1;
 /// Per-operation client I/O timeout.
 const IO: Duration = Duration::from_secs(30);
 
@@ -119,7 +117,7 @@ fn in_process_decisions(env: &AppEnv) -> (u64, u64) {
         .iter()
         .map(|req| proxy.begin_session(req.session.clone()))
         .collect();
-    for _ in 0..ROUNDS {
+    for round in 0..ROUNDS {
         for (req, &session) in env.requests.iter().zip(&sessions) {
             let handler = app.handler(&req.handler).expect("handler");
             let mut port = ProxyPort {
@@ -130,7 +128,7 @@ fn in_process_decisions(env: &AppEnv) -> (u64, u64) {
                 &mut port,
                 handler,
                 &req.session,
-                &req.params,
+                &salted_params(&req.params, round),
                 appdsl::Limits::default(),
             );
         }
@@ -175,24 +173,28 @@ fn drive(sim: &'static SimApp, env: &AppEnv, m: usize) -> Measurement {
 
                     let mut latencies = Vec::new();
                     let mut errors = 0usize;
-                    for _ in 0..ROUNDS {
+                    for round in 0..ROUNDS {
                         for &(i, session) in &owned {
                             let req = &requests[i];
                             let handler = app.handler(&req.handler).expect("handler");
+                            // A replayed create-request must insert a fresh
+                            // row, not re-insert round 0's primary key.
+                            let params = salted_params(&req.params, round);
                             let t0 = Instant::now();
                             let mut port = ClientPort {
                                 client: &mut client,
                                 session,
                             };
-                            if appdsl::run_handler(
+                            if let Err(e) = appdsl::run_handler(
                                 &mut port,
                                 handler,
                                 &req.session,
-                                &req.params,
+                                &params,
                                 appdsl::Limits::default(),
-                            )
-                            .is_err()
-                            {
+                            ) {
+                                if errors == 0 {
+                                    eprintln!("first handler error: {}: {e}", req.handler);
+                                }
                                 errors += 1;
                             }
                             latencies.push(t0.elapsed().as_secs_f64() * 1e6);
@@ -246,17 +248,15 @@ fn drive(sim: &'static SimApp, env: &AppEnv, m: usize) -> Measurement {
     }
 }
 
-/// Deterministic overload probe: a blocking-mode server with one worker
-/// and no backlog, its only worker held mid-session — the next connection
-/// must receive a typed `busy` promptly (never a hang) and the payload
-/// must carry the pool's load snapshot.
+/// Deterministic overload probe: a server capped at one connection, that
+/// connection held mid-session — the next one must receive a typed `busy`
+/// promptly (never a hang) and the payload must carry the load snapshot
+/// (one live connection, one reactor).
 fn probe_busy_response() -> bool {
     let env = app_env(&CALENDAR, 17, Scale::small(), 1);
     let proxy = Arc::new(proxy_for(&env, ProxyConfig::default()));
     let config = ServerConfig {
-        mode: ServerMode::Blocking,
-        workers: PROBE_WORKERS,
-        queue_capacity: 0,
+        max_connections: 1,
         ..Default::default()
     };
     let server = Server::start(proxy, config, "127.0.0.1:0").expect("start probe server");
@@ -273,8 +273,8 @@ fn probe_busy_response() -> bool {
         }) => {
             assert_eq!(
                 (queue_depth, workers),
-                (0, PROBE_WORKERS as u64),
-                "busy payload carries the pool's load snapshot"
+                (1, 1),
+                "busy payload carries the server's load snapshot"
             );
             true
         }
@@ -339,7 +339,7 @@ fn main() {
         );
     }
 
-    println!("overload probe: blocking mode, 1 worker, no backlog, held mid-session...");
+    println!("overload probe: connection cap 1, the one connection held mid-session...");
     let busy_probe_ok = probe_busy_response();
     assert!(
         busy_probe_ok,
@@ -370,6 +370,7 @@ fn main() {
                 sim.name,
                 m
             );
+            assert_eq!(r.errors, 0, "{} @ {m} clients: handler errors", sim.name);
             row(
                 &[
                     r.app.to_string(),

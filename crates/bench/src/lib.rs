@@ -21,9 +21,7 @@
 //! | T7 | `t7_concurrency` |
 //! | T8 | `t8_server` |
 //! | T9 | `t9_observability` |
-//! | T10 | `t10_plans` |
 //! | T11 | `t11_kernel` |
-//! | T12 | `t12_reactor` |
 //! | T13 | `t13_scale` |
 //! | T14 | `t14_introspect` |
 

@@ -308,6 +308,11 @@ struct PlanShard {
     pending: Vec<u64>,
 }
 
+/// Compiled templates a proxy's cache retains before SIEVE eviction (the
+/// byte budget, [`crate::ProxyConfig::plan_budget_bytes`], binds first only
+/// for unusually large plans).
+pub const PLAN_CAPACITY: usize = 1024;
+
 /// Sharded, hash-keyed cache of compiled template plans with bounded
 /// count *and* bytes (SIEVE eviction, scan-resistant) and prove-once
 /// misses.

@@ -27,7 +27,7 @@
 //!   negative template cache, so the expensive symbolic proof runs at most
 //!   once per template (the plan cache's `OnceLock` cells make that
 //!   literal: racing misses block on the winner instead of proving twice).
-//!   Even with this tier *off* (the T10 "no-caches" ablation), an
+//!   Even with this tier *off* (the "no-caches" ablation), an
 //!   `Allowed` verdict still pays: the concrete proof replays the plan's
 //!   instantiated certificate through a verification-only check before
 //!   falling back to the full rewriting search — every request still runs
@@ -41,13 +41,10 @@
 //!   (never the reverse), so a cached denial is served only while the
 //!   session's fact count is unchanged.
 //!
-//! [`ProxyConfig::plan_cache`] = false disables plan compilation entirely
-//! and routes every request through the naive path (parse, translate, and
-//! prove from scratch via [`ComplianceChecker`] — with *no* template
-//! memoization, so `template_cache` = true then means "attempt a fresh
-//! symbolic proof per request"). That path is the measured baseline of the
-//! T10 bench and the oracle of the differential tests: planned and naive
-//! decisions are asserted identical.
+//! Every request takes this one path. The specification it is tested
+//! against is the cache-free [`ComplianceChecker`] (`check_template`,
+//! `check_concrete`) and [`crate::write`]'s `compile_write_template` /
+//! `check_write_concrete`, which the differential tests call per request.
 //!
 //! # Concurrency model
 //!
@@ -124,7 +121,9 @@ use crate::obs::{
     template_hash, CacheTier, Counter, DecisionEvent, EventJournal, Gauge, MemoryGauges,
     MetricsRegistry, Phase, PhaseTimer, Verdict, PHASE_COUNT,
 };
-use crate::plan::{compile_plan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict};
+use crate::plan::{
+    compile_plan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict, PLAN_CAPACITY,
+};
 use crate::snapshot::{SnapshotError, SnapshotLoadReport, SnapshotSaveReport};
 use crate::span::{self, SpanKind, SpanSummary};
 use crate::trace::{Observation, Trace, MAX_FACT_ROWS};
@@ -136,7 +135,7 @@ use crate::write::{WriteTemplate, WriteTemplateVerdict};
 /// Fibonacci hash).
 const SESSION_SHARDS: usize = 16;
 
-/// Proxy behaviour toggles (the T4/T6/T7 ablations flip these).
+/// Proxy behaviour toggles.
 #[derive(Debug, Clone, Copy)]
 pub struct ProxyConfig {
     /// Use trace facts in decisions (Example 2.1 requires this).
@@ -149,16 +148,9 @@ pub struct ProxyConfig {
     pub allow_writes: bool,
     /// Enforce mutation policies: an `INSERT`/`UPDATE`/`DELETE` is allowed
     /// iff its written rows are contained in a policy view (see
-    /// [`crate::write`]). Off (the default, pending migration), mutations
-    /// pass through as before and are counted as
-    /// `bep_write_decisions_total{verdict="passthrough"}`.
+    /// [`crate::write`]). Off (the default), mutations pass through and are
+    /// counted as `bep_write_decisions_total{verdict="passthrough"}`.
     pub enforce_writes: bool,
-    /// Compile and cache template plans. Off, every request parses,
-    /// translates, and proves from scratch (the naive baseline; template
-    /// verdicts are then *never* memoized).
-    pub plan_cache: bool,
-    /// Compiled templates retained before FIFO eviction.
-    pub plan_capacity: usize,
     /// Capture decision provenance: per-phase timings, per-phase latency
     /// histograms, and one [`DecisionEvent`] per `execute` into the
     /// journal. The T9 bench sweeps this off to price the enabled path.
@@ -182,9 +174,9 @@ pub struct ProxyConfig {
     /// fact set stays logically equivalent; see `Trace::compact`) and keeps
     /// session state O(distinct information) instead of O(requests).
     pub compaction: bool,
-    /// Byte budget for resident compiled plans (0 = count-bounded only by
-    /// [`plan_capacity`](Self::plan_capacity)). Enforced with SIEVE
-    /// eviction, reported via `bep_cache_evictions_total{tier="plan"}`.
+    /// Byte budget for resident compiled plans (0 = count-bounded only, by
+    /// [`PLAN_CAPACITY`]). Enforced with SIEVE eviction, reported via
+    /// `bep_cache_evictions_total{tier="plan"}`.
     pub plan_budget_bytes: usize,
     /// Per-session byte budget for the concrete allow/deny caches, split
     /// evenly between the two tiers (0 = unbounded). Evictions are counted
@@ -200,8 +192,6 @@ impl Default for ProxyConfig {
             session_cache: true,
             allow_writes: true,
             enforce_writes: false,
-            plan_cache: true,
-            plan_capacity: 1024,
             observe: true,
             journal_capacity: 4096,
             spans: false,
@@ -539,6 +529,16 @@ pub enum ProxyResponse {
     Blocked(DenyReason),
 }
 
+impl From<minidb::ExecResult> for ProxyResponse {
+    fn from(result: minidb::ExecResult) -> ProxyResponse {
+        match result {
+            minidb::ExecResult::Rows(r) => ProxyResponse::Rows(r),
+            minidb::ExecResult::Affected(n) => ProxyResponse::Affected(n),
+            minidb::ExecResult::Created => ProxyResponse::Affected(0),
+        }
+    }
+}
+
 impl ProxyResponse {
     /// The rows, if this was an allowed `SELECT`.
     pub fn rows(&self) -> Option<&Rows> {
@@ -736,7 +736,7 @@ impl SqlProxy {
                 .collect(),
             next_session: AtomicU64::new(1),
             plans: PlanCache::with_budget(
-                config.plan_capacity,
+                PLAN_CAPACITY,
                 config.plan_budget_bytes,
                 Some(eviction_counters[0].clone()),
             ),
@@ -1036,17 +1036,9 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
         let hash = template_hash(sql);
-        let t0 = Instant::now();
-        let mut prov = Prov::new(self.config.observe);
-        self.begin_span();
-        let result = if self.config.plan_cache {
-            let (plan, built) = self.plan_for(sql, hash, &mut prov);
-            self.execute_plan_timed(session_id, &plan, built, extra_bindings, &mut prov)
-        } else {
-            self.execute_naive(session_id, sql, hash, extra_bindings, &mut prov)
-        };
-        self.publish(session_id, hash, t0, &prov, &result);
-        result
+        self.publish(self.run(session_id, extra_bindings, |prov| {
+            self.plan_for(sql, hash, prov)
+        }))
     }
 
     /// Compiles (or prefetches) the plan for a template without deciding
@@ -1054,18 +1046,13 @@ impl SqlProxy {
     /// [`SqlProxy::execute_planned`], skipping even the plan-cache probe —
     /// the wire protocol's `prepare` frame maps to this.
     ///
-    /// With [`ProxyConfig::plan_cache`] off the plan is compiled transient
-    /// (not retained). No statistics are touched; replays through a
-    /// template-allowed plan count as template-cache hits.
+    /// No statistics are touched; replays through a template-allowed plan
+    /// count as template-cache hits.
     pub fn prepare(&self, sql: &str) -> Arc<TemplatePlan> {
         let hash = template_hash(sql);
-        if self.config.plan_cache {
-            let (cell, _) = self.plans.entry_hashed(hash, sql);
-            cell.get_or_init(|| Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |_| {})))
-                .clone()
-        } else {
-            Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |_| {}))
-        }
+        let (cell, _) = self.plans.entry_hashed(hash, sql);
+        cell.get_or_init(|| Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |_| {})))
+            .clone()
     }
 
     /// Executes a previously [`prepare`](SqlProxy::prepare)d plan — the
@@ -1078,42 +1065,48 @@ impl SqlProxy {
         plan: &TemplatePlan,
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
-        let t0 = Instant::now();
-        let mut prov = Prov::new(self.config.observe);
-        self.begin_span();
-        let result = self.execute_plan_timed(session_id, plan, false, extra_bindings, &mut prov);
-        self.publish(session_id, plan.hash(), t0, &prov, &result);
-        result
+        self.publish(self.run(session_id, extra_bindings, |_| (plan, false)))
     }
 
-    /// Starts a per-decision span tree on this thread when configured.
-    /// Always paired with the [`span::finish`] inside
-    /// [`finish`](Self::finish), which also runs on the error paths.
-    fn begin_span(&self) {
+    /// One statement from clock start to finished telemetry: `resolve`
+    /// yields the plan and whether this request compiled it (its laps
+    /// already attributed), the plan decides and executes, and
+    /// [`finish`](Self::finish) closes the books. The journal event comes
+    /// back unpublished so a batch can publish its events as one block.
+    fn run<P: std::ops::Deref<Target = TemplatePlan>>(
+        &self,
+        session_id: u64,
+        extra_bindings: &[(String, Value)],
+        resolve: impl FnOnce(&mut Prov) -> (P, bool),
+    ) -> (Result<ProxyResponse, CoreError>, Option<DecisionEvent>) {
+        let t0 = Instant::now();
+        let mut prov = Prov::new(self.config.observe);
+        // The per-decision span tree, closed by `span::finish` inside
+        // `finish` on every path, errors included.
         if self.config.observe && self.config.spans {
             span::begin();
         }
+        let (plan, built) = resolve(&mut prov);
+        let result = self.execute_plan_timed(session_id, &plan, built, extra_bindings, &mut prov);
+        let event = self.finish(session_id, plan.hash(), t0, &prov, &result);
+        (result, event)
     }
 
-    /// Records the end-to-end latency and, when observing, the per-phase
-    /// histograms and the journal event for one finished request.
+    /// Publishes one [`run`](Self::run)'s journal event on its own.
     fn publish(
         &self,
-        session_id: u64,
-        hash: u64,
-        t0: Instant,
-        prov: &Prov,
-        result: &Result<ProxyResponse, CoreError>,
-    ) {
-        if let Some(ev) = self.finish(session_id, hash, t0, prov, result) {
+        (result, event): (Result<ProxyResponse, CoreError>, Option<DecisionEvent>),
+    ) -> Result<ProxyResponse, CoreError> {
+        if let Some(ev) = event {
             self.journal.record(ev);
         }
+        result
     }
 
-    /// The shared tail of [`publish`](Self::publish): latency + per-phase
-    /// histogram recording, returning the journal event (if any) so batch
-    /// callers can defer publication into one
-    /// [`EventJournal::record_many`] block.
+    /// The tail of [`run`](Self::run): latency + per-phase histogram
+    /// recording, returning the journal event (if any) for the caller to
+    /// publish ([`EventJournal::record`] or one
+    /// [`EventJournal::record_many`] block per batch).
     fn finish(
         &self,
         session_id: u64,
@@ -1125,8 +1118,8 @@ impl SqlProxy {
         let total = t0.elapsed();
         let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
         self.stats.latency.record(total);
-        // Close the span tree first: `begin_span` opened it whenever
-        // observing with spans on, and it must be closed on *every* path
+        // Close the span tree first: `run` opened it whenever observing
+        // with spans on, and it must be closed on *every* path
         // through here (including errors) or it would leak into the
         // thread's next decision.
         let (span_summary, span_records) = match span::active() {
@@ -1202,38 +1195,24 @@ impl SqlProxy {
     /// compiles its plan is attributed the template proof exactly as the
     /// sequential path would, and every per-request statistic, phase
     /// timing, and journal event is recorded per decision. The batch only
-    /// changes *cost*, never answers — the T12 differential gate asserts
-    /// this on replayed workloads.
-    ///
-    /// With [`ProxyConfig::plan_cache`] off, the batch degrades to the
-    /// naive per-request path (nothing to amortize), preserving the
-    /// ablation baseline.
+    /// changes *cost*, never answers — `tests/batch_differential.rs`
+    /// asserts this on replayed workloads.
     pub fn execute_batch(&self, items: &[BatchItem]) -> Vec<Result<ProxyResponse, CoreError>> {
         self.batches.inc();
         self.batch_requests.add(items.len() as u64);
-        if !self.config.plan_cache {
-            return items
-                .iter()
-                .map(|it| match &it.stmt {
-                    BatchStmt::Sql(sql) => self.execute(it.session, sql, &it.bindings),
-                    BatchStmt::Plan(plan) => self.execute_planned(it.session, plan, &it.bindings),
-                })
-                .collect();
-        }
         // Per-batch template table: hash → compiled plan. Probing the
         // shared plan cache happens at most once per distinct template.
         let mut local_plans: HashMap<u64, Arc<TemplatePlan>> = HashMap::new();
         let mut out = Vec::with_capacity(items.len());
         let mut events: Vec<DecisionEvent> = Vec::new();
         for it in items {
-            let t0 = Instant::now();
-            let mut prov = Prov::new(self.config.observe);
-            self.begin_span();
-            let (hash, plan, built) = match &it.stmt {
+            let (result, event) = match &it.stmt {
                 // A pre-compiled plan replays like `execute_planned`:
                 // never attributed the template proof.
-                BatchStmt::Plan(plan) => (plan.hash(), plan.clone(), false),
-                BatchStmt::Sql(sql) => {
+                BatchStmt::Plan(plan) => {
+                    self.run(it.session, &it.bindings, |_| (plan.as_ref(), false))
+                }
+                BatchStmt::Sql(sql) => self.run(it.session, &it.bindings, |prov| {
                     let hash = template_hash(sql);
                     match local_plans.get(&hash) {
                         Some(plan) => {
@@ -1243,20 +1222,17 @@ impl SqlProxy {
                             // template-lookup phase so per-phase accounting
                             // stays complete.
                             prov.lap(Phase::TemplateLookup);
-                            (hash, plan.clone(), false)
+                            (plan.clone(), false)
                         }
                         None => {
-                            let (plan, built) = self.plan_for(sql, hash, &mut prov);
+                            let (plan, built) = self.plan_for(sql, hash, prov);
                             local_plans.insert(hash, plan.clone());
-                            (hash, plan, built)
+                            (plan, built)
                         }
                     }
-                }
+                }),
             };
-            let result = self.execute_plan_timed(it.session, &plan, built, &it.bindings, &mut prov);
-            if let Some(ev) = self.finish(it.session, hash, t0, &prov, &result) {
-                events.push(ev);
-            }
+            events.extend(event);
             out.push(result);
         }
         if !events.is_empty() {
@@ -1308,8 +1284,8 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
         prov: &mut Prov,
     ) -> Result<ProxyResponse, CoreError> {
-        // A parse failure is replayed before the session lookup, matching
-        // the naive path (parse errors never depend on the session).
+        // A parse failure is replayed before the session lookup (parse
+        // errors never depend on the session).
         if let PlanBody::ParseError(msg) = plan.body() {
             self.stats.blocked.inc();
             return Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg.clone())));
@@ -1320,10 +1296,8 @@ impl SqlProxy {
         match plan.body() {
             PlanBody::Select(sp) => {
                 let decision =
-                    self.decide_select_planned(session_id, sp, plan.hash(), built, bindings, prov)?;
-                self.complete_select(session_id, &sp.stmt, bindings, decision, prov, |rows| {
-                    self.record_observation_planned(session_id, sp, bindings, rows)
-                })
+                    self.decide_select(session_id, sp, plan.hash(), built, bindings, prov)?;
+                self.complete_select(session_id, sp, bindings, decision, prov)
             }
             PlanBody::Write(wp) => self.decide_and_run_write(
                 session_id,
@@ -1340,75 +1314,22 @@ impl SqlProxy {
         }
     }
 
-    /// The naive decision path ([`ProxyConfig::plan_cache`] = false):
-    /// parse, translate, and prove from scratch, with no template
-    /// memoization. This is the measured baseline plans are compared to,
-    /// and the oracle the differential tests hold the planned path to.
-    fn execute_naive(
-        &self,
-        session_id: u64,
-        sql: &str,
-        hash: u64,
-        extra_bindings: &[(String, Value)],
-        prov: &mut Prov,
-    ) -> Result<ProxyResponse, CoreError> {
-        let parsed = parse_statement(sql);
-        prov.lap(Phase::Parse);
-        let stmt = match parsed {
-            Ok(s) => s,
-            Err(e) => {
-                self.stats.blocked.inc();
-                return Ok(ProxyResponse::Blocked(DenyReason::ParseError(
-                    e.to_string(),
-                )));
-            }
-        };
-        let (session_bindings, mode) = self.session_meta(session_id)?;
-        let merged = merge_bindings(&session_bindings, extra_bindings);
-        let bindings: &[(String, Value)] = merged.as_deref().unwrap_or(&session_bindings);
-        match &stmt {
-            Statement::Select(q) => {
-                let decision = self.decide_select_naive(session_id, q, hash, bindings, prov)?;
-                self.complete_select(session_id, &stmt, bindings, decision, prov, |rows| {
-                    self.record_observation_naive(session_id, q, bindings, rows)
-                })
-            }
-            _ if StatementClass::of(&stmt) == StatementClass::Write => {
-                // The naive baseline compiles the write template from
-                // scratch on every request (no memoization), mirroring the
-                // read path's fresh symbolic proof.
-                let template = crate::write::compile_write_template(
-                    &stmt,
-                    self.checker.policy().views(),
-                    self.checker.schema(),
-                );
-                prov.lap(Phase::Proof);
-                self.decide_and_run_write(
-                    session_id, hash, &stmt, &template, true, bindings, mode, prov,
-                )
-            }
-            _ => self.run_other(&stmt, bindings, mode, prov),
-        }
-    }
-
     /// Runs an allowed/denied `SELECT` decision to completion: execute the
-    /// statement, count, record the observation (via `record`), and map
-    /// the denial.
+    /// statement, count, record the observation, and map the denial.
     fn complete_select(
         &self,
-        _session_id: u64,
-        stmt: &Statement,
+        session_id: u64,
+        sp: &SelectPlan,
         bindings: &[(String, Value)],
         decision: Decision,
         prov: &mut Prov,
-        record: impl FnOnce(&Rows),
     ) -> Result<ProxyResponse, CoreError> {
         match decision {
             Decision::Allowed { .. } => {
                 // Binding failures (e.g. a parameter the caller never
                 // supplied) are the caller's malformed input, not an
                 // internal error: block, don't fail.
-                let rows = match self.run_select(stmt, bindings) {
+                let rows = match self.run_select(&sp.stmt, bindings) {
                     Ok(rows) => rows,
                     Err(CoreError::Parse(msg)) => {
                         self.stats.blocked.inc();
@@ -1418,7 +1339,7 @@ impl SqlProxy {
                 };
                 prov.lap(Phase::DbExec);
                 self.stats.allowed.inc();
-                record(&rows);
+                self.record_observation(session_id, sp, bindings, &rows);
                 prov.lap(Phase::TraceRecord);
                 Ok(ProxyResponse::Rows(rows))
             }
@@ -1466,7 +1387,7 @@ impl SqlProxy {
             }
         };
         // 1. Template tier: the session-independent verdict compiled into
-        //    the plan (or just computed, on the naive path).
+        //    the plan.
         if self.config.template_cache {
             match template.verdict {
                 WriteTemplateVerdict::Allowed => {
@@ -1575,11 +1496,7 @@ impl SqlProxy {
         let result = self.db.write().execute(&bound)?;
         prov.lap(Phase::DbExec);
         self.stats.writes.inc();
-        match result {
-            minidb::ExecResult::Affected(n) => Ok(ProxyResponse::Affected(n)),
-            minidb::ExecResult::Created => Ok(ProxyResponse::Affected(0)),
-            minidb::ExecResult::Rows(r) => Ok(ProxyResponse::Rows(r)),
-        }
+        Ok(result.into())
     }
 
     /// Executes without any enforcement (the F3 baseline).
@@ -1594,17 +1511,13 @@ impl SqlProxy {
         if let Statement::Select(q) = &bound {
             return Ok(ProxyResponse::Rows(self.db.read().query(q)?));
         }
-        match self.db.write().execute(&bound)? {
-            minidb::ExecResult::Rows(r) => Ok(ProxyResponse::Rows(r)),
-            minidb::ExecResult::Affected(n) => Ok(ProxyResponse::Affected(n)),
-            minidb::ExecResult::Created => Ok(ProxyResponse::Affected(0)),
-        }
+        Ok(self.db.write().execute(&bound)?.into())
     }
 
     /// Decides a `SELECT` through its compiled plan. The template tier is
     /// a field read (the verdict was compiled into the plan); the concrete
     /// tier instantiates only the pre-pruned candidate views per disjunct.
-    fn decide_select_planned(
+    fn decide_select(
         &self,
         session_id: u64,
         sp: &SelectPlan,
@@ -1658,7 +1571,7 @@ impl SqlProxy {
                     // against the instantiated disjunct) before falling
                     // back to the full rewriting search. Verification gates
                     // acceptance and the fallback preserves completeness,
-                    // so this is decision-identical to the naive path — it
+                    // so this is decision-identical to the full search — it
                     // only amortizes candidate generation, view
                     // instantiation, and expansion into the plan.
                     let certs = match &sp.template {
@@ -1710,37 +1623,6 @@ impl SqlProxy {
                     }
                 }
             }
-        })
-    }
-
-    /// Decides a `SELECT` on the naive path: fresh symbolic proof when the
-    /// template tier is on (never memoized), then the full unpruned
-    /// concrete check.
-    fn decide_select_naive(
-        &self,
-        session_id: u64,
-        q: &sqlir::Query,
-        hash: u64,
-        bindings: &[(String, Value)],
-        prov: &mut Prov,
-    ) -> Result<Decision, CoreError> {
-        if self.config.template_cache {
-            match self.checker.check_template(q) {
-                Decision::Allowed { rewritings, .. } => {
-                    prov.lap(Phase::Proof);
-                    prov.tier = CacheTier::TemplateProof;
-                    self.stats.template_proofs.inc();
-                    return Ok(Decision::Allowed {
-                        source: DecisionSource::TemplateProof,
-                        rewritings,
-                    });
-                }
-                Decision::Denied { .. } => prov.lap(Phase::Proof),
-            }
-        }
-        let key = ConcreteKey::new(hash, bindings);
-        self.decide_concrete(session_id, key, prov, |checker, trace| {
-            checker.check_concrete(q, bindings, trace)
         })
     }
 
@@ -1866,7 +1748,7 @@ impl SqlProxy {
 
     /// Observation recording through the plan's cached translation (no
     /// re-translation on the hot path).
-    fn record_observation_planned(
+    fn record_observation(
         &self,
         session_id: u64,
         sp: &SelectPlan,
@@ -1889,25 +1771,6 @@ impl SqlProxy {
             disjuncts[0].template.instantiate(bindings),
             rows,
         );
-    }
-
-    fn record_observation_naive(
-        &self,
-        session_id: u64,
-        q: &sqlir::Query,
-        bindings: &[(String, Value)],
-        rows: &Rows,
-    ) {
-        if !self.config.trace_aware {
-            return;
-        }
-        let Ok(ucq) = self.checker.translate(q) else {
-            return;
-        };
-        if ucq.disjuncts.len() != 1 {
-            return;
-        }
-        self.record_single_disjunct(session_id, ucq.disjuncts[0].instantiate(bindings), rows);
     }
 
     fn record_single_disjunct(&self, session_id: u64, cq: qlogic::Cq, rows: &Rows) {
@@ -2845,38 +2708,6 @@ mod tests {
     }
 
     #[test]
-    fn naive_path_decides_identically_without_memoizing_templates() {
-        // plan_cache = false is the from-scratch baseline: same verdicts,
-        // but every template-allowed request pays a fresh symbolic proof.
-        let config = ProxyConfig {
-            plan_cache: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        for _ in 0..3 {
-            assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
-        }
-        let stats = p.stats();
-        assert_eq!(stats.template_proofs, 3, "no memoization on the naive path");
-        assert_eq!(stats.template_cache_hits, 0);
-        assert_eq!(p.plan_cache().len(), 0, "no plans are compiled");
-
-        // The trace flow still holds end to end: the Attendance probe
-        // above already witnessed that user 1 attends event 2, so fetching
-        // event 2 is allowed while event 3 stays blocked.
-        assert!(!p
-            .execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
-            .unwrap()
-            .is_allowed());
-        assert!(p
-            .execute(s, "SELECT * FROM Events WHERE EId = 2", &[])
-            .unwrap()
-            .is_allowed());
-    }
-
-    #[test]
     fn prepare_then_execute_planned_skips_the_proof() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -2911,48 +2742,6 @@ mod tests {
             r,
             ProxyResponse::Blocked(DenyReason::ParseError(_))
         ));
-    }
-
-    #[test]
-    fn planned_and_naive_proxies_agree_query_by_query() {
-        // Differential smoke (the full generated-workload version lives in
-        // tests/differential.rs): every (sql, bindings) in a mixed script
-        // gets the same verdict, deny reason, and rows from a planned proxy
-        // and a naive one.
-        let planned = proxy(ProxyConfig::default());
-        let naive = proxy(ProxyConfig {
-            plan_cache: false,
-            template_cache: false,
-            session_cache: false,
-            ..Default::default()
-        });
-        let script: &[(&str, &[(&str, i64)])] = &[
-            (
-                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event",
-                &[("event", 3)],
-            ),
-            ("SELECT * FROM Events WHERE EId = ?event", &[("event", 3)]),
-            (
-                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event",
-                &[("event", 2)],
-            ),
-            ("SELECT * FROM Events WHERE EId = ?event", &[("event", 2)]),
-            ("SELECT * FROM Events WHERE EId = ?event", &[("event", 2)]),
-            ("SELECT COUNT(*) FROM Events", &[]),
-            ("SELEC whoops", &[]),
-            ("SELECT EId FROM Attendance WHERE UId = ?MyUId", &[]),
-        ];
-        let sp = planned.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let sn = naive.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        for (sql, binds) in script {
-            let binds: Vec<(String, Value)> = binds
-                .iter()
-                .map(|(k, v)| (k.to_string(), Value::Int(*v)))
-                .collect();
-            let a = planned.execute(sp, sql, &binds).unwrap();
-            let b = naive.execute(sn, sql, &binds).unwrap();
-            assert_eq!(a, b, "diverged on {sql}");
-        }
     }
 
     #[test]

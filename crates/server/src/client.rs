@@ -27,9 +27,9 @@ pub enum ClientError {
     /// snapshot at rejection time (zeros when the server predates the
     /// payload).
     Busy {
-        /// Requests queued ahead of the rejected one.
+        /// Connections the server held when it turned this one away.
         queue_depth: u64,
-        /// Worker threads serving the pool.
+        /// Threads serving them (one reactor).
         workers: u64,
     },
     /// The server closed the connection.
@@ -320,8 +320,6 @@ impl Client {
     /// [`EventBatch`]es; read them with [`Client::next_events`]. The
     /// connection is dedicated to the stream from here on — interleaving
     /// other requests would race their responses against pushed frames.
-    /// Only the event-driven front-end streams; the blocking front-end
-    /// answers with a typed `unsupported` error.
     pub fn subscribe(&mut self, after: u64) -> Result<(), ClientError> {
         match self.round_trip(&Request::Subscribe { after })? {
             Response::Subscribed => Ok(()),

@@ -1,16 +1,11 @@
-//! Per-connection protocol state, shared by both server front-ends.
+//! Per-connection protocol state.
 //!
 //! [`ConnCore`] owns everything one connection's protocol needs — the
-//! handshake flag, the sessions it began, its prepared plans — and
-//! classifies each decoded request into either an *immediate* response
-//! (control-plane messages, answered inline) or an *execute* item
-//! ([`BatchItem`]) that the caller decides how to run: the blocking loop
-//! runs it at once, the event loop defers it into a cross-connection
-//! batch. Keeping classification in one place is what makes the two
-//! front-ends decision-identical by construction.
-//!
-//! [`handle_connection`] is the blocking front-end: one worker thread runs
-//! it for the lifetime of a TCP connection. Error containment is graded:
+//! handshake flag, the sessions it began, its prepared plans, its journal
+//! subscription — and classifies each decoded request into either an
+//! *immediate* response (control-plane messages, answered inline) or an
+//! *execute* item ([`BatchItem`]) that the event loop pools into a
+//! cross-connection batch. Error containment is graded:
 //!
 //! * a *malformed message* (bad JSON, unknown tag, missing field) gets a
 //!   typed `error` response and the connection stays open — one bad frame
@@ -20,21 +15,19 @@
 //! * a *write failure or hard read error* closes the connection.
 //!
 //! Whatever the exit path (clean `End`s, client vanishing, idle reaping,
-//! server shutdown, even a panic in a handler), a drop guard ends every
-//! session the connection ever began that is still live — the server never
-//! leaks orphaned sessions.
+//! server shutdown), a drop guard ends every session the connection ever
+//! began that is still live — the server never leaks orphaned sessions.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bep_core::{
     BatchItem, BatchStmt, CoreError, JournalCursor, ProxyResponse, SqlProxy, TemplatePlan,
 };
 
-use crate::framing::{write_frame, FrameError, FrameEvent, FrameReader};
 use crate::protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
 
@@ -46,13 +39,13 @@ pub(crate) struct ConnShared {
     pub config: ServerConfig,
     /// Server-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
-    /// The server's own address (used to poke the accept/event loop awake
-    /// when a client-initiated shutdown arrives).
+    /// The server's own address (used to poke the event loop awake when a
+    /// client-initiated shutdown arrives).
     pub addr: SocketAddr,
 }
 
 /// Ends every still-live session this connection began, on any exit path
-/// (including unwinding out of a handler panic). Owns its proxy handle so
+/// (including unwinding). Owns its proxy handle so
 /// connection state can outlive any particular stack frame — the event
 /// loop keeps thousands of these alive at once.
 struct SessionSweep {
@@ -125,22 +118,18 @@ pub(crate) enum Dispatched {
         close: bool,
     },
     /// An enforcement decision (`execute` / `execute_prepared`), already
-    /// ownership-checked and plan-resolved. The caller chooses the
-    /// execution strategy: immediately (blocking front-end) or pooled into
-    /// a cross-connection batch (event front-end). Either way the answer
-    /// is [`exec_response`] of the proxy result.
+    /// ownership-checked and plan-resolved, for the event loop's
+    /// cross-connection batch. The answer is [`exec_response`] of the
+    /// proxy result.
     Execute(BatchItem),
 }
 
-/// One connection's protocol state, front-end agnostic.
+/// One connection's protocol state.
 pub(crate) struct ConnCore {
     shared: Arc<ConnShared>,
     sweep: SessionSweep,
     prepared: PreparedPlans,
     greeted: bool,
-    /// Whether this front-end can push unsolicited frames (the event loop
-    /// can; the blocking loop's strict request/response cadence cannot).
-    streaming: bool,
     /// Live journal subscription, if this connection sent `subscribe`.
     /// The event loop polls it every tick; the cursor's drop counter is
     /// the stream's exact loss accounting.
@@ -148,10 +137,7 @@ pub(crate) struct ConnCore {
 }
 
 impl ConnCore {
-    /// `streaming` declares whether the owning front-end can push
-    /// unsolicited `events` frames; without it, `subscribe` is refused as
-    /// unsupported rather than silently never delivering.
-    pub(crate) fn new(shared: Arc<ConnShared>, streaming: bool) -> ConnCore {
+    pub(crate) fn new(shared: Arc<ConnShared>) -> ConnCore {
         let proxy = Arc::clone(&shared.proxy);
         ConnCore {
             shared,
@@ -161,7 +147,6 @@ impl ConnCore {
             },
             prepared: PreparedPlans::default(),
             greeted: false,
-            streaming,
             subscription: None,
         }
     }
@@ -325,17 +310,6 @@ impl ConnCore {
                 )
             }
             Request::Subscribe { after } => {
-                if !self.streaming {
-                    return immediate(
-                        Response::Error {
-                            kind: ErrorKind::Unsupported,
-                            msg: "subscribe requires the event-driven front-end \
-                                  (this front-end cannot push frames)"
-                                .into(),
-                        },
-                        false,
-                    );
-                }
                 // Re-subscribing repositions the stream; events before
                 // `after` are skipped, not charged as dropped.
                 self.subscription = Some(JournalCursor::starting_at(after));
@@ -353,105 +327,18 @@ impl ConnCore {
             }
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::Release);
-                // Whichever front-end is blocked waiting for traffic, a
-                // loopback connection wakes it so it observes the flag.
-                // Any error just means it is already awake.
+                // The event loop may be parked in its poller: a loopback
+                // connection wakes it so it observes the flag. Any error
+                // just means it is already awake.
                 let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
                 immediate(Response::Bye, true)
             }
         }
     }
-
-    /// Runs one already-classified decision immediately through the proxy
-    /// — the blocking front-end's execution strategy (and the event
-    /// front-end's for a batch of one).
-    pub(crate) fn execute_now(&self, item: &BatchItem) -> Response {
-        exec_response(match &item.stmt {
-            BatchStmt::Sql(sql) => self.shared.proxy.execute(item.session, sql, &item.bindings),
-            BatchStmt::Plan(plan) => {
-                self.shared
-                    .proxy
-                    .execute_planned(item.session, plan, &item.bindings)
-            }
-        })
-    }
 }
 
 fn immediate(response: Response, close: bool) -> Dispatched {
     Dispatched::Immediate { response, close }
-}
-
-fn send(stream: &mut TcpStream, response: &Response) -> std::io::Result<()> {
-    write_frame(stream, response.to_wire().as_bytes())
-}
-
-/// Runs the blocking protocol loop until the connection closes.
-pub(crate) fn handle_connection(shared: &Arc<ConnShared>, mut stream: TcpStream) {
-    // The read timeout doubles as the poll tick for the shutdown flag and
-    // the idle clock; the write timeout bounds a stuck peer's backpressure.
-    let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
-    let _ = stream.set_nodelay(true);
-
-    let mut reader = FrameReader::new(shared.config.max_frame);
-    let mut core = ConnCore::new(Arc::clone(shared), false);
-    let mut last_activity = Instant::now();
-
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            // Drain point: any in-flight request already got its response
-            // (the loop is synchronous), so say goodbye and close.
-            let _ = send(&mut stream, &Response::Bye);
-            return;
-        }
-        let payload = match reader.read_frame(&mut stream) {
-            Ok(FrameEvent::Frame(p)) => p,
-            Ok(FrameEvent::Eof) => return,
-            Ok(FrameEvent::TimedOut) => {
-                if last_activity.elapsed() >= shared.config.idle_timeout {
-                    // Idle reap. Mid-frame idleness (a stalled half-sent
-                    // frame) is closed without a goodbye — framing is
-                    // not re-synchronizable.
-                    if !reader.mid_frame() {
-                        let _ = send(&mut stream, &Response::Bye);
-                    }
-                    return;
-                }
-                continue;
-            }
-            Err(FrameError::Oversized { announced, limit }) => {
-                let _ = send(
-                    &mut stream,
-                    &Response::Error {
-                        kind: ErrorKind::Malformed,
-                        msg: format!("frame of {announced} bytes exceeds limit {limit}"),
-                    },
-                );
-                return; // cannot resync past an unread oversized payload
-            }
-            Err(_) => return, // truncated or hard I/O error
-        };
-        last_activity = Instant::now();
-
-        let request = match ConnCore::parse(&payload) {
-            Ok(r) => r,
-            Err(error_response) => {
-                // Malformed message: typed error, connection survives.
-                if send(&mut stream, &error_response).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-
-        let (response, close) = match core.classify(request) {
-            Dispatched::Immediate { response, close } => (response, close),
-            Dispatched::Execute(item) => (core.execute_now(&item), false),
-        };
-        if send(&mut stream, &response).is_err() || close {
-            return;
-        }
-    }
 }
 
 /// Maps one proxy execution result (plain or prepared) to its wire form.

@@ -1,4 +1,4 @@
-//! The event-driven front-end: one reactor thread, every connection.
+//! The server's front-end: one reactor thread, every connection.
 //!
 //! A single thread owns a level-triggered [`Poller`] holding the listener,
 //! a shutdown [`Waker`], and every live connection's nonblocking socket.
@@ -7,15 +7,17 @@
 //! 1. **Wait** for readiness (with the configured poll tick as timeout, or
 //!    zero when fairness-capped connections still hold buffered frames);
 //! 2. **Read** every readable connection into its [`FrameDecoder`] and
-//!    decode up to `frames_per_conn_per_tick` frames per connection
+//!    decode up to [`FRAMES_PER_CONN_PER_TICK`] frames per connection
 //!    (pipelining: one readiness event may carry many frames);
 //! 3. **Classify** each frame via [`ConnCore::classify`]: control-plane
 //!    requests are answered inline; `execute`/`execute_prepared` items are
 //!    pooled into one iteration-wide batch;
-//! 4. **Execute** the batch through [`SqlProxy::execute_batch`]
-//!    (chunked at `batch_max`), which amortizes plan-cache probes and
+//! 4. **Execute** the batch through
+//!    [`SqlProxy::execute_batch`](bep_core::SqlProxy::execute_batch)
+//!    (chunked at [`BATCH_MAX`]), which amortizes plan-cache probes and
 //!    journal writes across connections while deciding in submission
-//!    order — so answers are bit-identical to the blocking front-end;
+//!    order — so answers are bit-identical to issuing the same statements
+//!    one by one through `SqlProxy::execute`;
 //! 5. **Assemble** each connection's response segments *in request order*
 //!    (inline answers interleaved with batch results) into its write
 //!    buffer and **flush** as far as the socket allows, arming write
@@ -25,12 +27,11 @@
 //! keeps its surplus buffered and is revisited on the next iteration (the
 //! `hot` list forces a zero-timeout poll), so one chatty client can delay
 //! but never starve the rest; the bound on any connection's wait is
-//! `(hot connections) × frames_per_conn_per_tick` decisions per lap.
+//! `(hot connections) × FRAMES_PER_CONN_PER_TICK` decisions per lap.
 //!
-//! Admission control is a connection cap instead of a worker pool: past
-//! `max_connections` the acceptor answers `busy` (with the live connection
-//! count as the queue depth) exactly like the blocking server's saturated
-//! pool. Idle connections cost one epoll registration and a few hundred
+//! Admission control is a connection cap: past `max_connections` the
+//! acceptor answers `busy` (with the live connection count as the queue
+//! depth). Idle connections cost one epoll registration and a few hundred
 //! bytes — the 10k-idle target holds on this one thread.
 
 use std::collections::HashMap;
@@ -55,6 +56,12 @@ const TOKEN_WAKER: u64 = 1;
 /// First connection token.
 const TOKEN_FIRST_CONN: u64 = 2;
 
+/// Largest group of decisions run through one `SqlProxy::execute_batch`
+/// call.
+const BATCH_MAX: usize = 64;
+/// Fairness cap: frames decoded per connection per loop iteration; surplus
+/// pipelined frames wait one lap.
+const FRAMES_PER_CONN_PER_TICK: usize = 32;
 /// Bytes read per `read()` call into the scratch buffer.
 const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection per-tick read ceiling: a firehose peer yields the
@@ -219,7 +226,7 @@ pub(crate) fn run(
         // no readiness event will re-announce.
         for token in std::mem::take(&mut hot) {
             if let Some(conn) = conns.get_mut(&token) {
-                drain_frames(conn, &shared, &metrics, &mut batch, &mut hot);
+                drain_frames(conn, &metrics, &mut batch, &mut hot);
                 touched.push(token);
             }
         }
@@ -240,7 +247,7 @@ pub(crate) fn run(
                             dead.push(token);
                             continue;
                         }
-                        drain_frames(conn, &shared, &metrics, &mut batch, &mut hot);
+                        drain_frames(conn, &metrics, &mut batch, &mut hot);
                     }
                     touched.push(token);
                 }
@@ -248,13 +255,12 @@ pub(crate) fn run(
         }
 
         // Execute the iteration's decisions as one cross-connection batch
-        // (chunked at batch_max), then render each result to wire bytes.
+        // (chunked at BATCH_MAX), then render each result to wire bytes.
         let batch_wire: Vec<Vec<u8>> = if batch.is_empty() {
             Vec::new()
         } else {
-            let cap = shared.config.batch_max.max(1);
             let mut wire = Vec::with_capacity(batch.len());
-            for chunk in batch.chunks(cap) {
+            for chunk in batch.chunks(BATCH_MAX) {
                 for result in shared.proxy.execute_batch(chunk) {
                     wire.push(frame_bytes(exec_response(result).to_wire().as_bytes()));
                 }
@@ -313,8 +319,8 @@ pub(crate) fn run(
                 .collect();
             for token in stale {
                 if let Some(conn) = conns.get_mut(&token) {
-                    // Mirror the blocking loop: a goodbye unless framing
-                    // is mid-frame (not re-synchronizable).
+                    // A goodbye unless framing is mid-frame (not
+                    // re-synchronizable).
                     if !conn.decoder.mid_frame() {
                         let bye = frame_bytes(Response::Bye.to_wire().as_bytes());
                         let _ = conn.stream.write_all(&bye);
@@ -360,18 +366,16 @@ fn read_ready(conn: &mut Conn, scratch: &mut [u8]) -> bool {
 /// the batch index so responses interleave in request order).
 fn drain_frames(
     conn: &mut Conn,
-    shared: &ConnShared,
     metrics: &ReactorMetrics,
     batch: &mut Vec<BatchItem>,
     hot: &mut Vec<u64>,
 ) {
-    for _ in 0..shared.config.frames_per_conn_per_tick.max(1) {
+    for _ in 0..FRAMES_PER_CONN_PER_TICK {
         let payload = match conn.decoder.next_frame() {
             Ok(Some(p)) => p,
             Ok(None) => return,
             Err(FrameError::Oversized { announced, limit }) => {
-                // Framing is lost; typed error then close (mirrors the
-                // blocking loop).
+                // Framing is lost; typed error then close.
                 conn.push_response(&Response::Error {
                     kind: ErrorKind::Malformed,
                     msg: format!("frame of {announced} bytes exceeds limit {limit}"),
@@ -539,7 +543,7 @@ fn accept_burst(
                 stream,
                 token,
                 decoder: FrameDecoder::new(shared.config.max_frame),
-                core: ConnCore::new(Arc::clone(shared), true),
+                core: ConnCore::new(Arc::clone(shared)),
                 segs: Vec::new(),
                 out: Vec::new(),
                 out_pos: 0,

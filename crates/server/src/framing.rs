@@ -79,12 +79,6 @@ impl FrameReader {
         }
     }
 
-    /// `true` while a frame is partially received (EOF now would be
-    /// truncation, and an idle clock should not tick).
-    pub fn mid_frame(&self) -> bool {
-        self.header_filled > 0 || self.in_body
-    }
-
     /// Pulls bytes from `r` until a full frame, end-of-stream, or a read
     /// timeout. `WouldBlock`/`TimedOut`/`Interrupted` I/O errors surface as
     /// [`FrameEvent::TimedOut`]; everything else is a hard error.
@@ -325,7 +319,6 @@ mod tests {
             }
         }
         assert!(timeouts > 0, "the fragmented source injected timeouts");
-        assert!(!r.mid_frame());
     }
 
     #[test]
@@ -361,28 +354,5 @@ mod tests {
             r.read_frame(&mut cur).unwrap_err(),
             FrameError::Truncated
         ));
-    }
-
-    #[test]
-    fn mid_frame_flag_tracks_partial_state() {
-        let wire = frame_bytes(b"xy");
-        let mut src = Fragmented {
-            fragments: vec![wire[..2].to_vec(), wire[2..].to_vec()],
-            next: 0,
-            timeout_between: true,
-            pending_timeout: false,
-        };
-        let mut r = FrameReader::new(MAX_FRAME);
-        assert!(!r.mid_frame());
-        assert!(matches!(
-            r.read_frame(&mut src).unwrap(),
-            FrameEvent::TimedOut
-        ));
-        assert!(r.mid_frame(), "half a header counts as mid-frame");
-        assert!(matches!(
-            r.read_frame(&mut src).unwrap(),
-            FrameEvent::Frame(_)
-        ));
-        assert!(!r.mid_frame());
     }
 }

@@ -16,24 +16,19 @@
 //!   ([`framing::FrameReader`]) and push ([`framing::FrameDecoder`]) form;
 //! * [`reactor`] — a minimal level-triggered epoll abstraction (raw
 //!   syscalls against the libc `std` already links: no external deps);
-//! * [`event_loop`] — the default front-end: one reactor thread holding
+//! * [`event_loop`] — the front-end: one reactor thread holding
 //!   every connection, pipelined frames, cross-connection decision
 //!   batching through [`bep_core::SqlProxy::execute_batch`], and per-tick
 //!   journal pushes to `subscribe`d connections (bounded backlog, exact
 //!   drop accounting);
-//! * [`pool`] — a fixed worker thread-pool with a bounded backlog and
-//!   explicit admission control (saturation returns the connection to the
-//!   acceptor, which answers `busy` with a load snapshot — the server
-//!   never stalls); drives the blocking front-end kept for differential
-//!   comparison ([`server::ServerMode::Blocking`]);
-//! * [`conn`] — per-connection protocol state shared by both front-ends:
-//!   handshake enforcement, connection-scoped session ownership, typed
-//!   errors for malformed frames, idle reaping, and a drop guard that
-//!   sweeps orphaned sessions;
-//! * [`server`] — front-end selection and graceful drain-then-join
-//!   shutdown;
-//! * [`client`] — the blocking client used by tests, the benches
-//!   (T8/T12), and the `serve_calendar` example; supports pipelined
+//! * [`conn`] — per-connection protocol state: handshake enforcement,
+//!   connection-scoped session ownership, typed errors for malformed
+//!   frames, and a drop guard that sweeps orphaned sessions;
+//! * [`server`] — admission control (a connection cap: past it the
+//!   acceptor answers `busy` with a load snapshot) and graceful
+//!   drain-then-join shutdown;
+//! * [`client`] — the blocking client used by tests, the benches, and
+//!   the `serve_calendar` example; supports pipelined
 //!   bursts via [`client::Client::execute_pipelined`].
 
 #![warn(missing_docs)]
@@ -43,11 +38,10 @@ pub(crate) mod conn;
 pub(crate) mod event_loop;
 pub mod framing;
 pub mod json;
-pub mod pool;
 pub mod protocol;
 pub mod reactor;
 pub mod server;
 
 pub use client::{Client, ClientError, EventBatch, ExecOutcome, JournalPage, TraceInfo};
 pub use protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
-pub use server::{Server, ServerConfig, ServerMode};
+pub use server::{Server, ServerConfig};

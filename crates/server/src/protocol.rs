@@ -164,8 +164,7 @@ pub enum Request {
     },
     /// Stream journal events as they are published: the server acks with
     /// `subscribed`, then pushes [`Response::Events`] frames without
-    /// further requests. Only the event-driven front-end streams; the
-    /// blocking front-end answers `error` with kind `unsupported`.
+    /// further requests.
     Subscribe {
         /// Start the stream at sequence number ≥ this (0 = from the
         /// oldest retained); earlier events are skipped, not counted as
@@ -233,9 +232,10 @@ pub enum Response {
     /// later. May arrive instead of `welcome`. Carries a load snapshot so
     /// clients can make an informed backoff decision.
     Busy {
-        /// Requests queued ahead of the rejected one at rejection time.
+        /// Live connections at rejection time (the admission cap was
+        /// reached).
         queue_depth: u64,
-        /// Worker threads serving the pool (the concurrency ceiling).
+        /// Threads serving them: 1, the reactor.
         workers: u64,
     },
     /// Session opened.

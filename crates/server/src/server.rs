@@ -1,32 +1,20 @@
-//! The TCP server: front-end selection, admission control, graceful
-//! shutdown.
+//! The TCP server: admission control and graceful shutdown.
 //!
-//! [`Server::start`] binds a listener and launches one of two front-ends,
-//! chosen by [`ServerConfig::mode`]:
-//!
-//! * [`ServerMode::EventDriven`] (default) — a single reactor thread runs
-//!   the epoll readiness loop in [`crate::event_loop`]: nonblocking
-//!   sockets, pipelined frames, cross-connection decision batching, 10k+
-//!   idle connections with no thread growth. Admission control is the
-//!   `max_connections` cap; past it the acceptor answers `busy` with a
-//!   load snapshot.
-//! * [`ServerMode::Blocking`] — the original connection-per-worker pool
-//!   ([`crate::pool::ThreadPool`]): each accepted connection occupies a
-//!   worker thread for its lifetime; when every worker is occupied and
-//!   the bounded backlog is full, the acceptor writes `busy` (with the
-//!   pool's queue depth and worker count) and closes. Kept as the
-//!   differential baseline: both front-ends answer byte-identically, and
-//!   the T12 gate asserts it on replayed workloads.
+//! [`Server::start`] binds a listener and launches the one front-end: a
+//! single reactor thread running the epoll readiness loop in
+//! [`crate::event_loop`] — nonblocking sockets, pipelined frames,
+//! cross-connection decision batching, 10k+ idle connections with no
+//! thread growth. Admission control is the `max_connections` cap; past it
+//! the acceptor answers `busy` with a load snapshot.
 //!
 //! Shutdown — either [`Server::shutdown`] from the owning process or a
-//! client's `shutdown` request — is graceful in both modes: the flag
-//! flips, the front-end is woken (loopback poke or reactor waker), every
-//! connection gets its in-flight answer and a `bye`, session sweeps run,
-//! and only then are the serving threads joined.
+//! client's `shutdown` request — is graceful: the flag flips, the reactor
+//! is woken (loopback poke or waker), every connection gets its in-flight
+//! answer and a `bye`, session sweeps run, and only then is the reactor
+//! thread joined.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,52 +23,22 @@ use std::time::Duration;
 
 use bep_core::{snapshot, SqlProxy};
 
-use crate::conn::{handle_connection, ConnShared};
+use crate::conn::ConnShared;
 use crate::event_loop;
 use crate::framing::{write_frame, MAX_FRAME};
-use crate::pool::ThreadPool;
 use crate::protocol::Response;
 use crate::reactor::{waker_pair, Waker};
-
-/// Which front-end serves connections.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServerMode {
-    /// One reactor thread, epoll readiness, pipelining, cross-connection
-    /// decision batching.
-    #[default]
-    EventDriven,
-    /// Connection-per-worker thread pool with a bounded backlog — the
-    /// pre-reactor front-end, kept for differential comparison.
-    Blocking,
-}
 
 /// Server tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Front-end selection (event-driven by default).
-    pub mode: ServerMode,
-    /// Worker threads (blocking mode); each owns one live connection at a
-    /// time.
-    pub workers: usize,
-    /// Accepted connections that may wait for a worker beyond the ones
-    /// being served (blocking mode); anything past `workers +
-    /// queue_capacity` gets `busy`.
-    pub queue_capacity: usize,
-    /// Live-connection admission cap (event mode); past it new
-    /// connections get `busy`.
+    /// Live-connection admission cap; past it new connections get `busy`.
     pub max_connections: usize,
-    /// Largest group of decisions run through one
-    /// [`SqlProxy::execute_batch`] call (event mode).
-    pub batch_max: usize,
-    /// Fairness cap: frames decoded per connection per loop iteration
-    /// (event mode); surplus pipelined frames wait one lap.
-    pub frames_per_conn_per_tick: usize,
     /// Largest accepted frame in bytes.
     pub max_frame: usize,
-    /// Socket read timeout (blocking mode) / poll tick (event mode);
-    /// paces the shutdown flag and the idle clock.
+    /// The reactor's poll tick; paces the shutdown flag and the idle clock.
     pub poll_interval: Duration,
-    /// Socket write timeout (bounds a stuck peer's backpressure).
+    /// Write timeout for the terminal frame on a turned-away connection.
     pub write_timeout: Duration,
     /// A connection silent this long is reaped and its sessions ended.
     pub idle_timeout: Duration,
@@ -89,29 +47,13 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            mode: ServerMode::default(),
-            workers: 4,
-            queue_capacity: 2,
             max_connections: 12_288,
-            batch_max: 64,
-            frames_per_conn_per_tick: 32,
             max_frame: MAX_FRAME,
             poll_interval: Duration::from_millis(20),
             write_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
         }
     }
-}
-
-/// The mode-specific serving machinery behind a running [`Server`].
-enum Engine {
-    /// Accept thread owning the worker pool.
-    Blocking(JoinHandle<ThreadPool<TcpStream>>),
-    /// Reactor thread plus the waker that interrupts its poller.
-    Event {
-        thread: JoinHandle<()>,
-        waker: Waker,
-    },
 }
 
 /// A running enforcement server. Dropping without calling
@@ -121,7 +63,8 @@ pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     busy_rejections: Arc<AtomicU64>,
-    engine: Option<Engine>,
+    /// The reactor thread and the waker that interrupts its poller.
+    reactor: Option<(JoinHandle<()>, Waker)>,
     proxy: Arc<SqlProxy>,
     /// Warm-start snapshot location: loaded (verification-gated) before
     /// the listener serves its first connection, rewritten at drain time.
@@ -130,7 +73,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `bind_addr` (use `127.0.0.1:0` for an ephemeral port), wraps
-    /// `proxy`, and starts serving in the configured mode.
+    /// `proxy`, and starts serving.
     pub fn start(
         proxy: Arc<SqlProxy>,
         config: ServerConfig,
@@ -196,46 +139,17 @@ impl Server {
             addr,
         });
 
-        let engine = match config.mode {
-            ServerMode::EventDriven => {
-                let (waker, waker_rx) = waker_pair()?;
-                let loop_shared = Arc::clone(&shared);
-                let loop_busy = Arc::clone(&busy_rejections);
-                let thread = std::thread::Builder::new()
-                    .name("bep-server-reactor".into())
-                    .spawn(move || {
-                        event_loop::run(listener, loop_shared, waker_rx, loop_busy);
-                    })?;
-                Engine::Event { thread, waker }
-            }
-            ServerMode::Blocking => {
-                let handler_shared = Arc::clone(&shared);
-                let pool = ThreadPool::new(config.workers, config.queue_capacity, move |stream| {
-                    // A panicking handler must not kill the worker; the
-                    // connection guard inside still sweeps its sessions
-                    // during unwind.
-                    let _ = catch_unwind(AssertUnwindSafe(|| {
-                        handle_connection(&handler_shared, stream);
-                    }));
-                });
-
-                let accept_shutdown = Arc::clone(&shutdown);
-                let accept_busy = Arc::clone(&busy_rejections);
-                let thread = std::thread::Builder::new()
-                    .name("bep-server-accept".into())
-                    .spawn(move || {
-                        accept_loop(&listener, &pool, &shared, &accept_shutdown, &accept_busy);
-                        pool
-                    })?;
-                Engine::Blocking(thread)
-            }
-        };
+        let (waker, waker_rx) = waker_pair()?;
+        let loop_busy = Arc::clone(&busy_rejections);
+        let thread = std::thread::Builder::new()
+            .name("bep-server-reactor".into())
+            .spawn(move || event_loop::run(listener, shared, waker_rx, loop_busy))?;
 
         Ok(Server {
             addr,
             shutdown,
             busy_rejections,
-            engine: Some(engine),
+            reactor: Some((thread, waker)),
             proxy,
             snapshot_path,
         })
@@ -257,8 +171,8 @@ impl Server {
     }
 
     /// Requests shutdown and blocks until drained: connections finish
-    /// their in-flight request, orphaned sessions are swept, serving
-    /// threads join.
+    /// their in-flight request, orphaned sessions are swept, the reactor
+    /// thread joins.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Release);
         self.finish();
@@ -274,22 +188,11 @@ impl Server {
     }
 
     fn finish(&mut self) {
-        let Some(engine) = self.engine.take() else {
+        let Some((thread, waker)) = self.reactor.take() else {
             return;
         };
-        match engine {
-            Engine::Blocking(handle) => {
-                // Poke the blocking accept() so it observes the flag.
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_millis(200));
-                if let Ok(pool) = handle.join() {
-                    pool.shutdown();
-                }
-            }
-            Engine::Event { thread, waker } => {
-                waker.wake();
-                let _ = thread.join();
-            }
-        }
+        waker.wake();
+        let _ = thread.join();
         // Drained: every connection has answered and joined, so the plan
         // cache is quiescent — persist it for the next process's warm
         // start. Save failures only cost the warming, never the drain.
@@ -306,49 +209,9 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.engine.is_some() {
+        if self.reactor.is_some() {
             self.shutdown.store(true, Ordering::Release);
             self.finish();
-        }
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    pool: &ThreadPool<TcpStream>,
-    shared: &Arc<ConnShared>,
-    shutdown: &AtomicBool,
-    busy_rejections: &AtomicU64,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-        };
-        if shutdown.load(Ordering::Acquire) {
-            // The poke connection (or a late client); turn it away.
-            reject(stream, &Response::Bye, shared.config.write_timeout);
-            return;
-        }
-        if let Err(rejection) = pool.try_execute(stream) {
-            // Saturation: every worker busy and the backlog full. The
-            // rejected stream comes back with the pool's load snapshot, so
-            // the client hears a quantified `busy` instead of a silent
-            // close or an unbounded wait.
-            busy_rejections.fetch_add(1, Ordering::Relaxed);
-            reject(
-                rejection.item,
-                &Response::Busy {
-                    queue_depth: rejection.queue_depth as u64,
-                    workers: rejection.workers as u64,
-                },
-                shared.config.write_timeout,
-            );
         }
     }
 }
@@ -358,8 +221,7 @@ fn accept_loop(
 /// usually pipelined its `hello` already, and closing a socket with
 /// unread data sends an RST that destroys the very `busy` frame we just
 /// wrote. So the rejection drains the client's bytes until FIN (briefly),
-/// and runs on its own short-lived thread to keep the accept/event loop
-/// free.
+/// and runs on its own short-lived thread to keep the event loop free.
 pub(crate) fn reject(mut stream: TcpStream, response: &Response, write_timeout: Duration) {
     let wire = response.to_wire();
     let _ = std::thread::Builder::new()

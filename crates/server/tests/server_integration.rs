@@ -5,12 +5,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use appdsl::{run_handler, DslError, Limits, PortOutcome, QueryPort};
+use appsim::AppSpec;
 use bep_core::{
     schema_of_database, template_hash, CacheTier, ComplianceChecker, Phase, Policy, ProxyConfig,
-    SqlProxy, Verdict,
+    ProxyResponse, SqlProxy, Verdict,
 };
+use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use bep_server::framing::{frame_bytes, write_frame};
-use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig, ServerMode};
+use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -257,68 +260,7 @@ fn sessions_are_connection_scoped_capabilities() {
 }
 
 #[test]
-fn saturated_server_answers_busy_not_silence() {
-    // Pool-saturation semantics are the blocking front-end's; the event
-    // loop has its own admission cap (tested separately).
-    let config = ServerConfig {
-        mode: ServerMode::Blocking,
-        workers: 1,
-        queue_capacity: 0,
-        ..Default::default()
-    };
-    let (server, _proxy) = start(config);
-
-    // Occupy the single worker with a live connection...
-    let mut holder = Client::connect(server.addr(), IO).unwrap();
-    let s = holder.begin(uid_bindings(1)).unwrap();
-    holder
-        .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-        .unwrap();
-
-    // ...then the next connection must be rejected with `busy`, quickly —
-    // and the typed payload must carry the pool's load snapshot: one
-    // worker, nothing waiting (the backlog has zero capacity).
-    let t0 = std::time::Instant::now();
-    match Client::connect(server.addr(), IO) {
-        Err(ClientError::Busy {
-            queue_depth,
-            workers,
-        }) => {
-            assert_eq!(queue_depth, 0, "zero-capacity backlog was empty");
-            assert_eq!(workers, 1, "the pool advertises its worker count");
-        }
-        other => panic!("expected busy, got {other:?}"),
-    }
-    assert!(
-        t0.elapsed() < Duration::from_secs(2),
-        "busy rejection must be fast, took {:?}",
-        t0.elapsed()
-    );
-    assert_eq!(server.busy_rejections(), 1);
-
-    // The admitted connection still works fine through the overload.
-    let r = holder
-        .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-        .unwrap();
-    assert!(r.is_allowed());
-
-    // Freeing the worker re-opens admission.
-    holder.abandon();
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        match Client::connect(server.addr(), IO) {
-            Ok(_) => break,
-            Err(ClientError::Busy { .. }) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            other => panic!("expected eventual admission, got {other:?}"),
-        }
-    }
-    server.shutdown();
-}
-
-#[test]
-fn event_loop_connection_cap_answers_busy_with_load_snapshot() {
+fn connection_cap_answers_busy_with_load_snapshot() {
     let config = ServerConfig {
         max_connections: 1,
         ..Default::default()
@@ -405,10 +347,58 @@ fn pipelined_frames_get_ordered_responses() {
     server.shutdown();
 }
 
+/// The system under test as a caller sees it: the server through the
+/// wire client, or the same proxy type called in-process. Outcomes come
+/// back in the client's form with the human-readable `detail` (which only
+/// the wire carries) blanked, so the two compare with `==`.
+trait Front {
+    fn begin(&mut self, uid: i64) -> u64;
+    fn end(&mut self, session: u64);
+    fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome;
+}
+
+fn blocked(reason: &str) -> ExecOutcome {
+    ExecOutcome::Blocked {
+        reason: reason.to_string(),
+        detail: String::new(),
+    }
+}
+
+impl Front for Client {
+    fn begin(&mut self, uid: i64) -> u64 {
+        Client::begin(self, uid_bindings(uid)).unwrap()
+    }
+    fn end(&mut self, session: u64) {
+        Client::end(self, session).unwrap();
+    }
+    fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome {
+        match Client::execute(self, session, sql, bindings).unwrap() {
+            ExecOutcome::Blocked { reason, .. } => blocked(&reason),
+            other => other,
+        }
+    }
+}
+
+impl Front for &SqlProxy {
+    fn begin(&mut self, uid: i64) -> u64 {
+        self.begin_session(uid_bindings(uid))
+    }
+    fn end(&mut self, session: u64) {
+        self.end_session(session);
+    }
+    fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome {
+        match SqlProxy::execute(self, session, sql, bindings).unwrap() {
+            ProxyResponse::Rows(rows) => ExecOutcome::Rows(rows),
+            ProxyResponse::Affected(n) => ExecOutcome::Affected(n as u64),
+            ProxyResponse::Blocked(reason) => blocked(reason.label()),
+        }
+    }
+}
+
 #[test]
-fn front_ends_answer_identically_on_the_same_workload() {
-    // Differential gate in miniature: the same scripted conversation
-    // against both front-ends must produce byte-identical outcomes.
+fn wire_answers_equal_embedded_on_the_same_script() {
+    // The server changes cost, never answers: the same scripted
+    // conversation over the wire and in-process, outcome by outcome.
     let script: Vec<(String, Vec<(String, Value)>)> = vec![
         (
             "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event".into(),
@@ -424,31 +414,131 @@ fn front_ends_answer_identically_on_the_same_workload() {
             vec![],
         ),
     ];
-    let run = |mode: ServerMode| {
-        let (server, _proxy) = start(ServerConfig {
-            mode,
-            ..Default::default()
-        });
-        let mut c = Client::connect(server.addr(), IO).unwrap();
-        let s = c.begin(uid_bindings(1)).unwrap();
-        let mut outcomes = Vec::new();
-        for (sql, bindings) in &script {
-            outcomes.push(c.execute(s, sql, bindings).unwrap());
-        }
-        server.shutdown();
-        outcomes
+    let run = |front: &mut dyn Front| -> Vec<ExecOutcome> {
+        let s = front.begin(1);
+        script
+            .iter()
+            .map(|(sql, bindings)| front.execute(s, sql, bindings))
+            .collect()
     };
-    assert_eq!(run(ServerMode::EventDriven), run(ServerMode::Blocking));
+    let (server, _proxy) = start(ServerConfig::default());
+    let wire = run(&mut Client::connect(server.addr(), IO).unwrap());
+    server.shutdown();
+    let embedded = run(&mut &*calendar_proxy());
+    assert_eq!(wire, embedded);
+}
+
+/// Forwards a handler's statements to a [`Front`], logging each outcome.
+struct FrontPort<'a> {
+    front: &'a mut dyn Front,
+    session: u64,
+    log: &'a mut Vec<String>,
+}
+
+impl QueryPort for FrontPort<'_> {
+    fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
+        let out = self.front.execute(self.session, sql, bindings);
+        self.log.push(format!("{out:?}"));
+        Ok(match out {
+            ExecOutcome::Rows(r) => PortOutcome::Rows(r),
+            ExecOutcome::Affected(n) => PortOutcome::Affected(n as usize),
+            ExecOutcome::Blocked { reason, .. } => PortOutcome::Blocked(reason),
+        })
+    }
+}
+
+#[test]
+fn wire_answers_equal_embedded_on_scenario_fleet_traffic() {
+    // The same gate on generated traffic: every fleet family's handlers,
+    // raw read probes and raw write probes over churning sessions, with
+    // write enforcement on. Per-statement outcomes and the proxies'
+    // verdict counters must agree between the wire and the in-process run.
+    const USERS: u64 = 128;
+    const OPS: usize = 300;
+    const SLOTS: usize = 8;
+    for app in fleet(1307, USERS) {
+        let parsed = app.app();
+        let mut db = app.empty_db();
+        app.populate(&mut db).unwrap();
+        let proxy_of = || {
+            Arc::new(SqlProxy::new(
+                db.clone(),
+                ComplianceChecker::new(app.schema(), app.policy().unwrap()),
+                ProxyConfig {
+                    enforce_writes: true,
+                    ..ProxyConfig::default()
+                },
+            ))
+        };
+        let drive = |front: &mut dyn Front| -> Vec<String> {
+            let cfg = TrafficConfig {
+                target_sessions: SLOTS,
+                mean_session_len: 10.0,
+                ..TrafficConfig::default()
+            };
+            let mut engine = TrafficEngine::new(&app, cfg, 99);
+            let mut sessions: Vec<Option<u64>> = vec![None; SLOTS];
+            let mut log = Vec::new();
+            for _ in 0..OPS {
+                match engine.next_op() {
+                    TrafficOp::Begin { slot, uid, .. } => sessions[slot] = Some(front.begin(uid)),
+                    TrafficOp::End { slot } => front.end(sessions[slot].take().unwrap()),
+                    TrafficOp::RawProbe { slot, sql } | TrafficOp::RawWriteProbe { slot, sql } => {
+                        let out = front.execute(sessions[slot].unwrap(), &sql, &[]);
+                        log.push(format!("raw {out:?}"));
+                    }
+                    TrafficOp::Request { slot, request, .. } => {
+                        let mut port = FrontPort {
+                            front: &mut *front,
+                            session: sessions[slot].unwrap(),
+                            log: &mut log,
+                        };
+                        let result = run_handler(
+                            &mut port,
+                            parsed.handler(&request.handler).unwrap(),
+                            &request.session,
+                            &request.params,
+                            Limits::default(),
+                        )
+                        .unwrap();
+                        log.push(format!("{}:{:?}", request.handler, result.outcome));
+                    }
+                }
+            }
+            log
+        };
+
+        let wire_proxy = proxy_of();
+        let server = Server::start(
+            Arc::clone(&wire_proxy),
+            ServerConfig::default(),
+            "127.0.0.1:0",
+        )
+        .expect("bind");
+        let wire = drive(&mut Client::connect(server.addr(), IO).unwrap());
+        server.shutdown();
+        let embedded_proxy = proxy_of();
+        let embedded = drive(&mut &*embedded_proxy);
+
+        assert_eq!(wire, embedded, "{}: outcomes diverged", app.name);
+        let (w, e) = (wire_proxy.stats(), embedded_proxy.stats());
+        assert_eq!(
+            (w.allowed, w.blocked, w.write_allowed, w.write_blocked),
+            (e.allowed, e.blocked, e.write_allowed, e.write_blocked),
+            "{}: verdict counters diverged",
+            app.name
+        );
+        assert!(
+            w.blocked > 0 && w.allowed > 0,
+            "{}: vacuous traffic",
+            app.name
+        );
+    }
 }
 
 #[test]
 fn multi_client_stress_keeps_traces_isolated() {
-    let config = ServerConfig {
-        workers: 8,
-        queue_capacity: 8,
-        ..Default::default()
-    };
-    let (server, _proxy) = start(config);
+    let (server, _proxy) = start(ServerConfig::default());
     let addr = server.addr();
 
     // Even-indexed clients run as user 1 (attends event 2, may unlock it);
@@ -561,12 +651,7 @@ fn client_initiated_shutdown_drains_cleanly() {
 
 #[test]
 fn shutdown_while_clients_are_mid_conversation() {
-    let config = ServerConfig {
-        workers: 4,
-        queue_capacity: 4,
-        ..Default::default()
-    };
-    let (server, proxy) = start(config);
+    let (server, proxy) = start(ServerConfig::default());
     let addr = server.addr();
 
     let workers: Vec<_> = (0..3)

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bep_core::{schema_of_database, ComplianceChecker, Policy, ProxyConfig, SqlProxy, Verdict};
-use bep_server::{Client, ClientError, Server, ServerConfig, ServerMode};
+use bep_server::{Client, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -37,7 +37,7 @@ fn calendar_db() -> Database {
     db
 }
 
-fn start(mode: ServerMode) -> (Server, Arc<SqlProxy>) {
+fn start() -> (Server, Arc<SqlProxy>) {
     let db = calendar_db();
     let schema = schema_of_database(&db);
     let policy = Policy::from_sql(
@@ -54,15 +54,8 @@ fn start(mode: ServerMode) -> (Server, Arc<SqlProxy>) {
             ..ProxyConfig::default()
         },
     ));
-    let server = Server::start(
-        Arc::clone(&proxy),
-        ServerConfig {
-            mode,
-            ..ServerConfig::default()
-        },
-        "127.0.0.1:0",
-    )
-    .expect("bind");
+    let server =
+        Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0").expect("bind");
     (server, proxy)
 }
 
@@ -93,7 +86,7 @@ fn expected_verdict(seq: u64) -> Verdict {
 
 #[test]
 fn subscribe_matches_cursor_polling_exactly_after_overflow() {
-    let (server, proxy) = start(ServerMode::EventDriven);
+    let (server, proxy) = start();
     let addr = server.addr();
 
     // Phase 1: overflow the ring with pipelined load, nobody reading.
@@ -181,7 +174,7 @@ fn subscribe_matches_cursor_polling_exactly_after_overflow() {
 
 #[test]
 fn subscribe_from_a_later_sequence_skips_without_charging_drops() {
-    let (server, _proxy) = start(ServerMode::EventDriven);
+    let (server, _proxy) = start();
     let addr = server.addr();
 
     let mut loader = Client::connect(addr, IO).unwrap();
@@ -204,19 +197,5 @@ fn subscribe_from_a_later_sequence_skips_without_charging_drops() {
     let batch = sub.next_events().unwrap();
     assert_eq!(batch.events.first().map(|e| e.seq), Some(20));
 
-    server.shutdown();
-}
-
-#[test]
-fn blocking_front_end_refuses_subscribe_with_a_typed_error() {
-    let (server, _proxy) = start(ServerMode::Blocking);
-    let mut c = Client::connect(server.addr(), IO).unwrap();
-    match c.subscribe(0) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "unsupported"),
-        other => panic!("expected typed unsupported error, got {other:?}"),
-    }
-    // The connection survives the refusal: normal requests still work.
-    let session = c.begin(vec![("MyUId".into(), Value::Int(1))]).unwrap();
-    assert!(c.end(session).unwrap());
     server.shutdown();
 }
