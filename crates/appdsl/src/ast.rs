@@ -7,6 +7,45 @@
 
 use sqlir::Value;
 
+use crate::error::DslError;
+
+/// One `sql("...")` or `run sql("...")` site: the SQL text as written plus
+/// the named parameters it mentions, resolved once when the site is built
+/// so that issuing the statement never parses it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SqlSite {
+    text: String,
+    /// Sorted named parameters, or the parse error of a malformed text —
+    /// kept rather than raised, because a handler with a bad SQL string
+    /// still parses, walks and symbolically executes; the error surfaces
+    /// when (and only when) the statement is issued.
+    named: Result<Vec<String>, String>,
+}
+
+impl SqlSite {
+    /// Builds a site from its SQL text.
+    pub fn new(text: String) -> SqlSite {
+        let named = sqlir::parse_statement(&text)
+            .map(|stmt| sqlir::collect_params(&stmt).0.into_iter().collect())
+            .map_err(|e| e.to_string());
+        SqlSite { text, named }
+    }
+
+    /// The SQL text (may contain named parameters).
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
+    /// The named parameters the text mentions, sorted; `DslError::Port`
+    /// with the parse error if the text is not SQL.
+    pub fn named_params(&self) -> Result<&[String], DslError> {
+        match &self.named {
+            Ok(named) => Ok(named),
+            Err(e) => Err(DslError::Port(e.clone())),
+        }
+    }
+}
+
 /// A complete application: a set of named handlers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct App {
@@ -67,8 +106,8 @@ pub enum Stmt {
     },
     /// `run sql("...");` — execute DML for its side effect.
     Run {
-        /// The SQL text (may contain named parameters).
-        sql: String,
+        /// The statement.
+        sql: SqlSite,
     },
     /// `abort(404);` — terminate with an HTTP error.
     Abort {
@@ -93,8 +132,8 @@ pub enum DExpr {
     Var(String),
     /// `sql("...")` — issue a query, producing a rows value.
     Sql {
-        /// The SQL text (may contain named parameters).
-        sql: String,
+        /// The query.
+        sql: SqlSite,
     },
     /// `<rows>.is_empty()`.
     IsEmpty(Box<DExpr>),
@@ -162,7 +201,7 @@ impl Stmt {
                     s.walk_sql(f);
                 }
             }
-            Stmt::Run { sql } => f(sql),
+            Stmt::Run { sql } => f(sql.text()),
             Stmt::Abort { .. } | Stmt::Return => {}
         }
     }
@@ -172,7 +211,7 @@ impl DExpr {
     /// Visits every SQL string in this expression.
     pub fn walk_sql(&self, f: &mut dyn FnMut(&str)) {
         match self {
-            DExpr::Sql { sql } => f(sql),
+            DExpr::Sql { sql } => f(sql.text()),
             DExpr::IsEmpty(e) | DExpr::Count(e) | DExpr::Not(e) => e.walk_sql(f),
             DExpr::Field { base, .. } => base.walk_sql(f),
             DExpr::Binary { lhs, rhs, .. } => {

@@ -9,7 +9,7 @@
 use minidb::Rows;
 use sqlir::{CmpResult, Value};
 
-use crate::ast::{DBinOp, DExpr, Handler, Stmt};
+use crate::ast::{DBinOp, DExpr, Handler, SqlSite, Stmt};
 use crate::error::DslError;
 
 /// Anything that can answer SQL with named-parameter bindings.
@@ -329,16 +329,15 @@ impl<'a> Interp<'a> {
         }
     }
 
-    /// Resolves the named parameters a SQL string needs, then issues it.
+    /// Resolves the named parameters a SQL site needs, then issues it.
     /// Returns `Err(sql)` inside `Ok` when the enforcement layer blocked it.
     #[allow(clippy::type_complexity)]
-    fn issue(&mut self, sql: &str) -> Result<Result<RtVal, String>, DslError> {
-        let stmt = sqlir::parse_statement(sql).map_err(|e| DslError::Port(e.to_string()))?;
-        let (named, _positional) = sqlir::collect_params(&stmt);
-        let mut bindings = Vec::new();
+    fn issue(&mut self, site: &SqlSite) -> Result<Result<RtVal, String>, DslError> {
+        let sql = site.text();
+        let named = site.named_params()?;
+        let mut bindings = Vec::with_capacity(named.len());
         for name in named {
-            let v = self.resolve_scalar(&name)?;
-            bindings.push((name, v));
+            bindings.push((name.clone(), self.resolve_scalar(name)?));
         }
         let outcome = self.port.run(sql, &bindings)?;
         let issued_index = self.result.queries.len();

@@ -36,7 +36,7 @@ pub mod error;
 pub mod interp;
 pub mod parser;
 
-pub use ast::{App, DBinOp, DExpr, Handler, Stmt};
+pub use ast::{App, DBinOp, DExpr, Handler, SqlSite, Stmt};
 pub use error::DslError;
 pub use interp::{
     run_handler, Emitted, IssuedQuery, Limits, Outcome, PortOutcome, QueryPort, Request, RunResult,

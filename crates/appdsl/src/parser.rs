@@ -19,7 +19,7 @@
 
 use sqlir::Value;
 
-use crate::ast::{App, DBinOp, DExpr, Handler, Stmt};
+use crate::ast::{App, DBinOp, DExpr, Handler, SqlSite, Stmt};
 use crate::error::DslError;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -361,7 +361,9 @@ impl Parser {
             };
             self.expect(Tok::RParen)?;
             self.expect(Tok::Semi)?;
-            return Ok(Stmt::Run { sql });
+            return Ok(Stmt::Run {
+                sql: SqlSite::new(sql),
+            });
         }
         if self.eat_kw("abort") {
             self.expect(Tok::LParen)?;
@@ -494,7 +496,9 @@ impl Parser {
                         }
                     };
                     self.expect(Tok::RParen)?;
-                    Ok(DExpr::Sql { sql })
+                    Ok(DExpr::Sql {
+                        sql: SqlSite::new(sql),
+                    })
                 }
                 "params" => {
                     self.expect(Tok::Dot)?;

@@ -2,7 +2,8 @@
 //! propagation through every statement form, and error taxonomy.
 
 use appdsl::{
-    parse_handler, run_handler, DslError, Emitted, Limits, Outcome, PortOutcome, QueryPort,
+    parse_handler, run_handler, DslError, Emitted, IssuedQuery, Limits, Outcome, PortOutcome,
+    QueryPort,
 };
 use minidb::Database;
 use sqlir::Value;
@@ -228,4 +229,101 @@ fn boolean_operators_short_circuit_queries() {
     let r = run_handler(&mut db, &h, &[], &[], Limits::default()).unwrap();
     assert_eq!(r.queries.len(), 0, "short-circuit skipped the query");
     assert_eq!(r.emitted, vec![Emitted::Scalar(Value::Int(1))]);
+}
+
+#[test]
+fn one_site_in_a_hundred_row_loop_binds_as_a_parse_per_issue_would() {
+    let mut db = Database::new();
+    db.execute_sql("CREATE TABLE Items (Id INT PRIMARY KEY, Owner INT, Tag TEXT)")
+        .unwrap();
+    for i in 0..100 {
+        let tag = if i % 3 == 0 { "red" } else { "blue" };
+        db.execute_sql(&format!(
+            "INSERT INTO Items (Id, Owner, Tag) VALUES ({i}, 1, '{tag}')"
+        ))
+        .unwrap();
+    }
+    const ALL: &str = "SELECT Id FROM Items";
+    const ONE: &str = "SELECT Id FROM Items WHERE Tag = ?tag AND Id = ?id AND Owner = ?MyUId";
+    let h = parse_handler(&format!(
+        r#"
+        handler fan(tag) {{
+            let rs = sql("{ALL}");
+            for r in rs {{
+                let id = r.Id;
+                emit sql("{ONE}");
+            }}
+        }}
+        "#
+    ))
+    .unwrap();
+    let params = [("tag".to_string(), Value::str("red"))];
+    let r = run_handler(
+        &mut db,
+        &h,
+        &[("MyUId".to_string(), Value::Int(1))],
+        &params,
+        Limits::default(),
+    )
+    .unwrap();
+
+    // The reference: parse the text at every issue and bind its sorted
+    // named parameters, which is what `issue` did before sites existed.
+    let issued = |sql: &str, id: Option<i64>, row_count: usize| {
+        let stmt = sqlir::parse_statement(sql).unwrap();
+        let bindings = sqlir::collect_params(&stmt)
+            .0
+            .into_iter()
+            .map(|name| {
+                let v = match name.as_str() {
+                    "MyUId" => Value::Int(1),
+                    "id" => Value::Int(id.unwrap()),
+                    "tag" => Value::str("red"),
+                    other => panic!("unexpected parameter {other}"),
+                };
+                (name, v)
+            })
+            .collect();
+        IssuedQuery {
+            sql: sql.to_string(),
+            bindings,
+            row_count,
+            emitted: id.is_some(),
+        }
+    };
+    let mut expected = vec![issued(ALL, None, 100)];
+    expected.extend((0..100).map(|i| issued(ONE, Some(i), usize::from(i % 3 == 0))));
+    assert_eq!(r.queries, expected);
+    assert_eq!(r.queries[1].bindings[0].0, "MyUId", "sorted by name");
+    assert_eq!(r.emitted.len(), 100);
+    assert_eq!(r.outcome, Outcome::Ok);
+}
+
+#[test]
+fn malformed_sql_site_fails_when_issued_not_when_parsed() {
+    let mut db = db();
+    let h = parse_handler(
+        r#"
+        handler maybe_bad(go) {
+            if params.go == 1 {
+                emit sql("SELEKT 1 FRM T");
+            }
+            emit 0;
+        }
+        "#,
+    )
+    .expect("a bad SQL string is not a handler syntax error");
+    let run = |db: &mut Database, go: i64| {
+        let params = [("go".to_string(), Value::Int(go))];
+        run_handler(
+            db,
+            &h,
+            &[("MyUId".to_string(), Value::Int(1))],
+            &params,
+            Limits::default(),
+        )
+    };
+    let skipped = run(&mut db, 0).unwrap();
+    assert_eq!(skipped.emitted, vec![Emitted::Scalar(Value::Int(0))]);
+    assert!(matches!(run(&mut db, 1), Err(DslError::Port(_))));
 }

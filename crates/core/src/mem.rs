@@ -16,6 +16,12 @@
 //! plans is both rare and conservative). Opaque foreign types (parsed
 //! statements) are approximated by their source text, and the
 //! approximation is documented at the implementation site.
+//!
+//! A component read on a hot path answers from a running account it
+//! adjusts at each mutation instead of walking itself (the bounded caches'
+//! resident bytes, the trace's element bytes); the walk it must equal is
+//! then kept beside it as the tested ground truth
+//! ([`Trace::heap_bytes_exact`](crate::trace::Trace::heap_bytes_exact)).
 
 use std::mem::size_of;
 
@@ -28,26 +34,19 @@ pub trait HeapUsage {
     fn heap_bytes(&self) -> usize;
 }
 
+/// Heap bytes owned by one atom: its argument vector.
+pub fn atom_heap_bytes(a: &Atom) -> usize {
+    a.args.capacity() * size_of::<Term>()
+}
+
 /// Heap bytes owned by a conjunctive query: head terms, atoms with their
 /// argument vectors, and comparisons. Terms are `Copy` (16 bytes), so a
 /// CQ's footprint is exactly its vector capacities.
 pub fn cq_heap_bytes(q: &Cq) -> usize {
     q.head.capacity() * size_of::<Term>()
         + q.atoms.capacity() * size_of::<Atom>()
-        + q.atoms
-            .iter()
-            .map(|a| a.args.capacity() * size_of::<Term>())
-            .sum::<usize>()
+        + q.atoms.iter().map(atom_heap_bytes).sum::<usize>()
         + q.comparisons.capacity() * size_of::<Comparison>()
-}
-
-/// Heap bytes owned by a fact list (atoms with argument vectors).
-pub fn atoms_heap_bytes(atoms: &[Atom]) -> usize {
-    std::mem::size_of_val(atoms)
-        + atoms
-            .iter()
-            .map(|a| a.args.capacity() * size_of::<Term>())
-            .sum::<usize>()
 }
 
 /// Heap bytes owned by one SQL value (string payloads only).

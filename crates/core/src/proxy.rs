@@ -171,7 +171,7 @@ pub struct ProxyConfig {
     pub exemplars_per_template: usize,
     /// Compact session traces after each recording: drop entries and facts
     /// homomorphically implied by what remains. Decision-invisible (the
-    /// fact set stays logically equivalent; see `Trace::compact`) and keeps
+    /// fact set stays logically equivalent; see `Trace::record_compacting`) and keeps
     /// session state O(distinct information) instead of O(requests).
     pub compaction: bool,
     /// Byte budget for resident compiled plans (0 = count-bounded only, by
@@ -438,12 +438,20 @@ fn deny_entry_bytes(query: &qlogic::Cq) -> usize {
 /// Heap bytes owned by one session's state: the binding list (counted at
 /// this holder even though it is shared by `Arc` — see [`crate::mem`]),
 /// the trace, and both concrete caches (structural tables plus accounted
-/// entry weights, deny-cache counterexample CQs included).
+/// entry weights, deny-cache counterexample CQs included). Every term is
+/// a running account, so the before/after brackets around a mutation cost
+/// nothing that grows with the session.
 fn session_state_bytes(state: &SessionState) -> usize {
     bindings_heap_bytes(&state.bindings)
         + state.trace.heap_bytes()
         + state.allowed_cache.heap_bytes()
         + state.denied_cache.heap_bytes()
+}
+
+/// The same sum with the trace *walked* ([`Trace::heap_bytes_exact`]):
+/// the ground truth under [`SqlProxy::sessions_heap_bytes`].
+fn session_state_bytes_exact(state: &SessionState) -> usize {
+    session_state_bytes(state) - state.trace.heap_bytes() + state.trace.heap_bytes_exact()
 }
 
 /// Fingerprint of one (template, bindings) pair — the session-cache key.
@@ -982,7 +990,7 @@ impl SqlProxy {
             .map(|shard| {
                 let shard = shard.read();
                 shard.capacity() * std::mem::size_of::<(u64, SessionState)>()
-                    + shard.values().map(session_state_bytes).sum::<usize>()
+                    + shard.values().map(session_state_bytes_exact).sum::<usize>()
             })
             .sum()
     }
@@ -1780,13 +1788,14 @@ impl SqlProxy {
         let obs = Observation::from_rows(&rows.rows, MAX_FACT_ROWS);
         if let Some(session) = self.shard(session_id).write().get_mut(&session_id) {
             let before = session_state_bytes(session);
-            session.trace.record(cq, obs);
             if self.config.compaction {
                 // Subsumption compaction keeps the trace O(distinct
                 // information): decision-invisible (the fact set stays
                 // logically equivalent), and any removal bumps the trace
                 // version, so stamped denials never serve stale.
-                session.trace.compact();
+                session.trace.record_compacting(cq, obs);
+            } else {
+                session.trace.record(cq, obs);
             }
             let after = session_state_bytes(session);
             self.adjust_session_bytes(before, after);

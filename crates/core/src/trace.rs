@@ -10,9 +10,63 @@
 //! one satisfying assignment; returned rows witness one assignment each.
 //! Empty results carry negative information that facts cannot express, so
 //! they are (soundly) ignored.
+//!
+//! # Compaction: a maintained fixpoint
+//!
+//! A trace lives as long as its session, so the fact store is maintained,
+//! not re-derived. A store is *reduced* when no entry equals an earlier one
+//! and no fact is implied by the others — where `f` is *implied* by a set
+//! `R` when some substitution of `f`'s variables, the identity on every
+//! variable that also occurs in `R`, turns `f` into a member of `R`
+//! (exactly what [`qlogic::fact_implied`] decides). Dropping an implied
+//! fact leaves the existential conjunction of the store logically
+//! equivalent, so no compliance decision — all monotone in it — changes.
+//!
+//! [`Trace::record_compacting`] keeps the store reduced in time
+//! proportional to the facts a record adds. It rests on one lemma.
+//!
+//! **Lemma.** Let `F` be reduced and `N` the facts one record pushes. A
+//! stored `f ∈ F` is implied by `(F ∪ N) \ {f}` only if it maps onto some
+//! `g ∈ N` and no variable of `f` occurs in any other fact.
+//!
+//! *Proof.* Witnessed facts carry only constants and Skolems minted by
+//! their own `witness` call, so `N` shares no variable with `F`: the
+//! variables of `f` that occur elsewhere are the same with and without
+//! `N`. (1) A mapping of `f` onto a member of `F \ {f}` would therefore
+//! already have made `f` implied in `F`, which is reduced; so the target
+//! `g` is in `N`. (2) `g` holds constants and fresh Skolems only, so a
+//! variable of `f` pinned to itself has nothing in `g` to land on; so
+//! `f` has none. ∎
+//!
+//! So after a push the old facts need one cheap test each against the new
+//! facts only, and the general test (pinned on Skolems the new facts share
+//! among themselves) is needed for the new facts alone. That test is
+//! repeated until a pass removes nothing, because a removal can unpin a
+//! Skolem: with `T(2,1,1)` stored, a non-empty `ans() :- T(2,b,1), T(2,b,c)`
+//! pushes `f = T(2,sk1,1)` and `g = T(2,sk1,sk2)`; `f` is pinned on `sk1`
+//! by `g` and stays, `g` drops onto `f`, and only then is `f` — unpinned —
+//! implied by `T(2,1,1)`. One oldest-first pass stops one step short; the
+//! fixpoint is the target. Removing an old fact unpins nothing (it shared
+//! no variable) and removing a new one leaves the old facts' pinned sets
+//! as they were, so once the loop ends the whole store is reduced again.
+//!
+//! [`Trace::compact`] is the executable specification of "reduced": full
+//! sweeps to a fixpoint, quadratic, called by nothing in production. The
+//! tests hold the incremental store equal in size to it after every push.
+//!
+//! # Byte account
+//!
+//! The trace carries a running sum of the heap bytes its elements own,
+//! adjusted wherever a fact or entry is pushed or removed, so
+//! [`HeapUsage::heap_bytes`](crate::mem::HeapUsage) is two capacities plus
+//! that sum. [`Trace::heap_bytes_exact`] is the walk it must equal.
 
-use qlogic::{Atom, Cq, Subst, Term};
+use std::mem::size_of;
+
+use qlogic::{Atom, Cq, Subst, Sym, Term};
 use sqlir::Value;
+
+use crate::mem::{atom_heap_bytes, cq_heap_bytes, value_heap_bytes};
 
 /// What was observed about a query's result.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +103,7 @@ pub struct TraceEntry {
 }
 
 /// A session's query history with derived facts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
     facts: Vec<Atom>,
@@ -59,11 +113,67 @@ pub struct Trace {
     /// `facts().len()` stamp would be unsound once compaction can shrink the
     /// set (the same count can name a different set).
     version: u64,
+    /// Heap bytes owned by the stored entries and facts themselves (the
+    /// two vectors' own buffers excluded): the running byte account.
+    element_bytes: usize,
+    /// Set by the mutations that do not restore the reduced store (plain
+    /// [`Trace::record`], [`Trace::assume_fact`]), cleared by
+    /// [`Trace::compact`]. While set, the lemma's premise may not hold.
+    unreduced: bool,
+}
+
+impl Clone for Trace {
+    /// A clone's vectors are allocated at their lengths, not the
+    /// original's capacities, so its byte account is taken afresh.
+    fn clone(&self) -> Trace {
+        let mut t = Trace {
+            entries: self.entries.clone(),
+            facts: self.facts.clone(),
+            element_bytes: 0,
+            ..*self
+        };
+        t.element_bytes = t.walk_element_bytes();
+        t
+    }
 }
 
 /// Maximum rows per observation that contribute facts (keeps fact sets and
 /// hence checking costs bounded).
 pub const MAX_FACT_ROWS: usize = 16;
+
+/// Heap bytes one stored entry owns: the query plus recorded rows.
+fn entry_bytes(entry: &TraceEntry) -> usize {
+    let mut b = cq_heap_bytes(&entry.query);
+    if let Observation::Rows(rows) = &entry.observation {
+        b += rows.capacity() * size_of::<Vec<Value>>();
+        for row in rows {
+            b += row.capacity() * size_of::<Value>();
+            b += row.iter().map(value_heap_bytes).sum::<usize>();
+        }
+    }
+    b
+}
+
+/// Whether some substitution of `src`'s variables — the identity on those
+/// in `pinned` — turns `src` into `dst`: [`qlogic::fact_implied`]'s search,
+/// for one target atom, without compiling a problem.
+fn maps_onto(src: &Atom, dst: &Atom, pinned: &[Sym]) -> bool {
+    let free = |t: &Term| matches!(t, Term::Var(v) if !pinned.contains(v));
+    src.relation == dst.relation
+        && src.args.len() == dst.args.len()
+        // Constants and pinned variables must be met outright; this alone
+        // turns away nearly every candidate, so it runs first.
+        && src.args.iter().zip(&dst.args).all(|(s, d)| free(s) || s == d)
+        // A free variable binds at its first occurrence; a repeat must land
+        // where the first did.
+        && src.args.iter().enumerate().all(|(k, s)| {
+            !free(s)
+                || src.args[..k]
+                    .iter()
+                    .position(|earlier| earlier == s)
+                    .is_none_or(|first| dst.args[first] == dst.args[k])
+        })
+}
 
 impl Trace {
     /// Creates an empty trace.
@@ -71,18 +181,130 @@ impl Trace {
         Trace::default()
     }
 
-    /// Records a query and its observation, deriving facts.
+    /// Records a query and its observation, deriving facts, without
+    /// compacting: entries and facts only ever grow.
     pub fn record(&mut self, query: Cq, observation: Observation) {
-        match &observation {
-            Observation::Empty => {}
-            Observation::NonEmpty => self.witness(&query, None),
-            Observation::Rows(rows) => {
-                for row in rows.iter().take(MAX_FACT_ROWS) {
-                    self.witness(&query, Some(row));
+        self.unreduced = true;
+        self.witness_observation(&query, &observation);
+        self.push_entry(TraceEntry { query, observation });
+    }
+
+    /// Records a query and its observation and leaves the store reduced
+    /// (see the module docs): an entry equal to a stored one is not stored
+    /// again, and every fact the record makes redundant is dropped, in time
+    /// proportional to the facts it adds. Returns how many entries plus
+    /// facts were dropped.
+    ///
+    /// A trace that plain [`Trace::record`] or [`Trace::assume_fact`] has
+    /// touched is first brought to the fixpoint by [`Trace::compact`], once.
+    pub fn record_compacting(&mut self, query: Cq, observation: Observation) -> usize {
+        if self.unreduced {
+            self.record(query, observation);
+            return self.compact();
+        }
+        let first_new = self.facts.len();
+        self.witness_observation(&query, &observation);
+        let entry = TraceEntry { query, observation };
+        let mut dropped = 0;
+        if self.entries.contains(&entry) {
+            dropped += 1;
+        } else {
+            self.push_entry(entry);
+        }
+        dropped + self.absorb(first_new)
+    }
+
+    /// Restores the reduced store after `facts[first_new..]` were pushed
+    /// onto one, by the module docs' lemma.
+    fn absorb(&mut self, mut first_new: usize) -> usize {
+        if first_new == self.facts.len() {
+            return 0;
+        }
+        let mut dropped = 0;
+        // Old facts, oldest first (so a later, more specific fact absorbs
+        // an earlier Skolemized one): only one that maps onto a new fact
+        // and shares no variable can have become implied.
+        let mut i = 0;
+        while i < first_new {
+            let old = &self.facts[i];
+            if self.facts[first_new..]
+                .iter()
+                .any(|new| maps_onto(old, new, &[]))
+                && !self.shares_a_variable(i)
+            {
+                self.remove_fact(i);
+                first_new -= 1;
+                dropped += 1;
+            } else {
+                i += 1;
+            }
+        }
+        // New facts: the general test, pinned on the Skolems they share —
+        // fresh, so only with each other — until a pass removes nothing (a
+        // removal can unpin a survivor).
+        let mut pinned = Vec::new();
+        loop {
+            let before = dropped;
+            let mut i = first_new;
+            while i < self.facts.len() {
+                self.pinned_variables(first_new, i, &mut pinned);
+                let new = &self.facts[i];
+                if (0..self.facts.len()).any(|j| j != i && maps_onto(new, &self.facts[j], &pinned))
+                {
+                    self.remove_fact(i);
+                    dropped += 1;
+                } else {
+                    i += 1;
+                }
+            }
+            if dropped == before {
+                return dropped;
+            }
+        }
+    }
+
+    /// Whether a variable of `facts[i]` occurs in any other fact. Facts
+    /// that share a variable were witnessed together and sit side by side,
+    /// so the search runs outward from `i`: a repeated join probe leaves
+    /// blocks that pin each other, one per repeat, and each is tested on
+    /// every later repeat.
+    fn shares_a_variable(&self, i: usize) -> bool {
+        let shares = |j: usize| {
+            let (f, other) = (&self.facts[i], &self.facts[j]);
+            f.args
+                .iter()
+                .any(|t| matches!(t, Term::Var(_)) && other.args.contains(t))
+        };
+        let n = self.facts.len();
+        (1..n).any(|d| (d <= i && shares(i - d)) || (i + d < n && shares(i + d)))
+    }
+
+    /// Fills `out` with the variables of `facts[i]` that occur in another
+    /// fact of `facts[from..]` — for a fact of the current record, whose
+    /// Skolems are fresh, every variable it shares with anything.
+    fn pinned_variables(&self, from: usize, i: usize, out: &mut Vec<Sym>) {
+        out.clear();
+        for t in &self.facts[i].args {
+            if let Term::Var(v) = t {
+                if !out.contains(v)
+                    && (from..self.facts.len()).any(|j| j != i && self.facts[j].args.contains(t))
+                {
+                    out.push(*v);
                 }
             }
         }
-        self.entries.push(TraceEntry { query, observation });
+    }
+
+    fn witness_observation(&mut self, query: &Cq, observation: &Observation) {
+        match observation {
+            Observation::Empty => {}
+            Observation::NonEmpty => self.witness(query, None),
+            Observation::Rows(rows) => {
+                for row in rows.iter().take(MAX_FACT_ROWS) {
+                    self.witness(query, Some(row));
+                }
+            }
+        }
     }
 
     /// Adds the facts witnessed by one satisfying assignment: head variables
@@ -116,10 +338,25 @@ impl Trace {
         for atom in &query.atoms {
             let fact = qlogic::cq::apply_atom(atom, &subst);
             if !self.facts.contains(&fact) {
-                self.facts.push(fact);
-                self.version += 1;
+                self.push_fact(fact);
             }
         }
+    }
+
+    fn push_fact(&mut self, fact: Atom) {
+        self.element_bytes += atom_heap_bytes(&fact);
+        self.facts.push(fact);
+        self.version += 1;
+    }
+
+    fn remove_fact(&mut self, i: usize) {
+        self.element_bytes -= atom_heap_bytes(&self.facts.remove(i));
+        self.version += 1;
+    }
+
+    fn push_entry(&mut self, entry: TraceEntry) {
+        self.element_bytes += entry_bytes(&entry);
+        self.entries.push(entry);
     }
 
     /// The derived facts.
@@ -143,11 +380,13 @@ impl Trace {
     }
 
     /// Injects an externally known fact (used by diagnosis when proposing
-    /// access-check patches: "if this check passed, the fact holds").
+    /// access-check patches: "if this check passed, the fact holds"). Its
+    /// variables are labeled nulls of the caller's naming and must not be
+    /// spelled like this trace's Skolems (`sk<n>`).
     pub fn assume_fact(&mut self, fact: Atom) {
         if !self.facts.contains(&fact) {
-            self.facts.push(fact);
-            self.version += 1;
+            self.unreduced = true;
+            self.push_fact(fact);
         }
     }
 
@@ -158,16 +397,19 @@ impl Trace {
         self.version
     }
 
-    /// Subsumption-based compaction: drops every entry that is an exact
-    /// duplicate of an earlier one, and every fact homomorphically implied
-    /// by the remaining facts (identity-pinned on shared labeled nulls, so
-    /// the existential conjunction — and hence every compliance decision,
-    /// which is monotone in it — is unchanged). Returns how many entries
-    /// plus facts were dropped.
+    /// Subsumption-based compaction, the reference: drops every entry that
+    /// is an exact duplicate of an earlier one, then sweeps the facts
+    /// oldest-first, dropping each one homomorphically implied by the
+    /// others (identity-pinned on shared labeled nulls), and repeats the
+    /// sweep until one drops nothing — a drop can unpin a fact an earlier
+    /// step had to keep. Returns how many entries plus facts were dropped.
     ///
     /// Soundness: the fact set before and after is logically *equivalent*
     /// (each dropped fact is entailed by what stays), so trace-aware proofs
     /// succeed after compaction exactly when they succeeded before.
+    ///
+    /// Quadratic in the store with an allocation per fact per sweep;
+    /// [`Trace::record_compacting`] is what a hot path calls.
     pub fn compact(&mut self) -> usize {
         let mut dropped = 0;
 
@@ -176,6 +418,7 @@ impl Trace {
         let mut kept: Vec<TraceEntry> = Vec::with_capacity(self.entries.len());
         for e in self.entries.drain(..) {
             if kept.contains(&e) {
+                self.element_bytes -= entry_bytes(&e);
                 dropped += 1;
             } else {
                 kept.push(e);
@@ -183,51 +426,52 @@ impl Trace {
         }
         self.entries = kept;
 
-        // Facts: greedy single-pass sweep. Dropping is order-dependent but
-        // always sound; sweeping oldest-first lets a later, more specific
-        // fact absorb an earlier Skolemized one.
-        let mut i = 0;
-        while i < self.facts.len() {
-            let fact = self.facts[i].clone();
-            let mut remainder = Vec::with_capacity(self.facts.len() - 1);
-            remainder.extend_from_slice(&self.facts[..i]);
-            remainder.extend_from_slice(&self.facts[i + 1..]);
-            if qlogic::fact_implied(&fact, &remainder) {
-                self.facts.remove(i);
-                self.version += 1;
-                dropped += 1;
-            } else {
-                i += 1;
+        loop {
+            let before = dropped;
+            let mut i = 0;
+            while i < self.facts.len() {
+                let mut remainder = Vec::with_capacity(self.facts.len() - 1);
+                remainder.extend_from_slice(&self.facts[..i]);
+                remainder.extend_from_slice(&self.facts[i + 1..]);
+                if qlogic::fact_implied(&self.facts[i], &remainder) {
+                    self.remove_fact(i);
+                    dropped += 1;
+                } else {
+                    i += 1;
+                }
+            }
+            if dropped == before {
+                break;
             }
         }
+        self.unreduced = false;
         dropped
+    }
+
+    /// Heap bytes by walking every entry and fact: the ground truth the
+    /// running account behind [`HeapUsage::heap_bytes`](crate::mem::HeapUsage)
+    /// is tested against.
+    pub fn heap_bytes_exact(&self) -> usize {
+        self.buffer_bytes() + self.walk_element_bytes()
+    }
+
+    /// The two vectors' own buffers, from their capacities.
+    fn buffer_bytes(&self) -> usize {
+        self.entries.capacity() * size_of::<TraceEntry>()
+            + self.facts.capacity() * size_of::<Atom>()
+    }
+
+    fn walk_element_bytes(&self) -> usize {
+        self.facts.iter().map(atom_heap_bytes).sum::<usize>()
+            + self.entries.iter().map(entry_bytes).sum::<usize>()
     }
 }
 
 impl crate::mem::HeapUsage for Trace {
     /// Entries (query CQs plus recorded observation rows) and derived
-    /// facts, from vector capacities.
+    /// facts, from vector capacities and the running element account: O(1).
     fn heap_bytes(&self) -> usize {
-        use crate::mem::{cq_heap_bytes, value_heap_bytes};
-        use std::mem::size_of;
-        let mut b = self.entries.capacity() * size_of::<TraceEntry>()
-            + self.facts.capacity() * size_of::<Atom>()
-            + self
-                .facts
-                .iter()
-                .map(|a| a.args.capacity() * size_of::<Term>())
-                .sum::<usize>();
-        for e in &self.entries {
-            b += cq_heap_bytes(&e.query);
-            if let Observation::Rows(rows) = &e.observation {
-                b += rows.capacity() * size_of::<Vec<Value>>();
-                for row in rows {
-                    b += row.capacity() * size_of::<Value>();
-                    b += row.iter().map(value_heap_bytes).sum::<usize>();
-                }
-            }
-        }
-        b
+        self.buffer_bytes() + self.element_bytes
     }
 }
 
@@ -440,5 +684,114 @@ mod tests {
         assert!(t.compact() > 0);
         assert_eq!(t.facts().len(), 1);
         assert_eq!(t.facts()[0].args[1], Term::int(2), "specific fact stays");
+    }
+
+    /// `ans() :- T(2, b, 1), T(2, b, c)`: non-empty, it witnesses
+    /// `f = T(2, sk, 1)` and `g = T(2, sk, sk')`, which share `sk`.
+    fn pinned_pair() -> Cq {
+        let t = |b: Term, c: Term| Atom::new("T", vec![Term::int(2), b, c]);
+        Cq::new(
+            vec![],
+            vec![
+                t(Term::var("b"), Term::int(1)),
+                t(Term::var("b"), Term::var("c")),
+            ],
+            vec![],
+        )
+    }
+
+    fn ground_t() -> Cq {
+        let t = Atom::new("T", vec![Term::int(2), Term::int(1), Term::int(1)]);
+        Cq::new(vec![], vec![t], vec![])
+    }
+
+    #[test]
+    fn compact_runs_to_a_fixpoint() {
+        // One oldest-first sweep keeps `f` (pinned by `g`), then drops `g`
+        // onto `f`; only a second sweep sees `f`, now unpinned, implied by
+        // the ground fact. A single-pass compact() returned (1, 1) here.
+        let mut t = Trace::new();
+        t.record(ground_t(), Observation::NonEmpty);
+        t.record(pinned_pair(), Observation::NonEmpty);
+        assert_eq!(t.facts().len(), 3);
+        assert_eq!((t.compact(), t.compact()), (2, 0));
+        assert_eq!(t.facts(), &ground_t().atoms[..]);
+    }
+
+    #[test]
+    fn record_compacting_reaches_the_same_fixpoint_one_record_at_a_time() {
+        let mut t = Trace::new();
+        assert_eq!(t.record_compacting(ground_t(), Observation::NonEmpty), 0);
+        assert_eq!(t.record_compacting(pinned_pair(), Observation::NonEmpty), 2);
+        assert_eq!(t.facts(), &ground_t().atoms[..]);
+        assert_eq!(t.len(), 2, "distinct entries both stay");
+        assert_eq!(t.clone().compact(), 0);
+        // A repeat stores no second entry, and its fresh-Skolem facts go.
+        let v = t.version();
+        assert_eq!(t.record_compacting(pinned_pair(), Observation::NonEmpty), 3);
+        assert_eq!((t.len(), t.facts().len()), (2, 1));
+        assert!(t.version() > v, "pushes and removals both move the stamp");
+    }
+
+    #[test]
+    fn record_compacting_absorbs_an_older_skolemized_fact() {
+        // The repeated probe: the old fact goes, the new one stays (the
+        // order a full oldest-first sweep produces).
+        let mut t = Trace::new();
+        t.record_compacting(q1(), Observation::NonEmpty);
+        let first = t.facts()[0].clone();
+        assert_eq!(t.record_compacting(q1(), Observation::NonEmpty), 2);
+        assert_eq!(t.facts().len(), 1);
+        assert_ne!(t.facts()[0], first);
+    }
+
+    #[test]
+    fn record_compacting_recovers_a_trace_left_unreduced() {
+        let mut t = Trace::new();
+        t.record(q1(), Observation::NonEmpty);
+        t.record(q1(), Observation::NonEmpty);
+        t.assume_fact(Atom::new("Events", vec![Term::int(2), Term::var("t")]));
+        assert_eq!((t.len(), t.facts().len()), (2, 3));
+        // One full compaction on the way in, incremental from then on.
+        t.record_compacting(q1(), Observation::NonEmpty);
+        assert_eq!((t.len(), t.facts().len()), (1, 2));
+        assert_eq!(t.clone().compact(), 0);
+        t.record_compacting(q1(), Observation::NonEmpty);
+        assert_eq!((t.len(), t.facts().len()), (1, 2));
+    }
+
+    #[test]
+    fn running_byte_account_matches_the_walk() {
+        use crate::mem::HeapUsage;
+        let rows = Observation::Rows(vec![
+            vec![Value::Int(4)],
+            vec![Value::str("a string cell")],
+            vec![Value::Null],
+        ]);
+        let by_event = Cq::new(
+            vec![Term::var("e")],
+            vec![Atom::new(
+                "Attendance",
+                vec![Term::int(7), Term::var("e"), Term::var("n")],
+            )],
+            vec![],
+        );
+        let mut t = Trace::new();
+        assert_eq!(t.heap_bytes(), 0);
+        for step in 0..6 {
+            match step % 3 {
+                0 => {
+                    t.record_compacting(by_event.clone(), rows.clone());
+                }
+                1 => t.record(q1(), Observation::NonEmpty),
+                _ => t.assume_fact(Atom::new("R", vec![Term::int(step)])),
+            }
+            assert_eq!(t.heap_bytes(), t.heap_bytes_exact(), "after step {step}");
+            let c = t.clone();
+            assert_eq!(c.heap_bytes(), c.heap_bytes_exact(), "clone at {step}");
+        }
+        t.compact();
+        assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
+        assert!(t.heap_bytes() > 0);
     }
 }

@@ -10,11 +10,23 @@
 //! budgets tight enough to force eviction mid-workload — and assert the
 //! responses are bit-identical (verdict, deny reason, rows), cold and
 //! warm.
+//!
+//! The last property is of a different kind: it holds the *incremental*
+//! compaction the proxy runs (`Trace::record_compacting`) to its executable
+//! specification (`Trace::compact`, full sweeps to a fixpoint) and to the
+//! logical meaning of the never-compacted trace, after every push of
+//! generated traces — and the running byte account to the exact walk.
 
-use bep_core::{schema_of_database, ComplianceChecker, HeapUsage, Policy, ProxyConfig, SqlProxy};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use bep_core::{
+    schema_of_database, ComplianceChecker, HeapUsage, Observation, Policy, ProxyConfig, SqlProxy,
+    Trace,
+};
 use minidb::Database;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
+use qlogic::{Atom, CmpContext, Cq, HomProblem, Subst, Term};
 use sqlir::Value;
 
 type Step = String;
@@ -290,4 +302,129 @@ proptest! {
             "repeats should compact away: {compact} vs {base} bytes after {repeats} repeats"
         );
     }
+}
+
+// ------------------------------------- incremental ≡ its specification
+
+/// Three relations, constants in `0..2`, three variable names: small
+/// enough that pushes keep colliding — equal facts, facts that absorb older
+/// Skolemized ones, atoms pinned to each other through a shared variable.
+const RELATIONS: [(&str, usize); 3] = [("R", 2), ("S", 3), ("T", 3)];
+
+fn term() -> impl Strategy<Value = Term> {
+    prop_oneof![
+        (0i64..2).prop_map(Term::int),
+        proptest::sample::select(vec!["x", "y", "z"]).prop_map(Term::var),
+    ]
+}
+
+fn atom() -> impl Strategy<Value = Atom> {
+    (0usize..3, proptest::collection::vec(term(), 3)).prop_map(|(r, mut args)| {
+        let (name, arity) = RELATIONS[r];
+        args.truncate(arity);
+        Atom::new(name, args)
+    })
+}
+
+fn cell() -> impl Strategy<Value = Value> {
+    prop_oneof![(0i64..2).prop_map(Value::Int), Just(Value::Null)]
+}
+
+/// One push: a 1–2-atom query (variables shared across atoms and repeated
+/// within one) whose head is drawn from its own terms, and an observation
+/// shaped to that head — empty, non-empty, or 1–3 rows with `NULL` cells.
+fn push() -> impl Strategy<Value = (Cq, Observation)> {
+    (
+        proptest::collection::vec(atom(), 1..3),
+        proptest::collection::vec(0usize..6, 0..3),
+        0usize..3,
+        proptest::collection::vec(proptest::collection::vec(cell(), 2), 1..4),
+    )
+        .prop_map(|(atoms, picks, kind, mut rows)| {
+            let terms: Vec<Term> = atoms.iter().flat_map(|a| a.args.clone()).collect();
+            let head: Vec<Term> = picks.iter().map(|&k| terms[k % terms.len()]).collect();
+            let observation = match kind {
+                0 => Observation::Empty,
+                1 => Observation::NonEmpty,
+                _ => {
+                    rows.iter_mut().for_each(|row| row.truncate(head.len()));
+                    Observation::Rows(rows)
+                }
+            };
+            (Cq::new(head, atoms, vec![]), observation)
+        })
+}
+
+/// Whether `source`, its variables existential, maps into `target`: the
+/// facts of `target` entail those of `source`.
+fn entails(target: &[Atom], source: &[Atom]) -> bool {
+    qlogic::find_homomorphism(&HomProblem {
+        source_atoms: source,
+        source_comparisons: &[],
+        target_atoms: target,
+        target_ctx: &CmpContext::new(&[]),
+        initial: Subst::new(),
+    })
+    .is_some()
+}
+
+/// Entries plus facts dropped over every generated case (non-vacuity).
+static DROPPED: AtomicUsize = AtomicUsize::new(0);
+
+/// The entailment check searches exponentially when it is going to fail,
+/// so it covers the pushes a failure would show up in first.
+const ENTAILMENT_PUSHES: usize = 8;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    // Not a `#[test]` itself: the test below runs it, then checks the total.
+    fn incremental_compaction_holds_on_generated_traces(
+        pushes in proptest::collection::vec(push(), 40),
+    ) {
+        // `store` is what the proxy keeps; `reference` pays a full
+        // compaction per record; `history` never forgets anything.
+        let (mut store, mut reference, mut history) = (Trace::new(), Trace::new(), Trace::new());
+        for (n, (query, observation)) in pushes.iter().enumerate() {
+            let dropped = store.record_compacting(query.clone(), observation.clone());
+            DROPPED.fetch_add(dropped, Ordering::Relaxed);
+            reference.record(query.clone(), observation.clone());
+            reference.compact();
+            history.record(query.clone(), observation.clone());
+
+            prop_assert_eq!(store.clone().compact(), 0, "not a fixpoint after push {}", n);
+            prop_assert_eq!(
+                store.facts().len(),
+                reference.facts().len(),
+                "push {}: {:?} vs reference {:?}",
+                n,
+                store.facts(),
+                reference.facts()
+            );
+            prop_assert_eq!(store.entries(), reference.entries());
+            for fact in store.facts() {
+                prop_assert!(history.facts().contains(fact), "invented {:?}", fact);
+            }
+            if n < ENTAILMENT_PUSHES {
+                prop_assert!(
+                    entails(store.facts(), history.facts()),
+                    "push {}: {:?} lost information of {:?}",
+                    n,
+                    store.facts(),
+                    history.facts()
+                );
+            }
+            prop_assert_eq!(store.heap_bytes(), store.heap_bytes_exact());
+        }
+    }
+}
+
+#[test]
+fn incremental_compaction_meets_its_specification() {
+    incremental_compaction_holds_on_generated_traces();
+    let dropped = DROPPED.load(Ordering::Relaxed);
+    assert!(
+        dropped > 4_000,
+        "generated traces barely compact: {dropped} drops"
+    );
 }

@@ -21,7 +21,7 @@
 use sqlir::Value;
 
 use crate::error::ExtractError;
-use appdsl::ast::{DBinOp, DExpr, Handler, Stmt};
+use appdsl::ast::{DBinOp, DExpr, Handler, SqlSite, Stmt};
 
 /// Identifies a query issued on a path (issue order within the path).
 pub type QueryId = usize;
@@ -419,21 +419,16 @@ fn push_cond(conds: &mut Vec<Cond>, c: Cond) {
 
 /// Records a query issue in the state, resolving its named SQL parameters
 /// against the symbolic environment.
-fn issue(st: &mut PathState, sql: &str) -> QueryId {
+fn issue(st: &mut PathState, site: &SqlSite) -> QueryId {
     let id = st.queries.len();
-    let bindings = match sqlir::parse_statement(sql) {
-        Ok(stmt) => {
-            let (named, _) = sqlir::collect_params(&stmt);
-            named
-                .into_iter()
-                .map(|name| {
-                    let v = resolve_sym(st, &name);
-                    (name, v)
-                })
-                .collect()
-        }
-        Err(_) => Vec::new(),
-    };
+    let sql = site.text();
+    // A malformed site binds nothing here; running it reports the error.
+    let bindings = site
+        .named_params()
+        .unwrap_or_default()
+        .iter()
+        .map(|name| (name.clone(), resolve_sym(st, name)))
+        .collect();
     st.queries.push(SymQuery {
         id,
         sql: sql.to_string(),

@@ -1,6 +1,9 @@
 //! Row storage for one table.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use sqlir::Value;
@@ -16,34 +19,104 @@ use crate::schema::TableSchema;
 /// absence makes `NULL` probe keys miss for free.
 #[derive(Debug, Default, Clone)]
 pub struct EqIndex {
-    groups: HashMap<Vec<Value>, Vec<u32>>,
+    groups: HashMap<Key, RowIds>,
+}
+
+/// An index key. Most indexes are over one column (a PK, an FK, a probed
+/// column), and a one-value key lives inline instead of in a heap
+/// allocation per key. Hashes and compares as the `[Value]` it stands for,
+/// so the map is probed with a borrowed slice.
+#[derive(Debug, Clone)]
+enum Key {
+    One(Value),
+    Many(Box<[Value]>),
+}
+
+impl Key {
+    fn of(cols: &[usize], row: &[Value]) -> Key {
+        match cols {
+            [c] => Key::One(row[*c].clone()),
+            _ => Key::Many(cols.iter().map(|&c| row[c].clone()).collect()),
+        }
+    }
+
+    fn as_slice(&self) -> &[Value] {
+        match self {
+            Key::One(v) => std::slice::from_ref(v),
+            Key::Many(vs) => vs,
+        }
+    }
+}
+
+impl Borrow<[Value]> for Key {
+    fn borrow(&self) -> &[Value] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state)
+    }
+}
+
+/// The rows under one key. A PK/UNIQUE index has exactly one row per key,
+/// so that id lives inline instead of in a second heap allocation per key.
+#[derive(Debug, Clone)]
+enum RowIds {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl RowIds {
+    fn push(&mut self, idx: u32) {
+        match self {
+            RowIds::One(first) => *self = RowIds::Many(vec![*first, idx]),
+            RowIds::Many(ids) => ids.push(idx),
+        }
+    }
+
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            RowIds::One(id) => std::slice::from_ref(id),
+            RowIds::Many(ids) => ids,
+        }
+    }
 }
 
 impl EqIndex {
     fn build(cols: &[usize], rows: &[Vec<Value>]) -> EqIndex {
-        let mut groups: HashMap<Vec<Value>, Vec<u32>> = HashMap::new();
+        let mut index = EqIndex::default();
         for (i, row) in rows.iter().enumerate() {
-            if cols.iter().any(|&c| row[c].is_null()) {
-                continue;
-            }
-            let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            groups.entry(key).or_default().push(i as u32);
+            index.append(cols, row, i as u32);
         }
-        EqIndex { groups }
+        index
     }
 
     fn append(&mut self, cols: &[usize], row: &[Value], idx: u32) {
         if cols.iter().any(|&c| row[c].is_null()) {
             return;
         }
-        let key: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-        self.groups.entry(key).or_default().push(idx);
+        match self.groups.entry(Key::of(cols, row)) {
+            Entry::Occupied(mut e) => e.get_mut().push(idx),
+            Entry::Vacant(e) => {
+                e.insert(RowIds::One(idx));
+            }
+        }
     }
 
     /// The indices of the rows whose key columns equal `key`, in insertion
     /// order. A key containing `NULL` matches nothing.
     pub fn rows_matching(&self, key: &[Value]) -> &[u32] {
-        self.groups.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+        self.groups.get(key).map_or(&[], RowIds::as_slice)
     }
 }
 
@@ -273,6 +346,30 @@ mod tests {
         assert!(t.has_duplicate_on(&[0], &[Value::Int(1), Value::Null], None));
         assert!(!t.has_duplicate_on(&[0], &[Value::Int(2), Value::Null], None));
         assert!(!t.has_duplicate_on(&[1], &[Value::Int(9), Value::Null], None));
+    }
+
+    #[test]
+    fn index_keeps_insertion_order_for_unique_and_repeated_keys() {
+        let mut t = Table::new(two_col_schema());
+        t.push_row(vec![Value::Int(1), Value::str("x")]);
+        t.push_row(vec![Value::Int(2), Value::str("y")]);
+        t.push_row(vec![Value::Int(3), Value::Null]);
+        // Built from stored rows, then kept current by appends.
+        let before = t.index_on(&[1]);
+        assert_eq!(before.rows_matching(&[Value::str("x")]), &[0]);
+        t.push_row(vec![Value::Int(4), Value::str("x")]);
+        t.push_row(vec![Value::Int(5), Value::str("x")]);
+        let after = t.index_on(&[1]);
+        assert_eq!(after.rows_matching(&[Value::str("x")]), &[0, 3, 4]);
+        assert_eq!(after.rows_matching(&[Value::str("y")]), &[1]);
+        assert!(after.rows_matching(&[Value::str("z")]).is_empty());
+        assert!(after.rows_matching(&[Value::Null]).is_empty());
+        // A two-column key is probed the same way.
+        let both = t.index_on(&[0, 1]);
+        assert_eq!(both.rows_matching(&[Value::Int(4), Value::str("x")]), &[3]);
+        assert!(both
+            .rows_matching(&[Value::Int(4), Value::str("y")])
+            .is_empty());
     }
 
     #[test]

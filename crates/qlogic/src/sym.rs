@@ -387,15 +387,19 @@ mod tests {
             reader_handles.push(std::thread::spawn(move || {
                 // Re-intern (mostly hits) and resolve while writers run:
                 // every resolution must round-trip, never tear, never block.
+                // One pass completes before `stop` is first read: a reader
+                // first scheduled after the writers finished still resolves.
                 let mut seen = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     for name in names.iter().take(256) {
                         let sym = intern(name);
                         assert_eq!(sym.as_str(), name);
                         seen += 1;
                     }
+                    if stop.load(Ordering::Relaxed) {
+                        break seen;
+                    }
                 }
-                seen
             }));
         }
 
