@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use sqlir::{parse_statement, CreateTable, Delete, Expr, Insert, Statement, Update, Value};
 
 use crate::error::DbError;
-use crate::exec::{execute_query, Rows};
-use crate::expr::{value_to_cmp, EvalCtx, Scope, ScopeEntry};
+use crate::exec::{execute_query, matching_row_ids, Rows};
+use crate::expr::{Bound, EvalCtx, ScopeEntry};
 use crate::schema::TableSchema;
 use crate::table::Table;
 
@@ -260,58 +260,62 @@ impl Database {
 
         // Compute the new row set first, then validate it wholesale. This
         // keeps multi-row updates atomic: either all rows change or none do.
-        let matching = self.matching_row_indices(&u.table, &u.where_clause)?;
-        let mut new_rows: Vec<(usize, Vec<Value>)> = Vec::with_capacity(matching.len());
-        {
-            let table = self.table(&u.table)?;
-            for &idx in &matching {
-                let old = &table.rows_slice()[idx];
-                let scope = Scope {
-                    entries: vec![ScopeEntry {
-                        binding: u.table.clone(),
-                        columns: &schema.columns,
-                        offset: 0,
-                    }],
-                };
-                let ctx = EvalCtx {
-                    db: self,
-                    scope: &scope,
-                    row: old,
-                    outer: None,
-                };
-                let mut new = old.clone();
-                for (col, e) in &assignments {
-                    new[*col] = ctx.eval(e)?;
-                }
-                table.check_row_shape(&new)?;
-                new_rows.push((idx, new));
+        let matching = matching_row_ids(self, &u.table, u.where_clause.as_ref())?;
+        let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(matching.len());
+        let table = self.table(&u.table)?;
+        let scope = [ScopeEntry {
+            binding: &u.table,
+            table,
+        }];
+        let values: Vec<(usize, Bound<'_>)> = assignments
+            .iter()
+            .map(|(col, e)| (*col, Bound::bind(e, &scope, None)))
+            .collect();
+        for &idx in &matching {
+            let old = &table.rows_slice()[idx];
+            let rows = [old.as_slice()];
+            let ctx = EvalCtx {
+                db: self,
+                scope: &scope,
+                rows: &rows,
+                outer: None,
+            };
+            let mut new = old.clone();
+            for (col, value) in &values {
+                new[*col] = value.eval(&ctx)?.into_owned();
             }
+            table.check_row_shape(&new)?;
+            new_rows.push(new);
         }
 
-        // Validate uniqueness against the post-update state.
-        let mut future = self.table(&u.table)?.rows_slice().to_vec();
-        for (idx, new) in &new_rows {
-            future[*idx] = new.clone();
-        }
-        let key_sets: Vec<Vec<usize>> = std::iter::once(schema.primary_key.clone())
+        // Validate uniqueness against the post-update state: unchanged rows
+        // as stored, changed rows as they will be. Only a key an assignment
+        // touches can newly collide, and only a changed row can be party to
+        // the collision — with an unchanged row (found through the index;
+        // `matching` is ascending) or with another changed one.
+        let key_sets = std::iter::once(&schema.primary_key)
             .filter(|k| !k.is_empty())
-            .chain(schema.uniques.iter().cloned())
-            .collect();
-        for keys in &key_sets {
-            for (i, a) in future.iter().enumerate() {
-                if keys.iter().any(|&c| a[c].is_null()) {
+            .chain(&schema.uniques)
+            .filter(|keys| values.iter().any(|(col, _)| keys.contains(col)));
+        for keys in key_sets {
+            let probe = table.probe(keys);
+            let mut seen = std::collections::HashSet::new();
+            for new in &new_rows {
+                let key: Vec<Value> = keys.iter().map(|&c| new[c].clone()).collect();
+                if key.iter().any(Value::is_null) {
                     continue;
                 }
-                for b in future.iter().skip(i + 1) {
-                    if keys.iter().all(|&c| a[c] == b[c]) {
-                        return Err(DbError::UniqueViolation {
-                            table: schema.name.clone(),
-                            columns: keys
-                                .iter()
-                                .map(|&c| schema.columns[c].name.clone())
-                                .collect(),
-                        });
-                    }
+                let hits_unchanged = probe
+                    .matching(&key)
+                    .any(|id| matching.binary_search(&(id as usize)).is_err());
+                if hits_unchanged || !seen.insert(key) {
+                    return Err(DbError::UniqueViolation {
+                        table: schema.name.clone(),
+                        columns: keys
+                            .iter()
+                            .map(|&c| schema.columns[c].name.clone())
+                            .collect(),
+                    });
                 }
             }
         }
@@ -320,7 +324,7 @@ impl Database {
         for fk in &schema.foreign_keys {
             let target = self.table(&fk.ref_table)?;
             let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
-            for (_, new) in &new_rows {
+            for new in &new_rows {
                 if fk.columns.iter().any(|&c| new[c].is_null()) {
                     continue;
                 }
@@ -340,30 +344,31 @@ impl Database {
 
         let count = new_rows.len();
         let table = self.tables.get_mut(&u.table).expect("checked");
-        for (idx, new) in new_rows {
+        for (idx, new) in matching.into_iter().zip(new_rows) {
             *table.row_mut(idx) = new;
         }
         Ok(count)
     }
 
     fn delete(&mut self, d: &Delete) -> Result<usize, DbError> {
-        let matching = self.matching_row_indices(&d.table, &d.where_clause)?;
+        let matching = matching_row_ids(self, &d.table, d.where_clause.as_ref())?;
         self.check_not_referenced(&d.table, &matching, None)?;
         let count = matching.len();
         self.tables
             .get_mut(&d.table)
-            .expect("checked by matching_row_indices")
+            .expect("checked by matching_row_ids")
             .remove_rows(matching);
         Ok(count)
     }
 
     /// Restrict-mode referential check: rows being removed (or whose key is
-    /// being changed) must not be referenced by any foreign key.
+    /// being changed to the parallel `replacements`) must not be referenced
+    /// by any foreign key.
     fn check_not_referenced(
         &self,
         table_name: &str,
         row_indices: &[usize],
-        replacements: Option<&[(usize, Vec<Value>)]>,
+        replacements: Option<&[Vec<Value>]>,
     ) -> Result<(), DbError> {
         let target = self.table(table_name)?;
         for (other_name, other) in &self.tables {
@@ -372,19 +377,15 @@ impl Database {
                     continue;
                 }
                 let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
-                for &ri in row_indices {
+                for (i, &ri) in row_indices.iter().enumerate() {
                     let old_row = &target.rows_slice()[ri];
-                    let old_key: Vec<Value> = ref_idx.iter().map(|&c| old_row[c].clone()).collect();
-                    if let Some(reps) = replacements {
-                        // Updates only violate if the key actually changes.
-                        if let Some((_, new_row)) = reps.iter().find(|(i, _)| *i == ri) {
-                            let new_key: Vec<Value> =
-                                ref_idx.iter().map(|&c| new_row[c].clone()).collect();
-                            if new_key == old_key {
-                                continue;
-                            }
+                    // Updates only violate if the key actually changes.
+                    if let Some(new_row) = replacements.map(|reps| &reps[i]) {
+                        if ref_idx.iter().all(|&c| new_row[c] == old_row[c]) {
+                            continue;
                         }
                     }
+                    let old_key: Vec<Value> = ref_idx.iter().map(|&c| old_row[c].clone()).collect();
                     if other.contains_on(&fk.columns, &old_key) {
                         return Err(DbError::ForeignKeyViolation {
                             table: other_name.clone(),
@@ -397,50 +398,15 @@ impl Database {
         Ok(())
     }
 
-    fn matching_row_indices(
-        &self,
-        table_name: &str,
-        where_clause: &Option<Expr>,
-    ) -> Result<Vec<usize>, DbError> {
-        let table = self.table(table_name)?;
-        let scope = Scope {
-            entries: vec![ScopeEntry {
-                binding: table_name.to_string(),
-                columns: &table.schema.columns,
-                offset: 0,
-            }],
-        };
-        let mut out = Vec::new();
-        for (i, row) in table.rows_slice().iter().enumerate() {
-            let keep = match where_clause {
-                None => true,
-                Some(w) => {
-                    let ctx = EvalCtx {
-                        db: self,
-                        scope: &scope,
-                        row,
-                        outer: None,
-                    };
-                    value_to_cmp(&ctx.eval(w)?)?.is_true()
-                }
-            };
-            if keep {
-                out.push(i);
-            }
-        }
-        Ok(out)
-    }
-
     /// Evaluates an expression with no row context (literals and arithmetic).
     fn eval_standalone(&self, e: &Expr) -> Result<Value, DbError> {
-        let scope = Scope::default();
         let ctx = EvalCtx {
             db: self,
-            scope: &scope,
-            row: &[],
+            scope: &[],
+            rows: &[],
             outer: None,
         };
-        ctx.eval(e)
+        Ok(Bound::bind(e, &[], None).eval(&ctx)?.into_owned())
     }
 
     /// Total row count across all tables.
@@ -581,6 +547,90 @@ mod tests {
         assert!(matches!(err, DbError::UniqueViolation { .. }));
         let rows = db.query_sql("SELECT id FROM t ORDER BY id").unwrap();
         assert_eq!(rows.rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
+    }
+
+    fn keyed_db() -> Database {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE t (id INT PRIMARY KEY, v INT, UNIQUE (v))")
+            .unwrap();
+        db.execute_sql("INSERT INTO t (id, v) VALUES (1, 10), (2, 20), (3, 30), (9, NULL)")
+            .unwrap();
+        db
+    }
+
+    fn ids_and_vs(db: &Database) -> Vec<Vec<Value>> {
+        db.query_sql("SELECT id, v FROM t ORDER BY id")
+            .unwrap()
+            .rows
+    }
+
+    // The three cases below pin "uniqueness is validated against the
+    // *post*-update state": a changed row's old key is no longer in the way.
+
+    #[test]
+    fn update_shifting_consecutive_keys_succeeds() {
+        let mut db = keyed_db();
+        let n = db.execute_sql("UPDATE t SET id = id + 1 WHERE id < 9");
+        assert_eq!(n.unwrap(), ExecResult::Affected(3));
+        let ids: Vec<Value> = ids_and_vs(&db).into_iter().map(|r| r[0].clone()).collect();
+        assert_eq!(ids, [2, 3, 4, 9].map(Value::Int));
+    }
+
+    #[test]
+    fn update_swapping_two_keys_succeeds() {
+        let mut db = keyed_db();
+        db.execute_sql("UPDATE t SET id = 3 - id, v = 30 - v WHERE id < 3")
+            .unwrap();
+        assert_eq!(
+            ids_and_vs(&db)[..2],
+            [[1, 10].map(Value::Int), [2, 20].map(Value::Int)]
+        );
+        assert_eq!(
+            db.query_sql("SELECT v FROM t WHERE id = 1").unwrap().rows,
+            vec![vec![Value::Int(10)]]
+        );
+    }
+
+    #[test]
+    fn update_colliding_with_an_unchanged_row_fails_atomically() {
+        let mut db = keyed_db();
+        let before = ids_and_vs(&db);
+        // Against the primary key, and against the UNIQUE column; row 3 is
+        // not selected, so it keeps the key the update runs into.
+        for sql in [
+            "UPDATE t SET id = id + 1 WHERE id < 3",
+            "UPDATE t SET v = v + 10 WHERE id < 3",
+        ] {
+            let err = db.execute_sql(sql).unwrap_err();
+            assert!(matches!(err, DbError::UniqueViolation { .. }), "{sql}");
+            assert_eq!(ids_and_vs(&db), before, "{sql}");
+        }
+        // NULL never collides, with a stored NULL or another new one.
+        db.execute_sql("UPDATE t SET v = NULL WHERE id < 3")
+            .unwrap();
+    }
+
+    /// An update's cost follows the rows it changes, not the table: the
+    /// uniqueness check used to clone the table and compare all pairs.
+    #[test]
+    fn one_row_update_of_a_large_table_is_fast() {
+        let mut db = Database::new();
+        db.execute_sql(
+            "CREATE TABLE big (id INT PRIMARY KEY, owner INT, title TEXT, UNIQUE (id, owner))",
+        )
+        .unwrap();
+        let rows = (0..50_000).map(|i| vec![Value::Int(i), Value::Int(i / 4), Value::str("t")]);
+        db.insert_rows("big", rows.collect()).unwrap();
+        let start = std::time::Instant::now();
+        let n = db.execute_sql("UPDATE big SET title = 'u' WHERE owner = 77");
+        assert_eq!(n.unwrap(), ExecResult::Affected(4));
+        let n = db.execute_sql("UPDATE big SET id = 50000 WHERE id = 40000");
+        assert_eq!(n.unwrap(), ExecResult::Affected(1));
+        assert!(
+            start.elapsed() < std::time::Duration::from_secs(1),
+            "two small updates of a 50,000-row table took {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -1,13 +1,38 @@
 //! Query execution: joins, filtering, grouping, projection, ordering.
+//!
+//! A join candidate is a tuple of **row ids**, one per stage (`FROM` table
+//! or `JOIN`), never a concatenated row: predicates are bound once per
+//! query (`expr::Bound`) and read the borrowed table rows, and values are
+//! cloned only into the projected output of tuples that survived every
+//! predicate.
+//!
+//! **Stage order.** When every `ON` is a total predicate over its own and
+//! earlier stages, the `ON`s and the pushed `WHERE` conjuncts are one
+//! conjunct list and the stages run in a greedy order chosen from exact
+//! index counts (`stage_order`), each conjunct applied at the first step
+//! that binds every stage it reads. Otherwise stages run as written.
+//!
+//! **Why the result is still the nested loop's.** (1) All joins are inner
+//! and every reordered conjunct is total — it cannot error, so evaluating
+//! it earlier or later cannot surface or hide an error — hence the *set*
+//! of surviving tuples does not depend on the stage order. (2) A nested
+//! loop in written order scans each table by ascending row id (an index
+//! chain is ascending too), so it emits tuples in lexicographic order of
+//! their row ids in written stage order. (3) Sorting the surviving tuples
+//! that way therefore reproduces its sequence exactly, and the residual
+//! `WHERE` pass, projection and `LIMIT` run over that sequence — same
+//! rows, same row order, same first error.
+
+use std::borrow::Cow;
 
 use sqlir::{
-    BinaryOp, CmpResult, Distinctness, Expr, Query, SelectItem, SetFunc, SqlType, UnaryOp, Value,
+    BinaryOp, CmpResult, Distinctness, Expr, JoinClause, Query, SelectItem, SetFunc, UnaryOp, Value,
 };
 
 use crate::db::Database;
 use crate::error::DbError;
-use crate::expr::{value_to_cmp, EvalCtx, Scope, ScopeEntry};
-use crate::table::Table;
+use crate::expr::{resolve, Bound, EvalCtx, ScopeEntry};
+use crate::table::{Matches, Table};
 
 /// Projected output paired with its ORDER BY sort key, one entry per row.
 type KeyedRows = Vec<(Vec<Value>, Vec<Value>)>;
@@ -64,7 +89,7 @@ pub fn execute_query(db: &Database, q: &Query) -> Result<Rows, DbError> {
 /// nested-loop joins and a single whole-expression `WHERE` pass.
 ///
 /// This is the oracle for differential tests of the optimized path (index
-/// probes, hash joins, predicate pushdown); results must be identical,
+/// probes, join ordering, predicate pushdown); results must be identical,
 /// including row order.
 pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Rows, DbError> {
     execute_query_impl(db, q, None, false)
@@ -80,193 +105,49 @@ pub(crate) fn execute_query_with_outer(
     execute_query_impl(db, q, outer, true)
 }
 
+/// The ids of the rows of `table` that a mutation's `WHERE` selects,
+/// ascending: a one-stage run of the query pipeline.
+pub(crate) fn matching_row_ids(
+    db: &Database,
+    table: &str,
+    where_clause: Option<&Expr>,
+) -> Result<Vec<usize>, DbError> {
+    let mut src = Source::new(db, None, 1);
+    src.push(table, db.table(table)?)?;
+    let tuples = src.matching(&[], where_clause, true)?;
+    Ok(tuples.ids.into_iter().map(|id| id as usize).collect())
+}
+
 fn execute_query_impl(
     db: &Database,
     q: &Query,
     outer: Option<&EvalCtx<'_>>,
     optimize: bool,
 ) -> Result<Rows, DbError> {
-    // 1. Resolve every source table and build the *full* scope up front.
-    //    Pushed-down conjuncts are classified against the full scope so name
-    //    resolution — including ambiguity errors — matches what the final
-    //    WHERE pass would have seen.
-    let mut full_scope = Scope::default();
-    let mut tables: Vec<&Table> = Vec::with_capacity(q.from.len() + q.joins.len());
-    for tref in &q.from {
-        let table = db.table(&tref.table)?;
-        push_binding(&mut full_scope, tref.binding(), &table.schema.columns)?;
-        tables.push(table);
-    }
-    for join in &q.joins {
-        let table = db.table(&join.table.table)?;
-        push_binding(&mut full_scope, join.table.binding(), &table.schema.columns)?;
-        tables.push(table);
-    }
-    let nstages = tables.len();
-
-    // 2. Split the WHERE clause into top-level AND conjuncts and push each
-    //    *total* predicate (see `pushable_stage`) down to the earliest stage
-    //    that binds all its columns. Fallible or unresolvable conjuncts stay
-    //    in the residual WHERE pass, where they behave exactly as before.
-    let mut stage_filters: Vec<Vec<&Expr>> = vec![Vec::new(); nstages];
-    let mut residual: Vec<&Expr> = Vec::new();
-    if let Some(w) = &q.where_clause {
-        if optimize && nstages > 0 {
-            let mut conjuncts = Vec::new();
-            split_and(w, &mut conjuncts);
-            for c in conjuncts {
-                match pushable_stage(c, &full_scope) {
-                    Some(stage) => stage_filters[stage].push(c),
-                    None => residual.push(c),
-                }
-            }
-        } else {
-            residual.push(w);
-        }
+    // 1. Resolve every source table: the `FROM` list, then the `JOIN`s.
+    let mut src = Source::new(db, outer, q.from.len() + q.joins.len());
+    for tref in q.from.iter().chain(q.joins.iter().map(|j| &j.table)) {
+        src.push(tref.binding(), db.table(&tref.table)?)?;
     }
 
-    // 3. Enumerate source rows stage by stage (FROM tables, then JOINs).
-    //    The scope grows as the naive evaluator's would, so join `ON`
-    //    resolution sees only the bindings introduced so far.
-    let mut scope = Scope::default();
-    let mut source_rows: Vec<Vec<Value>> = vec![Vec::new()];
-    for (stage, table) in tables.iter().enumerate() {
-        let entry = &full_scope.entries[stage];
-        scope.entries.push(entry.clone());
-        let join = stage.checked_sub(q.from.len()).map(|j| &q.joins[j]);
-        let mut filters = std::mem::take(&mut stage_filters[stage]);
+    // 2. Join and filter.
+    let tuples = src.matching(&q.joins, q.where_clause.as_ref(), optimize)?;
 
-        // Pick an access path. Both index paths skip rows before the join
-        // `ON` is evaluated, so they are only safe when the `ON` itself is a
-        // total predicate over already-bound columns (it cannot error on a
-        // skipped row).
-        let on_total = match join {
-            None => true,
-            Some(j) => pushable_stage(&j.on, &full_scope).is_some_and(|s| s <= stage),
-        };
-        let mut hash: Option<(usize, usize)> = None;
-        let mut probe: Option<(usize, Value)> = None;
-        if optimize && on_total {
-            if let Some(j) = join {
-                hash = hash_join_key(&j.on, entry, &full_scope);
-            }
-            if hash.is_none() {
-                if let Some(pos) = filters
-                    .iter()
-                    .position(|c| literal_probe(c, entry, &full_scope).is_some())
-                {
-                    probe = literal_probe(filters.remove(pos), entry, &full_scope);
-                }
-            }
-        }
-
-        // Assembles base+row, applies the join `ON` (full expression, so a
-        // hash path re-checks its own equality for free) and this stage's
-        // pushed filters, and keeps survivors. Pushed filters never error,
-        // so dropping a row here is indistinguishable from dropping it in
-        // the final WHERE pass.
-        let mut next: Vec<Vec<Value>> = Vec::new();
-        let mut consider = |base: &[Value], row: &[Value]| -> Result<(), DbError> {
-            let mut r = base.to_vec();
-            r.extend(row.iter().cloned());
-            let ctx = EvalCtx {
-                db,
-                scope: &scope,
-                row: &r,
-                outer,
-            };
-            if let Some(j) = join {
-                if !value_to_cmp(&ctx.eval(&j.on)?)?.is_true() {
-                    return Ok(());
-                }
-            }
-            for f in &filters {
-                if !value_to_cmp(&ctx.eval(f)?)?.is_true() {
-                    return Ok(());
-                }
-            }
-            next.push(r);
-            Ok(())
-        };
-
-        if let Some((base_off, local)) = hash {
-            // Hash equi-join: probe the joined table's equality index with
-            // the already-bound side's value. Matching rows come back in
-            // insertion order, preserving nested-loop emission order.
-            let index = table.index_on(&[local]);
-            for base in &source_rows {
-                for &ri in index.rows_matching(std::slice::from_ref(&base[base_off])) {
-                    consider(base, &table.rows_slice()[ri as usize])?;
-                }
-            }
-        } else if let Some((local, lit)) = &probe {
-            // `col = literal` selection: one index lookup serves every base
-            // row.
-            let index = table.index_on(&[*local]);
-            let matches = index.rows_matching(std::slice::from_ref(lit));
-            for base in &source_rows {
-                for &ri in matches {
-                    consider(base, &table.rows_slice()[ri as usize])?;
-                }
-            }
-        } else {
-            for base in &source_rows {
-                for row in table.rows() {
-                    consider(base, row)?;
-                }
-            }
-        }
-        source_rows = next;
-    }
-
-    if q.from.is_empty() {
-        // `SELECT 1` style: a single empty source row, no bindings.
-        source_rows = vec![Vec::new()];
-    }
-
-    // 4. Residual WHERE pass. Conjuncts are evaluated left to right with
-    //    AND's short-circuit on FALSE; an UNKNOWN keeps evaluating (and so
-    //    keeps surfacing later errors), matching single-pass evaluation of
-    //    the original conjunction.
-    let mut filtered = Vec::with_capacity(source_rows.len());
-    for r in source_rows {
-        let ctx = EvalCtx {
-            db,
-            scope: &scope,
-            row: &r,
-            outer,
-        };
-        let mut keep = true;
-        for c in &residual {
-            match value_to_cmp(&ctx.eval(c)?)? {
-                CmpResult::True => {}
-                CmpResult::False => {
-                    keep = false;
-                    break;
-                }
-                CmpResult::Unknown => keep = false,
-            }
-        }
-        if keep {
-            filtered.push(r);
-        }
-    }
-
-    // 5. Grouping / projection.
+    // 3. Grouping / projection.
     let grouped = q.has_aggregates() || !q.group_by.is_empty();
     let (columns, mut out): (Vec<String>, KeyedRows) = if grouped {
-        project_grouped(db, q, &scope, filtered, outer)?
+        project_grouped(&src, q, &tuples)?
     } else {
-        project_plain(db, q, &scope, filtered, outer)?
+        project_plain(&src, q, &tuples)?
     };
 
-    // 6. DISTINCT.
+    // 4. DISTINCT.
     if q.distinct == Distinctness::Distinct {
         let mut seen = std::collections::HashSet::new();
         out.retain(|(row, _)| seen.insert(row.clone()));
     }
 
-    // 7. ORDER BY (sort keys were computed during projection).
+    // 5. ORDER BY (sort keys were computed during projection).
     if !q.order_by.is_empty() {
         out.sort_by(|(_, ka), (_, kb)| {
             for (i, key) in q.order_by.iter().enumerate() {
@@ -280,7 +161,7 @@ fn execute_query_impl(
         });
     }
 
-    // 8. LIMIT.
+    // 6. LIMIT.
     let mut rows: Vec<Vec<Value>> = out.into_iter().map(|(row, _)| row).collect();
     if let Some(n) = q.limit {
         rows.truncate(n as usize);
@@ -288,119 +169,465 @@ fn execute_query_impl(
     Ok(Rows { columns, rows })
 }
 
-fn push_binding<'a>(
-    scope: &mut Scope<'a>,
-    binding: &str,
-    columns: &'a [crate::schema::Column],
-) -> Result<(), DbError> {
-    if scope.entries.iter().any(|e| e.binding == binding) {
-        return Err(DbError::Unsupported(format!(
-            "duplicate table binding `{binding}` (add an alias)"
-        )));
-    }
-    let offset = scope.width();
-    scope.entries.push(ScopeEntry {
-        binding: binding.to_string(),
-        columns,
-        offset,
-    });
-    Ok(())
+/// Join candidates as row ids — one per stage, in *written* stage order —
+/// stored flat. Stages a partial candidate has not bound yet hold 0.
+struct Tuples {
+    width: usize,
+    len: usize,
+    ids: Vec<u32>,
 }
 
-/// Splits a predicate into its top-level `AND` conjuncts.
-fn split_and<'q>(e: &'q Expr, out: &mut Vec<&'q Expr>) {
-    if let Expr::Binary {
-        op: BinaryOp::And,
-        lhs,
-        rhs,
-    } = e
-    {
-        split_and(lhs, out);
-        split_and(rhs, out);
-    } else {
-        out.push(e);
+impl Tuples {
+    fn new(width: usize) -> Tuples {
+        Tuples {
+            width,
+            len: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, tuple: &[u32]) {
+        self.ids.extend_from_slice(tuple);
+        self.len += 1;
+    }
+
+    // Not `chunks`: a query without `FROM` has one tuple of width zero.
+    fn iter(&self) -> impl Iterator<Item = &[u32]> {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        &self.ids[i * self.width..(i + 1) * self.width]
     }
 }
 
-/// The index of the scope entry whose columns cover row offset `off`.
-fn stage_of_offset(scope: &Scope<'_>, off: usize) -> usize {
-    scope
-        .entries
-        .iter()
-        .rposition(|e| e.offset <= off)
-        .expect("offset within scope")
+/// A predicate of the join: an `ON`, or a pushed `WHERE` conjunct.
+struct Conjunct<'q> {
+    expr: &'q Expr,
+    /// The stages a *total* conjunct reads, as a bit set. A fallible `ON`
+    /// is not analysed: it is pinned to its own stage (`step`), where the
+    /// nested loop evaluates it.
+    reads: Option<u64>,
+    /// The step of the stage order this conjunct is applied at.
+    step: usize,
+    /// An index probe already selected exactly the rows satisfying it.
+    served: bool,
 }
 
-/// The declared type of the column at row offset `off`.
-fn column_ty_at(scope: &Scope<'_>, off: usize) -> SqlType {
-    let e = &scope.entries[stage_of_offset(scope, off)];
-    e.columns[off - e.offset].ty
+/// What the plan knows about one stage.
+#[derive(Clone, Copy, Default)]
+struct Stage<'q> {
+    /// Its first `col = literal` conjunct: `(conjunct, column, literal)`.
+    literal: Option<(usize, usize, &'q Value)>,
+    /// Its `ON` is pinned, so no index may skip rows before that `ON` had
+    /// its chance to error on them.
+    pinned: bool,
+    /// Its position in the stage order.
+    step: usize,
+}
+
+/// What a stage's equality index is probed with: a literal, or a bound
+/// stage's column.
+enum KeySource<'q> {
+    Literal(&'q Value),
+    Column(usize, usize),
+}
+
+/// The stages of one query — its tables under their bindings, in written
+/// order — and the context it runs in.
+struct Source<'a> {
+    db: &'a Database,
+    scope: Vec<ScopeEntry<'a>>,
+    outer: Option<&'a EvalCtx<'a>>,
+}
+
+impl<'a> Source<'a> {
+    fn new(db: &'a Database, outer: Option<&'a EvalCtx<'a>>, stages: usize) -> Source<'a> {
+        Source {
+            db,
+            scope: Vec::with_capacity(stages),
+            outer,
+        }
+    }
+
+    fn push(&mut self, binding: &'a str, table: &'a Table) -> Result<(), DbError> {
+        if self.scope.iter().any(|e| e.binding == binding) {
+            return Err(DbError::Unsupported(format!(
+                "duplicate table binding `{binding}` (add an alias)"
+            )));
+        }
+        self.scope.push(ScopeEntry { binding, table });
+        Ok(())
+    }
+
+    fn bind<'q>(&self, expr: &'q Expr) -> Bound<'q> {
+        Bound::bind(expr, &self.scope, self.outer)
+    }
+
+    fn table(&self, stage: usize) -> &'a Table {
+        self.scope[stage].table
+    }
+
+    /// The row of stage `stage` a tuple selects.
+    fn row(&self, stage: usize, tuple: &[u32]) -> &'a [Value] {
+        &self.table(stage).rows_slice()[tuple[stage] as usize]
+    }
+
+    /// A row buffer for [`Source::ctx`], one (empty) row per stage.
+    fn row_buffer(&self) -> Vec<&'a [Value]> {
+        vec![&[]; self.scope.len()]
+    }
+
+    /// Points `rows` at the rows a complete tuple selects.
+    fn load(&self, tuple: &[u32], rows: &mut [&'a [Value]]) {
+        for (stage, row) in rows.iter_mut().enumerate() {
+            *row = self.row(stage, tuple);
+        }
+    }
+
+    /// An evaluation context over the first `stages` stages.
+    fn ctx<'r>(&'r self, stages: usize, rows: &'r [&'r [Value]]) -> EvalCtx<'r> {
+        EvalCtx {
+            db: self.db,
+            scope: &self.scope[..stages],
+            rows,
+            outer: self.outer,
+        }
+    }
+
+    /// Joins the stages and applies `ON`s and `WHERE`: the surviving
+    /// tuples, in nested-loop (written-order) emission order. `joins` are
+    /// the `ON`s of the last `joins.len()` stages.
+    fn matching(
+        &self,
+        joins: &[JoinClause],
+        where_clause: Option<&Expr>,
+        optimize: bool,
+    ) -> Result<Tuples, DbError> {
+        let n = self.scope.len();
+        let scope = &self.scope[..];
+        // Stage sets are `u64` bit sets; a wider join runs unoptimized.
+        let optimize = optimize && (1..=64).contains(&n);
+
+        // 1. The conjunct list. A *total* `ON` (see `total_reads`) over its
+        //    own and earlier stages splits into conjuncts that may be
+        //    applied wherever their stages are bound; any other `ON` stays
+        //    whole and pins the written order. Total `WHERE` conjuncts join
+        //    the list; fallible or unresolvable ones stay in the residual
+        //    pass, where they see only fully joined rows.
+        let total = |expr, reads| Conjunct {
+            expr,
+            reads: Some(reads),
+            step: 0,
+            served: false,
+        };
+        let mut conjuncts: Vec<Conjunct<'_>> = Vec::new();
+        let mut residual: Vec<Bound<'_>> = Vec::new();
+        let mut reorder = optimize;
+        for (join, stage) in joins.iter().zip(n - joins.len()..) {
+            let first = conjuncts.len();
+            let mut all_total = optimize;
+            if optimize {
+                for_each_conjunct(&join.on, &mut |part| match total_reads(part, scope)
+                    .filter(|reads| reads >> stage <= 1)
+                {
+                    Some(reads) if all_total => conjuncts.push(total(part, reads)),
+                    _ => all_total = false,
+                });
+            }
+            if !all_total {
+                reorder = false;
+                conjuncts.truncate(first);
+                conjuncts.push(Conjunct {
+                    expr: &join.on,
+                    reads: None,
+                    step: stage,
+                    served: false,
+                });
+            }
+        }
+        match where_clause {
+            Some(w) if optimize => {
+                for_each_conjunct(w, &mut |part| match total_reads(part, scope) {
+                    Some(reads) => conjuncts.push(total(part, reads)),
+                    None => residual.push(self.bind(part)),
+                })
+            }
+            Some(w) => residual.push(self.bind(w)),
+            None => {}
+        }
+
+        // 2. Access paths: per stage, its first `col = literal` conjunct;
+        //    and the `a.x = b.y` conjuncts joining two stages.
+        let mut stages = vec![Stage::default(); n];
+        let mut edges: Vec<(usize, [(usize, usize); 2])> = Vec::new();
+        for (i, c) in conjuncts.iter().enumerate() {
+            if c.reads.is_none() {
+                stages[c.step].pinned = true;
+            } else if let Some((stage, col, lit)) = literal_probe(c.expr, scope) {
+                let first = &mut stages[stage].literal;
+                *first = first.or(Some((i, col, lit)));
+            } else if let Some(ends) = equi_join(c.expr, scope) {
+                edges.push((i, ends));
+            }
+        }
+
+        // 3. Stage order: greedy from exact counts when free to reorder.
+        let order: Vec<usize> = if reorder && n > 1 {
+            let counts: Vec<usize> = (0..n)
+                .map(|s| match stages[s].literal {
+                    Some((_, col, lit)) => {
+                        let index = self.table(s).probe(&[col]);
+                        index.matching(std::slice::from_ref(lit)).count()
+                    }
+                    None => self.table(s).len(),
+                })
+                .collect();
+            let pairs: Vec<(usize, usize)> = edges.iter().map(|(_, [a, b])| (a.0, b.0)).collect();
+            stage_order(&counts, &pairs)
+        } else {
+            (0..n).collect()
+        };
+        for (step, &stage) in order.iter().enumerate() {
+            stages[stage].step = step;
+        }
+        for c in &mut conjuncts {
+            if let Some(reads) = c.reads {
+                let steps = (0..n)
+                    .filter(|s| reads >> s & 1 == 1)
+                    .map(|s| stages[s].step);
+                c.step = steps.max().unwrap_or(0);
+            }
+        }
+
+        // 4. Enumerate candidates stage by stage.
+        let mut tuples = Tuples {
+            width: n,
+            len: 1,
+            ids: vec![0; n],
+        };
+        let mut rows = self.row_buffer();
+        let mut candidate = vec![0; n];
+        for (step, &stage) in order.iter().enumerate() {
+            let table = self.table(stage);
+            // An equi-join to a bound stage, else a literal selection, else
+            // a scan. Either probe selects exactly the rows its conjunct
+            // keeps (see `literal_probe`, `equi_join`), in ascending row id.
+            let joined = edges.iter().find_map(|&(i, [a, b])| {
+                let (here, there) = if a.0 == stage { (a, b) } else { (b, a) };
+                (here.0 == stage && stages[there.0].step < step).then_some((
+                    i,
+                    here.1,
+                    KeySource::Column(there.0, there.1),
+                ))
+            });
+            let literal = stages[stage].literal;
+            let access = joined
+                .or(literal.map(|(i, col, v)| (i, col, KeySource::Literal(v))))
+                .filter(|_| !stages[stage].pinned)
+                .map(|(i, col, key)| {
+                    conjuncts[i].served = true;
+                    (table.probe(&[col]), key)
+                });
+            // A pinned `ON` is bound against the scope the nested loop
+            // evaluates it in — the stages so far, which is also the scope
+            // a subquery inside it resolves outer names in (only a pinned
+            // `ON` can hold one, and then the stages run as written).
+            let here: Vec<Bound<'_>> = conjuncts
+                .iter()
+                .filter(|c| c.step == step && !c.served)
+                .map(|c| match c.reads {
+                    Some(_) => self.bind(c.expr),
+                    None => Bound::bind(c.expr, &scope[..=stage], self.outer),
+                })
+                .collect();
+
+            let mut next = Tuples::new(n);
+            for base in tuples.iter() {
+                for &bound in &order[..step] {
+                    rows[bound] = self.row(bound, base);
+                }
+                candidate.copy_from_slice(base);
+                let ids = match &access {
+                    None => Candidates::Scan(0..table.len() as u32),
+                    Some((probe, key)) => {
+                        let key = match *key {
+                            KeySource::Literal(v) => v,
+                            KeySource::Column(s, c) => &rows[s][c],
+                        };
+                        Candidates::Chain(probe.matching(std::slice::from_ref(key)))
+                    }
+                };
+                'rows: for id in ids {
+                    rows[stage] = &table.rows_slice()[id as usize];
+                    let ctx = self.ctx(stage + 1, &rows);
+                    for pred in &here {
+                        if !pred.test(&ctx)?.is_true() {
+                            continue 'rows;
+                        }
+                    }
+                    candidate[stage] = id;
+                    next.push(&candidate);
+                }
+            }
+            tuples = next;
+        }
+
+        // 5. Restore nested-loop emission order (module docs).
+        if order.iter().enumerate().any(|(step, &stage)| step != stage) {
+            let mut sorted: Vec<&[u32]> = tuples.iter().collect();
+            sorted.sort_unstable();
+            tuples.ids = sorted.concat();
+        }
+
+        // 6. Residual WHERE pass. Conjuncts are evaluated left to right with
+        //    AND's short-circuit on FALSE; an UNKNOWN keeps evaluating (and
+        //    so keeps surfacing later errors), matching single-pass
+        //    evaluation of the original conjunction.
+        if residual.is_empty() {
+            return Ok(tuples);
+        }
+        let mut kept = Tuples::new(n);
+        for tuple in tuples.iter() {
+            self.load(tuple, &mut rows);
+            let ctx = self.ctx(n, &rows);
+            let mut keep = true;
+            for pred in &residual {
+                match pred.test(&ctx)? {
+                    CmpResult::True => {}
+                    CmpResult::False => {
+                        keep = false;
+                        break;
+                    }
+                    CmpResult::Unknown => keep = false,
+                }
+            }
+            if keep {
+                kept.push(tuple);
+            }
+        }
+        Ok(kept)
+    }
+}
+
+/// The row ids a stage contributes under one base tuple.
+enum Candidates<'a> {
+    Scan(std::ops::Range<u32>),
+    Chain(Matches<'a>),
+}
+
+impl Iterator for Candidates<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        match self {
+            Candidates::Scan(ids) => ids.next(),
+            Candidates::Chain(ids) => ids.next(),
+        }
+    }
+}
+
+/// The order to run a reorderable join's stages in: start at the stage
+/// with the fewest candidates, then repeatedly take a stage equi-joined to
+/// one already bound (an index probe per base tuple), else the smallest
+/// remaining. Ties go to the earlier written stage. `counts[s]` is stage
+/// `s`'s candidate count before any join — the exact index count of its
+/// `col = literal` selection, else its table's length; `edges` are the
+/// stage pairs an equi-join conjunct connects.
+///
+/// Greedy on purpose: no statistics and no cost model. It exists so that a
+/// selective stage written last is not preceded by a scan of a large one.
+fn stage_order(counts: &[usize], edges: &[(usize, usize)]) -> Vec<usize> {
+    let n = counts.len();
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    while order.len() < n {
+        let unbound = (0..n).filter(|s| !order.contains(s));
+        let joined = unbound.clone().find(|&s| {
+            edges
+                .iter()
+                .any(|&(a, b)| (a == s && order.contains(&b)) || (b == s && order.contains(&a)))
+        });
+        let next = joined.or_else(|| unbound.min_by_key(|&s| counts[s]));
+        order.push(next.expect("an unbound stage remains"));
+    }
+    order
+}
+
+/// Calls `f` on each top-level `AND` conjunct of a predicate, in order.
+fn for_each_conjunct<'q>(e: &'q Expr, f: &mut impl FnMut(&'q Expr)) {
+    match e {
+        Expr::Binary {
+            op: BinaryOp::And,
+            lhs,
+            rhs,
+        } => {
+            for_each_conjunct(lhs, f);
+            for_each_conjunct(rhs, f);
+        }
+        _ => f(e),
+    }
 }
 
 /// If `e` is a *total predicate* — one whose evaluation can never raise an
-/// error, whatever the row holds — returns the latest stage whose columns it
-/// references (0 if none). `None` means the conjunct must stay in the final
-/// WHERE pass: it may error (arithmetic overflow, `LIKE` on non-strings,
-/// unbound parameters), contains a subquery, or references a name this scope
-/// cannot resolve cleanly (ambiguous, unknown, or outer-correlated).
+/// error, whatever the rows hold — returns the set of stages whose columns
+/// it references, as a bit set. `None` means the conjunct must stay where
+/// the nested loop evaluates it: it may error (arithmetic overflow, `LIKE`
+/// on non-strings, unbound parameters), contains a subquery, or references
+/// a name this scope cannot resolve cleanly (ambiguous, unknown, or
+/// outer-correlated).
 ///
 /// Totality matters because a single-pass evaluator only reaches the WHERE
 /// clause for fully joined rows; evaluating a fallible conjunct early could
 /// surface an error on a row a later join would have dropped.
-fn pushable_stage(e: &Expr, scope: &Scope<'_>) -> Option<usize> {
+fn total_reads(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<u64> {
     match e {
         Expr::Binary { op, lhs, rhs } if op.is_comparison() => {
-            Some(scalar_stage(lhs, scope)?.max(scalar_stage(rhs, scope)?))
+            Some(scalar_reads(lhs, scope)? | scalar_reads(rhs, scope)?)
         }
         Expr::Binary {
             op: BinaryOp::And | BinaryOp::Or,
             lhs,
             rhs,
-        } => Some(pushable_stage(lhs, scope)?.max(pushable_stage(rhs, scope)?)),
+        } => Some(total_reads(lhs, scope)? | total_reads(rhs, scope)?),
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => pushable_stage(expr, scope),
-        Expr::IsNull { expr, .. } => scalar_stage(expr, scope),
+        } => total_reads(expr, scope),
+        Expr::IsNull { expr, .. } => scalar_reads(expr, scope),
         Expr::InList { expr, list, .. } => {
-            let mut stage = scalar_stage(expr, scope)?;
+            let mut reads = scalar_reads(expr, scope)?;
             for item in list {
-                stage = stage.max(scalar_stage(item, scope)?);
+                reads |= scalar_reads(item, scope)?;
             }
-            Some(stage)
+            Some(reads)
         }
         Expr::Between {
             expr, low, high, ..
         } => Some(
-            scalar_stage(expr, scope)?
-                .max(scalar_stage(low, scope)?)
-                .max(scalar_stage(high, scope)?),
+            scalar_reads(expr, scope)? | scalar_reads(low, scope)? | scalar_reads(high, scope)?,
         ),
         Expr::Literal(Value::Bool(_)) | Expr::Literal(Value::Null) => Some(0),
         _ => None,
     }
 }
 
-/// Stage of a column or literal comparison operand; `None` for anything that
-/// could error at evaluation time (arithmetic, parameters, subqueries) or
-/// that does not resolve in this scope.
-fn scalar_stage(e: &Expr, scope: &Scope<'_>) -> Option<usize> {
+/// The stage a column operand reads (none for a literal); `None` for
+/// anything that could error at evaluation time (arithmetic, parameters,
+/// subqueries) or that does not resolve in this scope.
+fn scalar_reads(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<u64> {
     match e {
         Expr::Literal(_) => Some(0),
-        Expr::Column(c) => match scope.resolve(c) {
-            Ok(Some(off)) => Some(stage_of_offset(scope, off)),
-            _ => None,
-        },
+        Expr::Column(c) => resolve(scope, c).ok()?.map(|(stage, _)| 1 << stage),
         _ => None,
     }
 }
 
-/// Matches `col = literal` (either orientation) where `col` is bound by
-/// `entry` and the literal is a non-`NULL` value of the column's declared
-/// type, so an equality-index probe selects exactly the rows a scan would
-/// keep (stored values are shape-checked to the declared type or `NULL`,
-/// and the index excludes `NULL`s).
-fn literal_probe(e: &Expr, entry: &ScopeEntry<'_>, scope: &Scope<'_>) -> Option<(usize, Value)> {
+/// Matches `col = literal` (either orientation) where the literal is a
+/// non-`NULL` value of the column's declared type, so an equality-index
+/// probe selects exactly the rows a scan would keep (stored values are
+/// shape-checked to the declared type or `NULL`, and the index excludes
+/// `NULL`s). Returns `(stage, column, literal)`.
+fn literal_probe<'q>(e: &'q Expr, scope: &[ScopeEntry<'_>]) -> Option<(usize, usize, &'q Value)> {
     let Expr::Binary {
         op: BinaryOp::Eq,
         lhs,
@@ -413,52 +640,31 @@ fn literal_probe(e: &Expr, entry: &ScopeEntry<'_>, scope: &Scope<'_>) -> Option<
         (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
         _ => return None,
     };
-    let off = scope.resolve(col).ok().flatten()?;
-    let local = off.checked_sub(entry.offset)?;
-    if local >= entry.columns.len() {
-        return None;
-    }
-    (lit.sql_type() == Some(entry.columns[local].ty)).then(|| (local, lit.clone()))
+    let (stage, i) = resolve(scope, col).ok().flatten()?;
+    (lit.sql_type() == Some(scope[stage].columns()[i].ty)).then_some((stage, i, lit))
 }
 
-/// Finds an equi-join key among the `ON` conjuncts: `a.x = b.y` with one
-/// side bound by the joined table (`entry`) and the other by an earlier
-/// stage, declared types equal. Returns `(base_row_offset, local_column)`.
-fn hash_join_key(on: &Expr, entry: &ScopeEntry<'_>, scope: &Scope<'_>) -> Option<(usize, usize)> {
-    let mut conjuncts = Vec::new();
-    split_and(on, &mut conjuncts);
-    let local_end = entry.offset + entry.columns.len();
-    for c in conjuncts {
-        let Expr::Binary {
-            op: BinaryOp::Eq,
-            lhs,
-            rhs,
-        } = c
-        else {
-            continue;
-        };
-        let (Expr::Column(a), Expr::Column(b)) = (lhs.as_ref(), rhs.as_ref()) else {
-            continue;
-        };
-        let (Some(off_a), Some(off_b)) = (
-            scope.resolve(a).ok().flatten(),
-            scope.resolve(b).ok().flatten(),
-        ) else {
-            continue;
-        };
-        let (base_off, local) =
-            if (entry.offset..local_end).contains(&off_a) && off_b < entry.offset {
-                (off_b, off_a - entry.offset)
-            } else if (entry.offset..local_end).contains(&off_b) && off_a < entry.offset {
-                (off_a, off_b - entry.offset)
-            } else {
-                continue;
-            };
-        if column_ty_at(scope, base_off) == entry.columns[local].ty {
-            return Some((base_off, local));
-        }
-    }
-    None
+/// Matches `a.x = b.y` between columns of two different stages with equal
+/// declared types, so probing one side's equality index with the other
+/// side's value selects exactly the rows the conjunct keeps (a `NULL` on
+/// either side matches nothing, as `=` does). Returns both
+/// `(stage, column)` ends.
+fn equi_join(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<[(usize, usize); 2]> {
+    let Expr::Binary {
+        op: BinaryOp::Eq,
+        lhs,
+        rhs,
+    } = e
+    else {
+        return None;
+    };
+    let (Expr::Column(a), Expr::Column(b)) = (lhs.as_ref(), rhs.as_ref()) else {
+        return None;
+    };
+    let a = resolve(scope, a).ok().flatten()?;
+    let b = resolve(scope, b).ok().flatten()?;
+    let ty = |(stage, i): (usize, usize)| scope[stage].columns()[i].ty;
+    (a.0 != b.0 && ty(a) == ty(b)).then_some([a, b])
 }
 
 /// Resolves output column names for the projection.
@@ -484,90 +690,78 @@ fn output_name(item: &SelectItem, idx: usize) -> String {
     }
 }
 
-/// Plain (non-aggregate) projection. Returns `(names, [(row, sort_keys)])`.
+/// The output column an `ORDER BY` key names, if it is a bare name that
+/// matches one (an alias shadows a source column).
+fn output_alias(key: &Expr, names: &[String]) -> Option<usize> {
+    match key {
+        Expr::Column(c) if c.table.is_none() => names.iter().position(|n| n == &c.column),
+        _ => None,
+    }
+}
+
+/// Plain (non-aggregate) projection, straight from the borrowed table rows.
+/// Returns `(names, [(row, sort_keys)])`.
 fn project_plain(
-    db: &Database,
+    src: &Source<'_>,
     q: &Query,
-    scope: &Scope<'_>,
-    source: Vec<Vec<Value>>,
-    outer: Option<&EvalCtx<'_>>,
+    tuples: &Tuples,
 ) -> Result<(Vec<String>, KeyedRows), DbError> {
-    // Expand wildcards into concrete expressions.
+    // Wildcards expand to column slots; everything else is bound once.
     let mut names = Vec::new();
-    let mut exprs: Vec<Expr> = Vec::new();
+    let mut exprs: Vec<Bound<'_>> = Vec::new();
     for (i, item) in q.items.iter().enumerate() {
-        match item {
-            SelectItem::Wildcard => {
-                for e in &scope.entries {
-                    for c in e.columns {
-                        names.push(c.name.clone());
-                        exprs.push(Expr::qcol(e.binding.clone(), c.name.clone()));
-                    }
-                }
-            }
+        let stages = match item {
+            SelectItem::Wildcard => 0..src.scope.len(),
             SelectItem::QualifiedWildcard(t) => {
-                let entry = scope
-                    .entries
-                    .iter()
-                    .find(|e| &e.binding == t)
-                    .ok_or_else(|| DbError::NoSuchTable(t.clone()))?;
-                for c in entry.columns {
-                    names.push(c.name.clone());
-                    exprs.push(Expr::qcol(t.clone(), c.name.clone()));
-                }
+                let stage = src.scope.iter().position(|e| e.binding == t);
+                let stage = stage.ok_or_else(|| DbError::NoSuchTable(t.clone()))?;
+                stage..stage + 1
             }
             SelectItem::Expr { expr, .. } => {
                 names.push(output_name(item, i));
-                exprs.push(expr.clone());
+                exprs.push(src.bind(expr));
+                continue;
+            }
+        };
+        for stage in stages {
+            for (c, column) in src.scope[stage].columns().iter().enumerate() {
+                names.push(column.name.clone());
+                exprs.push(Bound::Col(stage, c));
             }
         }
     }
+    let keys: Vec<(Option<usize>, Bound<'_>)> = q
+        .order_by
+        .iter()
+        .map(|k| (output_alias(&k.expr, &names), src.bind(&k.expr)))
+        .collect();
 
-    let mut out = Vec::with_capacity(source.len());
-    for r in &source {
-        let ctx = EvalCtx {
-            db,
-            scope,
-            row: r,
-            outer,
-        };
+    let mut out = Vec::with_capacity(tuples.len);
+    let mut rows = src.row_buffer();
+    for tuple in tuples.iter() {
+        src.load(tuple, &mut rows);
+        let ctx = src.ctx(rows.len(), &rows);
         let mut row = Vec::with_capacity(exprs.len());
         for e in &exprs {
-            row.push(ctx.eval(e)?);
+            row.push(e.eval(&ctx)?.into_owned());
         }
-        let mut keys = Vec::with_capacity(q.order_by.len());
-        for k in &q.order_by {
-            keys.push(eval_order_key(&ctx, &k.expr, &names, &row)?);
+        let mut sort = Vec::with_capacity(keys.len());
+        for (alias, key) in &keys {
+            sort.push(match alias {
+                Some(i) => row[*i].clone(),
+                None => key.eval(&ctx)?.into_owned(),
+            });
         }
-        out.push((row, keys));
+        out.push((row, sort));
     }
     Ok((names, out))
 }
 
-/// Order keys may name an output column (alias) or any source expression.
-fn eval_order_key(
-    ctx: &EvalCtx<'_>,
-    key: &Expr,
-    names: &[String],
-    output_row: &[Value],
-) -> Result<Value, DbError> {
-    if let Expr::Column(c) = key {
-        if c.table.is_none() {
-            if let Some(i) = names.iter().position(|n| n == &c.column) {
-                return Ok(output_row[i].clone());
-            }
-        }
-    }
-    ctx.eval(key)
-}
-
-/// Aggregate projection: group rows, compute aggregates per group.
+/// Aggregate projection: group tuples, compute aggregates per group.
 fn project_grouped(
-    db: &Database,
+    src: &Source<'_>,
     q: &Query,
-    scope: &Scope<'_>,
-    source: Vec<Vec<Value>>,
-    outer: Option<&EvalCtx<'_>>,
+    tuples: &Tuples,
 ) -> Result<(Vec<String>, KeyedRows), DbError> {
     for item in &q.items {
         if matches!(
@@ -578,28 +772,29 @@ fn project_grouped(
         }
     }
 
-    // Group rows by the GROUP BY key values.
-    let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = Vec::new();
-    for r in source {
-        let ctx = EvalCtx {
-            db,
-            scope,
-            row: &r,
-            outer,
-        };
-        let key: Vec<Value> = q
-            .group_by
+    // Group tuples by the GROUP BY key values.
+    let group_by: Vec<Bound<'_>> = q.group_by.iter().map(|g| src.bind(g)).collect();
+    let mut groups: Vec<(Vec<Value>, Tuples)> = Vec::new();
+    let mut rows = src.row_buffer();
+    for tuple in tuples.iter() {
+        src.load(tuple, &mut rows);
+        let ctx = src.ctx(rows.len(), &rows);
+        let key: Vec<Value> = group_by
             .iter()
-            .map(|g| ctx.eval(g))
+            .map(|g| g.eval(&ctx).map(Cow::into_owned))
             .collect::<Result<_, _>>()?;
         match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, rows)) => rows.push(r),
-            None => groups.push((key, vec![r])),
+            Some((_, members)) => members.push(tuple),
+            None => {
+                let mut members = Tuples::new(tuples.width);
+                members.push(tuple);
+                groups.push((key, members));
+            }
         }
     }
     // A global aggregate over zero rows still yields one (empty) group.
     if groups.is_empty() && q.group_by.is_empty() {
-        groups.push((Vec::new(), Vec::new()));
+        groups.push((Vec::new(), Tuples::new(tuples.width)));
     }
 
     let names: Vec<String> = q
@@ -610,32 +805,26 @@ fn project_grouped(
         .collect();
 
     let mut out = Vec::with_capacity(groups.len());
-    for (_, rows) in groups {
+    for (_, members) in &groups {
         // HAVING filters whole groups.
         if let Some(h) = &q.having {
-            let hv = eval_in_group(db, q, scope, &rows, h, outer)?;
-            if !value_to_cmp(&hv)?.is_true() {
+            if !crate::expr::value_to_cmp(&eval_in_group(src, members, h)?)?.is_true() {
                 continue;
             }
         }
         let mut row = Vec::with_capacity(q.items.len());
         for item in &q.items {
             if let SelectItem::Expr { expr, .. } = item {
-                row.push(eval_in_group(db, q, scope, &rows, expr, outer)?);
+                row.push(eval_in_group(src, members, expr)?);
             }
         }
         let mut keys = Vec::with_capacity(q.order_by.len());
         for k in &q.order_by {
             // Alias lookup first, then group-context evaluation.
-            if let Expr::Column(c) = &k.expr {
-                if c.table.is_none() {
-                    if let Some(i) = names.iter().position(|n| n == &c.column) {
-                        keys.push(row[i].clone());
-                        continue;
-                    }
-                }
-            }
-            keys.push(eval_in_group(db, q, scope, &rows, &k.expr, outer)?);
+            keys.push(match output_alias(&k.expr, &names) {
+                Some(i) => row[i].clone(),
+                None => eval_in_group(src, members, &k.expr)?,
+            });
         }
         out.push((row, keys));
     }
@@ -643,61 +832,51 @@ fn project_grouped(
 }
 
 /// Evaluates an expression in the context of a group: aggregate nodes are
-/// computed over the group's rows, everything else over the group's first row.
-fn eval_in_group(
-    db: &Database,
-    _q: &Query,
-    scope: &Scope<'_>,
-    rows: &[Vec<Value>],
-    expr: &Expr,
-    outer: Option<&EvalCtx<'_>>,
-) -> Result<Value, DbError> {
-    let materialized = materialize_aggs(db, scope, rows, expr, outer)?;
-    let empty: Vec<Value> = vec![Value::Null; scope.width()];
-    let row: &[Value] = rows.first().map(|r| r.as_slice()).unwrap_or(&empty);
-    let ctx = EvalCtx {
-        db,
-        scope,
-        row,
-        outer,
-    };
-    ctx.eval(&materialized)
+/// computed over the group's tuples, everything else over its first one
+/// (all `NULL`s for the empty group).
+fn eval_in_group(src: &Source<'_>, members: &Tuples, expr: &Expr) -> Result<Value, DbError> {
+    let materialized = materialize_aggs(src, members, expr)?;
+    let nulls: Vec<Vec<Value>>;
+    let mut rows = src.row_buffer();
+    if members.len > 0 {
+        src.load(members.get(0), &mut rows);
+    } else {
+        nulls = (src.scope.iter())
+            .map(|e| vec![Value::Null; e.columns().len()])
+            .collect();
+        rows = nulls.iter().map(Vec::as_slice).collect();
+    }
+    let bound = src.bind(&materialized);
+    let value = bound.eval(&src.ctx(rows.len(), &rows))?;
+    Ok(value.into_owned())
 }
 
 /// Replaces each aggregate subexpression with its computed literal value.
-fn materialize_aggs(
-    db: &Database,
-    scope: &Scope<'_>,
-    rows: &[Vec<Value>],
-    expr: &Expr,
-    outer: Option<&EvalCtx<'_>>,
-) -> Result<Expr, DbError> {
+fn materialize_aggs(src: &Source<'_>, members: &Tuples, expr: &Expr) -> Result<Expr, DbError> {
     Ok(match expr {
         Expr::Agg {
             func,
             arg,
             distinct,
         } => Expr::Literal(compute_aggregate(
-            db,
-            scope,
-            rows,
+            src,
+            members,
             *func,
             arg.as_deref(),
             *distinct,
-            outer,
         )?),
         Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => expr.clone(),
         Expr::Unary { op, expr } => Expr::Unary {
             op: *op,
-            expr: Box::new(materialize_aggs(db, scope, rows, expr, outer)?),
+            expr: Box::new(materialize_aggs(src, members, expr)?),
         },
         Expr::Binary { op, lhs, rhs } => Expr::Binary {
             op: *op,
-            lhs: Box::new(materialize_aggs(db, scope, rows, lhs, outer)?),
-            rhs: Box::new(materialize_aggs(db, scope, rows, rhs, outer)?),
+            lhs: Box::new(materialize_aggs(src, members, lhs)?),
+            rhs: Box::new(materialize_aggs(src, members, rhs)?),
         },
         Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(materialize_aggs(db, scope, rows, expr, outer)?),
+            expr: Box::new(materialize_aggs(src, members, expr)?),
             negated: *negated,
         },
         Expr::InList {
@@ -705,10 +884,10 @@ fn materialize_aggs(
             list,
             negated,
         } => Expr::InList {
-            expr: Box::new(materialize_aggs(db, scope, rows, expr, outer)?),
+            expr: Box::new(materialize_aggs(src, members, expr)?),
             list: list
                 .iter()
-                .map(|e| materialize_aggs(db, scope, rows, e, outer))
+                .map(|e| materialize_aggs(src, members, e))
                 .collect::<Result<_, _>>()?,
             negated: *negated,
         },
@@ -718,9 +897,9 @@ fn materialize_aggs(
             high,
             negated,
         } => Expr::Between {
-            expr: Box::new(materialize_aggs(db, scope, rows, expr, outer)?),
-            low: Box::new(materialize_aggs(db, scope, rows, low, outer)?),
-            high: Box::new(materialize_aggs(db, scope, rows, high, outer)?),
+            expr: Box::new(materialize_aggs(src, members, expr)?),
+            low: Box::new(materialize_aggs(src, members, low)?),
+            high: Box::new(materialize_aggs(src, members, high)?),
             negated: *negated,
         },
         Expr::Like {
@@ -728,8 +907,8 @@ fn materialize_aggs(
             pattern,
             negated,
         } => Expr::Like {
-            expr: Box::new(materialize_aggs(db, scope, rows, expr, outer)?),
-            pattern: Box::new(materialize_aggs(db, scope, rows, pattern, outer)?),
+            expr: Box::new(materialize_aggs(src, members, expr)?),
+            pattern: Box::new(materialize_aggs(src, members, pattern)?),
             negated: *negated,
         },
         // Subqueries inside aggregate queries evaluate against the first row.
@@ -738,29 +917,24 @@ fn materialize_aggs(
 }
 
 fn compute_aggregate(
-    db: &Database,
-    scope: &Scope<'_>,
-    rows: &[Vec<Value>],
+    src: &Source<'_>,
+    members: &Tuples,
     func: SetFunc,
     arg: Option<&Expr>,
     distinct: bool,
-    outer: Option<&EvalCtx<'_>>,
 ) -> Result<Value, DbError> {
     // COUNT(*) counts rows.
     let Some(arg) = arg else {
-        return Ok(Value::Int(rows.len() as i64));
+        return Ok(Value::Int(members.len as i64));
     };
-    let mut vals = Vec::with_capacity(rows.len());
-    for r in rows {
-        let ctx = EvalCtx {
-            db,
-            scope,
-            row: r,
-            outer,
-        };
-        let v = ctx.eval(arg)?;
+    let arg = src.bind(arg);
+    let mut vals = Vec::with_capacity(members.len);
+    let mut rows = src.row_buffer();
+    for tuple in members.iter() {
+        src.load(tuple, &mut rows);
+        let v = arg.eval(&src.ctx(rows.len(), &rows))?;
         if !v.is_null() {
-            vals.push(v);
+            vals.push(v.into_owned());
         }
     }
     if distinct {
@@ -804,5 +978,26 @@ fn compute_aggregate(
                 Ok(Value::Int(sum / vals.len() as i64))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::stage_order;
+
+    #[test]
+    fn stage_order_starts_at_the_selective_stage() {
+        // review's `my_papers`: `Papers p JOIN Authors a ON p.PaperId =
+        // a.PaperId WHERE a.UId = ?` — 10,000 papers, one matching author
+        // row. Start at Authors, then probe Papers.
+        assert_eq!(stage_order(&[10_000, 1], &[(0, 1)]), [1, 0]);
+        // Written probe-first already: unchanged.
+        assert_eq!(stage_order(&[3, 250_000], &[(0, 1)]), [0, 1]);
+        // A join edge beats a smaller unconnected table; ties and
+        // edge-less stages fall back to size, then written order.
+        assert_eq!(stage_order(&[500, 2, 40], &[(0, 1)]), [1, 0, 2]);
+        assert_eq!(stage_order(&[7, 7, 7], &[]), [0, 1, 2]);
+        // A chain is followed link by link from the cheapest end.
+        assert_eq!(stage_order(&[900, 800, 5], &[(0, 1), (1, 2)]), [2, 1, 0]);
     }
 }

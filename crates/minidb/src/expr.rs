@@ -1,8 +1,17 @@
 //! Scalar expression evaluation with SQL three-valued logic.
 //!
+//! An [`Expr`] is *bound* once per query (`Bound::bind`): every column
+//! reference is resolved, by name, to a `(stage, column)` slot, and a
+//! reference to an enclosing query's row — fixed for as long as this query
+//! runs — to its value. Evaluation then reads the borrowed table rows of
+//! the current candidate directly; no row is concatenated or cloned to
+//! evaluate a predicate.
+//!
 //! Predicates evaluate to [`Value::Bool`] or [`Value::Null`] (unknown); the
 //! executor treats anything but `TRUE` as filtering a row out, matching SQL
 //! `WHERE` semantics.
+
+use std::borrow::Cow;
 
 use sqlir::value::like_match;
 use sqlir::{BinaryOp, CmpResult, ColumnRef, Expr, Param, Query, UnaryOp, Value};
@@ -10,188 +19,218 @@ use sqlir::{BinaryOp, CmpResult, ColumnRef, Expr, Param, Query, UnaryOp, Value};
 use crate::db::Database;
 use crate::error::DbError;
 use crate::schema::Column;
+use crate::table::Table;
 
-/// One table binding visible to name resolution.
-#[derive(Debug, Clone)]
-pub struct ScopeEntry<'a> {
+/// One table binding visible to name resolution: a stage of the query.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScopeEntry<'a> {
     /// The binding name (alias, or the table name itself).
-    pub binding: String,
+    pub binding: &'a str,
+    /// The bound table.
+    pub table: &'a Table,
+}
+
+impl<'a> ScopeEntry<'a> {
     /// The bound table's columns.
-    pub columns: &'a [Column],
-    /// Offset of this binding's first value in the concatenated row.
-    pub offset: usize,
-}
-
-/// The set of bindings introduced by one query's `FROM`/`JOIN` clauses.
-#[derive(Debug, Clone, Default)]
-pub struct Scope<'a> {
-    /// Entries in binding order.
-    pub entries: Vec<ScopeEntry<'a>>,
-}
-
-impl<'a> Scope<'a> {
-    /// Total width of the concatenated row.
-    pub fn width(&self) -> usize {
-        self.entries
-            .last()
-            .map(|e| e.offset + e.columns.len())
-            .unwrap_or(0)
+    pub fn columns(&self) -> &'a [Column] {
+        &self.table.schema.columns
     }
+}
 
-    /// Resolves a column reference to an offset into the concatenated row.
-    pub fn resolve(&self, col: &ColumnRef) -> Result<Option<usize>, DbError> {
-        match &col.table {
-            Some(t) => {
-                for e in &self.entries {
-                    if &e.binding == t {
-                        if let Some(i) = e.columns.iter().position(|c| c.name == col.column) {
-                            return Ok(Some(e.offset + i));
-                        }
-                        // The binding exists but lacks the column; in a
-                        // correlated subquery the same alias may also exist in
-                        // an outer scope, so report "not here" rather than
-                        // erroring immediately.
-                        return Ok(None);
+/// Resolves a column reference against the bindings in `scope` to a
+/// `(stage, column)` slot; `None` if no binding here has it.
+pub(crate) fn resolve(
+    scope: &[ScopeEntry<'_>],
+    col: &ColumnRef,
+) -> Result<Option<(usize, usize)>, DbError> {
+    let column_of = |e: &ScopeEntry<'_>| e.columns().iter().position(|c| c.name == col.column);
+    match &col.table {
+        // The binding may exist but lack the column; in a correlated
+        // subquery the same alias may also exist in an outer scope, so
+        // that is "not here" rather than an error.
+        Some(t) => Ok(scope
+            .iter()
+            .position(|e| e.binding == t)
+            .and_then(|stage| Some((stage, column_of(&scope[stage])?)))),
+        None => {
+            let mut found = None;
+            for (stage, e) in scope.iter().enumerate() {
+                if let Some(i) = column_of(e) {
+                    if found.is_some() {
+                        return Err(DbError::AmbiguousColumn(col.column.clone()));
                     }
+                    found = Some((stage, i));
                 }
-                Ok(None)
             }
-            None => {
-                let mut found = None;
-                for e in &self.entries {
-                    if let Some(i) = e.columns.iter().position(|c| c.name == col.column) {
-                        if found.is_some() {
-                            return Err(DbError::AmbiguousColumn(col.column.clone()));
-                        }
-                        found = Some(e.offset + i);
-                    }
-                }
-                Ok(found)
-            }
+            Ok(found)
         }
     }
 }
 
-/// Evaluation context: a scope, the current concatenated row, and an optional
-/// outer context for correlated subqueries.
-pub struct EvalCtx<'a> {
+/// Evaluation context: a scope, the current candidate's row at each of its
+/// stages (borrowed from the tables), and an optional outer context for
+/// correlated subqueries.
+pub(crate) struct EvalCtx<'a> {
     /// The database (needed to run subqueries).
     pub db: &'a Database,
-    /// The scope of the current query.
-    pub scope: &'a Scope<'a>,
-    /// The current concatenated row.
-    pub row: &'a [Value],
+    /// The bindings `rows` are the rows of.
+    pub scope: &'a [ScopeEntry<'a>],
+    /// The current row of each stage.
+    pub rows: &'a [&'a [Value]],
     /// Enclosing context, if this is a subquery.
     pub outer: Option<&'a EvalCtx<'a>>,
 }
 
-impl<'a> EvalCtx<'a> {
-    fn resolve_column(&self, col: &ColumnRef) -> Result<Value, DbError> {
-        match self.scope.resolve(col)? {
-            Some(off) => Ok(self.row[off].clone()),
-            None => match self.outer {
-                Some(outer) => outer.resolve_column(col),
-                None => Err(DbError::NoSuchColumn(match &col.table {
-                    Some(t) => format!("{t}.{}", col.column),
-                    None => col.column.clone(),
-                })),
-            },
+impl EvalCtx<'_> {
+    /// The value a column reference has in this context or, failing that,
+    /// an enclosing one.
+    fn lookup(&self, col: &ColumnRef) -> Result<Value, DbError> {
+        match resolve(self.scope, col)? {
+            Some((stage, i)) => Ok(self.rows[stage][i].clone()),
+            None => lookup_outer(self.outer, col),
         }
     }
+}
 
-    /// Evaluates a scalar expression to a value.
-    pub fn eval(&self, expr: &Expr) -> Result<Value, DbError> {
+/// The value of a column reference no binding of the current query has.
+fn lookup_outer(outer: Option<&EvalCtx<'_>>, col: &ColumnRef) -> Result<Value, DbError> {
+    match outer {
+        Some(outer) => outer.lookup(col),
+        None => Err(DbError::NoSuchColumn(match &col.table {
+            Some(t) => format!("{t}.{}", col.column),
+            None => col.column.clone(),
+        })),
+    }
+}
+
+/// An expression with its names resolved. Resolution failures are bound
+/// too, as [`Bound::Fail`], and raised only if evaluation reaches them —
+/// the same rows error, and the same short-circuits spare them, as when
+/// names were looked up per evaluation.
+#[derive(Debug)]
+pub(crate) enum Bound<'q> {
+    /// A literal, or an enclosing query's column (constant while this
+    /// query runs).
+    Value(Cow<'q, Value>),
+    /// Column `.1` of the current row of stage `.0`.
+    Col(usize, usize),
+    /// Evaluating this node is an error.
+    Fail(DbError),
+    Unary(UnaryOp, Box<Bound<'q>>),
+    Binary(BinaryOp, Box<Bound<'q>>, Box<Bound<'q>>),
+    IsNull(Box<Bound<'q>>, bool),
+    InList(Box<Bound<'q>>, Vec<Bound<'q>>, bool),
+    InSubquery(Box<Bound<'q>>, &'q Query, bool),
+    Exists(&'q Query, bool),
+    Between(Box<[Bound<'q>; 3]>, bool),
+    Like(Box<Bound<'q>>, Box<Bound<'q>>, bool),
+}
+
+impl<'q> Bound<'q> {
+    /// Binds `expr`'s column references against `scope`, then `outer`.
+    pub fn bind(
+        expr: &'q Expr,
+        scope: &[ScopeEntry<'_>],
+        outer: Option<&EvalCtx<'_>>,
+    ) -> Bound<'q> {
+        let bind = |e: &'q Expr| Box::new(Bound::bind(e, scope, outer));
         match expr {
-            Expr::Literal(v) => Ok(v.clone()),
-            Expr::Param(p) => Err(DbError::UnboundParameter(match p {
+            Expr::Literal(v) => Bound::Value(Cow::Borrowed(v)),
+            Expr::Param(p) => Bound::Fail(DbError::UnboundParameter(match p {
                 Param::Named(n) => format!("?{n}"),
                 Param::Positional(i) => format!("?#{i}"),
             })),
-            Expr::Column(c) => self.resolve_column(c),
-            Expr::Unary { op, expr } => {
-                let v = self.eval(expr)?;
-                match op {
-                    UnaryOp::Not => Ok(cmp_to_value(value_to_cmp(&v)?.not())),
-                    UnaryOp::Neg => match v {
-                        Value::Null => Ok(Value::Null),
-                        Value::Int(i) => {
-                            Ok(Value::Int(i.checked_neg().ok_or_else(|| {
-                                DbError::Eval("negation overflow".into())
-                            })?))
-                        }
-                        other => Err(DbError::Eval(format!("cannot negate {other:?}"))),
-                    },
-                }
-            }
-            Expr::Binary { op, lhs, rhs } => self.eval_binary(*op, lhs, rhs),
-            Expr::IsNull { expr, negated } => {
-                let v = self.eval(expr)?;
-                Ok(Value::Bool(v.is_null() != *negated))
-            }
+            Expr::Column(c) => match resolve(scope, c) {
+                Ok(Some((stage, i))) => Bound::Col(stage, i),
+                Ok(None) => match lookup_outer(outer, c) {
+                    Ok(v) => Bound::Value(Cow::Owned(v)),
+                    Err(e) => Bound::Fail(e),
+                },
+                Err(e) => Bound::Fail(e),
+            },
+            Expr::Unary { op, expr } => Bound::Unary(*op, bind(expr)),
+            Expr::Binary { op, lhs, rhs } => Bound::Binary(*op, bind(lhs), bind(rhs)),
+            Expr::IsNull { expr, negated } => Bound::IsNull(bind(expr), *negated),
             Expr::InList {
                 expr,
                 list,
                 negated,
-            } => {
-                let needle = self.eval(expr)?;
-                let mut saw_unknown = false;
-                for item in list {
-                    let v = self.eval(item)?;
-                    match needle.sql_eq(&v) {
-                        CmpResult::True => {
-                            return Ok(cmp_to_value(CmpResult::from_bool(!*negated)));
-                        }
-                        CmpResult::Unknown => saw_unknown = true,
-                        CmpResult::False => {}
-                    }
-                }
-                if saw_unknown {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
+            } => Bound::InList(
+                bind(expr),
+                list.iter().map(|e| Bound::bind(e, scope, outer)).collect(),
+                *negated,
+            ),
             Expr::InSubquery {
                 expr,
                 query,
                 negated,
-            } => {
-                let needle = self.eval(expr)?;
-                let rows = self.run_subquery(query)?;
-                let mut saw_unknown = false;
-                for row in &rows {
-                    if row.len() != 1 {
-                        return Err(DbError::Unsupported(
-                            "IN subquery must project exactly one column".into(),
-                        ));
-                    }
-                    match needle.sql_eq(&row[0]) {
-                        CmpResult::True => {
-                            return Ok(cmp_to_value(CmpResult::from_bool(!*negated)));
-                        }
-                        CmpResult::Unknown => saw_unknown = true,
-                        CmpResult::False => {}
-                    }
-                }
-                if saw_unknown {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Bool(*negated))
-                }
-            }
-            Expr::Exists { query, negated } => {
-                let rows = self.run_subquery(query)?;
-                Ok(Value::Bool(rows.is_empty() == *negated))
-            }
+            } => Bound::InSubquery(bind(expr), query, *negated),
+            Expr::Exists { query, negated } => Bound::Exists(query, *negated),
             Expr::Between {
                 expr,
                 low,
                 high,
                 negated,
-            } => {
-                let v = self.eval(expr)?;
-                let lo = self.eval(low)?;
-                let hi = self.eval(high)?;
+            } => Bound::Between(Box::new([*bind(expr), *bind(low), *bind(high)]), *negated),
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Bound::Like(bind(expr), bind(pattern), *negated),
+            Expr::Agg { .. } => Bound::Fail(DbError::Unsupported(
+                "aggregate function outside of SELECT list / HAVING".into(),
+            )),
+        }
+    }
+
+    /// Evaluates to a value, borrowed where it is a literal or a column.
+    pub fn eval<'a>(&'a self, ctx: &EvalCtx<'a>) -> Result<Cow<'a, Value>, DbError> {
+        let owned = |v: Value| Ok(Cow::Owned(v));
+        match self {
+            Bound::Value(v) => Ok(Cow::Borrowed(v.as_ref())),
+            Bound::Col(stage, i) => Ok(Cow::Borrowed(&ctx.rows[*stage][*i])),
+            Bound::Fail(e) => Err(e.clone()),
+            Bound::Unary(op, expr) => {
+                let v = expr.eval(ctx)?;
+                match op {
+                    UnaryOp::Not => owned(cmp_to_value(value_to_cmp(&v)?.not())),
+                    UnaryOp::Neg => match *v {
+                        Value::Null => owned(Value::Null),
+                        Value::Int(i) => owned(Value::Int(
+                            i.checked_neg()
+                                .ok_or_else(|| DbError::Eval("negation overflow".into()))?,
+                        )),
+                        ref other => Err(DbError::Eval(format!("cannot negate {other:?}"))),
+                    },
+                }
+            }
+            Bound::Binary(op, lhs, rhs) => eval_binary(*op, lhs, rhs, ctx).map(Cow::Owned),
+            Bound::IsNull(expr, negated) => {
+                owned(Value::Bool(expr.eval(ctx)?.is_null() != *negated))
+            }
+            Bound::InList(expr, list, negated) => {
+                let items = list.iter().map(|item| item.eval(ctx));
+                is_member(&*expr.eval(ctx)?, items, *negated).map(Cow::Owned)
+            }
+            Bound::InSubquery(expr, query, negated) => {
+                let needle = expr.eval(ctx)?;
+                let rows = run_subquery(query, ctx)?;
+                let items = rows.iter().map(|row| match row.as_slice() {
+                    [v] => Ok(Cow::Borrowed(v)),
+                    _ => Err(DbError::Unsupported(
+                        "IN subquery must project exactly one column".into(),
+                    )),
+                });
+                is_member(&needle, items, *negated).map(Cow::Owned)
+            }
+            Bound::Exists(query, negated) => owned(Value::Bool(
+                run_subquery(query, ctx)?.is_empty() == *negated,
+            )),
+            Bound::Between(operands, negated) => {
+                let [expr, low, high] = &**operands;
+                let v = expr.eval(ctx)?;
+                let lo = low.eval(ctx)?;
+                let hi = high.eval(ctx)?;
                 let ge_lo = match v.sql_cmp(&lo) {
                     None => CmpResult::Unknown,
                     Some(o) => CmpResult::from_bool(o != std::cmp::Ordering::Less),
@@ -200,110 +239,126 @@ impl<'a> EvalCtx<'a> {
                     None => CmpResult::Unknown,
                     Some(o) => CmpResult::from_bool(o != std::cmp::Ordering::Greater),
                 };
-                let mut r = ge_lo.and(le_hi);
-                if *negated {
-                    r = r.not();
-                }
-                Ok(cmp_to_value(r))
+                let r = ge_lo.and(le_hi);
+                owned(cmp_to_value(if *negated { r.not() } else { r }))
             }
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => {
-                let v = self.eval(expr)?;
-                let p = self.eval(pattern)?;
-                match (v, p) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+            Bound::Like(expr, pattern, negated) => {
+                let v = expr.eval(ctx)?;
+                let p = pattern.eval(ctx)?;
+                match (&*v, &*p) {
+                    (Value::Null, _) | (_, Value::Null) => owned(Value::Null),
                     (Value::Str(s), Value::Str(pat)) => {
-                        Ok(Value::Bool(like_match(&s, &pat) != *negated))
+                        owned(Value::Bool(like_match(s, pat) != *negated))
                     }
                     (v, p) => Err(DbError::Eval(format!("LIKE on non-strings: {v:?}, {p:?}"))),
                 }
             }
-            Expr::Agg { .. } => Err(DbError::Unsupported(
-                "aggregate function outside of SELECT list / HAVING".into(),
-            )),
         }
     }
 
-    fn eval_binary(&self, op: BinaryOp, lhs: &Expr, rhs: &Expr) -> Result<Value, DbError> {
-        match op {
-            BinaryOp::And => {
-                let l = value_to_cmp(&self.eval(lhs)?)?;
-                // Short-circuit: FALSE AND x is FALSE without evaluating x.
-                if l == CmpResult::False {
-                    return Ok(Value::Bool(false));
+    /// Evaluates as a predicate.
+    pub fn test(&self, ctx: &EvalCtx<'_>) -> Result<CmpResult, DbError> {
+        value_to_cmp(&*self.eval(ctx)?)
+    }
+}
+
+fn eval_binary(
+    op: BinaryOp,
+    lhs: &Bound<'_>,
+    rhs: &Bound<'_>,
+    ctx: &EvalCtx<'_>,
+) -> Result<Value, DbError> {
+    match op {
+        BinaryOp::And => {
+            let l = lhs.test(ctx)?;
+            // Short-circuit: FALSE AND x is FALSE without evaluating x.
+            if l == CmpResult::False {
+                return Ok(Value::Bool(false));
+            }
+            Ok(cmp_to_value(l.and(rhs.test(ctx)?)))
+        }
+        BinaryOp::Or => {
+            let l = lhs.test(ctx)?;
+            if l == CmpResult::True {
+                return Ok(Value::Bool(true));
+            }
+            Ok(cmp_to_value(l.or(rhs.test(ctx)?)))
+        }
+        BinaryOp::Eq | BinaryOp::Ne | BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge => {
+            let l = lhs.eval(ctx)?;
+            let r = rhs.eval(ctx)?;
+            let out = match l.sql_cmp(&r) {
+                None => CmpResult::Unknown,
+                Some(ord) => {
+                    use std::cmp::Ordering::*;
+                    CmpResult::from_bool(match op {
+                        BinaryOp::Eq => ord == Equal,
+                        BinaryOp::Ne => ord != Equal,
+                        BinaryOp::Lt => ord == Less,
+                        BinaryOp::Le => ord != Greater,
+                        BinaryOp::Gt => ord == Greater,
+                        BinaryOp::Ge => ord != Less,
+                        _ => unreachable!(),
+                    })
                 }
-                let r = value_to_cmp(&self.eval(rhs)?)?;
-                Ok(cmp_to_value(l.and(r)))
-            }
-            BinaryOp::Or => {
-                let l = value_to_cmp(&self.eval(lhs)?)?;
-                if l == CmpResult::True {
-                    return Ok(Value::Bool(true));
-                }
-                let r = value_to_cmp(&self.eval(rhs)?)?;
-                Ok(cmp_to_value(l.or(r)))
-            }
-            BinaryOp::Eq
-            | BinaryOp::Ne
-            | BinaryOp::Lt
-            | BinaryOp::Le
-            | BinaryOp::Gt
-            | BinaryOp::Ge => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                let out = match l.sql_cmp(&r) {
-                    None => CmpResult::Unknown,
-                    Some(ord) => {
-                        use std::cmp::Ordering::*;
-                        CmpResult::from_bool(match op {
-                            BinaryOp::Eq => ord == Equal,
-                            BinaryOp::Ne => ord != Equal,
-                            BinaryOp::Lt => ord == Less,
-                            BinaryOp::Le => ord != Greater,
-                            BinaryOp::Gt => ord == Greater,
-                            BinaryOp::Ge => ord != Less,
-                            _ => unreachable!(),
-                        })
-                    }
-                };
-                Ok(cmp_to_value(out))
-            }
-            BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
-                let l = self.eval(lhs)?;
-                let r = self.eval(rhs)?;
-                match (l, r) {
-                    (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
-                    (Value::Int(a), Value::Int(b)) => {
-                        let out = match op {
-                            BinaryOp::Add => a.checked_add(b),
-                            BinaryOp::Sub => a.checked_sub(b),
-                            BinaryOp::Mul => a.checked_mul(b),
-                            BinaryOp::Div => {
-                                if b == 0 {
-                                    return Err(DbError::Eval("division by zero".into()));
-                                }
-                                a.checked_div(b)
+            };
+            Ok(cmp_to_value(out))
+        }
+        BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Div => {
+            let l = lhs.eval(ctx)?;
+            let r = rhs.eval(ctx)?;
+            match (&*l, &*r) {
+                (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
+                (&Value::Int(a), &Value::Int(b)) => {
+                    let out = match op {
+                        BinaryOp::Add => a.checked_add(b),
+                        BinaryOp::Sub => a.checked_sub(b),
+                        BinaryOp::Mul => a.checked_mul(b),
+                        BinaryOp::Div => {
+                            if b == 0 {
+                                return Err(DbError::Eval("division by zero".into()));
                             }
-                            _ => unreachable!(),
-                        };
-                        out.map(Value::Int)
-                            .ok_or_else(|| DbError::Eval("integer overflow".into()))
-                    }
-                    (a, b) => Err(DbError::Eval(format!(
-                        "arithmetic on non-integers: {a:?} {} {b:?}",
-                        op.symbol()
-                    ))),
+                            a.checked_div(b)
+                        }
+                        _ => unreachable!(),
+                    };
+                    out.map(Value::Int)
+                        .ok_or_else(|| DbError::Eval("integer overflow".into()))
                 }
+                (a, b) => Err(DbError::Eval(format!(
+                    "arithmetic on non-integers: {a:?} {} {b:?}",
+                    op.symbol()
+                ))),
             }
         }
     }
+}
 
-    fn run_subquery(&self, q: &Query) -> Result<Vec<Vec<Value>>, DbError> {
-        crate::exec::execute_query_with_outer(self.db, q, Some(self)).map(|r| r.rows)
+/// `needle [NOT] IN (items)` under three-valued logic: items are evaluated
+/// only until one equals the needle, and an inconclusive comparison (a
+/// `NULL` on either side) makes a miss UNKNOWN.
+fn is_member<'v>(
+    needle: &Value,
+    items: impl Iterator<Item = Result<Cow<'v, Value>, DbError>>,
+    negated: bool,
+) -> Result<Value, DbError> {
+    let mut saw_unknown = false;
+    for item in items {
+        match needle.sql_eq(&*item?) {
+            CmpResult::True => return Ok(Value::Bool(!negated)),
+            CmpResult::Unknown => saw_unknown = true,
+            CmpResult::False => {}
+        }
     }
+    Ok(if saw_unknown {
+        Value::Null
+    } else {
+        Value::Bool(negated)
+    })
+}
+
+fn run_subquery(q: &Query, ctx: &EvalCtx<'_>) -> Result<Vec<Vec<Value>>, DbError> {
+    crate::exec::execute_query_with_outer(ctx.db, q, Some(ctx)).map(|r| r.rows)
 }
 
 /// Interprets a value as a predicate result.

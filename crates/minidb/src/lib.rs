@@ -10,13 +10,15 @@
 //!
 //! Design notes:
 //!
-//! * Execution is nested-loop evaluation with incremental join filtering,
-//!   accelerated by lazily built equality indexes: `col = literal`
-//!   selections and equi-joins probe a hash index, and total WHERE conjuncts
-//!   are pushed down to the earliest join stage that binds their columns.
-//!   The unoptimized path is kept callable ([`exec::execute_query_naive`])
-//!   as the oracle for differential tests; results are identical including
-//!   row order.
+//! * Execution joins tuples of row ids, stage by stage: `col = literal`
+//!   selections and equi-joins probe lazily built, key-less equality
+//!   indexes ([`Table::probe`]), total `ON`/`WHERE` conjuncts apply at the
+//!   first stage that binds their columns, stages run in a greedy order
+//!   taken from exact index counts, and the nested loop's emission order is
+//!   restored by sorting on row ids (see [`exec`]). The same pipeline
+//!   selects the rows of an `UPDATE`/`DELETE`. The unoptimized path is kept
+//!   callable ([`exec::execute_query_naive`]) as the oracle for
+//!   differential tests; results are identical including row order.
 //! * SQL three-valued logic is implemented throughout (`WHERE` keeps only
 //!   `TRUE`; `NOT IN` with a `NULL` behaves per the standard).
 //! * [`Database`] is `Clone`, giving cheap whole-database snapshots; the
@@ -48,4 +50,4 @@ pub use db::{Database, ExecResult};
 pub use error::DbError;
 pub use exec::{execute_query_naive, Rows};
 pub use schema::{Column, ForeignKey, TableSchema};
-pub use table::{EqIndex, Table};
+pub use table::Table;

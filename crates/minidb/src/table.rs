@@ -1,8 +1,14 @@
-//! Row storage for one table.
+//! Row storage for one table, and its equality indexes.
+//!
+//! An index stores **row ids only**. The keys it groups by are already in
+//! the rows, so a lookup hashes the probe key, finds the slot carrying
+//! that hash's tag, confirms against one *row's own columns*, and walks a
+//! chain of row ids; nothing is cloned into the index. An indexed row costs
+//! 8-byte slots at a load factor between 3/8 and 3/4 plus one 4-byte link
+//! — 15 to 25 bytes for a unique key before `Vec` slack, less for a
+//! repeated one — where a key-owning hash map took 132.
 
-use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
@@ -11,112 +17,181 @@ use sqlir::Value;
 use crate::error::DbError;
 use crate::schema::TableSchema;
 
-/// A lazily built equality index over one column set: maps each non-NULL
-/// key tuple to the indices of the rows holding it, in insertion order.
+/// "No row": the tail of an empty slot.
+const NONE: u32 = u32::MAX;
+
+/// One key group: the high half of its key's hash, and the last row id of
+/// its chain.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    tag: u32,
+    tail: u32,
+}
+
+/// An equality index over one column set: groups the rows holding each
+/// non-`NULL` key tuple, in insertion order.
 ///
-/// Rows with a `NULL` in any key column are *excluded*: SQL `=` never
-/// matches `NULL`, so an equality probe can never select them, and their
-/// absence makes `NULL` probe keys miss for free.
-#[derive(Debug, Default, Clone)]
-pub struct EqIndex {
-    groups: HashMap<Key, RowIds>,
-}
-
-/// An index key. Most indexes are over one column (a PK, an FK, a probed
-/// column), and a one-value key lives inline instead of in a heap
-/// allocation per key. Hashes and compares as the `[Value]` it stands for,
-/// so the map is probed with a borrowed slice.
+/// Layout: an open-addressed (linear probing, power-of-two) table of key
+/// groups, plus one `next` link per table row. A group's rows form a
+/// *circular* chain — `next[tail]` is the head — so one row id per slot
+/// gives both an O(1) append (`new → head`, `tail → new`) and a walk from
+/// the first row to the last, which is ascending row-id order. A slot is
+/// placed and re-placed by its tag alone, and a probe dereferences a row
+/// only once the tag matches, so a miss never leaves the slot array.
+///
+/// Rows with a `NULL` in any key column are *excluded* (their link is never
+/// threaded): SQL `=` never matches `NULL`, so an equality probe can never
+/// select them, and a `NULL` probe key misses because no stored row equals
+/// it.
 #[derive(Debug, Clone)]
-enum Key {
-    One(Value),
-    Many(Box<[Value]>),
+struct EqIndex {
+    cols: Vec<usize>,
+    slots: Vec<Slot>,
+    next: Vec<u32>,
+    groups: usize,
 }
 
-impl Key {
-    fn of(cols: &[usize], row: &[Value]) -> Key {
-        match cols {
-            [c] => Key::One(row[*c].clone()),
-            _ => Key::Many(cols.iter().map(|&c| row[c].clone()).collect()),
-        }
-    }
+/// The odd multiplier of the key hash (2^64 / φ).
+const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-    fn as_slice(&self) -> &[Value] {
-        match self {
-            Key::One(v) => std::slice::from_ref(v),
-            Key::Many(vs) => vs,
-        }
-    }
-}
-
-impl Borrow<[Value]> for Key {
-    fn borrow(&self) -> &[Value] {
-        self.as_slice()
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Key) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl Eq for Key {}
-
-impl Hash for Key {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_slice().hash(state)
-    }
-}
-
-/// The rows under one key. A PK/UNIQUE index has exactly one row per key,
-/// so that id lives inline instead of in a second heap allocation per key.
-#[derive(Debug, Clone)]
-enum RowIds {
-    One(u32),
-    Many(Vec<u32>),
-}
-
-impl RowIds {
-    fn push(&mut self, idx: u32) {
-        match self {
-            RowIds::One(first) => *self = RowIds::Many(vec![*first, idx]),
-            RowIds::Many(ids) => ids.push(idx),
-        }
-    }
-
-    fn as_slice(&self) -> &[u32] {
-        match self {
-            RowIds::One(id) => std::slice::from_ref(id),
-            RowIds::Many(ids) => ids,
-        }
-    }
+/// Hashes a key tuple to a slot tag. `Int` keys — every PK and FK in the
+/// fleet — are mixed multiplicatively: a bulk load hashes every row into
+/// every index, and SipHash there was most of populate. Other values go
+/// through the standard hasher. The tag is the *high* half, where a
+/// multiplicative hash puts its entropy.
+fn tag_of<'k>(key: impl Iterator<Item = &'k Value>) -> u32 {
+    let hash = key.fold(0, |h: u64, v| {
+        let x = match v {
+            Value::Int(i) => *i as u64,
+            other => {
+                let mut s = DefaultHasher::new();
+                other.hash(&mut s);
+                s.finish()
+            }
+        };
+        (h.rotate_left(5) ^ x).wrapping_mul(MIX)
+    });
+    (hash >> 32) as u32
 }
 
 impl EqIndex {
     fn build(cols: &[usize], rows: &[Vec<Value>]) -> EqIndex {
-        let mut index = EqIndex::default();
+        let mut index = EqIndex {
+            cols: cols.to_vec(),
+            slots: vec![Slot { tag: 0, tail: NONE }; 2],
+            next: Vec::with_capacity(rows.len()),
+            groups: 0,
+        };
         for (i, row) in rows.iter().enumerate() {
-            index.append(cols, row, i as u32);
+            index.append(row, &rows[..i]);
         }
         index
     }
 
-    fn append(&mut self, cols: &[usize], row: &[Value], idx: u32) {
-        if cols.iter().any(|&c| row[c].is_null()) {
-            return;
-        }
-        match self.groups.entry(Key::of(cols, row)) {
-            Entry::Occupied(mut e) => e.get_mut().push(idx),
-            Entry::Vacant(e) => {
-                e.insert(RowIds::One(idx));
+    /// Where a key with this tag lives or would be inserted: the first slot
+    /// in probe order that is empty, or has the tag and whose rows `is_key`
+    /// (told one of their ids).
+    fn slot_of(&self, tag: u32, is_key: impl Fn(u32) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (tag >> (32 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let slot = self.slots[i];
+            if slot.tail == NONE || (slot.tag == tag && is_key(slot.tail)) {
+                return i;
             }
+            i = (i + 1) & mask;
         }
     }
 
-    /// The indices of the rows whose key columns equal `key`, in insertion
-    /// order. A key containing `NULL` matches nothing.
-    pub fn rows_matching(&self, key: &[Value]) -> &[u32] {
-        self.groups.get(key).map_or(&[], RowIds::as_slice)
+    /// Indexes `row` under the next row id; `rows` are the rows before it.
+    fn append(&mut self, row: &[Value], rows: &[Vec<Value>]) {
+        let id = self.next.len() as u32;
+        self.next.push(id);
+        if self.cols.iter().any(|&c| row[c].is_null()) {
+            return;
+        }
+        // Load factor at most 3/4: a probe run always ends at an empty slot
+        // and, being linear, stays short.
+        if (self.groups + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
+        }
+        let tag = tag_of(self.cols.iter().map(|&c| &row[c]));
+        let i = self.slot_of(tag, |stored| {
+            let stored = &rows[stored as usize];
+            self.cols.iter().all(|&c| stored[c] == row[c])
+        });
+        let tail = std::mem::replace(&mut self.slots[i], Slot { tag, tail: id }).tail;
+        if tail == NONE {
+            self.groups += 1;
+        } else {
+            self.next[id as usize] = self.next[tail as usize];
+            self.next[tail as usize] = id;
+        }
+    }
+
+    /// Doubles the slot table. Groups are distinct keys, so each is placed
+    /// by its tag without a comparison (or a look at any row).
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![Slot { tag: 0, tail: NONE }; old.len() * 2];
+        for slot in old.into_iter().filter(|s| s.tail != NONE) {
+            let i = self.slot_of(slot.tag, |_| false);
+            self.slots[i] = slot;
+        }
+    }
+}
+
+/// A borrowed equality index of a [`Table`] over one column set, from
+/// [`Table::probe`].
+#[derive(Debug)]
+pub struct Probe<'a> {
+    index: Arc<EqIndex>,
+    rows: &'a [Vec<Value>],
+}
+
+impl Probe<'_> {
+    /// The ids of the rows whose key columns equal `key`, ascending (which
+    /// is insertion order). A key containing `NULL` matches nothing.
+    pub fn matching(&self, key: &[Value]) -> Matches<'_> {
+        let index = &*self.index;
+        debug_assert_eq!(key.len(), index.cols.len());
+        let i = index.slot_of(tag_of(key.iter()), |stored| {
+            let stored = &self.rows[stored as usize];
+            index.cols.iter().zip(key).all(|(&c, k)| stored[c] == *k)
+        });
+        let tail = index.slots[i].tail;
+        Matches {
+            next: &index.next,
+            // The chain is circular: the head follows the tail.
+            at: index.next.get(tail as usize).copied().unwrap_or(NONE),
+            tail,
+        }
+    }
+}
+
+/// The row ids under one key of a [`Probe`]; `Copy`, so one lookup can be
+/// walked any number of times.
+#[derive(Debug, Clone, Copy)]
+pub struct Matches<'a> {
+    next: &'a [u32],
+    at: u32,
+    tail: u32,
+}
+
+impl Iterator for Matches<'_> {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        let id = self.at;
+        if id == NONE {
+            return None;
+        }
+        self.at = if id == self.tail {
+            NONE
+        } else {
+            self.next[id as usize]
+        };
+        Some(id)
     }
 }
 
@@ -124,16 +199,17 @@ impl EqIndex {
 ///
 /// Rows are kept in insertion order; `minidb` has no clustered storage, but
 /// equality lookups (PK/UNIQUE/FK checks, `col = literal` selections, and
-/// hash joins) go through lazily built [`EqIndex`]es so bulk loads and
-/// point queries stay linear at fleet scale. Indexes are built on first
-/// use, kept current incrementally on [`Table::push_row`], and dropped on
-/// any other mutation.
+/// equi-joins) go through lazily built equality indexes ([`Table::probe`])
+/// so bulk loads and point queries stay linear at fleet scale. Indexes are
+/// built on first use, kept current incrementally on [`Table::push_row`],
+/// and dropped on any other mutation.
 #[derive(Debug)]
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
     rows: Vec<Vec<Value>>,
-    indexes: RwLock<HashMap<Vec<usize>, Arc<EqIndex>>>,
+    // A table has a handful of indexes: a list searched by column set.
+    indexes: RwLock<Vec<Arc<EqIndex>>>,
 }
 
 impl Clone for Table {
@@ -142,7 +218,7 @@ impl Clone for Table {
         Table {
             schema: self.schema.clone(),
             rows: self.rows.clone(),
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::new(Vec::new()),
         }
     }
 }
@@ -153,18 +229,27 @@ impl Table {
         Table {
             schema,
             rows: Vec::new(),
-            indexes: RwLock::new(HashMap::new()),
+            indexes: RwLock::new(Vec::new()),
         }
     }
 
     /// The equality index over `cols`, building it on first use.
-    pub fn index_on(&self, cols: &[usize]) -> Arc<EqIndex> {
-        if let Some(idx) = self.indexes.read().expect("index lock").get(cols) {
-            return Arc::clone(idx);
+    pub fn probe(&self, cols: &[usize]) -> Probe<'_> {
+        let find = |list: &[Arc<EqIndex>]| list.iter().find(|i| i.cols == cols).map(Arc::clone);
+        let cached = find(&self.indexes.read().expect("index lock"));
+        let index = cached.unwrap_or_else(|| {
+            let built = Arc::new(EqIndex::build(cols, &self.rows));
+            let mut list = self.indexes.write().expect("index lock");
+            // Another reader may have built it meanwhile: keep the first.
+            find(&list).unwrap_or_else(|| {
+                list.push(Arc::clone(&built));
+                built
+            })
+        });
+        Probe {
+            index,
+            rows: &self.rows,
         }
-        let built = Arc::new(EqIndex::build(cols, &self.rows));
-        let mut cache = self.indexes.write().expect("index lock");
-        Arc::clone(cache.entry(cols.to_vec()).or_insert(built))
     }
 
     /// Drops every cached index (any mutation other than an append).
@@ -238,10 +323,9 @@ impl Table {
             return false;
         }
         let key: Vec<Value> = cols.iter().map(|&c| candidate[c].clone()).collect();
-        self.index_on(cols)
-            .rows_matching(&key)
-            .iter()
-            .any(|&i| Some(i as usize) != skip_row)
+        self.probe(cols)
+            .matching(&key)
+            .any(|i| Some(i as usize) != skip_row)
     }
 
     /// Returns `true` if some row matches the given values on the given columns.
@@ -252,7 +336,7 @@ impl Table {
     /// a scan.
     pub fn contains_on(&self, cols: &[usize], values: &[Value]) -> bool {
         if values.iter().all(|v| !v.is_null()) {
-            return !self.index_on(cols).rows_matching(values).is_empty();
+            return self.probe(cols).matching(values).next().is_some();
         }
         self.rows
             .iter()
@@ -264,20 +348,25 @@ impl Table {
     /// constraints per row stay linear.
     pub fn push_row(&mut self, row: Vec<Value>) {
         debug_assert_eq!(row.len(), self.schema.columns.len());
-        let idx = self.rows.len() as u32;
-        for (cols, index) in self.indexes.get_mut().expect("index lock").iter_mut() {
-            Arc::make_mut(index).append(cols, &row, idx);
+        for index in self.indexes.get_mut().expect("index lock") {
+            Arc::make_mut(index).append(&row, &self.rows);
         }
         self.rows.push(row);
     }
 
-    /// Removes the rows at the given (sorted ascending) indices.
+    /// Removes the rows at the given indices (in any order) in one pass;
+    /// the remaining rows keep their relative order.
     pub fn remove_rows(&mut self, mut indices: Vec<usize>) {
         self.invalidate_indexes();
         indices.sort_unstable();
-        for idx in indices.into_iter().rev() {
-            self.rows.remove(idx);
-        }
+        indices.dedup();
+        let mut doomed = indices.into_iter().peekable();
+        let mut at = 0;
+        self.rows.retain(|_| {
+            let remove = doomed.next_if_eq(&at).is_some();
+            at += 1;
+            !remove
+        });
     }
 
     /// Mutable access to one row.
@@ -348,6 +437,10 @@ mod tests {
         assert!(!t.has_duplicate_on(&[1], &[Value::Int(9), Value::Null], None));
     }
 
+    fn ids(t: &Table, cols: &[usize], key: &[Value]) -> Vec<u32> {
+        t.probe(cols).matching(key).collect()
+    }
+
     #[test]
     fn index_keeps_insertion_order_for_unique_and_repeated_keys() {
         let mut t = Table::new(two_col_schema());
@@ -355,21 +448,108 @@ mod tests {
         t.push_row(vec![Value::Int(2), Value::str("y")]);
         t.push_row(vec![Value::Int(3), Value::Null]);
         // Built from stored rows, then kept current by appends.
-        let before = t.index_on(&[1]);
-        assert_eq!(before.rows_matching(&[Value::str("x")]), &[0]);
+        assert_eq!(ids(&t, &[1], &[Value::str("x")]), [0]);
         t.push_row(vec![Value::Int(4), Value::str("x")]);
         t.push_row(vec![Value::Int(5), Value::str("x")]);
-        let after = t.index_on(&[1]);
-        assert_eq!(after.rows_matching(&[Value::str("x")]), &[0, 3, 4]);
-        assert_eq!(after.rows_matching(&[Value::str("y")]), &[1]);
-        assert!(after.rows_matching(&[Value::str("z")]).is_empty());
-        assert!(after.rows_matching(&[Value::Null]).is_empty());
+        assert_eq!(ids(&t, &[1], &[Value::str("x")]), [0, 3, 4]);
+        assert_eq!(ids(&t, &[1], &[Value::str("y")]), [1]);
+        assert!(ids(&t, &[1], &[Value::str("z")]).is_empty());
+        // NULL keys are excluded, and a NULL probe matches nothing.
+        assert!(ids(&t, &[1], &[Value::Null]).is_empty());
         // A two-column key is probed the same way.
-        let both = t.index_on(&[0, 1]);
-        assert_eq!(both.rows_matching(&[Value::Int(4), Value::str("x")]), &[3]);
-        assert!(both
-            .rows_matching(&[Value::Int(4), Value::str("y")])
-            .is_empty());
+        assert_eq!(ids(&t, &[0, 1], &[Value::Int(4), Value::str("x")]), [3]);
+        assert!(ids(&t, &[0, 1], &[Value::Int(4), Value::str("y")]).is_empty());
+        assert!(ids(&t, &[0, 1], &[Value::Int(3), Value::Null]).is_empty());
+    }
+
+    /// Every key is found with exactly its rows, in insertion order, whether
+    /// the index was built over stored rows or grown by appends — through
+    /// every doubling of the slot table and whatever slots keys collide in.
+    #[test]
+    fn index_survives_growth_and_collisions() {
+        // 600 rows over 200 keys, interleaved so chains are not contiguous;
+        // every 7th row has a NULL key.
+        let row = |i: i64| {
+            let key = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::str(format!("k{}", i % 200))
+            };
+            vec![Value::Int(i), key]
+        };
+        let expected = |k: i64| -> Vec<u32> {
+            (0..600)
+                .filter(|i| i % 200 == k && i % 7 != 0)
+                .map(|i| i as u32)
+                .collect()
+        };
+        let mut appended = Table::new(two_col_schema());
+        appended.probe(&[1]); // built empty: every row arrives by `append`
+        appended.probe(&[0]);
+        for i in 0..600 {
+            appended.push_row(row(i));
+        }
+        let mut built = Table::new(two_col_schema());
+        built.set_rows((0..300).map(row).collect());
+        built.probe(&[1]); // built over 300 rows, then grown mid-way
+        for i in 300..600 {
+            built.push_row(row(i));
+        }
+        for t in [&appended, &built] {
+            for k in 0..200 {
+                assert_eq!(ids(t, &[1], &[Value::str(format!("k{k}"))]), expected(k));
+            }
+            for i in 0..600 {
+                assert_eq!(ids(t, &[0], &[Value::Int(i)]), [i as u32]);
+            }
+            assert!(ids(t, &[0], &[Value::Int(600)]).is_empty());
+        }
+    }
+
+    /// Keys that share a home slot, and keys that share a whole *tag* (so
+    /// only the comparison with a stored row tells them apart), stay
+    /// distinguishable through a growth of the table.
+    #[test]
+    fn index_separates_keys_that_collide() {
+        // `MIX` is odd, so it has an inverse mod 2^64 (Newton's iteration);
+        // the key `j * inverse` hashes to `j`, whose tag is 0 for small `j`.
+        let inverse = (0..6).fold(MIX, |x, _| {
+            x.wrapping_mul(2u64.wrapping_sub(MIX.wrapping_mul(x)))
+        });
+        assert_eq!(MIX.wrapping_mul(inverse), 1);
+        let same_tag = (1..4u64).map(|j| j.wrapping_mul(inverse) as i64);
+        // Keys whose home slot is 0 in any table of up to 16 slots.
+        let same_slot = (0..).filter(|k| tag_of([Value::Int(*k)].iter()) >> 28 == 0);
+        let keys: Vec<i64> = same_tag.chain(same_slot.take(3)).collect();
+        assert!(keys[..3]
+            .iter()
+            .all(|k| tag_of([Value::Int(*k)].iter()) == 0));
+
+        let mut index = EqIndex::build(&[0], &[]);
+        let mut rows: Vec<Vec<Value>> = Vec::new();
+        for round in 0..2 {
+            for &k in &keys {
+                let row = vec![Value::Int(k), Value::Int(round)];
+                index.append(&row, &rows);
+                rows.push(row);
+            }
+        }
+        assert!(index.slots.len() >= 8, "the table grew mid-build");
+        assert_eq!(index.groups, keys.len());
+        let probe = Probe {
+            index: Arc::new(index),
+            rows: &rows,
+        };
+        for (i, &k) in keys.iter().enumerate() {
+            let found: Vec<u32> = probe.matching(&[Value::Int(k)]).collect();
+            assert_eq!(found, [i as u32, (i + keys.len()) as u32]);
+        }
+        assert_eq!(
+            probe
+                .matching(&[Value::Int(4u64.wrapping_mul(inverse) as i64)])
+                .count(),
+            0
+        );
     }
 
     #[test]
@@ -381,5 +561,29 @@ mod tests {
         t.remove_rows(vec![0, 2, 4]);
         let left: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(left, vec![1, 3]);
+    }
+
+    #[test]
+    fn remove_rows_takes_any_order_and_keeps_the_rest_in_order() {
+        let mut t = Table::new(two_col_schema());
+        for i in 0..10_000 {
+            t.push_row(vec![Value::Int(i), Value::str(format!("r{i}"))]);
+        }
+        // A third of the table, handed over in descending order with a
+        // repeat; the old `Vec::remove` per row was quadratic here.
+        let mut doomed: Vec<usize> = (0..10_000).filter(|i| i % 3 == 1).rev().collect();
+        doomed.push(4);
+        t.remove_rows(doomed);
+        let left: Vec<(i64, String)> = t
+            .rows()
+            .map(|r| (r[0].as_int().unwrap(), r[1].as_str().unwrap().to_string()))
+            .collect();
+        let expected: Vec<(i64, String)> = (0..10_000)
+            .filter(|i| i % 3 != 1)
+            .map(|i| (i, format!("r{i}")))
+            .collect();
+        assert_eq!(left, expected);
+        // The rebuilt index sees the new row ids.
+        assert_eq!(ids(&t, &[0], &[Value::Int(3)]), [2]);
     }
 }
