@@ -126,7 +126,7 @@ use crate::plan::{
 };
 use crate::snapshot::{SnapshotError, SnapshotLoadReport, SnapshotSaveReport};
 use crate::span::{self, SpanKind, SpanSummary};
-use crate::trace::{Observation, Trace, MAX_FACT_ROWS};
+use crate::trace::Trace;
 use crate::write::{WriteTemplate, WriteTemplateVerdict};
 
 /// Number of session shards. Sixteen keeps per-shard contention negligible
@@ -1785,18 +1785,16 @@ impl SqlProxy {
         if !cq.params().is_empty() {
             return; // unbound parameters: nothing definite to record
         }
-        let obs = Observation::from_rows(&rows.rows, MAX_FACT_ROWS);
         if let Some(session) = self.shard(session_id).write().get_mut(&session_id) {
             let before = session_state_bytes(session);
-            if self.config.compaction {
-                // Subsumption compaction keeps the trace O(distinct
-                // information): decision-invisible (the fact set stays
-                // logically equivalent), and any removal bumps the trace
-                // version, so stamped denials never serve stale.
-                session.trace.record_compacting(cq, obs);
-            } else {
-                session.trace.record(cq, obs);
-            }
+            // With compaction the trace stays O(distinct information):
+            // decision-invisible (the fact set stays logically equivalent),
+            // and any removal bumps the trace version, so stamped denials
+            // never serve stale. Either way a repeated observation changes
+            // nothing, the version included (`Trace`, "Repeats").
+            session
+                .trace
+                .record_rows(cq, &rows.rows, self.config.compaction);
             let after = session_state_bytes(session);
             self.adjust_session_bytes(before, after);
         }
@@ -2320,6 +2318,45 @@ mod tests {
         p.execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
             .unwrap();
         assert_eq!(p.stats().blocked, 1);
+    }
+
+    #[test]
+    fn a_repeated_read_changes_nothing_and_spares_a_cached_denial() {
+        for compaction in [true, false] {
+            let p = proxy(ProxyConfig {
+                compaction,
+                ..Default::default()
+            });
+            let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+            let reads = [
+                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2", // a row
+                "SELECT EId FROM Attendance WHERE UId = ?MyUId",           // rows kept
+                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 3", // empty
+            ];
+            for sql in reads {
+                assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
+            }
+            // A denial, cached under the trace version it was proved at.
+            let fetch = "SELECT * FROM Events WHERE EId = 3";
+            assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
+            let state = |p: &SqlProxy| {
+                let t = p.session_trace(s).unwrap();
+                (t.facts().to_vec(), t.len(), t.version(), t.heap_bytes())
+            };
+            let (before, state_bytes) = (state(&p), p.sessions_heap_bytes());
+            assert!(!before.0.is_empty());
+
+            for sql in reads.iter().cycle().take(9) {
+                assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
+            }
+            assert_eq!(state(&p), before, "compaction: {compaction}");
+            assert_eq!(p.sessions_heap_bytes(), state_bytes);
+            // The stamp still matches: no proof, the cache answers.
+            let (hits, proofs) = (p.stats().deny_cache_hits, p.stats().concrete_proofs);
+            assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
+            assert_eq!(p.stats().deny_cache_hits, hits + 1);
+            assert_eq!(p.stats().concrete_proofs, proofs);
+        }
     }
 
     #[test]

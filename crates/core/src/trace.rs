@@ -54,6 +54,33 @@
 //! sweeps to a fixpoint, quadratic, called by nothing in production. The
 //! tests hold the incremental store equal in size to it after every push.
 //!
+//! # Repeats: the no-op rule
+//!
+//! An observation whose `(query, observation)` equals a stored entry is
+//! not recorded at all — no fact derived, no Skolem minted, byte account
+//! and [`Trace::version`] untouched — and that is decided before anything
+//! else, in [`Trace::is_repeat`], which every recording method asks first.
+//!
+//! **Lemma (repeat).** If an entry equal to `(q, o)` is stored, the store
+//! already entails every fact recording `(q, o)` again would push.
+//!
+//! *Proof.* When the entry was stored, its witness facts `W` were pushed
+//! (or were already there, fact for fact). A fact has since left the store
+//! only as one implied by what stayed, which keeps the store's existential
+//! conjunction logically equivalent, so the store still entails `∃ W`. A
+//! repeat derives `W'`: the same atoms under fresh Skolems, a renaming of
+//! `W`, and `∃ W' ≡ ∃ W`. ∎
+//!
+//! So pushing `W'` and reducing could only return a store equivalent to
+//! the one already held, at the price of deriving, Skolemizing and
+//! re-absorbing it; and because nothing changed, a cached denial stamped
+//! with the trace version stays servable. The rule is not part of
+//! compaction: plain [`Trace::record`] obeys it too, so a compacting store,
+//! a never-compacted one and the [`Trace::compact`] specification see the
+//! same sequence of entries by construction. It also means a repeated join
+//! probe no longer leaves one block of mutually pinned facts per repeat
+//! (blocks the single-atom test never absorbs).
+//!
 //! # Byte account
 //!
 //! The trace carries a running sum of the heap bytes its elements own,
@@ -89,6 +116,16 @@ impl Observation {
             Observation::Rows(rows.to_vec())
         } else {
             Observation::NonEmpty
+        }
+    }
+
+    /// Whether [`Observation::from_rows`]`(rows, keep)` would equal `self`,
+    /// decided without cloning a row.
+    pub fn is_from_rows(&self, rows: &[Vec<Value>], keep: usize) -> bool {
+        match self {
+            Observation::Empty => rows.is_empty(),
+            Observation::NonEmpty => rows.len() > keep,
+            Observation::Rows(kept) => !rows.is_empty() && rows.len() <= keep && kept == rows,
         }
     }
 }
@@ -182,36 +219,63 @@ impl Trace {
     }
 
     /// Records a query and its observation, deriving facts, without
-    /// compacting: entries and facts only ever grow.
+    /// compacting: entries and facts only ever grow. An entry equal to a
+    /// stored one is a no-op (module docs, "Repeats").
     pub fn record(&mut self, query: Cq, observation: Observation) {
-        self.unreduced = true;
-        self.witness_observation(&query, &observation);
-        self.push_entry(TraceEntry { query, observation });
+        if !self.is_repeat(&query, |o| *o == observation) {
+            self.store(query, observation, false);
+        }
     }
 
     /// Records a query and its observation and leaves the store reduced
-    /// (see the module docs): an entry equal to a stored one is not stored
-    /// again, and every fact the record makes redundant is dropped, in time
-    /// proportional to the facts it adds. Returns how many entries plus
-    /// facts were dropped.
+    /// (see the module docs): every fact the record makes redundant is
+    /// dropped, in time proportional to the facts it adds. Returns how many
+    /// facts were dropped. An entry equal to a stored one is a no-op and
+    /// returns 0.
     ///
     /// A trace that plain [`Trace::record`] or [`Trace::assume_fact`] has
     /// touched is first brought to the fixpoint by [`Trace::compact`], once.
     pub fn record_compacting(&mut self, query: Cq, observation: Observation) -> usize {
-        if self.unreduced {
-            self.record(query, observation);
-            return self.compact();
+        if self.is_repeat(&query, |o| *o == observation) {
+            return 0;
         }
+        self.store(query, observation, true)
+    }
+
+    /// Records what a `SELECT` returned — [`Observation::from_rows`] at
+    /// [`MAX_FACT_ROWS`], built only when the entry is not a repeat — as
+    /// [`Trace::record_compacting`] or as [`Trace::record`]. Returns how many
+    /// facts were dropped.
+    pub fn record_rows(&mut self, query: Cq, rows: &[Vec<Value>], compacting: bool) -> usize {
+        if self.is_repeat(&query, |o| o.is_from_rows(rows, MAX_FACT_ROWS)) {
+            return 0;
+        }
+        let observation = Observation::from_rows(rows, MAX_FACT_ROWS);
+        self.store(query, observation, compacting)
+    }
+
+    /// The no-op rule (module docs, "Repeats"): whether an entry with this
+    /// query and an observation `same` accepts is stored. Every recording
+    /// method asks this before it derives anything.
+    fn is_repeat(&self, query: &Cq, same: impl Fn(&Observation) -> bool) -> bool {
+        self.entries
+            .iter()
+            .any(|e| e.query == *query && same(&e.observation))
+    }
+
+    /// Stores an entry [`Trace::is_repeat`] turned away, with its facts.
+    fn store(&mut self, query: Cq, observation: Observation, compacting: bool) -> usize {
         let first_new = self.facts.len();
         self.witness_observation(&query, &observation);
-        let entry = TraceEntry { query, observation };
-        let mut dropped = 0;
-        if self.entries.contains(&entry) {
-            dropped += 1;
+        self.push_entry(TraceEntry { query, observation });
+        if !compacting {
+            self.unreduced = true;
+            0
+        } else if self.unreduced {
+            self.compact()
         } else {
-            self.push_entry(entry);
+            self.absorb(first_new)
         }
-        dropped + self.absorb(first_new)
     }
 
     /// Restores the reduced store after `facts[first_new..]` were pushed
@@ -397,12 +461,12 @@ impl Trace {
         self.version
     }
 
-    /// Subsumption-based compaction, the reference: drops every entry that
-    /// is an exact duplicate of an earlier one, then sweeps the facts
+    /// Subsumption-based compaction, the reference: sweeps the facts
     /// oldest-first, dropping each one homomorphically implied by the
     /// others (identity-pinned on shared labeled nulls), and repeats the
     /// sweep until one drops nothing — a drop can unpin a fact an earlier
-    /// step had to keep. Returns how many entries plus facts were dropped.
+    /// step had to keep. Returns how many facts were dropped. (Entries need
+    /// no pass: no recording method stores one equal to a stored one.)
     ///
     /// Soundness: the fact set before and after is logically *equivalent*
     /// (each dropped fact is entailed by what stays), so trace-aware proofs
@@ -412,20 +476,6 @@ impl Trace {
     /// [`Trace::record_compacting`] is what a hot path calls.
     pub fn compact(&mut self) -> usize {
         let mut dropped = 0;
-
-        // Entries: exact (query, observation) duplicates carry no new
-        // information — the first occurrence already witnessed everything.
-        let mut kept: Vec<TraceEntry> = Vec::with_capacity(self.entries.len());
-        for e in self.entries.drain(..) {
-            if kept.contains(&e) {
-                self.element_bytes -= entry_bytes(&e);
-                dropped += 1;
-            } else {
-                kept.push(e);
-            }
-        }
-        self.entries = kept;
-
         loop {
             let before = dropped;
             let mut i = 0;
@@ -490,6 +540,15 @@ mod tests {
             )],
             vec![],
         )
+    }
+
+    /// `q1` under another head constant: a distinct entry (no repeat) that
+    /// witnesses the same atom under a fresh Skolem.
+    fn q1_headed(h: i64) -> Cq {
+        Cq {
+            head: vec![Term::int(h)],
+            ..q1()
+        }
     }
 
     #[test]
@@ -580,9 +639,14 @@ mod tests {
             vec![Atom::new("R", vec![Term::int(5)])],
             vec![],
         );
-        t.record(q.clone(), Observation::NonEmpty);
+        // A second entry (another head) witnessing the same ground atom.
+        let again = Cq {
+            head: vec![Term::int(2)],
+            ..q.clone()
+        };
         t.record(q, Observation::NonEmpty);
-        assert_eq!(t.facts().len(), 1);
+        t.record(again, Observation::NonEmpty);
+        assert_eq!((t.len(), t.facts().len()), (2, 1));
     }
 
     #[test]
@@ -610,10 +674,10 @@ mod tests {
         t.record(q1(), Observation::NonEmpty);
         let v1 = t.version();
         assert!(v1 > v0);
-        // A second identical NonEmpty adds a fresh-Skolem fact (new version);
-        // compaction then removes it (another version change) — the stamp
-        // never repeats for a different fact set.
-        t.record(q1(), Observation::NonEmpty);
+        // The same atom witnessed through another entry adds a fresh-Skolem
+        // fact (new version); compaction then removes it (another version
+        // change) — the stamp never repeats for a different fact set.
+        t.record(q1_headed(2), Observation::NonEmpty);
         let v2 = t.version();
         assert!(v2 > v1);
         let dropped = t.compact();
@@ -622,17 +686,72 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_entry_is_a_no_op_for_every_recording_method() {
+        use crate::mem::HeapUsage;
+        let rows = vec![vec![Value::Int(1)]];
+        let mut t = Trace::new();
+        t.record_compacting(q1(), Observation::NonEmpty);
+        t.record_compacting(q1(), Observation::Rows(rows.clone()));
+        t.record_compacting(q1(), Observation::Empty);
+        let before = (t.clone(), t.version(), t.heap_bytes());
+        for compacting in [true, false] {
+            assert_eq!(t.record_compacting(q1(), Observation::NonEmpty), 0);
+            t.record(q1(), Observation::NonEmpty);
+            assert_eq!(t.record_rows(q1(), &rows, compacting), 0);
+            assert_eq!(t.record_rows(q1(), &[], compacting), 0);
+        }
+        assert_eq!(
+            (t.entries(), t.facts()),
+            (before.0.entries(), before.0.facts())
+        );
+        assert_eq!((t.version(), t.heap_bytes()), (before.1, before.2));
+        assert_eq!(t.skolem_counter, before.0.skolem_counter, "nothing minted");
+        assert_eq!(t.clone().compact(), 0, "and the store is still reduced");
+        // More rows than are kept is `NonEmpty`, stored above; a different
+        // row set is news.
+        let many = vec![vec![Value::Int(1)]; MAX_FACT_ROWS + 1];
+        assert_eq!(t.record_rows(q1(), &many, true), 0);
+        assert_eq!(t.len(), 3);
+        t.record_rows(q1(), &[vec![Value::Int(1)], vec![Value::Int(1)]], true);
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn is_from_rows_agrees_with_from_rows() {
+        let row = vec![Value::Int(1), Value::str("a")];
+        let inputs: Vec<Vec<Vec<Value>>> = vec![
+            vec![],
+            vec![row.clone()],
+            vec![row.clone(), vec![Value::Null, Value::Null]],
+            vec![row.clone(); 3],
+        ];
+        for keep in 0..3 {
+            for a in &inputs {
+                for b in &inputs {
+                    let built = Observation::from_rows(a, keep);
+                    assert_eq!(
+                        built.is_from_rows(b, keep),
+                        built == Observation::from_rows(b, keep),
+                        "keep {keep}: {a:?} vs {b:?}"
+                    );
+                }
+            }
+        }
+        // Hand-built observations `from_rows` never returns match nothing.
+        assert!(!Observation::Rows(vec![]).is_from_rows(&[], 2));
+        assert!(!Observation::Rows(inputs[3].clone()).is_from_rows(&inputs[3], 2));
+    }
+
+    #[test]
     fn compact_drops_skolem_duplicates_but_keeps_information() {
         let mut t = Trace::new();
         t.record(q1(), Observation::NonEmpty);
-        t.record(q1(), Observation::NonEmpty);
-        t.record(q1(), Observation::NonEmpty);
-        assert_eq!(t.facts().len(), 3, "each repeat mints a fresh Skolem");
-        assert_eq!(t.len(), 3);
-        let dropped = t.compact();
-        assert_eq!(dropped, 4, "two duplicate entries + two implied facts");
+        t.record(q1_headed(2), Observation::NonEmpty);
+        t.record(q1_headed(3), Observation::NonEmpty);
+        assert_eq!(t.facts().len(), 3, "each entry mints a fresh Skolem");
+        assert_eq!(t.compact(), 2, "two implied facts");
         assert_eq!(t.facts().len(), 1);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.len(), 3, "distinct entries all stay");
     }
 
     #[test]
@@ -726,21 +845,26 @@ mod tests {
         assert_eq!(t.facts(), &ground_t().atoms[..]);
         assert_eq!(t.len(), 2, "distinct entries both stay");
         assert_eq!(t.clone().compact(), 0);
-        // A repeat stores no second entry, and its fresh-Skolem facts go.
+        // The same pair under another head is a new entry: its fresh-Skolem
+        // facts are pushed and go, and both moves change the stamp.
         let v = t.version();
-        assert_eq!(t.record_compacting(pinned_pair(), Observation::NonEmpty), 3);
-        assert_eq!((t.len(), t.facts().len()), (2, 1));
+        let again = Cq {
+            head: vec![Term::int(0)],
+            ..pinned_pair()
+        };
+        assert_eq!(t.record_compacting(again, Observation::NonEmpty), 2);
+        assert_eq!((t.len(), t.facts().len()), (3, 1));
         assert!(t.version() > v, "pushes and removals both move the stamp");
     }
 
     #[test]
     fn record_compacting_absorbs_an_older_skolemized_fact() {
-        // The repeated probe: the old fact goes, the new one stays (the
-        // order a full oldest-first sweep produces).
+        // The same atom probed through another entry: the old fact goes,
+        // the new one stays (the order a full oldest-first sweep produces).
         let mut t = Trace::new();
         t.record_compacting(q1(), Observation::NonEmpty);
         let first = t.facts()[0].clone();
-        assert_eq!(t.record_compacting(q1(), Observation::NonEmpty), 2);
+        assert_eq!(t.record_compacting(q1_headed(2), Observation::NonEmpty), 1);
         assert_eq!(t.facts().len(), 1);
         assert_ne!(t.facts()[0], first);
     }
@@ -749,15 +873,18 @@ mod tests {
     fn record_compacting_recovers_a_trace_left_unreduced() {
         let mut t = Trace::new();
         t.record(q1(), Observation::NonEmpty);
-        t.record(q1(), Observation::NonEmpty);
+        t.record(q1_headed(2), Observation::NonEmpty);
         t.assume_fact(Atom::new("Events", vec![Term::int(2), Term::var("t")]));
         assert_eq!((t.len(), t.facts().len()), (2, 3));
+        // A repeat leaves even an unreduced trace alone.
+        assert_eq!(t.record_compacting(q1(), Observation::NonEmpty), 0);
+        assert_eq!((t.len(), t.facts().len()), (2, 3));
         // One full compaction on the way in, incremental from then on.
-        t.record_compacting(q1(), Observation::NonEmpty);
-        assert_eq!((t.len(), t.facts().len()), (1, 2));
+        assert_eq!(t.record_compacting(q1_headed(3), Observation::NonEmpty), 2);
+        assert_eq!((t.len(), t.facts().len()), (3, 2));
         assert_eq!(t.clone().compact(), 0);
-        t.record_compacting(q1(), Observation::NonEmpty);
-        assert_eq!((t.len(), t.facts().len()), (1, 2));
+        assert_eq!(t.record_compacting(q1_headed(4), Observation::NonEmpty), 1);
+        assert_eq!((t.len(), t.facts().len()), (4, 2));
     }
 
     #[test]
@@ -768,22 +895,24 @@ mod tests {
             vec![Value::str("a string cell")],
             vec![Value::Null],
         ]);
-        let by_event = Cq::new(
-            vec![Term::var("e")],
-            vec![Atom::new(
-                "Attendance",
-                vec![Term::int(7), Term::var("e"), Term::var("n")],
-            )],
-            vec![],
-        );
+        let by_event = |user: i64| {
+            Cq::new(
+                vec![Term::var("e")],
+                vec![Atom::new(
+                    "Attendance",
+                    vec![Term::int(user), Term::var("e"), Term::var("n")],
+                )],
+                vec![],
+            )
+        };
         let mut t = Trace::new();
         assert_eq!(t.heap_bytes(), 0);
         for step in 0..6 {
             match step % 3 {
                 0 => {
-                    t.record_compacting(by_event.clone(), rows.clone());
+                    t.record_compacting(by_event(step), rows.clone());
                 }
-                1 => t.record(q1(), Observation::NonEmpty),
+                1 => t.record(q1_headed(step), Observation::NonEmpty),
                 _ => t.assume_fact(Atom::new("R", vec![Term::int(step)])),
             }
             assert_eq!(t.heap_bytes(), t.heap_bytes_exact(), "after step {step}");

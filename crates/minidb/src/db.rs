@@ -273,14 +273,14 @@ impl Database {
             .collect();
         for &idx in &matching {
             let old = &table.rows_slice()[idx];
-            let rows = [old.as_slice()];
+            let rows = [&old[..]];
             let ctx = EvalCtx {
                 db: self,
                 scope: &scope,
                 rows: &rows,
                 outer: None,
             };
-            let mut new = old.clone();
+            let mut new = old.to_vec();
             for (col, value) in &values {
                 new[*col] = value.eval(&ctx)?.into_owned();
             }
@@ -345,7 +345,7 @@ impl Database {
         let count = new_rows.len();
         let table = self.tables.get_mut(&u.table).expect("checked");
         for (idx, new) in matching.into_iter().zip(new_rows) {
-            *table.row_mut(idx) = new;
+            *table.row_mut(idx) = new.into_boxed_slice();
         }
         Ok(count)
     }

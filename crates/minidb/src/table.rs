@@ -75,7 +75,7 @@ fn tag_of<'k>(key: impl Iterator<Item = &'k Value>) -> u32 {
 }
 
 impl EqIndex {
-    fn build(cols: &[usize], rows: &[Vec<Value>]) -> EqIndex {
+    fn build(cols: &[usize], rows: &[Row]) -> EqIndex {
         let mut index = EqIndex {
             cols: cols.to_vec(),
             slots: vec![Slot { tag: 0, tail: NONE }; 2],
@@ -104,7 +104,7 @@ impl EqIndex {
     }
 
     /// Indexes `row` under the next row id; `rows` are the rows before it.
-    fn append(&mut self, row: &[Value], rows: &[Vec<Value>]) {
+    fn append(&mut self, row: &[Value], rows: &[Row]) {
         let id = self.next.len() as u32;
         self.next.push(id);
         if self.cols.iter().any(|&c| row[c].is_null()) {
@@ -146,7 +146,7 @@ impl EqIndex {
 #[derive(Debug)]
 pub struct Probe<'a> {
     index: Arc<EqIndex>,
-    rows: &'a [Vec<Value>],
+    rows: &'a [Row],
 }
 
 impl Probe<'_> {
@@ -195,6 +195,11 @@ impl Iterator for Matches<'_> {
     }
 }
 
+/// A stored row: its values, at exactly their size. A row never grows, so
+/// the capacity word a `Vec` would carry — 8 bytes a row, resident for the
+/// table's life — buys nothing.
+pub type Row = Box<[Value]>;
+
 /// A stored table: schema plus rows.
 ///
 /// Rows are kept in insertion order; `minidb` has no clustered storage, but
@@ -207,7 +212,7 @@ impl Iterator for Matches<'_> {
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
-    rows: Vec<Vec<Value>>,
+    rows: Vec<Row>,
     // A table has a handful of indexes: a list searched by column set.
     indexes: RwLock<Vec<Arc<EqIndex>>>,
 }
@@ -268,12 +273,12 @@ impl Table {
     }
 
     /// Iterates over rows.
-    pub fn rows(&self) -> impl Iterator<Item = &Vec<Value>> {
-        self.rows.iter()
+    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        self.rows.iter().map(|row| &**row)
     }
 
     /// Read-only access to the row vector.
-    pub fn rows_slice(&self) -> &[Vec<Value>] {
+    pub fn rows_slice(&self) -> &[Row] {
         &self.rows
     }
 
@@ -351,7 +356,7 @@ impl Table {
         for index in self.indexes.get_mut().expect("index lock") {
             Arc::make_mut(index).append(&row, &self.rows);
         }
-        self.rows.push(row);
+        self.rows.push(row.into_boxed_slice());
     }
 
     /// Removes the rows at the given indices (in any order) in one pass;
@@ -370,13 +375,13 @@ impl Table {
     }
 
     /// Mutable access to one row.
-    pub fn row_mut(&mut self, idx: usize) -> &mut Vec<Value> {
+    pub fn row_mut(&mut self, idx: usize) -> &mut Row {
         self.invalidate_indexes();
         &mut self.rows[idx]
     }
 
     /// Replaces every row (used by bulk loaders and diagnosis search).
-    pub fn set_rows(&mut self, rows: Vec<Vec<Value>>) {
+    pub fn set_rows(&mut self, rows: Vec<Row>) {
         self.invalidate_indexes();
         self.rows = rows;
     }
@@ -490,7 +495,7 @@ mod tests {
             appended.push_row(row(i));
         }
         let mut built = Table::new(two_col_schema());
-        built.set_rows((0..300).map(row).collect());
+        built.set_rows((0..300).map(|i| row(i).into()).collect());
         built.probe(&[1]); // built over 300 rows, then grown mid-way
         for i in 300..600 {
             built.push_row(row(i));
@@ -526,10 +531,10 @@ mod tests {
             .all(|k| tag_of([Value::Int(*k)].iter()) == 0));
 
         let mut index = EqIndex::build(&[0], &[]);
-        let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut rows: Vec<Row> = Vec::new();
         for round in 0..2 {
             for &k in &keys {
-                let row = vec![Value::Int(k), Value::Int(round)];
+                let row: Row = Box::new([Value::Int(k), Value::Int(round)]);
                 index.append(&row, &rows);
                 rows.push(row);
             }

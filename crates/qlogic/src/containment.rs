@@ -13,10 +13,11 @@
 //! enters the enforcement decision.
 
 use crate::compare::CmpContext;
-use crate::cq::{Atom, Cq, Subst, Term, Ucq};
-use crate::deps::{chase_full, ChaseOutcome, Dependencies};
+use crate::cq::{apply_comparison, apply_term, Atom, Comparison, Cq, Subst, Term, Ucq};
+use crate::deps::{chase, ChaseOutcome, Dependencies};
 use crate::homomorphism::{find_homomorphism, HomProblem};
 use crate::instance::Instance;
+use crate::sym::{Fresh, Sym, WordMap};
 
 /// Decides `q1 ⊆ q2` (over all databases).
 pub fn contained(q1: &Cq, q2: &Cq) -> bool {
@@ -43,30 +44,40 @@ pub fn contained_given_deps(q1: &Cq, q2: &Cq, facts: &[Atom], deps: &Dependencie
     if q1.head.len() != q2.head.len() {
         return false;
     }
-    // Rename q1 and the facts apart from q2 so variable names cannot clash.
-    let mut q1r = q1.rename_vars("l·");
-    let facts_r: Vec<Atom> = facts
+    // Rename q1 and the facts apart — from q2 and from each other — so
+    // variable names cannot clash: every variable becomes a scratch symbol.
+    let mut apart = Apart::default();
+    // About a variable per fact: sized once, the map never rehashes.
+    apart.names.reserve(16 + facts.len());
+    let mut head: Vec<Term> = q1.head.iter().map(|t| apart.term(t)).collect();
+    let mut comparisons: Vec<Comparison> = q1
+        .comparisons
         .iter()
-        .map(|a| {
-            let mut renamed = a.clone();
-            for t in &mut renamed.args {
-                if let Term::Var(v) = t {
-                    *t = Term::var(format!("f·{v}"));
-                }
-            }
-            renamed
-        })
+        .map(|c| Comparison::new(apart.term(&c.lhs), c.op, apart.term(&c.rhs)))
         .collect();
 
     // Target: frozen q1 plus the known facts, saturated under the keys.
-    let mut target_atoms = q1r.atoms.clone();
-    target_atoms.extend(facts_r);
+    let mut target_atoms = Vec::with_capacity(q1.atoms.len() + facts.len());
+    for (n, atom) in q1.atoms.iter().chain(facts).enumerate() {
+        if n == q1.atoms.len() {
+            apart.names.clear(); // a fact's `x` is not q1's `x`
+        }
+        target_atoms.push(Atom {
+            relation: atom.relation,
+            args: atom.args.iter().map(|t| apart.term(t)).collect(),
+        });
+    }
     if !deps.is_empty() {
-        match chase_full(&target_atoms, deps) {
+        match chase(target_atoms, deps, &mut apart.fresh) {
             ChaseOutcome::Consistent { atoms, subst } => {
                 target_atoms = atoms;
                 // The chase's unifications apply to q1's head/comparisons.
-                q1r = q1r.substitute(&subst);
+                for t in &mut head {
+                    *t = apply_term(t, &subst);
+                }
+                for c in &mut comparisons {
+                    *c = apply_comparison(c, &subst);
+                }
             }
             ChaseOutcome::Inconsistent => {
                 // No database satisfies q1 together with the facts and keys;
@@ -75,7 +86,7 @@ pub fn contained_given_deps(q1: &Cq, q2: &Cq, facts: &[Atom], deps: &Dependencie
             }
         }
     }
-    let ctx = CmpContext::new(&q1r.comparisons);
+    let ctx = CmpContext::new(&comparisons);
     if ctx.is_unsat() {
         // q1 is unsatisfiable; the empty query is contained in anything.
         return true;
@@ -83,7 +94,7 @@ pub fn contained_given_deps(q1: &Cq, q2: &Cq, facts: &[Atom], deps: &Dependencie
 
     // Head preservation: q2.head[i] must map to q1.head[i].
     let mut initial = Subst::new();
-    for (h2, h1) in q2.head.iter().zip(&q1r.head) {
+    for (h2, h1) in q2.head.iter().zip(&head) {
         match h2 {
             Term::Var(v) => match initial.get(v) {
                 Some(bound) if bound != h1 => return false,
@@ -109,6 +120,25 @@ pub fn contained_given_deps(q1: &Cq, q2: &Cq, facts: &[Atom], deps: &Dependencie
         initial,
     };
     find_homomorphism(&p).is_some()
+}
+
+/// Renames variables to scratch symbols, one each, in order of appearance.
+#[derive(Default)]
+struct Apart {
+    fresh: Fresh,
+    names: WordMap<Sym, Sym>,
+}
+
+impl Apart {
+    fn term(&mut self, t: &Term) -> Term {
+        match t {
+            Term::Var(v) => {
+                let fresh = &mut self.fresh;
+                Term::Var(*self.names.entry(*v).or_insert_with(|| fresh.next_sym()))
+            }
+            rigid => *rigid,
+        }
+    }
 }
 
 /// Decides `q1 ≡ q2` (mutual containment).

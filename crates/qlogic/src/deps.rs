@@ -13,9 +13,24 @@
 //! under-chasing only makes containment harder to prove, which is the safe
 //! direction. Two distinct constants in a dependent position mean no
 //! database satisfying the keys contains the canonical facts at all.
+//!
+//! # One chase, and what it promises
+//!
+//! [`chase`] is the only chase. Its contract is stated against the routine
+//! it replaced — all pairs rescanned after every unification, kept verbatim
+//! as the reference in `tests/chase_differential.rs`: the same
+//! `Consistent`/`Inconsistent`, the same atoms, and the
+//! same substitution, *up to the names of the labeled nulls* (the reference
+//! spelled them `ind·N`; here they are scratch symbols, [`Fresh`]). That
+//! includes the order of unification where it shows. The one deliberate
+//! difference: an inclusion dependency whose parent columns lie outside the
+//! parent's arity — unsatisfiable by any row — is skipped, where the
+//! reference spawned a fresh junk row for it every round.
 
-use crate::cq::{apply_atom, Atom, Subst, Term};
-use crate::sym::{Sym, ToSym};
+use std::hash::{Hash, Hasher};
+
+use crate::cq::{Atom, Subst, Term};
+use crate::sym::{Fresh, Sym, ToSym, WordHasher};
 
 /// A key-style functional dependency: the `key` positions of `relation`
 /// determine the whole row.
@@ -94,144 +109,378 @@ pub enum ChaseOutcome {
     Inconsistent,
 }
 
-/// Saturates `atoms` under the key dependencies.
-pub fn chase_fds(atoms: &[Atom], deps: &Dependencies) -> ChaseOutcome {
-    let mut atoms: Vec<Atom> = atoms.to_vec();
-    let mut subst = Subst::new();
+/// Rounds of key chase + parent spawning before the chase stops regardless
+/// (FK graphs in practice are shallow; the cap guards cycles).
+const ROUNDS: usize = 4;
+
+/// Saturates atoms under the full dependency set: the key (FD) chase —
+/// two atoms that agree on a key are one row, so their other positions
+/// unify — alternated with the inclusion (IND) chase — each child row
+/// spawns its missing parent row, its undetermined columns labeled nulls
+/// drawn from `fresh` — until neither applies or [`ROUNDS`] rounds ran.
+///
+/// The canonical order is the naive one: the lowest pair of atoms (by
+/// position, first atom first) that some key forces together unifies at its
+/// first differing position, a variable giving way to whatever faces it (the
+/// earlier atom's, when both are variables), and the scan starts over. The
+/// order matters only when a parameter sits in a dependent position (see
+/// the module docs: whichever term a variable meets first is the one it
+/// becomes), and there this function decides exactly as that scan would.
+/// What makes it cheap is that it never rescans: [`Chase`] keeps every
+/// atom under each key it can be found by, so a pair is met by lookup, a
+/// binding rewrites only the atoms that mention the variable, and the scan
+/// visits only atoms that share a key with another, resuming at the lowest
+/// one a rewritten atom now shares a key with.
+///
+/// Empty `deps` return `atoms` untouched (duplicates included).
+pub fn chase(atoms: Vec<Atom>, deps: &Dependencies, fresh: &mut Fresh) -> ChaseOutcome {
     if deps.is_empty() {
+        let subst = Subst::new();
         return ChaseOutcome::Consistent { atoms, subst };
     }
-    loop {
-        // Find one forced unification, then apply it and restart: the
-        // substitution can invalidate earlier scan state.
-        let mut pending: Option<(Sym, Term)> = None;
-        'scan: for i in 0..atoms.len() {
-            for j in (i + 1)..atoms.len() {
-                let (a, b) = (&atoms[i], &atoms[j]);
-                if a.relation != b.relation || a.args.len() != b.args.len() {
-                    continue;
-                }
-                for fd in &deps.fds {
-                    if fd.relation != a.relation || fd.key.iter().any(|&k| k >= a.args.len()) {
-                        continue;
-                    }
-                    if !fd.key.iter().all(|&k| a.args[k] == b.args[k]) {
-                        continue;
-                    }
-                    // The rows must be equal: unify dependent positions.
-                    for p in 0..a.args.len() {
-                        let (x, y) = (&a.args[p], &b.args[p]);
-                        if x == y {
-                            continue;
-                        }
-                        match (x, y) {
-                            (Term::Var(v), other) | (other, Term::Var(v)) => {
-                                pending = Some((*v, *other));
-                                break 'scan;
-                            }
-                            (Term::Const(_), Term::Const(_)) => {
-                                return ChaseOutcome::Inconsistent;
-                            }
-                            // Parameter vs rigid: possibly equal at runtime;
-                            // skipping is the sound (under-chasing) choice.
-                            _ => {}
-                        }
-                    }
-                }
-            }
+    let mut state = Chase::new(atoms, &deps.fds, &deps.inds);
+    for _round in 0..ROUNDS {
+        if state.unify_keys().is_err() {
+            return ChaseOutcome::Inconsistent;
         }
-        match pending {
-            Some((var, to)) => bind(&mut atoms, &mut subst, var, to),
-            None => break,
+        if !state.spawn_parents(&deps.inds, fresh) {
+            break;
         }
     }
-    // Deduplicate.
-    let mut deduped: Vec<Atom> = Vec::new();
-    for a in atoms {
-        if !deduped.contains(&a) {
-            deduped.push(a);
-        }
-    }
-    ChaseOutcome::Consistent {
-        atoms: deduped,
-        subst,
+    state.finish()
+}
+
+/// [`chase`] under the key dependencies alone.
+fn chase_keys(atoms: Vec<Atom>, deps: &Dependencies) -> ChaseOutcome {
+    let mut state = Chase::new(atoms, &deps.fds, &[]);
+    match state.unify_keys() {
+        Ok(()) => state.finish(),
+        Err(Clash) => ChaseOutcome::Inconsistent,
     }
 }
 
-/// Saturates atoms under the full dependency set: alternate the key (FD)
-/// chase with the inclusion (IND) chase — each child row spawns its missing
-/// parent row with fresh labeled nulls — until a fixpoint (bounded; FK
-/// graphs in practice are shallow, and the round cap guards cycles).
-pub fn chase_full(atoms: &[Atom], deps: &Dependencies) -> ChaseOutcome {
-    let mut atoms = atoms.to_vec();
-    let mut subst = Subst::new();
-    let mut fresh = 0usize;
-    for _round in 0..4 {
-        // FD phase.
-        match chase_fds(&atoms, deps) {
-            ChaseOutcome::Consistent { atoms: a, subst: s } => {
-                atoms = a;
-                for (_, t) in subst.iter_mut() {
-                    *t = crate::cq::apply_term(t, &s);
+/// Two distinct constants forced equal.
+struct Clash;
+
+/// What two same-key atoms must do next to be one row: bind a variable to
+/// a term, or fail.
+type Step = Result<(Sym, Term), Clash>;
+
+/// One indexed column list of a relation: a key's determinant (`unify`), or
+/// the referenced columns of an inclusion dependency no key spells the same
+/// way (looked up, never unified on).
+struct Spec<'d> {
+    relation: Sym,
+    cols: &'d [usize],
+    unify: bool,
+}
+
+impl Spec<'_> {
+    /// Whether `atom` is indexed under this column list.
+    fn covers(&self, atom: &Atom) -> bool {
+        atom.relation == self.relation && self.cols.iter().all(|&c| c < atom.args.len())
+    }
+
+    /// Whether the rows `ind` references are found under this column list.
+    fn finds_parents_of(&self, ind: &Ind) -> bool {
+        self.relation == ind.parent && self.cols == ind.parent_cols
+    }
+}
+
+/// The terms of `atom` at `cols`: what the index files it under, and what
+/// two atoms must agree on to be one row.
+fn key<'a>(atom: &'a Atom, cols: &'a [usize]) -> impl Iterator<Item = &'a Term> {
+    cols.iter().map(|&c| &atom.args[c])
+}
+
+/// The index's word for "these terms under column list number `spec`".
+fn key_hash<'a>(spec: usize, terms: impl Iterator<Item = &'a Term>) -> u64 {
+    let mut h = WordHasher::default();
+    h.write_usize(spec);
+    terms.for_each(|t| t.hash(&mut h));
+    h.finish()
+}
+
+/// The words `atom` is filed under: one per spec that covers it — or,
+/// covered by none, one for its whole self, which no lookup asks for but
+/// lets [`Chase::finish`] meet every repeat in the index.
+fn filings<'a>(specs: &'a [Spec<'a>], atom: &'a Atom) -> impl Iterator<Item = u64> + 'a {
+    let mut covering = specs
+        .iter()
+        .enumerate()
+        .filter(|(_, spec)| spec.covers(atom))
+        .peekable();
+    let whole = covering
+        .peek()
+        .is_none()
+        .then(|| key_hash(usize::MAX ^ atom.relation.id() as usize, atom.args.iter()));
+    covering
+        .map(|(s, spec)| key_hash(s, key(atom, spec.cols)))
+        .chain(whole)
+}
+
+/// The first position at which two same-key atoms must change to be one
+/// row, if any: a variable is bound to what faces it; two constants clash;
+/// a parameter facing another rigid term may or may not equal it at
+/// runtime, and skipping it is the sound (under-chasing) choice.
+fn first_difference(a: &Atom, b: &Atom) -> Option<Step> {
+    a.args.iter().zip(&b.args).find_map(|pair| match pair {
+        (x, y) if x == y => None,
+        (Term::Var(v), other) | (other, Term::Var(v)) => Some(Ok((*v, *other))),
+        (Term::Const(_), Term::Const(_)) => Some(Err(Clash)),
+        _ => None,
+    })
+}
+
+/// The chase's working state: the atoms (duplicates left in place until
+/// [`Chase::finish`] — a duplicate pairs with nothing its first copy does
+/// not pair with earlier), the accumulated substitution, and the index.
+struct Chase<'d> {
+    specs: Vec<Spec<'d>>,
+    atoms: Vec<Atom>,
+    /// Atoms below this have their parents (see [`Chase::spawn_parents`]).
+    parented: usize,
+    subst: Subst,
+    /// `(word, atom)` for every atom under each of its [`filings`], sorted:
+    /// the atoms sharing a key are adjacent and ascending. A word is a
+    /// filter — every use compares the terms themselves.
+    index: Vec<(u64, u32)>,
+    /// The key chase's worklist: `pending[i]` while `atoms[i]` may have
+    /// something to unify with a later atom — set when an atom is filed
+    /// next to it, cleared when [`Chase::first_step`] finds nothing — and
+    /// `resume`, below which nothing is pending.
+    pending: Vec<bool>,
+    resume: usize,
+}
+
+impl<'d> Chase<'d> {
+    fn new(mut atoms: Vec<Atom>, fds: &'d [Fd], inds: &'d [Ind]) -> Chase<'d> {
+        let mut specs: Vec<Spec<'d>> = Vec::with_capacity(fds.len() + inds.len());
+        specs.extend(fds.iter().map(|fd| Spec {
+            relation: fd.relation,
+            cols: &fd.key,
+            unify: true,
+        }));
+        for ind in inds {
+            if !specs.iter().any(|spec| spec.finds_parents_of(ind)) {
+                specs.push(Spec {
+                    relation: ind.parent,
+                    cols: &ind.parent_cols,
+                    unify: false,
+                });
+            }
+        }
+        // Room for the parents a round or two will spawn.
+        let room = atoms.len() + atoms.len() / 2 + 4;
+        atoms.reserve(room - atoms.len());
+        let mut index = Vec::with_capacity(2 * room);
+        for (n, atom) in atoms.iter().enumerate() {
+            index.extend(filings(&specs, atom).map(|word| (word, n as u32)));
+        }
+        index.sort_unstable();
+        // Every atom but the last of each group has a later atom to meet.
+        let mut pending = Vec::with_capacity(room);
+        pending.resize(atoms.len(), false);
+        for pair in index.windows(2).filter(|pair| pair[0].0 == pair[1].0) {
+            pending[pair[0].1 as usize] = true;
+        }
+        Chase {
+            specs,
+            atoms,
+            parented: 0,
+            subst: Subst::new(),
+            index,
+            pending,
+            resume: 0,
+        }
+    }
+
+    /// Files `atoms[n]` in the index, and marks as pending every atom that
+    /// now has a later atom under one of its keys: the lower members of the
+    /// groups `n` joins, and `n` itself where a higher one is there already.
+    fn enter(&mut self, n: usize) {
+        self.pending.resize(self.atoms.len(), false);
+        for word in filings(&self.specs, &self.atoms[n]) {
+            let entry = (word, n as u32);
+            let at = self.index.partition_point(|e| *e < entry);
+            self.index.insert(at, entry);
+            for &(_, lower) in self.index[..at].iter().rev().take_while(|e| e.0 == word) {
+                self.pending[lower as usize] = true;
+                self.resume = self.resume.min(lower as usize);
+            }
+            if self.index.get(at + 1).is_some_and(|e| e.0 == word) {
+                self.pending[n] = true;
+                self.resume = self.resume.min(n);
+            }
+        }
+    }
+
+    /// Takes `atoms[n]` out of the index (before its terms change).
+    fn leave(&mut self, n: usize) {
+        for word in filings(&self.specs, &self.atoms[n]) {
+            if let Ok(at) = self.index.binary_search(&(word, n as u32)) {
+                self.index.remove(at);
+            }
+        }
+    }
+
+    /// The atoms filed under `word`, ascending, starting at `from`.
+    fn filed(&self, word: u64, from: u32) -> impl Iterator<Item = usize> + '_ {
+        let start = self.index.partition_point(|e| *e < (word, from));
+        self.index[start..]
+            .iter()
+            .take_while(move |e| e.0 == word)
+            .map(|e| e.1 as usize)
+    }
+
+    /// What the lowest pair `(i, j)`, `j > i`, that a key forces together
+    /// must change first — `None` when `atoms[i]` is at peace with every
+    /// later atom.
+    fn first_step(&self, i: usize) -> Option<Step> {
+        let a = &self.atoms[i];
+        let mut best: Option<(usize, Step)> = None;
+        for (s, spec) in self.specs.iter().enumerate() {
+            if !spec.unify || !spec.covers(a) {
+                continue;
+            }
+            for j in self.filed(key_hash(s, key(a, spec.cols)), i as u32 + 1) {
+                if best.as_ref().is_some_and(|(lowest, _)| j >= *lowest) {
+                    break;
                 }
-                for (k, v) in s {
-                    if !subst.contains_key(&k) {
-                        subst.insert(k, v);
+                let b = &self.atoms[j];
+                if b.relation == a.relation
+                    && b.args.len() == a.args.len()
+                    && key(a, spec.cols).eq(key(b, spec.cols))
+                {
+                    if let Some(step) = first_difference(a, b) {
+                        best = Some((j, step));
+                        break;
                     }
                 }
             }
-            ChaseOutcome::Inconsistent => return ChaseOutcome::Inconsistent,
         }
-        // IND phase: add missing parents.
-        let mut added = Vec::new();
-        for ind in &deps.inds {
-            if ind.child_cols.len() != ind.parent_cols.len() {
-                continue; // malformed
+        best.map(|(_, step)| step)
+    }
+
+    /// The key chase, to its fixpoint: the lowest pending atom takes its
+    /// first step, until none is pending.
+    fn unify_keys(&mut self) -> Result<(), Clash> {
+        while let Some(&pending) = self.pending.get(self.resume) {
+            let step = pending.then(|| self.first_step(self.resume)).flatten();
+            match step {
+                None => {
+                    self.pending[self.resume] = false;
+                    self.resume += 1;
+                }
+                Some(step) => {
+                    let (var, to) = step?;
+                    self.bind(var, to);
+                }
             }
-            for child in &atoms {
+        }
+        Ok(())
+    }
+
+    /// Applies `var := to` to the atoms that mention `var` and to the
+    /// accumulated substitution.
+    fn bind(&mut self, var: Sym, to: Term) {
+        let bound = Term::Var(var);
+        for n in 0..self.atoms.len() {
+            if self.atoms[n].args.contains(&bound) {
+                self.leave(n);
+                for t in &mut self.atoms[n].args {
+                    if *t == bound {
+                        *t = to;
+                    }
+                }
+                self.enter(n);
+            }
+        }
+        for (_, t) in self.subst.iter_mut() {
+            if *t == bound {
+                *t = to;
+            }
+        }
+        self.subst.insert(var, to);
+    }
+
+    /// One inclusion round: every atom the previous round spawned (the
+    /// first time, every atom), under every dependency in order, gets its
+    /// parent row unless some atom — spawned this round included — already
+    /// carries the referenced key. Returns whether anything was spawned.
+    ///
+    /// Older atoms need no second look: an atom that had a parent keeps it,
+    /// because a binding rewrites child and parent alike and nothing
+    /// leaves before [`Chase::finish`].
+    ///
+    /// A NULL-able FK whose witness is a labeled null still requires a
+    /// parent (sound for the canonical database: the chase only runs on
+    /// instances standing for "databases containing at least these rows").
+    fn spawn_parents(&mut self, inds: &[Ind], fresh: &mut Fresh) -> bool {
+        let children = self.parented..self.atoms.len();
+        self.parented = children.end;
+        for ind in inds {
+            // Malformed: no row of the parent's arity can satisfy it.
+            if ind.child_cols.len() != ind.parent_cols.len()
+                || ind.parent_cols.iter().any(|&pc| pc >= ind.parent_arity)
+            {
+                continue;
+            }
+            let Some(s) = self
+                .specs
+                .iter()
+                .position(|spec| spec.finds_parents_of(ind))
+            else {
+                continue;
+            };
+            for c in children.clone() {
+                let child = &self.atoms[c];
                 if child.relation != ind.child
-                    || ind.child_cols.iter().any(|&c| c >= child.args.len())
+                    || ind.child_cols.iter().any(|&col| col >= child.args.len())
                 {
                     continue;
                 }
-                let key: Vec<&Term> = ind.child_cols.iter().map(|&c| &child.args[c]).collect();
-                // A NULL-able FK whose witness is a labeled null still
-                // requires a parent in the chase (sound for the canonical
-                // database: we only use the chase on instances standing for
-                // "databases containing at least these rows").
-                let has_parent = atoms.iter().chain(added.iter()).any(|p| {
-                    p.relation == ind.parent
-                        && ind
-                            .parent_cols
-                            .iter()
-                            .zip(&key)
-                            .all(|(&pc, k)| pc < p.args.len() && &&p.args[pc] == k)
+                let wanted = || key(child, &ind.child_cols);
+                let has_parent = self.filed(key_hash(s, wanted()), 0).any(|p| {
+                    let parent = &self.atoms[p];
+                    self.specs[s].covers(parent) && key(parent, &ind.parent_cols).eq(wanted())
                 });
                 if has_parent {
                     continue;
                 }
-                let mut args = Vec::with_capacity(ind.parent_arity);
-                for i in 0..ind.parent_arity {
-                    match ind.parent_cols.iter().position(|&pc| pc == i) {
-                        Some(j) => args.push(*key[j]),
-                        None => {
-                            fresh += 1;
-                            args.push(Term::var(format!("ind·{fresh}")));
-                        }
-                    }
-                }
-                let parent = Atom::new(ind.parent, args);
-                if !added.contains(&parent) {
-                    added.push(parent);
-                }
+                let args = (0..ind.parent_arity)
+                    .map(|i| match ind.parent_cols.iter().position(|&pc| pc == i) {
+                        Some(k) => child.args[ind.child_cols[k]],
+                        None => Term::Var(fresh.next_sym()),
+                    })
+                    .collect();
+                self.atoms.push(Atom {
+                    relation: ind.parent,
+                    args,
+                });
+                self.enter(self.atoms.len() - 1);
             }
         }
-        if added.is_empty() {
-            break;
-        }
-        atoms.extend(added);
+        self.atoms.len() > children.end
     }
-    ChaseOutcome::Consistent { atoms, subst }
+
+    /// The outcome: the atoms, each kept at its first occurrence. Equal
+    /// atoms are filed under equal words, so a repeat sits in its first
+    /// copy's index group, after it.
+    fn finish(mut self) -> ChaseOutcome {
+        let (atoms, repeats) = (&mut self.atoms, &mut self.pending);
+        repeats.fill(false);
+        for (k, &(word, n)) in self.index.iter().enumerate() {
+            let mut group = self.index[..k].iter().rev().take_while(|e| e.0 == word);
+            repeats[n as usize] |= group.any(|&(_, m)| atoms[m as usize] == atoms[n as usize]);
+        }
+        let mut repeats = repeats.iter();
+        atoms.retain(|_| !repeats.next().is_some_and(|&repeat| repeat));
+        ChaseOutcome::Consistent {
+            atoms: self.atoms,
+            subst: self.subst,
+        }
+    }
 }
 
 /// Normalizes a query by saturating its body under the key dependencies:
@@ -240,7 +489,10 @@ pub fn chase_full(atoms: &[Atom], deps: &Dependencies) -> ChaseOutcome {
 /// the dependencies. An inconsistent body yields an unsatisfiable marker
 /// (`0 = 1` comparison).
 pub fn normalize_cq(cq: &crate::cq::Cq, deps: &Dependencies) -> crate::cq::Cq {
-    match chase_fds(&cq.atoms, deps) {
+    if deps.is_empty() {
+        return cq.clone();
+    }
+    match chase_keys(cq.atoms.clone(), deps) {
         ChaseOutcome::Consistent { atoms, subst } => {
             let mut out = cq.substitute(&subst);
             out.atoms = atoms;
@@ -256,19 +508,6 @@ pub fn normalize_cq(cq: &crate::cq::Cq, deps: &Dependencies) -> crate::cq::Cq {
             out
         }
     }
-}
-
-fn bind(atoms: &mut [Atom], subst: &mut Subst, var: Sym, to: Term) {
-    let mut one = Subst::new();
-    one.insert(var, to);
-    for a in atoms.iter_mut() {
-        *a = apply_atom(a, &one);
-    }
-    // Compose into the accumulated substitution.
-    for (_, t) in subst.iter_mut() {
-        *t = crate::cq::apply_term(t, &one);
-    }
-    subst.insert(var, to);
 }
 
 #[cfg(test)]
@@ -287,7 +526,7 @@ mod tests {
             Atom::new("Posts", vec![Term::int(17), Term::var("g"), Term::var("a")]),
             Atom::new("Posts", vec![Term::int(17), Term::int(5), Term::var("sk")]),
         ];
-        match chase_fds(&atoms, &posts_key()) {
+        match chase_keys(atoms.to_vec(), &posts_key()) {
             ChaseOutcome::Consistent { atoms, subst } => {
                 assert_eq!(atoms.len(), 1, "rows merged: {atoms:?}");
                 assert_eq!(subst.get("g"), Some(&Term::int(5)));
@@ -303,7 +542,7 @@ mod tests {
             Atom::new("Posts", vec![Term::int(17), Term::int(6), Term::var("b")]),
         ];
         assert!(matches!(
-            chase_fds(&atoms, &posts_key()),
+            chase_keys(atoms.to_vec(), &posts_key()),
             ChaseOutcome::Inconsistent
         ));
     }
@@ -321,7 +560,7 @@ mod tests {
             Atom::new("S", vec![Term::var("y"), Term::var("z")]),
             Atom::new("S", vec![Term::int(1), Term::int(9)]),
         ];
-        match chase_fds(&atoms, &deps) {
+        match chase_keys(atoms.to_vec(), &deps) {
             ChaseOutcome::Consistent { atoms, subst } => {
                 assert_eq!(atoms.len(), 2);
                 assert_eq!(subst.get("y"), Some(&Term::int(1)));
@@ -340,7 +579,7 @@ mod tests {
             ),
             Atom::new("Posts", vec![Term::int(17), Term::int(5), Term::var("b")]),
         ];
-        match chase_fds(&atoms, &posts_key()) {
+        match chase_keys(atoms.to_vec(), &posts_key()) {
             ChaseOutcome::Consistent { atoms, subst } => {
                 // The param stays distinct from the constant; the variables
                 // in the remaining dependent position unified.
@@ -353,10 +592,11 @@ mod tests {
 
     #[test]
     fn empty_deps_is_identity() {
-        let atoms = [Atom::new("R", vec![Term::int(1)])];
-        match chase_fds(&atoms, &Dependencies::none()) {
+        // Not even duplicates go: nothing says the atoms are rows.
+        let atoms = vec![Atom::new("R", vec![Term::int(1)]); 2];
+        match chase(atoms, &Dependencies::none(), &mut Fresh::default()) {
             ChaseOutcome::Consistent { atoms: out, subst } => {
-                assert_eq!(out.len(), 1);
+                assert_eq!(out.len(), 2);
                 assert!(subst.is_empty());
             }
             ChaseOutcome::Inconsistent => panic!(),
@@ -374,7 +614,7 @@ mod tests {
             parent_arity: 2,
         });
         let atoms = [Atom::new("Docs", vec![Term::var("d"), Term::var("s")])];
-        match chase_full(&atoms, &deps) {
+        match chase(atoms.to_vec(), &deps, &mut Fresh::default()) {
             ChaseOutcome::Consistent { atoms, .. } => {
                 assert_eq!(atoms.len(), 2);
                 let parent = atoms.iter().find(|a| a.relation == "Spaces").unwrap();
@@ -397,7 +637,7 @@ mod tests {
             Atom::new("Docs", vec![Term::var("d"), Term::int(7)]),
             Atom::new("Spaces", vec![Term::int(7), Term::var("n")]),
         ];
-        match chase_full(&atoms, &deps) {
+        match chase(atoms.to_vec(), &deps, &mut Fresh::default()) {
             ChaseOutcome::Consistent { atoms, .. } => assert_eq!(atoms.len(), 2),
             ChaseOutcome::Inconsistent => panic!("consistent case"),
         }
@@ -419,7 +659,7 @@ mod tests {
             Atom::new("Docs", vec![Term::var("d"), Term::int(7)]),
             Atom::new("Spaces", vec![Term::int(7), Term::str("eng")]),
         ];
-        match chase_full(&atoms, &deps) {
+        match chase(atoms.to_vec(), &deps, &mut Fresh::default()) {
             ChaseOutcome::Consistent { atoms, .. } => {
                 // No duplicate Spaces row: the FK target is the named row.
                 assert_eq!(atoms.iter().filter(|a| a.relation == "Spaces").count(), 1);
@@ -448,7 +688,7 @@ mod tests {
                 parent_arity: 1,
             });
         let atoms = [Atom::new("A", vec![Term::int(1)])];
-        match chase_full(&atoms, &deps) {
+        match chase(atoms.to_vec(), &deps, &mut Fresh::default()) {
             ChaseOutcome::Consistent { atoms, .. } => {
                 assert!(atoms.len() <= 3, "bounded: {atoms:?}");
             }

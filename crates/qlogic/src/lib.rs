@@ -49,7 +49,7 @@ pub use containment::{
     equivalent_given, satisfiable, union_contained, union_equivalent,
 };
 pub use cq::{Atom, CVal, CmpOp, Comparison, Cq, Subst, Term, Ucq};
-pub use deps::{chase_fds, chase_full, normalize_cq, ChaseOutcome, Dependencies, Fd, Ind};
+pub use deps::{chase, normalize_cq, ChaseOutcome, Dependencies, Fd, Ind};
 pub use error::LogicError;
 pub use from_sql::{cq_to_sql, sql_to_cq, sql_to_ucq, RelSchema};
 pub use generalize::{anti_unify, anti_unify_all, canonicalize_vars, const_to_param};
@@ -63,4 +63,4 @@ pub use rewrite::{
     candidate_view_indices, contained_rewritings, containing_rewritings, equivalent_rewriting,
     equivalent_rewriting_deps, expand, maximally_contained, ViewSet,
 };
-pub use sym::{intern, Sym, ToSym};
+pub use sym::{intern, Fresh, Sym, ToSym};

@@ -11,13 +11,22 @@
 //! The id → string direction is a chunked array: chunk *i* holds `64 << i`
 //! slots, so 27 chunks cover the whole `u32` id space while an id resolves to
 //! its slot with two shifts and no bounds search. Chunks are allocated on
-//! demand and published with a CAS; slots are `AtomicPtr<String>` written
-//! once (release) and read lock-free (acquire). Nothing is ever moved or
-//! freed, so a resolved `&'static str` stays valid for the process lifetime.
+//! demand and published with a CAS; a slot points at the symbol's *text* —
+//! a 4-byte length and the UTF-8 bytes — written once (release) and read
+//! lock-free (acquire). Texts are packed end to end into leaked blocks, one
+//! open block per writer shard. Nothing is ever moved or freed, so a
+//! resolved `&'static str` stays valid for the process lifetime.
 //!
 //! The string → id direction is 16 writer shards, each a mutex around a
-//! `HashMap<&'static str, u32>`. Only interning new-or-unknown strings takes
-//! a lock; [`Sym::as_str`] never does.
+//! set of ids that hash and compare as the strings they resolve to
+//! ([`ById`]) — the text is stored once, not again as a key. Only interning
+//! new-or-unknown strings takes a lock; [`Sym::as_str`] never does.
+//!
+//! A long-lived proxy interns every distinct string cell it has witnessed,
+//! so the bytes per symbol are resident memory that grows with traffic:
+//! about `len + 4` of text, 8 of slot and 5 of set entry (before the
+//! tables' growth slack), where a boxed `String`, its buffer and a
+//! `(&str, u32)` map entry came to about three times that.
 //!
 //! # Ordering
 //!
@@ -29,10 +38,24 @@
 //! observable order and pays the string compare only where an order is
 //! actually requested. `Eq`/`Hash` use the id (sound because the table is
 //! canonical: equal strings always intern to the same id).
+//!
+//! # Scratch symbols
+//!
+//! A containment check renames its inputs apart and the chase invents
+//! labeled nulls; both need symbols that are merely *distinct*, live for one
+//! call, and never escape it. Spelling each through `format!` and the
+//! writer shards costs more than the reasoning it serves, so a block of
+//! names is reserved for them: [`Sym::scratch`]`(k)` is the symbol `·k`,
+//! interned the first time it is asked for and read from a fixed table ever
+//! after (no lock, no allocation); [`Fresh`] hands them out in order. The
+//! parsers cannot produce a `·`, so no user name lands in the block. A
+//! scratch symbol means nothing outside the call that drew it — two calls,
+//! concurrent or not, reuse the same ones.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -44,19 +67,73 @@ const FIRST_CHUNK_BITS: u32 = 6;
 /// 27 doubling chunks cover `64 * (2^27 - 1) > u32::MAX` ids.
 const NUM_CHUNKS: usize = 27;
 
-/// id → string chunks. Each entry points at a heap array of
-/// `AtomicPtr<String>` slots, published once via CAS.
-static CHUNKS: [AtomicPtr<AtomicPtr<String>>; NUM_CHUNKS] =
+/// id → text chunks. Each entry points at a heap array of slots, published
+/// once via CAS; a slot points at a text laid out by [`Shard::store`].
+static CHUNKS: [AtomicPtr<AtomicPtr<u8>>; NUM_CHUNKS] =
     [const { AtomicPtr::new(ptr::null_mut()) }; NUM_CHUNKS];
 
 /// Next unassigned id.
 static NEXT_ID: AtomicU32 = AtomicU32::new(0);
 
-/// string → id shards (write path only).
-static SHARD_MAPS: OnceLock<Vec<Mutex<HashMap<&'static str, u32>>>> = OnceLock::new();
+/// Bytes per text block. A text longer than a quarter of one gets an
+/// allocation of its own, so a block's abandoned tail stays small.
+const BLOCK: usize = 32 * 1024;
 
-fn shards() -> &'static [Mutex<HashMap<&'static str, u32>>] {
-    SHARD_MAPS.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect())
+/// An interned id inside a shard's set, standing for the string it
+/// resolves to: hashed as that string and findable by it (`Borrow<str>`),
+/// so the set needs no copy of the text. Two ids are equal exactly when
+/// their strings are — the table is canonical — which is what `Borrow`
+/// requires.
+#[derive(PartialEq, Eq)]
+struct ById(u32);
+
+impl Hash for ById {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        resolve(self.0).hash(state);
+    }
+}
+
+impl Borrow<str> for ById {
+    fn borrow(&self) -> &str {
+        resolve(self.0)
+    }
+}
+
+/// One writer shard: the ids of the strings that hash to it, and the unused
+/// tail of its open text block.
+#[derive(Default)]
+struct Shard {
+    ids: HashSet<ById>,
+    room: &'static mut [u8],
+}
+
+impl Shard {
+    /// Copies `s` into leaked storage as `[len: u32][bytes]` and returns
+    /// the address of the length.
+    fn store(&mut self, s: &str) -> *mut u8 {
+        let len = u32::try_from(s.len()).expect("interned string under 4 GiB");
+        let need = 4 + s.len();
+        let text = if need > BLOCK / 4 {
+            Box::leak(vec![0u8; need].into_boxed_slice())
+        } else {
+            if need > self.room.len() {
+                self.room = Box::leak(vec![0u8; BLOCK].into_boxed_slice());
+            }
+            let (text, rest) = std::mem::take(&mut self.room).split_at_mut(need);
+            self.room = rest;
+            text
+        };
+        text[..4].copy_from_slice(&len.to_ne_bytes());
+        text[4..].copy_from_slice(s.as_bytes());
+        text.as_mut_ptr()
+    }
+}
+
+/// string → id shards (write path only).
+static SHARDS_BY_HASH: OnceLock<Vec<Mutex<Shard>>> = OnceLock::new();
+
+fn shards() -> &'static [Mutex<Shard>] {
+    SHARDS_BY_HASH.get_or_init(|| (0..SHARDS).map(|_| Mutex::default()).collect())
 }
 
 /// FNV-1a over the bytes; cheap, deterministic shard selection.
@@ -80,47 +157,55 @@ fn locate(id: u32) -> (usize, usize) {
 }
 
 /// Returns chunk `c`'s slot array, allocating and publishing it if absent.
-fn chunk_ptr(c: usize) -> *mut AtomicPtr<String> {
+fn chunk_ptr(c: usize) -> *mut AtomicPtr<u8> {
     let p = CHUNKS[c].load(Ordering::Acquire);
     if !p.is_null() {
         return p;
     }
     let cap = 1usize << (FIRST_CHUNK_BITS as usize + c);
-    let fresh: Box<[AtomicPtr<String>]> =
-        (0..cap).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
-    let fresh = Box::into_raw(fresh) as *mut AtomicPtr<String>;
+    let fresh: Box<[AtomicPtr<u8>]> = (0..cap).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
+    let fresh = Box::into_raw(fresh) as *mut AtomicPtr<u8>;
     match CHUNKS[c].compare_exchange(ptr::null_mut(), fresh, Ordering::AcqRel, Ordering::Acquire) {
         Ok(_) => fresh,
         Err(winner) => {
             // Lost the race; free ours and use the published chunk.
+            // SAFETY: `fresh` is the boxed slice of `cap` slots leaked just
+            // above, and the failed CAS published it to nobody.
             unsafe { drop(Box::from_raw(ptr::slice_from_raw_parts_mut(fresh, cap))) };
             winner
         }
     }
 }
 
+/// Size of the scratch block ([`Sym::scratch`]); a call that needs more
+/// symbols than this pays the interner for the excess.
+const SCRATCH: usize = 1 << 12;
+
+/// Ids of the scratch symbols already interned (`u32::MAX`: not yet).
+static SCRATCH_IDS: [AtomicU32; SCRATCH] = [const { AtomicU32::new(u32::MAX) }; SCRATCH];
+
 /// Interns a string, returning its stable [`Sym`].
 ///
 /// Equal strings always return the same id: the shard lock serializes all
 /// writers for a given string (same string → same shard), and the slot store
-/// (release) happens before the map insert, so any thread that finds the id
-/// in the map — or receives the `Sym` through any synchronizing edge — can
+/// (release) happens before the id joins the set, so any thread that finds
+/// the id there — or receives the `Sym` through any synchronizing edge — can
 /// resolve it lock-free.
 pub fn intern(s: &str) -> Sym {
-    let shard = &shards()[shard_index(s)];
-    let mut map = shard.lock().unwrap();
-    if let Some(&id) = map.get(s) {
-        return Sym(id);
+    let mut shard = shards()[shard_index(s)].lock().unwrap();
+    if let Some(found) = shard.ids.get(s) {
+        return Sym(found.0);
     }
-    let owned: &'static String = Box::leak(Box::new(String::from(s)));
+    let text = shard.store(s);
     let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
     assert!(id < u32::MAX, "symbol interner exhausted");
     let (c, off) = locate(id);
     let chunk = chunk_ptr(c);
-    unsafe {
-        (*chunk.add(off)).store(owned as *const String as *mut String, Ordering::Release);
-    }
-    map.insert(owned.as_str(), id);
+    // SAFETY: `chunk` is chunk `c`'s live slot array and `off` lies inside
+    // it (`locate`); slots are atomics, so a shared write is sound.
+    unsafe { (*chunk.add(off)).store(text, Ordering::Release) };
+    // Hashes by resolving `id`: the slot is published, on this thread.
+    shard.ids.insert(ById(id));
     Sym(id)
 }
 
@@ -129,9 +214,16 @@ fn resolve(id: u32) -> &'static str {
     let (c, off) = locate(id);
     let chunk = CHUNKS[c].load(Ordering::Acquire);
     debug_assert!(!chunk.is_null(), "Sym resolved before its chunk published");
-    let p = unsafe { (*chunk.add(off)).load(Ordering::Acquire) };
-    debug_assert!(!p.is_null(), "Sym resolved before its slot published");
-    unsafe { (*p).as_str() }
+    // SAFETY: an id exists only after `intern` published its chunk and
+    // stored its slot (release; acquired here and above). The slot points
+    // at `[len: u32][len bytes of UTF-8]` copied from a `&str` by
+    // `Shard::store` into leaked memory nobody writes again.
+    unsafe {
+        let text = (*chunk.add(off)).load(Ordering::Acquire);
+        debug_assert!(!text.is_null(), "Sym resolved before its slot published");
+        let len = u32::from_ne_bytes(*text.cast::<[u8; 4]>()) as usize;
+        std::str::from_utf8_unchecked(std::slice::from_raw_parts(text.add(4), len))
+    }
 }
 
 /// An interned symbol: a `Copy` handle to a process-lifetime string.
@@ -159,7 +251,80 @@ impl Sym {
     pub fn id(self) -> u32 {
         self.0
     }
+
+    /// The `k`-th scratch symbol (module docs): distinct for distinct `k`,
+    /// and from every name a parser can produce.
+    pub fn scratch(k: usize) -> Sym {
+        let Some(slot) = SCRATCH_IDS.get(k) else {
+            return intern(&format!("·{k}"));
+        };
+        // Acquire/release: whoever reads the id here may resolve it.
+        match slot.load(Ordering::Acquire) {
+            u32::MAX => {
+                let sym = intern(&format!("·{k}"));
+                slot.store(sym.0, Ordering::Release);
+                sym
+            }
+            id => Sym(id),
+        }
+    }
 }
+
+/// Hands out the scratch symbols in order, for one call's renaming and
+/// nulls.
+#[derive(Debug, Default)]
+pub struct Fresh(usize);
+
+impl Fresh {
+    /// A scratch symbol this `Fresh` has not returned before.
+    pub fn next_sym(&mut self) -> Sym {
+        self.0 += 1;
+        Sym::scratch(self.0 - 1)
+    }
+}
+
+/// A multiply-rotate hasher (the `FxHasher` recipe) for maps and indexes
+/// keyed by symbols and terms inside one call: a few cycles per word where
+/// SipHash spends tens, and no defence against chosen keys — so not for
+/// anything keyed by text a client sends.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` over [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 impl Hash for Sym {
     fn hash<H: Hasher>(&self, state: &mut H) {
@@ -301,6 +466,54 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "hello");
         assert_eq!(c.as_str(), "world");
+    }
+
+    #[test]
+    fn texts_of_every_size_round_trip_across_blocks() {
+        // Empty, multi-byte, exactly around the own-allocation threshold,
+        // far past a block, and enough small ones to open several blocks.
+        let long = |n: usize| "é".repeat(n / 2);
+        let mut texts = vec![String::new(), "naïve·text".to_string()];
+        texts.extend([BLOCK / 4 - 6, BLOCK / 4 - 4, BLOCK / 4, 3 * BLOCK].map(long));
+        texts.extend((0..3 * BLOCK / 24).map(|i| format!("block·filler·{i:08}")));
+        let syms: Vec<Sym> = texts.iter().map(|t| intern(t)).collect();
+        for (text, sym) in texts.iter().zip(&syms) {
+            assert_eq!(sym.as_str(), text);
+            assert_eq!(intern(text), *sym, "found again by its text");
+        }
+        let distinct: HashSet<u32> = syms.iter().map(|s| s.id()).collect();
+        assert_eq!(distinct.len(), texts.len());
+    }
+
+    #[test]
+    fn scratch_symbols_are_stable_distinct_and_unparseable() {
+        let mut fresh = Fresh::default();
+        let drawn: Vec<Sym> = (0..SCRATCH + 3).map(|_| fresh.next_sym()).collect();
+        let uniq: HashSet<Sym> = drawn.iter().copied().collect();
+        assert_eq!(uniq.len(), drawn.len());
+        for (k, sym) in drawn.iter().enumerate() {
+            // Inside the table and past its end, first draw and second.
+            assert_eq!(*sym, Sym::scratch(k));
+            assert_eq!(sym.as_str(), format!("·{k}"));
+        }
+        assert_eq!(Fresh::default().next_sym(), drawn[0], "every call restarts");
+    }
+
+    #[test]
+    fn word_hasher_separates_nearby_keys() {
+        let hash = |t: (u32, u64)| {
+            let mut h = WordHasher::default();
+            t.hash(&mut h);
+            h.finish()
+        };
+        let hashes: HashSet<u64> = (0..64u32)
+            .flat_map(|a| (0..64u64).map(move |b| (a, b)))
+            .map(hash)
+            .collect();
+        assert_eq!(hashes.len(), 64 * 64);
+        let mut bytes = WordHasher::default();
+        bytes.write(b"nine bytes");
+        assert_ne!(bytes.finish(), WordHasher::default().finish());
     }
 
     #[test]

@@ -349,8 +349,11 @@ fn read_ready(conn: &mut Conn, scratch: &mut [u8]) -> bool {
                 conn.decoder.feed(&scratch[..n]);
                 conn.last_activity = Instant::now();
                 total += n;
-                if total >= READ_BUDGET {
-                    return true; // level-triggered epoll re-notifies
+                // A short read drained the socket (asking again would only
+                // buy an `EAGAIN`); a full budget leaves the rest to the
+                // next, level-triggered, notification.
+                if n < scratch.len() || total >= READ_BUDGET {
+                    return true;
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return true,

@@ -5,8 +5,13 @@
 //! tolerates arbitrarily split reads (one byte at a time is fine) and
 //! surfaces read timeouts as a distinct [`FrameEvent::TimedOut`] so the
 //! connection loop can run its idle clock without losing a half-received
-//! frame. Oversized length prefixes are rejected *before* any payload is
-//! buffered, so a hostile `0xFFFFFFFF` header costs four bytes, not 4 GiB.
+//! frame. Oversized length prefixes are rejected from the header alone,
+//! so a hostile `0xFFFFFFFF` header costs one read, not 4 GiB.
+//!
+//! Both directions move a small frame in one system call: [`write_frame`]
+//! sends prefix and payload as one buffer (two writes are two segments
+//! under `TCP_NODELAY`), and [`FrameReader`] reads whatever has arrived —
+//! prefix, payload, the next frame's start — in one `read`.
 
 use std::io::{self, Read, Write};
 
@@ -54,28 +59,23 @@ pub enum FrameEvent {
     TimedOut,
 }
 
-/// Incremental frame decoder; owns the partially received frame between
-/// calls so timeouts and split reads lose nothing.
+/// Incremental frame decoder over a pulled `Read`: a [`FrameDecoder`] it
+/// fills one `read` at a time, so timeouts and split reads lose nothing and
+/// a frame that arrived whole costs one call.
 #[derive(Debug)]
 pub struct FrameReader {
-    limit: usize,
-    header: [u8; 4],
-    header_filled: usize,
-    body: Vec<u8>,
-    body_filled: usize,
-    in_body: bool,
+    decoder: FrameDecoder,
 }
+
+/// The least and the most a [`FrameReader`] asks the transport for at once.
+const READ_AHEAD: usize = 4096;
+const READ_AT_MOST: usize = 64 * 1024;
 
 impl FrameReader {
     /// A reader that rejects frames larger than `limit` bytes.
     pub fn new(limit: usize) -> FrameReader {
         FrameReader {
-            limit,
-            header: [0; 4],
-            header_filled: 0,
-            body: Vec::new(),
-            body_filled: 0,
-            in_body: false,
+            decoder: FrameDecoder::new(limit),
         }
     }
 
@@ -83,43 +83,17 @@ impl FrameReader {
     /// timeout. `WouldBlock`/`TimedOut`/`Interrupted` I/O errors surface as
     /// [`FrameEvent::TimedOut`]; everything else is a hard error.
     pub fn read_frame(&mut self, r: &mut impl Read) -> Result<FrameEvent, FrameError> {
-        if !self.in_body {
-            while self.header_filled < 4 {
-                match r.read(&mut self.header[self.header_filled..]) {
-                    Ok(0) => {
-                        return if self.header_filled == 0 {
-                            Ok(FrameEvent::Eof)
-                        } else {
-                            Err(FrameError::Truncated)
-                        };
-                    }
-                    Ok(n) => self.header_filled += n,
-                    Err(e) => return soft_or_hard(e),
-                }
+        loop {
+            if let Some(payload) = self.decoder.next_frame()? {
+                return Ok(FrameEvent::Frame(payload));
             }
-            let announced = u32::from_be_bytes(self.header) as usize;
-            if announced > self.limit {
-                return Err(FrameError::Oversized {
-                    announced,
-                    limit: self.limit,
-                });
-            }
-            self.in_body = true;
-            self.body = vec![0; announced];
-            self.body_filled = 0;
-        }
-        while self.body_filled < self.body.len() {
-            match r.read(&mut self.body[self.body_filled..]) {
-                Ok(0) => return Err(FrameError::Truncated),
-                Ok(n) => self.body_filled += n,
+            match self.decoder.fill_from(r) {
+                Ok(0) if self.decoder.mid_frame() => return Err(FrameError::Truncated),
+                Ok(0) => return Ok(FrameEvent::Eof),
+                Ok(_) => {}
                 Err(e) => return soft_or_hard(e),
             }
         }
-        let payload = std::mem::take(&mut self.body);
-        self.header_filled = 0;
-        self.body_filled = 0;
-        self.in_body = false;
-        Ok(FrameEvent::Frame(payload))
     }
 }
 
@@ -154,6 +128,22 @@ impl FrameDecoder {
     /// Appends raw bytes read off the transport.
     pub fn feed(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends what one `read` of `r` returns — asked for the rest of the
+    /// frame in flight, within [`READ_AHEAD`] and [`READ_AT_MOST`] — and
+    /// returns its count.
+    fn fill_from(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        let missing = match self.pending_len() {
+            Some(len) if len <= self.limit => (4 + len).saturating_sub(self.buffered()),
+            _ => 0,
+        };
+        let filled = self.buf.len();
+        self.buf
+            .resize(filled + missing.clamp(READ_AHEAD, READ_AT_MOST), 0);
+        let read = r.read(&mut self.buf[filled..]);
+        self.buf.truncate(filled + *read.as_ref().unwrap_or(&0));
+        read
     }
 
     /// Unconsumed bytes currently buffered.
@@ -226,12 +216,15 @@ fn soft_or_hard(e: io::Error) -> Result<FrameEvent, FrameError> {
     }
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) as one buffer.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    if u32::try_from(payload.len()).is_err() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "frame too large",
+        ));
+    }
+    w.write_all(&frame_bytes(payload))?;
     w.flush()
 }
 
