@@ -18,18 +18,13 @@
 //! | T5 | `t5_diagnosis` |
 //! | F4 | `f4_rewriting` |
 //! | T6 | `t6_ablation` |
-//! | T7 | `t7_concurrency` |
-//! | T8 | `t8_server` |
-//! | T9 | `t9_observability` |
-//! | T11 | `t11_kernel` |
-//! | T13 | `t13_scale` |
-//! | T14 | `t14_introspect` |
+//! | F5 | `f5_coverage` |
 
 #![warn(missing_docs)]
 
 use appdsl::Request;
 use appsim::{seed_app, workload_for, Scale, SimApp};
-use bep_core::{ComplianceChecker, Policy, ProxyConfig, SqlProxy};
+use bep_core::{ComplianceChecker, ProxyConfig, SqlProxy};
 use minidb::Database;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -66,43 +61,6 @@ pub fn proxy_for(env: &AppEnv, config: ProxyConfig) -> SqlProxy {
         env.db.clone(),
         ComplianceChecker::new(schema, policy),
         config,
-    )
-}
-
-/// Builds an enforcing proxy with an explicit policy.
-pub fn proxy_with_policy(env: &AppEnv, policy: Policy, config: ProxyConfig) -> SqlProxy {
-    let schema = env.sim.schema();
-    SqlProxy::new(
-        env.db.clone(),
-        ComplianceChecker::new(schema, policy),
-        config,
-    )
-}
-
-/// Prepares one request of a replayed workload for round `round`: replays
-/// of a create-request must insert fresh rows, not re-insert the same
-/// primary key, so each `comment_id` parameter is offset by a per-round
-/// stride far above the workload generator's id range. Round 0 keeps the
-/// generator's ids; requests without fresh-id parameters are returned
-/// borrowed (no allocation on the common path).
-pub fn salted_params(
-    params: &[(String, sqlir::Value)],
-    round: usize,
-) -> std::borrow::Cow<'_, [(String, sqlir::Value)]> {
-    use sqlir::Value;
-    if round == 0 || !params.iter().any(|(k, _)| k == "comment_id") {
-        return std::borrow::Cow::Borrowed(params);
-    }
-    std::borrow::Cow::Owned(
-        params
-            .iter()
-            .map(|(k, v)| match (k.as_str(), v) {
-                ("comment_id", Value::Int(n)) => {
-                    (k.clone(), Value::Int(n + round as i64 * 1_000_000))
-                }
-                _ => (k.clone(), v.clone()),
-            })
-            .collect(),
     )
 }
 

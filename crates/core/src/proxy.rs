@@ -153,21 +153,18 @@ pub struct ProxyConfig {
     pub enforce_writes: bool,
     /// Capture decision provenance: per-phase timings, per-phase latency
     /// histograms, and one [`DecisionEvent`] per `execute` into the
-    /// journal. The T9 bench sweeps this off to price the enabled path.
+    /// journal.
     pub observe: bool,
     /// Decision events the journal retains before evicting the oldest.
     pub journal_capacity: usize,
     /// Collect a hierarchical span tree per decision (requires
     /// [`observe`](Self::observe)): solver micro-spans with per-span
-    /// counter attribution, summarized onto every [`DecisionEvent`]. The
-    /// T14 bench prices this; off, the hooks cost one thread-local read.
+    /// counter attribution, summarized onto every [`DecisionEvent`]. Off,
+    /// the hooks cost one thread-local read.
     pub spans: bool,
-    /// Capture every Nth decision's *full* span tree (0 = never). The
-    /// compact summary rides on every event regardless; this governs only
-    /// the arena clone.
-    pub span_sample_every: u64,
     /// Slowest decisions retained per template with their full span trees
-    /// (0 disables the exemplar store).
+    /// (0 disables the exemplar store). Only a decision the store would
+    /// retain has its tree cloned out.
     pub exemplars_per_template: usize,
     /// Compact session traces after each recording: drop entries and facts
     /// homomorphically implied by what remains. Decision-invisible (the
@@ -195,7 +192,6 @@ impl Default for ProxyConfig {
             observe: true,
             journal_capacity: 4096,
             spans: false,
-            span_sample_every: 0,
             exemplars_per_template: 0,
             compaction: true,
             // Generous defaults: bounded (the million-user north star needs
@@ -207,7 +203,7 @@ impl Default for ProxyConfig {
     }
 }
 
-/// Counters for reporting (T4/F3/T7). A value of this type is a snapshot;
+/// Counters for reporting. A value of this type is a snapshot;
 /// the live counters are atomics inside the proxy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
@@ -614,8 +610,6 @@ pub struct SqlProxy {
     memory: MemoryGauges,
     /// Slowest decisions per template, with full span trees.
     exemplars: ExemplarStore,
-    /// Decisions that ran with span collection on (the sampling clock).
-    span_decisions: AtomicU64,
     /// `bep_span_solver_total{counter=...}` series, fed from span
     /// summaries: rewrite iterations, containment checks, hom nodes, hom
     /// backtracks — in that order.
@@ -759,7 +753,6 @@ impl SqlProxy {
             batch_requests,
             memory,
             exemplars: ExemplarStore::new(config.exemplars_per_template),
-            span_decisions: AtomicU64::new(0),
             span_counters,
             mem_gauges,
             exemplar_count,
@@ -1133,12 +1126,9 @@ impl SqlProxy {
         let (span_summary, span_records) = match span::active() {
             false => (SpanSummary::default(), Vec::new()),
             true => {
-                let n = self.span_decisions.fetch_add(1, Ordering::Relaxed);
-                let sampled = self.config.span_sample_every > 0
-                    && n.is_multiple_of(self.config.span_sample_every);
-                // Capture the full tree only when someone will keep it:
-                // the sampler, or an exemplar slot this decision would win.
-                let capture = sampled || self.exemplars.would_accept(hash, total_ns);
+                // Capture the full tree only for an exemplar slot this
+                // decision would win: nobody else keeps it.
+                let capture = self.exemplars.would_accept(hash, total_ns);
                 span::finish(capture).unwrap_or_default()
             }
         };
@@ -2675,7 +2665,8 @@ mod tests {
 
         let p1 = proxy(ProxyConfig::default());
         let s = p1.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p1.execute(s, sql, &[]).unwrap();
+        let cold = p1.execute(s, sql, &[]).unwrap();
+        assert_eq!(p1.stats().template_proofs, 1, "a cold start proves");
         let save = p1.save_snapshot(&path).unwrap();
         assert_eq!(save.entries, 1);
 
@@ -2689,15 +2680,38 @@ mod tests {
             plan.select().unwrap().template,
             Some(TemplateVerdict::Allowed(_))
         ));
-        // The warm plan must decide identically to a cold compile.
+        // The warm plan must decide identically to a cold compile, and
+        // without a proof: that is what a warm start saves.
         let s2 = p2.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        assert!(p2.execute(s2, sql, &[]).unwrap().is_allowed());
+        assert_eq!(p2.execute(s2, sql, &[]).unwrap(), cold);
+        assert_eq!(p2.stats().template_proofs, 0, "the warm start re-proved");
         let text = p2.metrics_text();
         assert!(
             text.contains("bep_snapshot_entries{outcome=\"loaded\"} 1\n"),
             "{text}"
         );
         assert!(text.contains("bep_snapshot_bytes"), "{text}");
+
+        // One flipped byte: the load fails typed, installs nothing, and the
+        // proxy then decides exactly like a cold one.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+        let p3 = proxy(ProxyConfig::default());
+        let err = p3.load_snapshot(&path).unwrap_err();
+        assert!(matches!(err, SnapshotError::ChecksumMismatch), "{err}");
+        assert!(
+            p3.plan_cache().get(sql).is_none(),
+            "corrupt snapshot installed a plan"
+        );
+        let s3 = p3.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+        assert_eq!(p3.execute(s3, sql, &[]).unwrap(), cold);
+        let (c, f) = (p1.stats(), p3.stats());
+        assert_eq!(
+            (f.allowed, f.blocked, f.template_proofs),
+            (c.allowed, c.blocked, c.template_proofs)
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -2794,7 +2808,6 @@ mod tests {
     fn spans_summarize_solver_work_onto_events() {
         let p = proxy(ProxyConfig {
             spans: true,
-            span_sample_every: 1,
             exemplars_per_template: 2,
             ..ProxyConfig::default()
         });
@@ -2823,7 +2836,8 @@ mod tests {
             "concrete proof left no solver footprint: {:?}",
             q2.span
         );
-        // With sampling at 1, both full trees were captured as exemplars.
+        // Each template's first decision wins an empty exemplar slot, so
+        // both full trees were captured.
         assert_eq!(p.exemplars().count(), 2);
         let slow = p.exemplars().slowest(q2.template_hash);
         assert_eq!(slow.len(), 1);
@@ -2859,8 +2873,7 @@ mod tests {
     #[test]
     fn batch_decisions_carry_spans_and_never_leak_the_tree() {
         let p = proxy(ProxyConfig {
-            spans: true,
-            span_sample_every: 0, // summaries only, no capture
+            spans: true, // summaries only: no exemplar store, no capture
             ..ProxyConfig::default()
         });
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);

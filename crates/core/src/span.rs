@@ -13,8 +13,9 @@
 //! * **No allocation on the happy path.** The tree lives in a
 //!   thread-local arena of at most [`SPAN_ARENA_CAPACITY`] nodes whose
 //!   backing `Vec`s are cleared (capacity retained) between decisions;
-//!   only a *sampled* decision clones the arena out. Spans past the
-//!   capacity are counted, not stored, and the summary says so.
+//!   only a decision the exemplar store retains clones the arena out.
+//!   Spans past the capacity are counted, not stored, and the summary
+//!   says so.
 //! * **No signature changes.** `enter`/`exit` are free functions on
 //!   thread-local state, so deep layers (plan compilation, the concrete
 //!   prover's closures) add spans without threading a handle through
@@ -27,8 +28,8 @@
 //!
 //! The summary ([`SpanSummary`]) is 3 words and rides on every
 //! [`DecisionEvent`](crate::obs::DecisionEvent); the full tree
-//! ([`SpanRecord`]s) is captured 1-in-N (`span_sample_every`) or when a
-//! decision qualifies as a slow-decision exemplar.
+//! ([`SpanRecord`]s) is captured only when a decision qualifies as a
+//! slow-decision exemplar.
 
 use std::cell::{Cell, RefCell};
 use std::time::Instant;

@@ -2,7 +2,7 @@
 //! session lifecycles, and a mixed authorized/probe request stream.
 //!
 //! The engine emits an *operation stream* — session begins, requests, raw
-//! SQL probes, session ends — that a driver (the `t13_scale` bench, a
+//! SQL probes, session ends — that a driver (the `benchmark/` package, a
 //! test) maps onto proxy or server sessions. The stream is a pure
 //! function of `(app, config, seed)`: two engines built with identical
 //! inputs yield identical op sequences, which is what the differential

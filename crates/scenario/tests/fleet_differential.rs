@@ -5,14 +5,20 @@
 //! policy compiles, extraction runs, the app runs clean under its own
 //! policy, raw probes are blocked, and a blocked probe is diagnosable.
 //! On top of that, the whole enforcement run — every proxy decision — must
-//! be identical across two same-seed executions.
+//! be identical across same-seed executions under different memory and
+//! introspection settings, and every raw write probe must be decided as a
+//! cache-free reference decides it.
 
 use appdsl::{run_handler, Limits, Outcome};
 use appsim::{AppSpec, ProxyPort, Scale};
-use bep_core::{ComplianceChecker, ProxyConfig, ProxyResponse, SqlProxy};
+use bep_core::{
+    check_write_concrete, compile_write_template, ComplianceChecker, ProxyConfig, ProxyResponse,
+    SqlProxy,
+};
 use bep_diagnose::{diagnose, DiagnosisInput};
 use bep_extract::{extract_symbolic, SymLimits, ViewGenOptions};
 use bep_scenario::{fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp};
+use sqlir::{parse_statement, Value};
 
 fn small_fleet() -> Vec<GeneratedApp> {
     fleet(7, Scale::small().users as u64)
@@ -59,22 +65,27 @@ fn extraction_runs_on_every_fleet_app() {
 }
 
 /// One enforcement run: drives `ops` traffic operations through a fresh
-/// proxy and returns the decision log (one line per op).
-fn enforcement_run(app: &GeneratedApp, seed: u64, ops: usize) -> Vec<String> {
+/// proxy built with `config`, ends every session still live, and returns
+/// the decision log (one line per op) with the proxy.
+///
+/// Every raw write probe's verdict is checked against a cache-free
+/// reference: the statement compiled afresh and covered concretely
+/// against the session's trace facts, with no plan, template or deny
+/// cache. The session-size histogram must count every session begun.
+fn enforcement_run(
+    app: &GeneratedApp,
+    config: ProxyConfig,
+    seed: u64,
+    ops: usize,
+) -> (Vec<String>, SqlProxy) {
     let mut db = app.empty_db();
     app.populate(&mut db).expect("populate");
-    let checker = ComplianceChecker::new(app.schema(), app.policy().expect("policy"));
-    let proxy = SqlProxy::new(
-        db,
-        checker,
-        ProxyConfig {
-            enforce_writes: true,
-            ..ProxyConfig::default()
-        },
-    );
+    let (schema, policy) = (app.schema(), app.policy().expect("policy"));
+    let checker = ComplianceChecker::new(schema.clone(), policy.clone());
+    let proxy = SqlProxy::new(db, checker, config);
     let parsed = app.app();
     let mut engine = TrafficEngine::new(app, traffic_cfg(), seed);
-    let mut sessions: Vec<Option<u64>> = vec![None; traffic_cfg().target_sessions];
+    let mut sessions: Vec<Option<(u64, i64)>> = vec![None; traffic_cfg().target_sessions];
     let mut log = Vec::with_capacity(ops);
     for _ in 0..ops {
         match engine.next_op() {
@@ -83,17 +94,17 @@ fn enforcement_run(app: &GeneratedApp, seed: u64, ops: usize) -> Vec<String> {
                 uid,
                 user_index,
             } => {
-                let id = proxy.begin_session(vec![("MyUId".into(), sqlir::Value::Int(uid))]);
-                sessions[slot] = Some(id);
+                let id = proxy.begin_session(vec![("MyUId".into(), Value::Int(uid))]);
+                sessions[slot] = Some((id, uid));
                 log.push(format!("begin u{user_index}"));
             }
             TrafficOp::End { slot } => {
-                let id = sessions[slot].take().expect("live session");
+                let (id, _) = sessions[slot].take().expect("live session");
                 proxy.end_session(id);
                 log.push("end".to_string());
             }
             TrafficOp::RawProbe { slot, sql } => {
-                let id = sessions[slot].expect("live session");
+                let (id, _) = sessions[slot].expect("live session");
                 let resp = proxy.execute(id, &sql, &[]).expect("raw probe executes");
                 let verdict = match resp {
                     ProxyResponse::Blocked(_) => "blocked",
@@ -108,8 +119,21 @@ fn enforcement_run(app: &GeneratedApp, seed: u64, ops: usize) -> Vec<String> {
                 );
             }
             TrafficOp::RawWriteProbe { slot, sql } => {
-                let id = sessions[slot].expect("live session");
+                let (id, uid) = sessions[slot].expect("live session");
+                let trace = proxy.session_trace(id).expect("live session");
+                let bindings = [("MyUId".to_string(), Value::Int(uid))];
+                let reference_allows = parse_statement(&sql).is_ok_and(|stmt| {
+                    compile_write_template(&stmt, policy.views(), &schema).is_ok_and(|t| {
+                        check_write_concrete(&t, policy.views(), &bindings, trace.facts()).is_ok()
+                    })
+                });
                 let resp = proxy.execute(id, &sql, &[]).expect("write probe executes");
+                assert_eq!(
+                    resp.is_allowed(),
+                    reference_allows,
+                    "{}: `{sql}` decided unlike the cache-free reference",
+                    app.name
+                );
                 let verdict = match resp {
                     ProxyResponse::Blocked(_) => "blocked",
                     ProxyResponse::Rows(_) => "rows",
@@ -127,7 +151,7 @@ fn enforcement_run(app: &GeneratedApp, seed: u64, ops: usize) -> Vec<String> {
                 request,
                 kind,
             } => {
-                let id = sessions[slot].expect("live session");
+                let (id, _) = sessions[slot].expect("live session");
                 let handler = parsed.handler(&request.handler).expect("handler exists");
                 let mut port = ProxyPort {
                     proxy: &proxy,
@@ -153,17 +177,68 @@ fn enforcement_run(app: &GeneratedApp, seed: u64, ops: usize) -> Vec<String> {
             }
         }
     }
-    log
+    proxy.end_sessions(sessions.iter().flatten().map(|&(id, _)| id));
+    assert_eq!(
+        proxy.session_state_size_snapshot().count,
+        engine.sessions_begun(),
+        "{}: a begun session is missing from the state-size histogram",
+        app.name
+    );
+    (log, proxy)
 }
 
-/// The differential gate: two same-seed enforcement runs make identical
-/// decisions, and the stream mixes all three outcome classes.
+/// The differential gate: same-seed enforcement runs make identical
+/// decisions whatever the memory and introspection knobs — compaction
+/// off with unbounded caches, budgets starved enough to evict, spans and
+/// exemplars on — and the stream mixes all three outcome classes.
 #[test]
 fn enforcement_decisions_are_identical_across_same_seed_runs() {
+    let enforce = ProxyConfig {
+        enforce_writes: true,
+        ..ProxyConfig::default()
+    };
+    // Each config with whether it must evict: a starved run that never
+    // evicts would show nothing about eviction.
+    let configs = [
+        (enforce, false),
+        (
+            ProxyConfig {
+                compaction: false,
+                plan_budget_bytes: 0,
+                session_cache_budget_bytes: 0,
+                ..enforce
+            },
+            false,
+        ),
+        (
+            ProxyConfig {
+                plan_budget_bytes: 16 << 10,
+                session_cache_budget_bytes: 512,
+                ..enforce
+            },
+            true,
+        ),
+        (
+            ProxyConfig {
+                spans: true,
+                exemplars_per_template: 4,
+                ..enforce
+            },
+            false,
+        ),
+    ];
     for app in small_fleet() {
-        let a = enforcement_run(&app, 1234, 600);
-        let b = enforcement_run(&app, 1234, 600);
-        assert_eq!(a, b, "{}: same seed, same decisions", app.name);
+        let (a, _) = enforcement_run(&app, enforce, 1234, 600);
+        for (config, must_evict) in configs {
+            let (b, proxy) = enforcement_run(&app, config, 1234, 600);
+            assert_eq!(a, b, "{}: same seed, same decisions ({config:?})", app.name);
+            let evictions: u64 = proxy.cache_eviction_counts().iter().map(|(_, n)| n).sum();
+            assert!(
+                evictions > 0 || !must_evict,
+                "{}: the starved budgets never evicted",
+                app.name
+            );
+        }
 
         let oks = a.iter().filter(|l| l.contains("Ok")).count();
         let denials = a.iter().filter(|l| l.contains("Http")).count();

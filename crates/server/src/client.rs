@@ -11,10 +11,11 @@ use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use bep_core::DecisionEvent;
+use bep_core::{DecisionEvent, ProxyResponse};
 use minidb::Rows;
 use sqlir::Value;
 
+use crate::conn::blocked_detail;
 use crate::framing::{write_frame, FrameError, FrameEvent, FrameReader, MAX_FRAME};
 use crate::protocol::{Request, Response, WireStats, PROTOCOL_VERSION};
 
@@ -91,6 +92,20 @@ impl ExecOutcome {
     /// `true` unless the statement was blocked.
     pub fn is_allowed(&self) -> bool {
         !matches!(self, ExecOutcome::Blocked { .. })
+    }
+}
+
+/// What an embedded caller's response would have been over the wire.
+impl From<ProxyResponse> for ExecOutcome {
+    fn from(r: ProxyResponse) -> ExecOutcome {
+        match r {
+            ProxyResponse::Rows(rows) => ExecOutcome::Rows(rows),
+            ProxyResponse::Affected(n) => ExecOutcome::Affected(n as u64),
+            ProxyResponse::Blocked(reason) => ExecOutcome::Blocked {
+                reason: reason.label().to_string(),
+                detail: blocked_detail(&reason),
+            },
+        }
     }
 }
 

@@ -25,7 +25,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bep_core::{
-    BatchItem, BatchStmt, CoreError, JournalCursor, ProxyResponse, SqlProxy, TemplatePlan,
+    BatchItem, BatchStmt, CoreError, DenyReason, JournalCursor, ProxyResponse, SqlProxy,
+    TemplatePlan,
 };
 
 use crate::protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
@@ -351,16 +352,21 @@ pub(crate) fn exec_response(result: Result<ProxyResponse, CoreError>) -> Respons
         Ok(ProxyResponse::Affected(n)) => Response::Affected { n: n as u64 },
         Ok(ProxyResponse::Blocked(reason)) => Response::Blocked {
             reason: reason.label().to_string(),
-            detail: match &reason {
-                bep_core::DenyReason::NotDetermined { query } => format!("{query:?}"),
-                bep_core::DenyReason::WriteNotCovered { query } => format!("{query:?}"),
-                bep_core::DenyReason::OutOfFragment(m) => m.clone(),
-                bep_core::DenyReason::ParseError(m) => m.clone(),
-                bep_core::DenyReason::WriteBlocked => String::new(),
-                bep_core::DenyReason::ReadOnlySession => String::new(),
-            },
+            detail: blocked_detail(&reason),
         },
         Err(e) => core_error(e),
+    }
+}
+
+/// The human-readable detail a blocked statement carries on the wire.
+pub(crate) fn blocked_detail(reason: &DenyReason) -> String {
+    match reason {
+        DenyReason::NotDetermined { query } => format!("{query:?}"),
+        DenyReason::WriteNotCovered { query } => format!("{query:?}"),
+        DenyReason::OutOfFragment(m) => m.clone(),
+        DenyReason::ParseError(m) => m.clone(),
+        DenyReason::WriteBlocked => String::new(),
+        DenyReason::ReadOnlySession => String::new(),
     }
 }
 

@@ -9,7 +9,7 @@ use appdsl::{run_handler, DslError, Limits, PortOutcome, QueryPort};
 use appsim::AppSpec;
 use bep_core::{
     schema_of_database, template_hash, CacheTier, ComplianceChecker, Phase, Policy, ProxyConfig,
-    ProxyResponse, SqlProxy, Verdict,
+    SqlProxy, Verdict,
 };
 use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use bep_server::framing::{frame_bytes, write_frame};
@@ -349,19 +349,11 @@ fn pipelined_frames_get_ordered_responses() {
 
 /// The system under test as a caller sees it: the server through the
 /// wire client, or the same proxy type called in-process. Outcomes come
-/// back in the client's form with the human-readable `detail` (which only
-/// the wire carries) blanked, so the two compare with `==`.
+/// back in the client's form, so the two compare with `==`.
 trait Front {
     fn begin(&mut self, uid: i64) -> u64;
     fn end(&mut self, session: u64);
     fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome;
-}
-
-fn blocked(reason: &str) -> ExecOutcome {
-    ExecOutcome::Blocked {
-        reason: reason.to_string(),
-        detail: String::new(),
-    }
 }
 
 impl Front for Client {
@@ -372,10 +364,7 @@ impl Front for Client {
         Client::end(self, session).unwrap();
     }
     fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome {
-        match Client::execute(self, session, sql, bindings).unwrap() {
-            ExecOutcome::Blocked { reason, .. } => blocked(&reason),
-            other => other,
-        }
+        Client::execute(self, session, sql, bindings).unwrap()
     }
 }
 
@@ -387,12 +376,20 @@ impl Front for &SqlProxy {
         self.end_session(session);
     }
     fn execute(&mut self, session: u64, sql: &str, bindings: &[(String, Value)]) -> ExecOutcome {
-        match SqlProxy::execute(self, session, sql, bindings).unwrap() {
-            ProxyResponse::Rows(rows) => ExecOutcome::Rows(rows),
-            ProxyResponse::Affected(n) => ExecOutcome::Affected(n as u64),
-            ProxyResponse::Blocked(reason) => blocked(reason.label()),
-        }
+        SqlProxy::execute(self, session, sql, bindings)
+            .unwrap()
+            .into()
     }
+}
+
+/// A proxy's journal as `(template hash, verdict, cache tier)` per decision.
+fn provenance(proxy: &SqlProxy) -> Vec<(u64, Verdict, CacheTier)> {
+    proxy
+        .journal()
+        .events_since(0, usize::MAX)
+        .into_iter()
+        .map(|ev| (ev.template_hash, ev.verdict, ev.tier))
+        .collect()
 }
 
 #[test]
@@ -451,8 +448,9 @@ impl QueryPort for FrontPort<'_> {
 fn wire_answers_equal_embedded_on_scenario_fleet_traffic() {
     // The same gate on generated traffic: every fleet family's handlers,
     // raw read probes and raw write probes over churning sessions, with
-    // write enforcement on. Per-statement outcomes and the proxies'
-    // verdict counters must agree between the wire and the in-process run.
+    // write enforcement on. Per-statement outcomes, the proxies' verdict
+    // counters and their journals' provenance must agree between the wire
+    // and the in-process run.
     const USERS: u64 = 128;
     const OPS: usize = 300;
     const SLOTS: usize = 8;
@@ -526,6 +524,12 @@ fn wire_answers_equal_embedded_on_scenario_fleet_traffic() {
             (w.allowed, w.blocked, w.write_allowed, w.write_blocked),
             (e.allowed, e.blocked, e.write_allowed, e.write_blocked),
             "{}: verdict counters diverged",
+            app.name
+        );
+        assert_eq!(
+            provenance(&wire_proxy),
+            provenance(&embedded_proxy),
+            "{}: journal provenance diverged",
             app.name
         );
         assert!(
