@@ -26,7 +26,7 @@ impl SqlSite {
     /// Builds a site from its SQL text.
     pub fn new(text: String) -> SqlSite {
         let named = sqlir::parse_statement(&text)
-            .map(|stmt| sqlir::collect_params(&stmt).0.into_iter().collect())
+            .map(|stmt| named_params(&stmt))
             .map_err(|e| e.to_string());
         SqlSite { text, named }
     }
@@ -44,6 +44,19 @@ impl SqlSite {
             Err(e) => Err(DslError::Port(e.clone())),
         }
     }
+}
+
+/// The named parameters a statement mentions, sorted.
+fn named_params(stmt: &sqlir::Statement) -> Vec<String> {
+    let mut named: Vec<String> = sqlir::params_in_bind_order(stmt)
+        .into_iter()
+        .filter_map(|p| match p {
+            sqlir::Param::Named(n) => Some(n),
+            sqlir::Param::Positional(_) => None,
+        })
+        .collect();
+    named.sort();
+    named
 }
 
 /// A complete application: a set of named handlers.

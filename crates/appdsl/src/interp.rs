@@ -32,13 +32,11 @@ pub enum PortOutcome {
 impl QueryPort for minidb::Database {
     fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
         let stmt = sqlir::parse_statement(sql).map_err(|e| DslError::Port(e.to_string()))?;
-        let mut pb = sqlir::ParamBindings::new();
-        for (k, v) in bindings {
-            pb.set(k.clone(), v.clone());
+        if let Some(e) = sqlir::unbound_error(&sqlir::params_in_bind_order(&stmt), bindings) {
+            return Err(DslError::Port(e.to_string()));
         }
-        let bound = sqlir::bind_statement(&stmt, &pb).map_err(|e| DslError::Port(e.to_string()))?;
         match self
-            .execute(&bound)
+            .execute_with(&stmt, bindings)
             .map_err(|e| DslError::Port(e.to_string()))?
         {
             minidb::ExecResult::Rows(r) => Ok(PortOutcome::Rows(r)),

@@ -271,8 +271,15 @@ fn one_site_in_a_hundred_row_loop_binds_as_a_parse_per_issue_would() {
     // named parameters, which is what `issue` did before sites existed.
     let issued = |sql: &str, id: Option<i64>, row_count: usize| {
         let stmt = sqlir::parse_statement(sql).unwrap();
-        let bindings = sqlir::collect_params(&stmt)
-            .0
+        let mut named: Vec<String> = sqlir::params_in_bind_order(&stmt)
+            .into_iter()
+            .filter_map(|p| match p {
+                sqlir::Param::Named(n) => Some(n),
+                sqlir::Param::Positional(_) => None,
+            })
+            .collect();
+        named.sort();
+        let bindings = named
             .into_iter()
             .map(|name| {
                 let v = match name.as_str() {

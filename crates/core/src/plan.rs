@@ -7,7 +7,10 @@
 //! amortizes the *work leading up to a decision*. A [`TemplatePlan`]
 //! captures, per distinct SQL template:
 //!
-//! * the parsed [`Statement`] (skip tokenize/parse on every request),
+//! * the parsed [`Statement`] (skip tokenize/parse on every request), and
+//!   the parameters it mentions in [`sqlir::bind_statement`]'s order, so
+//!   it runs with its parameters read in place and is refused, with
+//!   binding's message, when one is unbound,
 //! * the canonical UCQ translation, one [`DisjunctPlan`] per disjunct
 //!   (skip `sql_to_ucq` on every request),
 //! * a per-disjunct *pruned candidate-view list* from
@@ -31,7 +34,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use qlogic::{candidate_view_indices, Cq};
-use sqlir::{parse_statement, Statement};
+use sqlir::{params_in_bind_order, parse_statement, Param, Query, Statement};
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
@@ -86,9 +89,12 @@ pub enum TemplateVerdict {
 /// The compiled body of a `SELECT` template.
 #[derive(Debug)]
 pub struct SelectPlan {
-    /// The parsed statement (always `Statement::Select`), kept whole so
-    /// binding and execution reuse the existing statement machinery.
-    pub stmt: Statement,
+    /// The parsed query, executed as is with its parameters read from the
+    /// bindings.
+    pub query: Query,
+    /// The parameters `query` mentions, each once, in the order
+    /// [`sqlir::bind_statement`] resolves them.
+    pub params: Vec<Param>,
     /// The UCQ translation with pruned candidate views, or the
     /// out-of-fragment message replayed as the deny reason per request.
     pub translation: Result<Vec<DisjunctPlan>, String>,
@@ -102,8 +108,11 @@ pub struct SelectPlan {
 /// The compiled body of a row mutation (`INSERT`/`UPDATE`/`DELETE`).
 #[derive(Debug)]
 pub struct WritePlan {
-    /// The parsed statement, kept whole for binding and execution.
+    /// The parsed statement, executed as is with its parameters read from
+    /// the bindings.
     pub stmt: Statement,
+    /// The parameters `stmt` mentions, as [`SelectPlan::params`].
+    pub params: Vec<Param>,
     /// The extracted write template with its session-independent verdict,
     /// or the extraction error replayed as an out-of-fragment denial per
     /// request.
@@ -199,8 +208,12 @@ pub fn compile_plan(
             }
         }
     };
-    let Statement::Select(q) = &stmt else {
-        if crate::classify::StatementClass::of(&stmt) == crate::classify::StatementClass::Write {
+    let params = params_in_bind_order(&stmt);
+    let query = match stmt {
+        Statement::Select(q) => q,
+        stmt if crate::classify::StatementClass::of(&stmt)
+            == crate::classify::StatementClass::Write =>
+        {
             let template = {
                 let _span = crate::span::guard(crate::span::SpanKind::TemplateProof);
                 crate::write::compile_write_template(
@@ -213,17 +226,23 @@ pub fn compile_plan(
             return TemplatePlan {
                 sql: sql.to_string(),
                 hash,
-                body: PlanBody::Write(WritePlan { stmt, template }),
+                body: PlanBody::Write(WritePlan {
+                    stmt,
+                    template,
+                    params,
+                }),
             };
         }
-        return TemplatePlan {
-            sql: sql.to_string(),
-            hash,
-            body: PlanBody::Other(stmt),
-        };
+        stmt => {
+            return TemplatePlan {
+                sql: sql.to_string(),
+                hash,
+                body: PlanBody::Other(stmt),
+            }
+        }
     };
 
-    let translation = match (checker.translate(q), checker.symbolic_views()) {
+    let translation = match (checker.translate(&query), checker.symbolic_views()) {
         (Ok(ucq), Ok(symbolic)) => Ok(ucq
             .disjuncts
             .into_iter()
@@ -279,7 +298,8 @@ pub fn compile_plan(
         sql: sql.to_string(),
         hash,
         body: PlanBody::Select(SelectPlan {
-            stmt,
+            query,
+            params,
             translation,
             template,
         }),
@@ -570,19 +590,26 @@ fn chain_heap_bytes(chain: &[PlanEntry]) -> usize {
 pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
     use crate::mem::cq_heap_bytes;
     use std::mem::size_of;
+    let params_bytes = |params: &Vec<Param>| {
+        let names = params.iter().map(|p| match p {
+            Param::Named(n) => n.capacity(),
+            Param::Positional(_) => 0,
+        });
+        params.capacity() * size_of::<Param>() + names.sum::<usize>()
+    };
     let mut b = size_of::<TemplatePlan>() + plan.sql.capacity();
     match &plan.body {
         PlanBody::ParseError(m) => b += m.capacity(),
         PlanBody::Other(_) => b += plan.sql.len(),
         PlanBody::Write(wp) => {
-            b += plan.sql.len(); // the parsed Statement, approximated
+            b += plan.sql.len() + params_bytes(&wp.params); // Statement approximated
             match &wp.template {
                 Ok(t) => b += t.heap_bytes(),
                 Err(m) => b += m.capacity(),
             }
         }
         PlanBody::Select(sp) => {
-            b += plan.sql.len(); // the parsed Statement, approximated
+            b += plan.sql.len() + params_bytes(&sp.params); // Statement approximated
             match &sp.translation {
                 Ok(ds) => {
                     b += ds.capacity() * size_of::<DisjunctPlan>();

@@ -107,7 +107,7 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use minidb::{Database, Rows};
 use parking_lot::RwLock;
-use sqlir::{bind_statement, parse_statement, ParamBindings, Statement, Value};
+use sqlir::{params_in_bind_order, parse_statement, unbound_error, Param, Statement, Value};
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
@@ -122,12 +122,13 @@ use crate::obs::{
     MetricsRegistry, Phase, PhaseTimer, Verdict, PHASE_COUNT,
 };
 use crate::plan::{
-    compile_plan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict, PLAN_CAPACITY,
+    compile_plan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict, WritePlan,
+    PLAN_CAPACITY,
 };
 use crate::snapshot::{SnapshotError, SnapshotLoadReport, SnapshotSaveReport};
 use crate::span::{self, SpanKind, SpanSummary};
 use crate::trace::Trace;
-use crate::write::{WriteTemplate, WriteTemplateVerdict};
+use crate::write::WriteTemplateVerdict;
 
 /// Number of session shards. Sixteen keeps per-shard contention negligible
 /// for hundreds of concurrent sessions while costing one cache line of
@@ -1297,16 +1298,9 @@ impl SqlProxy {
                     self.decide_select(session_id, sp, plan.hash(), built, bindings, prov)?;
                 self.complete_select(session_id, sp, bindings, decision, prov)
             }
-            PlanBody::Write(wp) => self.decide_and_run_write(
-                session_id,
-                plan.hash(),
-                &wp.stmt,
-                &wp.template,
-                built,
-                bindings,
-                mode,
-                prov,
-            ),
+            PlanBody::Write(wp) => {
+                self.decide_and_run_write(session_id, plan.hash(), wp, built, bindings, mode, prov)
+            }
             PlanBody::Other(stmt) => self.run_other(stmt, bindings, mode, prov),
             PlanBody::ParseError(_) => unreachable!("handled before session lookup"),
         }
@@ -1324,17 +1318,10 @@ impl SqlProxy {
     ) -> Result<ProxyResponse, CoreError> {
         match decision {
             Decision::Allowed { .. } => {
-                // Binding failures (e.g. a parameter the caller never
-                // supplied) are the caller's malformed input, not an
-                // internal error: block, don't fail.
-                let rows = match self.run_select(&sp.stmt, bindings) {
-                    Ok(rows) => rows,
-                    Err(CoreError::Parse(msg)) => {
-                        self.stats.blocked.inc();
-                        return Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg)));
-                    }
-                    Err(other) => return Err(other),
-                };
+                if let Some(blocked) = self.unbound(&sp.params, bindings) {
+                    return Ok(blocked);
+                }
+                let rows = self.db.read().query_with(&sp.query, bindings)?;
                 prov.lap(Phase::DbExec);
                 self.stats.allowed.inc();
                 self.record_observation(session_id, sp, bindings, &rows);
@@ -1361,8 +1348,7 @@ impl SqlProxy {
         &self,
         session_id: u64,
         hash: u64,
-        stmt: &Statement,
-        template: &Result<WriteTemplate, String>,
+        wp: &WritePlan,
         built: bool,
         bindings: &[(String, Value)],
         mode: AccessMode,
@@ -1376,9 +1362,9 @@ impl SqlProxy {
         }
         if !self.config.enforce_writes {
             self.stats.write_passthrough.inc();
-            return self.execute_statement(stmt, bindings, prov);
+            return self.execute_statement(&wp.stmt, &wp.params, bindings, prov);
         }
-        let template = match template {
+        let template = match &wp.template {
             Ok(t) => t,
             Err(msg) => {
                 return Ok(self.block_write(DenyReason::OutOfFragment(msg.clone())));
@@ -1397,7 +1383,7 @@ impl SqlProxy {
                         self.stats.template_cache_hits.inc();
                     }
                     self.stats.write_allowed.inc();
-                    return self.execute_statement(stmt, bindings, prov);
+                    return self.execute_statement(&wp.stmt, &wp.params, bindings, prov);
                 }
                 WriteTemplateVerdict::NeverCovered => {
                     // Permanently uncoverable, for any session or history.
@@ -1442,7 +1428,7 @@ impl SqlProxy {
         match decision {
             Decision::Allowed { .. } => {
                 self.stats.write_allowed.inc();
-                self.execute_statement(stmt, bindings, prov)
+                self.execute_statement(&wp.stmt, &wp.params, bindings, prov)
             }
             Decision::Denied { reason } => Ok(self.block_write(reason)),
         }
@@ -1471,27 +1457,33 @@ impl SqlProxy {
             return Ok(self.block_write(DenyReason::WriteBlocked));
         }
         // DDL writes no rows, so there is no coverage question; it is
-        // counted as passthrough traffic either way.
+        // counted as passthrough traffic either way. It has no parameters.
         self.stats.write_passthrough.inc();
-        self.execute_statement(stmt, bindings, prov)
+        self.execute_statement(stmt, &[], bindings, prov)
     }
 
-    /// Binds and executes one mutation/DDL statement against the store.
+    /// The block for a statement whose bindings lack one of its parameters,
+    /// with the message binding it would fail with: the caller's malformed
+    /// input, not an internal error.
+    fn unbound(&self, params: &[Param], bindings: &[(String, Value)]) -> Option<ProxyResponse> {
+        let reason = DenyReason::ParseError(unbound_error(params, bindings)?.to_string());
+        self.stats.blocked.inc();
+        Some(ProxyResponse::Blocked(reason))
+    }
+
+    /// Executes one mutation/DDL statement against the store, its
+    /// parameters read from the bindings.
     fn execute_statement(
         &self,
         stmt: &Statement,
+        params: &[Param],
         bindings: &[(String, Value)],
         prov: &mut Prov,
     ) -> Result<ProxyResponse, CoreError> {
-        let bound = match bind_to_statement(stmt, bindings) {
-            Ok(b) => b,
-            Err(CoreError::Parse(msg)) => {
-                self.stats.blocked.inc();
-                return Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg)));
-            }
-            Err(other) => return Err(other),
-        };
-        let result = self.db.write().execute(&bound)?;
+        if let Some(blocked) = self.unbound(params, bindings) {
+            return Ok(blocked);
+        }
+        let result = self.db.write().execute_with(stmt, bindings)?;
         prov.lap(Phase::DbExec);
         self.stats.writes.inc();
         Ok(result.into())
@@ -1505,11 +1497,13 @@ impl SqlProxy {
     ) -> Result<ProxyResponse, CoreError> {
         self.stats.unchecked_statements.inc();
         let stmt = parse_statement(sql).map_err(|e| CoreError::Parse(e.to_string()))?;
-        let bound = bind_to_statement(&stmt, bindings)?;
-        if let Statement::Select(q) = &bound {
-            return Ok(ProxyResponse::Rows(self.db.read().query(q)?));
+        if let Some(missing) = unbound_error(&params_in_bind_order(&stmt), bindings) {
+            return Err(CoreError::Parse(missing.to_string()));
         }
-        Ok(self.db.write().execute(&bound)?.into())
+        if let Statement::Select(q) = &stmt {
+            return Ok(ProxyResponse::Rows(self.db.read().query_with(q, bindings)?));
+        }
+        Ok(self.db.write().execute_with(&stmt, bindings)?.into())
     }
 
     /// Decides a `SELECT` through its compiled plan. The template tier is
@@ -1732,18 +1726,6 @@ impl SqlProxy {
         Ok(decision)
     }
 
-    fn run_select(
-        &self,
-        stmt: &Statement,
-        bindings: &[(String, Value)],
-    ) -> Result<Rows, CoreError> {
-        let bound = bind_to_statement(stmt, bindings)?;
-        match &bound {
-            Statement::Select(q) => Ok(self.db.read().query(q)?),
-            _ => Err(CoreError::Internal("run_select on non-select".into())),
-        }
-    }
-
     /// Observation recording through the plan's cached translation (no
     /// re-translation on the hot path).
     fn record_observation(
@@ -1812,17 +1794,6 @@ fn merge_bindings(
         m.push((k.clone(), v.clone()));
     }
     Some(m)
-}
-
-fn bind_to_statement(
-    stmt: &Statement,
-    bindings: &[(String, Value)],
-) -> Result<Statement, CoreError> {
-    let mut pb = ParamBindings::new();
-    for (k, v) in bindings {
-        pb.set(k.clone(), v.clone());
-    }
-    bind_statement(stmt, &pb).map_err(|e| CoreError::Parse(e.to_string()))
 }
 
 #[cfg(test)]
@@ -2126,15 +2097,7 @@ mod tests {
             r,
             ProxyResponse::Blocked(DenyReason::OutOfFragment(_))
         ));
-        // Unbound parameter: the write must not reach the store.
-        let r = p
-            .execute(
-                s,
-                "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?nope, NULL)",
-                &[],
-            )
-            .unwrap();
-        assert!(matches!(r, ProxyResponse::Blocked(_)), "got {r:?}");
+        // Unbound parameters: `unparseable_sql_is_blocked_not_error`.
         assert_eq!(p.stats().writes, 0, "nothing reached the store");
     }
 
@@ -2290,15 +2253,52 @@ mod tests {
         assert_eq!(p.stats().unchecked_statements, 2);
     }
 
+    /// Malformed SQL, and an allowed statement whose bindings lack a
+    /// parameter, are blocked (`Err(Parse)` from `execute_unchecked`) with
+    /// the parser's or `bind_statement`'s message — for the latter the
+    /// first missing parameter in binding's order, not the text's — and
+    /// never reach the store.
     #[test]
     fn unparseable_sql_is_blocked_not_error() {
-        let p = proxy(ProxyConfig::default());
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let r = p.execute(s, "SELEC whoops", &[]).unwrap();
-        assert!(matches!(
-            r,
-            ProxyResponse::Blocked(DenyReason::ParseError(_))
-        ));
+        let session = vec![("MyUId".to_string(), Value::Int(1))];
+        let pb = sqlir::ParamBindings::new().with("MyUId", 1);
+        for enforce_writes in [false, true] {
+            let p = proxy(ProxyConfig {
+                enforce_writes,
+                ..Default::default()
+            });
+            let s = p.begin_session(session.clone());
+            for sql in [
+                "SELEC whoops",
+                "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
+                "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = ?b AND EId = ?a",
+                "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = ?",
+                "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
+                "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?b AND EId = ?a",
+                "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?",
+                // Enforced, these are `WriteNotCovered` before they are bound.
+                "UPDATE Attendance SET Notes = ?b WHERE UId = ?MyUId AND EId = ?a",
+                "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?nope, NULL)",
+                "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?b, ?a)",
+            ] {
+                let expected = match parse_statement(sql) {
+                    Ok(stmt) => sqlir::bind_statement(&stmt, &pb).unwrap_err().to_string(),
+                    Err(e) => e.to_string(),
+                };
+                match p.execute(s, sql, &[]) {
+                    Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg))) => {
+                        assert_eq!(msg, expected, "{sql}")
+                    }
+                    Ok(ProxyResponse::Blocked(DenyReason::WriteNotCovered { .. }))
+                        if enforce_writes && sql.starts_with(['U', 'I']) => {}
+                    other => panic!("{sql}: {other:?}"),
+                }
+                let unchecked = p.execute_unchecked(sql, &session);
+                assert_eq!(unchecked, Err(CoreError::Parse(expected)), "{sql}");
+            }
+            assert_eq!(p.stats().writes, 0, "nothing reached the store");
+            assert_eq!(p.with_database(|db| db.total_rows()), 4);
+        }
     }
 
     #[test]

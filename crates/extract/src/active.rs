@@ -208,13 +208,12 @@ fn mutate_column(
         return Ok(out);
     };
     let fresh = scrambled(value);
-    let mut rows = t.rows_slice().to_vec();
-    for row in &mut rows {
-        if &row[idx] == value {
-            row[idx] = fresh.clone();
+    for i in 0..t.len() {
+        let cell = &mut t.row_mut(i)[idx];
+        if cell == value {
+            *cell = fresh.clone();
         }
     }
-    t.set_rows(rows);
     Ok(out)
 }
 

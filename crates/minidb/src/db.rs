@@ -5,8 +5,8 @@ use std::collections::BTreeMap;
 use sqlir::{parse_statement, CreateTable, Delete, Expr, Insert, Statement, Update, Value};
 
 use crate::error::DbError;
-use crate::exec::{execute_query, matching_row_ids, Rows};
-use crate::expr::{Bound, EvalCtx, ScopeEntry};
+use crate::exec::{execute_query_with, matching_row_ids, Rows};
+use crate::expr::{Bound, EvalCtx, Params, ScopeEntry};
 use crate::schema::TableSchema;
 use crate::table::Table;
 
@@ -85,18 +85,32 @@ impl Database {
     pub fn query_sql(&self, sql: &str) -> Result<Rows, DbError> {
         let stmt = parse_statement(sql)?;
         match stmt {
-            Statement::Select(q) => execute_query(self, &q),
+            Statement::Select(q) => self.query(&q),
             _ => Err(DbError::Unsupported("query_sql expects a SELECT".into())),
         }
     }
 
     /// Executes a parsed statement.
     pub fn execute(&mut self, stmt: &Statement) -> Result<ExecResult, DbError> {
+        self.execute_with(stmt, &[])
+    }
+
+    /// Executes a parsed statement whose `?name` parameters take their
+    /// values from `params`: the result of executing
+    /// [`sqlir::bind_statement`]'s copy, without making it. An unbound
+    /// parameter is an error only where evaluation reaches it; a caller that
+    /// must refuse what binding refuses checks [`sqlir::unbound_error`]
+    /// first. A `SELECT` needs no `&mut`: [`Database::query_with`].
+    pub fn execute_with(
+        &mut self,
+        stmt: &Statement,
+        params: Params<'_>,
+    ) -> Result<ExecResult, DbError> {
         match stmt {
-            Statement::Select(q) => Ok(ExecResult::Rows(execute_query(self, q)?)),
-            Statement::Insert(ins) => self.insert(ins).map(ExecResult::Affected),
-            Statement::Update(u) => self.update(u).map(ExecResult::Affected),
-            Statement::Delete(d) => self.delete(d).map(ExecResult::Affected),
+            Statement::Select(q) => Ok(ExecResult::Rows(self.query_with(q, params)?)),
+            Statement::Insert(ins) => self.insert(ins, params).map(ExecResult::Affected),
+            Statement::Update(u) => self.update(u, params).map(ExecResult::Affected),
+            Statement::Delete(d) => self.delete(d, params).map(ExecResult::Affected),
             Statement::CreateTable(ct) => {
                 self.create_table(ct)?;
                 Ok(ExecResult::Created)
@@ -106,7 +120,13 @@ impl Database {
 
     /// Runs a parsed `SELECT`.
     pub fn query(&self, q: &sqlir::Query) -> Result<Rows, DbError> {
-        execute_query(self, q)
+        self.query_with(q, &[])
+    }
+
+    /// Runs a parsed `SELECT` with its parameters read from `params` (see
+    /// [`Database::execute_with`]).
+    pub fn query_with(&self, q: &sqlir::Query, params: Params<'_>) -> Result<Rows, DbError> {
+        execute_query_with(self, q, params)
     }
 
     /// Creates a table from a parsed definition.
@@ -159,7 +179,7 @@ impl Database {
         Ok(n)
     }
 
-    fn insert(&mut self, ins: &Insert) -> Result<usize, DbError> {
+    fn insert(&mut self, ins: &Insert, params: Params<'_>) -> Result<usize, DbError> {
         let table = self.table(&ins.table)?;
         let schema = table.schema.clone();
 
@@ -181,7 +201,7 @@ impl Database {
             }
             let mut row = vec![Value::Null; schema.columns.len()];
             for (pos, e) in positions.iter().zip(row_exprs) {
-                row[*pos] = self.eval_standalone(e)?;
+                row[*pos] = self.eval_standalone(e, params)?;
             }
             self.insert_one(&ins.table, row)?;
             count += 1;
@@ -244,7 +264,7 @@ impl Database {
         Ok(())
     }
 
-    fn update(&mut self, u: &Update) -> Result<usize, DbError> {
+    fn update(&mut self, u: &Update, params: Params<'_>) -> Result<usize, DbError> {
         let table = self.table(&u.table)?;
         let schema = table.schema.clone();
         let assignments: Vec<(usize, &Expr)> = u
@@ -260,7 +280,7 @@ impl Database {
 
         // Compute the new row set first, then validate it wholesale. This
         // keeps multi-row updates atomic: either all rows change or none do.
-        let matching = matching_row_ids(self, &u.table, u.where_clause.as_ref())?;
+        let matching = matching_row_ids(self, &u.table, u.where_clause.as_ref(), params)?;
         let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(matching.len());
         let table = self.table(&u.table)?;
         let scope = [ScopeEntry {
@@ -269,16 +289,17 @@ impl Database {
         }];
         let values: Vec<(usize, Bound<'_>)> = assignments
             .iter()
-            .map(|(col, e)| (*col, Bound::bind(e, &scope, None)))
+            .map(|(col, e)| (*col, Bound::bind(e, &scope, None, params)))
             .collect();
         for &idx in &matching {
-            let old = &table.rows_slice()[idx];
-            let rows = [&old[..]];
+            let old = table.row(idx);
+            let rows = [old];
             let ctx = EvalCtx {
                 db: self,
                 scope: &scope,
                 rows: &rows,
                 outer: None,
+                params,
             };
             let mut new = old.to_vec();
             for (col, value) in &values {
@@ -345,13 +366,15 @@ impl Database {
         let count = new_rows.len();
         let table = self.tables.get_mut(&u.table).expect("checked");
         for (idx, new) in matching.into_iter().zip(new_rows) {
-            *table.row_mut(idx) = new.into_boxed_slice();
+            for (stored, v) in table.row_mut(idx).iter_mut().zip(new) {
+                *stored = v;
+            }
         }
         Ok(count)
     }
 
-    fn delete(&mut self, d: &Delete) -> Result<usize, DbError> {
-        let matching = matching_row_ids(self, &d.table, d.where_clause.as_ref())?;
+    fn delete(&mut self, d: &Delete, params: Params<'_>) -> Result<usize, DbError> {
+        let matching = matching_row_ids(self, &d.table, d.where_clause.as_ref(), params)?;
         self.check_not_referenced(&d.table, &matching, None)?;
         let count = matching.len();
         self.tables
@@ -378,7 +401,7 @@ impl Database {
                 }
                 let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
                 for (i, &ri) in row_indices.iter().enumerate() {
-                    let old_row = &target.rows_slice()[ri];
+                    let old_row = target.row(ri);
                     // Updates only violate if the key actually changes.
                     if let Some(new_row) = replacements.map(|reps| &reps[i]) {
                         if ref_idx.iter().all(|&c| new_row[c] == old_row[c]) {
@@ -398,15 +421,17 @@ impl Database {
         Ok(())
     }
 
-    /// Evaluates an expression with no row context (literals and arithmetic).
-    fn eval_standalone(&self, e: &Expr) -> Result<Value, DbError> {
+    /// Evaluates an expression with no row context (literals, parameters and
+    /// arithmetic).
+    fn eval_standalone(&self, e: &Expr, params: Params<'_>) -> Result<Value, DbError> {
         let ctx = EvalCtx {
             db: self,
             scope: &[],
             rows: &[],
             outer: None,
+            params,
         };
-        Ok(Bound::bind(e, &[], None).eval(&ctx)?.into_owned())
+        Ok(Bound::bind(e, &[], None, params).eval(&ctx)?.into_owned())
     }
 
     /// Total row count across all tables.

@@ -25,13 +25,15 @@
 
 use std::borrow::Cow;
 
+use sqlir::params::substitute_expr;
 use sqlir::{
-    BinaryOp, CmpResult, Distinctness, Expr, JoinClause, Query, SelectItem, SetFunc, UnaryOp, Value,
+    lookup, BinaryOp, CmpResult, Distinctness, Expr, JoinClause, Query, SelectItem, SetFunc,
+    SqlError, UnaryOp, Value,
 };
 
 use crate::db::Database;
 use crate::error::DbError;
-use crate::expr::{resolve, Bound, EvalCtx, ScopeEntry};
+use crate::expr::{resolve, Bound, EvalCtx, Params, ScopeEntry};
 use crate::table::{Matches, Table};
 
 /// Projected output paired with its ORDER BY sort key, one entry per row.
@@ -82,7 +84,17 @@ impl Rows {
 
 /// Executes a `SELECT` against the database.
 pub fn execute_query(db: &Database, q: &Query) -> Result<Rows, DbError> {
-    execute_query_impl(db, q, None, true)
+    execute_query_with(db, q, &[])
+}
+
+/// Executes a `SELECT` whose parameters take their values from `params`:
+/// the result of executing the bound query, without binding it.
+pub(crate) fn execute_query_with(
+    db: &Database,
+    q: &Query,
+    params: Params<'_>,
+) -> Result<Rows, DbError> {
+    execute_query_impl(db, q, None, params, true)
 }
 
 /// Executes a `SELECT` with every access-path optimization disabled: plain
@@ -92,17 +104,17 @@ pub fn execute_query(db: &Database, q: &Query) -> Result<Rows, DbError> {
 /// probes, join ordering, predicate pushdown); results must be identical,
 /// including row order.
 pub fn execute_query_naive(db: &Database, q: &Query) -> Result<Rows, DbError> {
-    execute_query_impl(db, q, None, false)
+    execute_query_impl(db, q, None, &[], false)
 }
 
-/// Executes a `SELECT`, with an optional outer context for correlated
-/// subqueries.
+/// Executes a subquery in the context of the enclosing query's current
+/// row, under the enclosing statement's parameters.
 pub(crate) fn execute_query_with_outer(
     db: &Database,
     q: &Query,
-    outer: Option<&EvalCtx<'_>>,
+    outer: &EvalCtx<'_>,
 ) -> Result<Rows, DbError> {
-    execute_query_impl(db, q, outer, true)
+    execute_query_impl(db, q, Some(outer), outer.params, true)
 }
 
 /// The ids of the rows of `table` that a mutation's `WHERE` selects,
@@ -111,8 +123,9 @@ pub(crate) fn matching_row_ids(
     db: &Database,
     table: &str,
     where_clause: Option<&Expr>,
+    params: Params<'_>,
 ) -> Result<Vec<usize>, DbError> {
-    let mut src = Source::new(db, None, 1);
+    let mut src = Source::new(db, None, params, 1);
     src.push(table, db.table(table)?)?;
     let tuples = src.matching(&[], where_clause, true)?;
     Ok(tuples.ids.into_iter().map(|id| id as usize).collect())
@@ -122,10 +135,11 @@ fn execute_query_impl(
     db: &Database,
     q: &Query,
     outer: Option<&EvalCtx<'_>>,
+    params: Params<'_>,
     optimize: bool,
 ) -> Result<Rows, DbError> {
     // 1. Resolve every source table: the `FROM` list, then the `JOIN`s.
-    let mut src = Source::new(db, outer, q.from.len() + q.joins.len());
+    let mut src = Source::new(db, outer, params, q.from.len() + q.joins.len());
     for tref in q.from.iter().chain(q.joins.iter().map(|j| &j.table)) {
         src.push(tref.binding(), db.table(&tref.table)?)?;
     }
@@ -226,8 +240,8 @@ struct Stage<'q> {
     step: usize,
 }
 
-/// What a stage's equality index is probed with: a literal, or a bound
-/// stage's column.
+/// What a stage's equality index is probed with: a literal (or bound
+/// parameter), or a bound stage's column.
 enum KeySource<'q> {
     Literal(&'q Value),
     Column(usize, usize),
@@ -239,14 +253,21 @@ struct Source<'a> {
     db: &'a Database,
     scope: Vec<ScopeEntry<'a>>,
     outer: Option<&'a EvalCtx<'a>>,
+    params: Params<'a>,
 }
 
 impl<'a> Source<'a> {
-    fn new(db: &'a Database, outer: Option<&'a EvalCtx<'a>>, stages: usize) -> Source<'a> {
+    fn new(
+        db: &'a Database,
+        outer: Option<&'a EvalCtx<'a>>,
+        params: Params<'a>,
+        stages: usize,
+    ) -> Source<'a> {
         Source {
             db,
             scope: Vec::with_capacity(stages),
             outer,
+            params,
         }
     }
 
@@ -260,8 +281,11 @@ impl<'a> Source<'a> {
         Ok(())
     }
 
-    fn bind<'q>(&self, expr: &'q Expr) -> Bound<'q> {
-        Bound::bind(expr, &self.scope, self.outer)
+    fn bind<'q>(&self, expr: &'q Expr) -> Bound<'q>
+    where
+        'a: 'q,
+    {
+        Bound::bind(expr, &self.scope, self.outer, self.params)
     }
 
     fn table(&self, stage: usize) -> &'a Table {
@@ -270,7 +294,7 @@ impl<'a> Source<'a> {
 
     /// The row of stage `stage` a tuple selects.
     fn row(&self, stage: usize, tuple: &[u32]) -> &'a [Value] {
-        &self.table(stage).rows_slice()[tuple[stage] as usize]
+        self.table(stage).row(tuple[stage] as usize)
     }
 
     /// A row buffer for [`Source::ctx`], one (empty) row per stage.
@@ -292,6 +316,7 @@ impl<'a> Source<'a> {
             scope: &self.scope[..stages],
             rows,
             outer: self.outer,
+            params: self.params,
         }
     }
 
@@ -305,7 +330,7 @@ impl<'a> Source<'a> {
         optimize: bool,
     ) -> Result<Tuples, DbError> {
         let n = self.scope.len();
-        let scope = &self.scope[..];
+        let (scope, params) = (&self.scope[..], self.params);
         // Stage sets are `u64` bit sets; a wider join runs unoptimized.
         let optimize = optimize && (1..=64).contains(&n);
 
@@ -328,7 +353,7 @@ impl<'a> Source<'a> {
             let first = conjuncts.len();
             let mut all_total = optimize;
             if optimize {
-                for_each_conjunct(&join.on, &mut |part| match total_reads(part, scope)
+                for_each_conjunct(&join.on, &mut |part| match total_reads(part, scope, params)
                     .filter(|reads| reads >> stage <= 1)
                 {
                     Some(reads) if all_total => conjuncts.push(total(part, reads)),
@@ -348,7 +373,7 @@ impl<'a> Source<'a> {
         }
         match where_clause {
             Some(w) if optimize => {
-                for_each_conjunct(w, &mut |part| match total_reads(part, scope) {
+                for_each_conjunct(w, &mut |part| match total_reads(part, scope, params) {
                     Some(reads) => conjuncts.push(total(part, reads)),
                     None => residual.push(self.bind(part)),
                 })
@@ -357,14 +382,15 @@ impl<'a> Source<'a> {
             None => {}
         }
 
-        // 2. Access paths: per stage, its first `col = literal` conjunct;
+        // 2. Access paths: per stage, its first `col = literal` conjunct (a
+        //    bound parameter counts as the literal it stands for);
         //    and the `a.x = b.y` conjuncts joining two stages.
         let mut stages = vec![Stage::default(); n];
         let mut edges: Vec<(usize, [(usize, usize); 2])> = Vec::new();
         for (i, c) in conjuncts.iter().enumerate() {
             if c.reads.is_none() {
                 stages[c.step].pinned = true;
-            } else if let Some((stage, col, lit)) = literal_probe(c.expr, scope) {
+            } else if let Some((stage, col, lit)) = literal_probe(c.expr, scope, params) {
                 let first = &mut stages[stage].literal;
                 *first = first.or(Some((i, col, lit)));
             } else if let Some(ends) = equi_join(c.expr, scope) {
@@ -438,7 +464,7 @@ impl<'a> Source<'a> {
                 .filter(|c| c.step == step && !c.served)
                 .map(|c| match c.reads {
                     Some(_) => self.bind(c.expr),
-                    None => Bound::bind(c.expr, &scope[..=stage], self.outer),
+                    None => Bound::bind(c.expr, &scope[..=stage], self.outer, params),
                 })
                 .collect();
 
@@ -459,7 +485,7 @@ impl<'a> Source<'a> {
                     }
                 };
                 'rows: for id in ids {
-                    rows[stage] = &table.rows_slice()[id as usize];
+                    rows[stage] = table.row(id as usize);
                     let ctx = self.ctx(stage + 1, &rows);
                     for pred in &here {
                         if !pred.test(&ctx)?.is_true() {
@@ -574,60 +600,75 @@ fn for_each_conjunct<'q>(e: &'q Expr, f: &mut impl FnMut(&'q Expr)) {
 /// the nested loop evaluates it: it may error (arithmetic overflow, `LIKE`
 /// on non-strings, unbound parameters), contains a subquery, or references
 /// a name this scope cannot resolve cleanly (ambiguous, unknown, or
-/// outer-correlated).
+/// outer-correlated). A bound parameter is the literal it stands for, so
+/// the bound statement and the statement with its parameters in place
+/// split into the same conjuncts.
 ///
 /// Totality matters because a single-pass evaluator only reaches the WHERE
 /// clause for fully joined rows; evaluating a fallible conjunct early could
 /// surface an error on a row a later join would have dropped.
-fn total_reads(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<u64> {
+fn total_reads(e: &Expr, scope: &[ScopeEntry<'_>], params: Params<'_>) -> Option<u64> {
+    let scalar = |e| scalar_reads(e, scope, params);
     match e {
-        Expr::Binary { op, lhs, rhs } if op.is_comparison() => {
-            Some(scalar_reads(lhs, scope)? | scalar_reads(rhs, scope)?)
-        }
+        Expr::Binary { op, lhs, rhs } if op.is_comparison() => Some(scalar(lhs)? | scalar(rhs)?),
         Expr::Binary {
             op: BinaryOp::And | BinaryOp::Or,
             lhs,
             rhs,
-        } => Some(total_reads(lhs, scope)? | total_reads(rhs, scope)?),
+        } => Some(total_reads(lhs, scope, params)? | total_reads(rhs, scope, params)?),
         Expr::Unary {
             op: UnaryOp::Not,
             expr,
-        } => total_reads(expr, scope),
-        Expr::IsNull { expr, .. } => scalar_reads(expr, scope),
+        } => total_reads(expr, scope, params),
+        Expr::IsNull { expr, .. } => scalar(expr),
         Expr::InList { expr, list, .. } => {
-            let mut reads = scalar_reads(expr, scope)?;
+            let mut reads = scalar(expr)?;
             for item in list {
-                reads |= scalar_reads(item, scope)?;
+                reads |= scalar(item)?;
             }
             Some(reads)
         }
         Expr::Between {
             expr, low, high, ..
-        } => Some(
-            scalar_reads(expr, scope)? | scalar_reads(low, scope)? | scalar_reads(high, scope)?,
-        ),
-        Expr::Literal(Value::Bool(_)) | Expr::Literal(Value::Null) => Some(0),
-        _ => None,
+        } => Some(scalar(expr)? | scalar(low)? | scalar(high)?),
+        _ => match constant(e, params)? {
+            Value::Bool(_) | Value::Null => Some(0),
+            _ => None,
+        },
     }
 }
 
-/// The stage a column operand reads (none for a literal); `None` for
-/// anything that could error at evaluation time (arithmetic, parameters,
-/// subqueries) or that does not resolve in this scope.
-fn scalar_reads(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<u64> {
+/// The stage a column operand reads (none for a literal or a bound
+/// parameter); `None` for anything that could error at evaluation time
+/// (arithmetic, unbound parameters, subqueries) or that does not resolve in
+/// this scope.
+fn scalar_reads(e: &Expr, scope: &[ScopeEntry<'_>], params: Params<'_>) -> Option<u64> {
     match e {
-        Expr::Literal(_) => Some(0),
         Expr::Column(c) => resolve(scope, c).ok()?.map(|(stage, _)| 1 << stage),
+        _ => constant(e, params).map(|_| 0),
+    }
+}
+
+/// The value of a literal, or of a bound parameter.
+fn constant<'q>(e: &'q Expr, params: Params<'q>) -> Option<&'q Value> {
+    match e {
+        Expr::Literal(v) => Some(v),
+        Expr::Param(p) => lookup(params, p),
         _ => None,
     }
 }
 
-/// Matches `col = literal` (either orientation) where the literal is a
-/// non-`NULL` value of the column's declared type, so an equality-index
-/// probe selects exactly the rows a scan would keep (stored values are
-/// shape-checked to the declared type or `NULL`, and the index excludes
-/// `NULL`s). Returns `(stage, column, literal)`.
-fn literal_probe<'q>(e: &'q Expr, scope: &[ScopeEntry<'_>]) -> Option<(usize, usize, &'q Value)> {
+/// Matches `col = literal` (either orientation; a bound parameter counts as
+/// its value) where the literal is a non-`NULL` value of the column's
+/// declared type, so an equality-index probe selects exactly the rows a
+/// scan would keep (stored values are shape-checked to the declared type or
+/// `NULL`, and the index excludes `NULL`s). Returns `(stage, column,
+/// literal)`.
+fn literal_probe<'q>(
+    e: &'q Expr,
+    scope: &[ScopeEntry<'_>],
+    params: Params<'q>,
+) -> Option<(usize, usize, &'q Value)> {
     let Expr::Binary {
         op: BinaryOp::Eq,
         lhs,
@@ -637,7 +678,7 @@ fn literal_probe<'q>(e: &'q Expr, scope: &[ScopeEntry<'_>]) -> Option<(usize, us
         return None;
     };
     let (col, lit) = match (lhs.as_ref(), rhs.as_ref()) {
-        (Expr::Column(c), Expr::Literal(v)) | (Expr::Literal(v), Expr::Column(c)) => (c, v),
+        (Expr::Column(c), other) | (other, Expr::Column(c)) => (c, constant(other, params)?),
         _ => return None,
     };
     let (stage, i) = resolve(scope, col).ok().flatten()?;
@@ -667,8 +708,9 @@ fn equi_join(e: &Expr, scope: &[ScopeEntry<'_>]) -> Option<[(usize, usize); 2]> 
     (a.0 != b.0 && ty(a) == ty(b)).then_some([a, b])
 }
 
-/// Resolves output column names for the projection.
-fn output_name(item: &SelectItem, idx: usize) -> String {
+/// Resolves output column names for the projection. A parameter prints as
+/// its value, as it does in the bound statement (an unbound one as written).
+fn output_name(item: &SelectItem, idx: usize, params: Params<'_>) -> String {
     match item {
         SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
             // Callers expand wildcards before asking for names.
@@ -680,7 +722,19 @@ fn output_name(item: &SelectItem, idx: usize) -> String {
             ..
         } => c.column.clone(),
         SelectItem::Expr { expr, .. } => {
-            let printed = expr.to_string();
+            let mut value = |p: &_| {
+                let v = lookup(params, p).cloned();
+                v.ok_or_else(|| SqlError::UnboundParameter(String::new()))
+            };
+            let printed = if params.is_empty() {
+                // Nothing to substitute: print without the copy.
+                expr.to_string()
+            } else {
+                match substitute_expr(expr, &mut value) {
+                    Ok(bound) => bound.to_string(),
+                    Err(_) => expr.to_string(),
+                }
+            };
             if printed.len() <= 24 {
                 printed
             } else {
@@ -718,7 +772,7 @@ fn project_plain(
                 stage..stage + 1
             }
             SelectItem::Expr { expr, .. } => {
-                names.push(output_name(item, i));
+                names.push(output_name(item, i, src.params));
                 exprs.push(src.bind(expr));
                 continue;
             }
@@ -801,7 +855,7 @@ fn project_grouped(
         .items
         .iter()
         .enumerate()
-        .map(|(i, item)| output_name(item, i))
+        .map(|(i, item)| output_name(item, i, src.params))
         .collect();
 
     let mut out = Vec::with_capacity(groups.len());

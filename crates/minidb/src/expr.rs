@@ -3,9 +3,11 @@
 //! An [`Expr`] is *bound* once per query (`Bound::bind`): every column
 //! reference is resolved, by name, to a `(stage, column)` slot, and a
 //! reference to an enclosing query's row — fixed for as long as this query
-//! runs — to its value. Evaluation then reads the borrowed table rows of
-//! the current candidate directly; no row is concatenated or cloned to
-//! evaluate a predicate.
+//! runs — to its value. A `?name` parameter is resolved the same way, to
+//! its value borrowed from the statement's bindings ([`Params`]), so a
+//! statement runs with its parameters in place, never as a bound copy.
+//! Evaluation then reads the borrowed table rows of the current candidate
+//! directly; no row is concatenated or cloned to evaluate a predicate.
 //!
 //! Predicates evaluate to [`Value::Bool`] or [`Value::Null`] (unknown); the
 //! executor treats anything but `TRUE` as filtering a row out, matching SQL
@@ -20,6 +22,9 @@ use crate::db::Database;
 use crate::error::DbError;
 use crate::schema::Column;
 use crate::table::Table;
+
+/// A statement's named parameter bindings, read through [`sqlir::lookup`].
+pub type Params<'a> = &'a [(String, Value)];
 
 /// One table binding visible to name resolution: a stage of the query.
 #[derive(Debug, Clone, Copy)]
@@ -79,6 +84,8 @@ pub(crate) struct EvalCtx<'a> {
     pub rows: &'a [&'a [Value]],
     /// Enclosing context, if this is a subquery.
     pub outer: Option<&'a EvalCtx<'a>>,
+    /// The statement's parameters, which its subqueries inherit.
+    pub params: Params<'a>,
 }
 
 impl EvalCtx<'_> {
@@ -109,8 +116,8 @@ fn lookup_outer(outer: Option<&EvalCtx<'_>>, col: &ColumnRef) -> Result<Value, D
 /// names were looked up per evaluation.
 #[derive(Debug)]
 pub(crate) enum Bound<'q> {
-    /// A literal, or an enclosing query's column (constant while this
-    /// query runs).
+    /// A literal, a bound parameter, or an enclosing query's column
+    /// (constant while this query runs).
     Value(Cow<'q, Value>),
     /// Column `.1` of the current row of stage `.0`.
     Col(usize, usize),
@@ -127,19 +134,24 @@ pub(crate) enum Bound<'q> {
 }
 
 impl<'q> Bound<'q> {
-    /// Binds `expr`'s column references against `scope`, then `outer`.
+    /// Binds `expr`'s column references against `scope`, then `outer`, and
+    /// its parameters to their values in `params`.
     pub fn bind(
         expr: &'q Expr,
         scope: &[ScopeEntry<'_>],
         outer: Option<&EvalCtx<'_>>,
+        params: Params<'q>,
     ) -> Bound<'q> {
-        let bind = |e: &'q Expr| Box::new(Bound::bind(e, scope, outer));
+        let bind = |e: &'q Expr| Box::new(Bound::bind(e, scope, outer, params));
         match expr {
             Expr::Literal(v) => Bound::Value(Cow::Borrowed(v)),
-            Expr::Param(p) => Bound::Fail(DbError::UnboundParameter(match p {
-                Param::Named(n) => format!("?{n}"),
-                Param::Positional(i) => format!("?#{i}"),
-            })),
+            Expr::Param(p) => match sqlir::lookup(params, p) {
+                Some(v) => Bound::Value(Cow::Borrowed(v)),
+                None => Bound::Fail(DbError::UnboundParameter(match p {
+                    Param::Named(n) => format!("?{n}"),
+                    Param::Positional(i) => format!("?#{i}"),
+                })),
+            },
             Expr::Column(c) => match resolve(scope, c) {
                 Ok(Some((stage, i))) => Bound::Col(stage, i),
                 Ok(None) => match lookup_outer(outer, c) {
@@ -157,7 +169,9 @@ impl<'q> Bound<'q> {
                 negated,
             } => Bound::InList(
                 bind(expr),
-                list.iter().map(|e| Bound::bind(e, scope, outer)).collect(),
+                list.iter()
+                    .map(|e| Bound::bind(e, scope, outer, params))
+                    .collect(),
                 *negated,
             ),
             Expr::InSubquery {
@@ -358,7 +372,7 @@ fn is_member<'v>(
 }
 
 fn run_subquery(q: &Query, ctx: &EvalCtx<'_>) -> Result<Vec<Vec<Value>>, DbError> {
-    crate::exec::execute_query_with_outer(ctx.db, q, Some(ctx)).map(|r| r.rows)
+    crate::exec::execute_query_with_outer(ctx.db, q, ctx).map(|r| r.rows)
 }
 
 /// Interprets a value as a predicate result.

@@ -50,4 +50,4 @@ pub use db::{Database, ExecResult};
 pub use error::DbError;
 pub use exec::{execute_query_naive, Rows};
 pub use schema::{Column, ForeignKey, TableSchema};
-pub use table::{Row, Table};
+pub use table::Table;

@@ -7,6 +7,10 @@
 //! 8-byte slots at a load factor between 3/8 and 3/4 plus one 4-byte link
 //! — 15 to 25 bytes for a unique key before `Vec` slack, less for a
 //! repeated one — where a key-owning hash map took 132.
+//!
+//! The rows themselves are stored flat ([`RowStore`]): chunks of [`CHUNK`]
+//! rows, each row `arity` consecutive values, so a row costs its values and
+//! nothing else — no pointer, no length, no allocation of its own.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -75,15 +79,15 @@ fn tag_of<'k>(key: impl Iterator<Item = &'k Value>) -> u32 {
 }
 
 impl EqIndex {
-    fn build(cols: &[usize], rows: &[Row]) -> EqIndex {
+    fn build(cols: &[usize], rows: &RowStore) -> EqIndex {
         let mut index = EqIndex {
             cols: cols.to_vec(),
             slots: vec![Slot { tag: 0, tail: NONE }; 2],
-            next: Vec::with_capacity(rows.len()),
+            next: Vec::with_capacity(rows.len),
             groups: 0,
         };
-        for (i, row) in rows.iter().enumerate() {
-            index.append(row, &rows[..i]);
+        for i in 0..rows.len {
+            index.append(rows.row(i), rows);
         }
         index
     }
@@ -103,8 +107,8 @@ impl EqIndex {
         }
     }
 
-    /// Indexes `row` under the next row id; `rows` are the rows before it.
-    fn append(&mut self, row: &[Value], rows: &[Row]) {
+    /// Indexes `row` under the next row id; `rows` hold the rows before it.
+    fn append(&mut self, row: &[Value], rows: &RowStore) {
         let id = self.next.len() as u32;
         self.next.push(id);
         if self.cols.iter().any(|&c| row[c].is_null()) {
@@ -117,7 +121,7 @@ impl EqIndex {
         }
         let tag = tag_of(self.cols.iter().map(|&c| &row[c]));
         let i = self.slot_of(tag, |stored| {
-            let stored = &rows[stored as usize];
+            let stored = rows.row(stored as usize);
             self.cols.iter().all(|&c| stored[c] == row[c])
         });
         let tail = std::mem::replace(&mut self.slots[i], Slot { tag, tail: id }).tail;
@@ -146,7 +150,7 @@ impl EqIndex {
 #[derive(Debug)]
 pub struct Probe<'a> {
     index: Arc<EqIndex>,
-    rows: &'a [Row],
+    rows: &'a RowStore,
 }
 
 impl Probe<'_> {
@@ -156,7 +160,7 @@ impl Probe<'_> {
         let index = &*self.index;
         debug_assert_eq!(key.len(), index.cols.len());
         let i = index.slot_of(tag_of(key.iter()), |stored| {
-            let stored = &self.rows[stored as usize];
+            let stored = self.rows.row(stored as usize);
             index.cols.iter().zip(key).all(|(&c, k)| stored[c] == *k)
         });
         let tail = index.slots[i].tail;
@@ -195,10 +199,76 @@ impl Iterator for Matches<'_> {
     }
 }
 
-/// A stored row: its values, at exactly their size. A row never grows, so
-/// the capacity word a `Vec` would carry — 8 bytes a row, resident for the
-/// table's life — buys nothing.
-pub type Row = Box<[Value]>;
+/// Rows per chunk of a [`RowStore`].
+const CHUNK: usize = 1024;
+
+/// A table's rows, `arity` values each, in chunks of [`CHUNK`] rows: row
+/// `i` is the `i % CHUNK`th run of `arity` values in chunk `i / CHUNK`.
+///
+/// Chunks, not one vector: a vector of a whole table moves on every
+/// doubling, and under glibc a freed multi-MiB buffer raises the mmap
+/// threshold, so the next one grows on the heap by copying. Every chunk
+/// but the first is allocated at its full size once and never moves; the
+/// first grows like a `Vec`, so a small table stays small (as does a
+/// clone's partial last chunk, which is cloned at its length).
+#[derive(Debug, Clone)]
+struct RowStore {
+    arity: usize,
+    len: usize,
+    chunks: Vec<Vec<Value>>,
+}
+
+impl RowStore {
+    fn new(arity: usize) -> RowStore {
+        RowStore {
+            arity,
+            len: 0,
+            chunks: Vec::new(),
+        }
+    }
+
+    fn span(&self, i: usize) -> (usize, std::ops::Range<usize>) {
+        debug_assert!(i < self.len, "row {i} of {}", self.len);
+        let at = i % CHUNK * self.arity;
+        (i / CHUNK, at..at + self.arity)
+    }
+
+    fn row(&self, i: usize) -> &[Value] {
+        let (chunk, values) = self.span(i);
+        &self.chunks[chunk][values]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [Value] {
+        let (chunk, values) = self.span(i);
+        &mut self.chunks[chunk][values]
+    }
+
+    fn push(&mut self, row: Vec<Value>) {
+        assert_eq!(row.len(), self.arity, "row arity");
+        if self.len.is_multiple_of(CHUNK) {
+            let capacity = if self.chunks.is_empty() {
+                0
+            } else {
+                CHUNK * self.arity
+            };
+            self.chunks.push(Vec::with_capacity(capacity));
+        }
+        self.chunks
+            .last_mut()
+            .expect("a chunk with room")
+            .extend(row);
+        self.len += 1;
+    }
+
+    /// Keeps the first `len` rows.
+    fn truncate(&mut self, len: usize) {
+        self.chunks.truncate(len.div_ceil(CHUNK));
+        if let Some(last) = self.chunks.last_mut() {
+            last.truncate((len - (len - 1) / CHUNK * CHUNK) * self.arity);
+        }
+        self.len = len;
+    }
+}
 
 /// A stored table: schema plus rows.
 ///
@@ -212,7 +282,7 @@ pub type Row = Box<[Value]>;
 pub struct Table {
     /// The table's schema.
     pub schema: TableSchema,
-    rows: Vec<Row>,
+    rows: RowStore,
     // A table has a handful of indexes: a list searched by column set.
     indexes: RwLock<Vec<Arc<EqIndex>>>,
 }
@@ -232,8 +302,8 @@ impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Table {
         Table {
+            rows: RowStore::new(schema.columns.len()),
             schema,
-            rows: Vec::new(),
             indexes: RwLock::new(Vec::new()),
         }
     }
@@ -264,22 +334,22 @@ impl Table {
 
     /// The number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.rows.len
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.rows.len == 0
     }
 
     /// Iterates over rows.
     pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        self.rows.iter().map(|row| &**row)
+        (0..self.rows.len).map(|i| self.rows.row(i))
     }
 
-    /// Read-only access to the row vector.
-    pub fn rows_slice(&self) -> &[Row] {
-        &self.rows
+    /// Row `i` (row ids are positions in insertion order).
+    pub fn row(&self, i: usize) -> &[Value] {
+        self.rows.row(i)
     }
 
     /// Type- and NULL-checks a row against the schema (no constraint checks).
@@ -343,8 +413,7 @@ impl Table {
         if values.iter().all(|v| !v.is_null()) {
             return self.probe(cols).matching(values).next().is_some();
         }
-        self.rows
-            .iter()
+        self.rows()
             .any(|row| cols.iter().zip(values).all(|(&c, v)| &row[c] == v))
     }
 
@@ -352,11 +421,10 @@ impl Table {
     /// Already built indexes are kept current, so bulk loads that check
     /// constraints per row stay linear.
     pub fn push_row(&mut self, row: Vec<Value>) {
-        debug_assert_eq!(row.len(), self.schema.columns.len());
         for index in self.indexes.get_mut().expect("index lock") {
             Arc::make_mut(index).append(&row, &self.rows);
         }
-        self.rows.push(row.into_boxed_slice());
+        self.rows.push(row);
     }
 
     /// Removes the rows at the given indices (in any order) in one pass;
@@ -366,24 +434,26 @@ impl Table {
         indices.sort_unstable();
         indices.dedup();
         let mut doomed = indices.into_iter().peekable();
-        let mut at = 0;
-        self.rows.retain(|_| {
-            let remove = doomed.next_if_eq(&at).is_some();
-            at += 1;
-            !remove
-        });
+        let mut kept = 0;
+        for at in 0..self.rows.len {
+            if doomed.next_if_eq(&at).is_some() {
+                continue;
+            }
+            if kept < at {
+                for c in 0..self.rows.arity {
+                    let v = std::mem::replace(&mut self.rows.row_mut(at)[c], Value::Null);
+                    self.rows.row_mut(kept)[c] = v;
+                }
+            }
+            kept += 1;
+        }
+        self.rows.truncate(kept);
     }
 
     /// Mutable access to one row.
-    pub fn row_mut(&mut self, idx: usize) -> &mut Row {
+    pub fn row_mut(&mut self, idx: usize) -> &mut [Value] {
         self.invalidate_indexes();
-        &mut self.rows[idx]
-    }
-
-    /// Replaces every row (used by bulk loaders and diagnosis search).
-    pub fn set_rows(&mut self, rows: Vec<Row>) {
-        self.invalidate_indexes();
-        self.rows = rows;
+        self.rows.row_mut(idx)
     }
 }
 
@@ -442,6 +512,16 @@ mod tests {
         assert!(!t.has_duplicate_on(&[1], &[Value::Int(9), Value::Null], None));
     }
 
+    /// A table of `two_col_schema` holding `rows`, in order, with no index
+    /// built yet.
+    fn table_of(rows: impl IntoIterator<Item = Vec<Value>>) -> Table {
+        let mut t = Table::new(two_col_schema());
+        for row in rows {
+            t.push_row(row);
+        }
+        t
+    }
+
     fn ids(t: &Table, cols: &[usize], key: &[Value]) -> Vec<u32> {
         t.probe(cols).matching(key).collect()
     }
@@ -494,8 +574,7 @@ mod tests {
         for i in 0..600 {
             appended.push_row(row(i));
         }
-        let mut built = Table::new(two_col_schema());
-        built.set_rows((0..300).map(|i| row(i).into()).collect());
+        let mut built = table_of((0..300).map(row));
         built.probe(&[1]); // built over 300 rows, then grown mid-way
         for i in 300..600 {
             built.push_row(row(i));
@@ -530,11 +609,11 @@ mod tests {
             .iter()
             .all(|k| tag_of([Value::Int(*k)].iter()) == 0));
 
-        let mut index = EqIndex::build(&[0], &[]);
-        let mut rows: Vec<Row> = Vec::new();
+        let mut rows = RowStore::new(2);
+        let mut index = EqIndex::build(&[0], &rows);
         for round in 0..2 {
             for &k in &keys {
-                let row: Row = Box::new([Value::Int(k), Value::Int(round)]);
+                let row = vec![Value::Int(k), Value::Int(round)];
                 index.append(&row, &rows);
                 rows.push(row);
             }
@@ -590,5 +669,121 @@ mod tests {
         assert_eq!(left, expected);
         // The rebuilt index sees the new row ids.
         assert_eq!(ids(&t, &[0], &[Value::Int(3)]), [2]);
+    }
+
+    /// Row `i` of the chunk tests: a unique key and a repeated text.
+    fn keyed(i: usize) -> Vec<Value> {
+        vec![Value::Int(i as i64), Value::str(format!("k{}", i % 7))]
+    }
+
+    /// `t` holds exactly `model`, in order, and its index on the unique
+    /// column 0 finds every row at its position.
+    fn assert_holds(t: &Table, model: &[Vec<Value>]) {
+        assert_eq!(t.len(), model.len());
+        assert!(t.rows().eq(model.iter().map(Vec::as_slice)));
+        for (i, row) in model.iter().enumerate() {
+            assert_eq!(t.row(i), &row[..]);
+            assert_eq!(ids(t, &[0], &row[..1]), [i as u32], "row {i}");
+        }
+    }
+
+    #[test]
+    fn pushes_cross_chunk_boundaries_with_indexes_built() {
+        let mut t = Table::new(two_col_schema());
+        t.probe(&[0]);
+        t.probe(&[1]);
+        let model: Vec<Vec<Value>> = (0..2 * CHUNK + 5).map(keyed).collect();
+        for row in &model {
+            t.push_row(row.clone());
+        }
+        assert_eq!(t.rows.chunks.len(), 3);
+        assert_holds(&t, &model);
+        let k3: Vec<u32> = (0..model.len() as u32).filter(|i| i % 7 == 3).collect();
+        assert_eq!(ids(&t, &[1], &[Value::str("k3")]), k3);
+    }
+
+    #[test]
+    fn remove_rows_at_and_across_chunk_boundaries() {
+        let n = 2 * CHUNK + 7;
+        let cases: Vec<(&str, Vec<usize>)> = vec![
+            ("the first row", vec![0]),
+            ("the last row", vec![n - 1]),
+            ("one whole chunk", (CHUNK..2 * CHUNK).collect()),
+            (
+                "both sides of boundaries",
+                vec![CHUNK - 1, CHUNK, 2 * CHUNK - 1, 2 * CHUNK],
+            ),
+            ("duplicate ids", vec![5, CHUNK, 5, CHUNK, 5]),
+            ("every row", (0..n).rev().collect()),
+        ];
+        for (what, doomed) in cases {
+            let mut model: Vec<Vec<Value>> = (0..n).map(keyed).collect();
+            let mut t = table_of(model.clone());
+            t.probe(&[0]);
+            t.remove_rows(doomed.clone());
+            let mut at = 0;
+            model.retain(|_| {
+                at += 1;
+                !doomed.contains(&(at - 1))
+            });
+            assert_holds(&t, &model);
+            // Appending after the removal lands at the new end.
+            model.push(keyed(n));
+            t.push_row(keyed(n));
+            assert_holds(&t, &model);
+            assert!(t.rows.chunks.len() <= model.len().div_ceil(CHUNK), "{what}");
+        }
+    }
+
+    #[test]
+    fn row_mut_drops_the_index() {
+        let mut t = table_of((0..CHUNK + 10).map(keyed));
+        let id = (CHUNK + 3) as u32; // in the second chunk
+        let old = t.row(id as usize)[1].clone();
+        assert!(ids(&t, &[1], std::slice::from_ref(&old)).contains(&id));
+        t.row_mut(id as usize)[1] = Value::str("moved");
+        assert_eq!(ids(&t, &[1], &[Value::str("moved")]), [id]);
+        assert!(!ids(&t, &[1], &[old]).contains(&id));
+    }
+
+    #[test]
+    fn clone_then_push() {
+        let model: Vec<Vec<Value>> = (0..CHUNK + 1).map(keyed).collect();
+        let t = table_of(model.clone());
+        assert_holds(&t, &model);
+        // A clone copies the rows and starts with cold indexes; pushing to
+        // it fills its partial last chunk, then starts another.
+        let mut copy = t.clone();
+        let mut grown = model.clone();
+        for i in model.len()..2 * CHUNK + 1 {
+            copy.push_row(keyed(i));
+            grown.push(keyed(i));
+        }
+        assert_holds(&copy, &grown);
+        assert_holds(&t, &model);
+    }
+
+    #[test]
+    fn a_table_of_arity_one() {
+        let mut t = Table::new(TableSchema {
+            name: "one".into(),
+            columns: vec![Column {
+                name: "a".into(),
+                ty: SqlType::Int,
+                not_null: true,
+            }],
+            primary_key: vec![0],
+            uniques: vec![],
+            foreign_keys: vec![],
+        });
+        let mut model: Vec<Vec<Value>> =
+            (0..2 * CHUNK + 1).map(|i| keyed(i)[..1].to_vec()).collect();
+        for row in &model {
+            t.push_row(row.clone());
+        }
+        assert_holds(&t, &model);
+        t.remove_rows((0..CHUNK + 1).collect());
+        model.drain(..CHUNK + 1);
+        assert_holds(&t, &model);
     }
 }

@@ -49,6 +49,6 @@ pub use ast::{
     UnaryOp, Update,
 };
 pub use error::{ParseError, SqlError};
-pub use params::{bind_statement, collect_params, ParamBindings};
+pub use params::{bind_statement, lookup, params_in_bind_order, unbound_error, ParamBindings};
 pub use parser::{parse_expr, parse_query, parse_statement, parse_statements};
 pub use value::{CmpResult, SqlType, Value};

@@ -1,13 +1,15 @@
 //! Parameter collection and binding.
 //!
 //! Policies and applications use named parameters (`?MyUId`) and positional
-//! parameters (`?`). [`collect_params`] enumerates the parameters a statement
-//! mentions; [`bind_statement`] substitutes literal values for them, which is
-//! how a policy view is instantiated for a concrete session.
+//! parameters (`?`). [`params_in_bind_order`] enumerates the parameters a
+//! statement mentions; [`bind_statement`] substitutes literal values for
+//! them, which is how a policy view is instantiated for a concrete session.
+//! [`lookup`] and [`unbound_error`] let an executor that reads parameters in
+//! place, without a bound copy, read the values binding would substitute and
+//! refuse exactly the statements `bind_statement` refuses, with the same
+//! error.
 
-use std::collections::BTreeSet;
-
-use crate::ast::{walk_query, Assignment, Expr, Param, Query, SelectItem, Statement};
+use crate::ast::{Assignment, Expr, Param, Query, SelectItem, Statement};
 use crate::error::SqlError;
 use crate::value::Value;
 
@@ -69,8 +71,7 @@ impl ParamBindings {
 
     fn resolve(&self, p: &Param) -> Result<Value, SqlError> {
         match p {
-            Param::Named(n) => self
-                .get(n)
+            Param::Named(n) => lookup(&self.named, p)
                 .cloned()
                 .ok_or_else(|| SqlError::UnboundParameter(n.clone())),
             Param::Positional(i) => self
@@ -81,60 +82,73 @@ impl ParamBindings {
     }
 }
 
-/// Returns the named parameters mentioned anywhere in a statement (sorted),
-/// plus the count of positional parameters.
-pub fn collect_params(stmt: &Statement) -> (BTreeSet<String>, usize) {
-    let mut named = BTreeSet::new();
-    let mut max_positional = 0usize;
-    let mut visit = |e: &Expr| {
-        if let Expr::Param(p) = e {
-            match p {
-                Param::Named(n) => {
-                    named.insert(n.clone());
-                }
-                Param::Positional(i) => max_positional = max_positional.max(i + 1),
-            }
-        }
-    };
-    match stmt {
-        Statement::Select(q) => walk_query(q, &mut visit),
-        Statement::Insert(ins) => {
-            for row in &ins.rows {
-                for e in row {
-                    e.walk(&mut visit);
-                }
-            }
-        }
-        Statement::Update(u) => {
-            for a in &u.assignments {
-                a.value.walk(&mut visit);
-            }
-            if let Some(w) = &u.where_clause {
-                w.walk(&mut visit);
-            }
-        }
-        Statement::Delete(d) => {
-            if let Some(w) = &d.where_clause {
-                w.walk(&mut visit);
-            }
-        }
-        Statement::CreateTable(_) => {}
+/// The value named `bindings` give a parameter: the last binding of its
+/// name (as [`ParamBindings::set`] replaces an earlier one), and never one
+/// for a positional parameter.
+pub fn lookup<'b>(bindings: &'b [(String, Value)], p: &Param) -> Option<&'b Value> {
+    match p {
+        Param::Named(n) => bindings.iter().rev().find(|(k, _)| k == n).map(|(_, v)| v),
+        Param::Positional(_) => None,
     }
-    (named, max_positional)
 }
+
+/// Resolves one parameter to its value, or to the error binding reports.
+pub type Resolve<'r> = dyn FnMut(&Param) -> Result<Value, SqlError> + 'r;
 
 /// Substitutes parameter values throughout a statement.
 ///
 /// Fails with [`SqlError::UnboundParameter`] / [`SqlError::UnboundPositional`]
 /// if the statement mentions a parameter the bindings don't cover.
 pub fn bind_statement(stmt: &Statement, bindings: &ParamBindings) -> Result<Statement, SqlError> {
+    substitute_statement(stmt, &mut |p| bindings.resolve(p))
+}
+
+/// Substitutes parameter values throughout a query.
+pub fn bind_query(q: &Query, bindings: &ParamBindings) -> Result<Query, SqlError> {
+    substitute_query(q, &mut |p| bindings.resolve(p))
+}
+
+/// Substitutes parameter values throughout an expression.
+pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
+    substitute_expr(e, &mut |p| bindings.resolve(p))
+}
+
+/// The parameters a statement mentions, each once, in the order
+/// [`bind_statement`] resolves them: of those a set of bindings lacks, the
+/// first is the one `bind_statement` fails on.
+pub fn params_in_bind_order(stmt: &Statement) -> Vec<Param> {
+    let mut order: Vec<Param> = Vec::new();
+    let _ = substitute_statement(stmt, &mut |p| {
+        if !order.contains(p) {
+            order.push(p.clone());
+        }
+        Ok(Value::Null)
+    });
+    order
+}
+
+/// The error [`bind_statement`] reports for a statement mentioning `params`
+/// (as listed by [`params_in_bind_order`]) under the named `bindings`, or
+/// `None` if [`lookup`] finds every one.
+pub fn unbound_error(params: &[Param], bindings: &[(String, Value)]) -> Option<SqlError> {
+    let missing = params.iter().find(|p| lookup(bindings, p).is_none())?;
+    Some(match missing {
+        Param::Named(n) => SqlError::UnboundParameter(n.clone()),
+        Param::Positional(i) => SqlError::UnboundPositional(*i),
+    })
+}
+
+fn substitute_statement(
+    stmt: &Statement,
+    resolve: &mut Resolve<'_>,
+) -> Result<Statement, SqlError> {
     Ok(match stmt {
-        Statement::Select(q) => Statement::Select(bind_query(q, bindings)?),
+        Statement::Select(q) => Statement::Select(substitute_query(q, resolve)?),
         Statement::Insert(ins) => {
             let mut out = ins.clone();
             for row in &mut out.rows {
                 for e in row.iter_mut() {
-                    *e = bind_expr(e, bindings)?;
+                    *e = substitute_expr(e, resolve)?;
                 }
             }
             Statement::Insert(out)
@@ -147,12 +161,12 @@ pub fn bind_statement(stmt: &Statement, bindings: &ParamBindings) -> Result<Stat
                 .map(|a| {
                     Ok(Assignment {
                         column: a.column.clone(),
-                        value: bind_expr(&a.value, bindings)?,
+                        value: substitute_expr(&a.value, resolve)?,
                     })
                 })
                 .collect::<Result<_, SqlError>>()?;
             out.where_clause = match &u.where_clause {
-                Some(w) => Some(bind_expr(w, bindings)?),
+                Some(w) => Some(substitute_expr(w, resolve)?),
                 None => None,
             };
             Statement::Update(out)
@@ -160,7 +174,7 @@ pub fn bind_statement(stmt: &Statement, bindings: &ParamBindings) -> Result<Stat
         Statement::Delete(d) => {
             let mut out = d.clone();
             out.where_clause = match &d.where_clause {
-                Some(w) => Some(bind_expr(w, bindings)?),
+                Some(w) => Some(substitute_expr(w, resolve)?),
                 None => None,
             };
             Statement::Delete(out)
@@ -169,8 +183,7 @@ pub fn bind_statement(stmt: &Statement, bindings: &ParamBindings) -> Result<Stat
     })
 }
 
-/// Substitutes parameter values throughout a query.
-pub fn bind_query(q: &Query, bindings: &ParamBindings) -> Result<Query, SqlError> {
+fn substitute_query(q: &Query, resolve: &mut Resolve<'_>) -> Result<Query, SqlError> {
     let mut out = q.clone();
     out.items = q
         .items
@@ -178,7 +191,7 @@ pub fn bind_query(q: &Query, bindings: &ParamBindings) -> Result<Query, SqlError
         .map(|item| {
             Ok(match item {
                 SelectItem::Expr { expr, alias } => SelectItem::Expr {
-                    expr: bind_expr(expr, bindings)?,
+                    expr: substitute_expr(expr, resolve)?,
                     alias: alias.clone(),
                 },
                 other => other.clone(),
@@ -186,43 +199,45 @@ pub fn bind_query(q: &Query, bindings: &ParamBindings) -> Result<Query, SqlError
         })
         .collect::<Result<_, SqlError>>()?;
     for j in &mut out.joins {
-        j.on = bind_expr(&j.on, bindings)?;
+        j.on = substitute_expr(&j.on, resolve)?;
     }
     out.where_clause = match &q.where_clause {
-        Some(w) => Some(bind_expr(w, bindings)?),
+        Some(w) => Some(substitute_expr(w, resolve)?),
         None => None,
     };
     out.group_by = q
         .group_by
         .iter()
-        .map(|g| bind_expr(g, bindings))
+        .map(|g| substitute_expr(g, resolve))
         .collect::<Result<_, _>>()?;
     out.having = match &q.having {
-        Some(h) => Some(bind_expr(h, bindings)?),
+        Some(h) => Some(substitute_expr(h, resolve)?),
         None => None,
     };
     for k in &mut out.order_by {
-        k.expr = bind_expr(&k.expr, bindings)?;
+        k.expr = substitute_expr(&k.expr, resolve)?;
     }
     Ok(out)
 }
 
-/// Substitutes parameter values throughout an expression.
-pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
+/// Replaces every parameter in an expression, subqueries included, by the
+/// value `resolve` gives it, stopping at the first error.
+pub fn substitute_expr(e: &Expr, resolve: &mut Resolve<'_>) -> Result<Expr, SqlError> {
+    let mut sub = |e: &Expr| substitute_expr(e, resolve).map(Box::new);
     Ok(match e {
-        Expr::Param(p) => Expr::Literal(bindings.resolve(p)?),
+        Expr::Param(p) => Expr::Literal(resolve(p)?),
         Expr::Literal(_) | Expr::Column(_) => e.clone(),
         Expr::Unary { op, expr } => Expr::Unary {
             op: *op,
-            expr: Box::new(bind_expr(expr, bindings)?),
+            expr: sub(expr)?,
         },
         Expr::Binary { op, lhs, rhs } => Expr::Binary {
             op: *op,
-            lhs: Box::new(bind_expr(lhs, bindings)?),
-            rhs: Box::new(bind_expr(rhs, bindings)?),
+            lhs: sub(lhs)?,
+            rhs: sub(rhs)?,
         },
         Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(bind_expr(expr, bindings)?),
+            expr: sub(expr)?,
             negated: *negated,
         },
         Expr::InList {
@@ -230,10 +245,10 @@ pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
             list,
             negated,
         } => Expr::InList {
-            expr: Box::new(bind_expr(expr, bindings)?),
+            expr: sub(expr)?,
             list: list
                 .iter()
-                .map(|e| bind_expr(e, bindings))
+                .map(|e| sub(e).map(|e| *e))
                 .collect::<Result<_, _>>()?,
             negated: *negated,
         },
@@ -242,12 +257,12 @@ pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
             query,
             negated,
         } => Expr::InSubquery {
-            expr: Box::new(bind_expr(expr, bindings)?),
-            query: Box::new(bind_query(query, bindings)?),
+            expr: sub(expr)?,
+            query: Box::new(substitute_query(query, resolve)?),
             negated: *negated,
         },
         Expr::Exists { query, negated } => Expr::Exists {
-            query: Box::new(bind_query(query, bindings)?),
+            query: Box::new(substitute_query(query, resolve)?),
             negated: *negated,
         },
         Expr::Between {
@@ -256,9 +271,9 @@ pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
             high,
             negated,
         } => Expr::Between {
-            expr: Box::new(bind_expr(expr, bindings)?),
-            low: Box::new(bind_expr(low, bindings)?),
-            high: Box::new(bind_expr(high, bindings)?),
+            expr: sub(expr)?,
+            low: sub(low)?,
+            high: sub(high)?,
             negated: *negated,
         },
         Expr::Like {
@@ -266,8 +281,8 @@ pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
             pattern,
             negated,
         } => Expr::Like {
-            expr: Box::new(bind_expr(expr, bindings)?),
-            pattern: Box::new(bind_expr(pattern, bindings)?),
+            expr: sub(expr)?,
+            pattern: sub(pattern)?,
             negated: *negated,
         },
         Expr::Agg {
@@ -277,7 +292,7 @@ pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
         } => Expr::Agg {
             func: *func,
             arg: match arg {
-                Some(a) => Some(Box::new(bind_expr(a, bindings)?)),
+                Some(a) => Some(sub(a)?),
                 None => None,
             },
             distinct: *distinct,
@@ -295,12 +310,15 @@ mod tests {
         let stmt =
             parse_statement("SELECT * FROM t WHERE a = ?MyUId AND b = ? AND c = ?Other AND d = ?")
                 .unwrap();
-        let (named, positional) = collect_params(&stmt);
         assert_eq!(
-            named.into_iter().collect::<Vec<_>>(),
-            vec!["MyUId", "Other"]
+            params_in_bind_order(&stmt),
+            [
+                Param::Named("MyUId".into()),
+                Param::Positional(0),
+                Param::Named("Other".into()),
+                Param::Positional(1)
+            ]
         );
-        assert_eq!(positional, 2);
     }
 
     #[test]
@@ -342,6 +360,48 @@ mod tests {
                 .unwrap();
         let bound = bind_statement(&stmt, &ParamBindings::new().with("MyUId", 7)).unwrap();
         assert!(bound.to_string().contains("u.id = 7"));
+    }
+
+    /// The listed order is `bind_statement`'s, not the text's: an `UPDATE`
+    /// binds its assignments before its `WHERE`, a query its select list
+    /// before its `WHERE`, and the first unbound one is what it reports.
+    #[test]
+    fn unbound_error_reports_what_binding_reports() {
+        let stmt = parse_statement(
+            "UPDATE t SET a = ?A, b = ? WHERE c = ?C AND EXISTS (SELECT 1 FROM u WHERE u.x = ?A)",
+        )
+        .unwrap();
+        let order = params_in_bind_order(&stmt);
+        assert_eq!(
+            order,
+            [
+                Param::Named("A".into()),
+                Param::Positional(0),
+                Param::Named("C".into())
+            ]
+        );
+        let named = |names: &[&str]| -> Vec<(String, Value)> {
+            names
+                .iter()
+                .map(|n| (n.to_string(), Value::Int(1)))
+                .collect()
+        };
+        for names in [&[][..], &["A"], &["C"], &["A", "C"]] {
+            let mut pb = ParamBindings::new();
+            for (k, v) in named(names) {
+                pb.set(k, v);
+            }
+            assert_eq!(
+                unbound_error(&order, &named(names)),
+                bind_statement(&stmt, &pb).err(),
+                "{names:?}"
+            );
+        }
+        let query = parse_statement("SELECT ?S FROM t WHERE a = ?W").unwrap();
+        assert_eq!(
+            unbound_error(&params_in_bind_order(&query), &[]),
+            Some(SqlError::UnboundParameter("S".into()))
+        );
     }
 
     #[test]
