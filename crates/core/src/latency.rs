@@ -1,28 +1,32 @@
 //! Lock-free per-decision latency histogram.
 //!
-//! [`LatencyHistogram`] is a fixed array of log-bucketed `AtomicU64`
+//! [`LatencyHistogram`] is a fixed array of log-linear `AtomicU64`
 //! counters: recording a sample is one `leading_zeros`, one relaxed
 //! `fetch_add`, and one relaxed `fetch_max` — cheap enough for the
 //! `execute` hot path, and wait-free so concurrent sessions never contend.
-//! Bucket `i` counts samples whose duration in nanoseconds lies in
-//! `[2^i, 2^(i+1))`; percentile queries walk the cumulative counts and
-//! report the geometric midpoint of the bucket holding the requested rank,
-//! so a reported p99 is exact to within one octave (a factor of √2 around
-//! the midpoint) — plenty for the throughput/latency tables.
+//! Values below 64 ns get a bucket each; above that, each octave
+//! `[2^k, 2^(k+1))` is split into 32 equal-width buckets. Percentile
+//! queries walk the cumulative counts and report the midpoint of the
+//! bucket holding the requested rank, which is within 1/64 (≈ 1.6%) of
+//! the exact nearest-rank sample — fine enough to see a 10% regression.
 //!
-//! The histogram is the single source of latency truth: the proxy records
-//! into it on every `execute`, and both the in-process benches (T7/T8) and
-//! the server's `Stats` wire response read percentiles from the same
-//! snapshot.
+//! The proxy records every `execute` into one (`bep_decision_latency_ns`,
+//! read through [`ProxyStats::latency`](crate::proxy::ProxyStats) and the
+//! server's `Stats` response) and every ended session's state size into
+//! another (`bep_session_state_bytes`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of log buckets. Bucket 39 covers up to `2^40` ns ≈ 18 minutes;
-/// anything slower saturates into the last bucket.
-const BUCKETS: usize = 40;
+/// Linear sub-buckets per octave, as a power of two.
+const SUB_BITS: u32 = 5;
 
-/// Fixed log-bucketed latency counters. All methods take `&self`.
+/// Number of buckets: 64 exact ones, then 32 per octave for the 38
+/// octaves from `2^6` up to `2^44` ns ≈ 4.9 hours; anything slower
+/// saturates into the last bucket.
+const BUCKETS: usize = 1280;
+
+/// Fixed log-linear latency counters. All methods take `&self`.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
@@ -40,23 +44,25 @@ impl Default for LatencyHistogram {
     }
 }
 
-/// The bucket for a duration of `ns` nanoseconds: `floor(log2(ns))`,
-/// clamped to the table (0 ns lands in bucket 0).
+/// The bucket for a duration of `ns` nanoseconds, clamped to the table.
+/// The shift is 0 below 64, so each of those values is its own bucket,
+/// and `floor(log2(ns)) - 5` above, leaving the top six significant bits
+/// to pick one of the octave's 32 buckets.
 fn bucket_of(ns: u64) -> usize {
-    if ns == 0 {
-        return 0;
-    }
-    ((63 - ns.leading_zeros()) as usize).min(BUCKETS - 1)
+    let shift = (63 - (ns | 1).leading_zeros()).saturating_sub(SUB_BITS);
+    (((shift as u64) << SUB_BITS) + (ns >> shift)).min(BUCKETS as u64 - 1) as usize
 }
 
-/// The representative value reported for a bucket: its geometric midpoint
-/// `2^i * 1.5` (for bucket 0, 1 ns).
+/// The value reported for a bucket: the value itself below 64 ns, the
+/// midpoint of its range above.
 fn bucket_mid_ns(i: usize) -> u64 {
-    if i == 0 {
-        1
-    } else {
-        (1u64 << i) + (1u64 << (i - 1))
+    let i = i as u64;
+    if i < 2 << SUB_BITS {
+        return i;
     }
+    let shift = (i >> SUB_BITS) - 1;
+    let top = i - (shift << SUB_BITS);
+    (top << shift) + (1 << (shift - 1))
 }
 
 impl LatencyHistogram {
@@ -122,11 +128,11 @@ pub struct LatencySnapshot {
     pub sum_ns: u64,
     /// Largest single sample, exact (not bucketed).
     pub max_ns: u64,
-    /// Median, as the midpoint of its log bucket.
+    /// Median, as the midpoint of its bucket (within 1/64 of the sample).
     pub p50_ns: u64,
-    /// 95th percentile, as the midpoint of its log bucket.
+    /// 95th percentile, as the midpoint of its bucket (within 1/64 of the sample).
     pub p95_ns: u64,
-    /// 99th percentile, as the midpoint of its log bucket.
+    /// 99th percentile, as the midpoint of its bucket (within 1/64 of the sample).
     pub p99_ns: u64,
 }
 
@@ -165,19 +171,24 @@ mod tests {
     }
 
     #[test]
-    fn buckets_are_log2() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(1023), 9);
-        assert_eq!(bucket_of(1024), 10);
+    fn buckets_are_exact_below_64_then_32_per_octave() {
+        for ns in 0..64 {
+            assert_eq!(bucket_mid_ns(bucket_of(ns)), ns);
+        }
+        // Width 2 in the first split octave, contiguous across octaves.
+        assert_eq!(bucket_of(63) + 1, bucket_of(64));
+        assert_eq!(bucket_of(64), bucket_of(65));
+        assert_eq!(bucket_mid_ns(bucket_of(64)), 65);
+        assert_eq!(bucket_of(1023) + 1, bucket_of(1024));
+        // [1024, 2048) is 32 buckets of width 32.
+        assert_eq!(bucket_of(2047) - bucket_of(1024), 31);
+        assert_eq!(bucket_mid_ns(bucket_of(1024)), 1040);
+        assert_eq!(bucket_of((1 << 44) - 1), BUCKETS - 1);
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
     }
 
     #[test]
-    fn percentiles_are_octave_accurate() {
+    fn percentiles_pick_the_bucket_of_their_rank() {
         let h = LatencyHistogram::new();
         // 90 fast samples at ~1 µs, 10 slow at ~1 ms.
         for _ in 0..90 {
@@ -188,7 +199,7 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!(s.count, 100);
-        // p50 within the 1024–2048 ns bucket, p99 within 1.05e6's bucket.
+        // p50 in 1,100's bucket, p99 in 1.05e6's bucket.
         assert_eq!(s.p50_ns, bucket_mid_ns(bucket_of(1_100)));
         assert_eq!(s.p99_ns, bucket_mid_ns(bucket_of(1_050_000)));
         assert!(s.p50_ns < s.p95_ns || s.p95_ns == s.p50_ns);
@@ -256,13 +267,26 @@ mod tests {
             let mut rng = SmallRng::seed_from_u64(seed);
             let h = LatencyHistogram::new();
             let n = rng.gen_range(1usize..400);
+            let mut samples = Vec::with_capacity(n);
             for _ in 0..n {
                 // Spread samples across many octaves, including 0.
                 let shift = rng.gen_range(0u32..40);
                 let ns = rng.gen_range(0u64..1 << shift);
                 h.record(Duration::from_nanos(ns));
+                samples.push(ns);
             }
             let s = h.snapshot();
+            // Each percentile lies within 2% of the exact nearest-rank
+            // sample of the sorted input.
+            samples.sort_unstable();
+            for (pct, got) in [(50, s.p50_ns), (95, s.p95_ns), (99, s.p99_ns)] {
+                let rank = (n * pct).div_ceil(100).max(1);
+                let exact = samples[rank - 1];
+                assert!(
+                    got.abs_diff(exact) * 50 <= exact,
+                    "seed {seed}: p{pct} {got} is over 2% from the exact sample {exact}"
+                );
+            }
             assert_eq!(s.count, n as u64, "seed {seed}");
             assert!(
                 s.p50_ns <= s.p95_ns && s.p95_ns <= s.p99_ns,

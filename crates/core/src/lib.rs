@@ -24,7 +24,6 @@ pub mod checker;
 pub mod classify;
 pub mod decision;
 pub mod error;
-pub mod exemplar;
 pub mod latency;
 pub mod lint;
 pub mod mem;
@@ -42,7 +41,6 @@ pub use checker::ComplianceChecker;
 pub use classify::{AccessMode, StatementClass};
 pub use decision::{Decision, DecisionSource, DenyReason};
 pub use error::CoreError;
-pub use exemplar::{Exemplar, ExemplarStore};
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use lint::{lint_template, lint_templates};
 pub use mem::HeapUsage;
@@ -61,7 +59,7 @@ pub use snapshot::{
     load_snapshot_file, policy_fingerprint, save_snapshot_file, SnapshotError, SnapshotLoadReport,
     SnapshotSaveReport,
 };
-pub use span::{SpanKind, SpanRecord, SpanSummary, SPAN_ARENA_CAPACITY};
+pub use span::SpanSummary;
 pub use trace::{Observation, Trace, TraceEntry};
 pub use write::{
     check_write_concrete, compile_write_template, WriteTemplate, WriteTemplateVerdict,

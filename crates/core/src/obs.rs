@@ -8,7 +8,8 @@
 //!
 //! * [`DecisionEvent`] — one structured record per [`SqlProxy::execute`]
 //!   (session, query-template hash, verdict, the cache tier that decided,
-//!   and a per-phase timing breakdown);
+//!   a per-phase timing breakdown, and the solver work it did) — the one
+//!   per-decision record everything else reads;
 //! * [`EventJournal`] — a fixed-capacity ring buffer the proxy publishes
 //!   events into. The hot path is lock-free: one `fetch_add` claims a slot
 //!   and a per-slot seqlock publishes plain `u64` words, so a decision
@@ -73,18 +74,6 @@ impl Phase {
         Phase::DbExec,
         Phase::TraceRecord,
     ];
-
-    /// The stable label used on the wire and in the metrics exposition.
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Parse => "parse",
-            Phase::TemplateLookup => "template-lookup",
-            Phase::ConcreteLookup => "concrete-lookup",
-            Phase::Proof => "proof",
-            Phase::DbExec => "db-exec",
-            Phase::TraceRecord => "trace-record",
-        }
-    }
 }
 
 /// Which tier of the decision stack produced the verdict.
@@ -193,8 +182,8 @@ pub struct DecisionEvent {
     /// Per-phase nanoseconds, indexed by [`Phase`] (`as usize`). Phases
     /// that did not run are zero.
     pub phase_ns: [u64; PHASE_COUNT],
-    /// Compact solver-work summary from the decision's span tree
-    /// (all-zero when span collection is disabled).
+    /// The solver work this decision did and how its certificates fared
+    /// (all-zero when it ran no solver, e.g. a cache hit).
     pub span: SpanSummary,
 }
 
@@ -926,8 +915,6 @@ mod tests {
                 hom_backtracks: (session >> 1) as u32,
                 cert_replays: (session % 7) as u16,
                 cert_fallbacks: (session % 3) as u16,
-                spans: 1 + (session % 5) as u16,
-                truncated: session.is_multiple_of(5),
             },
         }
     }

@@ -195,7 +195,6 @@ pub fn compile_plan(
     attempt_template: bool,
     lap: &mut dyn FnMut(Phase),
 ) -> TemplatePlan {
-    let _span = crate::span::guard(crate::span::SpanKind::Compile);
     let parsed = parse_statement(sql);
     lap(Phase::Parse);
     let stmt = match parsed {
@@ -214,14 +213,11 @@ pub fn compile_plan(
         stmt if crate::classify::StatementClass::of(&stmt)
             == crate::classify::StatementClass::Write =>
         {
-            let template = {
-                let _span = crate::span::guard(crate::span::SpanKind::TemplateProof);
-                crate::write::compile_write_template(
-                    &stmt,
-                    checker.policy().views(),
-                    checker.schema(),
-                )
-            };
+            let template = crate::write::compile_write_template(
+                &stmt,
+                checker.policy().views(),
+                checker.schema(),
+            );
             lap(Phase::Proof);
             return TemplatePlan {
                 sql: sql.to_string(),
@@ -264,11 +260,7 @@ pub fn compile_plan(
                 let mut verdict = None;
                 for d in disjuncts {
                     let views = checker.policy().symbolic_subset(&d.view_indices);
-                    let proved = {
-                        let _span = crate::span::guard(crate::span::SpanKind::TemplateProof);
-                        checker.prove_disjunct(&d.template, &views, &[])
-                    };
-                    match proved {
+                    match checker.prove_disjunct(&d.template, &views, &[]) {
                         Some(rw) => {
                             let expansion = qlogic::expand(&rw, &views).ok();
                             certs.push(Certificate {

@@ -35,11 +35,12 @@
 //!   amortized into the plan. And
 //! * a per-session *concrete cache* of allowed (template, bindings) pairs,
 //!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
-//!   reuse because compliance is monotone in the trace facts, and a
-//!   session's facts only grow. Concrete *denials* are cached too, stamped
-//!   with the fact count they were proved at: new facts can flip a denial
-//!   (never the reverse), so a cached denial is served only while the
-//!   session's fact count is unchanged.
+//!   reuse because compliance is monotone in what the trace entails, and
+//!   what a session's trace entails only grows (compaction removes only
+//!   facts implied by the ones it keeps). Concrete *denials* are cached
+//!   too, stamped with the [`Trace::version`] they were proved at: new
+//!   facts can flip a denial (never the reverse), so a cached denial is
+//!   served only while the session's trace version is unchanged.
 //!
 //! Every request takes this one path. The specification it is tested
 //! against is the cache-free [`ComplianceChecker`] (`check_template`,
@@ -70,10 +71,10 @@
 //!   [`MetricsRegistry`], so [`SqlProxy::stats`] and the Prometheus
 //!   exposition read the very same atomics; see [`SqlProxy::stats`] for
 //!   the snapshot-consistency contract.
-//! * **Provenance** — when [`ProxyConfig::observe`] is set, each `execute`
-//!   laps a [`PhaseTimer`] across the decision phases and publishes one
-//!   [`DecisionEvent`] into the lock-free [`EventJournal`]; neither takes
-//!   a lock on the decision path.
+//! * **Provenance** — each `execute` laps a [`PhaseTimer`] across the
+//!   decision phases, rolls up the solver work it did, and publishes one
+//!   [`DecisionEvent`] into the lock-free [`EventJournal`]; none of it
+//!   takes a lock on the decision path.
 //! * **Database** — the wrapped [`minidb::Database`] sits behind an
 //!   `RwLock`: allowed `SELECT`s share the read lock, DML takes the write
 //!   lock.
@@ -87,17 +88,21 @@
 //! likewise cost-only: recompiling a template reproduces the identical
 //! plan, and session caches keyed by its hash stay valid.
 //!
-//! *Deny cache*: a denial is recorded together with the fact count observed
-//! when it was proved, and is replayed only while the session's fact count
-//! still equals that value. Facts are append-only, so an equal count means
-//! the identical fact set, i.e. the identical proof obligation. If a
-//! concurrent request on the same session records new facts between a
-//! denial's proof and its write-back, the stored count is already stale and
-//! the entry is simply never served — a wasted slot, never a wrong answer.
+//! *Deny cache*: a denial is recorded together with the trace's
+//! [`Trace::version`] read before it was proved, and is replayed only while
+//! the session's version still equals that value. The version moves on
+//! every fact the trace adds *and* every fact compaction removes, so an
+//! equal version means the identical fact set, i.e. the identical proof
+//! obligation. If a concurrent request on the same session changes the
+//! facts between a denial's proof and its write-back, the stored version
+//! is already stale and the entry is simply never served — a wasted slot,
+//! never a wrong answer.
 //!
-//! *Allow cache*: compliance is monotone in the trace facts and facts only
-//! grow, so an allow proved under any earlier fact set stays valid forever;
-//! write-back needs no validity stamp.
+//! *Allow cache*: compliance is monotone in what the trace entails, and
+//! the set of facts a session's trace entails only grows (compaction drops
+//! a fact only when what remains implies it), so an allow proved under
+//! any earlier fact set stays valid forever; write-back needs no validity
+//! stamp.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -114,19 +119,18 @@ use crate::checker::ComplianceChecker;
 use crate::classify::{AccessMode, StatementClass};
 use crate::decision::{Decision, DecisionSource, DenyReason};
 use crate::error::CoreError;
-use crate::exemplar::ExemplarStore;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::mem::{bindings_heap_bytes, cq_heap_bytes, HeapUsage};
 use crate::obs::{
     template_hash, CacheTier, Counter, DecisionEvent, EventJournal, Gauge, MemoryGauges,
-    MetricsRegistry, Phase, PhaseTimer, Verdict, PHASE_COUNT,
+    MetricsRegistry, Phase, PhaseTimer, Verdict,
 };
 use crate::plan::{
     compile_plan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict, WritePlan,
     PLAN_CAPACITY,
 };
 use crate::snapshot::{SnapshotError, SnapshotLoadReport, SnapshotSaveReport};
-use crate::span::{self, SpanKind, SpanSummary};
+use crate::span::SpanSummary;
 use crate::trace::Trace;
 use crate::write::WriteTemplateVerdict;
 
@@ -152,21 +156,8 @@ pub struct ProxyConfig {
     /// [`crate::write`]). Off (the default), mutations pass through and are
     /// counted as `bep_write_decisions_total{verdict="passthrough"}`.
     pub enforce_writes: bool,
-    /// Capture decision provenance: per-phase timings, per-phase latency
-    /// histograms, and one [`DecisionEvent`] per `execute` into the
-    /// journal.
-    pub observe: bool,
     /// Decision events the journal retains before evicting the oldest.
     pub journal_capacity: usize,
-    /// Collect a hierarchical span tree per decision (requires
-    /// [`observe`](Self::observe)): solver micro-spans with per-span
-    /// counter attribution, summarized onto every [`DecisionEvent`]. Off,
-    /// the hooks cost one thread-local read.
-    pub spans: bool,
-    /// Slowest decisions retained per template with their full span trees
-    /// (0 disables the exemplar store). Only a decision the store would
-    /// retain has its tree cloned out.
-    pub exemplars_per_template: usize,
     /// Compact session traces after each recording: drop entries and facts
     /// homomorphically implied by what remains. Decision-invisible (the
     /// fact set stays logically equivalent; see `Trace::record_compacting`) and keeps
@@ -190,10 +181,7 @@ impl Default for ProxyConfig {
             session_cache: true,
             allow_writes: true,
             enforce_writes: false,
-            observe: true,
             journal_capacity: 4096,
-            spans: false,
-            exemplars_per_template: 0,
             compaction: true,
             // Generous defaults: bounded (the million-user north star needs
             // every tier capped) but far above what steady workloads use,
@@ -237,8 +225,8 @@ pub struct ProxyStats {
     /// invisible to enforcement, audited during migration.
     pub unchecked_statements: u64,
     /// Per-decision latency of [`SqlProxy::execute`], from the lock-free
-    /// log-bucketed histogram (the single source both the benches and the
-    /// server's `Stats` response report percentiles from).
+    /// histogram behind `bep_decision_latency_ns` (percentiles within 2% of
+    /// the exact sample; the server's `Stats` response reports these).
     pub latency: LatencySnapshot,
 }
 
@@ -346,30 +334,32 @@ impl AtomicProxyStats {
     }
 }
 
-/// Scratch provenance threaded through one `execute`: the phase timer
-/// (present only when observing, so the disabled path costs one branch)
-/// plus the cache tier and negative-cache flag the decision path fills in.
+/// Scratch provenance threaded through one `execute`: the phase timer,
+/// the cache tier and negative-cache flag the decision path fills in, and
+/// how many disjuncts a certificate replay decided or the full search had
+/// to.
 struct Prov {
-    timer: Option<PhaseTimer>,
+    timer: PhaseTimer,
     tier: CacheTier,
     negative_template_hit: bool,
+    cert_replays: u32,
+    cert_fallbacks: u32,
 }
 
 impl Prov {
-    fn new(observe: bool) -> Prov {
+    fn new() -> Prov {
         Prov {
-            timer: observe.then(PhaseTimer::start),
+            timer: PhaseTimer::start(),
             tier: CacheTier::Uncached,
             negative_template_hit: false,
+            cert_replays: 0,
+            cert_fallbacks: 0,
         }
     }
 
-    /// Attributes the time since the previous boundary to `phase`
-    /// (no-op when not observing).
+    /// Attributes the time since the previous boundary to `phase`.
     fn lap(&mut self, phase: Phase) {
-        if let Some(t) = &mut self.timer {
-            t.lap(phase);
-        }
+        self.timer.lap(phase);
     }
 }
 
@@ -596,9 +586,6 @@ pub struct SqlProxy {
     stats: AtomicProxyStats,
     registry: MetricsRegistry,
     journal: EventJournal,
-    /// Per-phase latency histograms, indexed by [`Phase`] (`as usize`);
-    /// series of the `bep_phase_latency_ns` family.
-    phases: [Arc<LatencyHistogram>; PHASE_COUNT],
     /// Point-in-time gauges refreshed by [`SqlProxy::metrics_text`].
     sessions_gauge: Arc<Gauge>,
     journal_published: Arc<Gauge>,
@@ -609,18 +596,14 @@ pub struct SqlProxy {
     batch_requests: Arc<Counter>,
     /// Process RSS/VmHWM gauges refreshed by [`SqlProxy::metrics_text`].
     memory: MemoryGauges,
-    /// Slowest decisions per template, with full span trees.
-    exemplars: ExemplarStore,
-    /// `bep_span_solver_total{counter=...}` series, fed from span
-    /// summaries: rewrite iterations, containment checks, hom nodes, hom
-    /// backtracks — in that order.
+    /// `bep_span_solver_total{counter=...}` series, fed from the journaled
+    /// events' span summaries: rewrite iterations, containment checks, hom
+    /// nodes, hom backtracks — in that order.
     span_counters: [Arc<Counter>; 4],
     /// Component heap gauges (`bep_mem_bytes{component=...}`), refreshed
-    /// by [`SqlProxy::metrics_text`]: plan cache, session state, journal,
-    /// exemplars — in that order.
-    mem_gauges: [Arc<Gauge>; 4],
-    /// Exemplars currently retained (`bep_exemplar_count`).
-    exemplar_count: Arc<Gauge>,
+    /// by [`SqlProxy::metrics_text`]: plan cache, session state, journal —
+    /// in that order.
+    mem_gauges: [Arc<Gauge>; 3],
     /// Heap bytes of each session's state at the moment it ended
     /// (`bep_session_state_bytes`; recorded once per session, so scrapes
     /// never double-count a live session).
@@ -662,13 +645,6 @@ impl SqlProxy {
             "Journal events evicted by ring wrap-around",
             &[],
         );
-        let phases = Phase::ALL.map(|ph| {
-            registry.histogram(
-                "bep_phase_latency_ns",
-                "Decision-phase latency in nanoseconds",
-                &[("phase", ph.label())],
-            )
-        });
         let batches = registry.counter(
             "bep_batches_total",
             "Cross-connection decision batches executed",
@@ -689,13 +665,8 @@ impl SqlProxy {
         ]
         .map(|c| registry.counter("bep_span_solver_total", solver, &[("counter", c)]));
         let heap = "Heap bytes currently owned, by component";
-        let mem_gauges = ["plan-cache", "session-state", "journal", "exemplars"]
+        let mem_gauges = ["plan-cache", "session-state", "journal"]
             .map(|c| registry.gauge("bep_mem_bytes", heap, &[("component", c)]));
-        let exemplar_count = registry.gauge(
-            "bep_exemplar_count",
-            "Slow-decision exemplars currently retained",
-            &[],
-        );
         let session_state_bytes_hist = registry.histogram(
             "bep_session_state_bytes",
             "Heap bytes of a session's state when it ended",
@@ -746,17 +717,14 @@ impl SqlProxy {
             stats,
             registry,
             journal: EventJournal::with_capacity(config.journal_capacity),
-            phases,
             sessions_gauge,
             journal_published,
             journal_evicted,
             batches,
             batch_requests,
             memory,
-            exemplars: ExemplarStore::new(config.exemplars_per_template),
             span_counters,
             mem_gauges,
-            exemplar_count,
             session_state_bytes_hist,
             lint_warnings,
             eviction_counters,
@@ -858,9 +826,8 @@ impl SqlProxy {
         self.stats.snapshot()
     }
 
-    /// The decision-event journal. Always present (so readers need no
-    /// `Option` dance); it simply stays empty when
-    /// [`ProxyConfig::observe`] is off.
+    /// The decision-event journal: one [`DecisionEvent`] per decided
+    /// statement.
     pub fn journal(&self) -> &EventJournal {
         &self.journal
     }
@@ -871,11 +838,6 @@ impl SqlProxy {
         &self.registry
     }
 
-    /// Per-phase latency snapshots, indexed by [`Phase`] (`as usize`).
-    pub fn phase_snapshots(&self) -> [LatencySnapshot; PHASE_COUNT] {
-        std::array::from_fn(|i| self.phases[i].snapshot())
-    }
-
     /// Renders the Prometheus text exposition, refreshing the
     /// point-in-time gauges (live sessions, journal accounting, component
     /// heap bytes) first.
@@ -884,31 +846,27 @@ impl SqlProxy {
         self.journal_published.set(self.journal.published());
         self.journal_evicted.set(self.journal.evicted());
         self.memory.sample();
-        let [plan_cache, session_state, journal, exemplars] = &self.mem_gauges;
-        plan_cache.set(self.plans.heap_bytes() as u64);
-        // Incremental account + shard tables: O(shards), not O(sessions) —
-        // a scrape must not walk a million sessions.
-        session_state.set(self.sessions_heap_bytes_fast() as u64);
-        journal.set(self.journal.heap_bytes() as u64);
-        exemplars.set(self.exemplars.heap_bytes() as u64);
-        self.exemplar_count.set(self.exemplars.count() as u64);
+        let components = self.component_heap_bytes();
+        for (gauge, (_, bytes)) in self.mem_gauges.iter().zip(components) {
+            gauge.set(bytes as u64);
+        }
         self.registry.render()
     }
 
-    /// The slow-decision exemplar store (empty unless
-    /// [`ProxyConfig::exemplars_per_template`] is set).
-    pub fn exemplars(&self) -> &ExemplarStore {
-        &self.exemplars
-    }
-
     /// Point-in-time heap bytes per retaining component, in the same
-    /// order as the `bep_mem_bytes{component=...}` gauges.
+    /// order as the `bep_mem_bytes{component=...}` gauges, then their
+    /// `total` (which has no gauge of its own). Session state comes from
+    /// the incremental account plus the shard tables: O(shards), not
+    /// O(sessions) — a scrape must not walk a million sessions.
     pub fn component_heap_bytes(&self) -> [(&'static str, usize); 4] {
+        let plan = self.plans.heap_bytes();
+        let sessions = self.sessions_heap_bytes_fast();
+        let journal = self.journal.heap_bytes();
         [
-            ("plan-cache", self.plans.heap_bytes()),
-            ("session-state", self.sessions_heap_bytes_fast()),
-            ("journal", self.journal.heap_bytes()),
-            ("exemplars", self.exemplars.heap_bytes()),
+            ("plan-cache", plan),
+            ("session-state", sessions),
+            ("journal", journal),
+            ("total", plan + sessions + journal),
         ]
     }
 
@@ -1081,13 +1039,13 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
         resolve: impl FnOnce(&mut Prov) -> (P, bool),
     ) -> (Result<ProxyResponse, CoreError>, Option<DecisionEvent>) {
+        // The decision runs on this thread, so the solver counters `finish`
+        // takes are this decision's work alone once whatever accumulated
+        // before it (a `prepare`, any other solver use on this thread) is
+        // discarded here.
+        qlogic::probe::take();
         let t0 = Instant::now();
-        let mut prov = Prov::new(self.config.observe);
-        // The per-decision span tree, closed by `span::finish` inside
-        // `finish` on every path, errors included.
-        if self.config.observe && self.config.spans {
-            span::begin();
-        }
+        let mut prov = Prov::new();
         let (plan, built) = resolve(&mut prov);
         let result = self.execute_plan_timed(session_id, &plan, built, extra_bindings, &mut prov);
         let event = self.finish(session_id, plan.hash(), t0, &prov, &result);
@@ -1105,8 +1063,8 @@ impl SqlProxy {
         result
     }
 
-    /// The tail of [`run`](Self::run): latency + per-phase histogram
-    /// recording, returning the journal event (if any) for the caller to
+    /// The tail of [`run`](Self::run): latency recording and the solver
+    /// roll-up, returning the journal event (if any) for the caller to
     /// publish ([`EventJournal::record`] or one
     /// [`EventJournal::record_many`] block per batch).
     fn finish(
@@ -1118,60 +1076,38 @@ impl SqlProxy {
         result: &Result<ProxyResponse, CoreError>,
     ) -> Option<DecisionEvent> {
         let total = t0.elapsed();
-        let total_ns = total.as_nanos().min(u64::MAX as u128) as u64;
         self.stats.latency.record(total);
-        // Close the span tree first: `run` opened it whenever observing
-        // with spans on, and it must be closed on *every* path
-        // through here (including errors) or it would leak into the
-        // thread's next decision.
-        let (span_summary, span_records) = match span::active() {
-            false => (SpanSummary::default(), Vec::new()),
-            true => {
-                // Capture the full tree only for an exemplar slot this
-                // decision would win: nobody else keeps it.
-                let capture = self.exemplars.would_accept(hash, total_ns);
-                span::finish(capture).unwrap_or_default()
-            }
-        };
-        if !span_summary.is_empty() {
-            let [rw, cc, hn, hb] = &self.span_counters;
-            rw.add(span_summary.rewrite_iterations as u64);
-            cc.add(span_summary.containment_checks as u64);
-            hn.add(span_summary.hom_nodes as u64);
-            hb.add(span_summary.hom_backtracks as u64);
-        }
-        let timer = prov.timer.as_ref()?;
-        let phase_ns = timer.phase_ns();
-        for (hist, ns) in self.phases.iter().zip(phase_ns) {
-            if ns > 0 {
-                hist.record(Duration::from_nanos(ns));
-            }
-        }
+        let span = SpanSummary::new(
+            qlogic::probe::take(),
+            prov.cert_replays,
+            prov.cert_fallbacks,
+        );
         // Only decided statements get a journal entry; a `NoSuchSession`
         // error is the caller's bug, not a decision.
         let response = result.as_ref().ok()?;
+        if !span.is_empty() {
+            let [rw, cc, hn, hb] = &self.span_counters;
+            rw.add(span.rewrite_iterations as u64);
+            cc.add(span.containment_checks as u64);
+            hn.add(span.hom_nodes as u64);
+            hb.add(span.hom_backtracks as u64);
+        }
         let verdict = if response.is_allowed() {
             Verdict::Allowed
         } else {
             Verdict::Blocked
         };
-        let ev = DecisionEvent {
+        Some(DecisionEvent {
             seq: 0, // assigned on publication
             session: session_id,
             template_hash: hash,
             verdict,
             tier: prov.tier,
             negative_template_hit: prov.negative_template_hit,
-            total_ns,
-            phase_ns,
-            span: span_summary,
-        };
-        if !span_records.is_empty() {
-            // The store re-checks the cutoff under its lock; a losing race
-            // with a slower decision just discards the clone.
-            self.exemplars.offer(ev, span_records);
-        }
-        Some(ev)
+            total_ns: total.as_nanos().min(u64::MAX as u128) as u64,
+            phase_ns: prov.timer.phase_ns(),
+            span,
+        })
     }
 
     /// Executes a burst of requests drained off many connections in one
@@ -1548,9 +1484,12 @@ impl SqlProxy {
                 _ => {}
             }
         }
-        // 2. Concrete tier over the pruned plan.
+        // 2. Concrete tier over the pruned plan. The closure cannot borrow
+        //    `prov` (the tier holds it), so it counts certificate outcomes
+        //    in locals copied in afterwards.
         let key = ConcreteKey::new(hash, bindings);
-        self.decide_concrete(session_id, key, prov, |checker, trace| {
+        let (mut replays, mut fallbacks) = (0, 0);
+        let decision = self.decide_concrete(session_id, key, prov, |checker, trace| {
             match &sp.translation {
                 Err(msg) => Decision::Denied {
                     reason: DenyReason::OutOfFragment(msg.clone()),
@@ -1572,11 +1511,9 @@ impl SqlProxy {
                     };
                     let mut rewritings = Vec::with_capacity(disjuncts.len());
                     for (i, d) in disjuncts.iter().enumerate() {
-                        let _disjunct_span = span::guard(SpanKind::Disjunct);
                         let inst = d.template.instantiate(bindings);
                         let replayed = certs.and_then(|cs| cs.get(i)).and_then(|c| {
                             let expansion = c.expansion.as_ref()?;
-                            let _replay_span = span::guard(SpanKind::CertReplay);
                             checker.replay_certificate(
                                 &inst,
                                 c.rewriting.instantiate(bindings),
@@ -1586,14 +1523,13 @@ impl SqlProxy {
                         });
                         let proved = match replayed {
                             Some(rw) => {
-                                span::note_cert_replay();
+                                replays += 1;
                                 Some(rw)
                             }
                             None => {
                                 // Replay failed (or no certificate): run the
                                 // full search over the pruned candidate views.
-                                span::note_cert_fallback();
-                                let _fallback_span = span::guard(SpanKind::CertFallback);
+                                fallbacks += 1;
                                 let views = checker
                                     .policy()
                                     .instantiate_subset(&d.view_indices, bindings);
@@ -1615,7 +1551,10 @@ impl SqlProxy {
                     }
                 }
             }
-        })
+        });
+        prov.cert_replays = replays;
+        prov.cert_fallbacks = fallbacks;
+        decision
     }
 
     /// The shared concrete tier: session caches around one fresh proof.
@@ -2531,23 +2470,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_off_disables_journal_and_phase_histograms() {
-        let config = ProxyConfig {
-            observe: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-            .unwrap();
-        assert_eq!(p.journal().published(), 0);
-        assert!(p.phase_snapshots().iter().all(|s| s.count == 0));
-        // The aggregate latency histogram still records (it predates the
-        // observability layer and the benches depend on it).
-        assert_eq!(p.stats().latency.count, 1);
-    }
-
-    #[test]
     fn metrics_text_exposes_expected_families() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -2577,8 +2499,6 @@ mod tests {
         assert!(text.contains("bep_sessions 1\n"));
         assert!(text.contains("bep_journal_published 3\n"));
         assert!(text.contains("bep_journal_evicted 0\n"));
-        assert!(text.contains("bep_phase_latency_ns{phase=\"parse\",quantile=\"0.5\"}"));
-        assert!(text.contains("bep_phase_latency_ns_count{phase=\"proof\"}"));
         assert!(text.contains("# TYPE bep_process_resident_bytes gauge\n"));
         assert!(text.contains("# TYPE bep_process_vm_hwm_bytes gauge\n"));
         assert!(text.contains("# TYPE bep_cache_evictions_total counter\n"));
@@ -2806,11 +2726,7 @@ mod tests {
 
     #[test]
     fn spans_summarize_solver_work_onto_events() {
-        let p = proxy(ProxyConfig {
-            spans: true,
-            exemplars_per_template: 2,
-            ..ProxyConfig::default()
-        });
+        let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
         p.execute(
             s,
@@ -2827,55 +2743,41 @@ mod tests {
 
         let events = p.journal().recent(usize::MAX, None);
         assert_eq!(events.len(), 2);
-        // Every span-enabled decision carries at least the root span.
-        assert!(events.iter().all(|e| e.span.spans >= 1), "{events:?}");
-        // The trace-dependent Q2 runs a concrete proof: real solver work.
+        // The trace-dependent Q2 runs a concrete proof: real solver work,
+        // and with no certificate (its template is undecidable) its one
+        // disjunct falls back to the full search.
         let q2 = events.last().unwrap();
         assert!(
             q2.span.containment_checks > 0 || q2.span.rewrite_iterations > 0,
             "concrete proof left no solver footprint: {:?}",
             q2.span
         );
-        // Each template's first decision wins an empty exemplar slot, so
-        // both full trees were captured.
-        assert_eq!(p.exemplars().count(), 2);
-        let slow = p.exemplars().slowest(q2.template_hash);
-        assert_eq!(slow.len(), 1);
-        assert!(!slow[0].spans.is_empty());
-        assert_eq!(slow[0].spans[0].kind, SpanKind::Decision);
-        // The exposition carries the new families.
+        assert_eq!((q2.span.cert_replays, q2.span.cert_fallbacks), (0, 1));
+        // The exposition carries the solver and memory families.
         let text = p.metrics_text();
         assert!(text.contains("bep_span_solver_total{counter=\"containment-checks\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"plan-cache\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"session-state\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"journal\"}"));
-        assert!(text.contains("bep_mem_bytes{component=\"exemplars\"}"));
-        assert!(text.contains("bep_exemplar_count 2\n"), "{text}");
         assert!(text.contains("bep_policy_lint_warnings 0\n"));
-    }
 
-    #[test]
-    fn spans_off_leave_summaries_empty_and_capture_nothing() {
-        let p = proxy(ProxyConfig::default());
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p.execute(
-            s,
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event",
-            &[("event".into(), Value::Int(2))],
-        )
-        .unwrap();
-        let events = p.journal().recent(usize::MAX, None);
-        assert!(events.iter().all(|e| e.span.is_empty()), "{events:?}");
-        assert_eq!(p.exemplars().count(), 0);
-        assert!(!crate::span::active(), "no span tree may leak");
-    }
-
-    #[test]
-    fn batch_decisions_carry_spans_and_never_leak_the_tree() {
+        // With the template tier off, a template-allowed query is decided
+        // by replaying its compiled certificate.
         let p = proxy(ProxyConfig {
-            spans: true, // summaries only: no exemplar store, no capture
+            template_cache: false,
             ..ProxyConfig::default()
         });
+        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+        p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
+            .unwrap();
+        let e = p.journal().recent(1, None)[0];
+        assert_eq!(e.tier, CacheTier::ConcreteProof);
+        assert_eq!((e.span.cert_replays, e.span.cert_fallbacks), (1, 0));
+    }
+
+    #[test]
+    fn batch_decisions_carry_only_their_own_solver_work() {
+        let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
         let items: Vec<BatchItem> = (0..3)
             .map(|_| BatchItem {
@@ -2887,11 +2789,23 @@ mod tests {
         for r in p.execute_batch(&items) {
             assert!(r.unwrap().is_allowed());
         }
-        assert!(!crate::span::active(), "batch left a span tree open");
         let events = p.journal().recent(usize::MAX, None);
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.span.spans >= 1));
-        assert_eq!(p.exemplars().count(), 0, "capture disabled");
+        let tiers: Vec<CacheTier> = events.iter().map(|e| e.tier).collect();
+        assert_eq!(
+            tiers,
+            [
+                CacheTier::TemplateProof,
+                CacheTier::TemplateCache,
+                CacheTier::TemplateCache
+            ]
+        );
+        // The first item compiled the plan and paid the symbolic proof;
+        // none of that work may spill into the hits decided after it.
+        assert!(events[0].span.containment_checks > 0, "{events:?}");
+        for hit in &events[1..] {
+            assert_eq!(hit.span.containment_checks, 0, "{hit:?}");
+            assert_eq!(hit.span.rewrite_iterations, 0, "{hit:?}");
+        }
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! The rewriting search, the containment checker, and the homomorphism
 //! search each bump a plain [`Cell`] counter at their inner loops; a
-//! harness (the proxy's span layer) calls [`take`] at span boundaries to
-//! read-and-reset the deltas and attribute them to whatever span was
-//! active. The counters are *always* counted — a thread-local `Cell`
-//! increment is a register-add next to a TLS base, orders of magnitude
-//! below the proof work it counts — so there is no enabled/disabled
-//! branch on the solver hot paths and no dependency from `qlogic` back
-//! onto any observability layer.
+//! harness (the proxy, once at the start and once at the end of each
+//! decision) calls [`take`] to read-and-reset them, so the second call
+//! returns exactly the work done in between. The counters are *always*
+//! counted — a thread-local `Cell` increment is a register-add next to a
+//! TLS base, orders of magnitude below the proof work it counts — so
+//! there is no enabled/disabled branch on the solver hot paths and no
+//! dependency from `qlogic` back onto any observability layer.
 //!
 //! Counters are per-thread and never synchronized: a caller that wants a
 //! decision's counters must run the decision and the [`take`] calls on
@@ -32,14 +32,6 @@ pub struct SolverCounters {
 }
 
 impl SolverCounters {
-    /// Field-wise sum.
-    pub fn add(&mut self, other: SolverCounters) {
-        self.rewrite_iterations += other.rewrite_iterations;
-        self.containment_checks += other.containment_checks;
-        self.hom_nodes += other.hom_nodes;
-        self.hom_backtracks += other.hom_backtracks;
-    }
-
     /// `true` if every counter is zero.
     pub fn is_zero(&self) -> bool {
         *self == SolverCounters::default()

@@ -5,9 +5,9 @@
 //! policy compiles, extraction runs, the app runs clean under its own
 //! policy, raw probes are blocked, and a blocked probe is diagnosable.
 //! On top of that, the whole enforcement run — every proxy decision — must
-//! be identical across same-seed executions under different memory and
-//! introspection settings, and every raw write probe must be decided as a
-//! cache-free reference decides it.
+//! be identical across same-seed executions under different memory
+//! settings, and every raw write probe must be decided as a cache-free
+//! reference decides it.
 
 use appdsl::{run_handler, Limits, Outcome};
 use appsim::{AppSpec, ProxyPort, Scale};
@@ -188,9 +188,9 @@ fn enforcement_run(
 }
 
 /// The differential gate: same-seed enforcement runs make identical
-/// decisions whatever the memory and introspection knobs — compaction
-/// off with unbounded caches, budgets starved enough to evict, spans and
-/// exemplars on — and the stream mixes all three outcome classes.
+/// decisions whatever the memory knobs — compaction off with unbounded
+/// caches, budgets starved enough to evict — and the stream mixes all
+/// three outcome classes.
 #[test]
 fn enforcement_decisions_are_identical_across_same_seed_runs() {
     let enforce = ProxyConfig {
@@ -217,14 +217,6 @@ fn enforcement_decisions_are_identical_across_same_seed_runs() {
                 ..enforce
             },
             true,
-        ),
-        (
-            ProxyConfig {
-                spans: true,
-                exemplars_per_template: 4,
-                ..enforce
-            },
-            false,
         ),
     ];
     for app in small_fleet() {

@@ -407,8 +407,6 @@ fn span_to_json(s: &SpanSummary) -> Json {
         ("hb", Json::Int(s.hom_backtracks as i64)),
         ("cr", Json::Int(s.cert_replays as i64)),
         ("cf", Json::Int(s.cert_fallbacks as i64)),
-        ("spans", Json::Int(s.spans as i64)),
-        ("trunc", Json::Bool(s.truncated)),
     ])
 }
 
@@ -423,8 +421,6 @@ fn span_from_json(j: &Json) -> Result<SpanSummary, ProtocolError> {
         hom_backtracks: counter("hb") as u32,
         cert_replays: counter("cr") as u16,
         cert_fallbacks: counter("cf") as u16,
-        spans: counter("spans") as u16,
-        truncated: j.get("trunc").and_then(Json::as_bool).unwrap_or(false),
     })
 }
 
@@ -442,8 +438,9 @@ fn event_to_json(e: &DecisionEvent) -> Json {
             Json::Arr(e.phase_ns.iter().map(|&n| Json::Int(n as i64)).collect()),
         ),
     ];
-    // All-zero summaries (spans disabled) are omitted entirely: the
-    // common streaming case costs no extra bytes, and decode defaults.
+    // All-zero summaries (no solver work, e.g. a cache hit) are omitted
+    // entirely: the common streaming case costs no extra bytes, and decode
+    // defaults.
     if !e.span.is_empty() {
         fields.push(("span", span_to_json(&e.span)));
     }
@@ -872,8 +869,8 @@ mod tests {
             negative_template_hit: seq % 2 == 1,
             total_ns: 80_000,
             phase_ns,
-            // Odd seqs carry solver work, even seqs are span-disabled
-            // (all-zero, omitted on the wire) — both shapes round-trip.
+            // Odd seqs carry solver work, even seqs did none (all-zero,
+            // omitted on the wire) — both shapes round-trip.
             span: if seq % 2 == 1 {
                 SpanSummary {
                     rewrite_iterations: 3 + seq as u32,
@@ -882,8 +879,6 @@ mod tests {
                     hom_backtracks: 17,
                     cert_replays: 2,
                     cert_fallbacks: 1,
-                    spans: 9,
-                    truncated: seq == 1,
                 }
             } else {
                 SpanSummary::default()
@@ -902,7 +897,7 @@ mod tests {
 
     #[test]
     fn span_summaries_are_omitted_when_empty_and_default_when_absent() {
-        // Span-disabled events carry no "span" member at all.
+        // Events with no solver work carry no "span" member at all.
         let wire = event_to_json(&sample_event(0)).to_wire();
         assert!(
             !wire.contains("\"span\""),
@@ -913,10 +908,11 @@ mod tests {
                          "tier":"template-proof","neg":false,"total_ns":10,"phases":[]}"#;
         let ev = event_from_json(&Json::parse(legacy).unwrap()).unwrap();
         assert_eq!(ev.span, SpanSummary::default());
-        // A span object with unknown-to-us extra members still decodes.
+        // A span object with unknown-to-us extra members (such as an older
+        // peer's tree-shape `spans`/`trunc`) still decodes.
         let extended = r#"{"seq":3,"session":7,"hash":"ff","verdict":"allowed",
                            "tier":"template-proof","neg":false,"total_ns":10,"phases":[],
-                           "span":{"rw":5,"cc":6,"future_field":1}}"#;
+                           "span":{"rw":5,"cc":6,"spans":9,"trunc":true}}"#;
         let ev = event_from_json(&Json::parse(extended).unwrap()).unwrap();
         assert_eq!(ev.span.rewrite_iterations, 5);
         assert_eq!(ev.span.containment_checks, 6);

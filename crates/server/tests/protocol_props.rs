@@ -55,12 +55,10 @@ fn arb_event() -> impl Strategy<Value = DecisionEvent> {
         any::<u32>(),
         any::<u16>(),
         any::<u16>(),
-        any::<u16>(),
-        any::<bool>(),
     );
     (core, span).prop_map(|(core, span)| {
         let (seq, session, template_hash, verdict, tier, neg, total_ns, phases) = core;
-        let (rw, cc, hn, hb, cr, cf, spans, truncated) = span;
+        let (rw, cc, hn, hb, cr, cf) = span;
         let mut phase_ns = [0u64; PHASE_COUNT];
         phase_ns.copy_from_slice(&phases);
         DecisionEvent {
@@ -79,8 +77,6 @@ fn arb_event() -> impl Strategy<Value = DecisionEvent> {
                 hom_backtracks: hb,
                 cert_replays: cr,
                 cert_fallbacks: cf,
-                spans,
-                truncated,
             },
         }
     })

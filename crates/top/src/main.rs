@@ -2,8 +2,9 @@
 //!
 //! Two connections do all the work. The first `subscribe`s to the
 //! decision journal and folds every pushed event into per-template
-//! panes: decision counts, verdict split, latency, solver-span counter
-//! averages, and which cache tier answered. The second scrapes the
+//! panes — decision counts, verdict split, latency, solver-span counter
+//! averages, and which cache tier answered — and into the exact mean
+//! time per decision phase across all of them. The second scrapes the
 //! Prometheus exposition and `stats` snapshot each frame for the
 //! byte-accurate memory gauges (`bep_mem_bytes{component=...}`) and the
 //! server-wide latency percentiles.
@@ -37,7 +38,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bep_core::{schema_of_database, ComplianceChecker, Policy, ProxyConfig, SqlProxy, Verdict};
+use bep_core::{
+    schema_of_database, ComplianceChecker, Policy, ProxyConfig, SqlProxy, Verdict, PHASE_COUNT,
+};
 use bep_server::{Client, ClientError, EventBatch, Server, ServerConfig, WireStats};
 use minidb::Database;
 use sqlir::Value;
@@ -203,13 +206,22 @@ struct Aggregate {
     panes: HashMap<u64, Pane>,
     delivered: u64,
     dropped: u64,
+    /// Exact nanoseconds per decision phase, summed over every delivered
+    /// event, indexed like [`bep_core::Phase::ALL`].
+    phase_ns: [u64; PHASE_COUNT],
 }
+
+/// Short names for the phases, in [`bep_core::Phase::ALL`] order.
+const PHASE_NAMES: [&str; PHASE_COUNT] = ["parse", "lookup", "concrete", "proof", "db", "trace"];
 
 impl Aggregate {
     fn ingest(&mut self, batch: EventBatch) {
         self.dropped = batch.dropped;
         self.delivered += batch.events.len() as u64;
         for e in batch.events {
+            for (sum, ns) in self.phase_ns.iter_mut().zip(e.phase_ns) {
+                *sum += ns;
+            }
             let pane = self.panes.entry(e.template_hash).or_default();
             pane.count += 1;
             if e.verdict == Verdict::Allowed {
@@ -357,6 +369,17 @@ fn render(
         "stream: delivered {}  dropped {}  (+{fresh} this frame)\n",
         agg.delivered, agg.dropped
     ));
+    let ns_per_us_decision = agg.delivered.max(1) as f64 * 1e3;
+    let phases: Vec<String> = PHASE_NAMES
+        .iter()
+        .zip(agg.phase_ns)
+        .map(|(name, ns)| format!("{name} {:.1}", ns as f64 / ns_per_us_decision))
+        .collect();
+    out.push_str(&format!(
+        "phases: {}  (mean µs over {} decisions)\n",
+        phases.join("  "),
+        agg.delivered
+    ));
     let gauges: Vec<String> = mem
         .iter()
         .map(|(c, b)| format!("{c} {}", fmt_bytes(*b)))
@@ -502,11 +525,7 @@ impl DemoServer {
         let proxy = Arc::new(SqlProxy::new(
             db,
             ComplianceChecker::new(schema, policy),
-            ProxyConfig {
-                spans: true,
-                exemplars_per_template: 2,
-                ..ProxyConfig::default()
-            },
+            ProxyConfig::default(),
         ));
         let server =
             Server::start(proxy, ServerConfig::default(), "127.0.0.1:0").expect("bind demo server");
@@ -581,6 +600,48 @@ mod tests {
         assert_eq!(
             parse_mem_gauges(text),
             vec![("plan-cache".into(), 1024), ("journal".into(), 2048)]
+        );
+    }
+
+    #[test]
+    fn phases_line_reports_exact_mean_phase_times() {
+        let event = |phase_ns| bep_core::DecisionEvent {
+            seq: 0,
+            session: 1,
+            template_hash: 7,
+            verdict: Verdict::Allowed,
+            tier: bep_core::CacheTier::TemplateCache,
+            negative_template_hit: false,
+            total_ns: 60_000,
+            phase_ns,
+            span: Default::default(),
+        };
+        let mut agg = Aggregate::default();
+        agg.ingest(EventBatch {
+            events: vec![
+                event([1_000, 200, 0, 30_000, 4_000, 500]),
+                event([3_000, 400, 0, 10_000, 6_000, 1_500]),
+            ],
+            dropped: 0,
+        });
+        assert_eq!(agg.phase_ns, [4_000, 600, 0, 40_000, 10_000, 2_000]);
+        let text = render(
+            &Opts::default(),
+            1,
+            2,
+            &agg,
+            &WireStats::default(),
+            &[],
+            &[],
+            &SnapshotGauges::default(),
+            &(Vec::new(), 0),
+        );
+        assert!(
+            text.contains(
+                "\nphases: parse 2.0  lookup 0.3  concrete 0.0  proof 20.0  db 5.0  trace 1.0  \
+                 (mean µs over 2 decisions)\n"
+            ),
+            "{text}"
         );
     }
 

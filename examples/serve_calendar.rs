@@ -55,11 +55,7 @@ fn calendar_proxy() -> Arc<SqlProxy> {
     let proxy = Arc::new(SqlProxy::new(
         db,
         ComplianceChecker::new(schema, policy),
-        ProxyConfig {
-            spans: true,
-            exemplars_per_template: 4,
-            ..ProxyConfig::default()
-        },
+        ProxyConfig::default(),
     ));
 
     // Startup policy lint: every column the application's handlers select
@@ -88,14 +84,13 @@ fn calendar_proxy() -> Arc<SqlProxy> {
 fn tail_line(e: &bep_core::DecisionEvent, dropped: u64) -> String {
     format!(
         "journal: seq={} session={} verdict={} tier={} hash={:016x} total_us={:.1} \
-         spans={} rw={} cc={} dropped={}",
+         rw={} cc={} dropped={}",
         e.seq,
         e.session,
         e.verdict.label(),
         e.tier.label(),
         e.template_hash,
         e.total_ns as f64 / 1_000.0,
-        e.span.spans,
         e.span.rewrite_iterations,
         e.span.containment_checks,
         dropped,

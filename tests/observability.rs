@@ -1,26 +1,19 @@
 //! Cross-crate observability tests: the decision-provenance layer seen
 //! through the façade — a full application workload must leave a
-//! journal, phase timings, and a metrics exposition that all agree with
-//! each other and with the proxy's counters.
+//! journal, phase timings, solver roll-ups, and a metrics exposition that
+//! all agree with each other and with the proxy's counters.
 
 use appsim::{seed_app, workload_for, ProxyPort, Scale, CALENDAR};
 use beyond_enforcement::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn calendar_proxy(observe: bool) -> SqlProxy {
+fn calendar_proxy() -> SqlProxy {
     let mut rng = SmallRng::seed_from_u64(7);
     let mut db = CALENDAR.empty_db();
     seed_app("calendar", &mut db, &mut rng, &Scale::small());
     let checker = ComplianceChecker::new(CALENDAR.schema(), CALENDAR.policy().unwrap());
-    SqlProxy::new(
-        db,
-        checker,
-        ProxyConfig {
-            observe,
-            ..ProxyConfig::default()
-        },
-    )
+    SqlProxy::new(db, checker, ProxyConfig::default())
 }
 
 fn drive_workload(proxy: &SqlProxy, n_requests: usize) {
@@ -48,7 +41,7 @@ fn drive_workload(proxy: &SqlProxy, n_requests: usize) {
 /// views of the same decisions — they must agree after a real workload.
 #[test]
 fn journal_stats_and_exposition_agree_after_a_workload() {
-    let proxy = calendar_proxy(true);
+    let proxy = calendar_proxy();
     drive_workload(&proxy, 40);
 
     let stats = proxy.stats();
@@ -63,7 +56,8 @@ fn journal_stats_and_exposition_agree_after_a_workload() {
         "one event per decision, including pass-through writes"
     );
     let events = journal.events_since(0, usize::MAX);
-    assert_eq!(events.len() as u64, journal.published() - journal.evicted());
+    assert_eq!(journal.evicted(), 0, "the journal holds the whole workload");
+    assert_eq!(events.len() as u64, journal.published());
 
     // Events are strictly ordered and internally consistent.
     for pair in events.windows(2) {
@@ -113,12 +107,33 @@ fn journal_stats_and_exposition_agree_after_a_workload() {
         "bep_proofs_total",
         "bep_sessions",
         "bep_decision_latency_ns",
-        "bep_phase_latency_ns",
     ] {
         assert!(
             text.contains(&format!("# TYPE {family} ")),
             "exposition carries family {family}"
         );
+    }
+
+    // The solver roll-up: each exposition counter is the sum of the same
+    // field over the journaled events, and the workload's concrete proofs
+    // did real containment checks.
+    let sum = |field: fn(&DecisionEvent) -> u32| -> u64 {
+        events.iter().map(|e| u64::from(field(e))).sum()
+    };
+    let containment_checks = sum(|e| e.span.containment_checks);
+    assert!(stats.concrete_proofs > 0, "workload ran concrete proofs");
+    assert!(
+        containment_checks > 0,
+        "concrete proofs left no solver work"
+    );
+    for (counter, total) in [
+        ("rewrite-iterations", sum(|e| e.span.rewrite_iterations)),
+        ("containment-checks", containment_checks),
+        ("hom-nodes", sum(|e| e.span.hom_nodes)),
+        ("hom-backtracks", sum(|e| e.span.hom_backtracks)),
+    ] {
+        let series = format!("bep_span_solver_total{{counter=\"{counter}\"}} {total}\n");
+        assert!(text.contains(&series), "journal sums to {series}{text}");
     }
 }
 
@@ -126,7 +141,7 @@ fn journal_stats_and_exposition_agree_after_a_workload() {
 /// order, with nothing dropped.
 #[test]
 fn polling_consumer_sees_every_decision_exactly_once() {
-    let proxy = calendar_proxy(true);
+    let proxy = calendar_proxy();
     let mut cursor = JournalCursor::default();
     let mut seen: Vec<u64> = Vec::new();
 
@@ -149,34 +164,11 @@ fn polling_consumer_sees_every_decision_exactly_once() {
     );
 }
 
-/// Observation off is genuinely off: the same workload decides
-/// identically but leaves no provenance behind.
-#[test]
-fn observe_off_decides_identically_with_no_provenance() {
-    let observed = calendar_proxy(true);
-    let dark = calendar_proxy(false);
-    drive_workload(&observed, 30);
-    drive_workload(&dark, 30);
-
-    let (a, b) = (observed.stats(), dark.stats());
-    assert_eq!((a.allowed, a.blocked), (b.allowed, b.blocked));
-
-    assert!(observed.journal().published() > 0);
-    assert_eq!(dark.journal().published(), 0);
-    assert!(dark.journal().events_since(0, usize::MAX).is_empty());
-    for snap in dark.phase_snapshots() {
-        assert_eq!(snap.count, 0, "no phase timings without observe");
-    }
-    // The exposition still renders (counters live either way); only the
-    // journal gauges stay at zero.
-    assert!(dark.metrics_text().contains("bep_journal_published 0"));
-}
-
 /// Template hashes in events are the public `template_hash` of the SQL
 /// text — an external consumer can join events to known query shapes.
 #[test]
 fn event_hashes_join_to_query_text() {
-    let proxy = calendar_proxy(true);
+    let proxy = calendar_proxy();
     let session = proxy.begin_session(vec![("MyUId".into(), sqlir::Value::Int(appsim::FIRST_UID))]);
     let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
     proxy.execute(session, sql, &[]).unwrap();
