@@ -19,7 +19,18 @@
 //!   argument on that function: a view sharing no relation name with the
 //!   disjunct contributes zero MiniCon descriptions, so dropping it is
 //!   decision-identical for every binding, fact set, and search mode), and
-//! * the template-level verdict, when the proxy attempts one.
+//! * the template-level verdict, when the proxy attempts one, and
+//! * for a template-*undecidable* plan, the certificate each disjunct's
+//!   concrete proofs last learned (`DisjunctPlan::learn`), so the next
+//!   session's proof is a check of a known rewriting, not a search for one.
+//!
+//! A learned certificate is only ever a candidate. Replay accepts it
+//! through [`ComplianceChecker::replay_certificate`], which proves the
+//! instantiated expansion equivalent to the instantiated disjunct *over
+//! the replaying session's own trace facts* — the very condition the full
+//! search checks before it accepts a rewriting. So a certificate learned
+//! in session A allows nothing in session B that B's facts do not already
+//! support, and a replay that does not verify falls back to the search.
 //!
 //! [`PlanCache`] is the sharded, hash-keyed home of compiled plans. Its
 //! double-checked insert publishes an empty [`OnceLock`] cell under a
@@ -33,8 +44,8 @@
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
-use qlogic::{candidate_view_indices, Cq};
-use sqlir::{params_in_bind_order, parse_statement, Param, Query, Statement};
+use qlogic::{candidate_view_indices, const_to_param, Atom, Cq};
+use sqlir::{params_in_bind_order, parse_statement, Param, Query, Statement, Value};
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
@@ -47,7 +58,7 @@ const PLAN_SHARDS: usize = 16;
 
 /// One disjunct of a template's UCQ translation, with the candidate views
 /// that survived the relation-signature pre-filter.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DisjunctPlan {
     /// The symbolic (parameters preserved) conjunctive form.
     pub template: Cq,
@@ -55,11 +66,70 @@ pub struct DisjunctPlan {
     /// one relation name with this disjunct — the only views the
     /// rewriting search needs to consider.
     pub view_indices: Vec<usize>,
+    /// The certificate this disjunct's concrete proofs learned last
+    /// (template-undecidable plans only; never snapshotted). One slot:
+    /// learning runs only after the held certificate failed to replay, and
+    /// on the benchmark's workloads no disjunct learns more than one.
+    /// Readers clone the `Arc`, so a replay holds no lock.
+    learned: RwLock<Option<Arc<Certificate>>>,
 }
 
-/// A per-disjunct compliance certificate compiled into a template-allowed
-/// plan: the symbolic rewriting over the policy views *and its expansion
-/// over the view definitions*, both precomputed so a concrete replay needs
+impl DisjunctPlan {
+    /// The learned certificate, if any.
+    pub(crate) fn learned(&self) -> Option<Arc<Certificate>> {
+        self.learned.read().clone()
+    }
+
+    /// Learns a certificate from a concrete proof of this disjunct: `rw`
+    /// proved `inst` (this disjunct under `bindings`) over `facts`.
+    ///
+    /// Each constant of `rw` that equals exactly one binding's value
+    /// becomes that binding's parameter; the symbolic expansion is
+    /// recomputed over the candidate views; and the certificate replaces
+    /// the held one only if it replays for the request that found it. A
+    /// value two bindings share is ambiguous, and nothing is learned.
+    pub(crate) fn learn(
+        &self,
+        checker: &ComplianceChecker,
+        inst: &Cq,
+        rw: &Cq,
+        bindings: &[(String, Value)],
+        facts: &[Atom],
+    ) {
+        let mut rewriting = rw.clone();
+        for (name, value) in bindings {
+            let lifted = const_to_param(&rewriting, value, name);
+            if lifted == rewriting {
+                continue; // the rewriting does not mention this value
+            }
+            if bindings.iter().any(|(n, v)| n != name && v == value) {
+                return;
+            }
+            rewriting = lifted;
+        }
+        let views = checker.policy().symbolic_subset(&self.view_indices);
+        let Ok(expansion) = qlogic::expand(&rewriting, &views) else {
+            return;
+        };
+        let replays = checker.replay_certificate(
+            inst,
+            rewriting.instantiate(bindings),
+            &expansion.instantiate(bindings),
+            facts,
+        );
+        if replays.is_some() {
+            *self.learned.write() = Some(Arc::new(Certificate {
+                rewriting,
+                expansion: Some(expansion),
+            }));
+        }
+    }
+}
+
+/// A per-disjunct compliance certificate, compiled into a template-allowed
+/// plan or learned by a template-undecidable one (`DisjunctPlan::learn`):
+/// the symbolic rewriting over the policy views *and its expansion over
+/// the view definitions*, both precomputed so a concrete replay needs
 /// no view instantiation, no normalization, and no expansion — it
 /// instantiates the two stored queries and checks mutual containment
 /// against the instantiated disjunct.
@@ -247,6 +317,7 @@ pub fn compile_plan(
                 DisjunctPlan {
                     template: d,
                     view_indices,
+                    learned: RwLock::default(),
                 }
             })
             .collect::<Vec<_>>()),
@@ -608,20 +679,29 @@ pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
                     for d in ds {
                         b += cq_heap_bytes(&d.template)
                             + d.view_indices.capacity() * size_of::<usize>();
+                        if let Some(c) = d.learned() {
+                            // The `Arc`'s two counts, then the certificate.
+                            b += 2 * size_of::<usize>()
+                                + size_of::<Certificate>()
+                                + certificate_heap_bytes(&c);
+                        }
                     }
                 }
                 Err(m) => b += m.capacity(),
             }
             if let Some(TemplateVerdict::Allowed(certs)) = &sp.template {
                 b += certs.capacity() * size_of::<Certificate>();
-                for c in certs {
-                    b += cq_heap_bytes(&c.rewriting)
-                        + c.expansion.as_ref().map(cq_heap_bytes).unwrap_or(0);
-                }
+                b += certs.iter().map(certificate_heap_bytes).sum::<usize>();
             }
         }
     }
     b
+}
+
+/// Heap bytes a certificate owns: its rewriting and expansion.
+fn certificate_heap_bytes(c: &Certificate) -> usize {
+    use crate::mem::cq_heap_bytes;
+    cq_heap_bytes(&c.rewriting) + c.expansion.as_ref().map(cq_heap_bytes).unwrap_or(0)
 }
 
 impl crate::mem::HeapUsage for PlanCache {
@@ -710,6 +790,53 @@ mod tests {
             }
             other => panic!("expected template-allowed, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_disjunct_learns_one_unambiguous_certificate_that_replays() {
+        use crate::trace::{Observation, Trace};
+        let c = checker();
+        let plan = compile(&c, "SELECT * FROM Events WHERE EId = ?e", true);
+        let d = &plan.select().unwrap().translation.as_ref().unwrap()[0];
+        let bound = [
+            ("MyUId".to_string(), Value::Int(1)),
+            ("e".into(), Value::Int(2)),
+        ];
+        let mut trace = Trace::new();
+        let seen = c
+            .translate(&sqlir::parse_query("SELECT EId FROM Attendance WHERE UId = 1").unwrap())
+            .unwrap()
+            .disjuncts
+            .remove(0);
+        trace.record(seen, Observation::Rows(vec![vec![Value::Int(2)]]));
+        let inst = d.template.instantiate(&bound);
+        let views = c.policy().instantiate_subset(&d.view_indices, &bound);
+        let rw = c
+            .prove_disjunct(&inst, &views, trace.facts())
+            .expect("allowed");
+        // Without the trace fact the certificate does not replay, so it is
+        // not kept.
+        d.learn(&c, &inst, &rw, &bound, &[]);
+        assert!(d.learned().is_none());
+        // A value two bindings share is ambiguous.
+        let shared = [
+            bound[0].clone(),
+            ("f".into(), Value::Int(1)),
+            bound[1].clone(),
+        ];
+        d.learn(&c, &inst, &rw, &shared, trace.facts());
+        assert!(d.learned().is_none());
+        // The proof with its values lifted back to parameters is kept, with
+        // its expansion...
+        d.learn(&c, &inst, &rw, &bound, trace.facts());
+        let held = d.learned().expect("kept");
+        assert!(held.rewriting.params().contains(&"e".into()));
+        assert!(held.expansion.is_some());
+        // ...and the next one learned replaces it.
+        let renamed = [bound[0].clone(), ("e2".into(), Value::Int(2))];
+        d.learn(&c, &inst, &rw, &renamed, trace.facts());
+        let held = d.learned().expect("kept");
+        assert!(held.rewriting.params().contains(&"e2".into()));
     }
 
     #[test]

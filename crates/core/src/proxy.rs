@@ -32,7 +32,9 @@
 //!   instantiated certificate through a verification-only check before
 //!   falling back to the full rewriting search — every request still runs
 //!   a fresh proof over its own facts, but the candidate enumeration is
-//!   amortized into the plan. And
+//!   amortized into the plan. An `Undecidable` plan replays, the same way,
+//!   the certificates earlier concrete proofs taught it — in any session;
+//!   acceptance is still a proof over the requesting session's facts. And
 //! * a per-session *concrete cache* of allowed (template, bindings) pairs,
 //!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
 //!   reuse because compliance is monotone in what the trace entails, and
@@ -243,6 +245,9 @@ struct AtomicProxyStats {
     session_cache_hits: Arc<Counter>,
     deny_cache_hits: Arc<Counter>,
     concrete_proofs: Arc<Counter>,
+    /// Fresh concrete proofs that denied. Registry-only: `ProxyStats` is
+    /// built by struct literal outside this crate, so it has no field.
+    concrete_denied: Arc<Counter>,
     writes: Arc<Counter>,
     write_allowed: Arc<Counter>,
     write_blocked: Arc<Counter>,
@@ -269,6 +274,7 @@ impl AtomicProxyStats {
             session_cache_hits: r.counter("bep_cache_hits_total", hits, &[("tier", "session")]),
             deny_cache_hits: r.counter("bep_cache_hits_total", hits, &[("tier", "deny")]),
             concrete_proofs: r.counter("bep_proofs_total", proofs, &[("kind", "concrete")]),
+            concrete_denied: r.counter("bep_proofs_total", proofs, &[("kind", "concrete-denied")]),
             writes: r.counter("bep_writes_total", "DML statements passed through", &[]),
             write_allowed: r.counter(
                 "bep_write_decisions_total",
@@ -1495,24 +1501,34 @@ impl SqlProxy {
                     reason: DenyReason::OutOfFragment(msg.clone()),
                 },
                 Ok(disjuncts) => {
-                    // When the template proved compliant at compile time,
-                    // each disjunct carries a certificate with its
-                    // precompiled view expansion: replay it (instantiate
+                    // A disjunct's certificate — compiled with a
+                    // template-allowed verdict, or learned from an earlier
+                    // concrete proof of a template-undecidable one — carries
+                    // a precompiled view expansion: replay it (instantiate
                     // rewriting + expansion, then verify mutual containment
-                    // against the instantiated disjunct) before falling
-                    // back to the full rewriting search. Verification gates
-                    // acceptance and the fallback preserves completeness,
-                    // so this is decision-identical to the full search — it
-                    // only amortizes candidate generation, view
-                    // instantiation, and expansion into the plan.
-                    let certs = match &sp.template {
-                        Some(TemplateVerdict::Allowed(cs)) => Some(cs),
-                        _ => None,
+                    // against the instantiated disjunct over this session's
+                    // facts) before falling back to the full rewriting
+                    // search. Verification gates acceptance and the fallback
+                    // preserves completeness, so replay only amortizes
+                    // candidate generation, view instantiation, and
+                    // expansion into the plan.
+                    let (compiled, learns) = match &sp.template {
+                        Some(TemplateVerdict::Allowed(cs)) => (Some(cs), false),
+                        Some(TemplateVerdict::Undecidable) => (None, true),
+                        None => (None, false),
                     };
                     let mut rewritings = Vec::with_capacity(disjuncts.len());
                     for (i, d) in disjuncts.iter().enumerate() {
                         let inst = d.template.instantiate(bindings);
-                        let replayed = certs.and_then(|cs| cs.get(i)).and_then(|c| {
+                        let learned;
+                        let cert = match compiled {
+                            Some(cs) => cs.get(i),
+                            None => {
+                                learned = d.learned();
+                                learned.as_deref()
+                            }
+                        };
+                        let replayed = cert.and_then(|c| {
                             let expansion = c.expansion.as_ref()?;
                             checker.replay_certificate(
                                 &inst,
@@ -1528,12 +1544,17 @@ impl SqlProxy {
                             }
                             None => {
                                 // Replay failed (or no certificate): run the
-                                // full search over the pruned candidate views.
+                                // full search over the pruned candidate views,
+                                // and learn from what it proves.
                                 fallbacks += 1;
                                 let views = checker
                                     .policy()
                                     .instantiate_subset(&d.view_indices, bindings);
-                                checker.prove_disjunct(&inst, &views, trace.facts())
+                                let proved = checker.prove_disjunct(&inst, &views, trace.facts());
+                                if let Some(rw) = proved.as_ref().filter(|_| learns) {
+                                    d.learn(checker, &inst, rw, bindings, trace.facts());
+                                }
+                                proved
                             }
                         };
                         match proved {
@@ -1661,6 +1682,8 @@ impl SqlProxy {
         }
         if decision.is_allowed() {
             self.stats.concrete_proofs.inc();
+        } else {
+            self.stats.concrete_denied.inc();
         }
         Ok(decision)
     }

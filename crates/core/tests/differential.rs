@@ -14,7 +14,14 @@
 //!   fresh [`ComplianceChecker::check_concrete`] run against the session's
 //!   own trace — the paper's reference decision procedure;
 //! * both hold cache-cold (first replay) and cache-warm (second replay of
-//!   the identical workload in the same sessions).
+//!   the identical workload in the same sessions);
+//! * both hold across sessions: every user runs the workload in a session
+//!   of its own on the same two proxies, so a certificate one session's
+//!   proof taught a template-undecidable plan is replayed in the next, and
+//!   must still agree with the oracle over *that* session's trace. The
+//!   tests check such replays happened, so the leg is not vacuous.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bep_core::{
     schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy,
@@ -192,15 +199,18 @@ fn forum_step() -> impl Strategy<Value = Step> {
 
 // -------------------------------------------------------------- the driver
 
-/// Replays `steps` twice (cold, then warm) through the default proxy and a
-/// caches-off proxy, the latter checked against a fresh `check_concrete`
-/// oracle per request.
+/// Replays `steps` twice (cold, then warm) in one session per user of
+/// `uids`, in order, through the default proxy and a caches-off proxy, the
+/// latter checked against a fresh `check_concrete` oracle per request.
+/// Adds to `replays` the default proxy's decisions a learned certificate
+/// made: a template-undecidable plan (a negative template hit) replayed.
 fn assert_differential(
     schema: qlogic::RelSchema,
     policy: Policy,
     db: &Database,
-    uid: i64,
+    uids: &[i64],
     steps: &[Step],
+    replays: &AtomicUsize,
 ) -> Result<(), TestCaseError> {
     let checker = ComplianceChecker::new(schema, policy);
     let cached = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
@@ -215,71 +225,111 @@ fn assert_differential(
             ..Default::default()
         },
     );
-    let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
-    let sd = cached.begin_session(bindings.clone());
-    let sc = nocache.begin_session(bindings.clone());
+    let sessions: Vec<_> = uids
+        .iter()
+        .map(|&uid| {
+            let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
+            let sd = cached.begin_session(bindings.clone());
+            let sc = nocache.begin_session(bindings.clone());
+            (bindings, sd, sc)
+        })
+        .collect();
 
     for replay in ["cold", "warm"] {
-        for sql in steps {
-            // Oracle first: `check_concrete` from scratch against the
-            // caches-off session's current trace.
-            let oracle = match parse_statement(sql) {
-                Ok(Statement::Select(q)) => {
-                    let trace = nocache.session_trace(sc).unwrap();
-                    Some(checker.check_concrete(&q, &bindings, &trace))
-                }
-                _ => None,
-            };
-            let a = cached.execute(sd, sql, &[]);
-            let c = nocache.execute(sc, sql, &[]);
-            prop_assert_eq!(&a, &c, "caches changed a response ({}) on {}", replay, sql);
-            if let (Some(oracle), Ok(response)) = (oracle, &c) {
-                prop_assert_eq!(
-                    oracle.is_allowed(),
-                    response.is_allowed(),
-                    "proxy vs oracle verdict diverged ({}) on {}",
-                    replay,
-                    sql
-                );
-                if let (Some(reason), ProxyResponse::Blocked(got)) =
-                    (oracle.deny_reason(), response)
-                {
+        for (bindings, sd, sc) in &sessions {
+            for sql in steps {
+                // Oracle first: `check_concrete` from scratch against the
+                // caches-off session's current trace.
+                let oracle = match parse_statement(sql) {
+                    Ok(Statement::Select(q)) => {
+                        let trace = nocache.session_trace(*sc).unwrap();
+                        Some(checker.check_concrete(&q, bindings, &trace))
+                    }
+                    _ => None,
+                };
+                let a = cached.execute(*sd, sql, &[]);
+                let c = nocache.execute(*sc, sql, &[]);
+                prop_assert_eq!(&a, &c, "caches changed a response ({}) on {}", replay, sql);
+                if let (Some(oracle), Ok(response)) = (oracle, &c) {
                     prop_assert_eq!(
-                        reason,
-                        got,
-                        "proxy vs oracle deny reason diverged ({}) on {}",
+                        oracle.is_allowed(),
+                        response.is_allowed(),
+                        "proxy vs oracle verdict diverged ({}) on {} for {:?}",
                         replay,
-                        sql
+                        sql,
+                        bindings
                     );
+                    if let (Some(reason), ProxyResponse::Blocked(got)) =
+                        (oracle.deny_reason(), response)
+                    {
+                        prop_assert_eq!(
+                            reason,
+                            got,
+                            "proxy vs oracle deny reason diverged ({}) on {}",
+                            replay,
+                            sql
+                        );
+                    }
                 }
             }
         }
     }
+    let events = cached.journal().events_since(0, usize::MAX);
+    let learned = events
+        .iter()
+        .filter(|e| e.negative_template_hit && e.span.cert_replays > 0)
+        .count();
+    replays.fetch_add(learned, Ordering::Relaxed);
     Ok(())
 }
+
+/// Every user, starting at `first`.
+fn users_from(first: i64, n: i64) -> Vec<i64> {
+    (0..n).map(|k| (first + k) % n).collect()
+}
+
+/// Learned-certificate replays over each family's generated workloads.
+static CALENDAR_REPLAYS: AtomicUsize = AtomicUsize::new(0);
+static FORUM_REPLAYS: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    #[test]
-    fn calendar_caches_are_decision_invisible(
+    // Not `#[test]`s themselves: the tests below run them, then check that
+    // learned certificates were replayed.
+    fn calendar_workloads(
         attendance in proptest::collection::vec((0i64..4, 0i64..4), 0..8),
         uid in 0i64..4,
-        steps in proptest::collection::vec(calendar_step(), 1..12),
+        steps in proptest::collection::vec(calendar_step(), 1..20),
     ) {
         let db = calendar_db(&attendance);
         let (schema, policy) = calendar_policy(&db);
-        assert_differential(schema, policy, &db, uid, &steps)?;
+        let users = users_from(uid, 4);
+        assert_differential(schema, policy, &db, &users, &steps, &CALENDAR_REPLAYS)?;
     }
 
-    #[test]
-    fn forum_caches_are_decision_invisible(
-        membership in proptest::collection::vec((0i64..3, 0i64..3), 0..6),
+    fn forum_workloads(
+        membership in proptest::collection::vec((0i64..3, 0i64..3), 0..9),
         uid in 0i64..3,
-        steps in proptest::collection::vec(forum_step(), 1..12),
+        steps in proptest::collection::vec(forum_step(), 1..20),
     ) {
         let db = forum_db(&membership);
         let (schema, policy) = forum_policy(&db);
-        assert_differential(schema, policy, &db, uid, &steps)?;
+        let users = users_from(uid, 3);
+        assert_differential(schema, policy, &db, &users, &steps, &FORUM_REPLAYS)?;
     }
+}
+
+#[test]
+fn calendar_caches_are_decision_invisible() {
+    calendar_workloads();
+    let replays = CALENDAR_REPLAYS.load(Ordering::Relaxed);
+    assert!(replays > 0, "no learned certificate was replayed");
+}
+
+#[test]
+fn forum_caches_are_decision_invisible() {
+    forum_workloads();
+    let replays = FORUM_REPLAYS.load(Ordering::Relaxed);
+    assert!(replays > 0, "no learned certificate was replayed");
 }

@@ -13,7 +13,7 @@
 //! enters the enforcement decision.
 
 use crate::compare::CmpContext;
-use crate::cq::{apply_comparison, apply_term, Atom, Comparison, Cq, Subst, Term, Ucq};
+use crate::cq::{apply_comparison, apply_term, Atom, CmpOp, Comparison, Cq, Subst, Term, Ucq};
 use crate::deps::{chase, ChaseOutcome, Dependencies};
 use crate::homomorphism::{find_homomorphism, HomProblem};
 use crate::instance::Instance;
@@ -39,87 +39,120 @@ pub fn contained_given(q1: &Cq, q2: &Cq, facts: &[Atom]) -> bool {
 /// FD chase before the homomorphism test, so equalities the keys force
 /// (e.g. two `Posts` atoms sharing a primary key are the same row) are
 /// visible to the containment argument.
+///
+/// The chase runs only when it could matter: the head-preserving
+/// homomorphism is first sought in the *unchased* canonical database, and
+/// if one exists the answer is `true` without chasing. No answer changes.
+/// The chase only adds atoms and applies a substitution `σ` to the ones it
+/// has, so a homomorphism `h` into the unchased instance gives `σ ∘ h`
+/// into the chased one, with the head (itself rewritten by `σ`) preserved
+/// and every comparison still entailed (`σ` only strengthens what the
+/// target's comparisons say); an inconsistent chase answers `true` anyway.
 pub fn contained_given_deps(q1: &Cq, q2: &Cq, facts: &[Atom], deps: &Dependencies) -> bool {
     crate::probe::bump_containment_check();
     if q1.head.len() != q2.head.len() {
         return false;
     }
-    // Rename q1 and the facts apart — from q2 and from each other — so
-    // variable names cannot clash: every variable becomes a scratch symbol.
-    let mut apart = Apart::default();
-    // About a variable per fact: sized once, the map never rehashes.
-    apart.names.reserve(16 + facts.len());
-    let mut head: Vec<Term> = q1.head.iter().map(|t| apart.term(t)).collect();
-    let mut comparisons: Vec<Comparison> = q1
-        .comparisons
-        .iter()
-        .map(|c| Comparison::new(apart.term(&c.lhs), c.op, apart.term(&c.rhs)))
-        .collect();
-
-    // Target: frozen q1 plus the known facts, saturated under the keys.
-    let mut target_atoms = Vec::with_capacity(q1.atoms.len() + facts.len());
-    for (n, atom) in q1.atoms.iter().chain(facts).enumerate() {
-        if n == q1.atoms.len() {
-            apart.names.clear(); // a fact's `x` is not q1's `x`
+    let mut canonical = Canonical::freeze(q1, facts);
+    let unchased = canonical.maps_from(q2);
+    if unchased || deps.is_empty() {
+        return unchased;
+    }
+    match chase(canonical.atoms, deps, &mut canonical.apart.fresh) {
+        ChaseOutcome::Consistent { atoms, subst } => {
+            canonical.atoms = atoms;
+            // The chase's unifications apply to q1's head/comparisons.
+            for t in &mut canonical.head {
+                *t = apply_term(t, &subst);
+            }
+            for c in &mut canonical.comparisons {
+                *c = apply_comparison(c, &subst);
+            }
+            canonical.maps_from(q2)
         }
-        target_atoms.push(Atom {
-            relation: atom.relation,
-            args: atom.args.iter().map(|t| apart.term(t)).collect(),
-        });
+        // No database satisfies q1 together with the facts and keys;
+        // containment holds vacuously.
+        ChaseOutcome::Inconsistent => true,
     }
-    if !deps.is_empty() {
-        match chase(target_atoms, deps, &mut apart.fresh) {
-            ChaseOutcome::Consistent { atoms, subst } => {
-                target_atoms = atoms;
-                // The chase's unifications apply to q1's head/comparisons.
-                for t in &mut head {
-                    *t = apply_term(t, &subst);
-                }
-                for c in &mut comparisons {
-                    *c = apply_comparison(c, &subst);
-                }
-            }
-            ChaseOutcome::Inconsistent => {
-                // No database satisfies q1 together with the facts and keys;
-                // containment holds vacuously.
-                return true;
-            }
-        }
-    }
-    let ctx = CmpContext::new(&comparisons);
-    if ctx.is_unsat() {
-        // q1 is unsatisfiable; the empty query is contained in anything.
-        return true;
-    }
+}
 
-    // Head preservation: q2.head[i] must map to q1.head[i].
-    let mut initial = Subst::new();
-    for (h2, h1) in q2.head.iter().zip(&head) {
-        match h2 {
-            Term::Var(v) => match initial.get(v) {
-                Some(bound) if bound != h1 => return false,
-                Some(_) => {}
-                None => {
-                    initial.insert(*v, *h1);
-                }
-            },
-            rigid => {
-                let eq = crate::cq::Comparison::new(*rigid, crate::cq::CmpOp::Eq, *h1);
-                if rigid != h1 && !ctx.entails(&eq) {
-                    return false;
-                }
+/// The canonical database of a containment test: `q1` frozen, plus the
+/// known facts, renamed apart.
+struct Canonical {
+    apart: Apart,
+    head: Vec<Term>,
+    comparisons: Vec<Comparison>,
+    atoms: Vec<Atom>,
+}
+
+impl Canonical {
+    /// Renames `q1` and the facts apart — from `q2` and from each other —
+    /// so variable names cannot clash: every variable becomes a scratch
+    /// symbol, and a fact's `x` is not `q1`'s `x`.
+    fn freeze(q1: &Cq, facts: &[Atom]) -> Canonical {
+        let mut apart = Apart::default();
+        // About a variable per fact: sized once, the map never rehashes.
+        apart.names.reserve(16 + facts.len());
+        let head = q1.head.iter().map(|t| apart.term(t)).collect();
+        let comparisons = q1
+            .comparisons
+            .iter()
+            .map(|c| Comparison::new(apart.term(&c.lhs), c.op, apart.term(&c.rhs)))
+            .collect();
+        let mut atoms = Vec::with_capacity(q1.atoms.len() + facts.len());
+        for (n, atom) in q1.atoms.iter().chain(facts).enumerate() {
+            if n == q1.atoms.len() {
+                apart.names.clear(); // a fact's `x` is not q1's `x`
             }
+            atoms.push(Atom {
+                relation: atom.relation,
+                args: atom.args.iter().map(|t| apart.term(t)).collect(),
+            });
+        }
+        Canonical {
+            apart,
+            head,
+            comparisons,
+            atoms,
         }
     }
 
-    let p = HomProblem {
-        source_atoms: &q2.atoms,
-        source_comparisons: &q2.comparisons,
-        target_atoms: &target_atoms,
-        target_ctx: &ctx,
-        initial,
-    };
-    find_homomorphism(&p).is_some()
+    /// Whether a head-preserving homomorphism maps `q2` into this instance
+    /// (or `q1`'s comparisons are unsatisfiable, so `q1` is empty).
+    fn maps_from(&self, q2: &Cq) -> bool {
+        let ctx = CmpContext::new(&self.comparisons);
+        if ctx.is_unsat() {
+            // q1 is unsatisfiable; the empty query is contained in anything.
+            return true;
+        }
+        // Head preservation: q2.head[i] must map to q1.head[i].
+        let mut initial = Subst::new();
+        for (h2, h1) in q2.head.iter().zip(&self.head) {
+            match h2 {
+                Term::Var(v) => match initial.get(v) {
+                    Some(bound) if bound != h1 => return false,
+                    Some(_) => {}
+                    None => {
+                        initial.insert(*v, *h1);
+                    }
+                },
+                rigid => {
+                    let eq = Comparison::new(*rigid, CmpOp::Eq, *h1);
+                    if rigid != h1 && !ctx.entails(&eq) {
+                        return false;
+                    }
+                }
+            }
+        }
+        find_homomorphism(&HomProblem {
+            source_atoms: &q2.atoms,
+            source_comparisons: &q2.comparisons,
+            target_atoms: &self.atoms,
+            target_ctx: &ctx,
+            initial,
+        })
+        .is_some()
+    }
 }
 
 /// Renames variables to scratch symbols, one each, in order of appearance.

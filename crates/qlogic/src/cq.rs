@@ -651,16 +651,14 @@ impl Cq {
     }
 
     /// Replaces parameters with constant values (instantiating a view for a
-    /// session). Unlisted parameters are left in place.
+    /// session). Unlisted parameters are left in place. A parameter is
+    /// matched by its spelling, which resolves without the interner's lock.
     pub fn instantiate(&self, bindings: &[(String, Value)]) -> Cq {
-        let interned: Vec<(Sym, Term)> = bindings
-            .iter()
-            .map(|(n, v)| (Sym::new(n), Term::constant(v)))
-            .collect();
         let map_term = |t: &Term| -> Term {
             if let Term::Param(p) = t {
-                if let Some((_, c)) = interned.iter().find(|(n, _)| n.id() == p.id()) {
-                    return *c;
+                let name = p.as_str();
+                if let Some((_, v)) = bindings.iter().find(|(n, _)| n == name) {
+                    return Term::constant(v);
                 }
             }
             *t

@@ -15,15 +15,21 @@
 //!
 //! The second property holds `contained_given_deps` — scratch-symbol
 //! renaming, indexed chase — to the same function over the `l·`/`f·`
-//! renaming and the reference chase.
+//! renaming and the reference chase. It also holds the homomorphism-first
+//! step to the reference: `contained_given_deps` first looks for the
+//! homomorphism in the *unchased* canonical database — exactly what
+//! `contained_given` (no dependencies) decides — and answers `true` from
+//! there without chasing. That is sound only if every such `true` is the
+//! reference's `true` too, and the tallies show both the shortcut and the
+//! chase behind it ran.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use qlogic::cq::{apply_atom, apply_term};
 use qlogic::{
-    chase, contained_given_deps, find_homomorphism, Atom, ChaseOutcome, CmpContext, CmpOp,
-    Comparison, Cq, Dependencies, Fd, Fresh, HomProblem, Ind, Subst, Sym, Term,
+    chase, contained_given, contained_given_deps, find_homomorphism, Atom, ChaseOutcome,
+    CmpContext, CmpOp, Comparison, Cq, Dependencies, Fd, Fresh, HomProblem, Ind, Subst, Sym, Term,
 };
 
 /// The chase as it stood before the index, and the containment test over
@@ -416,6 +422,11 @@ static UNIFIED: AtomicUsize = AtomicUsize::new(0);
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
 static CONTAINED: AtomicUsize = AtomicUsize::new(0);
 static VACUOUS: AtomicUsize = AtomicUsize::new(0);
+/// Pairs under some dependency that the unchased homomorphism decided, that
+/// fell through to the chase, and that only the chase proved.
+static UNCHASED: AtomicUsize = AtomicUsize::new(0);
+static CHASED: AtomicUsize = AtomicUsize::new(0);
+static CHASE_PROVED: AtomicUsize = AtomicUsize::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
@@ -471,6 +482,17 @@ proptest! {
             let new = contained_given_deps(a, b, &facts, &deps);
             prop_assert_eq!(old, new, "{} ⊆ {} given {:?} under {:?}", a, b, facts, deps);
             CONTAINED.fetch_add(usize::from(new), Ordering::Relaxed);
+            let unchased = contained_given(a, b, &facts);
+            prop_assert!(
+                old || !unchased,
+                "the unchased homomorphism proves what the reference refutes: {} ⊆ {} given {:?} under {:?}",
+                a, b, facts, deps
+            );
+            if !deps.is_empty() {
+                let tally = if unchased { &UNCHASED } else { &CHASED };
+                tally.fetch_add(1, Ordering::Relaxed);
+                CHASE_PROVED.fetch_add(usize::from(!unchased && new), Ordering::Relaxed);
+            }
             let vacuous = contained_given_deps(a, &never, &facts, &deps);
             prop_assert_eq!(vacuous, reference::contained_given_deps(a, &never, &facts, &deps));
             VACUOUS.fetch_add(usize::from(new && vacuous), Ordering::Relaxed);
@@ -499,6 +521,14 @@ fn containment_matches_the_reference() {
     let pairs = 2 * CASES as usize;
     assert!(contained > pairs / 50, "{contained} containments hold");
     assert!(contained - vacuous > pairs / 100, "only vacuous ones hold");
+    let tally = |counter: &AtomicUsize| counter.load(Ordering::Relaxed);
+    let (unchased, chased, chase_proved) = (tally(&UNCHASED), tally(&CHASED), tally(&CHASE_PROVED));
+    assert!(unchased > 0, "the homomorphism never answered first");
+    assert!(chased > 0, "no pair fell through to the chase");
+    assert!(
+        chase_proved > 0,
+        "the chase behind the shortcut proved nothing"
+    );
 }
 
 // ------------------------------------------------------------ named cases
@@ -613,6 +643,71 @@ fn a_cycle_of_foreign_keys_stops_at_the_round_cap() {
     // One parent per round, four rounds, the last left unchased.
     let relations: Vec<&str> = atoms.iter().map(|a| a.relation.as_str()).collect();
     assert_eq!(relations, ["R", "T", "U", "R", "T"]);
+}
+
+#[test]
+fn a_containment_only_the_key_chase_proves_still_holds() {
+    // Two `Posts` rows sharing `PId` are one row under the key, so q1's
+    // author and title sit in one atom only after the chase: the unchased
+    // homomorphism fails, and the fallback proves it.
+    let deps = Dependencies::none().with_key("Posts", vec![0]);
+    let q1 = Cq::new(
+        vec![Term::var("a"), Term::var("t")],
+        vec![
+            t(
+                "Posts",
+                vec![Term::var("p"), Term::var("a"), Term::var("x")],
+            ),
+            t(
+                "Posts",
+                vec![Term::var("p"), Term::var("y"), Term::var("t")],
+            ),
+        ],
+        vec![],
+    );
+    let q2 = Cq::new(
+        vec![Term::var("a"), Term::var("t")],
+        vec![t(
+            "Posts",
+            vec![Term::var("p"), Term::var("a"), Term::var("t")],
+        )],
+        vec![],
+    );
+    assert!(!contained_given(&q1, &q2, &[]), "no homomorphism unchased");
+    assert!(contained_given_deps(&q1, &q2, &[], &deps));
+    assert!(reference::contained_given_deps(&q1, &q2, &[], &deps));
+}
+
+#[test]
+fn a_query_variable_spelled_like_a_skolem_is_not_the_fact_null() {
+    // q1's `sk0` and the trace fact's Skolem `sk0` share a spelling only:
+    // renamed apart, q2's join through `Follows` has nothing to land on.
+    let q1 = Cq::new(
+        vec![Term::var("x")],
+        vec![t("Posts", vec![Term::var("x"), Term::var("sk0")])],
+        vec![],
+    );
+    let q2 = Cq::new(
+        vec![Term::var("x")],
+        vec![
+            t("Posts", vec![Term::var("x"), Term::var("a")]),
+            t("Follows", vec![Term::int(1), Term::var("a")]),
+        ],
+        vec![],
+    );
+    let facts = [t("Follows", vec![Term::int(1), Term::var("sk0")])];
+    let deps = Dependencies::none().with_key("Posts", vec![0]);
+    assert!(!contained_given(&q1, &q2, &facts));
+    assert!(!contained_given_deps(&q1, &q2, &facts, &deps));
+    assert!(!reference::contained_given_deps(&q1, &q2, &facts, &deps));
+    // The same join through a constant both sides name does hold.
+    let pinned = Cq::new(
+        vec![Term::var("x")],
+        vec![t("Posts", vec![Term::var("x"), Term::int(7)])],
+        vec![],
+    );
+    let fact = [t("Follows", vec![Term::int(1), Term::int(7)])];
+    assert!(contained_given_deps(&pinned, &q2, &fact, &deps));
 }
 
 #[test]

@@ -11,10 +11,13 @@
 //!   byte-identical;
 //! * containment verdicts agree on every pair;
 //! * minimization produces the same query;
-//! * `variables()` reports the same symbols in the same order.
+//! * `variables()` reports the same symbols in the same order;
+//! * `Cq::instantiate`, which matches a parameter by its spelling, equals
+//!   the version that interned every binding's name and matched by id.
 
 use proptest::prelude::*;
 use qlogic::{contained, equivalent, intern, minimize, Atom, CmpOp, Comparison, Cq, Sym, Term};
+use sqlir::Value;
 
 /// A constructor-neutral spec for a term.
 #[derive(Clone, Debug)]
@@ -168,6 +171,30 @@ proptest! {
         prop_assert_eq!(equivalent(&a1, &b1), equivalent(&a2, &b2));
     }
 
+    /// Instantiation by spelling equals instantiation through the interner,
+    /// for bound, unbound and doubly bound parameters and string values.
+    #[test]
+    fn instantiate_agrees_with_the_interning_version(
+        spec in spec_cq(),
+        bindings in proptest::collection::vec(
+            (
+                proptest::sample::select(&["UId", "Me", "Other"][..]),
+                prop_oneof![
+                    (0i64..3).prop_map(Value::Int),
+                    proptest::sample::select(&["a", "b"][..]).prop_map(|s| Value::Str(s.into())),
+                ],
+            ),
+            0..4,
+        ),
+    ) {
+        let bindings: Vec<(String, Value)> =
+            bindings.into_iter().map(|(n, v)| (n.to_string(), v)).collect();
+        let q = build_str(&spec);
+        let got = q.instantiate(&bindings);
+        prop_assert_eq!(&got, &instantiate_interning(&q, &bindings));
+        prop_assert_eq!(got.to_string(), instantiate_interning(&q, &bindings).to_string());
+    }
+
     /// Minimization commutes with the constructor choice: minimizing the
     /// string-built and sym-built queries gives the same (equivalent and
     /// identically printed) result.
@@ -179,6 +206,36 @@ proptest! {
         prop_assert_eq!(a.to_string(), b.to_string());
         prop_assert!(equivalent(&a, &b));
     }
+}
+
+/// `Cq::instantiate` as it was: every binding's name interned, parameters
+/// matched by id, the first binding of a name winning.
+fn instantiate_interning(q: &Cq, bindings: &[(String, Value)]) -> Cq {
+    let interned: Vec<(Sym, Term)> = bindings
+        .iter()
+        .map(|(n, v)| (Sym::new(n), Term::constant(v)))
+        .collect();
+    let map_term = |t: &Term| -> Term {
+        if let Term::Param(p) = t {
+            if let Some((_, c)) = interned.iter().find(|(n, _)| n.id() == p.id()) {
+                return *c;
+            }
+        }
+        *t
+    };
+    let mut out = Cq::new(
+        q.head.iter().map(map_term).collect(),
+        q.atoms
+            .iter()
+            .map(|a| Atom::new(a.relation, a.args.iter().map(map_term).collect()))
+            .collect(),
+        q.comparisons
+            .iter()
+            .map(|c| Comparison::new(map_term(&c.lhs), c.op, map_term(&c.rhs)))
+            .collect(),
+    );
+    out.name = q.name;
+    out
 }
 
 /// Display of a query built from interned symbols resolves back through the

@@ -43,6 +43,18 @@ fn drive_workload(proxy: &SqlProxy, n_requests: usize) {
 fn journal_stats_and_exposition_agree_after_a_workload() {
     let proxy = calendar_proxy();
     drive_workload(&proxy, 40);
+    // A blocked probe: a fresh session reads an event it has shown no
+    // attendance of, so its concrete proof denies.
+    let probe = proxy.begin_session(vec![("MyUId".into(), Value::Int(appsim::FIRST_UID))]);
+    let blocked = proxy
+        .execute(
+            probe,
+            "SELECT EId, Title, Kind FROM Events WHERE EId = ?event_id",
+            &[("event_id".into(), Value::Int(1))],
+        )
+        .unwrap();
+    assert!(!blocked.is_allowed(), "{blocked:?}");
+    proxy.end_session(probe);
 
     let stats = proxy.stats();
     assert!(stats.allowed > 0, "workload produced decisions");
@@ -85,13 +97,28 @@ fn journal_stats_and_exposition_agree_after_a_workload() {
         by_tier[CacheTier::DenyCache as usize],
         stats.deny_cache_hits
     );
-    assert_eq!(
-        by_tier[CacheTier::ConcreteProof as usize],
-        stats.concrete_proofs
-    );
 
     // The exposition renders the same atomics the stats snapshot read.
     let text = proxy.metrics_text();
+    // Every fresh concrete proof is counted once, allowed or denied; the
+    // denied series lives only in the registry.
+    let series = |name: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(name))
+            .unwrap_or_else(|| panic!("exposition carries {name}"));
+        line[name.len()..].trim().parse().unwrap()
+    };
+    let denied = series("bep_proofs_total{kind=\"concrete-denied\"}");
+    assert!(denied > 0, "the blocked probe ran a denying proof");
+    assert_eq!(
+        series("bep_proofs_total{kind=\"concrete\"}"),
+        stats.concrete_proofs
+    );
+    assert_eq!(
+        by_tier[CacheTier::ConcreteProof as usize],
+        stats.concrete_proofs + denied
+    );
     assert!(text.contains(&format!(
         "bep_decisions_total{{decision=\"allowed\"}} {}",
         stats.allowed
