@@ -54,7 +54,7 @@ pub use plan::{
     WritePlan,
 };
 pub use policy::{schema_of_database, Policy, ViewDef};
-pub use proxy::{BatchItem, BatchStmt, ProxyConfig, ProxyResponse, ProxyStats, SqlProxy};
+pub use proxy::{ProxyConfig, ProxyResponse, ProxyStats, SqlProxy};
 pub use snapshot::{
     load_snapshot_file, policy_fingerprint, save_snapshot_file, SnapshotError, SnapshotLoadReport,
     SnapshotSaveReport,

@@ -345,31 +345,8 @@ impl EventJournal {
 
     /// Publishes one event, assigning and returning its sequence number.
     /// Lock-free; never blocks on readers.
-    pub fn record(&self, ev: DecisionEvent) -> u64 {
+    pub fn record(&self, mut ev: DecisionEvent) -> u64 {
         let seq = self.head.fetch_add(1, Ordering::AcqRel);
-        self.publish_at(seq, ev);
-        seq
-    }
-
-    /// Publishes a batch of events under one sequence-block claim: a
-    /// single `fetch_add` reserves `events.len()` consecutive numbers, so
-    /// a cross-connection batch pays one contended atomic instead of one
-    /// per decision. Returns the first assigned sequence number (events
-    /// are numbered consecutively from it, in order).
-    pub fn record_many(&self, events: Vec<DecisionEvent>) -> u64 {
-        let n = events.len() as u64;
-        if n == 0 {
-            return self.head.load(Ordering::Acquire);
-        }
-        let base = self.head.fetch_add(n, Ordering::AcqRel);
-        for (i, ev) in events.into_iter().enumerate() {
-            self.publish_at(base + i as u64, ev);
-        }
-        base
-    }
-
-    /// Publishes `ev` into the slot owned by the already claimed `seq`.
-    fn publish_at(&self, seq: u64, mut ev: DecisionEvent) {
         let n = self.slots.len() as u64;
         ev.seq = seq;
         let slot = &self.slots[(seq % n) as usize];
@@ -381,7 +358,7 @@ impl EventJournal {
                 // A writer a full ring ahead already owns this slot: our
                 // event would be overwritten immediately anyway. Let the
                 // newer event stand; ours counts as evicted.
-                return;
+                return seq;
             }
             if v % 2 == 1 {
                 // A writer one ring behind is mid-publish; it finishes in
@@ -401,6 +378,7 @@ impl EventJournal {
             w.store(val, Ordering::Relaxed);
         }
         slot.version.store(published, Ordering::Release);
+        seq
     }
 
     /// The retained events with sequence numbers in `[after, head)`, oldest

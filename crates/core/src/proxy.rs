@@ -555,31 +555,6 @@ impl ProxyResponse {
     }
 }
 
-/// One statement of a cross-connection batch: either raw SQL (the server's
-/// `execute` frame) or an already compiled plan (`execute_prepared`).
-#[derive(Debug, Clone)]
-pub enum BatchStmt {
-    /// A SQL template; the batch amortizes its plan-cache probe across
-    /// every occurrence of the same template in the batch.
-    Sql(String),
-    /// A pre-compiled plan (no lookup at all).
-    Plan(Arc<TemplatePlan>),
-}
-
-/// One request of a cross-connection batch handed to
-/// [`SqlProxy::execute_batch`]. Requests from *different* sessions may be
-/// mixed freely; requests of the same session are decided in batch order,
-/// exactly as if issued sequentially.
-#[derive(Debug, Clone)]
-pub struct BatchItem {
-    /// Session to execute under.
-    pub session: u64,
-    /// The statement.
-    pub stmt: BatchStmt,
-    /// Request parameters.
-    pub bindings: Vec<(String, Value)>,
-}
-
 /// The enforcing proxy. `Send + Sync`: share it across worker threads with
 /// `Arc` or scoped borrows and call [`SqlProxy::execute`] concurrently.
 pub struct SqlProxy {
@@ -596,10 +571,6 @@ pub struct SqlProxy {
     sessions_gauge: Arc<Gauge>,
     journal_published: Arc<Gauge>,
     journal_evicted: Arc<Gauge>,
-    /// Cross-connection batches executed via [`SqlProxy::execute_batch`].
-    batches: Arc<Counter>,
-    /// Requests carried by those batches.
-    batch_requests: Arc<Counter>,
     /// Process RSS/VmHWM gauges refreshed by [`SqlProxy::metrics_text`].
     memory: MemoryGauges,
     /// `bep_span_solver_total{counter=...}` series, fed from the journaled
@@ -649,16 +620,6 @@ impl SqlProxy {
         let journal_evicted = registry.gauge(
             "bep_journal_evicted",
             "Journal events evicted by ring wrap-around",
-            &[],
-        );
-        let batches = registry.counter(
-            "bep_batches_total",
-            "Cross-connection decision batches executed",
-            &[],
-        );
-        let batch_requests = registry.counter(
-            "bep_batch_requests_total",
-            "Requests decided inside cross-connection batches",
             &[],
         );
         let memory = MemoryGauges::register(&registry);
@@ -726,8 +687,6 @@ impl SqlProxy {
             sessions_gauge,
             journal_published,
             journal_evicted,
-            batches,
-            batch_requests,
             memory,
             span_counters,
             mem_gauges,
@@ -1002,9 +961,9 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
         let hash = template_hash(sql);
-        self.publish(self.run(session_id, extra_bindings, |prov| {
+        self.run(session_id, extra_bindings, |prov| {
             self.plan_for(sql, hash, prov)
-        }))
+        })
     }
 
     /// Compiles (or prefetches) the plan for a template without deciding
@@ -1012,8 +971,9 @@ impl SqlProxy {
     /// [`SqlProxy::execute_planned`], skipping even the plan-cache probe —
     /// the wire protocol's `prepare` frame maps to this.
     ///
-    /// No statistics are touched; replays through a template-allowed plan
-    /// count as template-cache hits.
+    /// No statistics are touched, and the solver work of a first
+    /// compilation is charged to no decision; replays through a
+    /// template-allowed plan count as template-cache hits.
     pub fn prepare(&self, sql: &str) -> Arc<TemplatePlan> {
         let hash = template_hash(sql);
         let (cell, _) = self.plans.entry_hashed(hash, sql);
@@ -1022,29 +982,29 @@ impl SqlProxy {
     }
 
     /// Executes a previously [`prepare`](SqlProxy::prepare)d plan — the
-    /// decision hot path with the plan lookup already paid. Statistics,
-    /// phase timings, and journal events are recorded exactly as for
-    /// [`SqlProxy::execute`] of the same template.
+    /// decision hot path with the plan lookup already paid (the server's
+    /// `execute_prepared` frame). Statistics, phase timings, and journal
+    /// events are recorded exactly as for [`SqlProxy::execute`] of the same
+    /// template.
     pub fn execute_planned(
         &self,
         session_id: u64,
         plan: &TemplatePlan,
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
-        self.publish(self.run(session_id, extra_bindings, |_| (plan, false)))
+        self.run(session_id, extra_bindings, |_| (plan, false))
     }
 
-    /// One statement from clock start to finished telemetry: `resolve`
+    /// One statement from clock start to published event: `resolve`
     /// yields the plan and whether this request compiled it (its laps
     /// already attributed), the plan decides and executes, and
-    /// [`finish`](Self::finish) closes the books. The journal event comes
-    /// back unpublished so a batch can publish its events as one block.
+    /// [`finish`](Self::finish) closes the books.
     fn run<P: std::ops::Deref<Target = TemplatePlan>>(
         &self,
         session_id: u64,
         extra_bindings: &[(String, Value)],
         resolve: impl FnOnce(&mut Prov) -> (P, bool),
-    ) -> (Result<ProxyResponse, CoreError>, Option<DecisionEvent>) {
+    ) -> Result<ProxyResponse, CoreError> {
         // The decision runs on this thread, so the solver counters `finish`
         // takes are this decision's work alone once whatever accumulated
         // before it (a `prepare`, any other solver use on this thread) is
@@ -1054,25 +1014,12 @@ impl SqlProxy {
         let mut prov = Prov::new();
         let (plan, built) = resolve(&mut prov);
         let result = self.execute_plan_timed(session_id, &plan, built, extra_bindings, &mut prov);
-        let event = self.finish(session_id, plan.hash(), t0, &prov, &result);
-        (result, event)
-    }
-
-    /// Publishes one [`run`](Self::run)'s journal event on its own.
-    fn publish(
-        &self,
-        (result, event): (Result<ProxyResponse, CoreError>, Option<DecisionEvent>),
-    ) -> Result<ProxyResponse, CoreError> {
-        if let Some(ev) = event {
-            self.journal.record(ev);
-        }
+        self.finish(session_id, plan.hash(), t0, &prov, &result);
         result
     }
 
-    /// The tail of [`run`](Self::run): latency recording and the solver
-    /// roll-up, returning the journal event (if any) for the caller to
-    /// publish ([`EventJournal::record`] or one
-    /// [`EventJournal::record_many`] block per batch).
+    /// The tail of [`run`](Self::run): latency recording, the solver
+    /// roll-up, and the decision's journal event.
     fn finish(
         &self,
         session_id: u64,
@@ -1080,7 +1027,7 @@ impl SqlProxy {
         t0: Instant,
         prov: &Prov,
         result: &Result<ProxyResponse, CoreError>,
-    ) -> Option<DecisionEvent> {
+    ) {
         let total = t0.elapsed();
         self.stats.latency.record(total);
         let span = SpanSummary::new(
@@ -1090,7 +1037,9 @@ impl SqlProxy {
         );
         // Only decided statements get a journal entry; a `NoSuchSession`
         // error is the caller's bug, not a decision.
-        let response = result.as_ref().ok()?;
+        let Ok(response) = result else {
+            return;
+        };
         if !span.is_empty() {
             let [rw, cc, hn, hb] = &self.span_counters;
             rw.add(span.rewrite_iterations as u64);
@@ -1103,7 +1052,7 @@ impl SqlProxy {
         } else {
             Verdict::Blocked
         };
-        Some(DecisionEvent {
+        self.journal.record(DecisionEvent {
             seq: 0, // assigned on publication
             session: session_id,
             template_hash: hash,
@@ -1113,73 +1062,7 @@ impl SqlProxy {
             total_ns: total.as_nanos().min(u64::MAX as u128) as u64,
             phase_ns: prov.timer.phase_ns(),
             span,
-        })
-    }
-
-    /// Executes a burst of requests drained off many connections in one
-    /// call, amortizing front-end cost across the group:
-    ///
-    /// * the **plan-cache probe** runs once per *distinct template* in the
-    ///   batch (a per-batch map short-circuits repeats — no shard lock, no
-    ///   string compare for the second and later occurrences);
-    /// * the **journal write** claims one sequence block for the whole
-    ///   batch ([`EventJournal::record_many`]) instead of one contended
-    ///   `fetch_add` per decision;
-    /// * batch counters (`bep_batches_total`, `bep_batch_requests_total`)
-    ///   are bumped once.
-    ///
-    /// Decisions are **identical** to issuing the same requests
-    /// sequentially in batch order through [`SqlProxy::execute`] /
-    /// [`SqlProxy::execute_planned`]: requests are decided in submission
-    /// order (so same-session trace growth is observed exactly as in the
-    /// sequential interleaving), the first occurrence of a template that
-    /// compiles its plan is attributed the template proof exactly as the
-    /// sequential path would, and every per-request statistic, phase
-    /// timing, and journal event is recorded per decision. The batch only
-    /// changes *cost*, never answers — `tests/batch_differential.rs`
-    /// asserts this on replayed workloads.
-    pub fn execute_batch(&self, items: &[BatchItem]) -> Vec<Result<ProxyResponse, CoreError>> {
-        self.batches.inc();
-        self.batch_requests.add(items.len() as u64);
-        // Per-batch template table: hash → compiled plan. Probing the
-        // shared plan cache happens at most once per distinct template.
-        let mut local_plans: HashMap<u64, Arc<TemplatePlan>> = HashMap::new();
-        let mut out = Vec::with_capacity(items.len());
-        let mut events: Vec<DecisionEvent> = Vec::new();
-        for it in items {
-            let (result, event) = match &it.stmt {
-                // A pre-compiled plan replays like `execute_planned`:
-                // never attributed the template proof.
-                BatchStmt::Plan(plan) => {
-                    self.run(it.session, &it.bindings, |_| (plan.as_ref(), false))
-                }
-                BatchStmt::Sql(sql) => self.run(it.session, &it.bindings, |prov| {
-                    let hash = template_hash(sql);
-                    match local_plans.get(&hash) {
-                        Some(plan) => {
-                            // Amortized repeat: the probe this request
-                            // would have paid is skipped; the (now ~zero)
-                            // lookup time is still attributed to the
-                            // template-lookup phase so per-phase accounting
-                            // stays complete.
-                            prov.lap(Phase::TemplateLookup);
-                            (plan.clone(), false)
-                        }
-                        None => {
-                            let (plan, built) = self.plan_for(sql, hash, prov);
-                            local_plans.insert(hash, plan.clone());
-                            (plan, built)
-                        }
-                    }
-                }),
-            };
-            events.extend(event);
-            out.push(result);
-        }
-        if !events.is_empty() {
-            self.journal.record_many(events);
-        }
-        out
+        });
     }
 
     /// The compiled plan for a template, proving at most once across all
@@ -2179,34 +2062,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_read_write_order_per_session() {
-        let p = proxy(ProxyConfig {
-            enforce_writes: true,
-            ..Default::default()
-        });
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let read = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let items: Vec<BatchItem> = [read, "DELETE FROM Attendance WHERE UId = ?MyUId", read]
-            .iter()
-            .map(|sql| BatchItem {
-                session: s,
-                stmt: BatchStmt::Sql((*sql).to_string()),
-                bindings: Vec::new(),
-            })
-            .collect();
-        let results: Vec<ProxyResponse> = p
-            .execute_batch(&items)
-            .into_iter()
-            .map(|r| r.unwrap())
-            .collect();
-        // The read before the enforced delete sees the row; the read
-        // after it does not: batch order is session order.
-        assert_eq!(results[0].rows().unwrap().len(), 1);
-        assert_eq!(results[1], ProxyResponse::Affected(1));
-        assert_eq!(results[2].rows().unwrap().len(), 0);
-    }
-
-    #[test]
     fn unchecked_statements_are_audited() {
         let p = proxy(ProxyConfig::default());
         p.execute_unchecked("SELECT * FROM Events", &[]).unwrap();
@@ -2799,17 +2654,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_decisions_carry_only_their_own_solver_work() {
+    fn each_decision_carries_only_its_own_solver_work() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let items: Vec<BatchItem> = (0..3)
-            .map(|_| BatchItem {
-                session: s,
-                stmt: BatchStmt::Sql("SELECT EId FROM Attendance WHERE UId = ?MyUId".into()),
-                bindings: Vec::new(),
-            })
-            .collect();
-        for r in p.execute_batch(&items) {
+        for _ in 0..3 {
+            let r = p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[]);
             assert!(r.unwrap().is_allowed());
         }
         let events = p.journal().recent(usize::MAX, None);
@@ -2822,13 +2671,22 @@ mod tests {
                 CacheTier::TemplateCache
             ]
         );
-        // The first item compiled the plan and paid the symbolic proof;
-        // none of that work may spill into the hits decided after it.
+        // The first statement compiled the plan and paid the symbolic
+        // proof; none of that work may spill into the hits decided after it.
         assert!(events[0].span.containment_checks > 0, "{events:?}");
         for hit in &events[1..] {
             assert_eq!(hit.span.containment_checks, 0, "{hit:?}");
             assert_eq!(hit.span.rewrite_iterations, 0, "{hit:?}");
         }
+
+        // A `prepare` proves its fresh template on this thread, outside any
+        // decision: the replay after it must not be charged that proof.
+        let plan = p.prepare("SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2");
+        assert!(qlogic::probe::peek().containment_checks > 0);
+        assert!(p.execute_planned(s, &plan, &[]).unwrap().is_allowed());
+        let replay = p.journal().recent(1, None)[0];
+        assert_eq!(replay.tier, CacheTier::TemplateCache);
+        assert_eq!(replay.span.containment_checks, 0, "{replay:?}");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! [`ConnCore`] owns everything one connection's protocol needs — the
 //! handshake flag, the sessions it began, its prepared plans, its journal
-//! subscription — and classifies each decoded request into either an
-//! *immediate* response (control-plane messages, answered inline) or an
-//! *execute* item ([`BatchItem`]) that the event loop pools into a
-//! cross-connection batch. Error containment is graded:
+//! subscription — and answers each decoded request on the spot:
+//! control-plane messages and enforcement decisions alike, so every
+//! answer reflects exactly the frames before it on the connection. Error
+//! containment is graded:
 //!
 //! * a *malformed message* (bad JSON, unknown tag, missing field) gets a
 //!   typed `error` response and the connection stays open — one bad frame
@@ -24,10 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bep_core::{
-    BatchItem, BatchStmt, CoreError, DenyReason, JournalCursor, ProxyResponse, SqlProxy,
-    TemplatePlan,
-};
+use bep_core::{CoreError, DenyReason, JournalCursor, ProxyResponse, SqlProxy, TemplatePlan};
 
 use crate::protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
@@ -109,22 +106,6 @@ const TRACE_EVENTS_MAX: usize = 32;
 /// with `after`.
 const JOURNAL_BATCH_MAX: usize = 512;
 
-/// What [`ConnCore::classify`] decided about one request.
-pub(crate) enum Dispatched {
-    /// Control-plane request, answered inline.
-    Immediate {
-        /// The response to write.
-        response: Response,
-        /// Whether the connection should close after sending it.
-        close: bool,
-    },
-    /// An enforcement decision (`execute` / `execute_prepared`), already
-    /// ownership-checked and plan-resolved, for the event loop's
-    /// cross-connection batch. The answer is [`exec_response`] of the
-    /// proxy result.
-    Execute(BatchItem),
-}
-
 /// One connection's protocol state.
 pub(crate) struct ConnCore {
     shared: Arc<ConnShared>,
@@ -170,21 +151,22 @@ impl ConnCore {
         })
     }
 
-    /// Handles one decoded request up to — but not including — decision
-    /// execution.
-    pub(crate) fn classify(&mut self, request: Request) -> Dispatched {
+    /// Answers one decoded request, deciding `execute` and
+    /// `execute_prepared` inline; the flag says whether the connection
+    /// should close after sending the response.
+    pub(crate) fn classify(&mut self, request: Request) -> (Response, bool) {
         if !self.greeted {
             return match request {
                 Request::Hello { version } if version == PROTOCOL_VERSION => {
                     self.greeted = true;
-                    immediate(
+                    (
                         Response::Welcome {
                             version: PROTOCOL_VERSION,
                         },
                         false,
                     )
                 }
-                Request::Hello { version } => immediate(
+                Request::Hello { version } => (
                     Response::Error {
                         kind: ErrorKind::Unsupported,
                         msg: format!(
@@ -193,7 +175,7 @@ impl ConnCore {
                     },
                     true,
                 ),
-                _ => immediate(
+                _ => (
                     Response::Error {
                         kind: ErrorKind::Unsupported,
                         msg: "handshake required: send hello first".into(),
@@ -202,20 +184,22 @@ impl ConnCore {
                 ),
             };
         }
+        let close = matches!(request, Request::Shutdown);
+        (self.answer(request), close)
+    }
 
+    /// [`classify`](Self::classify) past the handshake.
+    fn answer(&mut self, request: Request) -> Response {
         let shared = &self.shared;
         match request {
-            Request::Hello { .. } => immediate(
-                Response::Error {
-                    kind: ErrorKind::Unsupported,
-                    msg: "already greeted".into(),
-                },
-                false,
-            ),
+            Request::Hello { .. } => Response::Error {
+                kind: ErrorKind::Unsupported,
+                msg: "already greeted".into(),
+            },
             Request::Begin { bindings } => {
                 let session = shared.proxy.begin_session(bindings);
                 self.sweep.owned.insert(session);
-                immediate(Response::Began { session }, false)
+                Response::Began { session }
             }
             Request::Execute {
                 session,
@@ -226,28 +210,21 @@ impl ConnCore {
                 // may only touch sessions it began, so one client can never
                 // read another's trace-unlocked state by guessing ids.
                 if !self.sweep.owned.contains(&session) {
-                    return immediate(no_such_session(session), false);
+                    return no_such_session(session);
                 }
-                Dispatched::Execute(BatchItem {
-                    session,
-                    stmt: BatchStmt::Sql(sql),
-                    bindings,
-                })
+                exec_response(shared.proxy.execute(session, &sql, &bindings))
             }
             Request::Prepare { session, sql } => {
                 // Plans are compiled against the (session-independent)
                 // policy, but the ownership gate still applies: a
                 // connection may only prepare work for sessions it began.
                 if !self.sweep.owned.contains(&session) {
-                    return immediate(no_such_session(session), false);
+                    return no_such_session(session);
                 }
                 let plan = shared.proxy.prepare(&sql);
-                immediate(
-                    Response::Prepared {
-                        plan: self.prepared.insert(plan),
-                    },
-                    false,
-                )
+                Response::Prepared {
+                    plan: self.prepared.insert(plan),
+                }
             }
             Request::ExecutePrepared {
                 session,
@@ -255,76 +232,60 @@ impl ConnCore {
                 bindings,
             } => {
                 if !self.sweep.owned.contains(&session) {
-                    return immediate(no_such_session(session), false);
+                    return no_such_session(session);
                 }
-                let Some(plan) = self.prepared.plans.get(&plan).cloned() else {
-                    return immediate(
-                        Response::Error {
-                            kind: ErrorKind::NoSuchPlan,
-                            msg: format!("no such prepared plan: {plan}"),
-                        },
-                        false,
-                    );
+                let Some(compiled) = self.prepared.plans.get(&plan) else {
+                    return Response::Error {
+                        kind: ErrorKind::NoSuchPlan,
+                        msg: format!("no such prepared plan: {plan}"),
+                    };
                 };
-                Dispatched::Execute(BatchItem {
-                    session,
-                    stmt: BatchStmt::Plan(plan),
-                    bindings,
-                })
+                exec_response(shared.proxy.execute_planned(session, compiled, &bindings))
             }
             Request::Trace { session } => {
                 if !self.sweep.owned.contains(&session) {
-                    return immediate(no_such_session(session), false);
+                    return no_such_session(session);
                 }
                 match shared.proxy.session_trace(session) {
-                    Ok(trace) => immediate(
-                        Response::TraceSummary {
-                            entries: trace.len() as u64,
-                            facts: trace.facts().len() as u64,
-                            events: shared
-                                .proxy
-                                .journal()
-                                .recent(TRACE_EVENTS_MAX, Some(session)),
-                        },
-                        false,
-                    ),
-                    Err(e) => immediate(core_error(e), false),
+                    Ok(trace) => Response::TraceSummary {
+                        entries: trace.len() as u64,
+                        facts: trace.facts().len() as u64,
+                        events: shared
+                            .proxy
+                            .journal()
+                            .recent(TRACE_EVENTS_MAX, Some(session)),
+                    },
+                    Err(e) => core_error(e),
                 }
             }
-            Request::Stats => immediate(Response::Stats(wire_stats(&shared.proxy)), false),
-            Request::Metrics => immediate(
-                Response::Metrics {
-                    text: shared.proxy.metrics_text(),
-                },
-                false,
-            ),
+            Request::Stats => Response::Stats(wire_stats(&shared.proxy)),
+            Request::Metrics => Response::Metrics {
+                text: shared.proxy.metrics_text(),
+            },
             Request::Journal { after, max } => {
                 let journal = shared.proxy.journal();
                 let max = (max as usize).min(JOURNAL_BATCH_MAX);
-                immediate(
-                    Response::Journal {
-                        events: journal.events_since(after, max),
-                        published: journal.published(),
-                        evicted: journal.evicted(),
-                    },
-                    false,
-                )
+                Response::Journal {
+                    events: journal.events_since(after, max),
+                    published: journal.published(),
+                    evicted: journal.evicted(),
+                }
             }
             Request::Subscribe { after } => {
                 // Re-subscribing repositions the stream; events before
                 // `after` are skipped, not charged as dropped.
                 self.subscription = Some(JournalCursor::starting_at(after));
-                immediate(Response::Subscribed, false)
+                Response::Subscribed
             }
             Request::End { session } => {
                 if !self.sweep.owned.contains(&session) {
-                    return immediate(no_such_session(session), false);
+                    return no_such_session(session);
                 }
                 // `owned` deliberately keeps the id: a repeated End must
                 // stay idempotent (`was_live: false`), not become
                 // no-such-session.
                 let was_live = shared.proxy.end_session(session);
-                immediate(Response::Ended { was_live }, false)
+                Response::Ended { was_live }
             }
             Request::Shutdown => {
                 shared.shutdown.store(true, Ordering::Release);
@@ -332,18 +293,14 @@ impl ConnCore {
                 // connection wakes it so it observes the flag. Any error
                 // just means it is already awake.
                 let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
-                immediate(Response::Bye, true)
+                Response::Bye
             }
         }
     }
 }
 
-fn immediate(response: Response, close: bool) -> Dispatched {
-    Dispatched::Immediate { response, close }
-}
-
 /// Maps one proxy execution result (plain or prepared) to its wire form.
-pub(crate) fn exec_response(result: Result<ProxyResponse, CoreError>) -> Response {
+fn exec_response(result: Result<ProxyResponse, CoreError>) -> Response {
     match result {
         Ok(ProxyResponse::Rows(rows)) => Response::Rows {
             columns: rows.columns,

@@ -9,19 +9,13 @@
 //! 2. **Read** every readable connection into its [`FrameDecoder`] and
 //!    decode up to [`FRAMES_PER_CONN_PER_TICK`] frames per connection
 //!    (pipelining: one readiness event may carry many frames);
-//! 3. **Classify** each frame via [`ConnCore::classify`]: control-plane
-//!    requests are answered inline; `execute`/`execute_prepared` items are
-//!    pooled into one iteration-wide batch;
-//! 4. **Execute** the batch through
-//!    [`SqlProxy::execute_batch`](bep_core::SqlProxy::execute_batch)
-//!    (chunked at [`BATCH_MAX`]), which amortizes plan-cache probes and
-//!    journal writes across connections while deciding in submission
-//!    order — so answers are bit-identical to issuing the same statements
-//!    one by one through `SqlProxy::execute`;
-//! 5. **Assemble** each connection's response segments *in request order*
-//!    (inline answers interleaved with batch results) into its write
-//!    buffer and **flush** as far as the socket allows, arming write
-//!    interest only while bytes remain.
+//! 3. **Decide inline, in frame order**: [`ConnCore::classify`] answers
+//!    each frame as it is decoded — control-plane requests and
+//!    `execute`/`execute_prepared` decisions alike — and the answer goes
+//!    straight into the connection's write buffer, so a control frame
+//!    sees every earlier decision on its connection;
+//! 4. **Flush** every touched connection as far as the socket allows,
+//!    arming write interest only while bytes remain.
 //!
 //! Fairness: a connection that pipelines more than the per-tick frame cap
 //! keeps its surplus buffered and is revisited on the next iteration (the
@@ -42,9 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bep_core::BatchItem;
-
-use crate::conn::{exec_response, ConnCore, ConnShared, Dispatched};
+use crate::conn::{ConnCore, ConnShared};
 use crate::framing::{frame_bytes, FrameDecoder, FrameError};
 use crate::protocol::{ErrorKind, Response};
 use crate::reactor::{drain_waker, fd_of, raise_nofile_limit, Poller, Readiness};
@@ -56,9 +48,6 @@ const TOKEN_WAKER: u64 = 1;
 /// First connection token.
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// Largest group of decisions run through one `SqlProxy::execute_batch`
-/// call.
-const BATCH_MAX: usize = 64;
 /// Fairness cap: frames decoded per connection per loop iteration; surplus
 /// pipelined frames wait one lap.
 const FRAMES_PER_CONN_PER_TICK: usize = 32;
@@ -78,22 +67,12 @@ const SUB_EVENTS_MAX: usize = 256;
 /// buffering toward a slow consumer.
 const SUB_BACKLOG_MAX: usize = 256 * 1024;
 
-/// One response slot in a connection's per-iteration output sequence.
-/// Inline answers carry their bytes; batched decisions carry the index
-/// into the iteration's batch until it executes.
-enum OutSeg {
-    Bytes(Vec<u8>),
-    Batch(usize),
-}
-
 /// One live connection owned by the reactor.
 struct Conn {
     stream: TcpStream,
     token: u64,
     decoder: FrameDecoder,
     core: ConnCore,
-    /// Response segments produced this iteration, in request order.
-    segs: Vec<OutSeg>,
     /// Flush buffer persisting across iterations (partial writes).
     out: Vec<u8>,
     out_pos: usize,
@@ -109,8 +88,8 @@ impl Conn {
     }
 
     fn push_response(&mut self, response: &Response) {
-        self.segs
-            .push(OutSeg::Bytes(frame_bytes(response.to_wire().as_bytes())));
+        self.out
+            .extend_from_slice(&frame_bytes(response.to_wire().as_bytes()));
     }
 }
 
@@ -217,8 +196,6 @@ pub(crate) fn run(
             return;
         }
 
-        // This iteration's cross-connection batch and the order to answer.
-        let mut batch: Vec<BatchItem> = Vec::new();
         let mut touched: Vec<u64> = Vec::new();
         let mut dead: Vec<u64> = Vec::new();
 
@@ -226,7 +203,7 @@ pub(crate) fn run(
         // no readiness event will re-announce.
         for token in std::mem::take(&mut hot) {
             if let Some(conn) = conns.get_mut(&token) {
-                drain_frames(conn, &metrics, &mut batch, &mut hot);
+                drain_frames(conn, &metrics, &mut hot);
                 touched.push(token);
             }
         }
@@ -247,40 +224,19 @@ pub(crate) fn run(
                             dead.push(token);
                             continue;
                         }
-                        drain_frames(conn, &metrics, &mut batch, &mut hot);
+                        drain_frames(conn, &metrics, &mut hot);
                     }
                     touched.push(token);
                 }
             }
         }
 
-        // Execute the iteration's decisions as one cross-connection batch
-        // (chunked at BATCH_MAX), then render each result to wire bytes.
-        let batch_wire: Vec<Vec<u8>> = if batch.is_empty() {
-            Vec::new()
-        } else {
-            let mut wire = Vec::with_capacity(batch.len());
-            for chunk in batch.chunks(BATCH_MAX) {
-                for result in shared.proxy.execute_batch(chunk) {
-                    wire.push(frame_bytes(exec_response(result).to_wire().as_bytes()));
-                }
-            }
-            wire
-        };
-
-        // Assemble (request-ordered) and flush every touched connection.
         touched.sort_unstable();
         touched.dedup();
         for token in touched {
             let Some(conn) = conns.get_mut(&token) else {
                 continue;
             };
-            for seg in conn.segs.drain(..) {
-                match seg {
-                    OutSeg::Bytes(b) => conn.out.extend_from_slice(&b),
-                    OutSeg::Batch(i) => conn.out.extend_from_slice(&batch_wire[i]),
-                }
-            }
             if !flush(conn, &poller) {
                 dead.push(token);
             }
@@ -290,8 +246,8 @@ pub(crate) fn run(
             drop_conn(&mut conns, token, &poller, &metrics);
         }
 
-        // Live subscriptions: the batch above has already published its
-        // decisions to the journal, so polling now delivers this very
+        // Live subscriptions: every decision above has already published
+        // its event to the journal, so polling now delivers this very
         // tick's events — push latency is bounded by one loop iteration.
         drain_subscriptions(&mut conns, &shared, &poller, &metrics);
 
@@ -364,15 +320,9 @@ fn read_ready(conn: &mut Conn, scratch: &mut [u8]) -> bool {
 }
 
 /// Decodes up to the fairness cap of frames from one connection,
-/// classifying each: inline answers go straight to the connection's
-/// segment list, decisions join the iteration batch (their segment holds
-/// the batch index so responses interleave in request order).
-fn drain_frames(
-    conn: &mut Conn,
-    metrics: &ReactorMetrics,
-    batch: &mut Vec<BatchItem>,
-    hot: &mut Vec<u64>,
-) {
+/// answering each (decisions included) into the connection's write buffer
+/// before decoding the next.
+fn drain_frames(conn: &mut Conn, metrics: &ReactorMetrics, hot: &mut Vec<u64>) {
     for _ in 0..FRAMES_PER_CONN_PER_TICK {
         let payload = match conn.decoder.next_frame() {
             Ok(Some(p)) => p,
@@ -401,18 +351,11 @@ fn drain_frames(
                 continue;
             }
         };
-        match conn.core.classify(request) {
-            Dispatched::Immediate { response, close } => {
-                conn.push_response(&response);
-                if close {
-                    conn.close_after_flush = true;
-                    return;
-                }
-            }
-            Dispatched::Execute(item) => {
-                batch.push(item);
-                conn.segs.push(OutSeg::Batch(batch.len() - 1));
-            }
+        let (response, close) = conn.core.classify(request);
+        conn.push_response(&response);
+        if close {
+            conn.close_after_flush = true;
+            return;
         }
     }
     // Cap hit with work left over: revisit next iteration even though no
@@ -426,7 +369,7 @@ fn drain_frames(
 ///
 /// Each subscriber's [`JournalCursor`](bep_core::JournalCursor) lives in
 /// its [`ConnCore`]; polling it here — on the reactor thread, after the
-/// tick's batch executed — yields exactly the events a cursor-polling
+/// tick's decisions — yields exactly the events a cursor-polling
 /// client would see, in the same order, with the same drop accounting
 /// (the stream equivalence the integration tests assert). A subscriber
 /// that cannot drain its socket is skipped, not buffered without bound:
@@ -547,7 +490,6 @@ fn accept_burst(
                 token,
                 decoder: FrameDecoder::new(shared.config.max_frame),
                 core: ConnCore::new(Arc::clone(shared)),
-                segs: Vec::new(),
                 out: Vec::new(),
                 out_pos: 0,
                 last_activity: Instant::now(),

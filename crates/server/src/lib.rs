@@ -17,10 +17,9 @@
 //! * [`reactor`] — a minimal level-triggered epoll abstraction (raw
 //!   syscalls against the libc `std` already links: no external deps);
 //! * [`event_loop`] — the front-end: one reactor thread holding
-//!   every connection, pipelined frames, cross-connection decision
-//!   batching through [`bep_core::SqlProxy::execute_batch`], and per-tick
-//!   journal pushes to `subscribe`d connections (bounded backlog, exact
-//!   drop accounting);
+//!   every connection, pipelined frames decided inline in frame order,
+//!   and per-tick journal pushes to `subscribe`d connections (bounded
+//!   backlog, exact drop accounting);
 //! * [`conn`] — per-connection protocol state: handshake enforcement,
 //!   connection-scoped session ownership, typed errors for malformed
 //!   frames, and a drop guard that sweeps orphaned sessions;

@@ -2,9 +2,8 @@
 //!
 //! [`Server::start`] binds a listener and launches the one front-end: a
 //! single reactor thread running the epoll readiness loop in
-//! [`crate::event_loop`] — nonblocking sockets, pipelined frames,
-//! cross-connection decision batching, 10k+ idle connections with no
-//! thread growth. Admission control is the `max_connections` cap; past it
+//! [`crate::event_loop`] — nonblocking sockets, pipelined frames decided
+//! inline in frame order, 10k+ idle connections with no thread growth. Admission control is the `max_connections` cap; past it
 //! the acceptor answers `busy` with a load snapshot.
 //!
 //! Shutdown — either [`Server::shutdown`] from the owning process or a

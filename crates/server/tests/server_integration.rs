@@ -12,8 +12,11 @@ use bep_core::{
     SqlProxy, Verdict,
 };
 use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
-use bep_server::framing::{frame_bytes, write_frame};
-use bep_server::{Client, ClientError, ExecOutcome, Server, ServerConfig};
+use bep_server::framing::{frame_bytes, FrameEvent, FrameReader};
+use bep_server::{
+    Client, ClientError, ErrorKind, ExecOutcome, Request, Response, Server, ServerConfig,
+    PROTOCOL_VERSION,
+};
 use minidb::Database;
 use sqlir::Value;
 
@@ -66,6 +69,79 @@ fn start(config: ServerConfig) -> (Server, Arc<SqlProxy>) {
 
 fn uid_bindings(uid: i64) -> Vec<(String, Value)> {
     vec![("MyUId".into(), Value::Int(uid))]
+}
+
+/// A hand-driven connection: frames go out exactly as written, so one
+/// `write_all` can carry a whole pipelined burst of mixed requests.
+struct RawConn {
+    stream: std::net::TcpStream,
+    reader: FrameReader,
+}
+
+impl RawConn {
+    /// Connects without a handshake.
+    fn open(server: &Server) -> RawConn {
+        let stream = std::net::TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(IO)).unwrap();
+        stream.set_nodelay(true).unwrap();
+        RawConn {
+            stream,
+            reader: FrameReader::new(1 << 20),
+        }
+    }
+
+    /// Connects and completes the handshake.
+    fn greeted(server: &Server) -> RawConn {
+        let mut conn = RawConn::open(server);
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        assert!(matches!(conn.round_trip(hello), Response::Welcome { .. }));
+        conn
+    }
+
+    /// Writes every request's frame in one `write_all`.
+    fn send(&mut self, requests: &[Request]) {
+        use std::io::Write;
+        let burst: Vec<u8> = requests
+            .iter()
+            .flat_map(|r| frame_bytes(r.to_wire().as_bytes()))
+            .collect();
+        self.stream.write_all(&burst).unwrap();
+    }
+
+    fn recv(&mut self) -> Response {
+        let payload = loop {
+            match self.reader.read_frame(&mut self.stream).unwrap() {
+                FrameEvent::Frame(p) => break p,
+                FrameEvent::TimedOut => continue,
+                FrameEvent::Eof => panic!("closed before answering"),
+            }
+        };
+        Response::from_wire(std::str::from_utf8(&payload).unwrap()).unwrap()
+    }
+
+    fn round_trip(&mut self, request: Request) -> Response {
+        self.send(&[request]);
+        self.recv()
+    }
+
+    fn begin(&mut self, uid: i64) -> u64 {
+        match self.round_trip(Request::Begin {
+            bindings: uid_bindings(uid),
+        }) {
+            Response::Began { session } => session,
+            other => panic!("expected began, got {other:?}"),
+        }
+    }
+}
+
+fn execute(session: u64, sql: &str) -> Request {
+    Request::Execute {
+        session,
+        sql: sql.into(),
+        bindings: vec![],
+    }
 }
 
 #[test]
@@ -169,8 +245,8 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
         b"\xff\xfe\x00",
     ] {
         match c.raw_round_trip(bad).unwrap() {
-            bep_server::Response::Error { kind, .. } => {
-                assert_eq!(kind, bep_server::ErrorKind::Malformed);
+            Response::Error { kind, .. } => {
+                assert_eq!(kind, ErrorKind::Malformed);
             }
             other => panic!("expected malformed error, got {other:?}"),
         }
@@ -195,8 +271,8 @@ fn oversized_frame_is_rejected_then_closed() {
 
     let huge = vec![b'x'; 4096];
     match c.raw_round_trip(&huge) {
-        Ok(bep_server::Response::Error { kind, msg }) => {
-            assert_eq!(kind, bep_server::ErrorKind::Malformed);
+        Ok(Response::Error { kind, msg }) => {
+            assert_eq!(kind, ErrorKind::Malformed);
             assert!(msg.contains("exceeds limit"), "{msg}");
         }
         other => panic!("expected oversized error, got {other:?}"),
@@ -214,22 +290,9 @@ fn oversized_frame_is_rejected_then_closed() {
 fn handshake_is_required_first() {
     let (server, _proxy) = start(ServerConfig::default());
     // Hand-roll a connection that skips hello.
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream.set_read_timeout(Some(IO)).unwrap();
-    write_frame(&mut stream, br#"{"t":"stats"}"#).unwrap();
-    let mut reader = bep_server::framing::FrameReader::new(1 << 20);
-    let payload = loop {
-        match reader.read_frame(&mut stream).unwrap() {
-            bep_server::framing::FrameEvent::Frame(p) => break p,
-            bep_server::framing::FrameEvent::TimedOut => continue,
-            bep_server::framing::FrameEvent::Eof => panic!("closed before answering"),
-        }
-    };
-    let resp = bep_server::Response::from_wire(std::str::from_utf8(&payload).unwrap()).unwrap();
-    match resp {
-        bep_server::Response::Error { kind, .. } => {
-            assert_eq!(kind, bep_server::ErrorKind::Unsupported);
-        }
+    let mut conn = RawConn::open(&server);
+    match conn.round_trip(Request::Stats) {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Unsupported),
         other => panic!("expected unsupported error, got {other:?}"),
     }
     server.shutdown();
@@ -306,44 +369,84 @@ fn connection_cap_answers_busy_with_load_snapshot() {
 #[test]
 fn pipelined_frames_get_ordered_responses() {
     let (server, _proxy) = start(ServerConfig::default());
-    let mut c = Client::connect(server.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(1)).unwrap();
+    let mut conn = RawConn::greeted(&server);
+    let s = conn.begin(1);
+    let fetch = "SELECT * FROM Events WHERE EId = 2";
+    let plan = match conn.round_trip(Request::Prepare {
+        session: s,
+        sql: fetch.into(),
+    }) {
+        Response::Prepared { plan } => plan,
+        other => panic!("expected prepared, got {other:?}"),
+    };
 
-    // A pipelined burst mixing an unlocking probe, the unlocked fetch, a
-    // blocked statement, and a parse error — responses must come back in
-    // request order with the same verdicts sequential execution gives.
-    let burst: Vec<(String, Vec<(String, Value)>)> = vec![
-        (
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2".into(),
-            vec![],
-        ),
-        ("SELECT * FROM Events WHERE EId = 2".into(), vec![]),
-        ("SELECT * FROM Events WHERE EId = 3".into(), vec![]),
-        ("SELEC whoops".into(), vec![]),
-    ];
-    let outcomes = c.execute_pipelined(s, &burst).unwrap();
-    assert_eq!(outcomes.len(), 4);
-    assert!(outcomes[0].is_allowed(), "{:?}", outcomes[0]);
+    // A pipelined burst mixing an unlocking probe, the unlocked fetch (as
+    // SQL, then as the prepared plan), a blocked statement, and a parse
+    // error — responses must come back in request order with the same
+    // verdicts sequential execution gives.
+    conn.send(&[
+        execute(s, "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2"),
+        execute(s, fetch),
+        Request::ExecutePrepared {
+            session: s,
+            plan,
+            bindings: vec![],
+        },
+        execute(s, "SELECT * FROM Events WHERE EId = 3"),
+        execute(s, "SELEC whoops"),
+    ]);
+    let outcomes: Vec<Response> = (0..5).map(|_| conn.recv()).collect();
+    assert!(
+        matches!(&outcomes[0], Response::Rows { rows, .. } if rows.len() == 1),
+        "{:?}",
+        outcomes[0]
+    );
     match &outcomes[1] {
-        ExecOutcome::Rows(rows) => assert_eq!(rows.rows[0][1], Value::str("standup")),
+        Response::Rows { rows, .. } => assert_eq!(rows[0][1], Value::str("standup")),
         other => panic!("probe must have unlocked the fetch, got {other:?}"),
     }
-    match &outcomes[2] {
-        ExecOutcome::Blocked { reason, .. } => assert_eq!(reason, "not-determined"),
+    assert_eq!(outcomes[2], outcomes[1], "prepared plan ≡ its SQL");
+    match &outcomes[3] {
+        Response::Blocked { reason, .. } => assert_eq!(reason, "not-determined"),
         other => panic!("expected blocked, got {other:?}"),
     }
-    match &outcomes[3] {
-        ExecOutcome::Blocked { reason, .. } => assert_eq!(reason, "parse-error"),
+    match &outcomes[4] {
+        Response::Blocked { reason, .. } => assert_eq!(reason, "parse-error"),
         other => panic!("expected parse error, got {other:?}"),
     }
 
     // The journal saw the decisions in pipeline order.
-    let page = c.journal(0, 100).unwrap();
-    assert_eq!(page.events.len(), 4);
-    assert_eq!(page.events[0].verdict, Verdict::Allowed);
-    assert_eq!(page.events[1].verdict, Verdict::Allowed);
-    assert_eq!(page.events[2].verdict, Verdict::Blocked);
-    assert_eq!(page.events[3].verdict, Verdict::Blocked);
+    let Response::Journal { events, .. } = conn.round_trip(Request::Journal { after: 0, max: 100 })
+    else {
+        panic!("expected a journal page");
+    };
+    let verdicts: Vec<Verdict> = events.iter().map(|e| e.verdict).collect();
+    use Verdict::{Allowed, Blocked};
+    assert_eq!(verdicts, [Allowed, Allowed, Allowed, Blocked, Blocked]);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_control_frames_follow_the_executes_before_them() {
+    // `trace` and `end` pipelined behind an `execute` of the same session
+    // must observe that decision: answers follow frame order.
+    let (server, _proxy) = start(ServerConfig::default());
+    let mut conn = RawConn::greeted(&server);
+    let s = conn.begin(1);
+    conn.send(&[
+        execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
+        Request::Trace { session: s },
+        Request::End { session: s },
+    ]);
+    match conn.recv() {
+        Response::Rows { rows, .. } => assert_eq!(rows.len(), 1),
+        other => panic!("expected rows, got {other:?}"),
+    }
+    match conn.recv() {
+        Response::TraceSummary { entries, .. } => assert_eq!(entries, 1),
+        other => panic!("expected a trace summary, got {other:?}"),
+    }
+    assert_eq!(conn.recv(), Response::Ended { was_live: true });
     server.shutdown();
 }
 
@@ -771,27 +874,16 @@ fn raw_split_writes_still_form_frames() {
     // Drip a valid frame across many tiny writes; the server must
     // reassemble it (split-read tolerance end to end).
     let (server, _proxy) = start(ServerConfig::default());
-    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
-    stream.set_read_timeout(Some(IO)).unwrap();
-    stream.set_nodelay(true).unwrap();
+    let mut conn = RawConn::open(&server);
 
     let hello = frame_bytes(br#"{"t":"hello","v":1}"#);
     for chunk in hello.chunks(3) {
         use std::io::Write;
-        stream.write_all(chunk).unwrap();
-        stream.flush().unwrap();
+        conn.stream.write_all(chunk).unwrap();
+        conn.stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(5));
     }
-    let mut reader = bep_server::framing::FrameReader::new(1 << 20);
-    let payload = loop {
-        match reader.read_frame(&mut stream).unwrap() {
-            bep_server::framing::FrameEvent::Frame(p) => break p,
-            bep_server::framing::FrameEvent::TimedOut => continue,
-            bep_server::framing::FrameEvent::Eof => panic!("closed before welcome"),
-        }
-    };
-    let resp = bep_server::Response::from_wire(std::str::from_utf8(&payload).unwrap()).unwrap();
-    assert!(matches!(resp, bep_server::Response::Welcome { .. }));
+    assert!(matches!(conn.recv(), Response::Welcome { .. }));
     server.shutdown();
 }
 
