@@ -24,7 +24,10 @@
 
 use std::sync::Arc;
 
-use qlogic::{equivalent_rewriting_deps, sql_to_ucq, Cq, Dependencies, RelSchema, Ucq, ViewSet};
+use qlogic::sym::Sym;
+use qlogic::{
+    equivalent_rewriting_deps, sql_to_ucq, Cq, Dependencies, RelSchema, Term, Ucq, ViewSet,
+};
 use sqlir::{Query, Value};
 
 use crate::decision::{Decision, DecisionSource, DenyReason};
@@ -44,6 +47,7 @@ pub struct ComplianceChecker {
     policy: Policy,
     deps: Dependencies,
     symbolic: Result<Arc<ViewSet>, CoreError>,
+    pinned: Vec<(Sym, usize)>,
 }
 
 impl ComplianceChecker {
@@ -51,12 +55,22 @@ impl ComplianceChecker {
     pub fn new(schema: RelSchema, policy: Policy) -> ComplianceChecker {
         let deps = schema.dependencies();
         let symbolic = policy.symbolic_views().map(Arc::new);
+        let pinned = pinned_columns(&policy);
         ComplianceChecker {
             schema,
             policy,
             deps,
             symbolic,
+            pinned,
         }
+    }
+
+    /// Whether some view's selection compares column `column` of
+    /// `relation` with a constant (`Kind = 'public'`, `Age >= 18`). A
+    /// literal a query compares there can decide a template-level proof,
+    /// so the proxy never lifts one (see [`crate::plan::TemplatePlan::exact_only`]).
+    pub fn is_pinned(&self, relation: Sym, column: usize) -> bool {
+        self.pinned.contains(&(relation, column))
     }
 
     /// The schema in use.
@@ -227,6 +241,34 @@ impl ComplianceChecker {
             },
         }
     }
+}
+
+/// Every `(relation, column)` a view's selection ties to a constant: a
+/// constant in a view atom (`Kind = 'public'` folds into the atom), or a
+/// variable bound there that a view comparison compares with a constant
+/// (`Age >= 18`).
+fn pinned_columns(policy: &Policy) -> Vec<(Sym, usize)> {
+    let mut out = Vec::new();
+    for cq in policy.views().iter().map(|v| &v.cq) {
+        let compared = |x: Sym| {
+            cq.comparisons.iter().any(|c| {
+                matches!((c.lhs, c.rhs), (Term::Var(v), Term::Const(_)) | (Term::Const(_), Term::Var(v)) if v == x)
+            })
+        };
+        for atom in &cq.atoms {
+            for (i, t) in atom.args.iter().enumerate() {
+                let pinned = match *t {
+                    Term::Const(_) => true,
+                    Term::Var(x) => compared(x),
+                    Term::Param(_) => false,
+                };
+                if pinned && !out.contains(&(atom.relation, i)) {
+                    out.push((atom.relation, i));
+                }
+            }
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -168,7 +168,9 @@ pub struct DecisionEvent {
     pub seq: u64,
     /// The session the decision belonged to.
     pub session: u64,
-    /// FNV-1a hash of the SQL template text (see [`template_hash`]).
+    /// FNV-1a hash of the SQL template text (see [`template_hash`]): the
+    /// text of the plan that decided, so a statement whose literals were
+    /// lifted carries its shape's hash (`sqlir::lift_literals`).
     pub template_hash: u64,
     /// Allowed or blocked.
     pub verdict: Verdict,
@@ -389,7 +391,9 @@ impl EventJournal {
     pub fn events_since(&self, after: u64, max: usize) -> Vec<DecisionEvent> {
         let head = self.head.load(Ordering::Acquire);
         let n = self.slots.len() as u64;
-        let start = after.max(head.saturating_sub(n));
+        // `after` comes from the caller (a peer's `journal` frame): one
+        // beyond the head asks for nothing, not for a negative range.
+        let start = after.max(head.saturating_sub(n)).min(head);
         let mut out = Vec::with_capacity(((head - start) as usize).min(max));
         for seq in start..head {
             if out.len() >= max {
@@ -921,6 +925,19 @@ mod tests {
         }
         assert_eq!(j.published(), 5);
         assert_eq!(j.evicted(), 0);
+    }
+
+    #[test]
+    fn a_cursor_beyond_the_head_reads_nothing() {
+        let j = EventJournal::with_capacity(8);
+        assert!(j.events_since(100, 10).is_empty());
+        for s in 0..3 {
+            j.record(event(s));
+        }
+        for after in [3, 4, 100, u64::MAX] {
+            assert!(j.events_since(after, 10).is_empty(), "after {after}");
+        }
+        assert_eq!(j.events_since(2, 10).len(), 1);
     }
 
     #[test]

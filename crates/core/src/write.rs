@@ -471,17 +471,22 @@ pub fn compile_write_template(
 // Concrete decision
 // ---------------------------------------------------------------------------
 
-/// Instantiates the named parameters of an atom with session bindings.
+/// Instantiates the named parameters of an atom with session bindings. A
+/// parameter is matched by its spelling, as in [`Cq::instantiate`], so no
+/// binding name is interned.
 fn instantiate_atom(atom: &Atom, bindings: &[(String, Value)]) -> Atom {
     let args = atom
         .args
         .iter()
         .map(|t| match t {
-            Term::Param(p) => bindings
-                .iter()
-                .find(|(n, _)| Sym::new(n).id() == p.id())
-                .map(|(_, v)| Term::constant(v))
-                .unwrap_or(*t),
+            Term::Param(p) => {
+                let name = p.as_str();
+                bindings
+                    .iter()
+                    .find(|(n, _)| n == name)
+                    .map(|(_, v)| Term::constant(v))
+                    .unwrap_or(*t)
+            }
             _ => *t,
         })
         .collect();
@@ -643,6 +648,46 @@ mod tests {
         let s = schema();
         let stmt = parse_statement("INSERT INTO Nope (A) VALUES (1)").unwrap();
         assert!(compile_write_template(&stmt, &[], &s).is_err());
+    }
+
+    #[test]
+    fn instantiate_atom_agrees_with_the_interning_version() {
+        let interning = |atom: &Atom, bindings: &[(String, Value)]| Atom {
+            relation: atom.relation,
+            args: (atom.args.iter())
+                .map(|t| match t {
+                    Term::Param(p) => (bindings.iter())
+                        .find(|(n, _)| Sym::new(n).id() == p.id())
+                        .map(|(_, v)| Term::constant(v))
+                        .unwrap_or(*t),
+                    _ => *t,
+                })
+                .collect(),
+        };
+        let atom = Atom::new(
+            "Attendance",
+            vec![
+                Term::param("MyUId"),
+                Term::param("__lit0"),
+                Term::param("unbound"),
+                Term::var("x"),
+                Term::str("c"),
+            ],
+        );
+        let bindings = [
+            ("__lit0".to_string(), Value::str("v")),
+            ("MyUId".to_string(), Value::Int(7)),
+            ("MyUId".to_string(), Value::Int(8)),
+            ("never_mentioned".to_string(), Value::Null),
+        ];
+        for n in 0..=bindings.len() {
+            let b = &bindings[..n];
+            assert_eq!(instantiate_atom(&atom, b), interning(&atom, b), "{b:?}");
+        }
+        assert_eq!(
+            instantiate_atom(&atom, &bindings).args[..3],
+            [Term::int(7), Term::str("v"), Term::param("unbound")]
+        );
     }
 
     #[test]

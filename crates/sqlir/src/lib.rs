@@ -37,6 +37,7 @@
 
 pub mod ast;
 pub mod error;
+pub mod lift;
 pub mod params;
 pub mod parser;
 pub mod printer;
@@ -49,6 +50,7 @@ pub use ast::{
     UnaryOp, Update,
 };
 pub use error::{ParseError, SqlError};
+pub use lift::{is_lifted_name, lift_literals, Lifted, LIFTED_PREFIX};
 pub use params::{bind_statement, lookup, params_in_bind_order, unbound_error, ParamBindings};
 pub use parser::{parse_expr, parse_query, parse_statement, parse_statements};
 pub use value::{CmpResult, SqlType, Value};
