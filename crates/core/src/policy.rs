@@ -9,7 +9,7 @@
 
 use minidb::Database;
 use qlogic::{sql_to_ucq, Cq, RelSchema, ViewSet};
-use sqlir::{parse_query, Value};
+use sqlir::{is_lifted_name, parse_query, Value};
 
 use crate::error::CoreError;
 
@@ -77,6 +77,7 @@ impl Policy {
         }
         let parsed = parse_query(sql).map_err(|e| CoreError::Parse(e.to_string()))?;
         let ucq = sql_to_ucq(schema, &parsed)?;
+        ucq.disjuncts.iter().try_for_each(no_lifted_param)?;
         if ucq.disjuncts.len() == 1 {
             let mut cq = ucq.disjuncts.into_iter().next().expect("one disjunct");
             cq.name = Some(name.into());
@@ -104,6 +105,7 @@ impl Policy {
         if self.views.iter().any(|v| v.name == name) {
             return Err(CoreError::DuplicateView(name.to_string()));
         }
+        no_lifted_param(&cq)?;
         cq.name = Some(name.into());
         let sql = format!("-- compiled: {cq}");
         self.views.push(ViewDef {
@@ -186,6 +188,19 @@ impl Policy {
                 .filter_map(|&i| self.views.get(i).map(|v| v.cq.instantiate(bindings)))
                 .collect(),
         )
+    }
+}
+
+/// Rejects a view that names a parameter in the lifted namespace
+/// (`?__lit0`, …): the proxy mints those for a statement's lifted literals,
+/// and a view sharing one would tie that literal to the view's parameter.
+fn no_lifted_param(cq: &Cq) -> Result<(), CoreError> {
+    match cq.params().into_iter().find(|p| is_lifted_name(p.as_str())) {
+        Some(p) => Err(CoreError::Parse(format!(
+            "parameter ?{} is reserved for lifted literals",
+            p.as_str()
+        ))),
+        None => Ok(()),
     }
 }
 
@@ -290,6 +305,18 @@ mod tests {
             .add_view(&schema(), "Vx", "SELECT COUNT(*) FROM Events")
             .unwrap_err();
         assert!(matches!(err, CoreError::OutOfFragment(_)));
+    }
+
+    #[test]
+    fn lifted_parameter_names_rejected() {
+        let sql = "SELECT * FROM Events WHERE EId = ?__lit0";
+        let mut p = Policy::empty();
+        let err = p.add_view(&schema(), "V", sql).unwrap_err();
+        assert!(matches!(err, CoreError::Parse(_)), "{err}");
+        let cq = sql_to_ucq(&schema(), &parse_query(sql).unwrap()).unwrap();
+        let err = (p.add_cq_view("V", cq.disjuncts[0].clone())).unwrap_err();
+        assert!(matches!(err, CoreError::Parse(_)), "{err}");
+        assert!(p.is_empty());
     }
 
     #[test]
