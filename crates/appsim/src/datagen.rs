@@ -358,24 +358,9 @@ pub fn seed_calendar(db: &mut Database, rng: &mut impl Rng, scale: &Scale) {
     populate_app("calendar", db, rng, scale).expect("seed calendar");
 }
 
-/// Populates the hospital schema (thin wrapper over the streaming API).
-pub fn seed_hospital(db: &mut Database, rng: &mut impl Rng, scale: &Scale) {
-    populate_app("hospital", db, rng, scale).expect("seed hospital");
-}
-
-/// Populates the employees schema (thin wrapper over the streaming API).
-pub fn seed_employees(db: &mut Database, rng: &mut impl Rng, scale: &Scale) {
-    populate_app("employees", db, rng, scale).expect("seed employees");
-}
-
 /// Populates the forum schema (thin wrapper over the streaming API).
 pub fn seed_forum(db: &mut Database, rng: &mut impl Rng, scale: &Scale) {
     populate_app("forum", db, rng, scale).expect("seed forum");
-}
-
-/// Populates the wiki schema (thin wrapper over the streaming API).
-pub fn seed_wiki(db: &mut Database, rng: &mut impl Rng, scale: &Scale) {
-    populate_app("wiki", db, rng, scale).expect("seed wiki");
 }
 
 /// Seeds the database for the named application.

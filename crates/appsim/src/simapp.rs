@@ -169,3 +169,28 @@ impl QueryPort for ProxyPort<'_> {
         }
     }
 }
+
+/// A [`QueryPort`] that decides each statement in a fresh session of its
+/// own, begun with `bindings` and ended right after: every decision sees
+/// an empty trace. This is what a trace-blind proxy would decide (the
+/// Example 2.1 ablation) — the verdict depends only on the plan, the
+/// bindings and the trace.
+pub struct BlindPort<'a> {
+    /// The proxy.
+    pub proxy: &'a SqlProxy,
+    /// The session bindings each statement's session is begun with.
+    pub bindings: Vec<(String, Value)>,
+}
+
+impl QueryPort for BlindPort<'_> {
+    fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
+        let session = self.proxy.begin_session(self.bindings.clone());
+        let outcome = ProxyPort {
+            proxy: self.proxy,
+            session,
+        }
+        .run(sql, bindings);
+        self.proxy.end_session(session);
+        outcome
+    }
+}

@@ -1,6 +1,6 @@
 //! F3 — Proxy overhead: per-query latency of direct execution vs the
-//! enforcing proxy in its cache configurations, plus the cost of one cold
-//! compliance decision (the quantity the caches amortize).
+//! enforcing proxy, plus the cost of one cold compliance decision (the
+//! quantity the caches amortize).
 
 use appsim::{Scale, CALENDAR};
 use bep_bench::{app_env, proxy_for};
@@ -30,21 +30,6 @@ fn bench_proxy_overhead(c: &mut Criterion) {
         let proxy = proxy_for(&env, ProxyConfig::default());
         let session = proxy.begin_session(bindings.clone());
         proxy.execute(session, sql, &[]).unwrap(); // warm the template cache
-        b.iter(|| {
-            let r = proxy.execute(session, sql, &[]).unwrap();
-            std::hint::black_box(r);
-        });
-    });
-
-    // No caches: every call pays a fresh proof.
-    group.bench_function("proxy_uncached", |b| {
-        let config = ProxyConfig {
-            template_cache: false,
-            session_cache: false,
-            ..Default::default()
-        };
-        let proxy = proxy_for(&env, config);
-        let session = proxy.begin_session(bindings.clone());
         b.iter(|| {
             let r = proxy.execute(session, sql, &[]).unwrap();
             std::hint::black_box(r);

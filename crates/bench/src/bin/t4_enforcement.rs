@@ -1,16 +1,18 @@
-//! T4 — Trace-aware enforcement: allow/block decisions across proxy
-//! configurations on the calendar and forum workloads, with cache
-//! effectiveness. The headline row reproduces Example 2.1 at workload
-//! scale: without trace awareness, multi-step handlers break.
+//! T4 — Trace-aware enforcement: allow/block decisions on the calendar and
+//! forum workloads, with cache effectiveness. The headline row reproduces
+//! Example 2.1 at workload scale: without the session's trace (each
+//! statement decided in a fresh session, `BlindPort`), multi-step
+//! handlers break.
 //!
 //! Run: `cargo run -p bep-bench --bin t4_enforcement --release`
 
-use appsim::{ProxyPort, Scale, CALENDAR, FORUM};
+use appdsl::QueryPort;
+use appsim::{BlindPort, ProxyPort, Scale, CALENDAR, FORUM};
 use bep_bench::{app_env, header, proxy_for, row};
 use bep_core::ProxyConfig;
 
 fn main() {
-    let widths = [9usize, 22, 8, 8, 8, 9, 9, 9];
+    let widths = [9usize, 9, 8, 8, 8, 9, 9, 9];
     header(
         &[
             "app", "config", "ok", "denied", "blocked", "tmpl-hit", "sess-hit", "proofs",
@@ -20,59 +22,41 @@ fn main() {
 
     for sim in [&CALENDAR, &FORUM] {
         let env = app_env(sim, 17, Scale::small(), 150);
-        let configs: [(&str, ProxyConfig); 4] = [
-            ("full", ProxyConfig::default()),
-            (
-                "no-trace",
-                ProxyConfig {
-                    trace_aware: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                "no-caches",
-                ProxyConfig {
-                    template_cache: false,
-                    session_cache: false,
-                    ..Default::default()
-                },
-            ),
-            (
-                "no-trace,no-caches",
-                ProxyConfig {
-                    trace_aware: false,
-                    template_cache: false,
-                    session_cache: false,
-                    ..Default::default()
-                },
-            ),
-        ];
-
-        for (label, config) in configs {
-            let proxy = proxy_for(&env, config);
+        for (label, blind) in [("full", false), ("no-trace", true)] {
+            let proxy = proxy_for(&env, ProxyConfig::default());
             let app = env.sim.app();
             let mut counts = [0usize; 3];
             for req in &env.requests {
                 let handler = app.handler(&req.handler).expect("handler");
-                let session = proxy.begin_session(req.session.clone());
-                let mut port = ProxyPort {
-                    proxy: &proxy,
-                    session,
+                let run = |port: &mut dyn QueryPort| {
+                    appdsl::run_handler(
+                        port,
+                        handler,
+                        &req.session,
+                        &req.params,
+                        appdsl::Limits::default(),
+                    )
+                    .expect("run")
                 };
-                let result = appdsl::run_handler(
-                    &mut port,
-                    handler,
-                    &req.session,
-                    &req.params,
-                    appdsl::Limits::default(),
-                )
-                .expect("run");
+                let result = if blind {
+                    run(&mut BlindPort {
+                        proxy: &proxy,
+                        bindings: req.session.clone(),
+                    })
+                } else {
+                    let session = proxy.begin_session(req.session.clone());
+                    let result = run(&mut ProxyPort {
+                        proxy: &proxy,
+                        session,
+                    });
+                    proxy.end_session(session);
+                    result
+                };
                 match result.outcome {
                     appdsl::Outcome::Ok => counts[0] += 1,
                     appdsl::Outcome::Http(_) => counts[1] += 1,
                     appdsl::Outcome::Blocked { .. } => counts[2] += 1,
                 }
-                proxy.end_session(session);
             }
             let stats = proxy.stats();
             row(
@@ -88,13 +72,18 @@ fn main() {
                 ],
                 &widths,
             );
+            // The correct app is compliant under its ground-truth policy,
+            // and Example 2.1's multi-step handlers need the trace.
+            if blind {
+                assert!(counts[2] > 0, "{}: no-trace blocked nothing", sim.name);
+            } else {
+                assert_eq!(counts[2], 0, "{}: the full proxy blocked", sim.name);
+            }
         }
         println!();
     }
 
-    println!("Shape claims:");
-    println!("  - 'full' and 'no-caches' block 0 requests (the correct app is compliant;");
-    println!("    caches change cost, not decisions);");
-    println!("  - 'no-trace' blocks every multi-step handler (Example 2.1's point);");
-    println!("  - template-cache hits dominate once templates are proven.");
+    println!("Shape claims (asserted):");
+    println!("  - 'full' blocks 0 requests (the correct app is compliant);");
+    println!("  - 'no-trace' blocks multi-step handlers (Example 2.1's point).");
 }

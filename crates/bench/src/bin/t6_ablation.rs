@@ -8,7 +8,8 @@
 //!
 //! Run: `cargo run -p bep-bench --bin t6_ablation --release`
 
-use appsim::{ProxyPort, Scale, CALENDAR, FORUM};
+use appdsl::QueryPort;
+use appsim::{BlindPort, ProxyPort, Scale, CALENDAR, FORUM};
 use bep_bench::{app_env, f2, header, proxy_for, row};
 use bep_core::ProxyConfig;
 use bep_extract::{
@@ -137,9 +138,11 @@ fn mining_controls() {
     println!();
 }
 
-fn run_app(sim: &'static appsim::SimApp, config: ProxyConfig, n: usize) -> (usize, usize) {
+/// Runs `n` requests of `sim`, each in a session of its own — or, `blind`,
+/// each statement in a session of its own (`BlindPort`: no trace).
+fn run_app(sim: &'static appsim::SimApp, n: usize, blind: bool) -> (usize, usize) {
     let env = app_env(sim, 31, Scale::small(), n);
-    let proxy = proxy_for(&env, config);
+    let proxy = proxy_for(&env, ProxyConfig::default());
     let app = sim.app();
     let mut ok = 0;
     let mut blocked = 0;
@@ -150,8 +153,13 @@ fn run_app(sim: &'static appsim::SimApp, config: ProxyConfig, n: usize) -> (usiz
             proxy: &proxy,
             session,
         };
+        let mut blind_port = BlindPort {
+            proxy: &proxy,
+            bindings: req.session.clone(),
+        };
+        let port: &mut dyn QueryPort = if blind { &mut blind_port } else { &mut port };
         let result = appdsl::run_handler(
-            &mut port,
+            port,
             handler,
             &req.session,
             &req.params,
@@ -171,15 +179,8 @@ fn trace_chase() {
     println!("-- ablation 2: trace facts on/off (calendar, 100 requests) --");
     let widths = [14usize, 8, 9];
     header(&["config", "ok", "blocked"], &widths);
-    for (label, trace_aware) in [("trace-aware", true), ("trace-blind", false)] {
-        let (ok, blocked) = run_app(
-            &CALENDAR,
-            ProxyConfig {
-                trace_aware,
-                ..Default::default()
-            },
-            100,
-        );
+    for (label, blind) in [("trace-aware", false), ("trace-blind", true)] {
+        let (ok, blocked) = run_app(&CALENDAR, 100, blind);
         row(
             &[label.to_string(), ok.to_string(), blocked.to_string()],
             &widths,
@@ -194,7 +195,7 @@ fn key_chase() {
     header(&["config", "ok", "blocked"], &widths);
 
     // With keys (normal path).
-    let (ok, blocked) = run_app(&FORUM, ProxyConfig::default(), 100);
+    let (ok, blocked) = run_app(&FORUM, 100, false);
     row(
         &["with-keys".into(), ok.to_string(), blocked.to_string()],
         &widths,
@@ -242,7 +243,7 @@ fn key_chase() {
     println!();
     println!("shape claims: trace-blind and key-blind configurations spuriously");
     println!("block multi-step handlers that the full checker admits.");
-    assert_eq!(run_app(&FORUM, ProxyConfig::default(), 100).1, 0);
+    assert_eq!(run_app(&FORUM, 100, false).1, 0);
     assert!(
         blocked2 > 0,
         "key-blind checking must break the metadata-probe pattern"

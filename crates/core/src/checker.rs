@@ -212,35 +212,6 @@ impl ComplianceChecker {
         }
         Decision::Allowed { source, rewritings }
     }
-
-    /// Convenience: checks an instantiated conjunctive query directly
-    /// (used by the diagnosis tooling, which manipulates CQs, not SQL).
-    pub fn check_cq(&self, cq: &Cq, bindings: &[(String, Value)], trace: &Trace) -> Decision {
-        let views = match self.policy.instantiate(bindings) {
-            Ok(v) => v,
-            Err(e) => {
-                return Decision::Denied {
-                    reason: DenyReason::OutOfFragment(e.to_string()),
-                }
-            }
-        };
-        let inst = cq.instantiate(bindings);
-        if !qlogic::satisfiable(&inst) {
-            return Decision::Allowed {
-                source: DecisionSource::ConcreteProof,
-                rewritings: vec![inst],
-            };
-        }
-        match equivalent_rewriting_deps(&inst, &views, trace.facts(), &self.deps) {
-            Some(rw) => Decision::Allowed {
-                source: DecisionSource::ConcreteProof,
-                rewritings: vec![rw],
-            },
-            None => Decision::Denied {
-                reason: DenyReason::NotDetermined { query: inst },
-            },
-        }
-    }
 }
 
 /// Every `(relation, column)` a view's selection ties to a constant: a

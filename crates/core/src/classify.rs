@@ -1,5 +1,4 @@
-//! Statement classification: what kind of access a statement performs and
-//! whether a session's access mode permits it.
+//! Statement classification: what kind of access a statement performs.
 //!
 //! Classification is structural — it inspects the parsed
 //! [`sqlir::Statement`], never the SQL text — so a mutation can never
@@ -29,40 +28,6 @@ impl StatementClass {
             Statement::CreateTable(_) => StatementClass::Ddl,
         }
     }
-
-    /// A short stable label for reporting.
-    pub fn label(self) -> &'static str {
-        match self {
-            StatementClass::Read => "read",
-            StatementClass::Write => "write",
-            StatementClass::Ddl => "ddl",
-        }
-    }
-}
-
-/// What a session is allowed to do, independent of any policy question.
-///
-/// The mode is a per-session capability: a `ReadOnly` session gets every
-/// mutation denied up front with [`crate::DenyReason::ReadOnlySession`],
-/// before policy coverage is even considered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum AccessMode {
-    /// The session may only read.
-    ReadOnly,
-    /// The session may read and mutate (the default).
-    #[default]
-    ReadWrite,
-}
-
-impl AccessMode {
-    /// Whether this mode permits a statement of the given class. DDL is
-    /// treated as a write for permission purposes.
-    pub fn permits(self, class: StatementClass) -> bool {
-        match self {
-            AccessMode::ReadWrite => true,
-            AccessMode::ReadOnly => class == StatementClass::Read,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -87,24 +52,5 @@ mod tests {
             class_of("CREATE TABLE T (A INT PRIMARY KEY)"),
             StatementClass::Ddl
         );
-    }
-
-    #[test]
-    fn read_only_mode_permits_only_reads() {
-        assert!(AccessMode::ReadOnly.permits(StatementClass::Read));
-        assert!(!AccessMode::ReadOnly.permits(StatementClass::Write));
-        assert!(!AccessMode::ReadOnly.permits(StatementClass::Ddl));
-        for class in [
-            StatementClass::Read,
-            StatementClass::Write,
-            StatementClass::Ddl,
-        ] {
-            assert!(AccessMode::ReadWrite.permits(class));
-        }
-    }
-
-    #[test]
-    fn default_mode_is_read_write() {
-        assert_eq!(AccessMode::default(), AccessMode::ReadWrite);
     }
 }

@@ -29,10 +29,6 @@ pub enum DenyReason {
     OutOfFragment(String),
     /// The SQL failed to parse.
     ParseError(String),
-    /// Writes are blocked by proxy configuration.
-    WriteBlocked,
-    /// The session was opened read-only; all mutations are denied.
-    ReadOnlySession,
     /// A mutation's written rows are not contained in any updatable policy
     /// view. Carries the written row as a conjunctive query (head = the
     /// row's terms, body = the written atom) for diagnosis.
@@ -49,8 +45,6 @@ impl DenyReason {
             DenyReason::NotDetermined { .. } => "not-determined",
             DenyReason::OutOfFragment(_) => "out-of-fragment",
             DenyReason::ParseError(_) => "parse-error",
-            DenyReason::WriteBlocked => "write-blocked",
-            DenyReason::ReadOnlySession => "read-only-session",
             DenyReason::WriteNotCovered { .. } => "write-not-covered",
         }
     }

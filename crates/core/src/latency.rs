@@ -146,16 +146,6 @@ impl LatencySnapshot {
     pub fn p50_us(&self) -> f64 {
         self.p50_ns as f64 / 1e3
     }
-
-    /// 95th percentile in microseconds.
-    pub fn p95_us(&self) -> f64 {
-        self.p95_ns as f64 / 1e3
-    }
-
-    /// 99th percentile in microseconds.
-    pub fn p99_us(&self) -> f64 {
-        self.p99_ns as f64 / 1e3
-    }
 }
 
 #[cfg(test)]

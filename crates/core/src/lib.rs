@@ -38,7 +38,7 @@ pub mod write;
 
 pub use cache::BoundedCache;
 pub use checker::ComplianceChecker;
-pub use classify::{AccessMode, StatementClass};
+pub use classify::StatementClass;
 pub use decision::{Decision, DecisionSource, DenyReason};
 pub use error::CoreError;
 pub use latency::{LatencyHistogram, LatencySnapshot};

@@ -32,14 +32,10 @@
 //!   negative template cache, so the expensive symbolic proof runs at most
 //!   once per template (the plan cache's `OnceLock` cells make that
 //!   literal: racing misses block on the winner instead of proving twice).
-//!   Even with this tier *off* (the "no-caches" ablation), an
-//!   `Allowed` verdict still pays: the concrete proof replays the plan's
-//!   instantiated certificate through a verification-only check before
-//!   falling back to the full rewriting search — every request still runs
-//!   a fresh proof over its own facts, but the candidate enumeration is
-//!   amortized into the plan. An `Undecidable` plan replays, the same way,
-//!   the certificates earlier concrete proofs taught it — in any session;
-//!   acceptance is still a proof over the requesting session's facts. And
+//!   An `Undecidable` plan replays the certificates earlier concrete
+//!   proofs taught it — in any session — through a verification-only
+//!   check before falling back to the full rewriting search; acceptance is
+//!   still a proof over the requesting session's facts. And
 //! * a per-session *concrete cache* of allowed (template, bindings) pairs,
 //!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
 //!   reuse because compliance is monotone in what the trace entails, and
@@ -120,13 +116,12 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use minidb::{Database, Rows};
 use parking_lot::RwLock;
 use sqlir::{
-    is_lifted_name, lift_literals, params_in_bind_order, parse_statement, unbound_error, Param,
-    Statement, Value,
+    is_lifted_name, lift_literals, params_in_bind_order, parse_statement, unbound_error, Statement,
+    Value,
 };
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
-use crate::classify::{AccessMode, StatementClass};
 use crate::decision::{Decision, DecisionSource, DenyReason};
 use crate::error::CoreError;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
@@ -150,17 +145,9 @@ use crate::write::WriteTemplateVerdict;
 /// Fibonacci hash).
 const SESSION_SHARDS: usize = 16;
 
-/// Proxy behaviour toggles.
+/// Proxy settings: whether mutations are enforced, and the memory bounds.
 #[derive(Debug, Clone, Copy)]
 pub struct ProxyConfig {
-    /// Use trace facts in decisions (Example 2.1 requires this).
-    pub trace_aware: bool,
-    /// Enable the global template cache (and its negative side).
-    pub template_cache: bool,
-    /// Enable the per-session concrete cache.
-    pub session_cache: bool,
-    /// Whether DML statements pass through or are blocked.
-    pub allow_writes: bool,
     /// Enforce mutation policies: an `INSERT`/`UPDATE`/`DELETE` is allowed
     /// iff its written rows are contained in a policy view (see
     /// [`crate::write`]). Off (the default), mutations pass through and are
@@ -168,11 +155,6 @@ pub struct ProxyConfig {
     pub enforce_writes: bool,
     /// Decision events the journal retains before evicting the oldest.
     pub journal_capacity: usize,
-    /// Compact session traces after each recording: drop entries and facts
-    /// homomorphically implied by what remains. Decision-invisible (the
-    /// fact set stays logically equivalent; see `Trace::record_compacting`) and keeps
-    /// session state O(distinct information) instead of O(requests).
-    pub compaction: bool,
     /// Byte budget for resident compiled plans (0 = count-bounded only, by
     /// [`PLAN_CAPACITY`]). Enforced with SIEVE eviction, reported via
     /// `bep_cache_evictions_total{tier="plan"}`.
@@ -186,13 +168,8 @@ pub struct ProxyConfig {
 impl Default for ProxyConfig {
     fn default() -> ProxyConfig {
         ProxyConfig {
-            trace_aware: true,
-            template_cache: true,
-            session_cache: true,
-            allow_writes: true,
             enforce_writes: false,
             journal_capacity: 4096,
-            compaction: true,
             // Generous defaults: bounded (the million-user north star needs
             // every tier capped) but far above what steady workloads use,
             // so eviction only kicks in under genuine pressure.
@@ -227,7 +204,7 @@ pub struct ProxyStats {
     pub writes: u64,
     /// Write decisions allowed by an enforcement proof.
     pub write_allowed: u64,
-    /// Write decisions blocked (coverage, config, or read-only session).
+    /// Write decisions blocked (out of fragment or not covered).
     pub write_blocked: u64,
     /// Write (and DDL) statements executed without coverage enforcement.
     pub write_passthrough: u64,
@@ -383,9 +360,6 @@ struct SessionState {
     /// Policy-parameter bindings, shared so `execute` can use them without
     /// copying (sessions never rebind; the `Arc` is cloned per request).
     bindings: Arc<Vec<(String, Value)>>,
-    /// What the session may do at all (read-only sessions get every
-    /// mutation denied before policy coverage is considered).
-    mode: AccessMode,
     trace: Trace,
     /// Allowals keyed by concrete fingerprint; SIEVE-bounded. A hit is a
     /// visited-bit store, so it works under the shard *read* lock.
@@ -412,9 +386,6 @@ enum DenyKind {
     /// Write path: replayed as [`DenyReason::WriteNotCovered`].
     Write,
 }
-
-/// A session's policy bindings (shared by `Arc`) plus its access mode.
-type SessionMeta = (Arc<Vec<(String, Value)>>, AccessMode);
 
 /// Wall-clock seconds since the Unix epoch (for the snapshot-age gauge).
 fn epoch_seconds() -> u64 {
@@ -732,20 +703,12 @@ impl SqlProxy {
     /// Opens a session with the given policy-parameter bindings
     /// (e.g. `MyUId = 1`).
     pub fn begin_session(&self, bindings: Vec<(String, Value)>) -> u64 {
-        self.begin_session_with_mode(bindings, AccessMode::ReadWrite)
-    }
-
-    /// Opens a session with an explicit [`AccessMode`]. A
-    /// [`AccessMode::ReadOnly`] session gets every mutation denied with
-    /// [`DenyReason::ReadOnlySession`], before any policy reasoning.
-    pub fn begin_session_with_mode(&self, bindings: Vec<(String, Value)>, mode: AccessMode) -> u64 {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         // Each concrete-cache tier gets half the per-session budget
         // (0 stays 0 = unbounded).
         let per_tier = self.config.session_cache_budget_bytes / 2;
         let state = SessionState {
             bindings: Arc::new(bindings),
-            mode,
             trace: Trace::new(),
             allowed_cache: BoundedCache::new(0, per_tier),
             denied_cache: BoundedCache::new(0, per_tier),
@@ -939,12 +902,6 @@ impl SqlProxy {
         f(&self.db.read())
     }
 
-    /// Runs `f` with exclusive access to the wrapped database for
-    /// out-of-band setup. Do not call `execute` from inside `f`.
-    pub fn with_database_mut<R>(&self, f: impl FnOnce(&mut Database) -> R) -> R {
-        f(&mut self.db.write())
-    }
-
     /// A clone of a session's trace (for diagnosis). Cloned rather than
     /// borrowed so no shard lock outlives the call.
     pub fn session_trace(&self, id: u64) -> Result<Trace, CoreError> {
@@ -1128,9 +1085,6 @@ impl SqlProxy {
         let plan = cell
             .get_or_init(|| {
                 built = true;
-                // The symbolic proof is always attempted at compile time:
-                // even with the template tier off, the plan's certificate
-                // feeds the concrete path's verify-first replay.
                 Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |ph| {
                     prov.lap(ph)
                 }))
@@ -1144,13 +1098,13 @@ impl SqlProxy {
         (plan, built)
     }
 
-    /// The session's policy bindings (shared by `Arc`) and access mode.
-    fn session_meta(&self, session_id: u64) -> Result<SessionMeta, CoreError> {
+    /// The session's policy bindings (shared by `Arc`).
+    fn session_bindings(&self, session_id: u64) -> Result<Arc<Vec<(String, Value)>>, CoreError> {
         let shard = self.shard(session_id).read();
         let session = shard
             .get(&session_id)
             .ok_or(CoreError::NoSuchSession(session_id))?;
-        Ok((session.bindings.clone(), session.mode))
+        Ok(session.bindings.clone())
     }
 
     /// Decides and executes one request through a compiled plan.
@@ -1169,9 +1123,23 @@ impl SqlProxy {
             self.stats.blocked.inc();
             return Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg.clone())));
         }
-        let (session_bindings, mode) = self.session_meta(session_id)?;
+        let session_bindings = self.session_bindings(session_id)?;
         let merged = merge_bindings(&session_bindings, extra_bindings, lifted);
         let bindings: &[(String, Value)] = merged.as_deref().unwrap_or(&session_bindings);
+        // A statement whose bindings lack one of its parameters is the
+        // caller's malformed input: blocked with the message binding would
+        // fail with, before any tier counts or caches a decision for it.
+        let params = match plan.body() {
+            PlanBody::Select(sp) => &sp.params[..],
+            PlanBody::Write(wp) => &wp.params[..],
+            PlanBody::Other(_) | PlanBody::ParseError(_) => &[],
+        };
+        if let Some(missing) = unbound_error(params, bindings) {
+            self.stats.blocked.inc();
+            return Ok(ProxyResponse::Blocked(DenyReason::ParseError(
+                missing.to_string(),
+            )));
+        }
         match plan.body() {
             PlanBody::Select(sp) => {
                 let decision =
@@ -1179,9 +1147,14 @@ impl SqlProxy {
                 self.complete_select(session_id, sp, bindings, decision, prov)
             }
             PlanBody::Write(wp) => {
-                self.decide_and_run_write(session_id, plan.hash(), wp, built, bindings, mode, prov)
+                self.decide_and_run_write(session_id, plan.hash(), wp, built, bindings, prov)
             }
-            PlanBody::Other(stmt) => self.run_other(stmt, bindings, mode, prov),
+            PlanBody::Other(stmt) => {
+                // DDL writes no rows, so there is no coverage question; it
+                // is counted as passthrough traffic either way.
+                self.stats.write_passthrough.inc();
+                self.execute_statement(stmt, bindings, prov)
+            }
             PlanBody::ParseError(_) => unreachable!("handled before session lookup"),
         }
     }
@@ -1198,9 +1171,6 @@ impl SqlProxy {
     ) -> Result<ProxyResponse, CoreError> {
         match decision {
             Decision::Allowed { .. } => {
-                if let Some(blocked) = self.unbound(&sp.params, bindings) {
-                    return Ok(blocked);
-                }
                 let rows = self.db.read().query_with(&sp.query, bindings)?;
                 prov.lap(Phase::DbExec);
                 self.stats.allowed.inc();
@@ -1215,7 +1185,7 @@ impl SqlProxy {
         }
     }
 
-    /// The write decision pipeline: session mode, config gates, then the
+    /// The write decision pipeline: passthrough unless enforced, then the
     /// template/concrete coverage tiers, then execution.
     ///
     /// `built` attributes the template verdict the same way the read path
@@ -1223,7 +1193,6 @@ impl SqlProxy {
     /// reused a cached plan. Writes never record trace facts: the trace
     /// stays a record of what the session *observed*, so read decisions
     /// are bit-identical with enforcement on or off.
-    #[allow(clippy::too_many_arguments)]
     fn decide_and_run_write(
         &self,
         session_id: u64,
@@ -1231,18 +1200,11 @@ impl SqlProxy {
         wp: &WritePlan,
         built: bool,
         bindings: &[(String, Value)],
-        mode: AccessMode,
         prov: &mut Prov,
     ) -> Result<ProxyResponse, CoreError> {
-        if !mode.permits(StatementClass::Write) {
-            return Ok(self.block_write(DenyReason::ReadOnlySession));
-        }
-        if !self.config.allow_writes {
-            return Ok(self.block_write(DenyReason::WriteBlocked));
-        }
         if !self.config.enforce_writes {
             self.stats.write_passthrough.inc();
-            return self.execute_statement(&wp.stmt, &wp.params, bindings, prov);
+            return self.execute_statement(&wp.stmt, bindings, prov);
         }
         let template = match &wp.template {
             Ok(t) => t,
@@ -1252,36 +1214,34 @@ impl SqlProxy {
         };
         // 1. Template tier: the session-independent verdict compiled into
         //    the plan.
-        if self.config.template_cache {
-            match template.verdict {
-                WriteTemplateVerdict::Allowed => {
-                    if built {
-                        prov.tier = CacheTier::TemplateProof;
-                        self.stats.template_proofs.inc();
-                    } else {
-                        prov.tier = CacheTier::TemplateCache;
-                        self.stats.template_cache_hits.inc();
-                    }
-                    self.stats.write_allowed.inc();
-                    return self.execute_statement(&wp.stmt, &wp.params, bindings, prov);
+        match template.verdict {
+            WriteTemplateVerdict::Allowed => {
+                if built {
+                    prov.tier = CacheTier::TemplateProof;
+                    self.stats.template_proofs.inc();
+                } else {
+                    prov.tier = CacheTier::TemplateCache;
+                    self.stats.template_cache_hits.inc();
                 }
-                WriteTemplateVerdict::NeverCovered => {
-                    // Permanently uncoverable, for any session or history.
-                    if built {
-                        prov.tier = CacheTier::TemplateProof;
-                    } else {
-                        prov.tier = CacheTier::TemplateCache;
-                    }
-                    let query = template
-                        .uncovered_query()
-                        .unwrap_or_else(|| crate::write::atom_query(&template.atoms[0]));
-                    return Ok(self.block_write(DenyReason::WriteNotCovered { query }));
+                self.stats.write_allowed.inc();
+                return self.execute_statement(&wp.stmt, bindings, prov);
+            }
+            WriteTemplateVerdict::NeverCovered => {
+                // Permanently uncoverable, for any session or history.
+                if built {
+                    prov.tier = CacheTier::TemplateProof;
+                } else {
+                    prov.tier = CacheTier::TemplateCache;
                 }
-                WriteTemplateVerdict::Undecidable => {
-                    if !built {
-                        prov.negative_template_hit = true;
-                        self.stats.template_negative_hits.inc();
-                    }
+                let query = template
+                    .uncovered_query()
+                    .unwrap_or_else(|| crate::write::atom_query(&template.atoms[0]));
+                return Ok(self.block_write(DenyReason::WriteNotCovered { query }));
+            }
+            WriteTemplateVerdict::Undecidable => {
+                if !built {
+                    prov.negative_template_hit = true;
+                    self.stats.template_negative_hits.inc();
                 }
             }
         }
@@ -1308,7 +1268,7 @@ impl SqlProxy {
         match decision {
             Decision::Allowed { .. } => {
                 self.stats.write_allowed.inc();
-                self.execute_statement(&wp.stmt, &wp.params, bindings, prov)
+                self.execute_statement(&wp.stmt, bindings, prov)
             }
             Decision::Denied { reason } => Ok(self.block_write(reason)),
         }
@@ -1321,48 +1281,14 @@ impl SqlProxy {
         ProxyResponse::Blocked(reason)
     }
 
-    /// Executes a pass-through non-row statement (DDL). Row mutations go
-    /// through [`decide_and_run_write`](Self::decide_and_run_write).
-    fn run_other(
-        &self,
-        stmt: &Statement,
-        bindings: &[(String, Value)],
-        mode: AccessMode,
-        prov: &mut Prov,
-    ) -> Result<ProxyResponse, CoreError> {
-        if !mode.permits(StatementClass::Ddl) {
-            return Ok(self.block_write(DenyReason::ReadOnlySession));
-        }
-        if !self.config.allow_writes {
-            return Ok(self.block_write(DenyReason::WriteBlocked));
-        }
-        // DDL writes no rows, so there is no coverage question; it is
-        // counted as passthrough traffic either way. It has no parameters.
-        self.stats.write_passthrough.inc();
-        self.execute_statement(stmt, &[], bindings, prov)
-    }
-
-    /// The block for a statement whose bindings lack one of its parameters,
-    /// with the message binding it would fail with: the caller's malformed
-    /// input, not an internal error.
-    fn unbound(&self, params: &[Param], bindings: &[(String, Value)]) -> Option<ProxyResponse> {
-        let reason = DenyReason::ParseError(unbound_error(params, bindings)?.to_string());
-        self.stats.blocked.inc();
-        Some(ProxyResponse::Blocked(reason))
-    }
-
     /// Executes one mutation/DDL statement against the store, its
     /// parameters read from the bindings.
     fn execute_statement(
         &self,
         stmt: &Statement,
-        params: &[Param],
         bindings: &[(String, Value)],
         prov: &mut Prov,
     ) -> Result<ProxyResponse, CoreError> {
-        if let Some(blocked) = self.unbound(params, bindings) {
-            return Ok(blocked);
-        }
         let result = self.db.write().execute_with(stmt, bindings)?;
         prov.lap(Phase::DbExec);
         self.stats.writes.inc();
@@ -1400,33 +1326,31 @@ impl SqlProxy {
     ) -> Result<Decision, CoreError> {
         // 1. Template tier, compiled into the plan. `built` attributes the
         //    verdict: this request paid the proof, or it reused one.
-        if self.config.template_cache {
-            match &sp.template {
-                Some(TemplateVerdict::Allowed(certs)) => {
-                    if built {
-                        prov.tier = CacheTier::TemplateProof;
-                        self.stats.template_proofs.inc();
-                        return Ok(Decision::Allowed {
-                            source: DecisionSource::TemplateProof,
-                            rewritings: certs.iter().map(|c| c.rewriting.clone()).collect(),
-                        });
-                    }
-                    prov.tier = CacheTier::TemplateCache;
-                    self.stats.template_cache_hits.inc();
+        match &sp.template {
+            Some(TemplateVerdict::Allowed(certs)) => {
+                if built {
+                    prov.tier = CacheTier::TemplateProof;
+                    self.stats.template_proofs.inc();
                     return Ok(Decision::Allowed {
-                        source: DecisionSource::TemplateCache,
-                        rewritings: Vec::new(),
+                        source: DecisionSource::TemplateProof,
+                        rewritings: certs.iter().map(|c| c.rewriting.clone()).collect(),
                     });
                 }
-                Some(TemplateVerdict::Undecidable) if !built => {
-                    // Known template-undecidable: straight to the concrete
-                    // path without re-proving. Sound because the policy is
-                    // immutable — see the module docs.
-                    prov.negative_template_hit = true;
-                    self.stats.template_negative_hits.inc();
-                }
-                _ => {}
+                prov.tier = CacheTier::TemplateCache;
+                self.stats.template_cache_hits.inc();
+                return Ok(Decision::Allowed {
+                    source: DecisionSource::TemplateCache,
+                    rewritings: Vec::new(),
+                });
             }
+            Some(TemplateVerdict::Undecidable) if !built => {
+                // Known template-undecidable: straight to the concrete
+                // path without re-proving. Sound because the policy is
+                // immutable — see the module docs.
+                prov.negative_template_hit = true;
+                self.stats.template_negative_hits.inc();
+            }
+            _ => {}
         }
         // 2. Concrete tier over the pruned plan. The closure cannot borrow
         //    `prov` (the tier holds it), so it counts certificate outcomes
@@ -1439,33 +1363,21 @@ impl SqlProxy {
                     reason: DenyReason::OutOfFragment(msg.clone()),
                 },
                 Ok(disjuncts) => {
-                    // A disjunct's certificate — compiled with a
-                    // template-allowed verdict, or learned from an earlier
-                    // concrete proof of a template-undecidable one — carries
-                    // a precompiled view expansion: replay it (instantiate
-                    // rewriting + expansion, then verify mutual containment
-                    // against the instantiated disjunct over this session's
-                    // facts) before falling back to the full rewriting
-                    // search. Verification gates acceptance and the fallback
-                    // preserves completeness, so replay only amortizes
-                    // candidate generation, view instantiation, and
-                    // expansion into the plan.
-                    let (compiled, learns) = match &sp.template {
-                        Some(TemplateVerdict::Allowed(cs)) => (Some(cs), false),
-                        Some(TemplateVerdict::Undecidable) => (None, true),
-                        None => (None, false),
-                    };
+                    // A certificate a disjunct learned from an earlier
+                    // concrete proof of this template-undecidable plan
+                    // carries a precompiled view expansion: replay it
+                    // (instantiate rewriting + expansion, then verify mutual
+                    // containment against the instantiated disjunct over
+                    // this session's facts) before falling back to the full
+                    // rewriting search. Verification gates acceptance and
+                    // the fallback preserves completeness, so replay only
+                    // amortizes candidate generation, view instantiation,
+                    // and expansion into the plan.
+                    let learns = matches!(sp.template, Some(TemplateVerdict::Undecidable));
                     let mut rewritings = Vec::with_capacity(disjuncts.len());
-                    for (i, d) in disjuncts.iter().enumerate() {
+                    for d in disjuncts {
                         let inst = d.template.instantiate(bindings);
-                        let learned;
-                        let cert = match compiled {
-                            Some(cs) => cs.get(i),
-                            None => {
-                                learned = d.learned();
-                                learned.as_deref()
-                            }
-                        };
+                        let cert = if learns { d.learned() } else { None };
                         let replayed = cert.and_then(|c| {
                             let expansion = c.expansion.as_ref()?;
                             checker.replay_certificate(
@@ -1535,7 +1447,7 @@ impl SqlProxy {
             let session = sessions
                 .get(&session_id)
                 .ok_or(CoreError::NoSuchSession(session_id))?;
-            if self.config.session_cache && session.allowed_cache.get(&concrete_key).is_some() {
+            if session.allowed_cache.get(&concrete_key).is_some() {
                 prov.lap(Phase::ConcreteLookup);
                 prov.tier = CacheTier::SessionCache;
                 self.stats.session_cache_hits.inc();
@@ -1545,79 +1457,68 @@ impl SqlProxy {
                 });
             }
             let trace_version = session.trace.version();
-            if self.config.session_cache {
-                if let Some((at, kind, query)) = session.denied_cache.get(&concrete_key) {
-                    if *at == trace_version {
-                        prov.lap(Phase::ConcreteLookup);
-                        prov.tier = CacheTier::DenyCache;
-                        self.stats.deny_cache_hits.inc();
-                        let reason = match kind {
-                            DenyKind::Read => DenyReason::NotDetermined {
-                                query: query.clone(),
-                            },
-                            DenyKind::Write => DenyReason::WriteNotCovered {
-                                query: query.clone(),
-                            },
-                        };
-                        return Ok(Decision::Denied { reason });
-                    }
+            if let Some((at, kind, query)) = session.denied_cache.get(&concrete_key) {
+                if *at == trace_version {
+                    prov.lap(Phase::ConcreteLookup);
+                    prov.tier = CacheTier::DenyCache;
+                    self.stats.deny_cache_hits.inc();
+                    let reason = match kind {
+                        DenyKind::Read => DenyReason::NotDetermined {
+                            query: query.clone(),
+                        },
+                        DenyKind::Write => DenyReason::WriteNotCovered {
+                            query: query.clone(),
+                        },
+                    };
+                    return Ok(Decision::Denied { reason });
                 }
             }
             prov.lap(Phase::ConcreteLookup);
             // Fresh concrete proof.
-            let empty = Trace::new();
-            let trace: &Trace = if self.config.trace_aware {
-                &session.trace
-            } else {
-                &empty
-            };
-            (prove(&self.checker, trace), trace_version)
+            (prove(&self.checker, &session.trace), trace_version)
         };
         // Whether allowed or denied, the verdict came from the fresh
         // concrete proof; cache write-back below is attributed back to the
         // concrete-lookup phase (cache maintenance, not proof work).
         prov.lap(Phase::Proof);
         prov.tier = CacheTier::ConcreteProof;
-        if self.config.session_cache {
-            // Write-back after dropping the read lock. If the session ended
-            // meanwhile, there is nothing to cache into — the decision
-            // itself is still valid for this request.
-            let mut sessions = self.shard(session_id).write();
-            if let Some(session) = sessions.get_mut(&session_id) {
-                let before = session_state_bytes(session);
-                if decision.is_allowed() {
-                    let evicted =
-                        session
-                            .allowed_cache
-                            .insert(concrete_key, (), allow_entry_bytes());
-                    self.eviction_counters[1].add(evicted.len() as u64);
-                } else if let Decision::Denied { reason } = &decision {
-                    // Only the two fact-dependent denials are cacheable;
-                    // config/mode denials never reach this tier.
-                    let cached = match reason {
-                        DenyReason::NotDetermined { query } => Some((DenyKind::Read, query)),
-                        DenyReason::WriteNotCovered { query } => Some((DenyKind::Write, query)),
-                        _ => None,
-                    };
-                    if let Some((kind, query)) = cached {
-                        // Stamped with the trace version read before the
-                        // proof: if the fact set changed since (growth *or*
-                        // compaction), the stamp is already stale and the
-                        // entry will never be served.
-                        let bytes = deny_entry_bytes(query);
-                        let evicted = session.denied_cache.insert(
-                            concrete_key,
-                            (trace_version, kind, query.clone()),
-                            bytes,
-                        );
-                        self.eviction_counters[2].add(evicted.len() as u64);
-                    }
+        // Write-back after dropping the read lock. If the session ended
+        // meanwhile, there is nothing to cache into — the decision
+        // itself is still valid for this request.
+        let mut sessions = self.shard(session_id).write();
+        if let Some(session) = sessions.get_mut(&session_id) {
+            let before = session_state_bytes(session);
+            if decision.is_allowed() {
+                let evicted = session
+                    .allowed_cache
+                    .insert(concrete_key, (), allow_entry_bytes());
+                self.eviction_counters[1].add(evicted.len() as u64);
+            } else if let Decision::Denied { reason } = &decision {
+                // Only the two fact-dependent denials are cacheable; an
+                // out-of-fragment denial is recomputed.
+                let cached = match reason {
+                    DenyReason::NotDetermined { query } => Some((DenyKind::Read, query)),
+                    DenyReason::WriteNotCovered { query } => Some((DenyKind::Write, query)),
+                    _ => None,
+                };
+                if let Some((kind, query)) = cached {
+                    // Stamped with the trace version read before the
+                    // proof: if the fact set changed since (growth *or*
+                    // compaction), the stamp is already stale and the
+                    // entry will never be served.
+                    let bytes = deny_entry_bytes(query);
+                    let evicted = session.denied_cache.insert(
+                        concrete_key,
+                        (trace_version, kind, query.clone()),
+                        bytes,
+                    );
+                    self.eviction_counters[2].add(evicted.len() as u64);
                 }
-                let after = session_state_bytes(session);
-                self.adjust_session_bytes(before, after);
             }
-            prov.lap(Phase::ConcreteLookup);
+            let after = session_state_bytes(session);
+            self.adjust_session_bytes(before, after);
         }
+        prov.lap(Phase::ConcreteLookup);
         if decision.is_allowed() {
             self.stats.concrete_proofs.inc();
         } else {
@@ -1635,9 +1536,6 @@ impl SqlProxy {
         bindings: &[(String, Value)],
         rows: &Rows,
     ) {
-        if !self.config.trace_aware {
-            return;
-        }
         // Only single-disjunct queries contribute facts: a union's non-empty
         // answer doesn't say which disjunct held.
         let Ok(disjuncts) = &sp.translation else {
@@ -1659,14 +1557,12 @@ impl SqlProxy {
         }
         if let Some(session) = self.shard(session_id).write().get_mut(&session_id) {
             let before = session_state_bytes(session);
-            // With compaction the trace stays O(distinct information):
+            // Compaction keeps the trace O(distinct information):
             // decision-invisible (the fact set stays logically equivalent),
             // and any removal bumps the trace version, so stamped denials
-            // never serve stale. Either way a repeated observation changes
-            // nothing, the version included (`Trace`, "Repeats").
-            session
-                .trace
-                .record_rows(cq, &rows.rows, self.config.compaction);
+            // never serve stale. A repeated observation changes nothing,
+            // the version included (`Trace`, "Repeats").
+            session.trace.record_rows(cq, &rows.rows, true);
             let after = session_state_bytes(session);
             self.adjust_session_bytes(before, after);
         }
@@ -1799,30 +1695,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_unaware_proxy_blocks_q2_even_after_q1() {
-        let config = ProxyConfig {
-            trace_aware: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p.execute(
-            s,
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event",
-            &[("event".into(), Value::Int(2))],
-        )
-        .unwrap();
-        let r = p
-            .execute(
-                s,
-                "SELECT * FROM Events WHERE EId = ?event",
-                &[("event".into(), Value::Int(2))],
-            )
-            .unwrap();
-        assert!(!r.is_allowed(), "without trace awareness Q2 stays blocked");
-    }
-
-    #[test]
     fn template_cache_serves_repeats() {
         let p = proxy(ProxyConfig::default());
         let s1 = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -1858,15 +1730,16 @@ mod tests {
 
     #[test]
     fn session_cache_serves_concrete_repeats() {
-        let config = ProxyConfig {
-            template_cache: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
+        let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let sql = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
-        p.execute(s, sql, &[]).unwrap();
-        p.execute(s, sql, &[]).unwrap();
+        // The probe is template-allowed; the fetch is template-undecidable,
+        // so the probe's fact lets a concrete proof allow it, and its
+        // repeat is served by the session cache.
+        let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+        let fetch = "SELECT * FROM Events WHERE EId = 2";
+        for sql in [probe, fetch, fetch] {
+            assert!(p.execute(s, sql, &[]).unwrap().is_allowed(), "{sql}");
+        }
         let stats = p.stats();
         assert_eq!(stats.concrete_proofs, 1);
         assert_eq!(stats.session_cache_hits, 1);
@@ -1910,31 +1783,6 @@ mod tests {
             .execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
             .unwrap();
         assert!(!r2.is_allowed(), "an empty probe must not unlock the event");
-    }
-
-    #[test]
-    fn writes_pass_through_or_block_by_config() {
-        let p = proxy(ProxyConfig::default());
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let r = p
-            .execute(
-                s,
-                "INSERT INTO Attendance (UId, EId, Notes) VALUES (1, 3, NULL)",
-                &[],
-            )
-            .unwrap();
-        assert_eq!(r, ProxyResponse::Affected(1));
-
-        let config = ProxyConfig {
-            allow_writes: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let r = p
-            .execute(s, "DELETE FROM Events WHERE EId = 2", &[])
-            .unwrap();
-        assert_eq!(r, ProxyResponse::Blocked(DenyReason::WriteBlocked));
     }
 
     #[test]
@@ -2053,42 +1901,17 @@ mod tests {
     }
 
     #[test]
-    fn read_only_session_denies_all_mutations() {
-        let p = proxy(ProxyConfig {
-            enforce_writes: true,
-            ..Default::default()
-        });
-        let s =
-            p.begin_session_with_mode(vec![("MyUId".into(), Value::Int(1))], AccessMode::ReadOnly);
-        // Reads still work.
-        assert!(p
-            .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-            .unwrap()
-            .is_allowed());
-        // A mutation the policy would allow is denied by the mode alone,
-        // before coverage is considered; DDL likewise.
-        for sql in [
-            "DELETE FROM Attendance WHERE UId = ?MyUId",
-            "CREATE TABLE Scratch (X INT PRIMARY KEY)",
-        ] {
-            assert_eq!(
-                p.execute(s, sql, &[]).unwrap(),
-                ProxyResponse::Blocked(DenyReason::ReadOnlySession)
-            );
-        }
-        assert_eq!(p.stats().write_blocked, 2);
-    }
-
-    #[test]
     fn unenforced_writes_count_as_passthrough() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p.execute(
-            s,
-            "INSERT INTO Attendance (UId, EId, Notes) VALUES (9, 9, 'x')",
-            &[],
-        )
-        .unwrap();
+        let r = p
+            .execute(
+                s,
+                "INSERT INTO Attendance (UId, EId, Notes) VALUES (9, 9, 'x')",
+                &[],
+            )
+            .unwrap();
+        assert_eq!(r, ProxyResponse::Affected(1));
         p.execute(s, "CREATE TABLE Scratch (X INT PRIMARY KEY)", &[])
             .unwrap();
         let stats = p.stats();
@@ -2133,11 +1956,11 @@ mod tests {
         assert_eq!(p.stats().unchecked_statements, 2);
     }
 
-    /// Malformed SQL, and an allowed statement whose bindings lack a
-    /// parameter, are blocked (`Err(Parse)` from `execute_unchecked`) with
-    /// the parser's or `bind_statement`'s message — for the latter the
-    /// first missing parameter in binding's order, not the text's — and
-    /// never reach the store.
+    /// Malformed SQL, and a statement whose bindings lack a parameter, are
+    /// blocked (`Err(Parse)` from `execute_unchecked`) with the parser's or
+    /// `bind_statement`'s message — for the latter the first missing
+    /// parameter in binding's order, not the text's — and never reach the
+    /// store.
     #[test]
     fn unparseable_sql_is_blocked_not_error() {
         let session = vec![("MyUId".to_string(), Value::Int(1))];
@@ -2156,7 +1979,6 @@ mod tests {
                 "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
                 "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?b AND EId = ?a",
                 "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?",
-                // Enforced, these are `WriteNotCovered` before they are bound.
                 "UPDATE Attendance SET Notes = ?b WHERE UId = ?MyUId AND EId = ?a",
                 "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?nope, NULL)",
                 "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?b, ?a)",
@@ -2169,8 +1991,6 @@ mod tests {
                     Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg))) => {
                         assert_eq!(msg, expected, "{sql}")
                     }
-                    Ok(ProxyResponse::Blocked(DenyReason::WriteNotCovered { .. }))
-                        if enforce_writes && sql.starts_with(['U', 'I']) => {}
                     other => panic!("{sql}: {other:?}"),
                 }
                 let unchecked = p.execute_unchecked(sql, &session);
@@ -2178,6 +1998,57 @@ mod tests {
             }
             assert_eq!(p.stats().writes, 0, "nothing reached the store");
             assert_eq!(p.with_database(|db| db.total_rows()), 4);
+        }
+    }
+
+    /// A statement with an unbound parameter is blocked before any tier:
+    /// no tier counts an allow or a proof for it, none caches a verdict,
+    /// and its event is `Uncached`, for reads and writes alike.
+    #[test]
+    fn unbound_statements_are_blocked_before_any_tier() {
+        for enforce_writes in [false, true] {
+            let p = proxy(ProxyConfig {
+                enforce_writes,
+                ..Default::default()
+            });
+            let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+            let statements = [
+                // Template-allowed, and template-undecidable.
+                "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
+                "SELECT * FROM Events WHERE EId = ?e",
+                // Write-template-allowed, and decided concretely.
+                "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
+                "INSERT INTO Attendance (UId, EId, Notes) VALUES (?MyUId, ?e, 'x')",
+            ];
+            for sql in statements.iter().chain(&statements) {
+                let r = p.execute(s, sql, &[]).unwrap();
+                assert!(
+                    matches!(r, ProxyResponse::Blocked(DenyReason::ParseError(_))),
+                    "{sql}: {r:?}"
+                );
+            }
+            let st = p.stats();
+            assert_eq!(
+                st.template_cache_hits
+                    + st.template_proofs
+                    + st.session_cache_hits
+                    + st.concrete_proofs,
+                st.allowed,
+                "{st:?}"
+            );
+            assert_eq!((st.allowed, st.blocked), (0, 8), "{st:?}");
+            assert_eq!(st.concrete_proofs, 0, "{st:?}");
+            assert_eq!(st.deny_cache_hits, 0, "{st:?}");
+            assert_eq!(
+                (st.write_allowed, st.write_passthrough, st.writes),
+                (0, 0, 0),
+                "{st:?}"
+            );
+            let events = p.journal().events_since(0, usize::MAX);
+            assert_eq!(events.len(), 8);
+            for e in &events {
+                assert_eq!((e.tier, e.verdict), (CacheTier::Uncached, Verdict::Blocked));
+            }
         }
     }
 
@@ -2192,54 +2063,47 @@ mod tests {
 
     #[test]
     fn a_repeated_read_changes_nothing_and_spares_a_cached_denial() {
-        for compaction in [true, false] {
-            let p = proxy(ProxyConfig {
-                compaction,
-                ..Default::default()
-            });
-            let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-            let reads = [
-                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2", // a row
-                "SELECT EId FROM Attendance WHERE UId = ?MyUId",           // rows kept
-                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 3", // empty
-            ];
-            for sql in reads {
-                assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
-            }
-            // A denial, cached under the trace version it was proved at.
-            let fetch = "SELECT * FROM Events WHERE EId = 3";
-            assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
-            let state = |p: &SqlProxy| {
-                let t = p.session_trace(s).unwrap();
-                (t.facts().to_vec(), t.len(), t.version(), t.heap_bytes())
-            };
-            let (before, state_bytes) = (state(&p), p.sessions_heap_bytes());
-            assert!(!before.0.is_empty());
-
-            for sql in reads.iter().cycle().take(9) {
-                assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
-            }
-            assert_eq!(state(&p), before, "compaction: {compaction}");
-            assert_eq!(p.sessions_heap_bytes(), state_bytes);
-            // The stamp still matches: no proof, the cache answers.
-            let (hits, proofs) = (p.stats().deny_cache_hits, p.stats().concrete_proofs);
-            assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
-            assert_eq!(p.stats().deny_cache_hits, hits + 1);
-            assert_eq!(p.stats().concrete_proofs, proofs);
+        let p = proxy(ProxyConfig::default());
+        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+        let reads = [
+            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2", // a row
+            "SELECT EId FROM Attendance WHERE UId = ?MyUId",           // rows kept
+            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 3", // empty
+        ];
+        for sql in reads {
+            assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
         }
+        // A template-undecidable fetch's denial, cached under the trace
+        // version it was proved at.
+        let fetch = "SELECT * FROM Events WHERE EId = 3";
+        assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
+        let state = |p: &SqlProxy| {
+            let t = p.session_trace(s).unwrap();
+            (t.facts().to_vec(), t.len(), t.version(), t.heap_bytes())
+        };
+        let (before, state_bytes) = (state(&p), p.sessions_heap_bytes());
+        assert!(!before.0.is_empty());
+
+        for sql in reads.iter().cycle().take(9) {
+            assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
+        }
+        assert_eq!(state(&p), before);
+        assert_eq!(p.sessions_heap_bytes(), state_bytes);
+        // The stamp still matches: no proof, the cache answers.
+        let (hits, proofs) = (p.stats().deny_cache_hits, p.stats().concrete_proofs);
+        assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
+        assert_eq!(p.stats().deny_cache_hits, hits + 1);
+        assert_eq!(p.stats().concrete_proofs, proofs);
     }
 
     #[test]
     fn deny_cache_serves_repeats_and_invalidates_on_new_facts() {
-        let config = ProxyConfig {
-            template_cache: false,
-            ..Default::default()
-        };
-        let p = proxy(config);
+        let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
         let fetch = "SELECT * FROM Events WHERE EId = 2";
 
-        // Two denials: the second is served from the deny cache.
+        // Two denials of the template-undecidable fetch: the second is
+        // served from the deny cache.
         assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
         assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
         assert_eq!(p.stats().deny_cache_hits, 1);
@@ -2502,23 +2366,18 @@ mod tests {
         // go stale: duplicate probes push then compact away facts, so the
         // count can repeat while the knowledge changed. The version stamp
         // is monotone through both pushes and compaction removals.
-        for compaction in [false, true] {
-            let p = proxy(ProxyConfig {
-                template_cache: false,
-                compaction,
-                ..Default::default()
-            });
-            let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-            let fetch = "SELECT * FROM Events WHERE EId = 2";
-            let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
-            assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
-            assert!(p.execute(s, probe, &[]).unwrap().is_allowed());
-            assert!(p.execute(s, probe, &[]).unwrap().is_allowed());
-            assert!(
-                p.execute(s, fetch, &[]).unwrap().is_allowed(),
-                "stale denial served (compaction={compaction})"
-            );
-        }
+        let p = proxy(ProxyConfig::default());
+        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+        // Template-undecidable: the fetch reaches the deny cache.
+        let fetch = "SELECT * FROM Events WHERE EId = 2";
+        let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+        assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
+        assert!(p.execute(s, probe, &[]).unwrap().is_allowed());
+        assert!(p.execute(s, probe, &[]).unwrap().is_allowed());
+        assert!(
+            p.execute(s, fetch, &[]).unwrap().is_allowed(),
+            "stale denial served"
+        );
     }
 
     #[test]
@@ -2729,19 +2588,6 @@ mod tests {
         assert!(text.contains("bep_mem_bytes{component=\"session-state\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"journal\"}"));
         assert!(text.contains("bep_policy_lint_warnings 0\n"));
-
-        // With the template tier off, a template-allowed query is decided
-        // by replaying its compiled certificate.
-        let p = proxy(ProxyConfig {
-            template_cache: false,
-            ..ProxyConfig::default()
-        });
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-            .unwrap();
-        let e = p.journal().recent(1, None)[0];
-        assert_eq!(e.tier, CacheTier::ConcreteProof);
-        assert_eq!((e.span.cert_replays, e.span.cert_fallbacks), (1, 0));
     }
 
     #[test]

@@ -75,7 +75,7 @@
 //! the one already held, at the price of deriving, Skolemizing and
 //! re-absorbing it; and because nothing changed, a cached denial stamped
 //! with the trace version stays servable. The rule is not part of
-//! compaction: plain [`Trace::record`] obeys it too, so a compacting store,
+//! compaction; plain [`Trace::record`] obeys it too, so a compacting store,
 //! a never-compacted one and the [`Trace::compact`] specification see the
 //! same sequence of entries by construction. It also means a repeated join
 //! probe no longer leaves one block of mutually pinned facts per repeat

@@ -5,11 +5,12 @@
 //! pressure. Both are pure memory optimizations: with the fact set
 //! logically equivalent and every cache a *cache* (misses recompute), no
 //! decision may change. These properties replay generated workloads over
-//! the calendar and forum schemas through three proxies that differ only
-//! in those knobs — compaction off, compaction on, and compaction on with
-//! budgets tight enough to force eviction mid-workload — and assert the
-//! responses are bit-identical (verdict, deny reason, rows), cold and
-//! warm.
+//! the calendar and forum schemas through the default proxy and one with
+//! budgets tight enough to force eviction mid-workload, and assert, cold
+//! and warm, that the two respond bit-identically (verdict, deny reason,
+//! rows) and that the default proxy agrees with the cache-free,
+//! compaction-free reference (`common::reference`): `check_concrete` over
+//! a never-compacted trace.
 //!
 //! The last property is of a different kind: it holds the *incremental*
 //! compaction the proxy runs (`Trace::record_compacting`) to its executable
@@ -18,12 +19,13 @@
 //! never skips a repeated observation either, after every push of
 //! generated traces — and the running byte account to the exact walk.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bep_core::{
-    schema_of_database, ComplianceChecker, HeapUsage, Observation, Policy, ProxyConfig, SqlProxy,
-    Trace,
-};
+use bep_core::{ComplianceChecker, HeapUsage, Observation, Policy, ProxyConfig, SqlProxy, Trace};
+use common::reference::Reference;
+use common::{calendar_db, calendar_policy, forum_db, forum_policy};
 use minidb::Database;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -33,45 +35,6 @@ use sqlir::Value;
 type Step = String;
 
 // ---------------------------------------------------------------- calendar
-
-fn calendar_db(attendance: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
-        .unwrap();
-    db.execute_sql(
-        "CREATE TABLE Attendance (UId INT, EId INT, Notes TEXT, PRIMARY KEY (UId, EId))",
-    )
-    .unwrap();
-    for e in 0..4 {
-        db.execute_sql(&format!(
-            "INSERT INTO Events (EId, Title, Kind) VALUES ({e}, 'title{e}', 'kind{e}')"
-        ))
-        .unwrap();
-    }
-    for (u, e) in attendance {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Attendance (UId, EId, Notes) VALUES ({u}, {e}, NULL)"
-        ));
-    }
-    db
-}
-
-fn calendar_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("V1", "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
-            (
-                "V2",
-                "SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId \
-                 WHERE a.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
 
 /// Steps biased toward *repetition* (small constant ranges): repeats are
 /// what populate the trace with subsumable duplicates and what hammer the
@@ -93,81 +56,6 @@ fn calendar_step() -> impl Strategy<Value = Step> {
 
 // ------------------------------------------------------------------- forum
 
-fn forum_db(membership: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    for ddl in [
-        "CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT NOT NULL)",
-        "CREATE TABLE Groups (GId INT PRIMARY KEY, Name TEXT NOT NULL, Public BOOL NOT NULL)",
-        "CREATE TABLE Membership (UId INT NOT NULL, GId INT NOT NULL, Role TEXT NOT NULL, \
-         PRIMARY KEY (UId, GId))",
-        "CREATE TABLE Posts (PId INT PRIMARY KEY, GId INT NOT NULL, AuthorId INT NOT NULL, \
-         Title TEXT NOT NULL, Body TEXT NOT NULL)",
-        "CREATE TABLE Comments (CId INT PRIMARY KEY, PId INT NOT NULL, AuthorId INT NOT NULL, \
-         Body TEXT NOT NULL)",
-    ] {
-        db.execute_sql(ddl).unwrap();
-    }
-    db.execute_sql("INSERT INTO Users (UId, Name) VALUES (0, 'u0'), (1, 'u1'), (2, 'u2')")
-        .unwrap();
-    db.execute_sql(
-        "INSERT INTO Groups (GId, Name, Public) VALUES \
-         (0, 'g0', TRUE), (1, 'g1', FALSE), (2, 'g2', FALSE)",
-    )
-    .unwrap();
-    for (u, g) in membership {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Membership (UId, GId, Role) VALUES ({u}, {g}, 'member')"
-        ));
-    }
-    db.execute_sql(
-        "INSERT INTO Posts (PId, GId, AuthorId, Title, Body) VALUES \
-         (10, 0, 0, 't10', 'b10'), (11, 1, 1, 't11', 'b11'), (12, 2, 2, 't12', 'b12')",
-    )
-    .unwrap();
-    db.execute_sql(
-        "INSERT INTO Comments (CId, PId, AuthorId, Body) VALUES \
-         (100, 10, 0, 'c100'), (101, 11, 1, 'c101')",
-    )
-    .unwrap();
-    db
-}
-
-fn forum_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("PostGroups", "SELECT PId, GId FROM Posts"),
-            (
-                "MyMemberships",
-                "SELECT GId FROM Membership WHERE UId = ?MyUId",
-            ),
-            (
-                "MyGroups",
-                "SELECT g.GId, g.Name FROM Groups g \
-                 JOIN Membership m ON g.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "PublicGroups",
-                "SELECT GId, Name FROM Groups WHERE Public = TRUE",
-            ),
-            (
-                "GroupPosts",
-                "SELECT p.PId, p.GId, p.Title, p.Body, p.AuthorId FROM Posts p \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "GroupComments",
-                "SELECT c.CId, c.PId, c.AuthorId, c.Body FROM Comments c \
-                 JOIN Posts p ON c.PId = p.PId \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
-
 fn forum_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (10i64..13).prop_map(|p| format!("SELECT GId FROM Posts WHERE PId = {p}")),
@@ -183,9 +71,10 @@ fn forum_step() -> impl Strategy<Value = Step> {
 
 // -------------------------------------------------------------- the driver
 
-/// Replays `steps` twice (cold, then warm) through the three proxies and
-/// asserts bit-identical responses at every step. Returns the final trace
-/// heap bytes of the (baseline, compacting) sessions so callers can
+/// Replays `steps` twice (cold, then warm) through the default and the
+/// starved proxy, asserting bit-identical responses and the default
+/// proxy's agreement with the reference at every step. Returns the final
+/// trace heap bytes of the (reference, proxy) sessions so callers can
 /// assert compaction never *grows* the trace.
 fn assert_bounded_differential(
     schema: qlogic::RelSchema,
@@ -195,14 +84,6 @@ fn assert_bounded_differential(
     steps: &[Step],
 ) -> Result<(usize, usize), TestCaseError> {
     let checker = ComplianceChecker::new(schema, policy);
-    let baseline = SqlProxy::new(
-        db.clone(),
-        checker.clone(),
-        ProxyConfig {
-            compaction: false,
-            ..Default::default()
-        },
-    );
     let compacting = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
     // Budgets low enough that real workloads evict: a few hundred bytes of
     // session cache is a handful of entries; 4 KiB of plans is 1-2
@@ -217,32 +98,27 @@ fn assert_bounded_differential(
         },
     );
     let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
-    let sb = baseline.begin_session(bindings.clone());
     let sc = compacting.begin_session(bindings.clone());
     let ss = starved.begin_session(bindings.clone());
+    let mut reference = Reference::new(&checker, bindings);
 
     for replay in ["cold", "warm"] {
         for sql in steps {
-            let a = baseline.execute(sb, sql, &[]);
             let b = compacting.execute(sc, sql, &[]);
             let c = starved.execute(ss, sql, &[]);
             prop_assert_eq!(
-                &a,
                 &b,
-                "compaction changed a decision ({}) on {}",
-                replay,
-                sql
-            );
-            prop_assert_eq!(
-                &a,
                 &c,
                 "starved caches changed a decision ({}) on {}",
                 replay,
                 sql
             );
+            if let Err(e) = reference.check(sql, &[], &b.unwrap()) {
+                return Err(TestCaseError::fail(format!("{replay}: {e}")));
+            }
         }
     }
-    let base_bytes = baseline.session_trace(sb).unwrap().heap_bytes();
+    let base_bytes = reference.trace.heap_bytes();
     let compact_bytes = compacting.session_trace(sc).unwrap().heap_bytes();
     Ok((base_bytes, compact_bytes))
 }
@@ -283,8 +159,9 @@ proptest! {
     }
 
     /// The same probe repeated: a repeat is a no-op for the trace whether
-    /// or not it compacts, so after any number of them both sessions hold
-    /// what one probe left — and the decisions match step for step.
+    /// or not it compacts, so after any number of them the proxy session
+    /// and the reference hold what one probe left — and the decisions
+    /// match step for step.
     #[test]
     fn repeated_probes_keep_the_trace_flat(
         repeats in 4usize..24,

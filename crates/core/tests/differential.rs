@@ -1,31 +1,35 @@
 //! Differential tests of the decision path against its specification.
 //!
 //! The plan machinery (parse-once, translate-once, pruned candidate views,
-//! compiled template verdicts, `u64` cache keys) and the verdict caches in
-//! front of it are pure amortization: they must never change a decision.
-//! These properties drive generated workloads over the calendar schema of
-//! Example 2.1 and the forum schema of the simulated applications, and
-//! assert, query by query:
+//! compiled template verdicts, learned certificates, `u64` cache keys),
+//! the verdict caches in front of it and trace compaction are pure
+//! amortization: they must never change a decision. These properties drive
+//! generated workloads over the calendar schema of Example 2.1 and the
+//! forum schema of the simulated applications through the default proxy,
+//! and hold every request to the cache-free, compaction-free reference
+//! (`common::reference`):
 //!
-//! * the default proxy and a proxy with the verdict caches off (every
-//!   `SELECT` pays a fresh concrete proof) return bit-identical responses:
-//!   verdict, deny reason, and rows;
-//! * the caches-off proxy returns the same verdict and deny reason as a
-//!   fresh [`ComplianceChecker::check_concrete`] run against the session's
-//!   own trace — the paper's reference decision procedure;
+//! * each `SELECT` gets the verdict and deny reason of a fresh
+//!   [`ComplianceChecker::check_concrete`] over a never-compacted trace of
+//!   the session's allowed reads — the paper's reference decision
+//!   procedure;
+//! * each allowed read's rows equal a twin database's, fed the same
+//!   pass-through writes;
 //! * both hold cache-cold (first replay) and cache-warm (second replay of
 //!   the identical workload in the same sessions);
 //! * both hold across sessions: every user runs the workload in a session
-//!   of its own on the same two proxies, so a certificate one session's
-//!   proof taught a template-undecidable plan is replayed in the next, and
-//!   must still agree with the oracle over *that* session's trace. The
-//!   tests check such replays happened, so the leg is not vacuous.
+//!   of its own on the same proxy, so a certificate one session's proof
+//!   taught a template-undecidable plan is replayed in the next, and must
+//!   still agree with the oracle over *that* session's trace. The tests
+//!   check such replays happened, so the leg is not vacuous.
+
+mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use bep_core::{
-    schema_of_database, ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy,
-};
+use bep_core::{ComplianceChecker, Policy, ProxyConfig, ProxyResponse, SqlProxy};
+use common::reference::Reference;
+use common::{calendar_db, calendar_policy, forum_db, forum_policy};
 use minidb::Database;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -36,45 +40,6 @@ use sqlir::{parse_statement, Statement, Value};
 type Step = String;
 
 // ---------------------------------------------------------------- calendar
-
-fn calendar_db(attendance: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
-        .unwrap();
-    db.execute_sql(
-        "CREATE TABLE Attendance (UId INT, EId INT, Notes TEXT, PRIMARY KEY (UId, EId))",
-    )
-    .unwrap();
-    for e in 0..4 {
-        db.execute_sql(&format!(
-            "INSERT INTO Events (EId, Title, Kind) VALUES ({e}, 'title{e}', 'kind{e}')"
-        ))
-        .unwrap();
-    }
-    for (u, e) in attendance {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Attendance (UId, EId, Notes) VALUES ({u}, {e}, NULL)"
-        ));
-    }
-    db
-}
-
-fn calendar_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("V1", "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
-            (
-                "V2",
-                "SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId \
-                 WHERE a.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
 
 fn calendar_step() -> impl Strategy<Value = Step> {
     prop_oneof![
@@ -98,82 +63,6 @@ fn calendar_step() -> impl Strategy<Value = Step> {
 
 // ------------------------------------------------------------------- forum
 
-fn forum_db(membership: &[(i64, i64)]) -> Database {
-    let mut db = Database::new();
-    for ddl in [
-        "CREATE TABLE Users (UId INT PRIMARY KEY, Name TEXT NOT NULL)",
-        "CREATE TABLE Groups (GId INT PRIMARY KEY, Name TEXT NOT NULL, Public BOOL NOT NULL)",
-        "CREATE TABLE Membership (UId INT NOT NULL, GId INT NOT NULL, Role TEXT NOT NULL, \
-         PRIMARY KEY (UId, GId))",
-        "CREATE TABLE Posts (PId INT PRIMARY KEY, GId INT NOT NULL, AuthorId INT NOT NULL, \
-         Title TEXT NOT NULL, Body TEXT NOT NULL)",
-        "CREATE TABLE Comments (CId INT PRIMARY KEY, PId INT NOT NULL, AuthorId INT NOT NULL, \
-         Body TEXT NOT NULL)",
-    ] {
-        db.execute_sql(ddl).unwrap();
-    }
-    db.execute_sql("INSERT INTO Users (UId, Name) VALUES (0, 'u0'), (1, 'u1'), (2, 'u2')")
-        .unwrap();
-    db.execute_sql(
-        "INSERT INTO Groups (GId, Name, Public) VALUES \
-         (0, 'g0', TRUE), (1, 'g1', FALSE), (2, 'g2', FALSE)",
-    )
-    .unwrap();
-    for (u, g) in membership {
-        let _ = db.execute_sql(&format!(
-            "INSERT INTO Membership (UId, GId, Role) VALUES ({u}, {g}, 'member')"
-        ));
-    }
-    db.execute_sql(
-        "INSERT INTO Posts (PId, GId, AuthorId, Title, Body) VALUES \
-         (10, 0, 0, 't10', 'b10'), (11, 1, 1, 't11', 'b11'), (12, 2, 2, 't12', 'b12')",
-    )
-    .unwrap();
-    db.execute_sql(
-        "INSERT INTO Comments (CId, PId, AuthorId, Body) VALUES \
-         (100, 10, 0, 'c100'), (101, 11, 1, 'c101')",
-    )
-    .unwrap();
-    db
-}
-
-/// The forum ground-truth policy (mirrors `appsim::forum::FORUM`).
-fn forum_policy(db: &Database) -> (qlogic::RelSchema, Policy) {
-    let schema = schema_of_database(db);
-    let policy = Policy::from_sql(
-        &schema,
-        &[
-            ("PostGroups", "SELECT PId, GId FROM Posts"),
-            (
-                "MyMemberships",
-                "SELECT GId FROM Membership WHERE UId = ?MyUId",
-            ),
-            (
-                "MyGroups",
-                "SELECT g.GId, g.Name FROM Groups g \
-                 JOIN Membership m ON g.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "PublicGroups",
-                "SELECT GId, Name FROM Groups WHERE Public = TRUE",
-            ),
-            (
-                "GroupPosts",
-                "SELECT p.PId, p.GId, p.Title, p.Body, p.AuthorId FROM Posts p \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-            (
-                "GroupComments",
-                "SELECT c.CId, c.PId, c.AuthorId, c.Body FROM Comments c \
-                 JOIN Posts p ON c.PId = p.PId \
-                 JOIN Membership m ON p.GId = m.GId WHERE m.UId = ?MyUId",
-            ),
-        ],
-    )
-    .unwrap();
-    (schema, policy)
-}
-
 fn forum_step() -> impl Strategy<Value = Step> {
     prop_oneof![
         (10i64..13).prop_map(|p| format!("SELECT GId FROM Posts WHERE PId = {p}")),
@@ -189,8 +78,8 @@ fn forum_step() -> impl Strategy<Value = Step> {
              WHERE m.UId = ?MyUId"
                 .to_string()
         ),
-        // A write mixed in: passes through both proxies identically (and
-        // identically violates the Comments primary key on warm replays).
+        // A write mixed in: passes through to the store and the twin alike
+        // (and violates the Comments primary key on warm replays).
         (10i64..13, 900i64..903).prop_map(|(p, c)| format!(
             "INSERT INTO Comments (CId, PId, AuthorId, Body) VALUES ({c}, {p}, 0, 'x')"
         )),
@@ -200,10 +89,10 @@ fn forum_step() -> impl Strategy<Value = Step> {
 // -------------------------------------------------------------- the driver
 
 /// Replays `steps` twice (cold, then warm) in one session per user of
-/// `uids`, in order, through the default proxy and a caches-off proxy, the
-/// latter checked against a fresh `check_concrete` oracle per request.
-/// Adds to `replays` the default proxy's decisions a learned certificate
-/// made: a template-undecidable plan (a negative template hit) replayed.
+/// `uids`, in order, through the default proxy, holding every request to
+/// the session's reference and a twin database. Adds to `replays` the
+/// decisions a learned certificate made: a template-undecidable plan (a
+/// negative template hit) replayed.
 fn assert_differential(
     schema: qlogic::RelSchema,
     policy: Policy,
@@ -213,68 +102,45 @@ fn assert_differential(
     replays: &AtomicUsize,
 ) -> Result<(), TestCaseError> {
     let checker = ComplianceChecker::new(schema, policy);
-    let cached = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
-    // Verdict caches off: every SELECT runs a fresh concrete proof,
-    // comparable 1:1 with the oracle below.
-    let nocache = SqlProxy::new(
-        db.clone(),
-        checker.clone(),
-        ProxyConfig {
-            template_cache: false,
-            session_cache: false,
-            ..Default::default()
-        },
-    );
-    let sessions: Vec<_> = uids
+    let proxy = SqlProxy::new(db.clone(), checker.clone(), ProxyConfig::default());
+    let mut twin = db.clone();
+    let mut sessions: Vec<_> = uids
         .iter()
         .map(|&uid| {
             let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
-            let sd = cached.begin_session(bindings.clone());
-            let sc = nocache.begin_session(bindings.clone());
-            (bindings, sd, sc)
+            let id = proxy.begin_session(bindings.clone());
+            (id, bindings.clone(), Reference::new(&checker, bindings))
         })
         .collect();
 
     for replay in ["cold", "warm"] {
-        for (bindings, sd, sc) in &sessions {
+        for (id, bindings, reference) in &mut sessions {
             for sql in steps {
-                // Oracle first: `check_concrete` from scratch against the
-                // caches-off session's current trace.
-                let oracle = match parse_statement(sql) {
+                let response = proxy.execute(*id, sql, &[]);
+                match parse_statement(sql) {
                     Ok(Statement::Select(q)) => {
-                        let trace = nocache.session_trace(*sc).unwrap();
-                        Some(checker.check_concrete(&q, bindings, &trace))
+                        if let Ok(ProxyResponse::Rows(rows)) = &response {
+                            let want = twin.query_with(&q, bindings).unwrap();
+                            prop_assert_eq!(rows, &want, "rows ({}) of {}", replay, sql);
+                        }
                     }
-                    _ => None,
-                };
-                let a = cached.execute(*sd, sql, &[]);
-                let c = nocache.execute(*sc, sql, &[]);
-                prop_assert_eq!(&a, &c, "caches changed a response ({}) on {}", replay, sql);
-                if let (Some(oracle), Ok(response)) = (oracle, &c) {
-                    prop_assert_eq!(
-                        oracle.is_allowed(),
-                        response.is_allowed(),
-                        "proxy vs oracle verdict diverged ({}) on {} for {:?}",
-                        replay,
-                        sql,
-                        bindings
-                    );
-                    if let (Some(reason), ProxyResponse::Blocked(got)) =
-                        (oracle.deny_reason(), response)
-                    {
-                        prop_assert_eq!(
-                            reason,
-                            got,
-                            "proxy vs oracle deny reason diverged ({}) on {}",
-                            replay,
-                            sql
-                        );
+                    Ok(_) => {
+                        // A pass-through write: the store and the twin
+                        // succeed or fail alike (a duplicate key is `Err`).
+                        let want = twin.execute_sql(sql);
+                        prop_assert_eq!(response.is_ok(), want.is_ok(), "write {}", sql);
+                        continue;
                     }
+                    Err(_) => {}
+                }
+                let response = response.unwrap_or_else(|e| panic!("{sql}: {e}"));
+                if let Err(e) = reference.check(sql, &[], &response) {
+                    return Err(TestCaseError::fail(format!("{replay}: {e}")));
                 }
             }
         }
     }
-    let events = cached.journal().events_since(0, usize::MAX);
+    let events = proxy.journal().events_since(0, usize::MAX);
     let learned = events
         .iter()
         .filter(|e| e.negative_template_hit && e.span.cert_replays > 0)

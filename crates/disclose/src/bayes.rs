@@ -10,7 +10,7 @@
 //! human belief cannot be validated). The experiments use it to show how
 //! verdicts swing with `p` while the prior-agnostic criteria stay put.
 
-use qlogic::{Cq, Term, ViewSet};
+use qlogic::{Cq, ViewSet};
 
 use crate::error::DiscloseError;
 use crate::smallmodel::{Tuple, Universe};
@@ -154,82 +154,11 @@ pub fn belief_shift(
     Ok(report)
 }
 
-/// Convenience: the probability that a *specific* tuple is in the sensitive
-/// answer, before and after observing a concrete image — used by examples to
-/// narrate the hospital scenario.
-pub fn shift_for_tuple(
-    universe: &Universe,
-    views: &ViewSet,
-    sensitive: &Cq,
-    tuple: &[Term],
-    cfg: BayesConfig,
-) -> Result<Vec<(f64, f64)>, DiscloseError> {
-    let p = cfg.tuple_prob.clamp(0.0, 1.0);
-    let dbs = universe.enumerate()?;
-    let total_candidates: usize = universe
-        .relations
-        .iter()
-        .map(|r| universe.domain.len().pow(r.arity as u32))
-        .sum();
-
-    let mut weights = Vec::new();
-    let mut images = Vec::new();
-    let mut has_tuple = Vec::new();
-    for db in &dbs {
-        let rows = db.atoms.len();
-        weights.push(p.powi(rows as i32) * (1.0 - p).powi((total_candidates - rows) as i32));
-        images.push(
-            views
-                .views()
-                .iter()
-                .map(|v| {
-                    let mut a = db.eval(v, EVAL_LIMIT);
-                    a.sort();
-                    a
-                })
-                .collect::<Vec<_>>(),
-        );
-        has_tuple.push(db.returns_tuple(sensitive, tuple));
-    }
-    let total: f64 = weights.iter().sum();
-    let prior: f64 = weights
-        .iter()
-        .zip(&has_tuple)
-        .filter(|(_, h)| **h)
-        .map(|(w, _)| w)
-        .sum::<f64>()
-        / total;
-
-    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-    for i in 0..dbs.len() {
-        match groups
-            .iter_mut()
-            .find(|(first, _)| images[*first] == images[i])
-        {
-            Some((_, members)) => members.push(i),
-            None => groups.push((i, vec![i])),
-        }
-    }
-    Ok(groups
-        .iter()
-        .map(|(_, members)| {
-            let gw: f64 = members.iter().map(|&i| weights[i]).sum();
-            let post: f64 = members
-                .iter()
-                .filter(|&&i| has_tuple[i])
-                .map(|&i| weights[i])
-                .sum::<f64>()
-                / gw.max(f64::MIN_POSITIVE);
-            (prior, post)
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::smallmodel::RelationSpec;
-    use qlogic::Atom;
+    use qlogic::{Atom, Term};
 
     fn named(mut cq: Cq, name: &str) -> Cq {
         cq.name = Some(name.into());

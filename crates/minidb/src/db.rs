@@ -70,11 +70,6 @@ impl Database {
         self.tables.keys().cloned().collect()
     }
 
-    /// Returns `true` if the table exists.
-    pub fn has_table(&self, name: &str) -> bool {
-        self.tables.contains_key(name)
-    }
-
     /// Parses and executes one statement of SQL text.
     pub fn execute_sql(&mut self, sql: &str) -> Result<ExecResult, DbError> {
         let stmt = parse_statement(sql)?;

@@ -369,16 +369,6 @@ impl CmpContext {
             CmpOp::Ge => self.known_le(b, a, false) || self.forced_eq(a, b),
         }
     }
-
-    /// `true` if the context entails every comparison in `goals`.
-    pub fn entails_all<'a>(&self, goals: impl IntoIterator<Item = &'a Comparison>) -> bool {
-        goals.into_iter().all(|g| self.entails(g))
-    }
-
-    /// The number of distinct term nodes (diagnostic).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 /// Convenience: is a conjunction of comparisons definitely unsatisfiable?

@@ -16,7 +16,6 @@ use crate::compare::CmpContext;
 use crate::cq::{apply_comparison, apply_term, Atom, CmpOp, Comparison, Cq, Subst, Term, Ucq};
 use crate::deps::{chase, ChaseOutcome, Dependencies};
 use crate::homomorphism::{find_homomorphism, HomProblem};
-use crate::instance::Instance;
 use crate::sym::{Fresh, Sym, WordMap};
 
 /// Decides `q1 ⊆ q2` (over all databases).
@@ -204,20 +203,6 @@ pub fn union_equivalent(u1: &Ucq, u2: &Ucq) -> bool {
 /// (its comparisons are not definitely contradictory).
 pub fn satisfiable(q: &Cq) -> bool {
     !CmpContext::new(&q.comparisons).is_unsat()
-}
-
-/// `true` if the query returns a tuple on some database *containing the
-/// facts* — same as [`satisfiable`] for monotone queries, but exposed for
-/// symmetry and readability at call sites.
-pub fn satisfiable_given(q: &Cq, facts: &[Atom]) -> bool {
-    let _ = facts;
-    satisfiable(q)
-}
-
-/// Evaluates a query over a ground instance and another frozen query — a
-/// helper re-export point so higher layers need only this module.
-pub fn holds_on(instance: &Instance, q: &Cq) -> bool {
-    instance.satisfies(q)
 }
 
 #[cfg(test)]

@@ -696,11 +696,6 @@ impl Cq {
             .collect();
         self.substitute(&s)
     }
-
-    /// `true` if the query has no relational atoms.
-    pub fn is_trivial(&self) -> bool {
-        self.atoms.is_empty()
-    }
 }
 
 impl fmt::Display for Cq {

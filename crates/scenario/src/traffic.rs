@@ -149,18 +149,6 @@ impl<'a> TrafficEngine<'a> {
         }
     }
 
-    /// Rebases traffic-time fresh ids. A multi-worker driver gives each
-    /// worker's engine a disjoint base (e.g. `FRESH_ID_BASE + w · 10^9`)
-    /// so concurrent engines never mint the same id.
-    pub fn with_fresh_base(mut self, base: i64) -> TrafficEngine<'a> {
-        assert!(
-            base >= FRESH_ID_BASE,
-            "fresh ids must stay above the seeded range"
-        );
-        self.fresh = base;
-        self
-    }
-
     /// Number of currently live sessions.
     pub fn live_sessions(&self) -> usize {
         self.live

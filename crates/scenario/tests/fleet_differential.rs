@@ -4,13 +4,18 @@
 //! the hand-written apps clear: the source parses, the ground-truth
 //! policy compiles, extraction runs, the app runs clean under its own
 //! policy, raw probes are blocked, and a blocked probe is diagnosable.
-//! On top of that, the whole enforcement run — every proxy decision — must
-//! be identical across same-seed executions under different memory
-//! settings, and every raw write probe must be decided as a cache-free
-//! reference decides it.
+//! On top of that, every read of an enforcement run — handler reads and
+//! raw probes — must be decided as `check_concrete` decides it over a
+//! never-compacted trace of the session's allowed reads, every raw write
+//! probe as the cache-free write reference decides it, and the whole run
+//! must be identical across same-seed executions, starved budgets
+//! included.
 
-use appdsl::{run_handler, Limits, Outcome};
-use appsim::{AppSpec, ProxyPort, Scale};
+#[path = "../../core/tests/common/reference.rs"]
+mod reference;
+
+use appdsl::{run_handler, DslError, Limits, Outcome, PortOutcome, QueryPort};
+use appsim::{AppSpec, Scale};
 use bep_core::{
     check_write_concrete, compile_write_template, ComplianceChecker, ProxyConfig, ProxyResponse,
     SqlProxy,
@@ -18,6 +23,7 @@ use bep_core::{
 use bep_diagnose::{diagnose, DiagnosisInput};
 use bep_extract::{extract_symbolic, SymLimits, ViewGenOptions};
 use bep_scenario::{fleet, GeneratedApp, TrafficConfig, TrafficEngine, TrafficOp};
+use reference::Reference;
 use sqlir::{parse_statement, Value};
 
 fn small_fleet() -> Vec<GeneratedApp> {
@@ -64,28 +70,59 @@ fn extraction_runs_on_every_fleet_app() {
     }
 }
 
+/// A port that runs each statement through the proxy and, when `check`
+/// is set, holds the response to the session's reference (a disagreement
+/// panics the run).
+struct CheckedPort<'p, 'r> {
+    proxy: &'p SqlProxy,
+    session: u64,
+    reference: &'r mut Reference<'p>,
+    check: bool,
+}
+
+impl QueryPort for CheckedPort<'_, '_> {
+    fn run(&mut self, sql: &str, bindings: &[(String, Value)]) -> Result<PortOutcome, DslError> {
+        let response = (self.proxy.execute(self.session, sql, bindings))
+            .map_err(|e| DslError::Port(e.to_string()))?;
+        if self.check {
+            if let Err(e) = self.reference.check(sql, bindings, &response) {
+                panic!("decided unlike the reference: {e}");
+            }
+        }
+        Ok(match response {
+            ProxyResponse::Rows(r) => PortOutcome::Rows(r),
+            ProxyResponse::Affected(n) => PortOutcome::Affected(n),
+            ProxyResponse::Blocked(reason) => PortOutcome::Blocked(format!("{reason:?}")),
+        })
+    }
+}
+
 /// One enforcement run: drives `ops` traffic operations through a fresh
 /// proxy built with `config`, ends every session still live, and returns
 /// the decision log (one line per op) with the proxy.
 ///
-/// Every raw write probe's verdict is checked against a cache-free
-/// reference: the statement compiled afresh and covered concretely
-/// against the session's trace facts, with no plan, template or deny
-/// cache. The session-size histogram must count every session begun.
+/// Every read goes through a [`CheckedPort`], which holds it to the
+/// session's reference when `check` is set. Every raw write probe's
+/// verdict is checked against a cache-free reference: the statement
+/// compiled afresh and covered concretely against the session's trace
+/// facts, with no plan, template or deny cache. The session-size
+/// histogram must count every session begun.
 fn enforcement_run(
     app: &GeneratedApp,
     config: ProxyConfig,
     seed: u64,
     ops: usize,
+    check: bool,
 ) -> (Vec<String>, SqlProxy) {
     let mut db = app.empty_db();
     app.populate(&mut db).expect("populate");
     let (schema, policy) = (app.schema(), app.policy().expect("policy"));
     let checker = ComplianceChecker::new(schema.clone(), policy.clone());
-    let proxy = SqlProxy::new(db, checker, config);
+    let proxy = SqlProxy::new(db, checker.clone(), config);
     let parsed = app.app();
     let mut engine = TrafficEngine::new(app, traffic_cfg(), seed);
-    let mut sessions: Vec<Option<(u64, i64)>> = vec![None; traffic_cfg().target_sessions];
+    let mut sessions: Vec<Option<(u64, i64, Reference)>> =
+        (0..traffic_cfg().target_sessions).map(|_| None).collect();
     let mut log = Vec::with_capacity(ops);
     for _ in 0..ops {
         match engine.next_op() {
@@ -94,22 +131,28 @@ fn enforcement_run(
                 uid,
                 user_index,
             } => {
-                let id = proxy.begin_session(vec![("MyUId".into(), Value::Int(uid))]);
-                sessions[slot] = Some((id, uid));
+                let bindings = vec![("MyUId".to_string(), Value::Int(uid))];
+                let id = proxy.begin_session(bindings.clone());
+                sessions[slot] = Some((id, uid, Reference::new(&checker, bindings)));
                 log.push(format!("begin u{user_index}"));
             }
             TrafficOp::End { slot } => {
-                let (id, _) = sessions[slot].take().expect("live session");
+                let (id, ..) = sessions[slot].take().expect("live session");
                 proxy.end_session(id);
                 log.push("end".to_string());
             }
             TrafficOp::RawProbe { slot, sql } => {
-                let (id, _) = sessions[slot].expect("live session");
-                let resp = proxy.execute(id, &sql, &[]).expect("raw probe executes");
-                let verdict = match resp {
-                    ProxyResponse::Blocked(_) => "blocked",
-                    ProxyResponse::Rows(_) => "rows",
-                    ProxyResponse::Affected(_) => "affected",
+                let (id, _, reference) = sessions[slot].as_mut().expect("live session");
+                let mut port = CheckedPort {
+                    proxy: &proxy,
+                    session: *id,
+                    reference,
+                    check,
+                };
+                let verdict = match port.run(&sql, &[]).expect("raw probe executes") {
+                    PortOutcome::Blocked(_) => "blocked",
+                    PortOutcome::Rows(_) => "rows",
+                    PortOutcome::Affected(_) => "affected",
                 };
                 log.push(format!("raw {verdict}"));
                 assert_eq!(
@@ -119,7 +162,7 @@ fn enforcement_run(
                 );
             }
             TrafficOp::RawWriteProbe { slot, sql } => {
-                let (id, uid) = sessions[slot].expect("live session");
+                let &(id, uid, _) = sessions[slot].as_ref().expect("live session");
                 let trace = proxy.session_trace(id).expect("live session");
                 let bindings = [("MyUId".to_string(), Value::Int(uid))];
                 let reference_allows = parse_statement(&sql).is_ok_and(|stmt| {
@@ -151,11 +194,13 @@ fn enforcement_run(
                 request,
                 kind,
             } => {
-                let (id, _) = sessions[slot].expect("live session");
+                let (id, _, reference) = sessions[slot].as_mut().expect("live session");
                 let handler = parsed.handler(&request.handler).expect("handler exists");
-                let mut port = ProxyPort {
+                let mut port = CheckedPort {
                     proxy: &proxy,
-                    session: id,
+                    session: *id,
+                    reference,
+                    check,
                 };
                 let result = run_handler(
                     &mut port,
@@ -177,7 +222,7 @@ fn enforcement_run(
             }
         }
     }
-    proxy.end_sessions(sessions.iter().flatten().map(|&(id, _)| id));
+    proxy.end_sessions(sessions.iter().flatten().map(|&(id, ..)| id));
     assert_eq!(
         proxy.session_state_size_snapshot().count,
         engine.sessions_begun(),
@@ -187,10 +232,11 @@ fn enforcement_run(
     (log, proxy)
 }
 
-/// The differential gate: same-seed enforcement runs make identical
-/// decisions whatever the memory knobs — compaction off with unbounded
-/// caches, budgets starved enough to evict — and the stream mixes all
-/// three outcome classes.
+/// The differential gate: the first run's reads agree with the reference,
+/// every run's raw write probes with the write reference, same-seed runs
+/// make identical decisions whatever the memory budgets — budgets starved
+/// enough to evict included — and the stream mixes all three outcome
+/// classes.
 #[test]
 fn enforcement_decisions_are_identical_across_same_seed_runs() {
     let enforce = ProxyConfig {
@@ -203,15 +249,6 @@ fn enforcement_decisions_are_identical_across_same_seed_runs() {
         (enforce, false),
         (
             ProxyConfig {
-                compaction: false,
-                plan_budget_bytes: 0,
-                session_cache_budget_bytes: 0,
-                ..enforce
-            },
-            false,
-        ),
-        (
-            ProxyConfig {
                 plan_budget_bytes: 16 << 10,
                 session_cache_budget_bytes: 512,
                 ..enforce
@@ -220,9 +257,11 @@ fn enforcement_decisions_are_identical_across_same_seed_runs() {
         ),
     ];
     for app in small_fleet() {
-        let (a, _) = enforcement_run(&app, enforce, 1234, 600);
+        // The first run's reads are held to the reference; every later
+        // run must log the same decisions.
+        let (a, _) = enforcement_run(&app, enforce, 1234, 600, true);
         for (config, must_evict) in configs {
-            let (b, proxy) = enforcement_run(&app, config, 1234, 600);
+            let (b, proxy) = enforcement_run(&app, config, 1234, 600, false);
             assert_eq!(a, b, "{}: same seed, same decisions ({config:?})", app.name);
             let evictions: u64 = proxy.cache_eviction_counts().iter().map(|(_, n)| n).sum();
             assert!(

@@ -322,8 +322,6 @@ pub(crate) fn blocked_detail(reason: &DenyReason) -> String {
         DenyReason::WriteNotCovered { query } => format!("{query:?}"),
         DenyReason::OutOfFragment(m) => m.clone(),
         DenyReason::ParseError(m) => m.clone(),
-        DenyReason::WriteBlocked => String::new(),
-        DenyReason::ReadOnlySession => String::new(),
     }
 }
 

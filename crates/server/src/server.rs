@@ -164,11 +164,6 @@ impl Server {
         self.busy_rejections.load(Ordering::Acquire)
     }
 
-    /// `true` once shutdown has been requested (locally or by a client).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
     /// Requests shutdown and blocks until drained: connections finish
     /// their in-flight request, orphaned sessions are swept, the reactor
     /// thread joins.

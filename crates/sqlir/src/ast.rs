@@ -18,14 +18,6 @@ pub enum Statement {
 }
 
 impl Statement {
-    /// Returns the inner query if this is a `SELECT`.
-    pub fn as_select(&self) -> Option<&Query> {
-        match self {
-            Statement::Select(q) => Some(q),
-            _ => None,
-        }
-    }
-
     /// Returns `true` if the statement only reads data.
     pub fn is_read_only(&self) -> bool {
         matches!(self, Statement::Select(_))

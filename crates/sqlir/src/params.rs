@@ -64,11 +64,6 @@ impl ParamBindings {
         self.positional.get(index)
     }
 
-    /// Iterates over the named bindings.
-    pub fn named_iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.named.iter().map(|(n, v)| (n.as_str(), v))
-    }
-
     fn resolve(&self, p: &Param) -> Result<Value, SqlError> {
         match p {
             Param::Named(n) => lookup(&self.named, p)
@@ -106,11 +101,6 @@ pub fn bind_statement(stmt: &Statement, bindings: &ParamBindings) -> Result<Stat
 /// Substitutes parameter values throughout a query.
 pub fn bind_query(q: &Query, bindings: &ParamBindings) -> Result<Query, SqlError> {
     substitute_query(q, &mut |p| bindings.resolve(p))
-}
-
-/// Substitutes parameter values throughout an expression.
-pub fn bind_expr(e: &Expr, bindings: &ParamBindings) -> Result<Expr, SqlError> {
-    substitute_expr(e, &mut |p| bindings.resolve(p))
 }
 
 /// The parameters a statement mentions, each once, in the order

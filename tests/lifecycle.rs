@@ -3,7 +3,7 @@
 //! enforcement (§2), diagnosis (§5) — plus end-to-end runs of every
 //! simulated application under enforcement.
 
-use appsim::{seed_app, workload_for, ProxyPort, Scale, ALL_APPS, CALENDAR, FORUM};
+use appsim::{seed_app, workload_for, BlindPort, ProxyPort, Scale, ALL_APPS, CALENDAR, FORUM};
 use beyond_enforcement::prelude::*;
 use beyond_enforcement::Lifecycle;
 use rand::rngs::SmallRng;
@@ -189,45 +189,45 @@ fn extracted_calendar_policy_protects_other_users() {
     );
 }
 
-/// Trace-awareness matters end to end: with it, Listing 1 works; without
-/// it, the second query is blocked (T4's headline row).
+/// Trace-awareness matters end to end: with the session's trace, Listing 1
+/// works; with each statement decided in a fresh session (no trace), the
+/// second query is blocked (T4's headline row).
 #[test]
 fn trace_awareness_ablation() {
-    for (trace_aware, expect_ok) in [(true, true), (false, false)] {
-        let mut db = CALENDAR.empty_db();
-        db.execute_sql("INSERT INTO Users (UId, Name) VALUES (101, 'ann')")
-            .unwrap();
-        db.execute_sql("INSERT INTO Events (EId, Title, Kind) VALUES (1, 'x', 'work')")
-            .unwrap();
-        db.execute_sql("INSERT INTO Attendance (UId, EId, Notes) VALUES (101, 1, NULL)")
-            .unwrap();
-        let checker = ComplianceChecker::new(CALENDAR.schema(), CALENDAR.policy().unwrap());
-        let config = ProxyConfig {
-            trace_aware,
-            ..Default::default()
-        };
-        let proxy = SqlProxy::new(db, checker, config);
-        let bindings = vec![("MyUId".to_string(), Value::Int(101))];
-        let session = proxy.begin_session(bindings.clone());
-        let mut port = ProxyPort {
-            proxy: &proxy,
-            session,
-        };
-        let result = run_handler(
-            &mut port,
+    let mut db = CALENDAR.empty_db();
+    db.execute_sql("INSERT INTO Users (UId, Name) VALUES (101, 'ann')")
+        .unwrap();
+    db.execute_sql("INSERT INTO Events (EId, Title, Kind) VALUES (1, 'x', 'work')")
+        .unwrap();
+    db.execute_sql("INSERT INTO Attendance (UId, EId, Notes) VALUES (101, 1, NULL)")
+        .unwrap();
+    let checker = ComplianceChecker::new(CALENDAR.schema(), CALENDAR.policy().unwrap());
+    let proxy = SqlProxy::new(db, checker, ProxyConfig::default());
+    let bindings = vec![("MyUId".to_string(), Value::Int(101))];
+    let show_event = |port: &mut dyn appdsl::QueryPort| {
+        run_handler(
+            port,
             CALENDAR.app().handler("show_event").unwrap(),
             &bindings,
             &[("event_id".into(), Value::Int(1))],
             Limits::default(),
         )
-        .unwrap();
-        if expect_ok {
-            assert_eq!(result.outcome, Outcome::Ok, "trace-aware run succeeds");
-        } else {
-            assert!(
-                matches!(result.outcome, Outcome::Blocked { .. }),
-                "trace-blind proxy blocks the fetch"
-            );
-        }
-    }
+        .unwrap()
+    };
+
+    let session = proxy.begin_session(bindings.clone());
+    let traced = show_event(&mut ProxyPort {
+        proxy: &proxy,
+        session,
+    });
+    assert_eq!(traced.outcome, Outcome::Ok, "trace-aware run succeeds");
+
+    let blind = show_event(&mut BlindPort {
+        proxy: &proxy,
+        bindings: bindings.clone(),
+    });
+    assert!(
+        matches!(blind.outcome, Outcome::Blocked { .. }),
+        "trace-blind run blocks the fetch"
+    );
 }
