@@ -1,11 +1,13 @@
 //! F3 — Proxy overhead: per-query latency of direct execution vs the
 //! enforcing proxy, plus the cost of one cold compliance decision (the
-//! quantity the caches amortize).
+//! quantity the caches amortize) and of recording one fresh read into a
+//! session's trace.
 
 use appsim::{Scale, CALENDAR};
 use bep_bench::{app_env, proxy_for};
 use bep_core::{ProxyConfig, Trace};
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use qlogic::{Atom, Cq, Term};
 use sqlir::Value;
 
 fn bench_proxy_overhead(c: &mut Criterion) {
@@ -83,5 +85,59 @@ fn bench_decision_latency(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_proxy_overhead, bench_decision_latency);
+/// A social `feed` read recorded fresh: 16 rows of
+/// `ans(p, t, a) :- Follows(1, a), Posts(p, a, t, b)` (titles and authors
+/// repeat, every body a Skolem) after a 4-row `view_author` read of
+/// `ans(p, t, b) :- Posts(p, 7, t, b)`, on a fresh trace each time.
+fn bench_trace_record(c: &mut Criterion) {
+    let v = Term::var;
+    let view = Cq::new(
+        vec![v("p"), v("t"), v("b")],
+        vec![Atom::new(
+            "Posts",
+            vec![v("p"), Term::int(7), v("t"), v("b")],
+        )],
+        vec![],
+    );
+    let feed = Cq::new(
+        vec![v("p"), v("t"), v("a")],
+        vec![
+            Atom::new("Follows", vec![Term::int(1), v("a")]),
+            Atom::new("Posts", vec![v("p"), v("a"), v("t"), v("b")]),
+        ],
+        vec![],
+    );
+    let title = |k: i64| Value::str(format!("post title number {}", k % 11));
+    let view_rows: Vec<Vec<Value>> = (0..4)
+        .map(|k| vec![Value::Int(100 + k), title(k), Value::str("a post body")])
+        .collect();
+    let feed_rows: Vec<Vec<Value>> = (0..16)
+        .map(|k| vec![Value::Int(200 + k), title(k), Value::Int(7 + k % 5)])
+        .collect();
+
+    let mut group = c.benchmark_group("trace");
+    group.sample_size(200);
+    group.bench_function("record_feed_16", |b| {
+        b.iter_batched(
+            || {
+                let mut t = Trace::new();
+                t.record_rows(view.clone(), &view_rows, true);
+                (t, feed.clone())
+            },
+            |(mut t, feed)| {
+                t.record_rows(feed, &feed_rows, true);
+                t
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_proxy_overhead,
+    bench_decision_latency,
+    bench_trace_record
+);
 criterion_main!(benches);

@@ -1552,7 +1552,7 @@ impl SqlProxy {
     }
 
     fn record_single_disjunct(&self, session_id: u64, cq: qlogic::Cq, rows: &Rows) {
-        if !cq.params().is_empty() {
+        if cq.has_params() {
             return; // unbound parameters: nothing definite to record
         }
         if let Some(session) = self.shard(session_id).write().get_mut(&session_id) {

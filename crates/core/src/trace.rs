@@ -81,6 +81,44 @@
 //! probe no longer leaves one block of mutually pinned facts per repeat
 //! (blocks the single-atom test never absorbs).
 //!
+//! # Shortcuts: what a fresh row costs
+//!
+//! A record that is news pays per witnessed row and per new fact, so the
+//! work there is cut to what the store's invariants leave open — without
+//! changing one fact, Skolem name, version or dropped count (the
+//! `the_trace_is_pinned_fact_for_fact` test pins a scripted sequence).
+//! The query's variables are derived once per record, not per row, one
+//! substitution is reused across the rows, and a Skolem is
+//! [`Sym::skolem`], read from a fixed table where it was spelled with
+//! `format!` and interned. Three facts carry the rest. Every variable of
+//! a witnessed fact is a Skolem its `witness` call minted (each query
+//! variable is bound to a cell or to a fresh Skolem), and the counter
+//! only grows, so:
+//!
+//! 1. **A fact holding a freshly minted Skolem is new to the store.** No
+//!    stored fact holds that Skolem: facts pushed earlier hold earlier
+//!    Skolems, and an assumed fact's nulls are never spelled like a
+//!    Skolem ([`Trace::assume_fact`]). So it can equal only a fact the
+//!    same call pushed — `ans(x, y) :- R(x, z), R(y, z)` on row `(5, 5)`
+//!    makes both atoms `R(5, sk)` — and `witness` scans the call's own
+//!    facts for it; only a ground fact is looked up in the whole store.
+//! 2. **A ground fact is never implied.** With no variable to move, it
+//!    maps only onto an equal fact, and no two stored facts are equal
+//!    (every push is checked, removals make no duplicates). So `absorb`
+//!    tests neither a ground old fact nor a ground new one.
+//! 3. **After the first pass, only a new fact sharing a variable with a
+//!    fact removed in the previous pass, or earlier in the current one,
+//!    can change its verdict.** Any other new fact failed its last test,
+//!    one pass ago; no fact it shares a variable with has left since, so
+//!    its pinned set is the same, and its candidate targets are a subset
+//!    of what they were (facts only leave). It fails again, so skipping
+//!    it leaves the sequence of removals — and with it the store, the
+//!    version and the counts — exactly as testing it would.
+//!
+//! And a pin only forbids mappings, so a new fact that maps onto nothing
+//! with no variable pinned is not implied; its pinned set is computed
+//! only when some fact passes that unpinned test.
+//!
 //! # Byte account
 //!
 //! The trace carries a running sum of the heap bytes its elements own,
@@ -90,7 +128,7 @@
 
 use std::mem::size_of;
 
-use qlogic::{Atom, Cq, Subst, Sym, Term};
+use qlogic::{Atom, CVal, Cq, Subst, Sym, Term};
 use sqlir::Value;
 
 use crate::mem::{atom_heap_bytes, cq_heap_bytes, value_heap_bytes};
@@ -191,6 +229,23 @@ fn entry_bytes(entry: &TraceEntry) -> usize {
     b
 }
 
+/// Whether `atom` has a variable — for a witnessed fact, a Skolem.
+fn has_variable(atom: &Atom) -> bool {
+    atom.args.iter().any(|t| matches!(t, Term::Var(_)))
+}
+
+/// `c.to_value() == *v`, without building the `Value` (for a text cell, a
+/// `String`).
+fn is_value(c: CVal, v: &Value) -> bool {
+    match (c, v) {
+        (CVal::Null, Value::Null) => true,
+        (CVal::Int(a), Value::Int(b)) => a == *b,
+        (CVal::Str(a), Value::Str(b)) => a.as_str() == b,
+        (CVal::Bool(a), Value::Bool(b)) => a == *b,
+        _ => false,
+    }
+}
+
 /// Whether some substitution of `src`'s variables — the identity on those
 /// in `pinned` — turns `src` into `dst`: [`qlogic::fact_implied`]'s search,
 /// for one target atom, without compiling a problem.
@@ -287,13 +342,15 @@ impl Trace {
         let mut dropped = 0;
         // Old facts, oldest first (so a later, more specific fact absorbs
         // an earlier Skolemized one): only one that maps onto a new fact
-        // and shares no variable can have become implied.
+        // and shares no variable can have become implied — and a ground
+        // one never is.
         let mut i = 0;
         while i < first_new {
             let old = &self.facts[i];
-            if self.facts[first_new..]
-                .iter()
-                .any(|new| maps_onto(old, new, &[]))
+            if has_variable(old)
+                && self.facts[first_new..]
+                    .iter()
+                    .any(|new| maps_onto(old, new, &[]))
                 && !self.shares_a_variable(i)
             {
                 self.remove_fact(i);
@@ -305,16 +362,28 @@ impl Trace {
         }
         // New facts: the general test, pinned on the Skolems they share —
         // fresh, so only with each other — until a pass removes nothing (a
-        // removal can unpin a survivor).
+        // removal can unpin a survivor). A ground fact is never implied,
+        // and after the first pass only a fact sharing a variable with one
+        // removed in the previous pass or earlier in this one can have
+        // changed (module docs, "Shortcuts").
         let mut pinned = Vec::new();
+        let (mut freed_before, mut freed_now) = (Vec::new(), Vec::new());
+        let mut first_pass = true;
         loop {
             let before = dropped;
             let mut i = first_new;
             while i < self.facts.len() {
-                self.pinned_variables(first_new, i, &mut pinned);
                 let new = &self.facts[i];
-                if (0..self.facts.len()).any(|j| j != i && maps_onto(new, &self.facts[j], &pinned))
-                {
+                let candidate = if first_pass {
+                    has_variable(new)
+                } else {
+                    new.args
+                        .iter()
+                        .filter_map(Term::as_var)
+                        .any(|v| freed_before.contains(&v) || freed_now.contains(&v))
+                };
+                if candidate && self.implied_new(first_new, i, &mut pinned) {
+                    freed_now.extend(self.facts[i].args.iter().filter_map(Term::as_var));
                     self.remove_fact(i);
                     dropped += 1;
                 } else {
@@ -324,7 +393,26 @@ impl Trace {
             if dropped == before {
                 return dropped;
             }
+            std::mem::swap(&mut freed_before, &mut freed_now);
+            freed_now.clear();
+            first_pass = false;
         }
+    }
+
+    /// Whether the new fact `facts[i]` maps onto another fact, pinned on
+    /// the variables it shares with `facts[first_new..]`.
+    fn implied_new(&self, first_new: usize, i: usize, pinned: &mut Vec<Sym>) -> bool {
+        let new = &self.facts[i];
+        let maps = |pinned: &[Sym]| {
+            (0..self.facts.len()).any(|j| j != i && maps_onto(new, &self.facts[j], pinned))
+        };
+        // A pin only forbids mappings, so a fact that maps nowhere unpinned
+        // needs no pinned set.
+        if !maps(&[]) {
+            return false;
+        }
+        self.pinned_variables(first_new, i, pinned);
+        maps(pinned)
     }
 
     /// Whether a variable of `facts[i]` occurs in any other fact. Facts
@@ -360,21 +448,30 @@ impl Trace {
     }
 
     fn witness_observation(&mut self, query: &Cq, observation: &Observation) {
-        match observation {
-            Observation::Empty => {}
-            Observation::NonEmpty => self.witness(query, None),
-            Observation::Rows(rows) => {
+        let rows = match observation {
+            Observation::Empty => return,
+            Observation::NonEmpty => None,
+            Observation::Rows(rows) => Some(rows),
+        };
+        // One plan per record: the variables to bind, derived once, and one
+        // substitution, cleared per row.
+        let variables = query.variables();
+        let mut subst = Subst::with_capacity(variables.len());
+        match rows {
+            None => self.witness(query, &variables, &mut subst, None),
+            Some(rows) => {
                 for row in rows.iter().take(MAX_FACT_ROWS) {
-                    self.witness(query, Some(row));
+                    self.witness(query, &variables, &mut subst, Some(row));
                 }
             }
         }
     }
 
     /// Adds the facts witnessed by one satisfying assignment: head variables
-    /// bound to the returned row (if given), all other variables Skolemized.
-    fn witness(&mut self, query: &Cq, row: Option<&[Value]>) {
-        let mut subst = Subst::new();
+    /// bound to the returned row (if given), all other `variables` of
+    /// `query` Skolemized. `subst` is scratch space.
+    fn witness(&mut self, query: &Cq, variables: &[Sym], subst: &mut Subst, row: Option<&[Value]>) {
+        subst.clear();
         if let Some(row) = row {
             if row.len() != query.head.len() {
                 return; // malformed observation; contribute nothing
@@ -385,23 +482,28 @@ impl Trace {
                         continue; // a NULL tells us nothing definite
                     }
                     match subst.get(name) {
-                        Some(Term::Const(prev)) if prev.to_value() != *v => return,
-                        _ => {
+                        Some(Term::Const(prev)) if !is_value(*prev, v) => return,
+                        Some(_) => {} // bound to this very value already
+                        None => {
                             subst.insert(*name, Term::constant(v));
                         }
                     }
                 }
             }
         }
-        for v in query.variables() {
+        for &v in variables {
             if !subst.contains_key(&v) {
                 self.skolem_counter += 1;
-                subst.insert(v, Term::var(format!("sk{}", self.skolem_counter)));
+                subst.insert(v, Term::Var(Sym::skolem(self.skolem_counter)));
             }
         }
+        // A fact holding a Skolem minted just above is new to the store; it
+        // can only repeat one this call pushed (module docs, "Shortcuts").
+        let call_start = self.facts.len();
         for atom in &query.atoms {
-            let fact = qlogic::cq::apply_atom(atom, &subst);
-            if !self.facts.contains(&fact) {
+            let fact = qlogic::cq::apply_atom(atom, subst);
+            let from = if has_variable(&fact) { call_start } else { 0 };
+            if !self.facts[from..].contains(&fact) {
                 self.push_fact(fact);
             }
         }
@@ -922,5 +1024,167 @@ mod tests {
         t.compact();
         assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
         assert!(t.heap_bytes() > 0);
+    }
+
+    /// `(dropped, version, facts, Skolems minted)` after one record.
+    type Step = (usize, u64, usize, u64);
+
+    /// Records a scripted sequence through `record_rows` and
+    /// `record_compacting` — a `view_author`-shaped read, a probe the
+    /// next read absorbs, a 16-row `feed`-shaped read whose titles and
+    /// authors repeat, a within-call collision, a repeated head variable
+    /// and the `pinned_pair` fixpoint — and returns, after each record,
+    /// `(dropped, version, facts, Skolems minted)`, then the facts.
+    fn scripted_sequence() -> (Vec<Step>, Vec<String>) {
+        let v = |name: &str| Term::var(name);
+        // view_author: ans(p, t, b) :- Posts(p, 7, t, b)
+        let view_author = Cq::new(
+            vec![v("p"), v("t"), v("b")],
+            vec![Atom::new(
+                "Posts",
+                vec![v("p"), Term::int(7), v("t"), v("b")],
+            )],
+            vec![],
+        );
+        let view_rows: Vec<Vec<Value>> = (0..4)
+            .map(|k| {
+                vec![
+                    Value::Int(10 + k),
+                    Value::str(format!("title {k}")),
+                    Value::str(format!("body {k}")),
+                ]
+            })
+            .collect();
+        // feed: ans(p, t, a) :- Follows(1, a), Posts(p, a, t, b)
+        let feed = Cq::new(
+            vec![v("p"), v("t"), v("a")],
+            vec![
+                Atom::new("Follows", vec![Term::int(1), v("a")]),
+                Atom::new("Posts", vec![v("p"), v("a"), v("t"), v("b")]),
+            ],
+            vec![],
+        );
+        // Titles and authors repeat; the first four rows are the posts
+        // `view_author` returned, so their Skolemized facts drop.
+        let feed_rows: Vec<Vec<Value>> = (0..16)
+            .map(|k| {
+                let author = if k < 4 { 7 } else { [8, 9, 7][k as usize % 3] };
+                vec![
+                    Value::Int(10 + k),
+                    Value::str(format!("title {}", k % 5)),
+                    Value::Int(author),
+                ]
+            })
+            .collect();
+        // ans() :- Follows(1, a): absorbed by the feed's Follows(1, 7).
+        let follows_someone = Cq::new(
+            vec![],
+            vec![Atom::new("Follows", vec![Term::int(1), v("a")])],
+            vec![],
+        );
+        // ans(x, y) :- R(x, z), R(y, z): row (5, 5) makes both atoms
+        // R(5, sk); a NULL cell leaves its variable to a Skolem.
+        let collide = Cq::new(
+            vec![v("x"), v("y")],
+            vec![
+                Atom::new("R", vec![v("x"), v("z")]),
+                Atom::new("R", vec![v("y"), v("z")]),
+            ],
+            vec![],
+        );
+        let collide_rows = vec![
+            vec![Value::Int(5), Value::Int(5)],
+            vec![Value::Int(6), Value::Null],
+        ];
+        // ans(x, x, y) :- S(x, y): a row whose repeated cells disagree
+        // witnesses nothing.
+        let repeated = Cq::new(
+            vec![v("x"), v("x"), v("y")],
+            vec![Atom::new("S", vec![v("x"), v("y")])],
+            vec![],
+        );
+        let repeated_rows = vec![
+            vec![Value::str("u"), Value::str("u"), Value::Int(1)],
+            vec![Value::str("u"), Value::str("v"), Value::Int(2)],
+            vec![Value::str("w"), Value::str("w"), Value::Null],
+        ];
+        // Rows are recorded as a `SELECT`'s are; `None` is a non-empty probe.
+        let records = [
+            (view_author, Some(view_rows)),
+            (follows_someone, None),
+            (feed, Some(feed_rows)),
+            (collide.clone(), Some(collide_rows)),
+            (collide, None),
+            (repeated, Some(repeated_rows)),
+            (ground_t(), None),
+            (pinned_pair(), None),
+        ];
+        let mut t = Trace::new();
+        let steps = records
+            .into_iter()
+            .map(|(q, rows)| {
+                let dropped = match rows {
+                    Some(rows) => t.record_rows(q, &rows, true),
+                    None => t.record_compacting(q, Observation::NonEmpty),
+                };
+                (dropped, t.version(), t.facts().len(), t.skolem_counter)
+            })
+            .collect();
+        let facts = t.facts().iter().map(ToString::to_string).collect();
+        (steps, facts)
+    }
+
+    /// The trace's contents are a function of what it was shown, and the
+    /// shortcuts in `witness` and `absorb` (module docs) change only what
+    /// that costs. The literals below were generated by running
+    /// `scripted_sequence` on the trace as it stood before those
+    /// shortcuts (re-deriving the plan per row, scanning the whole store
+    /// for every fact, re-testing every new fact on every pass): every
+    /// fact, Skolem name, version and dropped count must stay as it was.
+    #[test]
+    fn the_trace_is_pinned_fact_for_fact() {
+        let (steps, facts) = scripted_sequence();
+        assert_eq!(
+            steps,
+            [
+                (0, 4, 4, 0),
+                (0, 5, 5, 1),
+                (5, 29, 19, 17),
+                (1, 33, 21, 20),
+                (2, 37, 21, 23),
+                (0, 39, 23, 24),
+                (0, 40, 24, 24),
+                (2, 44, 24, 26),
+            ]
+        );
+        assert_eq!(
+            facts,
+            [
+                "Posts(10, 7, 'title 0', 'body 0')",
+                "Posts(11, 7, 'title 1', 'body 1')",
+                "Posts(12, 7, 'title 2', 'body 2')",
+                "Posts(13, 7, 'title 3', 'body 3')",
+                "Follows(1, 7)",
+                "Follows(1, 9)",
+                "Posts(14, 9, 'title 4', sk6)",
+                "Posts(15, 7, 'title 0', sk7)",
+                "Follows(1, 8)",
+                "Posts(16, 8, 'title 1', sk8)",
+                "Posts(17, 9, 'title 2', sk9)",
+                "Posts(18, 7, 'title 3', sk10)",
+                "Posts(19, 8, 'title 4', sk11)",
+                "Posts(20, 9, 'title 0', sk12)",
+                "Posts(21, 7, 'title 1', sk13)",
+                "Posts(22, 8, 'title 2', sk14)",
+                "Posts(23, 9, 'title 3', sk15)",
+                "Posts(24, 7, 'title 4', sk16)",
+                "Posts(25, 8, 'title 0', sk17)",
+                "R(5, sk18)",
+                "R(6, sk20)",
+                "S('u', 1)",
+                "S('w', sk24)",
+                "T(2, 1, 1)",
+            ]
+        );
     }
 }

@@ -410,6 +410,11 @@ impl Subst {
         self.entries.is_empty()
     }
 
+    /// Removes every binding, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Looks up a binding.
     pub fn get<K: ToSym + ?Sized>(&self, key: &K) -> Option<&Term> {
         let k = key.to_sym();
@@ -609,6 +614,18 @@ impl Cq {
             }
         }
         out
+    }
+
+    /// Whether any parameter is mentioned: [`Cq::params`]`().is_empty()`
+    /// negated, without collecting them.
+    pub fn has_params(&self) -> bool {
+        let param = |t: &Term| matches!(t, Term::Param(_));
+        self.head.iter().any(param)
+            || self.atoms.iter().any(|a| a.args.iter().any(param))
+            || self
+                .comparisons
+                .iter()
+                .any(|c| param(&c.lhs) || param(&c.rhs))
     }
 
     /// Named parameters mentioned anywhere.
@@ -814,6 +831,30 @@ mod tests {
         let inst = q.instantiate(&[("MyUId".into(), Value::Int(1))]);
         assert_eq!(inst.atoms[0].args[0], Term::int(1));
         assert!(inst.params().is_empty());
+        assert!(q.has_params() && !inst.has_params());
+    }
+
+    #[test]
+    fn has_params_looks_everywhere_params_does() {
+        let x = || Term::var("x");
+        let p = || Term::param("p");
+        let atom = |t: Term| Atom::new("R", vec![x(), t]);
+        let cmp = |t: Term| Comparison::new(x(), CmpOp::Lt, t);
+        let queries = [
+            Cq::new(vec![x()], vec![atom(Term::int(1))], vec![cmp(Term::int(2))]),
+            Cq::new(vec![p()], vec![atom(Term::int(1))], vec![]),
+            Cq::new(vec![x()], vec![atom(p())], vec![]),
+            Cq::new(vec![x()], vec![atom(x())], vec![cmp(p())]),
+            Cq::new(
+                vec![x()],
+                vec![atom(x())],
+                vec![Comparison::new(p(), CmpOp::Ne, x())],
+            ),
+        ];
+        for q in &queries {
+            assert_eq!(q.has_params(), !q.params().is_empty(), "{q}");
+        }
+        assert!(!queries[0].has_params());
     }
 
     #[test]
@@ -875,6 +916,9 @@ mod tests {
         assert_eq!(a, b);
         b.insert("z", Term::int(3));
         assert_ne!(a, b);
+        b.clear();
+        assert!(b.is_empty() && b.get("x").is_none());
+        assert_eq!(b, Subst::new());
     }
 
     #[test]

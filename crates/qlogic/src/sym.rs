@@ -51,6 +51,17 @@
 //! parsers cannot produce a `·`, so no user name lands in the block. A
 //! scratch symbol means nothing outside the call that drew it — two calls,
 //! concurrent or not, reuse the same ones.
+//!
+//! # Skolem symbols
+//!
+//! A query trace names the labeled nulls it mints `sk1`, `sk2`, … with a
+//! counter per trace, and mints one for every unknown cell of every row
+//! it witnesses. [`Sym::skolem`]`(k)` is the symbol `sk{k}` — the very
+//! one `intern(&format!("sk{k}"))` returns, so names, order and printed
+//! facts are unchanged — read from a second fixed table for the first
+//! few thousand `k`, as the scratch symbols are. Unlike those, a Skolem
+//! symbol is an ordinary name: it outlives the call and a parser can
+//! spell it.
 
 use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet};
@@ -184,6 +195,31 @@ const SCRATCH: usize = 1 << 12;
 /// Ids of the scratch symbols already interned (`u32::MAX`: not yet).
 static SCRATCH_IDS: [AtomicU32; SCRATCH] = [const { AtomicU32::new(u32::MAX) }; SCRATCH];
 
+/// Size of the Skolem block ([`Sym::skolem`]); past it, a Skolem pays the
+/// interner.
+const SKOLEMS: usize = 1 << 12;
+
+/// Ids of the Skolem symbols already interned (`u32::MAX`: not yet).
+static SKOLEM_IDS: [AtomicU32; SKOLEMS] = [const { AtomicU32::new(u32::MAX) }; SKOLEMS];
+
+/// The `k`-th symbol of a fixed block: interned from `spell()` on first
+/// use and read from `table` lock-free ever after; past the table's end,
+/// interned every time.
+fn tabled(table: &[AtomicU32], k: u64, spell: impl FnOnce() -> String) -> Sym {
+    let Some(slot) = usize::try_from(k).ok().and_then(|k| table.get(k)) else {
+        return intern(&spell());
+    };
+    // Acquire/release: whoever reads the id here may resolve it.
+    match slot.load(Ordering::Acquire) {
+        u32::MAX => {
+            let sym = intern(&spell());
+            slot.store(sym.0, Ordering::Release);
+            sym
+        }
+        id => Sym(id),
+    }
+}
+
 /// Interns a string, returning its stable [`Sym`].
 ///
 /// Equal strings always return the same id: the shard lock serializes all
@@ -255,18 +291,14 @@ impl Sym {
     /// The `k`-th scratch symbol (module docs): distinct for distinct `k`,
     /// and from every name a parser can produce.
     pub fn scratch(k: usize) -> Sym {
-        let Some(slot) = SCRATCH_IDS.get(k) else {
-            return intern(&format!("·{k}"));
-        };
-        // Acquire/release: whoever reads the id here may resolve it.
-        match slot.load(Ordering::Acquire) {
-            u32::MAX => {
-                let sym = intern(&format!("·{k}"));
-                slot.store(sym.0, Ordering::Release);
-                sym
-            }
-            id => Sym(id),
-        }
+        tabled(&SCRATCH_IDS, k as u64, || format!("·{k}"))
+    }
+
+    /// The Skolem symbol `sk{k}` (module docs): equal to
+    /// `Sym::new(&format!("sk{k}"))`, without the `format!` or the shard
+    /// lock once drawn.
+    pub fn skolem(k: u64) -> Sym {
+        tabled(&SKOLEM_IDS, k, || format!("sk{k}"))
     }
 }
 
@@ -497,6 +529,30 @@ mod tests {
             assert_eq!(sym.as_str(), format!("·{k}"));
         }
         assert_eq!(Fresh::default().next_sym(), drawn[0], "every call restarts");
+    }
+
+    #[test]
+    fn skolem_symbols_are_the_interned_spellings() {
+        let ks = [0, 1, SKOLEMS as u64 - 1, SKOLEMS as u64, 1_000_000];
+        for k in ks {
+            let name = format!("sk{k}");
+            // First draw (interns), second draw (the table), and the
+            // spelling interned directly all name one symbol.
+            let drawn = Sym::skolem(k);
+            assert_eq!(drawn, Sym::new(&name), "k = {k}");
+            assert_eq!(Sym::skolem(k), drawn);
+            assert_eq!(drawn.as_str(), name);
+        }
+        // A `k` drawn first by several threads at once: they agree.
+        let k = 2_345;
+        let drawn: Vec<Sym> = (0..4)
+            .map(|_| std::thread::spawn(move || Sym::skolem(k)))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect();
+        assert!(drawn.iter().all(|s| *s == Sym::new("sk2345")), "{drawn:?}");
+        assert_eq!(Sym::skolem(k), drawn[0]);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The build container has no crates.io access, so the workspace patches
 //! `criterion` to this crate (see `[patch.crates-io]` in the root manifest).
 //! It implements the API subset the `bep-bench` benches use — groups,
-//! `bench_function`, `bench_with_input`, `Bencher::iter` — with a simple
+//! `bench_function`, `bench_with_input`, `Bencher::iter`,
+//! `Bencher::iter_batched` — with a simple
 //! measure-and-print harness: a short warm-up, then timed batches, reporting
 //! the median per-iteration time. No statistics engine, no HTML reports.
 
@@ -50,6 +51,14 @@ impl From<String> for BenchmarkId {
     }
 }
 
+/// How many inputs `iter_batched` sets up per batch. The stand-in times
+/// every routine call on its own, so the size is accepted and ignored.
+#[derive(Debug, Clone, Copy)]
+pub enum BatchSize {
+    /// Inputs cheap to hold many of.
+    SmallInput,
+}
+
 /// The timing loop handed to each benchmark closure.
 pub struct Bencher {
     samples: usize,
@@ -59,16 +68,37 @@ pub struct Bencher {
 impl Bencher {
     /// Times `f`, recording the median per-iteration cost.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // Warm-up: run a few iterations untimed.
-        for _ in 0..2 {
-            black_box(f());
-        }
-        let mut per_iter: Vec<Duration> = Vec::with_capacity(self.samples);
-        for _ in 0..self.samples {
+        self.sample(|| {
             let start = Instant::now();
             black_box(f());
-            per_iter.push(start.elapsed());
+            start.elapsed()
+        });
+    }
+
+    /// Times `routine` on inputs made by `setup`, which is not timed; nor
+    /// is dropping what `routine` returns.
+    pub fn iter_batched<I, O, S, R>(&mut self, mut setup: S, mut routine: R, _size: BatchSize)
+    where
+        S: FnMut() -> I,
+        R: FnMut(I) -> O,
+    {
+        self.sample(|| {
+            let input = setup();
+            let start = Instant::now();
+            let out = black_box(routine(input));
+            let elapsed = start.elapsed();
+            drop(out);
+            elapsed
+        });
+    }
+
+    /// Runs `timed` twice to warm up, then once per sample, and records
+    /// the median of the durations it returns.
+    fn sample(&mut self, mut timed: impl FnMut() -> Duration) {
+        for _ in 0..2 {
+            timed();
         }
+        let mut per_iter: Vec<Duration> = (0..self.samples).map(|_| timed()).collect();
         per_iter.sort_unstable();
         self.last_per_iter = per_iter[per_iter.len() / 2];
     }
@@ -191,6 +221,18 @@ mod tests {
         group.bench_with_input(BenchmarkId::new("param", 3), &3, |b, n| {
             b.iter(|| black_box(*n * 2))
         });
+        let (mut set_up, mut routed) = (0, 0);
+        group.bench_function("batched", |b| {
+            b.iter_batched(
+                || {
+                    set_up += 1;
+                    set_up
+                },
+                |n| routed += n,
+                BatchSize::SmallInput,
+            )
+        });
+        assert!(set_up >= 5 && routed > 0, "{set_up} inputs, sum {routed}");
         group.finish();
     }
 }
