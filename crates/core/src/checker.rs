@@ -30,7 +30,7 @@ use qlogic::{
 };
 use sqlir::{Query, Value};
 
-use crate::decision::{Decision, DecisionSource, DenyReason};
+use crate::decision::{Decision, DenyReason};
 use crate::error::CoreError;
 use crate::policy::Policy;
 use crate::trace::Trace;
@@ -156,7 +156,7 @@ impl ComplianceChecker {
                 }
             }
         };
-        self.decide(&ucq, views, &[], DecisionSource::TemplateProof)
+        self.decide(&ucq, views, &[])
     }
 
     /// Decides an instantiated query for one session, using its trace.
@@ -189,16 +189,10 @@ impl ComplianceChecker {
                 }
             }
         };
-        self.decide(&ucq, &views, trace.facts(), DecisionSource::ConcreteProof)
+        self.decide(&ucq, &views, trace.facts())
     }
 
-    fn decide(
-        &self,
-        ucq: &Ucq,
-        views: &qlogic::ViewSet,
-        facts: &[qlogic::Atom],
-        source: DecisionSource,
-    ) -> Decision {
+    fn decide(&self, ucq: &Ucq, views: &qlogic::ViewSet, facts: &[qlogic::Atom]) -> Decision {
         let mut rewritings = Vec::with_capacity(ucq.disjuncts.len());
         for d in &ucq.disjuncts {
             match self.prove_disjunct(d, views, facts) {
@@ -210,7 +204,7 @@ impl ComplianceChecker {
                 }
             }
         }
-        Decision::Allowed { source, rewritings }
+        Decision::Allowed { rewritings }
     }
 }
 

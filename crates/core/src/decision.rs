@@ -2,19 +2,6 @@
 
 use qlogic::Cq;
 
-/// How a positive decision was reached (for cache-effectiveness reporting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionSource {
-    /// Decided by a fresh template-level (session-independent) proof.
-    TemplateProof,
-    /// Served from the template cache.
-    TemplateCache,
-    /// Decided by a fresh concrete (session + trace) proof.
-    ConcreteProof,
-    /// Served from the per-session decision cache.
-    SessionCache,
-}
-
 /// Why a query was denied.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DenyReason {
@@ -55,10 +42,7 @@ impl DenyReason {
 pub enum Decision {
     /// The query may execute as-is.
     Allowed {
-        /// How the decision was reached.
-        source: DecisionSource,
-        /// Equivalent rewritings found, one per disjunct (empty when served
-        /// from a cache).
+        /// Equivalent rewritings found, one per disjunct.
         rewritings: Vec<Cq>,
     },
     /// The query must be blocked.

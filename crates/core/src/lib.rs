@@ -22,6 +22,7 @@
 pub mod cache;
 pub mod checker;
 pub mod classify;
+mod decide;
 pub mod decision;
 pub mod error;
 pub mod latency;
@@ -39,7 +40,7 @@ pub mod write;
 pub use cache::BoundedCache;
 pub use checker::ComplianceChecker;
 pub use classify::StatementClass;
-pub use decision::{Decision, DecisionSource, DenyReason};
+pub use decision::{Decision, DenyReason};
 pub use error::CoreError;
 pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use lint::{lint_template, lint_templates};

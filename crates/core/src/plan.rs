@@ -19,7 +19,7 @@
 //!   argument on that function: a view sharing no relation name with the
 //!   disjunct contributes zero MiniCon descriptions, so dropping it is
 //!   decision-identical for every binding, fact set, and search mode), and
-//! * the template-level verdict, when the proxy attempts one, and
+//! * the template-level verdict, and
 //! * for a template-*undecidable* plan, the certificate each disjunct's
 //!   concrete proofs last learned (`DisjunctPlan::learn`), so the next
 //!   session's proof is a check of a known rewriting, not a search for one.
@@ -170,11 +170,11 @@ pub struct SelectPlan {
     /// The UCQ translation with pruned candidate views, or the
     /// out-of-fragment message replayed as the deny reason per request.
     pub translation: Result<Vec<DisjunctPlan>, String>,
-    /// The template-level verdict. The proxy always compiles it: even with
-    /// the template *tier* disabled, an `Allowed` verdict's certificates
-    /// feed the concrete path's verify-first replay. `None` only when a
-    /// caller compiled with `attempt_template` off.
-    pub template: Option<TemplateVerdict>,
+    /// The template-level verdict: `Allowed` decides every request, and
+    /// `Undecidable` sends each one to the concrete tier. A plan compiled
+    /// with `attempt_template` off holds `Undecidable` until snapshot load
+    /// installs the verdict it re-verified.
+    pub template: TemplateVerdict,
 }
 
 /// The compiled body of a row mutation (`INSERT`/`UPDATE`/`DELETE`).
@@ -263,7 +263,7 @@ impl TemplatePlan {
     /// proof; non-`SELECT` bodies are returned unchanged.
     pub(crate) fn with_template_verdict(mut self, verdict: TemplateVerdict) -> TemplatePlan {
         if let PlanBody::Select(sp) = &mut self.body {
-            sp.template = Some(verdict);
+            sp.template = verdict;
         }
         self
     }
@@ -271,9 +271,10 @@ impl TemplatePlan {
 
 /// Compiles one template. `attempt_template` runs the symbolic
 /// (session-independent) proof over the pruned candidate views; the proxy
-/// always passes `true` — an `Allowed` verdict doubles as the certificate
-/// store for concrete-path replay — while tests pass `false` to compile
-/// only the parse/translate/prune work.
+/// passes `true`. With `false` only the parse/translate/prune work is done
+/// and the verdict is `Undecidable`, which is what the concrete tier
+/// assumes anyway: snapshot load compiles that way and installs the
+/// verdict it re-verified.
 ///
 /// `lap` receives phase boundaries so a proxy compiling on the decision
 /// path can attribute the work: [`Phase::Parse`] after parsing, and
@@ -363,7 +364,7 @@ pub fn compile_plan(
         });
 
     let template = if attempt_template {
-        Some(match &translation {
+        match &translation {
             Ok(disjuncts) => {
                 let mut certs = Vec::with_capacity(disjuncts.len());
                 let mut verdict = None;
@@ -390,9 +391,9 @@ pub fn compile_plan(
             // Outside the fragment: the symbolic proof cannot run; the
             // concrete path replays the typed denial.
             Err(_) => TemplateVerdict::Undecidable,
-        })
+        }
     } else {
-        None
+        TemplateVerdict::Undecidable
     };
 
     TemplatePlan {
@@ -769,7 +770,7 @@ pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
                 }
                 Err(m) => b += m.capacity(),
             }
-            if let Some(TemplateVerdict::Allowed(certs)) = &sp.template {
+            if let TemplateVerdict::Allowed(certs) = &sp.template {
                 b += certs.capacity() * size_of::<Certificate>();
                 b += certs.iter().map(certificate_heap_bytes).sum::<usize>();
             }
@@ -849,10 +850,7 @@ mod tests {
         assert_eq!(disjuncts.len(), 1);
         // Only V2 mentions Events; V1 (Attendance) and VL (Lonely) prune.
         assert_eq!(disjuncts[0].view_indices, vec![1]);
-        assert!(matches!(
-            select.template,
-            Some(TemplateVerdict::Undecidable)
-        ));
+        assert!(matches!(select.template, TemplateVerdict::Undecidable));
     }
 
     #[test]
@@ -861,7 +859,7 @@ mod tests {
         let plan = compile(&c, "SELECT EId FROM Attendance WHERE UId = ?MyUId", true);
         let select = plan.select().unwrap();
         match &select.template {
-            Some(TemplateVerdict::Allowed(certs)) => {
+            TemplateVerdict::Allowed(certs) => {
                 assert_eq!(certs.len(), 1);
                 assert!(
                     certs[0].expansion.is_some(),
@@ -923,7 +921,10 @@ mod tests {
     fn template_proof_skipped_when_disabled() {
         let c = checker();
         let plan = compile(&c, "SELECT EId FROM Attendance WHERE UId = ?MyUId", false);
-        assert!(plan.select().unwrap().template.is_none());
+        assert!(matches!(
+            plan.select().unwrap().template,
+            TemplateVerdict::Undecidable
+        ));
     }
 
     #[test]
@@ -978,10 +979,7 @@ mod tests {
         let plan = compile(&c, "SELECT COUNT(*) FROM Events", true);
         let select = plan.select().unwrap();
         assert!(select.translation.is_err());
-        assert!(matches!(
-            select.template,
-            Some(TemplateVerdict::Undecidable)
-        ));
+        assert!(matches!(select.template, TemplateVerdict::Undecidable));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use qlogic::{intern, Atom, CVal, CmpOp, Comparison, Cq, Term};
 use crate::checker::ComplianceChecker;
 use crate::error::CoreError;
 use crate::obs::template_hash;
-use crate::plan::{compile_plan, Certificate, PlanBody, TemplatePlan, TemplateVerdict};
+use crate::plan::{compile_plan, Certificate, SelectPlan, TemplatePlan, TemplateVerdict};
 
 /// Snapshot format version; bump on any layout change.
 const VERSION: u32 = 1;
@@ -358,7 +358,7 @@ struct RawEntry {
     certs: Option<Vec<(Cq, bool)>>,
 }
 
-/// Serializes every compiled plan carrying a template verdict. The write
+/// Serializes every compiled `SELECT` plan's template verdict. The write
 /// is atomic (`path.tmp` then rename), so a crash mid-save leaves any
 /// previous snapshot intact.
 pub fn save_snapshot_file(
@@ -369,15 +369,14 @@ pub fn save_snapshot_file(
     let mut enc = Enc::new();
     enc.u32(VERSION);
     enc.u64(policy_fingerprint(checker));
-    let entries: Vec<&Arc<TemplatePlan>> = plans
+    let entries: Vec<(&str, &SelectPlan)> = plans
         .iter()
-        .filter(|p| matches!(p.body(), PlanBody::Select(sp) if sp.template.is_some()))
+        .filter_map(|p| Some((p.sql(), p.select()?)))
         .collect();
     enc.u32(entries.len() as u32);
-    for plan in &entries {
-        let sp = plan.select().expect("filtered to selects");
-        enc.str(plan.sql());
-        match sp.template.as_ref().expect("filtered to verdicts") {
+    for &(sql, sp) in &entries {
+        enc.str(sql);
+        match &sp.template {
             TemplateVerdict::Undecidable => enc.u8(0),
             TemplateVerdict::Allowed(certs) => {
                 enc.u8(1);
@@ -603,7 +602,7 @@ mod tests {
     }
 
     fn verdict_of(plan: &TemplatePlan) -> &TemplateVerdict {
-        plan.select().unwrap().template.as_ref().unwrap()
+        &plan.select().unwrap().template
     }
 
     #[test]
@@ -655,9 +654,10 @@ mod tests {
     }
 
     #[test]
-    fn plans_without_verdicts_are_not_persisted() {
+    fn only_select_plans_are_persisted() {
         let c = checker();
-        // Compiled with the template proof off: nothing worth snapshotting.
+        // Compiled with the template proof off: `Undecidable`, which a
+        // load installs as is.
         let bare = Arc::new(compile_plan(
             &c,
             ALLOWED_SQL,
@@ -665,17 +665,21 @@ mod tests {
             false,
             &mut |_| {},
         ));
-        // Non-SELECT bodies have no verdict either.
+        // Non-SELECT bodies have no verdict.
         let dml = compiled(
             &c,
             "INSERT INTO Events (EId, Title, Kind) VALUES (9, 'x', 'y')",
         );
-        let path = tmp_path("no-verdicts");
+        let path = tmp_path("selects-only");
         let save = save_snapshot_file(&c, &[bare, dml], &path).unwrap();
-        assert_eq!(save.entries, 0);
+        assert_eq!(save.entries, 1);
         let (plans, report) = load_snapshot_file(&c, &path).unwrap();
-        assert!(plans.is_empty());
-        assert_eq!(report.loaded + report.rejected, 0);
+        assert_eq!((report.loaded, report.rejected), (1, 0));
+        assert_eq!(plans[0].sql(), ALLOWED_SQL);
+        assert!(matches!(
+            verdict_of(&plans[0]),
+            TemplateVerdict::Undecidable
+        ));
         fs::remove_file(&path).ok();
     }
 
