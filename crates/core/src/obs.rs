@@ -77,7 +77,7 @@ impl Phase {
 }
 
 /// Which tier of the decision stack produced the verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CacheTier {
     /// Served by the global template cache.
     TemplateCache = 0,
@@ -90,6 +90,7 @@ pub enum CacheTier {
     /// Decided by a fresh concrete (session + trace) proof.
     ConcreteProof = 4,
     /// No tier applies (parse errors, DML pass-through, blocked writes).
+    #[default]
     Uncached = 5,
 }
 
