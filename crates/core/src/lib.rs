@@ -32,7 +32,6 @@ pub mod obs;
 pub mod plan;
 pub mod policy;
 pub mod proxy;
-pub mod snapshot;
 pub mod span;
 pub mod trace;
 pub mod write;
@@ -56,10 +55,6 @@ pub use plan::{
 };
 pub use policy::{schema_of_database, Policy, ViewDef};
 pub use proxy::{ProxyConfig, ProxyResponse, ProxyStats, SqlProxy};
-pub use snapshot::{
-    load_snapshot_file, policy_fingerprint, save_snapshot_file, SnapshotError, SnapshotLoadReport,
-    SnapshotSaveReport,
-};
 pub use span::SpanSummary;
 pub use trace::{Observation, Trace, TraceEntry};
 pub use write::{

@@ -278,7 +278,7 @@ pub struct JournalCursor {
 impl JournalCursor {
     /// A cursor positioned at sequence `next`, with nothing charged as
     /// dropped yet: everything before `next` counts as intentionally
-    /// skipped, not lost. This is how a `subscribe {after}` stream starts.
+    /// skipped, not lost.
     pub fn starting_at(next: u64) -> JournalCursor {
         JournalCursor { next, dropped: 0 }
     }
@@ -291,6 +291,33 @@ impl JournalCursor {
     /// The next sequence number this cursor will deliver.
     pub fn position(&self) -> u64 {
         self.next
+    }
+
+    /// Moves past one page of events read from [`JournalCursor::position`]
+    /// (oldest first, as [`EventJournal::events_since`] returns them),
+    /// given the journal's evicted count read after the page. Every
+    /// sequence number the page skipped is charged as dropped, so a reader
+    /// over the wire (`journal {after, max}`) keeps the same exact loss
+    /// accounting as [`EventJournal::poll`].
+    pub fn advance(&mut self, events: &[DecisionEvent], evicted: u64) {
+        match events.last() {
+            Some(last) => {
+                // Everything in [next, first delivered) plus any mid-scan
+                // gaps was evicted. Saturating: a page from a peer need
+                // not hold what it should.
+                let delivered = events.len() as u64;
+                self.dropped += (last.seq + 1).saturating_sub(self.next + delivered);
+                self.next = self.next.max(last.seq + 1);
+            }
+            None => {
+                // Nothing retained past the cursor: if the ring evicted
+                // beyond it, the gap was lost wholesale.
+                if evicted > self.next {
+                    self.dropped += evicted - self.next;
+                    self.next = evicted;
+                }
+            }
+        }
     }
 }
 
@@ -387,8 +414,8 @@ impl EventJournal {
     /// The retained events with sequence numbers in `[after, head)`, oldest
     /// first, at most `max`. Events already evicted are skipped (the ring
     /// only holds the newest `capacity`); use a [`JournalCursor`] to track
-    /// how many were missed. Stateless, so any number of subscribers (and
-    /// remote scrapers) can read concurrently without coordination.
+    /// how many were missed. Stateless, so any number of readers (local or
+    /// over the wire) can read concurrently without coordination.
     pub fn events_since(&self, after: u64, max: usize) -> Vec<DecisionEvent> {
         let head = self.head.load(Ordering::Acquire);
         let n = self.slots.len() as u64;
@@ -427,26 +454,7 @@ impl EventJournal {
     /// poll could see them.
     pub fn poll(&self, cursor: &mut JournalCursor, max: usize) -> Vec<DecisionEvent> {
         let events = self.events_since(cursor.next, max);
-        let head = self.head.load(Ordering::Acquire);
-        match events.last() {
-            Some(last) => {
-                // Everything in [cursor.next, first delivered) plus any
-                // mid-scan gaps was evicted.
-                let delivered = events.len() as u64;
-                let advanced = last.seq + 1 - cursor.next;
-                cursor.dropped += advanced - delivered;
-                cursor.next = last.seq + 1;
-            }
-            None => {
-                // Nothing retained past the cursor: if head moved beyond
-                // the ring, the gap was evicted wholesale.
-                let floor = head.saturating_sub(self.slots.len() as u64);
-                if floor > cursor.next {
-                    cursor.dropped += floor - cursor.next;
-                    cursor.next = floor;
-                }
-            }
-        }
+        cursor.advance(&events, self.evicted());
         events
     }
 
@@ -970,6 +978,16 @@ mod tests {
         // A second poll delivers nothing new and drops nothing more.
         assert!(j.poll(&mut cursor, usize::MAX).is_empty());
         assert_eq!(cursor.dropped(), extra as u64);
+    }
+
+    #[test]
+    fn advance_takes_a_stale_page_from_a_peer_without_moving_back() {
+        // A page whose events lie before the cursor (a misbehaving peer)
+        // moves nothing and charges nothing.
+        let mut cursor = JournalCursor::starting_at(10);
+        let stale = DecisionEvent { seq: 3, ..event(3) };
+        cursor.advance(&[stale], 0);
+        assert_eq!((cursor.position(), cursor.dropped()), (10, 0));
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub struct DisjunctPlan {
     /// rewriting search needs to consider.
     pub view_indices: Vec<usize>,
     /// The certificate this disjunct's concrete proofs learned last
-    /// (template-undecidable plans only; never snapshotted). One slot:
-    /// learning runs only after the held certificate failed to replay, and
-    /// on the benchmark's workloads no disjunct learns more than one.
+    /// (template-undecidable plans only). One slot: learning runs only
+    /// after the held certificate failed to replay, and on the benchmark's
+    /// workloads no disjunct learns more than one.
     /// Readers clone the `Arc`, so a replay holds no lock.
     learned: RwLock<Option<Arc<Certificate>>>,
 }
@@ -172,8 +172,7 @@ pub struct SelectPlan {
     pub translation: Result<Vec<DisjunctPlan>, String>,
     /// The template-level verdict: `Allowed` decides every request, and
     /// `Undecidable` sends each one to the concrete tier. A plan compiled
-    /// with `attempt_template` off holds `Undecidable` until snapshot load
-    /// installs the verdict it re-verified.
+    /// with `attempt_template` off holds `Undecidable`.
     pub template: TemplateVerdict,
 }
 
@@ -256,25 +255,13 @@ impl TemplatePlan {
             _ => None,
         }
     }
-
-    /// Injects a template verdict into a `SELECT` plan compiled with
-    /// `attempt_template` off. Snapshot load uses this to install verdicts
-    /// it has re-verified against the current policy, skipping the symbolic
-    /// proof; non-`SELECT` bodies are returned unchanged.
-    pub(crate) fn with_template_verdict(mut self, verdict: TemplateVerdict) -> TemplatePlan {
-        if let PlanBody::Select(sp) = &mut self.body {
-            sp.template = verdict;
-        }
-        self
-    }
 }
 
 /// Compiles one template. `attempt_template` runs the symbolic
 /// (session-independent) proof over the pruned candidate views; the proxy
 /// passes `true`. With `false` only the parse/translate/prune work is done
 /// and the verdict is `Undecidable`, which is what the concrete tier
-/// assumes anyway: snapshot load compiles that way and installs the
-/// verdict it re-verified.
+/// assumes anyway.
 ///
 /// `lap` receives phase boundaries so a proxy compiling on the decision
 /// path can attribute the work: [`Phase::Parse`] after parsing, and
@@ -640,60 +627,6 @@ impl PlanCache {
         s.pending.push(hash);
         self.book_evictions(&mut s, evicted);
         (cell, false)
-    }
-
-    /// Installs an already-compiled plan (warm-start snapshot load). The
-    /// cell is published pre-filled, so readers never see an empty cell and
-    /// nothing recompiles. A template already resident is left untouched.
-    /// Returns how many entries the insertion evicted.
-    pub fn insert_compiled(&self, plan: Arc<TemplatePlan>) -> usize {
-        let hash = plan.hash();
-        let shard = self.shard(hash);
-        let mut s = shard.write();
-        self.sweep_pending(&mut s);
-        if let Some(chain) = s.chains.peek(&hash) {
-            if chain.iter().any(|e| e.sql == plan.sql()) {
-                return 0;
-            }
-        }
-        let cell = Arc::new(OnceLock::new());
-        let _ = cell.set(plan.clone());
-        let entry = PlanEntry {
-            sql: plan.sql().to_string(),
-            cell,
-        };
-        let evicted = match s.chains.get_mut(&hash) {
-            Some(chain) => {
-                chain.push(entry);
-                let bytes = chain_heap_bytes(s.chains.peek(&hash).expect("just updated"));
-                s.chains.set_bytes(&hash, bytes)
-            }
-            None => {
-                let bytes = chain_heap_bytes(std::slice::from_ref(&entry));
-                s.chains.insert(hash, vec![entry], bytes)
-            }
-        };
-        s.entries += 1;
-        let n: usize = evicted.iter().map(|(_, c)| c.len()).sum();
-        self.book_evictions(&mut s, evicted);
-        n
-    }
-
-    /// Every fully compiled plan currently resident (a maintenance walk —
-    /// does not touch visited bits). Snapshot save iterates this.
-    pub fn compiled_plans(&self) -> Vec<Arc<TemplatePlan>> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let s = shard.read();
-            for (_, chain) in s.chains.iter() {
-                for e in chain {
-                    if let Some(plan) = e.cell.get() {
-                        out.push(plan.clone());
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// The cached plan for a template, if present and fully compiled.
@@ -1109,24 +1042,6 @@ mod tests {
             cell.get_or_init(|| Arc::new(compile(&c, &sql, false)));
         }
         assert!(cache.get(hot).is_some(), "scan-resistance violated");
-    }
-
-    #[test]
-    fn insert_compiled_publishes_prefilled_cell() {
-        let cache = PlanCache::new(64);
-        let c = checker();
-        let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let plan = Arc::new(compile(&c, sql, true));
-        assert_eq!(cache.insert_compiled(plan.clone()), 0);
-        let got = cache.get(sql).expect("resident and compiled");
-        assert!(Arc::ptr_eq(&got, &plan));
-        let (cell, existed) = cache.entry(sql);
-        assert!(existed, "no recompilation after warm install");
-        assert!(cell.get().is_some());
-        // Idempotent: a second install of the same template is a no-op.
-        assert_eq!(cache.insert_compiled(plan), 0);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.compiled_plans().len(), 1);
     }
 
     #[test]

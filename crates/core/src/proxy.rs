@@ -114,10 +114,9 @@
 //! stamp.
 
 use std::collections::HashMap;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 use minidb::{Database, Rows};
 use parking_lot::RwLock;
@@ -138,7 +137,6 @@ use crate::obs::{
     MetricsRegistry, Phase, PhaseTimer, Verdict,
 };
 use crate::plan::{compile_plan, PlanCache, TemplatePlan, WritePlan, PLAN_CAPACITY};
-use crate::snapshot::{SnapshotError, SnapshotLoadReport, SnapshotSaveReport};
 use crate::span::SpanSummary;
 use crate::trace::Trace;
 
@@ -328,14 +326,6 @@ impl AtomicProxyStats {
     }
 }
 
-/// Wall-clock seconds since the Unix epoch (for the snapshot-age gauge).
-fn epoch_seconds() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 /// The response to a proxied statement.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProxyResponse {
@@ -407,14 +397,6 @@ pub struct SqlProxy {
     /// Cache evictions (`bep_cache_evictions_total{tier=...}`): plan,
     /// session-allow, session-deny — in that order.
     eviction_counters: [Arc<Counter>; 3],
-    /// Warm-start snapshot gauges (`bep_snapshot_entries{outcome=...}`,
-    /// `bep_snapshot_bytes`, `bep_snapshot_timestamp_seconds`): entries
-    /// loaded, entries rejected by the verification gate, file bytes, and
-    /// the unix time of the last successful load/save.
-    snapshot_loaded: Arc<Gauge>,
-    snapshot_rejected: Arc<Gauge>,
-    snapshot_bytes: Arc<Gauge>,
-    snapshot_timestamp: Arc<Gauge>,
     /// Live session-state heap bytes, maintained incrementally: every
     /// session mutation adjusts this by the before/after delta of
     /// `session_state_bytes`, and session end subtracts the final size —
@@ -464,27 +446,6 @@ impl SqlProxy {
         let evictions = "Bounded-cache evictions by tier (SIEVE)";
         let eviction_counters = ["plan", "session-allow", "session-deny"]
             .map(|t| registry.counter("bep_cache_evictions_total", evictions, &[("tier", t)]));
-        let snap_entries = "Warm-start snapshot entries by load outcome";
-        let snapshot_loaded = registry.gauge(
-            "bep_snapshot_entries",
-            snap_entries,
-            &[("outcome", "loaded")],
-        );
-        let snapshot_rejected = registry.gauge(
-            "bep_snapshot_entries",
-            snap_entries,
-            &[("outcome", "rejected")],
-        );
-        let snapshot_bytes = registry.gauge(
-            "bep_snapshot_bytes",
-            "Size of the last snapshot file loaded or saved",
-            &[],
-        );
-        let snapshot_timestamp = registry.gauge(
-            "bep_snapshot_timestamp_seconds",
-            "Unix time of the last successful snapshot load or save",
-            &[],
-        );
         SqlProxy {
             db: RwLock::new(db),
             checker,
@@ -510,10 +471,6 @@ impl SqlProxy {
             session_state_bytes_hist,
             lint_warnings,
             eviction_counters,
-            snapshot_loaded,
-            snapshot_rejected,
-            snapshot_bytes,
-            snapshot_timestamp,
             session_bytes: AtomicU64::new(0),
         }
     }
@@ -633,35 +590,6 @@ impl SqlProxy {
             ("session-allow", allow.get()),
             ("session-deny", deny.get()),
         ]
-    }
-
-    /// Loads a warm-start snapshot: every entry is verification-gated
-    /// against the live policy (see [`crate::snapshot`]), survivors are
-    /// installed into the plan cache as pre-compiled template verdicts, and
-    /// the `bep_snapshot_*` gauges record the outcome. Whole-file failures
-    /// (missing, corrupt, wrong version, different policy) return the typed
-    /// error and install nothing — the proxy simply starts cold.
-    pub fn load_snapshot(&self, path: &Path) -> Result<SnapshotLoadReport, SnapshotError> {
-        let (plans, report) = crate::snapshot::load_snapshot_file(&self.checker, path)?;
-        for plan in plans {
-            self.plans.insert_compiled(plan);
-        }
-        self.snapshot_loaded.set(report.loaded as u64);
-        self.snapshot_rejected.set(report.rejected as u64);
-        self.snapshot_bytes.set(report.bytes);
-        self.snapshot_timestamp.set(epoch_seconds());
-        Ok(report)
-    }
-
-    /// Persists every compiled template verdict to `path` (atomic
-    /// tmp-and-rename write) so the next process can warm-start. Typically
-    /// called at drain time, after in-flight requests finish.
-    pub fn save_snapshot(&self, path: &Path) -> Result<SnapshotSaveReport, SnapshotError> {
-        let plans = self.plans.compiled_plans();
-        let report = crate::snapshot::save_snapshot_file(&self.checker, &plans, path)?;
-        self.snapshot_bytes.set(report.bytes);
-        self.snapshot_timestamp.set(epoch_seconds());
-        Ok(report)
     }
 
     /// Distribution of per-session state sizes, recorded once per session
@@ -1835,10 +1763,6 @@ mod tests {
         assert!(text.contains("bep_cache_evictions_total{tier=\"plan\"} 0\n"));
         assert!(text.contains("bep_cache_evictions_total{tier=\"session-allow\"} 0\n"));
         assert!(text.contains("bep_cache_evictions_total{tier=\"session-deny\"} 0\n"));
-        assert!(text.contains("bep_snapshot_entries{outcome=\"loaded\"} 0\n"));
-        assert!(text.contains("bep_snapshot_entries{outcome=\"rejected\"} 0\n"));
-        assert!(text.contains("# TYPE bep_snapshot_bytes gauge\n"));
-        assert!(text.contains("# TYPE bep_snapshot_timestamp_seconds gauge\n"));
     }
 
     #[test]
@@ -1900,89 +1824,6 @@ mod tests {
             p.execute(s, fetch, &[]).unwrap().is_allowed(),
             "stale denial served"
         );
-    }
-
-    #[test]
-    fn proxy_snapshot_roundtrip_preloads_the_plan_cache() {
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("bep-proxy-snap-{}.bin", std::process::id()));
-        let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        // Literal-bearing statements are saved as their shapes: a
-        // template-allowed probe and a template-undecidable fetch, each
-        // run with two literals.
-        let script = [
-            sql,
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2",
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 3",
-            "SELECT * FROM Events WHERE EId = 2",
-            "SELECT * FROM Events WHERE EId = 3",
-        ];
-        let shapes = [
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?__lit0",
-            "SELECT * FROM Events WHERE EId = ?__lit0",
-        ];
-        let run = |p: &SqlProxy| {
-            let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-            (script.iter())
-                .map(|q| p.execute(s, q, &[]).unwrap())
-                .collect::<Vec<_>>()
-        };
-
-        let p1 = proxy(ProxyConfig::default());
-        let cold = run(&p1);
-        assert_eq!(p1.stats().template_proofs, 2, "a cold start proves");
-        let save = p1.save_snapshot(&path).unwrap();
-        assert_eq!(save.entries, 3, "one plan per shape");
-
-        let p2 = proxy(ProxyConfig::default());
-        assert!(p2.plan_cache().get(sql).is_none(), "fresh proxy is cold");
-        let report = p2.load_snapshot(&path).unwrap();
-        assert_eq!(report.loaded, 3);
-        assert_eq!(report.rejected, 0);
-        let plan = p2.plan_cache().get(sql).expect("snapshot preloaded plan");
-        assert!(matches!(
-            plan.select().unwrap().template,
-            crate::plan::TemplateVerdict::Allowed(_)
-        ));
-        for shape in shapes {
-            let plan = p2
-                .plan_cache()
-                .get(shape)
-                .expect("snapshot preloaded shape");
-            assert!(!plan.exact_only(), "{shape}");
-        }
-        // The warm plans must decide identically to a cold compile, and
-        // without a proof: that is what a warm start saves.
-        assert_eq!(run(&p2), cold);
-        assert_eq!(p2.stats().template_proofs, 0, "the warm start re-proved");
-        assert_eq!(p2.plan_cache().len(), 3, "no literal text was compiled");
-        let text = p2.metrics_text();
-        assert!(
-            text.contains("bep_snapshot_entries{outcome=\"loaded\"} 3\n"),
-            "{text}"
-        );
-        assert!(text.contains("bep_snapshot_bytes"), "{text}");
-
-        // One flipped byte: the load fails typed, installs nothing, and the
-        // proxy then decides exactly like a cold one.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x20;
-        std::fs::write(&path, &bytes).unwrap();
-        let p3 = proxy(ProxyConfig::default());
-        let err = p3.load_snapshot(&path).unwrap_err();
-        assert!(matches!(err, SnapshotError::ChecksumMismatch), "{err}");
-        assert!(
-            p3.plan_cache().get(sql).is_none(),
-            "corrupt snapshot installed a plan"
-        );
-        assert_eq!(run(&p3), cold);
-        let (c, f) = (p1.stats(), p3.stats());
-        assert_eq!(
-            (f.allowed, f.blocked, f.template_proofs),
-            (c.allowed, c.blocked, c.template_proofs)
-        );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -119,6 +119,9 @@ struct TranslatedQuery {
     cq: Cq,
     /// Output column name → head term (for field-dependency links).
     out_map: Vec<(String, Term)>,
+    /// The terms this query's parameters took from earlier queries' fields
+    /// (the join columns a field link adds).
+    linked: Vec<Term>,
     /// `true` if translation failed (out of fragment / DML).
     failed: bool,
 }
@@ -191,7 +194,10 @@ pub fn views_from_paths(
             // query *reads*, not merely what the user ultimately sees (a
             // metadata probe reads the post's group id even though only its
             // emptiness reaches the user) — plus the request variables that
-            // select it. Constant head terms (SELECT 1 artifacts) drop out.
+            // select it, plus the columns its field links join through (the
+            // earlier query's fact pins that column only if the view
+            // exposes it: the order book's `p.MId`). Constant head terms
+            // (SELECT 1 artifacts) drop out.
             let _ = q.emitted;
             let mut head: Vec<Term> = tq
                 .cq
@@ -200,7 +206,7 @@ pub fn views_from_paths(
                 .filter(|t| !t.is_rigid())
                 .cloned()
                 .collect();
-            for t in request_vars(&atoms) {
+            for t in request_vars(&atoms).into_iter().chain(tq.linked.clone()) {
                 if !head.contains(&t) {
                     head.push(t);
                 }
@@ -241,6 +247,7 @@ fn translate_query(
     let failed = TranslatedQuery {
         cq: Cq::new(vec![], vec![], vec![]),
         out_map: vec![],
+        linked: vec![],
         failed: true,
     };
     let Ok(stmt) = sqlir::parse_statement(&q.sql) else {
@@ -259,6 +266,7 @@ fn translate_query(
     // Rename apart, then resolve parameters.
     let cq = cq.rename_vars(&format!("q{}·", q.id));
     let mut map: Vec<(String, Term)> = Vec::new();
+    let mut linked = Vec::new();
     for (name, sym) in &q.bindings {
         let to = match sym {
             SymScalar::Session(s) => Term::param(s.clone()),
@@ -270,18 +278,26 @@ fn translate_query(
                 }
             }
             SymScalar::Lit(v) => Term::constant(v),
-            SymScalar::Field { query, column } => earlier
-                .get(*query)
-                .and_then(|tq| {
+            SymScalar::Field { query, column } => {
+                let field = earlier.get(*query).and_then(|tq| {
                     tq.out_map
                         .iter()
                         .find(|(n, _)| n == column)
                         .map(|(_, t)| *t)
-                })
-                .unwrap_or_else(|| {
-                    *fresh += 1;
-                    Term::var(format!("opq·{fresh}"))
-                }),
+                });
+                match field {
+                    Some(t) => {
+                        if !t.is_rigid() {
+                            linked.push(t);
+                        }
+                        t
+                    }
+                    None => {
+                        *fresh += 1;
+                        Term::var(format!("opq·{fresh}"))
+                    }
+                }
+            }
             SymScalar::Count(_) | SymScalar::Opaque => {
                 *fresh += 1;
                 Term::var(format!("opq·{fresh}"))
@@ -294,6 +310,7 @@ fn translate_query(
     TranslatedQuery {
         cq,
         out_map,
+        linked,
         failed: false,
     }
 }

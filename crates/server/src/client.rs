@@ -132,16 +132,6 @@ pub struct JournalPage {
     pub evicted: u64,
 }
 
-/// One pushed batch from a live journal subscription.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventBatch {
-    /// New events, oldest first; sequence numbers are strictly increasing
-    /// across the whole stream.
-    pub events: Vec<DecisionEvent>,
-    /// Cumulative events this subscription lost to ring eviction.
-    pub dropped: u64,
-}
-
 /// One protocol connection to a running server.
 #[derive(Debug)]
 pub struct Client {
@@ -318,37 +308,6 @@ impl Client {
                 evicted,
             }),
             other => Err(expect_error(other, "journal")),
-        }
-    }
-
-    /// Adjusts the socket timeouts after connect — a streaming consumer
-    /// typically wants a generous handshake timeout but short read ticks
-    /// so it can interleave rendering with [`Client::next_events`].
-    pub fn set_io_timeout(&mut self, io: Duration) -> Result<(), ClientError> {
-        self.stream.set_read_timeout(Some(io))?;
-        self.stream.set_write_timeout(Some(io))?;
-        Ok(())
-    }
-
-    /// Subscribes this connection to the live journal stream, starting at
-    /// sequence ≥ `after`. After the ack the server *pushes*
-    /// [`EventBatch`]es; read them with [`Client::next_events`]. The
-    /// connection is dedicated to the stream from here on — interleaving
-    /// other requests would race their responses against pushed frames.
-    pub fn subscribe(&mut self, after: u64) -> Result<(), ClientError> {
-        match self.round_trip(&Request::Subscribe { after })? {
-            Response::Subscribed => Ok(()),
-            other => Err(expect_error(other, "subscribed")),
-        }
-    }
-
-    /// Blocks for the next pushed batch on a subscribed connection (up to
-    /// the connect-time `io_timeout`, surfaced as a timed-out
-    /// [`ClientError::Io`] when the server has nothing to say).
-    pub fn next_events(&mut self) -> Result<EventBatch, ClientError> {
-        match self.read_response()? {
-            Response::Events { events, dropped } => Ok(EventBatch { events, dropped }),
-            other => Err(expect_error(other, "events")),
         }
     }
 

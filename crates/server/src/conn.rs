@@ -1,8 +1,8 @@
 //! Per-connection protocol state.
 //!
 //! [`ConnCore`] owns everything one connection's protocol needs — the
-//! handshake flag, the sessions it began, its prepared plans, its journal
-//! subscription — and answers each decoded request on the spot:
+//! handshake flag, the sessions it began, its prepared plans — and
+//! answers each decoded request on the spot:
 //! control-plane messages and enforcement decisions alike, so every
 //! answer reflects exactly the frames before it on the connection. Error
 //! containment is graded:
@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bep_core::{CoreError, DenyReason, JournalCursor, ProxyResponse, SqlProxy, TemplatePlan};
+use bep_core::{CoreError, DenyReason, ProxyResponse, SqlProxy, TemplatePlan};
 
 use crate::protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
@@ -112,10 +112,6 @@ pub(crate) struct ConnCore {
     sweep: SessionSweep,
     prepared: PreparedPlans,
     greeted: bool,
-    /// Live journal subscription, if this connection sent `subscribe`.
-    /// The event loop polls it every tick; the cursor's drop counter is
-    /// the stream's exact loss accounting.
-    pub(crate) subscription: Option<JournalCursor>,
 }
 
 impl ConnCore {
@@ -129,7 +125,6 @@ impl ConnCore {
             },
             prepared: PreparedPlans::default(),
             greeted: false,
-            subscription: None,
         }
     }
 
@@ -270,12 +265,6 @@ impl ConnCore {
                     published: journal.published(),
                     evicted: journal.evicted(),
                 }
-            }
-            Request::Subscribe { after } => {
-                // Re-subscribing repositions the stream; events before
-                // `after` are skipped, not charged as dropped.
-                self.subscription = Some(JournalCursor::starting_at(after));
-                Response::Subscribed
             }
             Request::End { session } => {
                 if !self.sweep.owned.contains(&session) {

@@ -56,16 +56,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// Per-connection per-tick read ceiling: a firehose peer yields the
 /// reactor back after this many bytes (level-triggered epoll re-notifies).
 const READ_BUDGET: usize = 256 * 1024;
-/// Most journal events pushed to one subscriber per tick (bounds the
-/// `events` frame well under any frame limit; the stream catches up over
-/// subsequent ticks).
-const SUB_EVENTS_MAX: usize = 256;
-/// A subscriber whose unflushed output exceeds this many bytes is skipped
-/// for the tick: its cursor stays put, and whatever the ring evicts in
-/// the meantime is charged *exactly* to the subscription's `dropped`
-/// count on a later poll — explicit loss accounting instead of unbounded
-/// buffering toward a slow consumer.
-const SUB_BACKLOG_MAX: usize = 256 * 1024;
 
 /// One live connection owned by the reactor.
 struct Conn {
@@ -100,8 +90,6 @@ struct ReactorMetrics {
     accepted: Arc<bep_core::Counter>,
     frames: Arc<bep_core::Counter>,
     ticks: Arc<bep_core::Counter>,
-    events_pushed: Arc<bep_core::Counter>,
-    events_dropped: Arc<bep_core::Counter>,
 }
 
 impl ReactorMetrics {
@@ -126,16 +114,6 @@ impl ReactorMetrics {
             ticks: reg.counter(
                 "bep_reactor_ticks_total",
                 "Event-loop iterations (poll wakeups and timeouts)",
-                &[],
-            ),
-            events_pushed: reg.counter(
-                "bep_reactor_events_pushed_total",
-                "Journal events pushed to live subscribers",
-                &[],
-            ),
-            events_dropped: reg.counter(
-                "bep_reactor_events_dropped_total",
-                "Journal events subscribers lost to ring eviction (backlogged or slow)",
                 &[],
             ),
         }
@@ -245,11 +223,6 @@ pub(crate) fn run(
         for token in dead {
             drop_conn(&mut conns, token, &poller, &metrics);
         }
-
-        // Live subscriptions: every decision above has already published
-        // its event to the journal, so polling now delivers this very
-        // tick's events — push latency is bounded by one loop iteration.
-        drain_subscriptions(&mut conns, &shared, &poller, &metrics);
 
         if accept_pending {
             accept_burst(
@@ -362,49 +335,6 @@ fn drain_frames(conn: &mut Conn, metrics: &ReactorMetrics, hot: &mut Vec<u64>) {
     // new readiness will fire for these buffered bytes.
     if conn.decoder.has_frame() {
         hot.push(conn.token);
-    }
-}
-
-/// Pushes newly published journal events to every subscribed connection.
-///
-/// Each subscriber's [`JournalCursor`](bep_core::JournalCursor) lives in
-/// its [`ConnCore`]; polling it here — on the reactor thread, after the
-/// tick's decisions — yields exactly the events a cursor-polling
-/// client would see, in the same order, with the same drop accounting
-/// (the stream equivalence the integration tests assert). A subscriber
-/// that cannot drain its socket is skipped, not buffered without bound:
-/// its cursor holds still and eviction losses surface in `dropped`.
-fn drain_subscriptions(
-    conns: &mut HashMap<u64, Conn>,
-    shared: &ConnShared,
-    poller: &Poller,
-    metrics: &ReactorMetrics,
-) {
-    let journal = shared.proxy.journal();
-    let mut dead: Vec<u64> = Vec::new();
-    for conn in conns.values_mut() {
-        let Some(cursor) = conn.core.subscription.as_mut() else {
-            continue;
-        };
-        if conn.out.len() - conn.out_pos > SUB_BACKLOG_MAX {
-            continue; // backlogged: try again next tick, losses accounted
-        }
-        let dropped_before = cursor.dropped();
-        let events = journal.poll(cursor, SUB_EVENTS_MAX);
-        let dropped = cursor.dropped();
-        if events.is_empty() && dropped == dropped_before {
-            continue;
-        }
-        metrics.events_pushed.add(events.len() as u64);
-        metrics.events_dropped.add(dropped - dropped_before);
-        let frame = frame_bytes(Response::Events { events, dropped }.to_wire().as_bytes());
-        conn.out.extend_from_slice(&frame);
-        if !flush(conn, poller) {
-            dead.push(conn.token);
-        }
-    }
-    for token in dead {
-        drop_conn(conns, token, poller, metrics);
     }
 }
 

@@ -6,9 +6,9 @@
 //! alone (the workspace stays offline-buildable — no async runtime):
 //!
 //! * [`protocol`] — typed `hello`/`begin`/`execute`/`trace`/`stats`/
-//!   `metrics`/`journal`/`subscribe`/`end`/`shutdown` messages over a
-//!   hand-rolled JSON layer ([`json`]); `trace`, `journal`, and pushed
-//!   `events` frames carry decision provenance
+//!   `metrics`/`journal`/`end`/`shutdown` messages over a hand-rolled
+//!   JSON layer ([`json`]); `trace` and `journal` frames carry decision
+//!   provenance
 //!   ([`bep_core::DecisionEvent`], including its solver-span summary),
 //!   `metrics` the Prometheus text exposition;
 //! * [`framing`] — 4-byte length-prefixed frames with split-read tolerance
@@ -17,9 +17,7 @@
 //! * [`reactor`] — a minimal level-triggered epoll abstraction (raw
 //!   syscalls against the libc `std` already links: no external deps);
 //! * [`event_loop`] — the front-end: one reactor thread holding
-//!   every connection, pipelined frames decided inline in frame order,
-//!   and per-tick journal pushes to `subscribe`d connections (bounded
-//!   backlog, exact drop accounting);
+//!   every connection, pipelined frames decided inline in frame order;
 //! * [`conn`] — per-connection protocol state: handshake enforcement,
 //!   connection-scoped session ownership, typed errors for malformed
 //!   frames, and a drop guard that sweeps orphaned sessions;
@@ -41,6 +39,6 @@ pub mod protocol;
 pub mod reactor;
 pub mod server;
 
-pub use client::{Client, ClientError, EventBatch, ExecOutcome, JournalPage, TraceInfo};
+pub use client::{Client, ClientError, ExecOutcome, JournalPage, TraceInfo};
 pub use protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig};

@@ -15,20 +15,19 @@
 //! | `stats` | | proxy counters + latency percentiles |
 //! | `metrics` | | Prometheus text exposition of the proxy's registry |
 //! | `journal` | `after`, `max` | drain decision events with sequence ≥ `after` |
-//! | `subscribe` | `after` | stream journal events as they are published (event-driven front-end only) |
 //! | `end` | `session` | end a session (idempotent) |
 //! | `shutdown` | | ask the whole server to drain and stop |
 //!
 //! Server → client: `welcome`, `busy`, `began`, `prepared`, `rows`,
 //! `affected`, `blocked`, `trace`, `stats`, `metrics`, `journal`,
-//! `subscribed`, `events`, `ended`, `bye`, and `error` (with a stable
-//! `kind`). After a `subscribed` ack the server *pushes* `events` frames
-//! (each a batch of journal events plus the subscription's cumulative
-//! drop count) without further requests. SQL [`Value`]s are encoded
+//! `ended`, `bye`, and `error` (with a stable `kind`). Every response
+//! answers one request frame, except a `busy` or `bye` sent as the server
+//! closes the connection; a client that follows the journal pages it
+//! with `journal` and its own cursor. SQL [`Value`]s are encoded
 //! unambiguously as `null`, `{"i":n}`, `{"s":"…"}`, `{"b":bool}` so
 //! integer 1, string "1", and boolean true never collide.
 //!
-//! Decision events ride in `trace`, `journal`, and `events` responses as
+//! Decision events ride in `trace` and `journal` responses as
 //! objects of the form `{"seq", "session", "hash", "verdict", "tier",
 //! "neg", "total_ns", "phases", "span"?}` — `hash` is the query-template
 //! FNV-1a hash as a 16-digit hex string (it does not fit a signed JSON
@@ -162,15 +161,6 @@ pub enum Request {
         /// At most this many events.
         max: u64,
     },
-    /// Stream journal events as they are published: the server acks with
-    /// `subscribed`, then pushes [`Response::Events`] frames without
-    /// further requests.
-    Subscribe {
-        /// Start the stream at sequence number ≥ this (0 = from the
-        /// oldest retained); earlier events are skipped, not counted as
-        /// dropped.
-        after: u64,
-    },
     /// End a session.
     End {
         /// Session to end.
@@ -294,18 +284,6 @@ pub enum Response {
         /// Total events evicted by ring wrap-around (a client that wants
         /// loss accounting compares this against its own cursor).
         evicted: u64,
-    },
-    /// Subscription accepted: `events` frames will follow unprompted.
-    Subscribed,
-    /// One pushed batch of journal events on a subscribed connection,
-    /// oldest first, strictly increasing sequence numbers across the
-    /// whole stream.
-    Events {
-        /// The new events since the last push.
-        events: Vec<DecisionEvent>,
-        /// Cumulative events this subscription lost to ring eviction
-        /// (e.g. while the connection was backlogged). Monotone.
-        dropped: u64,
     },
     /// Session ended.
     Ended {
@@ -564,10 +542,6 @@ impl Request {
                 ("after", Json::Int(*after as i64)),
                 ("max", Json::Int(*max as i64)),
             ]),
-            Request::Subscribe { after } => Json::obj([
-                ("t", Json::str("subscribe")),
-                ("after", Json::Int(*after as i64)),
-            ]),
             Request::End { session } => Json::obj([
                 ("t", Json::str("end")),
                 ("session", Json::Int(*session as i64)),
@@ -612,9 +586,6 @@ impl Request {
             "journal" => Ok(Request::Journal {
                 after: u64_field(&j, "after")?,
                 max: u64_field(&j, "max")?,
-            }),
-            "subscribe" => Ok(Request::Subscribe {
-                after: u64_field(&j, "after")?,
             }),
             "end" => Ok(Request::End {
                 session: u64_field(&j, "session")?,
@@ -715,12 +686,6 @@ impl Response {
                 ("events", events_to_json(events)),
                 ("published", Json::Int(*published as i64)),
                 ("evicted", Json::Int(*evicted as i64)),
-            ]),
-            Response::Subscribed => Json::obj([("t", Json::str("subscribed"))]),
-            Response::Events { events, dropped } => Json::obj([
-                ("t", Json::str("events")),
-                ("events", events_to_json(events)),
-                ("dropped", Json::Int(*dropped as i64)),
             ]),
             Response::Ended { was_live } => Json::obj([
                 ("t", Json::str("ended")),
@@ -824,11 +789,6 @@ impl Response {
                 events: events_from_json(field(&j, "events")?)?,
                 published: u64_field(&j, "published")?,
                 evicted: u64_field(&j, "evicted")?,
-            }),
-            "subscribed" => Ok(Response::Subscribed),
-            "events" => Ok(Response::Events {
-                events: events_from_json(field(&j, "events")?)?,
-                dropped: u64_field(&j, "dropped")?,
             }),
             "ended" => Ok(Response::Ended {
                 was_live: field(&j, "was_live")?
@@ -982,7 +942,6 @@ mod tests {
                 after: 128,
                 max: 64,
             },
-            Request::Subscribe { after: 900 },
             Request::End { session: 42 },
             Request::Shutdown,
         ];
@@ -1030,11 +989,6 @@ mod tests {
                 events: vec![sample_event(1), sample_event(2)],
                 published: 77,
                 evicted: 13,
-            },
-            Response::Subscribed,
-            Response::Events {
-                events: vec![sample_event(4), sample_event(5)],
-                dropped: 6,
             },
             Response::Stats(WireStats {
                 allowed: 1,

@@ -3,8 +3,9 @@
 //! [`Server::start`] binds a listener and launches the one front-end: a
 //! single reactor thread running the epoll readiness loop in
 //! [`crate::event_loop`] — nonblocking sockets, pipelined frames decided
-//! inline in frame order, 10k+ idle connections with no thread growth. Admission control is the `max_connections` cap; past it
-//! the acceptor answers `busy` with a load snapshot.
+//! inline in frame order, 10k+ idle connections with no thread growth.
+//! Admission control is the `max_connections` cap; past it the acceptor
+//! answers `busy` with a load snapshot.
 //!
 //! Shutdown — either [`Server::shutdown`] from the owning process or a
 //! client's `shutdown` request — is graceful: the flag flips, the reactor
@@ -14,13 +15,12 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bep_core::{snapshot, SqlProxy};
+use bep_core::SqlProxy;
 
 use crate::conn::ConnShared;
 use crate::event_loop;
@@ -64,10 +64,6 @@ pub struct Server {
     busy_rejections: Arc<AtomicU64>,
     /// The reactor thread and the waker that interrupts its poller.
     reactor: Option<(JoinHandle<()>, Waker)>,
-    proxy: Arc<SqlProxy>,
-    /// Warm-start snapshot location: loaded (verification-gated) before
-    /// the listener serves its first connection, rewritten at drain time.
-    snapshot_path: Option<PathBuf>,
 }
 
 impl Server {
@@ -78,61 +74,12 @@ impl Server {
         config: ServerConfig,
         bind_addr: &str,
     ) -> io::Result<Server> {
-        Server::launch(proxy, config, bind_addr, None)
-    }
-
-    /// Like [`Server::start`], but warm-starts from `snapshot_path` before
-    /// accepting connections and persists a fresh snapshot there during
-    /// drain (after the serving threads join, so every in-flight compile
-    /// is included).
-    ///
-    /// The load is best-effort by design: a missing file is a silent cold
-    /// start, and a corrupt / stale / version-skewed file logs a typed
-    /// warning and cold-starts — a snapshot can cost a warm-up, never a
-    /// wrong decision.
-    pub fn start_with_snapshot(
-        proxy: Arc<SqlProxy>,
-        config: ServerConfig,
-        bind_addr: &str,
-        snapshot_path: impl Into<PathBuf>,
-    ) -> io::Result<Server> {
-        Server::launch(proxy, config, bind_addr, Some(snapshot_path.into()))
-    }
-
-    fn launch(
-        proxy: Arc<SqlProxy>,
-        config: ServerConfig,
-        bind_addr: &str,
-        snapshot_path: Option<PathBuf>,
-    ) -> io::Result<Server> {
-        if let Some(path) = &snapshot_path {
-            match proxy.load_snapshot(path) {
-                Ok(report) => {
-                    if report.rejected > 0 {
-                        eprintln!(
-                            "bep-server: snapshot {}: {} entries failed re-verification \
-                             (loaded {}); those templates start cold",
-                            path.display(),
-                            report.rejected,
-                            report.loaded
-                        );
-                    }
-                }
-                Err(e) if snapshot::is_not_found(&e) => {} // first boot
-                Err(e) => {
-                    eprintln!(
-                        "bep-server: snapshot {} unusable ({e}); starting cold",
-                        path.display()
-                    );
-                }
-            }
-        }
         let listener = TcpListener::bind(bind_addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let busy_rejections = Arc::new(AtomicU64::new(0));
         let shared = Arc::new(ConnShared {
-            proxy: Arc::clone(&proxy),
+            proxy,
             config,
             shutdown: Arc::clone(&shutdown),
             addr,
@@ -149,8 +96,6 @@ impl Server {
             shutdown,
             busy_rejections,
             reactor: Some((thread, waker)),
-            proxy,
-            snapshot_path,
         })
     }
 
@@ -187,17 +132,6 @@ impl Server {
         };
         waker.wake();
         let _ = thread.join();
-        // Drained: every connection has answered and joined, so the plan
-        // cache is quiescent — persist it for the next process's warm
-        // start. Save failures only cost the warming, never the drain.
-        if let Some(path) = &self.snapshot_path {
-            if let Err(e) = self.proxy.save_snapshot(path) {
-                eprintln!(
-                    "bep-server: failed to save snapshot {} ({e})",
-                    path.display()
-                );
-            }
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property tests for the decision-event wire encoding — the payload the
-//! observability stack ships three ways (`trace`, `journal`, and pushed
-//! `events` frames), so a lossy encode/decode here silently corrupts every
-//! downstream consumer (`bep-top`, the benches, CI smoke greps).
+//! observability stack ships two ways (`trace` and `journal` frames), so a
+//! lossy encode/decode here silently corrupts every downstream consumer
+//! (`bep-top`, the benches, CI smoke greps).
 //!
 //! Invariants:
 //! * **event round-trip** — an arbitrary [`DecisionEvent`] (template hash
@@ -11,12 +11,10 @@
 //!   hex string;
 //! * **label round-trips** — `CacheTier::from_label` and
 //!   `Verdict::from_label` invert `label()` for every variant, through the
-//!   wire, not just in memory;
-//! * **stream frames** — `subscribe` requests and pushed `events`
-//!   responses round-trip with their cumulative drop counts intact.
+//!   wire, not just in memory.
 
 use bep_core::{CacheTier, DecisionEvent, SpanSummary, Verdict, PHASE_COUNT};
-use bep_server::{Request, Response};
+use bep_server::Response;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -101,24 +99,12 @@ proptest! {
     }
 
     #[test]
-    fn events_frames_round_trip_with_drop_counts(evs in proptest::collection::vec(arb_event(), 0..4), dropped in 0u64..=i64::MAX as u64) {
-        let resp = Response::Events { events: evs, dropped };
-        prop_assert_eq!(Response::from_wire(&resp.to_wire()).unwrap(), resp.clone());
-    }
-
-    #[test]
-    fn subscribe_requests_round_trip(after in 0u64..=i64::MAX as u64) {
-        let req = Request::Subscribe { after };
-        prop_assert_eq!(Request::from_wire(&req.to_wire()).unwrap(), req);
-    }
-
-    #[test]
     fn tier_labels_invert_through_the_wire(tier in proptest::sample::select(TIERS.to_vec())) {
         prop_assert_eq!(CacheTier::from_label(tier.label()), Some(tier));
         let mut ev = arb_fixed();
         ev.tier = tier;
-        let resp = Response::Events { events: vec![ev], dropped: 0 };
-        let Response::Events { events, .. } = Response::from_wire(&resp.to_wire()).unwrap() else {
+        let resp = Response::Journal { events: vec![ev], published: 1, evicted: 0 };
+        let Response::Journal { events, .. } = Response::from_wire(&resp.to_wire()).unwrap() else {
             return Err(TestCaseError::fail("wrong tag"));
         };
         prop_assert_eq!(events[0].tier, tier);
@@ -129,8 +115,8 @@ proptest! {
         prop_assert_eq!(Verdict::from_label(verdict.label()), Some(verdict));
         let mut ev = arb_fixed();
         ev.verdict = verdict;
-        let resp = Response::Events { events: vec![ev], dropped: 0 };
-        let Response::Events { events, .. } = Response::from_wire(&resp.to_wire()).unwrap() else {
+        let resp = Response::Journal { events: vec![ev], published: 1, evicted: 0 };
+        let Response::Journal { events, .. } = Response::from_wire(&resp.to_wire()).unwrap() else {
             return Err(TestCaseError::fail("wrong tag"));
         };
         prop_assert_eq!(events[0].verdict, verdict);
@@ -155,9 +141,9 @@ fn arb_fixed() -> DecisionEvent {
 #[test]
 fn unknown_labels_refuse_to_decode() {
     for bad in [
-        r#"{"t":"events","events":[{"seq":1,"session":2,"hash":"ff","verdict":"maybe","tier":"uncached","neg":false,"total_ns":3,"phases":[]}],"dropped":0}"#,
-        r#"{"t":"events","events":[{"seq":1,"session":2,"hash":"ff","verdict":"allowed","tier":"warp-cache","neg":false,"total_ns":3,"phases":[]}],"dropped":0}"#,
-        r#"{"t":"events","events":[{"seq":1,"session":2,"hash":"xyzzy","verdict":"allowed","tier":"uncached","neg":false,"total_ns":3,"phases":[]}],"dropped":0}"#,
+        r#"{"t":"journal","events":[{"seq":1,"session":2,"hash":"ff","verdict":"maybe","tier":"uncached","neg":false,"total_ns":3,"phases":[]}],"published":1,"evicted":0}"#,
+        r#"{"t":"journal","events":[{"seq":1,"session":2,"hash":"ff","verdict":"allowed","tier":"warp-cache","neg":false,"total_ns":3,"phases":[]}],"published":1,"evicted":0}"#,
+        r#"{"t":"journal","events":[{"seq":1,"session":2,"hash":"xyzzy","verdict":"allowed","tier":"uncached","neg":false,"total_ns":3,"phases":[]}],"published":1,"evicted":0}"#,
     ] {
         assert!(Response::from_wire(bad).is_err(), "{bad} should not decode");
     }

@@ -8,8 +8,8 @@ use std::time::Duration;
 use appdsl::{run_handler, DslError, Limits, PortOutcome, QueryPort};
 use appsim::AppSpec;
 use bep_core::{
-    schema_of_database, template_hash, CacheTier, ComplianceChecker, Phase, Policy, ProxyConfig,
-    SqlProxy, Verdict,
+    schema_of_database, template_hash, CacheTier, ComplianceChecker, JournalCursor, Phase, Policy,
+    ProxyConfig, SqlProxy, Verdict,
 };
 use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use bep_server::framing::{frame_bytes, FrameEvent, FrameReader};
@@ -40,6 +40,10 @@ fn calendar_db() -> Database {
 }
 
 fn calendar_proxy() -> Arc<SqlProxy> {
+    calendar_proxy_with(ProxyConfig::default())
+}
+
+fn calendar_proxy_with(config: ProxyConfig) -> Arc<SqlProxy> {
     let db = calendar_db();
     let schema = schema_of_database(&db);
     let policy = Policy::from_sql(
@@ -57,7 +61,7 @@ fn calendar_proxy() -> Arc<SqlProxy> {
     Arc::new(SqlProxy::new(
         db,
         ComplianceChecker::new(schema, policy),
-        ProxyConfig::default(),
+        config,
     ))
 }
 
@@ -323,7 +327,7 @@ fn sessions_are_connection_scoped_capabilities() {
 }
 
 #[test]
-fn connection_cap_answers_busy_with_load_snapshot() {
+fn connection_cap_answers_busy_with_the_server_load() {
     let config = ServerConfig {
         max_connections: 1,
         ..Default::default()
@@ -1011,78 +1015,102 @@ fn unknown_plan_id_is_typed_no_such_plan() {
     server.shutdown();
 }
 
+/// The journal read over the wire with `journal {after, max}`, the way
+/// `bep-top` reads it: a client pages with a cursor while traffic runs and
+/// must see every published event exactly once, in order, or count it as
+/// lost, and every loss must be one the replies' `evicted` numbers
+/// account for. A 32-slot ring makes eviction the common case.
 #[test]
-fn warm_start_snapshot_survives_server_generations() {
-    let path = std::env::temp_dir().join(format!("bep-server-snap-{}.bin", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let template = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
+fn journal_paging_delivers_each_event_once_or_counts_it_lost() {
+    const CAP: usize = 32;
+    let proxy = calendar_proxy_with(ProxyConfig {
+        journal_capacity: CAP,
+        ..ProxyConfig::default()
+    });
+    let server =
+        Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0").expect("bind");
+    let addr = server.addr();
+    // Even sequence numbers are allowed by V1, odd ones blocked (no view
+    // exposes other users' ids), so each event's content is checkable
+    // from its sequence number alone.
+    let stmts = |n: usize| -> Vec<(String, Vec<(String, Value)>)> {
+        (0..n)
+            .map(|i| {
+                let sql = if i % 2 == 0 {
+                    "SELECT EId FROM Attendance WHERE UId = ?MyUId"
+                } else {
+                    "SELECT UId FROM Attendance"
+                };
+                (sql.to_string(), Vec::new())
+            })
+            .collect()
+    };
+    let expected = |seq: u64| {
+        if seq.is_multiple_of(2) {
+            Verdict::Allowed
+        } else {
+            Verdict::Blocked
+        }
+    };
 
-    // Generation 1: cold start (no file yet), serve one template-allowed
-    // query, drain — the shutdown persists the compiled verdict.
-    let proxy1 = calendar_proxy();
-    let server1 = Server::start_with_snapshot(
-        Arc::clone(&proxy1),
-        ServerConfig::default(),
-        "127.0.0.1:0",
-        &path,
-    )
-    .expect("bind");
-    let mut c = Client::connect(server1.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(1)).unwrap();
-    assert!(matches!(
-        c.execute(s, template, &[]).unwrap(),
-        ExecOutcome::Rows(_)
-    ));
-    drop(c);
-    server1.shutdown();
-    assert!(path.exists(), "drain persisted a snapshot");
+    // Overflow the ring while nobody reads: the first page is the
+    // retained window, and the cursor charges exactly the evictions.
+    let mut loader = Client::connect(addr, IO).unwrap();
+    let session = loader.begin(uid_bindings(1)).unwrap();
+    loader.execute_pipelined(session, &stmts(100)).unwrap();
+    let mut reader = Client::connect(addr, IO).unwrap();
+    let mut cursor = JournalCursor::default();
+    let page = reader.journal(cursor.position(), 512).unwrap();
+    assert_eq!((page.published, page.evicted), (100, 100 - CAP as u64));
+    cursor.advance(&page.events, page.evicted);
+    assert_eq!(cursor.dropped(), page.evicted, "lost = evicted");
+    let mut delivered: Vec<u64> = page.events.iter().map(|e| e.seq).collect();
+    assert_eq!(delivered, (100 - CAP as u64..100).collect::<Vec<_>>());
 
-    // Generation 2: the plan cache is warm before the first request, and
-    // the warm plan answers identically.
-    let proxy2 = calendar_proxy();
-    let server2 = Server::start_with_snapshot(
-        Arc::clone(&proxy2),
-        ServerConfig::default(),
-        "127.0.0.1:0",
-        &path,
-    )
-    .expect("bind");
-    let warm = proxy2.plan_cache().get(template);
-    assert!(warm.is_some(), "snapshot preloaded the template plan");
-    let mut c = Client::connect(server2.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(1)).unwrap();
-    assert!(matches!(
-        c.execute(s, template, &[]).unwrap(),
-        ExecOutcome::Rows(_)
-    ));
-    drop(c);
-    server2.shutdown();
+    // More traffic while the reader pages in small steps: batch
+    // boundaries depend on timing, the accounting may not.
+    let total = 100 + 8 * 24;
+    let traffic = std::thread::spawn(move || {
+        for _ in 0..8 {
+            loader.execute_pipelined(session, &stmts(24)).unwrap();
+        }
+        loader
+    });
+    while (delivered.len() as u64 + cursor.dropped()) < total {
+        let from = cursor.position();
+        let page = reader.journal(from, 8).unwrap();
+        if let Some(first) = page.events.first() {
+            // Every sequence number the page skipped had been evicted.
+            assert!(first.seq <= from.max(page.evicted), "unaccounted gap");
+        }
+        for e in &page.events {
+            assert!(delivered.last().is_none_or(|&last| e.seq > last), "order");
+            assert_eq!(e.verdict, expected(e.seq), "content at seq {}", e.seq);
+            delivered.push(e.seq);
+        }
+        cursor.advance(&page.events, page.evicted);
+        assert!(cursor.position() <= page.published);
+    }
+    let mut loader = traffic.join().unwrap();
+    let page = reader.journal(cursor.position(), 512).unwrap();
+    assert!(page.events.is_empty());
+    assert_eq!(page.published, total);
+    assert_eq!(delivered.len() as u64 + cursor.dropped(), total);
 
-    // Generation 3: a corrupted snapshot degrades to a cold start — the
-    // server still boots and enforces.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0x55;
-    std::fs::write(&path, &bytes).unwrap();
-    let proxy3 = calendar_proxy();
-    let server3 = Server::start_with_snapshot(
-        Arc::clone(&proxy3),
-        ServerConfig::default(),
-        "127.0.0.1:0",
-        &path,
-    )
-    .expect("bind");
-    assert!(
-        proxy3.plan_cache().get(template).is_none(),
-        "corrupt snapshot must not install anything"
+    // A cursor past the head reads nothing and loses nothing, and then
+    // picks up the first event published at its position.
+    let mut ahead = JournalCursor::starting_at(total + 1);
+    let page = reader.journal(ahead.position(), 512).unwrap();
+    assert!(page.events.is_empty());
+    ahead.advance(&page.events, page.evicted);
+    assert_eq!((ahead.position(), ahead.dropped()), (total + 1, 0));
+    loader.execute_pipelined(session, &stmts(2)).unwrap();
+    let page = reader.journal(ahead.position(), 512).unwrap();
+    ahead.advance(&page.events, page.evicted);
+    assert_eq!(
+        page.events.iter().map(|e| e.seq).collect::<Vec<_>>(),
+        [total + 1]
     );
-    let mut c = Client::connect(server3.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(2)).unwrap();
-    assert!(matches!(
-        c.execute(s, template, &[]).unwrap(),
-        ExecOutcome::Rows(_)
-    ));
-    drop(c);
-    server3.shutdown();
-    std::fs::remove_file(&path).ok();
+    assert_eq!(ahead.dropped(), 0);
+    server.shutdown();
 }

@@ -1,11 +1,13 @@
 //! `bep-top` — a live terminal view of a running enforcement server.
 //!
-//! Two connections do all the work. The first `subscribe`s to the
-//! decision journal and folds every pushed event into per-template
-//! panes — decision counts, verdict split, latency, solver-span counter
-//! averages, and which cache tier answered — and into the exact mean
-//! time per decision phase across all of them. The second scrapes the
-//! Prometheus exposition and `stats` snapshot each frame for the
+//! One connection does all the work. Each frame it pages the decision
+//! journal (`journal {after, max}`) until the frame interval elapses and
+//! folds every event into per-template panes — decision counts, verdict
+//! split, latency, solver-span counter averages, and which cache tier
+//! answered — and into the exact mean time per decision phase across all
+//! of them; events the ring evicted before a page could read them are
+//! counted as dropped, from the gaps in the sequence numbers. Then it
+//! scrapes the Prometheus exposition and `stats` snapshot for the
 //! byte-accurate memory gauges (`bep_mem_bytes{component=...}`) and the
 //! server-wide latency percentiles.
 //!
@@ -39,15 +41,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bep_core::{
-    schema_of_database, ComplianceChecker, Policy, ProxyConfig, SqlProxy, Verdict, PHASE_COUNT,
+    schema_of_database, ComplianceChecker, JournalCursor, Policy, ProxyConfig, SqlProxy, Verdict,
+    PHASE_COUNT,
 };
-use bep_server::{Client, ClientError, EventBatch, Server, ServerConfig, WireStats};
+use bep_server::{Client, JournalPage, Server, ServerConfig, WireStats};
 use minidb::Database;
 use sqlir::Value;
 
-/// How long one `next_events` read may block inside a frame: short
+/// Most events asked for per `journal` page (the server's own cap).
+const PAGE_MAX: u64 = 512;
+/// How long to wait after an empty page before asking again: short
 /// enough to keep the frame cadence honest, long enough to not spin.
-const STREAM_TICK: Duration = Duration::from_millis(200);
+const IDLE_POLL: Duration = Duration::from_millis(10);
 
 fn main() {
     let mut opts = Opts::default();
@@ -123,11 +128,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         .ok_or_else(|| format!("resolve {}: no address", opts.addr))?;
 
     let io = Duration::from_secs(5);
-    let mut scrape = Client::connect(addr, io).map_err(|e| format!("connect {addr}: {e}"))?;
-    let mut sub = Client::connect(addr, io).map_err(|e| format!("connect {addr}: {e}"))?;
-    sub.subscribe(0).map_err(|e| format!("subscribe: {e}"))?;
-    sub.set_io_timeout(STREAM_TICK.min(opts.interval))
-        .map_err(|e| format!("set stream timeout: {e}"))?;
+    let mut c = Client::connect(addr, io).map_err(|e| format!("connect {addr}: {e}"))?;
 
     let interactive = opts.frames == 0;
     let mut agg = Aggregate::default();
@@ -136,37 +137,34 @@ fn run(opts: &Opts) -> Result<(), String> {
     let mut prev_scrape = Instant::now();
     loop {
         frame += 1;
-        // Drain the stream until the frame interval elapses; each read
-        // blocks at most STREAM_TICK, so an idle server still renders.
+        // Page the journal until the frame interval elapses, pausing
+        // briefly after an empty page, so an idle server still renders.
         let deadline = Instant::now() + opts.interval;
         let mut fresh = 0usize;
         loop {
-            match sub.next_events() {
-                Ok(batch) => {
-                    fresh += batch.events.len();
-                    agg.ingest(batch);
-                }
-                Err(ClientError::Io(e))
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                    ) => {}
-                Err(e) => return Err(format!("stream: {e}")),
-            }
-            if Instant::now() >= deadline {
+            let page = c
+                .journal(agg.cursor.position(), PAGE_MAX)
+                .map_err(|e| format!("journal: {e}"))?;
+            let empty = page.events.is_empty();
+            fresh += page.events.len();
+            agg.ingest(page);
+            let now = Instant::now();
+            if now >= deadline {
                 break;
+            }
+            if empty {
+                std::thread::sleep(IDLE_POLL.min(deadline - now));
             }
         }
 
-        let stats = scrape.stats().map_err(|e| format!("stats: {e}"))?;
-        let text = scrape.metrics().map_err(|e| format!("metrics: {e}"))?;
+        let stats = c.stats().map_err(|e| format!("stats: {e}"))?;
+        let text = c.metrics().map_err(|e| format!("metrics: {e}"))?;
         let mem = parse_mem_gauges(&text);
         let evictions = parse_eviction_counters(&text);
         let now = Instant::now();
         let rates = eviction_rates(&prev_evictions, &evictions, now - prev_scrape);
         prev_evictions = evictions;
         prev_scrape = now;
-        let snapshot = parse_snapshot_gauges(&text);
         let writes = parse_write_counters(&text);
 
         if interactive {
@@ -175,7 +173,7 @@ fn run(opts: &Opts) -> Result<(), String> {
         }
         print!(
             "{}",
-            render(opts, frame, fresh, &agg, &stats, &mem, &rates, &snapshot, &writes)
+            render(opts, frame, fresh, &agg, &stats, &mem, &rates, &writes)
         );
         if !interactive && frame >= opts.frames {
             return Ok(());
@@ -187,7 +185,8 @@ fn run(opts: &Opts) -> Result<(), String> {
 // Aggregation: fold the event stream into per-template panes.
 
 /// One template's pane: everything shown about it comes from folding the
-/// pushed [`bep_core::DecisionEvent`]s, never from re-querying the server.
+/// journal's [`bep_core::DecisionEvent`]s, never from re-querying the
+/// server.
 #[derive(Default)]
 struct Pane {
     count: u64,
@@ -205,7 +204,8 @@ struct Pane {
 struct Aggregate {
     panes: HashMap<u64, Pane>,
     delivered: u64,
-    dropped: u64,
+    /// Where the next journal page starts, and the events lost so far.
+    cursor: JournalCursor,
     /// Exact nanoseconds per decision phase, summed over every delivered
     /// event, indexed like [`bep_core::Phase::ALL`].
     phase_ns: [u64; PHASE_COUNT],
@@ -215,10 +215,10 @@ struct Aggregate {
 const PHASE_NAMES: [&str; PHASE_COUNT] = ["parse", "lookup", "concrete", "proof", "db", "trace"];
 
 impl Aggregate {
-    fn ingest(&mut self, batch: EventBatch) {
-        self.dropped = batch.dropped;
-        self.delivered += batch.events.len() as u64;
-        for e in batch.events {
+    fn ingest(&mut self, page: JournalPage) {
+        self.cursor.advance(&page.events, page.evicted);
+        self.delivered += page.events.len() as u64;
+        for e in page.events {
             for (sum, ns) in self.phase_ns.iter_mut().zip(e.phase_ns) {
                 *sum += ns;
             }
@@ -279,36 +279,6 @@ fn parse_labeled(text: &str, prefix: &str) -> Vec<(String, u64)> {
     out
 }
 
-/// The warm-start snapshot gauges: entries loaded/rejected at the last
-/// load (or saved at the last save), file bytes, and the epoch-seconds
-/// stamp of whichever happened last.
-#[derive(Debug, Default, PartialEq)]
-struct SnapshotGauges {
-    loaded: u64,
-    rejected: u64,
-    bytes: u64,
-    timestamp: u64,
-}
-
-fn parse_snapshot_gauges(text: &str) -> SnapshotGauges {
-    let mut g = SnapshotGauges::default();
-    for (outcome, n) in parse_labeled(text, "bep_snapshot_entries{outcome=\"") {
-        match outcome.as_str() {
-            "loaded" => g.loaded = n,
-            "rejected" => g.rejected = n,
-            _ => {}
-        }
-    }
-    for line in text.lines() {
-        if let Some(v) = line.strip_prefix("bep_snapshot_bytes ") {
-            g.bytes = v.trim().parse().unwrap_or(0);
-        } else if let Some(v) = line.strip_prefix("bep_snapshot_timestamp_seconds ") {
-            g.timestamp = v.trim().parse().unwrap_or(0);
-        }
-    }
-    g
-}
-
 /// Turns two scrapes of the cumulative eviction counters into per-second
 /// rates. Tiers are matched by label; a missing or reset counter (new
 /// server behind the same address) clamps to zero instead of going
@@ -343,7 +313,6 @@ fn render(
     stats: &WireStats,
     mem: &[(String, u64)],
     eviction_rates: &[(String, f64)],
-    snapshot: &SnapshotGauges,
     writes: &(Vec<(String, u64)>, u64),
 ) -> String {
     let mut out = String::new();
@@ -367,7 +336,8 @@ fn render(
     }
     out.push_str(&format!(
         "stream: delivered {}  dropped {}  (+{fresh} this frame)\n",
-        agg.delivered, agg.dropped
+        agg.delivered,
+        agg.cursor.dropped()
     ));
     let ns_per_us_decision = agg.delivered.max(1) as f64 * 1e3;
     let phases: Vec<String> = PHASE_NAMES
@@ -392,7 +362,6 @@ fn render(
             .collect();
         out.push_str(&format!("evictions: {}\n", rates.join("  ")));
     }
-    out.push_str(&format!("snapshot: {}\n", fmt_snapshot(snapshot)));
 
     out.push_str(&format!(
         "{:<17} {:>7} {:>6} {:>6} {:>8} {:>8} {:>5} {:>5} {:>6}  {}\n",
@@ -434,41 +403,6 @@ fn render(
 /// `template-cache` → `tc`, `uncached` → `u`.
 fn tier_abbrev(label: &str) -> String {
     label.split('-').filter_map(|w| w.chars().next()).collect()
-}
-
-/// One line for the warm-start snapshot: entry counts, file size, and
-/// age relative to this process's clock. Timestamp 0 means the server
-/// has neither loaded nor saved one.
-fn fmt_snapshot(s: &SnapshotGauges) -> String {
-    if s.timestamp == 0 {
-        return "none".to_string();
-    }
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let age = now.saturating_sub(s.timestamp);
-    let rejected = if s.rejected > 0 {
-        format!("  rejected {}", s.rejected)
-    } else {
-        String::new()
-    };
-    format!(
-        "{} entries{rejected}  {}  age {}",
-        s.loaded,
-        fmt_bytes(s.bytes),
-        fmt_age(age)
-    )
-}
-
-fn fmt_age(secs: u64) -> String {
-    if secs >= 3600 {
-        format!("{:.1}h", secs as f64 / 3600.0)
-    } else if secs >= 60 {
-        format!("{:.1}m", secs as f64 / 60.0)
-    } else {
-        format!("{secs}s")
-    }
 }
 
 fn fmt_us(ns: u64) -> String {
@@ -605,8 +539,8 @@ mod tests {
 
     #[test]
     fn phases_line_reports_exact_mean_phase_times() {
-        let event = |phase_ns| bep_core::DecisionEvent {
-            seq: 0,
+        let event = |seq, phase_ns| bep_core::DecisionEvent {
+            seq,
             session: 1,
             template_hash: 7,
             verdict: Verdict::Allowed,
@@ -617,12 +551,13 @@ mod tests {
             span: Default::default(),
         };
         let mut agg = Aggregate::default();
-        agg.ingest(EventBatch {
+        agg.ingest(JournalPage {
             events: vec![
-                event([1_000, 200, 0, 30_000, 4_000, 500]),
-                event([3_000, 400, 0, 10_000, 6_000, 1_500]),
+                event(0, [1_000, 200, 0, 30_000, 4_000, 500]),
+                event(1, [3_000, 400, 0, 10_000, 6_000, 1_500]),
             ],
-            dropped: 0,
+            published: 2,
+            evicted: 0,
         });
         assert_eq!(agg.phase_ns, [4_000, 600, 0, 40_000, 10_000, 2_000]);
         let text = render(
@@ -633,7 +568,6 @@ mod tests {
             &WireStats::default(),
             &[],
             &[],
-            &SnapshotGauges::default(),
             &(Vec::new(), 0),
         );
         assert!(
@@ -704,31 +638,5 @@ mod tests {
         let cur = vec![("plan".to_string(), 5u64)];
         let rates = eviction_rates(&prev, &cur, Duration::from_secs(1));
         assert_eq!(rates[0].1, 0.0);
-    }
-
-    #[test]
-    fn snapshot_gauges_parse_from_exposition_text() {
-        let text = "bep_snapshot_entries{outcome=\"loaded\"} 48\n\
-                    bep_snapshot_entries{outcome=\"rejected\"} 2\n\
-                    bep_snapshot_bytes 27622\n\
-                    bep_snapshot_timestamp_seconds 1700000000\n";
-        assert_eq!(
-            parse_snapshot_gauges(text),
-            SnapshotGauges {
-                loaded: 48,
-                rejected: 2,
-                bytes: 27622,
-                timestamp: 1700000000,
-            }
-        );
-        assert_eq!(parse_snapshot_gauges(""), SnapshotGauges::default());
-        assert_eq!(fmt_snapshot(&SnapshotGauges::default()), "none");
-    }
-
-    #[test]
-    fn ages_format_in_the_right_unit() {
-        assert_eq!(fmt_age(45), "45s");
-        assert_eq!(fmt_age(90), "1.5m");
-        assert_eq!(fmt_age(7200), "2.0h");
     }
 }

@@ -27,9 +27,10 @@
 //! exposition snapshot on shutdown.
 //!
 //! Add `--journal-tail` to follow the live decision journal over the
-//! wire: a second client `subscribe`s and prints one human-readable line
-//! per decision (in smoke mode, the pushed batch for the smoke decision
-//! itself — CI greps the lines).
+//! wire: a client pages it with `journal {after, max}` and prints one
+//! human-readable line per decision, with the events lost to ring
+//! eviction counted from sequence gaps (in smoke mode, the page holding
+//! the smoke decision itself — CI greps the lines).
 //!
 //! At startup, the proxy lints every handler SQL template of the calendar
 //! application against the policy's view heads and prints any columns a
@@ -40,7 +41,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use appsim::{seed_app, Scale, CALENDAR};
-use bep_server::{Client, EventBatch, ExecOutcome, Server, ServerConfig};
+use bep_server::{Client, ExecOutcome, Server, ServerConfig};
 use beyond_enforcement::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -97,8 +98,11 @@ fn tail_line(e: &bep_core::DecisionEvent, dropped: u64) -> String {
     )
 }
 
-/// Follows the live journal on its own connection, printing one line per
-/// decision until the server goes away.
+/// Most events asked for per `journal` page (the server's own cap).
+const PAGE_MAX: u64 = 512;
+
+/// Follows the live journal on its own connection, paging it and printing
+/// one line per decision until the server goes away.
 fn tail_journal(addr: std::net::SocketAddr) {
     let _ = std::thread::Builder::new()
         .name("journal-tail".into())
@@ -110,13 +114,14 @@ fn tail_journal(addr: std::net::SocketAddr) {
                     return;
                 }
             };
-            if let Err(e) = c.subscribe(0) {
-                eprintln!("journal: subscribe failed: {e}");
-                return;
-            }
-            while let Ok(EventBatch { events, dropped }) = c.next_events() {
-                for e in &events {
-                    println!("{}", tail_line(e, dropped));
+            let mut cursor = JournalCursor::default();
+            while let Ok(page) = c.journal(cursor.position(), PAGE_MAX) {
+                cursor.advance(&page.events, page.evicted);
+                for e in &page.events {
+                    println!("{}", tail_line(e, cursor.dropped()));
+                }
+                if page.events.is_empty() {
+                    std::thread::sleep(Duration::from_millis(50));
                 }
             }
         });
@@ -155,7 +160,7 @@ fn main() {
         println!("  metrics  : scrape with a `metrics` frame (Prometheus text)");
     }
     if journal_tail {
-        println!("  journal  : tailing live decisions on a subscribed connection");
+        println!("  journal  : tailing live decisions by paging the journal");
         tail_journal(server.addr());
     }
     println!("  stop with: a client `shutdown` request");
@@ -179,8 +184,8 @@ fn main() {
 /// The CI smoke check: one full client round-trip and a clean shutdown.
 /// With `metrics`, the client also scrapes the exposition endpoint and
 /// the full Prometheus text is printed for CI to grep. With
-/// `journal_tail`, a second connection subscribes to the live journal and
-/// the pushed batch for the smoke decision is printed for CI to grep.
+/// `journal_tail`, the client pages the journal from the start and the
+/// page holding the smoke decision is printed for CI to grep.
 fn smoke(metrics: bool, journal_tail: bool) {
     let proxy = calendar_proxy();
     let server = Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0")
@@ -222,18 +227,20 @@ fn smoke(metrics: bool, journal_tail: bool) {
         println!("smoke: session ended cleanly");
 
         if journal_tail {
-            // Subscribe on a second connection: the smoke decision above
-            // is already published, so the first pushed batch carries it.
-            let mut tail = Client::connect(addr, Duration::from_secs(10)).expect("tail connect");
-            tail.subscribe(0).expect("subscribe");
-            let EventBatch { events, dropped } = tail.next_events().expect("pushed batch");
+            // The smoke decision above is already published, so the
+            // first page carries it.
+            let mut cursor = JournalCursor::default();
+            let page = c
+                .journal(cursor.position(), PAGE_MAX)
+                .expect("journal page");
+            cursor.advance(&page.events, page.evicted);
             assert!(
-                events.iter().any(|e| e.verdict.label() == "allowed"),
-                "stream carries the allowed smoke decision"
+                page.events.iter().any(|e| e.verdict.label() == "allowed"),
+                "the page carries the allowed smoke decision"
             );
-            assert_eq!(dropped, 0, "nothing evicted under smoke load");
-            for e in &events {
-                println!("{}", tail_line(e, dropped));
+            assert_eq!(cursor.dropped(), 0, "nothing evicted under smoke load");
+            for e in &page.events {
+                println!("{}", tail_line(e, cursor.dropped()));
             }
         }
 
