@@ -11,7 +11,7 @@
 //!
 //! Nothing here touches the database, a clock, a metric or the journal:
 //! phase boundaries leave through a `lap` callback, and the proxy
-//! (`SqlProxy::run`) executes, applies and counts.
+//! (`SqlProxy::execute`) executes, applies and counts.
 
 use std::mem::size_of;
 use std::sync::Arc;

@@ -22,7 +22,7 @@
 //! A text that inlines its values is a template too: `execute` lifts its
 //! literals into reserved parameters and decides its *shape* with them
 //! bound, so a probe family shares one plan instead of compiling one per
-//! value (`SqlProxy::resolve`; `prepare` keeps the exact text).
+//! value (`SqlProxy::resolve`).
 //!
 //! On top of the plan, the decision caches amortize proof cost:
 //!
@@ -670,6 +670,12 @@ impl SqlProxy {
     /// statement for every value it inlines; the decision is the literal
     /// text's, and the journal records the shape's template hash.
     ///
+    /// One statement from clock start to published event: `resolve` yields
+    /// the plan, whether this request compiled it (its laps already
+    /// attributed) and any lifted literals' bindings; `decide_and_run`
+    /// decides, executes and applies; `finish` derives every counter and
+    /// the event from the outcome.
+    ///
     /// Takes `&self`: any number of sessions (and requests within a
     /// session) may execute concurrently.
     pub fn execute(
@@ -679,9 +685,17 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
         let hash = template_hash(sql);
-        self.run(session_id, extra_bindings, |timer| {
-            self.resolve(sql, hash, timer)
-        })
+        // The decision runs on this thread, so the solver counters `finish`
+        // takes are this decision's work alone once whatever accumulated
+        // before it (any other solver use on this thread) is discarded here.
+        qlogic::probe::take();
+        let t0 = Instant::now();
+        let mut timer = PhaseTimer::start();
+        let (plan, built, lifted) = self.resolve(sql, hash, &mut timer);
+        let (decided, result) =
+            self.decide_and_run(session_id, &plan, built, extra_bindings, lifted, &mut timer);
+        self.finish(session_id, plan.hash(), t0, &timer, decided, &result);
+        result
     }
 
     /// The plan `execute` decides `sql` (whose template hash is `hash`)
@@ -721,63 +735,6 @@ impl SqlProxy {
         }
         let (plan, built) = self.plan_for(sql, hash, timer);
         (plan, built, Vec::new())
-    }
-
-    /// Compiles (or prefetches) the plan for a template without deciding
-    /// anything. The returned plan can be replayed any number of times via
-    /// [`SqlProxy::execute_planned`], skipping even the plan-cache probe —
-    /// the wire protocol's `prepare` frame maps to this. The plan is the
-    /// exact text's: nothing is lifted, since a prepared handle already
-    /// compiles once per text.
-    ///
-    /// No statistics are touched, and the solver work of a first
-    /// compilation is charged to no decision; replays through a
-    /// template-allowed plan count as template-cache hits.
-    pub fn prepare(&self, sql: &str) -> Arc<TemplatePlan> {
-        let hash = template_hash(sql);
-        let (cell, _) = self.plans.entry_hashed(hash, sql);
-        cell.get_or_init(|| Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |_| {})))
-            .clone()
-    }
-
-    /// Executes a previously [`prepare`](SqlProxy::prepare)d plan — the
-    /// decision hot path with the plan lookup already paid (the server's
-    /// `execute_prepared` frame). Statistics, phase timings, and journal
-    /// events are recorded exactly as for [`SqlProxy::execute`] of the same
-    /// template.
-    pub fn execute_planned(
-        &self,
-        session_id: u64,
-        plan: &TemplatePlan,
-        extra_bindings: &[(String, Value)],
-    ) -> Result<ProxyResponse, CoreError> {
-        self.run(session_id, extra_bindings, |_| (plan, false, Vec::new()))
-    }
-
-    /// One statement from clock start to published event: `resolve`
-    /// yields the plan, whether this request compiled it (its laps
-    /// already attributed) and any lifted literals' bindings;
-    /// [`decide_and_run`](Self::decide_and_run) decides, executes and
-    /// applies; [`finish`](Self::finish) derives every counter and the
-    /// event from the outcome.
-    fn run<P: std::ops::Deref<Target = TemplatePlan>>(
-        &self,
-        session_id: u64,
-        extra_bindings: &[(String, Value)],
-        resolve: impl FnOnce(&mut PhaseTimer) -> (P, bool, Vec<(String, Value)>),
-    ) -> Result<ProxyResponse, CoreError> {
-        // The decision runs on this thread, so the solver counters `finish`
-        // takes are this decision's work alone once whatever accumulated
-        // before it (a `prepare`, any other solver use on this thread) is
-        // discarded here.
-        qlogic::probe::take();
-        let t0 = Instant::now();
-        let mut timer = PhaseTimer::start();
-        let (plan, built, lifted) = resolve(&mut timer);
-        let (decided, result) =
-            self.decide_and_run(session_id, &plan, built, extra_bindings, lifted, &mut timer);
-        self.finish(session_id, plan.hash(), t0, &timer, decided, &result);
-        result
     }
 
     /// Decides one statement, runs it if allowed, and applies its effects
@@ -883,7 +840,7 @@ impl SqlProxy {
         }
     }
 
-    /// The tail of [`run`](Self::run), and the one place a statement's
+    /// The tail of [`execute`](Self::execute), and the one place a statement's
     /// counters come from: latency, the tier and verdict counters derived
     /// from `(kind, provenance, result)`, the solver roll-up and the
     /// journal event. `decided` is `None` when the session does not exist:
@@ -1858,43 +1815,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_then_execute_planned_skips_the_proof() {
-        let p = proxy(ProxyConfig::default());
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let plan = p.prepare(sql);
-        assert_eq!(plan.hash(), template_hash(sql));
-        assert_eq!(p.stats().template_proofs, 0, "prepare is not a decision");
-        let r = p.execute_planned(s, &plan, &[]).unwrap();
-        assert!(r.is_allowed());
-        let stats = p.stats();
-        // Replaying a prepared template-allowed plan is a cache hit, never
-        // a proof — the proof happened (uncounted) at prepare time.
-        assert_eq!(stats.template_proofs, 0);
-        assert_eq!(stats.template_cache_hits, 1);
-        // `execute` of the same SQL reuses the prepared plan.
-        assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
-        assert_eq!(p.stats().template_cache_hits, 2);
-        assert_eq!(p.plan_cache().len(), 1);
-    }
-
-    #[test]
-    fn execute_planned_checks_the_session() {
-        let p = proxy(ProxyConfig::default());
-        let plan = p.prepare("SELECT EId FROM Attendance WHERE UId = ?MyUId");
-        let err = p.execute_planned(4242, &plan, &[]).unwrap_err();
-        assert_eq!(err, CoreError::NoSuchSession(4242));
-        // A prepared parse error replays as Blocked, like `execute`.
-        let bad = p.prepare("SELEC whoops");
-        let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-        let r = p.execute_planned(s, &bad, &[]).unwrap();
-        assert!(matches!(
-            r,
-            ProxyResponse::Blocked(DenyReason::ParseError(_))
-        ));
-    }
-
-    #[test]
     fn spans_summarize_solver_work_onto_events() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -1958,14 +1878,27 @@ mod tests {
             assert_eq!(hit.span.rewrite_iterations, 0, "{hit:?}");
         }
 
-        // A `prepare` proves its fresh template on this thread, outside any
-        // decision: the replay after it must not be charged that proof.
-        let plan = p.prepare("SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2");
+        // A plan compiled into the cache outside any decision proves its
+        // template on this thread: the `execute` that finds it is a cache
+        // hit and must not be charged that proof.
+        let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+        let (cell, _) = p.plan_cache().entry(sql);
+        cell.get_or_init(|| {
+            Arc::new(compile_plan(
+                &p.checker,
+                sql,
+                template_hash(sql),
+                true,
+                &mut |_| {},
+            ))
+        });
         assert!(qlogic::probe::peek().containment_checks > 0);
-        assert!(p.execute_planned(s, &plan, &[]).unwrap().is_allowed());
+        let proofs = p.stats().template_proofs;
+        assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
         let replay = p.journal().recent(1, None)[0];
         assert_eq!(replay.tier, CacheTier::TemplateCache);
         assert_eq!(replay.span.containment_checks, 0, "{replay:?}");
+        assert_eq!(p.stats().template_proofs, proofs);
     }
 
     #[test]

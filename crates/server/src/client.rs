@@ -17,7 +17,7 @@ use sqlir::Value;
 
 use crate::conn::blocked_detail;
 use crate::framing::{write_frame, FrameError, FrameEvent, FrameReader, MAX_FRAME};
-use crate::protocol::{Request, Response, WireStats, PROTOCOL_VERSION};
+use crate::protocol::{Request, Response, PROTOCOL_VERSION};
 
 /// A client-side failure.
 #[derive(Debug)]
@@ -191,12 +191,7 @@ impl Client {
             sql: sql.to_string(),
             bindings: bindings.to_vec(),
         };
-        match self.round_trip(&req)? {
-            Response::Rows { columns, rows } => Ok(ExecOutcome::Rows(Rows { columns, rows })),
-            Response::Affected { n } => Ok(ExecOutcome::Affected(n)),
-            Response::Blocked { reason, detail } => Ok(ExecOutcome::Blocked { reason, detail }),
-            other => Err(expect_error(other, "rows/affected/blocked")),
-        }
+        exec_outcome(self.round_trip(&req)?)
     }
 
     /// Executes a burst of statements **pipelined**: every request frame
@@ -217,49 +212,10 @@ impl Client {
             };
             write_frame(&mut self.stream, req.to_wire().as_bytes())?;
         }
-        let mut out = Vec::with_capacity(stmts.len());
-        for _ in stmts {
-            out.push(match self.read_response()? {
-                Response::Rows { columns, rows } => ExecOutcome::Rows(Rows { columns, rows }),
-                Response::Affected { n } => ExecOutcome::Affected(n),
-                Response::Blocked { reason, detail } => ExecOutcome::Blocked { reason, detail },
-                other => return Err(expect_error(other, "rows/affected/blocked")),
-            });
-        }
-        Ok(out)
-    }
-
-    /// Compiles a statement template into a server-held plan for `session`
-    /// and returns its connection-scoped id.
-    pub fn prepare(&mut self, session: u64, sql: &str) -> Result<u64, ClientError> {
-        let req = Request::Prepare {
-            session,
-            sql: sql.to_string(),
-        };
-        match self.round_trip(&req)? {
-            Response::Prepared { plan } => Ok(plan),
-            other => Err(expect_error(other, "prepared")),
-        }
-    }
-
-    /// Executes a previously prepared plan under enforcement.
-    pub fn execute_prepared(
-        &mut self,
-        session: u64,
-        plan: u64,
-        bindings: &[(String, Value)],
-    ) -> Result<ExecOutcome, ClientError> {
-        let req = Request::ExecutePrepared {
-            session,
-            plan,
-            bindings: bindings.to_vec(),
-        };
-        match self.round_trip(&req)? {
-            Response::Rows { columns, rows } => Ok(ExecOutcome::Rows(Rows { columns, rows })),
-            Response::Affected { n } => Ok(ExecOutcome::Affected(n)),
-            Response::Blocked { reason, detail } => Ok(ExecOutcome::Blocked { reason, detail }),
-            other => Err(expect_error(other, "rows/affected/blocked")),
-        }
+        stmts
+            .iter()
+            .map(|_| exec_outcome(self.read_response()?))
+            .collect()
     }
 
     /// Fetches a session's trace summary and recent decision provenance.
@@ -275,14 +231,6 @@ impl Client {
                 events,
             }),
             other => Err(expect_error(other, "trace")),
-        }
-    }
-
-    /// Fetches the server's statistics snapshot.
-    pub fn stats(&mut self) -> Result<WireStats, ClientError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(expect_error(other, "stats")),
         }
     }
 
@@ -364,6 +312,16 @@ impl Client {
     /// server's orphan sweep will reclaim them).
     pub fn abandon(mut self) {
         let _ = self.stream.flush();
+    }
+}
+
+/// The outcome an `execute` frame's reply carries.
+fn exec_outcome(response: Response) -> Result<ExecOutcome, ClientError> {
+    match response {
+        Response::Rows { columns, rows } => Ok(ExecOutcome::Rows(Rows { columns, rows })),
+        Response::Affected { n } => Ok(ExecOutcome::Affected(n)),
+        Response::Blocked { reason, detail } => Ok(ExecOutcome::Blocked { reason, detail }),
+        other => Err(expect_error(other, "rows/affected/blocked")),
     }
 }
 

@@ -1,10 +1,10 @@
 //! Per-connection protocol state.
 //!
 //! [`ConnCore`] owns everything one connection's protocol needs — the
-//! handshake flag, the sessions it began, its prepared plans — and
-//! answers each decoded request on the spot:
-//! control-plane messages and enforcement decisions alike, so every
-//! answer reflects exactly the frames before it on the connection. Error
+//! handshake flag and the sessions it began — and answers each decoded
+//! request on the spot: control-plane messages and enforcement decisions
+//! alike, so every answer reflects exactly the frames before it on the
+//! connection. Error
 //! containment is graded:
 //!
 //! * a *malformed message* (bad JSON, unknown tag, missing field) gets a
@@ -18,15 +18,15 @@
 //! server shutdown), a drop guard ends every session the connection ever
 //! began that is still live — the server never leaks orphaned sessions.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bep_core::{CoreError, DenyReason, ProxyResponse, SqlProxy, TemplatePlan};
+use bep_core::{CoreError, DenyReason, ProxyResponse, SqlProxy};
 
-use crate::protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
+use crate::protocol::{ErrorKind, Request, Response, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
 
 /// State shared by every connection of one server.
@@ -57,47 +57,6 @@ impl Drop for SessionSweep {
     }
 }
 
-/// Plans compiled by `prepare` on this connection. Like sessions, plan ids
-/// are connection-scoped capabilities: the map (and the `Arc`s pinning the
-/// compiled plans) dies with the connection.
-#[derive(Default)]
-struct PreparedPlans {
-    plans: HashMap<u64, Arc<TemplatePlan>>,
-    next: u64,
-}
-
-impl PreparedPlans {
-    fn insert(&mut self, plan: Arc<TemplatePlan>) -> u64 {
-        self.next += 1;
-        self.plans.insert(self.next, plan);
-        self.next
-    }
-}
-
-/// Snapshot the proxy counters into their wire form.
-pub(crate) fn wire_stats(proxy: &SqlProxy) -> WireStats {
-    let s = proxy.stats();
-    WireStats {
-        allowed: s.allowed,
-        blocked: s.blocked,
-        template_cache_hits: s.template_cache_hits,
-        template_proofs: s.template_proofs,
-        session_cache_hits: s.session_cache_hits,
-        concrete_proofs: s.concrete_proofs,
-        writes: s.writes,
-        write_allowed: s.write_allowed,
-        write_blocked: s.write_blocked,
-        write_passthrough: s.write_passthrough,
-        unchecked_statements: s.unchecked_statements,
-        sessions: proxy.session_count() as u64,
-        latency_count: s.latency.count,
-        p50_ns: s.latency.p50_ns,
-        p95_ns: s.latency.p95_ns,
-        p99_ns: s.latency.p99_ns,
-        max_ns: s.latency.max_ns,
-    }
-}
-
 /// Most recent per-session decision events shipped in a `trace` response.
 const TRACE_EVENTS_MAX: usize = 32;
 
@@ -110,7 +69,6 @@ const JOURNAL_BATCH_MAX: usize = 512;
 pub(crate) struct ConnCore {
     shared: Arc<ConnShared>,
     sweep: SessionSweep,
-    prepared: PreparedPlans,
     greeted: bool,
 }
 
@@ -123,7 +81,6 @@ impl ConnCore {
                 proxy,
                 owned: HashSet::new(),
             },
-            prepared: PreparedPlans::default(),
             greeted: false,
         }
     }
@@ -146,8 +103,7 @@ impl ConnCore {
         })
     }
 
-    /// Answers one decoded request, deciding `execute` and
-    /// `execute_prepared` inline; the flag says whether the connection
+    /// Answers one decoded request, deciding `execute` inline; the flag says whether the connection
     /// should close after sending the response.
     pub(crate) fn classify(&mut self, request: Request) -> (Response, bool) {
         if !self.greeted {
@@ -209,34 +165,6 @@ impl ConnCore {
                 }
                 exec_response(shared.proxy.execute(session, &sql, &bindings))
             }
-            Request::Prepare { session, sql } => {
-                // Plans are compiled against the (session-independent)
-                // policy, but the ownership gate still applies: a
-                // connection may only prepare work for sessions it began.
-                if !self.sweep.owned.contains(&session) {
-                    return no_such_session(session);
-                }
-                let plan = shared.proxy.prepare(&sql);
-                Response::Prepared {
-                    plan: self.prepared.insert(plan),
-                }
-            }
-            Request::ExecutePrepared {
-                session,
-                plan,
-                bindings,
-            } => {
-                if !self.sweep.owned.contains(&session) {
-                    return no_such_session(session);
-                }
-                let Some(compiled) = self.prepared.plans.get(&plan) else {
-                    return Response::Error {
-                        kind: ErrorKind::NoSuchPlan,
-                        msg: format!("no such prepared plan: {plan}"),
-                    };
-                };
-                exec_response(shared.proxy.execute_planned(session, compiled, &bindings))
-            }
             Request::Trace { session } => {
                 if !self.sweep.owned.contains(&session) {
                     return no_such_session(session);
@@ -253,7 +181,6 @@ impl ConnCore {
                     Err(e) => core_error(e),
                 }
             }
-            Request::Stats => Response::Stats(wire_stats(&shared.proxy)),
             Request::Metrics => Response::Metrics {
                 text: shared.proxy.metrics_text(),
             },
@@ -288,7 +215,7 @@ impl ConnCore {
     }
 }
 
-/// Maps one proxy execution result (plain or prepared) to its wire form.
+/// Maps one proxy execution result to its wire form.
 fn exec_response(result: Result<ProxyResponse, CoreError>) -> Response {
     match result {
         Ok(ProxyResponse::Rows(rows)) => Response::Rows {

@@ -10,8 +10,8 @@
 //!    decode up to [`FRAMES_PER_CONN_PER_TICK`] frames per connection
 //!    (pipelining: one readiness event may carry many frames);
 //! 3. **Decide inline, in frame order**: [`ConnCore::classify`] answers
-//!    each frame as it is decoded — control-plane requests and
-//!    `execute`/`execute_prepared` decisions alike — and the answer goes
+//!    each frame as it is decoded — control-plane requests and `execute`
+//!    decisions alike — and the answer goes
 //!    straight into the connection's write buffer, so a control frame
 //!    sees every earlier decision on its connection;
 //! 4. **Flush** every touched connection as far as the socket allows,

@@ -5,12 +5,13 @@
 //! workspace's [`SqlProxy`](bep_core::SqlProxy). It is built on `std::net`
 //! alone (the workspace stays offline-buildable — no async runtime):
 //!
-//! * [`protocol`] — typed `hello`/`begin`/`execute`/`trace`/`stats`/
-//!   `metrics`/`journal`/`end`/`shutdown` messages over a hand-rolled
-//!   JSON layer ([`json`]); `trace` and `journal` frames carry decision
-//!   provenance
+//! * [`protocol`] — typed `hello`/`begin`/`execute`/`trace`/`metrics`/
+//!   `journal`/`end`/`shutdown` messages over a hand-rolled JSON layer
+//!   ([`json`]); `execute` is the one way to run a statement, `trace` and
+//!   `journal` frames carry decision provenance
 //!   ([`bep_core::DecisionEvent`], including its solver-span summary),
-//!   `metrics` the Prometheus text exposition;
+//!   and `metrics` — the Prometheus text exposition — is the one way to
+//!   read the proxy's counters;
 //! * [`framing`] — 4-byte length-prefixed frames with split-read tolerance
 //!   and oversized-frame rejection, in both pull
 //!   ([`framing::FrameReader`]) and push ([`framing::FrameDecoder`]) form;
@@ -40,5 +41,5 @@ pub mod reactor;
 pub mod server;
 
 pub use client::{Client, ClientError, ExecOutcome, JournalPage, TraceInfo};
-pub use protocol::{ErrorKind, Request, Response, WireStats, PROTOCOL_VERSION};
+pub use protocol::{ErrorKind, Request, Response, PROTOCOL_VERSION};
 pub use server::{Server, ServerConfig};

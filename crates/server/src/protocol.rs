@@ -9,18 +9,15 @@
 //! | `hello` | `v` | handshake; must be the first message |
 //! | `begin` | `bindings` | open a session with policy-parameter bindings |
 //! | `execute` | `session`, `sql`, `bindings` | run one statement under enforcement |
-//! | `prepare` | `session`, `sql` | compile a statement template into a server-held plan |
-//! | `execute_prepared` | `session`, `plan`, `bindings` | run a previously prepared plan |
 //! | `trace` | `session` | summarize the session's trace (+ its recent decision events) |
-//! | `stats` | | proxy counters + latency percentiles |
-//! | `metrics` | | Prometheus text exposition of the proxy's registry |
+//! | `metrics` | | Prometheus text exposition of the proxy's registry (every counter, gauge and latency quantile) |
 //! | `journal` | `after`, `max` | drain decision events with sequence ≥ `after` |
 //! | `end` | `session` | end a session (idempotent) |
 //! | `shutdown` | | ask the whole server to drain and stop |
 //!
-//! Server → client: `welcome`, `busy`, `began`, `prepared`, `rows`,
-//! `affected`, `blocked`, `trace`, `stats`, `metrics`, `journal`,
-//! `ended`, `bye`, and `error` (with a stable `kind`). Every response
+//! Server → client: `welcome`, `busy`, `began`, `rows`, `affected`,
+//! `blocked`, `trace`, `metrics`, `journal`, `ended`, `bye`, and `error`
+//! (with a stable `kind`). Every response
 //! answers one request frame, except a `busy` or `bye` sent as the server
 //! closes the connection; a client that follows the journal pages it
 //! with `journal` and its own cursor. SQL [`Value`]s are encoded
@@ -70,9 +67,6 @@ pub enum ErrorKind {
     /// The referenced session does not exist (or belongs to another
     /// connection).
     NoSuchSession,
-    /// The referenced prepared-plan id was never issued on this
-    /// connection (plans, like sessions, are connection-scoped).
-    NoSuchPlan,
     /// Protocol version mismatch or out-of-order handshake.
     Unsupported,
     /// A server-side invariant failed.
@@ -85,7 +79,6 @@ impl ErrorKind {
         match self {
             ErrorKind::Malformed => "malformed",
             ErrorKind::NoSuchSession => "no-such-session",
-            ErrorKind::NoSuchPlan => "no-such-plan",
             ErrorKind::Unsupported => "unsupported",
             ErrorKind::Internal => "internal",
         }
@@ -95,7 +88,6 @@ impl ErrorKind {
         Some(match s {
             "malformed" => ErrorKind::Malformed,
             "no-such-session" => ErrorKind::NoSuchSession,
-            "no-such-plan" => ErrorKind::NoSuchPlan,
             "unsupported" => ErrorKind::Unsupported,
             "internal" => ErrorKind::Internal,
             _ => return None,
@@ -125,32 +117,11 @@ pub enum Request {
         /// Request parameters.
         bindings: Vec<(String, Value)>,
     },
-    /// Compile one statement template into a plan held by the server for
-    /// this connection; later [`Request::ExecutePrepared`] frames reference
-    /// it by id and skip parse/translate/rewrite entirely.
-    Prepare {
-        /// Session the plan is prepared for (ownership is checked, like
-        /// `execute`).
-        session: u64,
-        /// SQL template (may contain `?name` parameters).
-        sql: String,
-    },
-    /// Execute a previously prepared plan.
-    ExecutePrepared {
-        /// Session to execute under.
-        session: u64,
-        /// Plan id from a `prepared` response on this connection.
-        plan: u64,
-        /// Request parameters.
-        bindings: Vec<(String, Value)>,
-    },
     /// Summarize a session's trace.
     Trace {
         /// Session to summarize.
         session: u64,
     },
-    /// Fetch proxy statistics.
-    Stats,
     /// Fetch the Prometheus text exposition of the proxy's metrics.
     Metrics,
     /// Drain decision events from the journal.
@@ -168,46 +139,6 @@ pub enum Request {
     },
     /// Drain and stop the server.
     Shutdown,
-}
-
-/// Proxy statistics as shipped over the wire (a flattened
-/// [`bep_core::ProxyStats`] plus the live session count).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Queries allowed.
-    pub allowed: u64,
-    /// Queries blocked.
-    pub blocked: u64,
-    /// Template cache hits.
-    pub template_cache_hits: u64,
-    /// Fresh template proofs.
-    pub template_proofs: u64,
-    /// Session cache hits.
-    pub session_cache_hits: u64,
-    /// Fresh concrete proofs.
-    pub concrete_proofs: u64,
-    /// DML statements passed through.
-    pub writes: u64,
-    /// Mutations allowed by write enforcement.
-    pub write_allowed: u64,
-    /// Mutations blocked (mode, config, or coverage).
-    pub write_blocked: u64,
-    /// Mutations executed without coverage checking.
-    pub write_passthrough: u64,
-    /// Statements executed with enforcement bypassed entirely.
-    pub unchecked_statements: u64,
-    /// Live sessions server-wide.
-    pub sessions: u64,
-    /// Decisions measured by the latency histogram.
-    pub latency_count: u64,
-    /// Median decision latency, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile decision latency, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile decision latency, nanoseconds.
-    pub p99_ns: u64,
-    /// Slowest decision, nanoseconds.
-    pub max_ns: u64,
 }
 
 /// A server → client message.
@@ -232,11 +163,6 @@ pub enum Response {
     Began {
         /// The new session id.
         session: u64,
-    },
-    /// Statement template compiled; execute it with `execute_prepared`.
-    Prepared {
-        /// Connection-scoped plan id (sequential from 1).
-        plan: u64,
     },
     /// Rows of an allowed `SELECT`.
     Rows {
@@ -268,8 +194,6 @@ pub enum Response {
         /// have been evicted.
         events: Vec<DecisionEvent>,
     },
-    /// Statistics snapshot.
-    Stats(WireStats),
     /// Prometheus text exposition.
     Metrics {
         /// The exposition body (`# HELP`/`# TYPE` + samples).
@@ -516,26 +440,10 @@ impl Request {
                 ("sql", Json::str(sql.clone())),
                 ("bindings", bindings_to_json(bindings)),
             ]),
-            Request::Prepare { session, sql } => Json::obj([
-                ("t", Json::str("prepare")),
-                ("session", Json::Int(*session as i64)),
-                ("sql", Json::str(sql.clone())),
-            ]),
-            Request::ExecutePrepared {
-                session,
-                plan,
-                bindings,
-            } => Json::obj([
-                ("t", Json::str("execute_prepared")),
-                ("session", Json::Int(*session as i64)),
-                ("plan", Json::Int(*plan as i64)),
-                ("bindings", bindings_to_json(bindings)),
-            ]),
             Request::Trace { session } => Json::obj([
                 ("t", Json::str("trace")),
                 ("session", Json::Int(*session as i64)),
             ]),
-            Request::Stats => Json::obj([("t", Json::str("stats"))]),
             Request::Metrics => Json::obj([("t", Json::str("metrics"))]),
             Request::Journal { after, max } => Json::obj([
                 ("t", Json::str("journal")),
@@ -569,19 +477,9 @@ impl Request {
                 sql: str_field(&j, "sql")?.to_string(),
                 bindings: bindings_from_json(field(&j, "bindings")?)?,
             }),
-            "prepare" => Ok(Request::Prepare {
-                session: u64_field(&j, "session")?,
-                sql: str_field(&j, "sql")?.to_string(),
-            }),
-            "execute_prepared" => Ok(Request::ExecutePrepared {
-                session: u64_field(&j, "session")?,
-                plan: u64_field(&j, "plan")?,
-                bindings: bindings_from_json(field(&j, "bindings")?)?,
-            }),
             "trace" => Ok(Request::Trace {
                 session: u64_field(&j, "session")?,
             }),
-            "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "journal" => Ok(Request::Journal {
                 after: u64_field(&j, "after")?,
@@ -617,10 +515,6 @@ impl Response {
                 ("t", Json::str("began")),
                 ("session", Json::Int(*session as i64)),
             ]),
-            Response::Prepared { plan } => Json::obj([
-                ("t", Json::str("prepared")),
-                ("plan", Json::Int(*plan as i64)),
-            ]),
             Response::Rows { columns, rows } => Json::obj([
                 ("t", Json::str("rows")),
                 (
@@ -646,32 +540,6 @@ impl Response {
                 ("entries", Json::Int(*entries as i64)),
                 ("facts", Json::Int(*facts as i64)),
                 ("events", events_to_json(events)),
-            ]),
-            Response::Stats(s) => Json::obj([
-                ("t", Json::str("stats")),
-                ("allowed", Json::Int(s.allowed as i64)),
-                ("blocked", Json::Int(s.blocked as i64)),
-                (
-                    "template_cache_hits",
-                    Json::Int(s.template_cache_hits as i64),
-                ),
-                ("template_proofs", Json::Int(s.template_proofs as i64)),
-                ("session_cache_hits", Json::Int(s.session_cache_hits as i64)),
-                ("concrete_proofs", Json::Int(s.concrete_proofs as i64)),
-                ("writes", Json::Int(s.writes as i64)),
-                ("write_allowed", Json::Int(s.write_allowed as i64)),
-                ("write_blocked", Json::Int(s.write_blocked as i64)),
-                ("write_passthrough", Json::Int(s.write_passthrough as i64)),
-                (
-                    "unchecked_statements",
-                    Json::Int(s.unchecked_statements as i64),
-                ),
-                ("sessions", Json::Int(s.sessions as i64)),
-                ("latency_count", Json::Int(s.latency_count as i64)),
-                ("p50_ns", Json::Int(s.p50_ns as i64)),
-                ("p95_ns", Json::Int(s.p95_ns as i64)),
-                ("p99_ns", Json::Int(s.p99_ns as i64)),
-                ("max_ns", Json::Int(s.max_ns as i64)),
             ]),
             Response::Metrics { text } => Json::obj([
                 ("t", Json::str("metrics")),
@@ -720,9 +588,6 @@ impl Response {
             "began" => Ok(Response::Began {
                 session: u64_field(&j, "session")?,
             }),
-            "prepared" => Ok(Response::Prepared {
-                plan: u64_field(&j, "plan")?,
-            }),
             "rows" => {
                 let columns = field(&j, "columns")?
                     .as_arr()
@@ -755,33 +620,6 @@ impl Response {
                     None => Vec::new(),
                 },
             }),
-            "stats" => Ok(Response::Stats(WireStats {
-                allowed: u64_field(&j, "allowed")?,
-                blocked: u64_field(&j, "blocked")?,
-                template_cache_hits: u64_field(&j, "template_cache_hits")?,
-                template_proofs: u64_field(&j, "template_proofs")?,
-                session_cache_hits: u64_field(&j, "session_cache_hits")?,
-                concrete_proofs: u64_field(&j, "concrete_proofs")?,
-                writes: u64_field(&j, "writes")?,
-                // Write-enforcement counters default to 0 so frames from a
-                // pre-write-path server still decode.
-                write_allowed: j.get("write_allowed").and_then(Json::as_u64).unwrap_or(0),
-                write_blocked: j.get("write_blocked").and_then(Json::as_u64).unwrap_or(0),
-                write_passthrough: j
-                    .get("write_passthrough")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                unchecked_statements: j
-                    .get("unchecked_statements")
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0),
-                sessions: u64_field(&j, "sessions")?,
-                latency_count: u64_field(&j, "latency_count")?,
-                p50_ns: u64_field(&j, "p50_ns")?,
-                p95_ns: u64_field(&j, "p95_ns")?,
-                p99_ns: u64_field(&j, "p99_ns")?,
-                max_ns: u64_field(&j, "max_ns")?,
-            })),
             "metrics" => Ok(Response::Metrics {
                 text: str_field(&j, "text")?.to_string(),
             }),
@@ -926,17 +764,7 @@ mod tests {
                 sql: "SELECT * FROM Events WHERE EId = ?event".into(),
                 bindings: vec![("event".into(), Value::Int(2))],
             },
-            Request::Prepare {
-                session: 42,
-                sql: "SELECT * FROM Events WHERE EId = ?event".into(),
-            },
-            Request::ExecutePrepared {
-                session: 42,
-                plan: 3,
-                bindings: vec![("event".into(), Value::Int(2))],
-            },
             Request::Trace { session: 42 },
-            Request::Stats,
             Request::Metrics,
             Request::Journal {
                 after: 128,
@@ -962,7 +790,6 @@ mod tests {
                 workers: 2,
             },
             Response::Began { session: 7 },
-            Response::Prepared { plan: 1 },
             Response::Rows {
                 columns: vec!["EId".into(), "Title".into()],
                 rows: vec![
@@ -990,34 +817,11 @@ mod tests {
                 published: 77,
                 evicted: 13,
             },
-            Response::Stats(WireStats {
-                allowed: 1,
-                blocked: 2,
-                template_cache_hits: 3,
-                template_proofs: 4,
-                session_cache_hits: 5,
-                concrete_proofs: 6,
-                writes: 7,
-                write_allowed: 14,
-                write_blocked: 15,
-                write_passthrough: 16,
-                unchecked_statements: 17,
-                sessions: 8,
-                latency_count: 9,
-                p50_ns: 10,
-                p95_ns: 11,
-                p99_ns: 12,
-                max_ns: 13,
-            }),
             Response::Ended { was_live: true },
             Response::Bye,
             Response::Error {
                 kind: ErrorKind::NoSuchSession,
                 msg: "no such session: 9".into(),
-            },
-            Response::Error {
-                kind: ErrorKind::NoSuchPlan,
-                msg: "no such prepared plan: 5".into(),
             },
         ];
         for resp in all {
@@ -1037,13 +841,21 @@ mod tests {
             r#"{"t":"execute","session":-1,"sql":"x","bindings":[]}"#,
             r#"{"t":"begin","bindings":[["x",{"q":1}]]}"#,
             r#"{"t":"begin","bindings":[["x"]]}"#,
-            r#"{"t":"prepare","sql":"SELECT 1"}"#,
-            r#"{"t":"execute_prepared","session":1,"bindings":[]}"#,
         ] {
             assert!(
                 Request::from_wire(bad).is_err(),
                 "{bad:?} should not decode"
             );
+        }
+        // `prepare`, `execute_prepared` and `stats` are not requests: a
+        // well-formed frame with one of those tags is an unknown tag.
+        for gone in [
+            r#"{"t":"prepare","session":1,"sql":"SELECT 1"}"#,
+            r#"{"t":"execute_prepared","session":1,"plan":1,"bindings":[]}"#,
+            r#"{"t":"stats"}"#,
+        ] {
+            let err = Request::from_wire(gone).unwrap_err();
+            assert!(err.0.starts_with("unknown request tag"), "{gone}: {err}");
         }
     }
 

@@ -29,9 +29,9 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
-// The libc entry points `std` already links. Signatures follow the Linux
-// x86_64 ABI; `epoll_event` is packed there (and on every architecture
-// glibc packs it on), which `#[repr(C, packed)]` reproduces.
+// The libc entry points `std` already links, with their Linux
+// signatures. `epoll_event`'s layout differs by architecture; see
+// [`EpollEvent`].
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
@@ -60,9 +60,12 @@ struct RLimit {
     max: u64,
 }
 
-/// One kernel-side readiness record. Packed to match glibc's
-/// `struct epoll_event` layout on x86_64.
-#[repr(C, packed)]
+/// One kernel-side readiness record, laid out as the kernel's
+/// `struct epoll_event`: packed (12 bytes) on x86_64 only, where
+/// `linux/eventpoll.h` sets `EPOLL_PACKED`, and naturally aligned
+/// (16 bytes, `data` at offset 8) on every other architecture.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Clone, Copy)]
 struct EpollEvent {
     events: u32,
@@ -88,13 +91,19 @@ pub struct Poller {
     buf: Vec<EpollEvent>,
 }
 
-// The epoll fd is just an fd; the buffer is owned. Safe to move across
-// threads (the event loop owns its poller for its whole life).
-unsafe impl Send for Poller {}
+// The event loop moves its poller onto its own thread. An fd and an owned
+// buffer of plain records are `Send` already; this fails to compile if a
+// field ever makes the poller not `Send`.
+const _: fn() = || {
+    fn assert_send<T: Send>() {}
+    assert_send::<Poller>();
+};
 
 impl Poller {
     /// Creates an epoll instance sized for `capacity` events per wait.
     pub fn new(capacity: usize) -> io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes a flags integer and no pointers;
+        // a negative return is checked below.
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(io::Error::last_os_error());
@@ -124,6 +133,8 @@ impl Poller {
             events: interest,
             data: token,
         };
+        // SAFETY: `ev` is a live, correctly laid out `epoll_event` on this
+        // stack frame; the kernel only reads it during the call.
         let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -151,6 +162,9 @@ impl Poller {
     /// explicit removal keeps the kernel set tidy when fds are reused.
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
         let mut ev = EpollEvent { events: 0, data: 0 };
+        // SAFETY: as in `ctl`: `ev` outlives the call. The kernel ignores
+        // it for `EPOLL_CTL_DEL`, but kernels before 2.6.9 require it
+        // non-null.
         let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
@@ -163,6 +177,10 @@ impl Poller {
     /// many were delivered (0 = tick). EINTR counts as a tick.
     pub fn wait(&mut self, timeout: Duration, out: &mut Vec<Readiness>) -> io::Result<usize> {
         let ms = timeout.as_millis().min(i32::MAX as u128) as c_int;
+        // SAFETY: the pointer and length both come from `buf`, which is
+        // borrowed mutably for the call, so the kernel writes at most
+        // `buf.len()` records of `EpollEvent`'s (kernel-matching) layout
+        // into memory this poller owns. `buf.len()` ≤ 4096 fits a c_int.
         let n = unsafe {
             epoll_wait(
                 self.epfd,
@@ -193,6 +211,8 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `epfd` came from `epoll_create1` and is owned by this
+        // poller alone; it is closed exactly once, here.
         unsafe {
             close(self.epfd);
         }
@@ -243,6 +263,8 @@ pub fn drain_waker(rx: &UnixStream) {
 /// long before the reactor does.
 pub fn raise_nofile_limit(target: u64) -> u64 {
     let mut lim = RLimit { cur: 0, max: 0 };
+    // SAFETY: `lim` is a live `struct rlimit` (two 64-bit `rlim_t`s on the
+    // 64-bit targets this crate serves) that the call fills in.
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } != 0 {
         return 1024;
     }
@@ -251,6 +273,7 @@ pub fn raise_nofile_limit(target: u64) -> u64 {
             cur: target.min(lim.max),
             max: lim.max,
         };
+        // SAFETY: `raised` is a live `struct rlimit` the call only reads.
         if unsafe { setrlimit(RLIMIT_NOFILE, &raised) } == 0 {
             return raised.cur;
         }
@@ -350,6 +373,12 @@ mod tests {
         }
         assert!(events.iter().any(|e| e.token == 3 && e.readable));
         poller.deregister(fd_of(&server_side)).unwrap();
+    }
+
+    #[test]
+    fn epoll_event_matches_the_kernel_layout() {
+        let expected = if cfg!(target_arch = "x86_64") { 12 } else { 16 };
+        assert_eq!(std::mem::size_of::<EpollEvent>(), expected);
     }
 
     #[test]

@@ -140,6 +140,14 @@ impl RawConn {
     }
 }
 
+/// The value of the exposition sample named exactly `series`.
+fn sample(text: &str, series: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(series)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no sample {series} in:\n{text}"))
+}
+
 fn execute(session: u64, sql: &str) -> Request {
     Request::Execute {
         session,
@@ -188,12 +196,18 @@ fn full_round_trip_over_tcp() {
     assert_eq!(trace.entries, 2);
     assert!(trace.facts >= 1);
 
-    // Stats flow through, percentiles included.
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.allowed, 2);
-    assert_eq!(stats.sessions, 1);
-    assert_eq!(stats.latency_count, 2);
-    assert!(stats.p99_ns >= stats.p50_ns && stats.p50_ns > 0);
+    // The counters flow through the exposition, percentiles included.
+    let text = c.metrics().unwrap();
+    for line in [
+        "bep_decisions_total{decision=\"allowed\"} 2\n",
+        "bep_sessions 1\n",
+        "bep_decision_latency_ns_count 2\n",
+    ] {
+        assert!(text.contains(line), "{line:?} missing from:\n{text}");
+    }
+    let p50 = sample(&text, "bep_decision_latency_ns{quantile=\"0.5\"}");
+    let p99 = sample(&text, "bep_decision_latency_ns{quantile=\"0.99\"}");
+    assert!(p99 >= p50 && p50 > 0, "p50 {p50}, p99 {p99}");
 
     // End is idempotent over the wire.
     assert!(c.end(s).unwrap());
@@ -247,6 +261,10 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
         br#"{"t":"execute","sql":"SELECT 1"}"#,
         br#"{"no":"tag"}"#,
         b"\xff\xfe\x00",
+        // Well-formed frames whose tags the protocol does not have.
+        br#"{"t":"prepare","session":1,"sql":"SELECT 1"}"#,
+        br#"{"t":"execute_prepared","session":1,"plan":1,"bindings":[]}"#,
+        br#"{"t":"stats"}"#,
     ] {
         match c.raw_round_trip(bad).unwrap() {
             Response::Error { kind, .. } => {
@@ -256,7 +274,7 @@ fn malformed_frames_get_typed_errors_and_the_connection_survives() {
         }
     }
 
-    // Five garbage frames later, the same connection still works.
+    // Eight refused frames later, the same connection still works.
     let r = c
         .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
         .unwrap();
@@ -283,7 +301,7 @@ fn oversized_frame_is_rejected_then_closed() {
     }
     // Framing is unrecoverable after an oversized announcement: the server
     // hangs up.
-    match c.raw_round_trip(br#"{"t":"stats"}"#) {
+    match c.raw_round_trip(br#"{"t":"metrics"}"#) {
         Err(ClientError::Closed) | Err(ClientError::Io(_)) => {}
         other => panic!("expected closed connection, got {other:?}"),
     }
@@ -295,7 +313,7 @@ fn handshake_is_required_first() {
     let (server, _proxy) = start(ServerConfig::default());
     // Hand-roll a connection that skips hello.
     let mut conn = RawConn::open(&server);
-    match conn.round_trip(Request::Stats) {
+    match conn.round_trip(Request::Metrics) {
         Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Unsupported),
         other => panic!("expected unsupported error, got {other:?}"),
     }
@@ -375,31 +393,17 @@ fn pipelined_frames_get_ordered_responses() {
     let (server, _proxy) = start(ServerConfig::default());
     let mut conn = RawConn::greeted(&server);
     let s = conn.begin(1);
-    let fetch = "SELECT * FROM Events WHERE EId = 2";
-    let plan = match conn.round_trip(Request::Prepare {
-        session: s,
-        sql: fetch.into(),
-    }) {
-        Response::Prepared { plan } => plan,
-        other => panic!("expected prepared, got {other:?}"),
-    };
 
-    // A pipelined burst mixing an unlocking probe, the unlocked fetch (as
-    // SQL, then as the prepared plan), a blocked statement, and a parse
-    // error — responses must come back in request order with the same
-    // verdicts sequential execution gives.
+    // A pipelined burst mixing an unlocking probe, the unlocked fetch, a
+    // blocked statement, and a parse error — responses must come back in
+    // request order with the same verdicts sequential execution gives.
     conn.send(&[
         execute(s, "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2"),
-        execute(s, fetch),
-        Request::ExecutePrepared {
-            session: s,
-            plan,
-            bindings: vec![],
-        },
+        execute(s, "SELECT * FROM Events WHERE EId = 2"),
         execute(s, "SELECT * FROM Events WHERE EId = 3"),
         execute(s, "SELEC whoops"),
     ]);
-    let outcomes: Vec<Response> = (0..5).map(|_| conn.recv()).collect();
+    let outcomes: Vec<Response> = (0..4).map(|_| conn.recv()).collect();
     assert!(
         matches!(&outcomes[0], Response::Rows { rows, .. } if rows.len() == 1),
         "{:?}",
@@ -409,12 +413,11 @@ fn pipelined_frames_get_ordered_responses() {
         Response::Rows { rows, .. } => assert_eq!(rows[0][1], Value::str("standup")),
         other => panic!("probe must have unlocked the fetch, got {other:?}"),
     }
-    assert_eq!(outcomes[2], outcomes[1], "prepared plan ≡ its SQL");
-    match &outcomes[3] {
+    match &outcomes[2] {
         Response::Blocked { reason, .. } => assert_eq!(reason, "not-determined"),
         other => panic!("expected blocked, got {other:?}"),
     }
-    match &outcomes[4] {
+    match &outcomes[3] {
         Response::Blocked { reason, .. } => assert_eq!(reason, "parse-error"),
         other => panic!("expected parse error, got {other:?}"),
     }
@@ -426,7 +429,7 @@ fn pipelined_frames_get_ordered_responses() {
     };
     let verdicts: Vec<Verdict> = events.iter().map(|e| e.verdict).collect();
     use Verdict::{Allowed, Blocked};
-    assert_eq!(verdicts, [Allowed, Allowed, Allowed, Blocked, Blocked]);
+    assert_eq!(verdicts, [Allowed, Allowed, Blocked, Blocked]);
     server.shutdown();
 }
 
@@ -716,10 +719,18 @@ fn multi_client_stress_keeps_traces_isolated() {
         }
     });
 
+    // 8 clients × 10 rounds: 80 allowed probes, 40 allowed and 40 blocked
+    // fetches, every one timed, and every stress session ended.
     let mut c = Client::connect(addr, IO).unwrap();
-    let stats = c.stats().unwrap();
-    assert_eq!(stats.sessions, 0, "every stress session was ended");
-    assert_eq!(stats.latency_count, stats.allowed + stats.blocked);
+    let text = c.metrics().unwrap();
+    for line in [
+        "bep_decisions_total{decision=\"allowed\"} 120\n",
+        "bep_decisions_total{decision=\"blocked\"} 40\n",
+        "bep_sessions 0\n",
+        "bep_decision_latency_ns_count 160\n",
+    ] {
+        assert!(text.contains(line), "{line:?} missing from:\n{text}");
+    }
     server.shutdown();
 }
 
@@ -758,7 +769,7 @@ fn idle_connections_are_reaped() {
     std::thread::sleep(Duration::from_millis(400));
     // The server reaped the connection and swept its session.
     assert_eq!(proxy.session_count(), 0);
-    match c.stats() {
+    match c.metrics() {
         Err(_) => {}
         Ok(r) => panic!("connection should be gone, got {r:?}"),
     }
@@ -917,101 +928,6 @@ fn raw_split_writes_still_form_frames() {
         std::thread::sleep(Duration::from_millis(5));
     }
     assert!(matches!(conn.recv(), Response::Welcome { .. }));
-    server.shutdown();
-}
-
-#[test]
-fn prepared_plans_execute_over_the_wire() {
-    let (server, proxy) = start(ServerConfig::default());
-    let mut c = Client::connect(server.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(1)).unwrap();
-
-    // Prepare both templates up front; ids are sequential from 1.
-    let probe = c
-        .prepare(
-            s,
-            "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event",
-        )
-        .unwrap();
-    let fetch = c
-        .prepare(s, "SELECT * FROM Events WHERE EId = ?event")
-        .unwrap();
-    assert_eq!((probe, fetch), (1, 2));
-
-    // The fetch is blocked before the probe unlocks it — exactly the
-    // Example 2.1 flow, driven entirely through prepared plans.
-    let event = [("event".to_string(), Value::Int(2))];
-    let blocked = c.execute_prepared(s, fetch, &event).unwrap();
-    assert!(!blocked.is_allowed(), "{blocked:?}");
-    match c.execute_prepared(s, probe, &event).unwrap() {
-        ExecOutcome::Rows(rows) => assert_eq!(rows.rows.len(), 1),
-        other => panic!("expected rows, got {other:?}"),
-    }
-    match c.execute_prepared(s, fetch, &event).unwrap() {
-        ExecOutcome::Rows(rows) => assert_eq!(rows.rows[0][1], Value::str("standup")),
-        other => panic!("expected rows, got {other:?}"),
-    }
-
-    // The prepared templates live in the proxy's shared plan cache.
-    assert!(proxy.plan_cache().len() >= 2);
-    server.shutdown();
-}
-
-#[test]
-fn prepare_on_unknown_session_is_typed_no_such_session() {
-    let (server, _proxy) = start(ServerConfig::default());
-    let mut c = Client::connect(server.addr(), IO).unwrap();
-
-    // Never-issued session id.
-    match c.prepare(999, "SELECT EId FROM Attendance WHERE UId = ?MyUId") {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "no-such-session"),
-        other => panic!("expected no-such-session, got {other:?}"),
-    }
-
-    // A session owned by a *different* connection is just as unknown.
-    let s = c.begin(uid_bindings(1)).unwrap();
-    let mut intruder = Client::connect(server.addr(), IO).unwrap();
-    match intruder.prepare(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId") {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "no-such-session"),
-        other => panic!("expected no-such-session, got {other:?}"),
-    }
-
-    // The rejected connection is still usable.
-    let s2 = intruder.begin(uid_bindings(2)).unwrap();
-    assert!(intruder
-        .prepare(s2, "SELECT EId FROM Attendance WHERE UId = ?MyUId")
-        .is_ok());
-    server.shutdown();
-}
-
-#[test]
-fn unknown_plan_id_is_typed_no_such_plan() {
-    let (server, _proxy) = start(ServerConfig::default());
-    let mut c = Client::connect(server.addr(), IO).unwrap();
-    let s = c.begin(uid_bindings(1)).unwrap();
-
-    match c.execute_prepared(s, 7, &[]) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "no-such-plan"),
-        other => panic!("expected no-such-plan, got {other:?}"),
-    }
-
-    // Plan ids are connection-scoped: another connection's id 1 does not
-    // resolve here even though that connection prepared it.
-    let mut other = Client::connect(server.addr(), IO).unwrap();
-    let so = other.begin(uid_bindings(1)).unwrap();
-    let plan = other
-        .prepare(so, "SELECT EId FROM Attendance WHERE UId = ?MyUId")
-        .unwrap();
-    match c.execute_prepared(s, plan, &[]) {
-        Err(ClientError::Server { kind, .. }) => assert_eq!(kind, "no-such-plan"),
-        other => panic!("expected no-such-plan, got {other:?}"),
-    }
-
-    // The connection survives a bad plan id.
-    assert!(c
-        .execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-        .unwrap()
-        .is_allowed());
     server.shutdown();
 }
 

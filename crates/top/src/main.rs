@@ -7,9 +7,10 @@
 //! answered — and into the exact mean time per decision phase across all
 //! of them; events the ring evicted before a page could read them are
 //! counted as dropped, from the gaps in the sequence numbers. Then it
-//! scrapes the Prometheus exposition and `stats` snapshot for the
-//! byte-accurate memory gauges (`bep_mem_bytes{component=...}`) and the
-//! server-wide latency percentiles.
+//! scrapes the Prometheus exposition (`metrics`) for the server-wide
+//! decision counts, live sessions and latency percentiles, the
+//! byte-accurate memory gauges (`bep_mem_bytes{component=...}`), and the
+//! eviction and write counters.
 //!
 //! Point it at a server (for example `serve_calendar`):
 //!
@@ -44,7 +45,7 @@ use bep_core::{
     schema_of_database, ComplianceChecker, JournalCursor, Policy, ProxyConfig, SqlProxy, Verdict,
     PHASE_COUNT,
 };
-use bep_server::{Client, JournalPage, Server, ServerConfig, WireStats};
+use bep_server::{Client, JournalPage, Server, ServerConfig};
 use minidb::Database;
 use sqlir::Value;
 
@@ -157,24 +158,18 @@ fn run(opts: &Opts) -> Result<(), String> {
             }
         }
 
-        let stats = c.stats().map_err(|e| format!("stats: {e}"))?;
         let text = c.metrics().map_err(|e| format!("metrics: {e}"))?;
-        let mem = parse_mem_gauges(&text);
         let evictions = parse_eviction_counters(&text);
         let now = Instant::now();
         let rates = eviction_rates(&prev_evictions, &evictions, now - prev_scrape);
         prev_evictions = evictions;
         prev_scrape = now;
-        let writes = parse_write_counters(&text);
 
         if interactive {
             // Repaint in place: clear screen, home the cursor.
             print!("\x1b[2J\x1b[H");
         }
-        print!(
-            "{}",
-            render(opts, frame, fresh, &agg, &stats, &mem, &rates, &writes)
-        );
+        print!("{}", render(opts, frame, fresh, &agg, &text, &rates));
         if !interactive && frame >= opts.frames {
             return Ok(());
         }
@@ -255,12 +250,40 @@ fn parse_eviction_counters(text: &str) -> Vec<(String, u64)> {
 /// audit counter: `(allowed/blocked/passthrough, unchecked)`.
 fn parse_write_counters(text: &str) -> (Vec<(String, u64)>, u64) {
     let verdicts = parse_labeled(text, "bep_write_decisions_total{verdict=\"");
-    let unchecked = text
-        .lines()
-        .find_map(|l| l.strip_prefix("bep_unchecked_statements_total "))
+    (
+        verdicts,
+        parse_unlabeled(text, "bep_unchecked_statements_total"),
+    )
+}
+
+/// The `server:` line: decisions allowed and blocked, live sessions, and
+/// the decision latency's p50/p95/p99 (a missing sample reads 0).
+fn server_line(text: &str) -> String {
+    let decisions = parse_labeled(text, "bep_decisions_total{decision=\"");
+    let quantiles = parse_labeled(text, "bep_decision_latency_ns{quantile=\"");
+    let get = |samples: &[(String, u64)], label: &str| {
+        samples
+            .iter()
+            .find(|(l, _)| l == label)
+            .map_or(0, |(_, n)| *n)
+    };
+    format!(
+        "server: allowed {}  blocked {}  sessions {}  p50 {}  p95 {}  p99 {}\n",
+        get(&decisions, "allowed"),
+        get(&decisions, "blocked"),
+        parse_unlabeled(text, "bep_sessions"),
+        fmt_us(get(&quantiles, "0.5")),
+        fmt_us(get(&quantiles, "0.95")),
+        fmt_us(get(&quantiles, "0.99")),
+    )
+}
+
+/// The value of the unlabeled sample `name`, or 0 when it is absent.
+fn parse_unlabeled(text: &str, name: &str) -> u64 {
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
         .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0);
-    (verdicts, unchecked)
+        .unwrap_or(0)
 }
 
 fn parse_labeled(text: &str, prefix: &str) -> Vec<(String, u64)> {
@@ -304,29 +327,20 @@ fn eviction_rates(
 // ---------------------------------------------------------------------------
 // Rendering.
 
-#[allow(clippy::too_many_arguments)]
+/// One frame: the journal's aggregate, plus `exposition`'s server-wide
+/// counters, write verdicts and memory gauges, and the eviction rates.
 fn render(
     opts: &Opts,
     frame: u64,
     fresh: usize,
     agg: &Aggregate,
-    stats: &WireStats,
-    mem: &[(String, u64)],
+    exposition: &str,
     eviction_rates: &[(String, f64)],
-    writes: &(Vec<(String, u64)>, u64),
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!("bep-top — {} — frame {frame}\n", opts.addr));
-    out.push_str(&format!(
-        "server: allowed {}  blocked {}  sessions {}  p50 {}  p95 {}  p99 {}\n",
-        stats.allowed,
-        stats.blocked,
-        stats.sessions,
-        fmt_us(stats.p50_ns),
-        fmt_us(stats.p95_ns),
-        fmt_us(stats.p99_ns),
-    ));
-    let (verdicts, unchecked) = writes;
+    out.push_str(&server_line(exposition));
+    let (verdicts, unchecked) = parse_write_counters(exposition);
     if !verdicts.is_empty() {
         let parts: Vec<String> = verdicts.iter().map(|(v, n)| format!("{v} {n}")).collect();
         out.push_str(&format!(
@@ -350,7 +364,7 @@ fn render(
         phases.join("  "),
         agg.delivered
     ));
-    let gauges: Vec<String> = mem
+    let gauges: Vec<String> = parse_mem_gauges(exposition)
         .iter()
         .map(|(c, b)| format!("{c} {}", fmt_bytes(*b)))
         .collect();
@@ -560,15 +574,14 @@ mod tests {
             evicted: 0,
         });
         assert_eq!(agg.phase_ns, [4_000, 600, 0, 40_000, 10_000, 2_000]);
-        let text = render(
-            &Opts::default(),
-            1,
-            2,
-            &agg,
-            &WireStats::default(),
-            &[],
-            &[],
-            &(Vec::new(), 0),
+        let exposition = "bep_decisions_total{decision=\"allowed\"} 2\n\
+                          bep_sessions 1\n";
+        let text = render(&Opts::default(), 1, 2, &agg, exposition, &[]);
+        assert!(
+            text.contains(
+                "\nserver: allowed 2  blocked 0  sessions 1  p50 0.0us  p95 0.0us  p99 0.0us\n"
+            ),
+            "{text}"
         );
         assert!(
             text.contains(
@@ -597,6 +610,30 @@ mod tests {
         );
         assert_eq!(unchecked, 9);
         assert_eq!(parse_write_counters(""), (Vec::new(), 0));
+    }
+
+    #[test]
+    fn server_line_parses_from_exposition_text() {
+        let text = "# HELP bep_decisions_total Decisions\n\
+                    # TYPE bep_decisions_total counter\n\
+                    bep_decisions_total{decision=\"allowed\"} 41\n\
+                    bep_decisions_total{decision=\"blocked\"} 9\n\
+                    # TYPE bep_sessions gauge\n\
+                    bep_sessions 3\n\
+                    # TYPE bep_decision_latency_ns summary\n\
+                    bep_decision_latency_ns{quantile=\"0.5\"} 4100\n\
+                    bep_decision_latency_ns{quantile=\"0.95\"} 18000\n\
+                    bep_decision_latency_ns{quantile=\"0.99\"} 52500\n\
+                    bep_decision_latency_ns_sum 350000\n\
+                    bep_decision_latency_ns_count 50\n";
+        assert_eq!(
+            server_line(text),
+            "server: allowed 41  blocked 9  sessions 3  p50 4.1us  p95 18.0us  p99 52.5us\n"
+        );
+        assert_eq!(
+            server_line(""),
+            "server: allowed 0  blocked 0  sessions 0  p50 0.0us  p95 0.0us  p99 0.0us\n"
+        );
     }
 
     #[test]

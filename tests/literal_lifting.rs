@@ -1,8 +1,10 @@
 //! The literal-lifting gate.
 //!
 //! `SqlProxy::execute` lifts a statement's literals into parameters and
-//! decides its *shape*; `prepare` + `execute_planned` compile and decide
-//! the exact text, as every statement was decided before lifting. Twin
+//! decides its *shape*, unless the text has a plan of its own in the plan
+//! cache. The reference compiles the exact text's plan into its cache
+//! first (`compile_plan`), so its `execute` decides the exact text, as
+//! every statement was decided before lifting. Twin
 //! proxies over one database and policy take the same statements in the
 //! same sessions, one through each path, and must agree on every answer:
 //! rows, affected counts, and the deny reason with its detail.
@@ -20,22 +22,25 @@
 use appdsl::{run_handler, DslError, Limits, PortOutcome, QueryPort};
 use appsim::{AppSpec, Scale};
 use bep_core::{
-    template_hash, CacheTier, ComplianceChecker, CoreError, Policy, ProxyConfig, ProxyResponse,
-    SqlProxy,
+    compile_plan, template_hash, CacheTier, ComplianceChecker, CoreError, Policy, ProxyConfig,
+    ProxyResponse, SqlProxy,
 };
 use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use minidb::Database;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlir::Value;
+use std::sync::Arc;
 
 type Bindings = Vec<(String, Value)>;
 
 /// Two proxies over one database and policy: `lifted` decides through
-/// `execute`, `exact` through `prepare` + `execute_planned`.
+/// `execute`, `exact` through `execute` of a plan compiled from the exact
+/// text beforehand.
 struct Twins {
     lifted: SqlProxy,
     exact: SqlProxy,
+    checker: ComplianceChecker,
     /// Statements `lifted` decided through a shape.
     shaped: usize,
 }
@@ -53,6 +58,7 @@ impl Twins {
         Twins {
             lifted: proxy(),
             exact: proxy(),
+            checker,
             shaped: 0,
         }
     }
@@ -82,8 +88,18 @@ impl Twins {
         bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
         let lifted = self.lifted.execute(a, sql, bindings);
-        let plan = self.exact.prepare(sql);
-        let exact = self.exact.execute_planned(b, &plan, bindings);
+        // `resolve` takes a text's own plan before it tries to lift.
+        let (cell, _) = self.exact.plan_cache().entry(sql);
+        cell.get_or_init(|| {
+            Arc::new(compile_plan(
+                &self.checker,
+                sql,
+                template_hash(sql),
+                true,
+                &mut |_| {},
+            ))
+        });
+        let exact = self.exact.execute(b, sql, bindings);
         assert_eq!(lifted, exact, "{sql} with {bindings:?}");
         // A store error is not a decision and leaves no journal event.
         if lifted.is_ok() {
@@ -112,7 +128,7 @@ impl Twins {
 
 /// The last decision's template hash and level: decided by a template
 /// verdict (`TemplateCache`; a fresh template proof counts as one, since
-/// `prepare` proves outside any decision), by the concrete tier
+/// the exact twin proves outside any decision), by the concrete tier
 /// (`ConcreteProof`, session caches included: a text decided through its
 /// shape and later through its own plan keys its cache entries apart), or
 /// neither (`Uncached`).
