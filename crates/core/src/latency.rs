@@ -12,8 +12,8 @@
 //!
 //! The proxy records every `execute` into one (`bep_decision_latency_ns`,
 //! read through [`ProxyStats::latency`](crate::proxy::ProxyStats) and the
-//! server's `Stats` response) and every ended session's state size into
-//! another (`bep_session_state_bytes`).
+//! exposition's `bep_decision_latency_ns` summary) and every ended
+//! session's state size into another (`bep_session_state_bytes`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

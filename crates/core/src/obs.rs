@@ -10,11 +10,9 @@
 //!   (session, query-template hash, verdict, the cache tier that decided,
 //!   a per-phase timing breakdown, and the solver work it did) — the one
 //!   per-decision record everything else reads;
-//! * [`EventJournal`] — a fixed-capacity ring buffer the proxy publishes
-//!   events into. The hot path is lock-free: one `fetch_add` claims a slot
-//!   and a per-slot seqlock publishes plain `u64` words, so a decision
-//!   never blocks on a reader. Overflow evicts the oldest events and is
-//!   *counted*, never silent;
+//! * [`EventJournal`] — a fixed-capacity ring of events behind one lock.
+//!   The proxy takes it once per statement, to copy in one event.
+//!   Overflow evicts the oldest events and is *counted*, never silent;
 //! * [`MetricsRegistry`] — named counters, gauges, and latency histograms
 //!   with a Prometheus-style text exposition, so a live server can be
 //!   scraped without any external crate.
@@ -24,20 +22,20 @@
 //! # Ring-buffer semantics
 //!
 //! The journal holds the newest `capacity` events. Writers never wait for
-//! readers: when the ring wraps, the oldest unread events are overwritten.
-//! Every event carries a monotone sequence number, so readers are
-//! stateless cursors — [`EventJournal::events_since`] returns the retained
-//! events after a sequence number, and the exact count of evicted events
-//! is always available ([`EventJournal::evicted`]). A torn read is
-//! impossible: each slot's version word brackets the payload words
-//! (seqlock), and a reader that observes a version change mid-copy
-//! discards the slot and counts it as evicted.
+//! a reader to consume anything: when the ring wraps, the oldest unread
+//! events are overwritten. Every event carries a monotone sequence number,
+//! so readers are stateless cursors — [`EventJournal::events_since`]
+//! returns the retained events after a sequence number, and the exact
+//! count of evicted events is always available ([`EventJournal::evicted`]).
+//! A reader holds the lock only while it copies out one page of at most
+//! `max` events (the server caps a `journal` page at 512), so that copy
+//! is the longest a decision can wait on a reader.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
 use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::span::SpanSummary;
@@ -119,17 +117,6 @@ impl CacheTier {
             _ => return None,
         })
     }
-
-    fn from_u64(v: u64) -> CacheTier {
-        match v {
-            0 => CacheTier::TemplateCache,
-            1 => CacheTier::SessionCache,
-            2 => CacheTier::DenyCache,
-            3 => CacheTier::TemplateProof,
-            4 => CacheTier::ConcreteProof,
-            _ => CacheTier::Uncached,
-        }
-    }
 }
 
 /// The verdict an event records.
@@ -160,9 +147,8 @@ impl Verdict {
     }
 }
 
-/// One decision's provenance record. `Copy` and heap-free by design: the
-/// journal stores events as plain `u64` words so concurrent readers can
-/// never observe a torn pointer.
+/// One decision's provenance record. `Copy` and heap-free: the journal
+/// copies it in and out under its lock, and readers get owned copies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecisionEvent {
     /// Monotone journal sequence number (assigned on publication).
@@ -207,62 +193,6 @@ pub fn template_hash(sql: &str) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Words per journal slot: seq, session, template hash, packed
-/// verdict/tier/negative-hit, total, one per phase, and the three-word
-/// span summary.
-const EVENT_WORDS: usize = 8 + PHASE_COUNT;
-
-fn encode_event(ev: &DecisionEvent) -> [u64; EVENT_WORDS] {
-    let mut w = [0u64; EVENT_WORDS];
-    w[0] = ev.seq;
-    w[1] = ev.session;
-    w[2] = ev.template_hash;
-    w[3] = ev.verdict as u64 | (ev.tier as u64) << 8 | u64::from(ev.negative_template_hit) << 16;
-    w[4] = ev.total_ns;
-    w[5..5 + PHASE_COUNT].copy_from_slice(&ev.phase_ns);
-    w[5 + PHASE_COUNT..].copy_from_slice(&ev.span.to_words());
-    w
-}
-
-fn decode_event(w: &[u64; EVENT_WORDS]) -> DecisionEvent {
-    let mut phase_ns = [0u64; PHASE_COUNT];
-    phase_ns.copy_from_slice(&w[5..5 + PHASE_COUNT]);
-    let mut span_words = [0u64; 3];
-    span_words.copy_from_slice(&w[5 + PHASE_COUNT..]);
-    DecisionEvent {
-        seq: w[0],
-        session: w[1],
-        template_hash: w[2],
-        verdict: if w[3] & 0xff == 0 {
-            Verdict::Allowed
-        } else {
-            Verdict::Blocked
-        },
-        tier: CacheTier::from_u64((w[3] >> 8) & 0xff),
-        negative_template_hit: (w[3] >> 16) & 1 == 1,
-        total_ns: w[4],
-        phase_ns,
-        span: SpanSummary::from_words(span_words),
-    }
-}
-
-/// One ring slot: a seqlock version word bracketing the payload words.
-/// A slot that holds the fully published event with sequence `s` has
-/// `version == 2*s + 2`; an odd version marks a write in progress.
-struct Slot {
-    version: AtomicU64,
-    words: [AtomicU64; EVENT_WORDS],
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            version: AtomicU64::new(0),
-            words: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
 }
 
 /// A stateless reader position over an [`EventJournal`]: remembers the
@@ -321,17 +251,19 @@ impl JournalCursor {
     }
 }
 
-/// Fixed-capacity, lock-free decision-event ring.
-///
-/// Writers are wait-free in the common case: one `fetch_add` claims a
-/// sequence number, the slot is published under a per-slot seqlock, and
-/// the only contention is between two writers a full ring apart (i.e. the
-/// journal already overflowed by a whole capacity mid-write), where the
-/// later writer wins and the earlier event counts as evicted.
+/// The journal's state behind its lock: `events` fills up to the
+/// journal's capacity once, then event `seq` overwrites slot
+/// `seq % capacity`, the slot of the event `capacity` older.
+struct Ring {
+    /// Total events ever recorded; the next event's sequence number.
+    head: u64,
+    events: Vec<DecisionEvent>,
+}
+
+/// Fixed-capacity decision-event ring behind one lock.
 pub struct EventJournal {
-    slots: Box<[Slot]>,
-    /// Total events ever claimed; the next event's sequence number.
-    head: AtomicU64,
+    capacity: usize,
+    ring: Mutex<Ring>,
 }
 
 impl std::fmt::Debug for EventJournal {
@@ -348,66 +280,43 @@ impl EventJournal {
     /// Creates a journal retaining the newest `capacity` events
     /// (rounded up to at least 2).
     pub fn with_capacity(capacity: usize) -> EventJournal {
-        let n = capacity.max(2);
+        let capacity = capacity.max(2);
         EventJournal {
-            slots: (0..n).map(|_| Slot::new()).collect(),
-            head: AtomicU64::new(0),
+            capacity,
+            ring: Mutex::new(Ring {
+                head: 0,
+                events: Vec::with_capacity(capacity),
+            }),
         }
     }
 
     /// How many events the ring retains.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Total events ever published (monotone).
     pub fn published(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
+        self.ring.lock().head
     }
 
     /// Total events no longer retrievable (evicted by ring wrap-around).
-    /// Monotone and exact: an event that loses a (rare) wrap race to a
-    /// writer a full ring ahead is by definition already older than the
-    /// retained window, so it is covered by this count too.
+    /// Monotone and exact.
     pub fn evicted(&self) -> u64 {
-        self.published().saturating_sub(self.capacity() as u64)
+        self.published().saturating_sub(self.capacity as u64)
     }
 
     /// Publishes one event, assigning and returning its sequence number.
-    /// Lock-free; never blocks on readers.
     pub fn record(&self, mut ev: DecisionEvent) -> u64 {
-        let seq = self.head.fetch_add(1, Ordering::AcqRel);
-        let n = self.slots.len() as u64;
+        let mut ring = self.ring.lock();
+        let seq = ring.head;
         ev.seq = seq;
-        let slot = &self.slots[(seq % n) as usize];
-        let claimed = 2 * seq + 1;
-        let published = 2 * seq + 2;
-        loop {
-            let v = slot.version.load(Ordering::Acquire);
-            if v >= published {
-                // A writer a full ring ahead already owns this slot: our
-                // event would be overwritten immediately anyway. Let the
-                // newer event stand; ours counts as evicted.
-                return seq;
-            }
-            if v % 2 == 1 {
-                // A writer one ring behind is mid-publish; it finishes in
-                // a handful of relaxed stores.
-                std::hint::spin_loop();
-                continue;
-            }
-            if slot
-                .version
-                .compare_exchange_weak(v, claimed, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                break;
-            }
+        if ring.events.len() < self.capacity {
+            ring.events.push(ev);
+        } else {
+            ring.events[(seq % self.capacity as u64) as usize] = ev;
         }
-        for (w, val) in slot.words.iter().zip(encode_event(&ev)) {
-            w.store(val, Ordering::Relaxed);
-        }
-        slot.version.store(published, Ordering::Release);
+        ring.head += 1;
         seq
     }
 
@@ -415,38 +324,17 @@ impl EventJournal {
     /// first, at most `max`. Events already evicted are skipped (the ring
     /// only holds the newest `capacity`); use a [`JournalCursor`] to track
     /// how many were missed. Stateless, so any number of readers (local or
-    /// over the wire) can read concurrently without coordination.
+    /// over the wire) can read without coordination.
     pub fn events_since(&self, after: u64, max: usize) -> Vec<DecisionEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let n = self.slots.len() as u64;
+        let ring = self.ring.lock();
+        let n = self.capacity as u64;
         // `after` comes from the caller (a peer's `journal` frame): one
         // beyond the head asks for nothing, not for a negative range.
-        let start = after.max(head.saturating_sub(n)).min(head);
-        let mut out = Vec::with_capacity(((head - start) as usize).min(max));
-        for seq in start..head {
-            if out.len() >= max {
-                break;
-            }
-            let slot = &self.slots[(seq % n) as usize];
-            let expect = 2 * seq + 2;
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 < expect {
-                // The writer holding this sequence number has not finished
-                // publishing; everything later is newer still, but order
-                // matters more than eagerness — stop here.
-                break;
-            }
-            if v1 > expect {
-                continue; // evicted while scanning
-            }
-            let words: [u64; EVENT_WORDS] =
-                std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-            if slot.version.load(Ordering::Acquire) != v1 {
-                continue; // overwritten mid-copy: discard, never torn
-            }
-            out.push(decode_event(&words));
-        }
-        out
+        let start = after.max(ring.head.saturating_sub(n)).min(ring.head);
+        let end = ring.head.min(start.saturating_add(max as u64));
+        (start..end)
+            .map(|seq| ring.events[(seq % n) as usize])
+            .collect()
     }
 
     /// Polls for a cursor: delivers up to `max` new events and advances
@@ -457,26 +345,13 @@ impl EventJournal {
         cursor.advance(&events, self.evicted());
         events
     }
-
-    /// The newest `max` retained events, oldest first, optionally filtered
-    /// to one session. Non-destructive.
-    pub fn recent(&self, max: usize, session: Option<u64>) -> Vec<DecisionEvent> {
-        let mut events = self.events_since(0, usize::MAX);
-        if let Some(sid) = session {
-            events.retain(|e| e.session == sid);
-        }
-        if events.len() > max {
-            events.drain(..events.len() - max);
-        }
-        events
-    }
 }
 
 impl crate::mem::HeapUsage for EventJournal {
-    /// The slot array is the journal's entire heap footprint: fixed at
-    /// construction, independent of traffic.
+    /// The event array is the journal's entire heap footprint: allocated
+    /// once at construction, independent of traffic.
     fn heap_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>()
+        self.capacity * std::mem::size_of::<DecisionEvent>()
     }
 }
 
@@ -911,16 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn events_round_trip_the_word_encoding() {
-        for session in [0u64, 1, 2, 3, u64::MAX / 3] {
-            let mut ev = event(session);
-            ev.seq = 99;
-            ev.tier = CacheTier::ConcreteProof;
-            assert_eq!(decode_event(&encode_event(&ev)), ev);
-        }
-    }
-
-    #[test]
     fn journal_delivers_in_order_below_capacity() {
         let j = EventJournal::with_capacity(8);
         for s in 0..5 {
@@ -1009,21 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn recent_filters_by_session() {
-        let j = EventJournal::with_capacity(64);
-        for s in 0..12 {
-            j.record(event(s % 3));
-        }
-        let only_ones = j.recent(usize::MAX, Some(1));
-        assert_eq!(only_ones.len(), 4);
-        assert!(only_ones.iter().all(|e| e.session == 1));
-        let newest_two = j.recent(2, None);
-        assert_eq!(newest_two.len(), 2);
-        assert_eq!(newest_two[1].seq, 11);
-        assert_eq!(newest_two[0].seq, 10);
-    }
-
-    #[test]
     fn concurrent_writers_never_tear_events() {
         // Hammer a tiny ring from several threads while a reader polls
         // continuously: every event delivered must be internally
@@ -1090,7 +940,6 @@ mod tests {
             CacheTier::Uncached,
         ] {
             assert_eq!(CacheTier::from_label(tier.label()), Some(tier));
-            assert_eq!(CacheTier::from_u64(tier as u64), tier);
         }
         for verdict in [Verdict::Allowed, Verdict::Blocked] {
             assert_eq!(Verdict::from_label(verdict.label()), Some(verdict));
@@ -1185,7 +1034,7 @@ mod tests {
         use crate::mem::HeapUsage;
         let j = EventJournal::with_capacity(64);
         let before = j.heap_bytes();
-        assert!(before >= 64 * EVENT_WORDS * 8);
+        assert_eq!(before, 64 * std::mem::size_of::<DecisionEvent>());
         for s in 0..200 {
             j.record(event(s));
         }

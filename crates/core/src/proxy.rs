@@ -82,8 +82,11 @@
 //! * **Provenance** — each `execute` laps a [`PhaseTimer`] across the
 //!   decision phases (`decide` reports its boundaries through a callback),
 //!   rolls up the solver work it did, and `finish` publishes one
-//!   [`DecisionEvent`] into the lock-free [`EventJournal`]; none of it
-//!   takes a lock on the decision path.
+//!   [`DecisionEvent`] into the [`EventJournal`]: it takes the journal's
+//!   lock once per statement, for the copy of one event. A reader holds
+//!   that lock while it copies at most one page out (the server caps a
+//!   `journal` page at 512 events), so that copy is the longest a
+//!   decision can wait on it.
 //! * **Database** — the wrapped [`minidb::Database`] sits behind an
 //!   `RwLock`: allowed `SELECT`s share the read lock, DML takes the write
 //!   lock.
@@ -214,7 +217,8 @@ pub struct ProxyStats {
     pub unchecked_statements: u64,
     /// Per-decision latency of [`SqlProxy::execute`], from the lock-free
     /// histogram behind `bep_decision_latency_ns` (percentiles within 2% of
-    /// the exact sample; the server's `Stats` response reports these).
+    /// the exact sample; the exposition's `bep_decision_latency_ns`
+    /// summary reports these).
     pub latency: LatencySnapshot,
 }
 
@@ -649,6 +653,16 @@ impl SqlProxy {
     /// assertions). Do not call `execute` from inside `f`.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.db.read())
+    }
+
+    /// A session's trace size: `(entries, facts)`, read under the shard
+    /// read lock without copying the trace.
+    pub fn session_trace_len(&self, id: u64) -> Result<(usize, usize), CoreError> {
+        self.shard(id)
+            .read()
+            .get(&id)
+            .map(|s| (s.trace.len(), s.trace.facts().len()))
+            .ok_or(CoreError::NoSuchSession(id))
     }
 
     /// A clone of a session's trace (for diagnosis). Cloned rather than
@@ -1553,6 +1567,7 @@ mod tests {
         let err = p.execute(bogus, "SELECT * FROM Events", &[]).unwrap_err();
         assert_eq!(err, CoreError::NoSuchSession(bogus));
         assert_eq!(p.session_trace(bogus).unwrap_err(), err);
+        assert_eq!(p.session_trace_len(bogus).unwrap_err(), err);
         assert!(!p.end_session(bogus));
     }
 
@@ -1831,7 +1846,7 @@ mod tests {
         )
         .unwrap();
 
-        let events = p.journal().recent(usize::MAX, None);
+        let events = p.journal().events_since(0, usize::MAX);
         assert_eq!(events.len(), 2);
         // The trace-dependent Q2 runs a concrete proof: real solver work,
         // and with no certificate (its template is undecidable) its one
@@ -1860,7 +1875,7 @@ mod tests {
             let r = p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[]);
             assert!(r.unwrap().is_allowed());
         }
-        let events = p.journal().recent(usize::MAX, None);
+        let events = p.journal().events_since(0, usize::MAX);
         let tiers: Vec<CacheTier> = events.iter().map(|e| e.tier).collect();
         assert_eq!(
             tiers,
@@ -1895,7 +1910,7 @@ mod tests {
         assert!(qlogic::probe::peek().containment_checks > 0);
         let proofs = p.stats().template_proofs;
         assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
-        let replay = p.journal().recent(1, None)[0];
+        let replay = p.journal().events_since(p.journal().published() - 1, 1)[0];
         assert_eq!(replay.tier, CacheTier::TemplateCache);
         assert_eq!(replay.span.containment_checks, 0, "{replay:?}");
         assert_eq!(p.stats().template_proofs, proofs);

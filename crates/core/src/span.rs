@@ -7,13 +7,13 @@
 //! homomorphism nodes/backtracks — plus how many disjuncts a compiled
 //! certificate decided and how many fell back to the full search. The
 //! proxy fills one on every decision and it rides on the
-//! [`DecisionEvent`](crate::obs::DecisionEvent) as 3 words.
+//! [`DecisionEvent`](crate::obs::DecisionEvent).
 
 use qlogic::probe::SolverCounters;
 
 /// Compact per-decision roll-up of the solver work and certificate replay
-/// outcomes. Rides on every [`DecisionEvent`](crate::obs::DecisionEvent)
-/// (3 words); all-zero for a decision that ran no solver (a cache hit).
+/// outcomes. Rides on every [`DecisionEvent`](crate::obs::DecisionEvent);
+/// all-zero for a decision that ran no solver (a cache hit).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanSummary {
     /// Total MiniCon enumeration steps.
@@ -46,28 +46,6 @@ impl SpanSummary {
         }
     }
 
-    /// Packs the summary into 3 little-endian-bitfield words (the journal
-    /// slot encoding).
-    pub fn to_words(&self) -> [u64; 3] {
-        [
-            self.rewrite_iterations as u64 | (self.containment_checks as u64) << 32,
-            self.hom_nodes as u64 | (self.hom_backtracks as u64) << 32,
-            self.cert_replays as u64 | (self.cert_fallbacks as u64) << 16,
-        ]
-    }
-
-    /// Inverse of [`to_words`](Self::to_words).
-    pub fn from_words(w: [u64; 3]) -> SpanSummary {
-        SpanSummary {
-            rewrite_iterations: w[0] as u32,
-            containment_checks: (w[0] >> 32) as u32,
-            hom_nodes: w[1] as u32,
-            hom_backtracks: (w[1] >> 32) as u32,
-            cert_replays: w[2] as u16,
-            cert_fallbacks: (w[2] >> 16) as u16,
-        }
-    }
-
     /// `true` if no field is set (no solver work).
     pub fn is_empty(&self) -> bool {
         *self == SpanSummary::default()
@@ -79,19 +57,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_words_round_trip() {
-        let s = SpanSummary {
-            rewrite_iterations: 0xDEAD_BEEF,
-            containment_checks: 17,
-            hom_nodes: u32::MAX,
-            hom_backtracks: 42,
-            cert_replays: 3,
-            cert_fallbacks: u16::MAX,
-        };
-        assert_eq!(SpanSummary::from_words(s.to_words()), s);
-        let zero = SpanSummary::default();
-        assert_eq!(SpanSummary::from_words(zero.to_words()), zero);
-        assert!(zero.is_empty());
+    fn summary_saturates_and_zero_is_empty() {
+        assert!(SpanSummary::default().is_empty());
         // Counts past a field's width saturate instead of wrapping.
         let solver = SolverCounters {
             containment_checks: u64::MAX,

@@ -109,16 +109,13 @@ impl From<ProxyResponse> for ExecOutcome {
     }
 }
 
-/// A session's trace summary plus its recent decision provenance.
+/// A session's trace summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceInfo {
     /// Recorded queries.
     pub entries: u64,
     /// Derived ground facts.
     pub facts: u64,
-    /// The session's recent decision events, oldest first (empty when the
-    /// server is not observing).
-    pub events: Vec<DecisionEvent>,
 }
 
 /// One page of the server's decision journal.
@@ -218,18 +215,10 @@ impl Client {
             .collect()
     }
 
-    /// Fetches a session's trace summary and recent decision provenance.
+    /// Fetches a session's trace summary.
     pub fn trace_summary(&mut self, session: u64) -> Result<TraceInfo, ClientError> {
         match self.round_trip(&Request::Trace { session })? {
-            Response::TraceSummary {
-                entries,
-                facts,
-                events,
-            } => Ok(TraceInfo {
-                entries,
-                facts,
-                events,
-            }),
+            Response::TraceSummary { entries, facts } => Ok(TraceInfo { entries, facts }),
             other => Err(expect_error(other, "trace")),
         }
     }

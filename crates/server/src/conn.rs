@@ -19,10 +19,8 @@
 //! began that is still live — the server never leaks orphaned sessions.
 
 use std::collections::HashSet;
-use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use bep_core::{CoreError, DenyReason, ProxyResponse, SqlProxy};
 
@@ -37,9 +35,6 @@ pub(crate) struct ConnShared {
     pub config: ServerConfig,
     /// Server-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
-    /// The server's own address (used to poke the event loop awake when a
-    /// client-initiated shutdown arrives).
-    pub addr: SocketAddr,
 }
 
 /// Ends every still-live session this connection began, on any exit path
@@ -56,9 +51,6 @@ impl Drop for SessionSweep {
         self.proxy.end_sessions(self.owned.iter().copied());
     }
 }
-
-/// Most recent per-session decision events shipped in a `trace` response.
-const TRACE_EVENTS_MAX: usize = 32;
 
 /// Upper bound on events per `journal` response, whatever the client asks
 /// for — keeps one frame well under the frame-size limit; clients page
@@ -169,14 +161,10 @@ impl ConnCore {
                 if !self.sweep.owned.contains(&session) {
                     return no_such_session(session);
                 }
-                match shared.proxy.session_trace(session) {
-                    Ok(trace) => Response::TraceSummary {
-                        entries: trace.len() as u64,
-                        facts: trace.facts().len() as u64,
-                        events: shared
-                            .proxy
-                            .journal()
-                            .recent(TRACE_EVENTS_MAX, Some(session)),
+                match shared.proxy.session_trace_len(session) {
+                    Ok((entries, facts)) => Response::TraceSummary {
+                        entries: entries as u64,
+                        facts: facts as u64,
                     },
                     Err(e) => core_error(e),
                 }
@@ -204,11 +192,9 @@ impl ConnCore {
                 Response::Ended { was_live }
             }
             Request::Shutdown => {
+                // The reactor answering this frame is awake: it polls
+                // without waiting once the flag is set and drains next lap.
                 shared.shutdown.store(true, Ordering::Release);
-                // The event loop may be parked in its poller: a loopback
-                // connection wakes it so it observes the flag. Any error
-                // just means it is already awake.
-                let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
                 Response::Bye
             }
         }

@@ -5,7 +5,8 @@
 //! Each loop iteration:
 //!
 //! 1. **Wait** for readiness (with the configured poll tick as timeout, or
-//!    zero when fairness-capped connections still hold buffered frames);
+//!    zero when fairness-capped connections still hold buffered frames or
+//!    shutdown was requested), then stop if shutdown was requested;
 //! 2. **Read** every readable connection into its [`FrameDecoder`] and
 //!    decode up to [`FRAMES_PER_CONN_PER_TICK`] frames per connection
 //!    (pipelining: one readiness event may carry many frames);
@@ -160,7 +161,10 @@ pub(crate) fn run(
 
     loop {
         events.clear();
-        let timeout = if hot.is_empty() {
+        // Zero while fairness-capped frames wait, and once shutdown is
+        // requested: a client's `shutdown` frame sets the flag on this very
+        // thread, and the check below must run on the next lap.
+        let timeout = if hot.is_empty() && !shared.shutdown.load(Ordering::Acquire) {
             shared.config.poll_interval
         } else {
             Duration::ZERO

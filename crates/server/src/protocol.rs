@@ -9,7 +9,7 @@
 //! | `hello` | `v` | handshake; must be the first message |
 //! | `begin` | `bindings` | open a session with policy-parameter bindings |
 //! | `execute` | `session`, `sql`, `bindings` | run one statement under enforcement |
-//! | `trace` | `session` | summarize the session's trace (+ its recent decision events) |
+//! | `trace` | `session` | summarize the session's trace: entries and facts |
 //! | `metrics` | | Prometheus text exposition of the proxy's registry (every counter, gauge and latency quantile) |
 //! | `journal` | `after`, `max` | drain decision events with sequence ≥ `after` |
 //! | `end` | `session` | end a session (idempotent) |
@@ -24,18 +24,17 @@
 //! unambiguously as `null`, `{"i":n}`, `{"s":"…"}`, `{"b":bool}` so
 //! integer 1, string "1", and boolean true never collide.
 //!
-//! Decision events ride in `trace` and `journal` responses as
+//! Decision events ride in `journal` responses as
 //! objects of the form `{"seq", "session", "hash", "verdict", "tier",
 //! "neg", "total_ns", "phases", "span"?}` — `hash` is the query-template
 //! FNV-1a hash as a 16-digit hex string (it does not fit a signed JSON
 //! integer), `tier` and `verdict` use the stable labels from
 //! [`bep_core::CacheTier`] and [`bep_core::Verdict`], and `phases` is the
 //! per-phase nanosecond array indexed by [`bep_core::Phase`]. `span` is
-//! the compact solver-work summary (`{"rw","cc","hn","hb","cr","cf",
-//! "spans","trunc"}` — rewrite iterations, containment checks,
-//! homomorphism nodes/backtracks, certificate replays/fallbacks, span
-//! count, truncation flag); it is omitted when all-zero and defaults on
-//! decode, so pre-span peers interoperate. Unknown fields are ignored on
+//! the compact solver-work summary (`{"rw","cc","hn","hb","cr","cf"}` —
+//! rewrite iterations, containment checks, homomorphism
+//! nodes/backtracks, certificate replays/fallbacks); it is omitted when
+//! all-zero and defaults on decode. Unknown fields are ignored on
 //! decode, so these extensions stay within protocol version 1.
 
 use bep_core::{CacheTier, DecisionEvent, SpanSummary, Verdict, PHASE_COUNT};
@@ -189,10 +188,6 @@ pub enum Response {
         entries: u64,
         /// Derived ground facts.
         facts: u64,
-        /// The session's recent decision events (provenance), oldest
-        /// first. Empty when the proxy is not observing or the events
-        /// have been evicted.
-        events: Vec<DecisionEvent>,
     },
     /// Prometheus text exposition.
     Metrics {
@@ -381,8 +376,7 @@ fn event_from_json(j: &Json) -> Result<DecisionEvent, ProtocolError> {
             .ok_or_else(|| ProtocolError("neg must be a boolean".into()))?,
         total_ns: u64_field(j, "total_ns")?,
         phase_ns,
-        // Absent on pre-span peers (and on span-disabled events, which
-        // omit the all-zero summary): default.
+        // An all-zero summary is omitted on the wire.
         span: match j.get("span") {
             Some(s) => span_from_json(s)?,
             None => SpanSummary::default(),
@@ -531,15 +525,10 @@ impl Response {
                 ("reason", Json::str(reason.clone())),
                 ("detail", Json::str(detail.clone())),
             ]),
-            Response::TraceSummary {
-                entries,
-                facts,
-                events,
-            } => Json::obj([
+            Response::TraceSummary { entries, facts } => Json::obj([
                 ("t", Json::str("trace")),
                 ("entries", Json::Int(*entries as i64)),
                 ("facts", Json::Int(*facts as i64)),
-                ("events", events_to_json(events)),
             ]),
             Response::Metrics { text } => Json::obj([
                 ("t", Json::str("metrics")),
@@ -614,11 +603,6 @@ impl Response {
             "trace" => Ok(Response::TraceSummary {
                 entries: u64_field(&j, "entries")?,
                 facts: u64_field(&j, "facts")?,
-                // Absent on pre-observability servers: default to empty.
-                events: match j.get("events") {
-                    Some(ev) => events_from_json(ev)?,
-                    None => Vec::new(),
-                },
             }),
             "metrics" => Ok(Response::Metrics {
                 text: str_field(&j, "text")?.to_string(),
@@ -701,13 +685,12 @@ mod tests {
             !wire.contains("\"span\""),
             "empty summary serialized: {wire}"
         );
-        // A frame from a pre-span peer decodes with the default summary.
+        // A frame without a "span" member decodes with the default summary.
         let legacy = r#"{"seq":3,"session":7,"hash":"00000000000000ff","verdict":"allowed",
                          "tier":"template-proof","neg":false,"total_ns":10,"phases":[]}"#;
         let ev = event_from_json(&Json::parse(legacy).unwrap()).unwrap();
         assert_eq!(ev.span, SpanSummary::default());
-        // A span object with unknown-to-us extra members (such as an older
-        // peer's tree-shape `spans`/`trunc`) still decodes.
+        // A span object with members unknown to us still decodes.
         let extended = r#"{"seq":3,"session":7,"hash":"ff","verdict":"allowed",
                            "tier":"template-proof","neg":false,"total_ns":10,"phases":[],
                            "span":{"rw":5,"cc":6,"spans":9,"trunc":true}}"#;
@@ -732,15 +715,17 @@ mod tests {
     }
 
     #[test]
-    fn trace_without_events_field_still_decodes() {
-        // A pre-observability server omits "events"; the field defaults.
-        let resp = Response::from_wire(r#"{"t":"trace","entries":4,"facts":6}"#).unwrap();
+    fn trace_with_an_events_member_still_decodes() {
+        // A peer that still sends the session's events with a trace
+        // summary decodes: unknown members are ignored.
+        let resp =
+            Response::from_wire(r#"{"t":"trace","entries":4,"facts":6,"events":[{"seq":0}]}"#)
+                .unwrap();
         assert_eq!(
             resp,
             Response::TraceSummary {
                 entries: 4,
                 facts: 6,
-                events: Vec::new(),
             }
         );
     }
@@ -805,7 +790,6 @@ mod tests {
             Response::TraceSummary {
                 entries: 5,
                 facts: 9,
-                events: vec![sample_event(3)],
             },
             Response::Metrics {
                 text: "# HELP bep_sessions Live sessions\n# TYPE bep_sessions gauge\n\

@@ -9,7 +9,8 @@
 //!
 //! Shutdown — either [`Server::shutdown`] from the owning process or a
 //! client's `shutdown` request — is graceful: the flag flips, the reactor
-//! is woken (loopback poke or waker), every connection gets its in-flight
+//! sees it (the waker interrupts its poll, or, for a client's request,
+//! its next poll does not wait), every connection gets its in-flight
 //! answer and a `bye`, session sweeps run, and only then is the reactor
 //! thread joined.
 
@@ -82,7 +83,6 @@ impl Server {
             proxy,
             config,
             shutdown: Arc::clone(&shutdown),
-            addr,
         });
 
         let (waker, waker_rx) = waker_pair()?;

@@ -133,7 +133,7 @@ impl Twins {
 /// shape and later through its own plan keys its cache entries apart), or
 /// neither (`Uncached`).
 fn last_decision(p: &SqlProxy) -> (u64, CacheTier) {
-    let e = p.journal().recent(1, None)[0];
+    let e = p.journal().events_since(p.journal().published() - 1, 1)[0];
     let level = match e.tier {
         CacheTier::TemplateProof | CacheTier::TemplateCache => CacheTier::TemplateCache,
         CacheTier::Uncached => CacheTier::Uncached,
