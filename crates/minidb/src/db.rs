@@ -1,6 +1,14 @@
 //! The database: catalog, DDL, and constraint-checked DML.
+//!
+//! A row is checked where it lies. The schema is borrowed from the catalog,
+//! a foreign key's referenced columns are resolved once when its table is
+//! created ([`ForeignKey::ref_indices`](crate::ForeignKey::ref_indices)),
+//! and every `PRIMARY KEY`, `UNIQUE` and foreign-key check probes an
+//! equality index with the candidate row's own cells
+//! ([`Table::has_duplicate_on`], [`Table::contains_on`]), so inserting a
+//! row moves it into the table and copies nothing else.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use sqlir::{parse_statement, CreateTable, Delete, Expr, Insert, Statement, Update, Value};
 
@@ -129,12 +137,23 @@ impl Database {
         if self.tables.contains_key(&ct.name) {
             return Err(DbError::TableExists(ct.name.clone()));
         }
-        let schema = TableSchema::from_create(ct)?;
-        // Validate FK targets eagerly so later inserts can't hit a missing
-        // table mid-check.
-        for fk in &schema.foreign_keys {
-            let target = self.table(&fk.ref_table)?;
-            let ref_cols = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
+        let mut schema = TableSchema::from_create(ct)?;
+        // Validate FK targets eagerly and resolve their columns once, so
+        // later inserts can't hit a missing table mid-check. Tables are never
+        // dropped or altered, so the resolution stays true.
+        for fk in &mut schema.foreign_keys {
+            let target = &self.table(&fk.ref_table)?.schema;
+            let ref_cols = if fk.ref_columns.is_empty() {
+                if target.primary_key.is_empty() {
+                    return Err(DbError::BadSchema(format!(
+                        "foreign key references {} which has no primary key",
+                        target.name
+                    )));
+                }
+                target.primary_key.clone()
+            } else {
+                target.resolve_columns(&fk.ref_columns)?
+            };
             if ref_cols.len() != fk.columns.len() {
                 return Err(DbError::BadSchema(format!(
                     "foreign key arity mismatch: {} vs {}",
@@ -142,27 +161,10 @@ impl Database {
                     ref_cols.len()
                 )));
             }
+            fk.ref_indices = ref_cols;
         }
         self.tables.insert(ct.name.clone(), Table::new(schema));
         Ok(())
-    }
-
-    fn fk_ref_indices(
-        &self,
-        target: &TableSchema,
-        ref_columns: &[String],
-    ) -> Result<Vec<usize>, DbError> {
-        if ref_columns.is_empty() {
-            if target.primary_key.is_empty() {
-                return Err(DbError::BadSchema(format!(
-                    "foreign key references {} which has no primary key",
-                    target.name
-                )));
-            }
-            Ok(target.primary_key.clone())
-        } else {
-            target.resolve_columns(ref_columns)
-        }
     }
 
     /// Inserts literal rows directly (bypassing SQL), with constraint checks.
@@ -175,12 +177,12 @@ impl Database {
     }
 
     fn insert(&mut self, ins: &Insert, params: Params<'_>) -> Result<usize, DbError> {
-        let table = self.table(&ins.table)?;
-        let schema = table.schema.clone();
+        let schema = &self.table(&ins.table)?.schema;
+        let width = schema.columns.len();
 
         // Map the statement's column list onto schema order.
         let positions: Vec<usize> = if ins.columns.is_empty() {
-            (0..schema.columns.len()).collect()
+            (0..width).collect()
         } else {
             schema.resolve_columns(&ins.columns)?
         };
@@ -194,7 +196,7 @@ impl Database {
                     found: row_exprs.len(),
                 });
             }
-            let mut row = vec![Value::Null; schema.columns.len()];
+            let mut row = vec![Value::Null; width];
             for (pos, e) in positions.iter().zip(row_exprs) {
                 row[*pos] = self.eval_standalone(e, params)?;
             }
@@ -204,10 +206,12 @@ impl Database {
         Ok(count)
     }
 
+    /// Checks `row` where it lies — every probe reads the candidate's own
+    /// cells and the schema is borrowed — then appends it.
     fn insert_one(&mut self, table_name: &str, row: Vec<Value>) -> Result<(), DbError> {
         let table = self.table(table_name)?;
         table.check_row_shape(&row)?;
-        let schema = table.schema.clone();
+        let schema = &table.schema;
 
         // PK / UNIQUE.
         if !schema.primary_key.is_empty() {
@@ -242,9 +246,7 @@ impl Database {
                 continue; // NULL FKs are vacuously satisfied.
             }
             let target = self.table(&fk.ref_table)?;
-            let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
-            let values: Vec<Value> = fk.columns.iter().map(|&c| row[c].clone()).collect();
-            if !target.contains_on(&ref_idx, &values) {
+            if !target.contains_on(&fk.ref_indices, &row, &fk.columns) {
                 return Err(DbError::ForeignKeyViolation {
                     table: schema.name.clone(),
                     ref_table: fk.ref_table.clone(),
@@ -261,7 +263,7 @@ impl Database {
 
     fn update(&mut self, u: &Update, params: Params<'_>) -> Result<usize, DbError> {
         let table = self.table(&u.table)?;
-        let schema = table.schema.clone();
+        let schema = &table.schema;
         let assignments: Vec<(usize, &Expr)> = u
             .assignments
             .iter()
@@ -277,7 +279,6 @@ impl Database {
         // keeps multi-row updates atomic: either all rows change or none do.
         let matching = matching_row_ids(self, &u.table, u.where_clause.as_ref(), params)?;
         let mut new_rows: Vec<Vec<Value>> = Vec::with_capacity(matching.len());
-        let table = self.table(&u.table)?;
         let scope = [ScopeEntry {
             binding: &u.table,
             table,
@@ -315,15 +316,15 @@ impl Database {
             .filter(|keys| values.iter().any(|(col, _)| keys.contains(col)));
         for keys in key_sets {
             let probe = table.probe(keys);
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = HashSet::new();
             for new in &new_rows {
-                let key: Vec<Value> = keys.iter().map(|&c| new[c].clone()).collect();
-                if key.iter().any(Value::is_null) {
+                if keys.iter().any(|&c| new[c].is_null()) {
                     continue;
                 }
                 let hits_unchanged = probe
-                    .matching(&key)
+                    .matching_row(new, keys)
                     .any(|id| matching.binary_search(&(id as usize)).is_err());
+                let key: Vec<&Value> = keys.iter().map(|&c| &new[c]).collect();
                 if hits_unchanged || !seen.insert(key) {
                     return Err(DbError::UniqueViolation {
                         table: schema.name.clone(),
@@ -339,13 +340,11 @@ impl Database {
         // FK checks on the new values.
         for fk in &schema.foreign_keys {
             let target = self.table(&fk.ref_table)?;
-            let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
             for new in &new_rows {
                 if fk.columns.iter().any(|&c| new[c].is_null()) {
                     continue;
                 }
-                let values: Vec<Value> = fk.columns.iter().map(|&c| new[c].clone()).collect();
-                if !target.contains_on(&ref_idx, &values) {
+                if !target.contains_on(&fk.ref_indices, new, &fk.columns) {
                     return Err(DbError::ForeignKeyViolation {
                         table: schema.name.clone(),
                         ref_table: fk.ref_table.clone(),
@@ -394,17 +393,15 @@ impl Database {
                 if fk.ref_table != table_name {
                     continue;
                 }
-                let ref_idx = self.fk_ref_indices(&target.schema, &fk.ref_columns)?;
                 for (i, &ri) in row_indices.iter().enumerate() {
                     let old_row = target.row(ri);
                     // Updates only violate if the key actually changes.
                     if let Some(new_row) = replacements.map(|reps| &reps[i]) {
-                        if ref_idx.iter().all(|&c| new_row[c] == old_row[c]) {
+                        if fk.ref_indices.iter().all(|&c| new_row[c] == old_row[c]) {
                             continue;
                         }
                     }
-                    let old_key: Vec<Value> = ref_idx.iter().map(|&c| old_row[c].clone()).collect();
-                    if other.contains_on(&fk.columns, &old_key) {
+                    if other.contains_on(&fk.columns, old_row, &fk.ref_indices) {
                         return Err(DbError::ForeignKeyViolation {
                             table: other_name.clone(),
                             ref_table: table_name.to_string(),

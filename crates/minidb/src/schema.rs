@@ -24,6 +24,11 @@ pub struct ForeignKey {
     pub ref_table: String,
     /// Referenced column names.
     pub ref_columns: Vec<String>,
+    /// Referenced column indices (in `ref_table`): `ref_columns`, or its
+    /// primary key when none are named. Resolved once, when
+    /// [`Database::create_table`](crate::Database::create_table) admits the
+    /// table, so a row's check reads them in place; empty before then.
+    pub ref_indices: Vec<usize>,
 }
 
 /// The schema of one table.
@@ -120,6 +125,7 @@ impl TableSchema {
                         columns: idxs,
                         ref_table: ref_table.clone(),
                         ref_columns: ref_columns.clone(),
+                        ref_indices: Vec::new(),
                     });
                 }
             }

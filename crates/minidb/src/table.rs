@@ -11,6 +11,10 @@
 //! The rows themselves are stored flat ([`RowStore`]): chunks of [`CHUNK`]
 //! rows, each row `arity` consecutive values, so a row costs its values and
 //! nothing else — no pointer, no length, no allocation of its own.
+//!
+//! A key is read where it lies on the probing side too: a constraint check
+//! hands the index the candidate row and the columns its key sits in
+//! ([`Probe::matching_row`]), so checking a row copies none of its values.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -157,11 +161,27 @@ impl Probe<'_> {
     /// The ids of the rows whose key columns equal `key`, ascending (which
     /// is insertion order). A key containing `NULL` matches nothing.
     pub fn matching(&self, key: &[Value]) -> Matches<'_> {
+        debug_assert_eq!(key.len(), self.index.cols.len());
+        self.lookup(key.iter())
+    }
+
+    /// [`Probe::matching`] for the key that `row`'s columns `cols` hold,
+    /// pairwise with the index's columns, read where it lies: a constraint
+    /// check probes with the candidate row itself and copies no key.
+    pub fn matching_row(&self, row: &[Value], cols: &[usize]) -> Matches<'_> {
+        debug_assert_eq!(cols.len(), self.index.cols.len());
+        self.lookup(cols.iter().map(|&c| &row[c]))
+    }
+
+    fn lookup<'k>(&self, key: impl Iterator<Item = &'k Value> + Clone) -> Matches<'_> {
         let index = &*self.index;
-        debug_assert_eq!(key.len(), index.cols.len());
-        let i = index.slot_of(tag_of(key.iter()), |stored| {
+        let i = index.slot_of(tag_of(key.clone()), |stored| {
             let stored = self.rows.row(stored as usize);
-            index.cols.iter().zip(key).all(|(&c, k)| stored[c] == *k)
+            index
+                .cols
+                .iter()
+                .zip(key.clone())
+                .all(|(&c, k)| stored[c] == *k)
         });
         let tail = index.slots[i].tail;
         Matches {
@@ -394,27 +414,31 @@ impl Table {
         candidate: &[Value],
         skip_row: Option<usize>,
     ) -> bool {
-        if cols.iter().any(|&c| candidate[c].is_null()) {
-            return false;
-        }
-        let key: Vec<Value> = cols.iter().map(|&c| candidate[c].clone()).collect();
         self.probe(cols)
-            .matching(&key)
+            .matching_row(candidate, cols)
             .any(|i| Some(i as usize) != skip_row)
     }
 
-    /// Returns `true` if some row matches the given values on the given columns.
+    /// Returns `true` if some row's columns `cols` equal `row`'s columns
+    /// `row_cols`, pairwise.
     ///
     /// Matching is structural (like the rest of `minidb`'s row comparisons):
-    /// a `NULL` in `values` matches a stored `NULL`, so the `NULL`-excluding
+    /// a `NULL` in `row` matches a stored `NULL`, so the `NULL`-excluding
     /// index only serves the all-non-`NULL` case and the rest falls back to
     /// a scan.
-    pub fn contains_on(&self, cols: &[usize], values: &[Value]) -> bool {
-        if values.iter().all(|v| !v.is_null()) {
-            return self.probe(cols).matching(values).next().is_some();
+    pub fn contains_on(&self, cols: &[usize], row: &[Value], row_cols: &[usize]) -> bool {
+        if row_cols.iter().all(|&c| !row[c].is_null()) {
+            return self
+                .probe(cols)
+                .matching_row(row, row_cols)
+                .next()
+                .is_some();
         }
-        self.rows()
-            .any(|row| cols.iter().zip(values).all(|(&c, v)| &row[c] == v))
+        self.rows().any(|stored| {
+            cols.iter()
+                .zip(row_cols)
+                .all(|(&c, &r)| stored[c] == row[r])
+        })
     }
 
     /// Appends a shape-checked row (caller is responsible for constraints).

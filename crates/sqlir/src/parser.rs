@@ -324,7 +324,7 @@ impl Parser {
         let mut columns = Vec::new();
         if self.eat_if(&Tok::LParen) {
             loop {
-                columns.push(self.ident()?);
+                columns.push(self.column_once(columns.iter())?);
                 if !self.eat_if(&Tok::Comma) {
                     break;
                 }
@@ -361,7 +361,7 @@ impl Parser {
         self.expect_kw("SET")?;
         let mut assignments = Vec::new();
         loop {
-            let column = self.ident()?;
+            let column = self.column_once(assignments.iter().map(|a: &Assignment| &a.column))?;
             self.expect(&Tok::Eq)?;
             let value = self.expr()?;
             assignments.push(Assignment { column, value });
@@ -379,6 +379,25 @@ impl Parser {
             assignments,
             where_clause,
         })
+    }
+
+    /// A column name not among `seen`. As in Postgres, an `INSERT` column
+    /// list or an `UPDATE` `SET` list may name a column only once: a write
+    /// check that reads one of two values and a store that keeps the other
+    /// would disagree about the row written.
+    fn column_once<'s>(
+        &mut self,
+        mut seen: impl Iterator<Item = &'s String>,
+    ) -> Result<String, ParseError> {
+        let at = self.offset();
+        let column = self.ident()?;
+        if seen.any(|c| *c == column) {
+            return Err(ParseError::new(
+                format!("column `{column}` specified more than once"),
+                at,
+            ));
+        }
+        Ok(column)
     }
 
     fn delete(&mut self) -> Result<Delete, ParseError> {
@@ -902,6 +921,18 @@ mod tests {
         assert!(matches!(s, Statement::Update(u) if u.assignments.len() == 2));
         let s = parse_statement("DELETE FROM t WHERE a = 1").unwrap();
         assert!(matches!(s, Statement::Delete(_)));
+    }
+
+    #[test]
+    fn a_column_named_twice_is_refused() {
+        for (sql, at) in [
+            ("INSERT INTO t (a, b, a) VALUES (1, 2, 3)", 21),
+            ("UPDATE t SET a = 1, b = 2, a = 3 WHERE a = 0", 27),
+        ] {
+            let err = parse_statement(sql).unwrap_err();
+            assert_eq!(err.message, "column `a` specified more than once", "{sql}");
+            assert_eq!(err.offset, at, "{sql}");
+        }
     }
 
     #[test]
