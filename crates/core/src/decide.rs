@@ -6,12 +6,14 @@
 //! returned. [`decide`] is the function. It reads a compiled plan, the
 //! bindings and a [`SessionState`], and returns an [`Outcome`]: the
 //! verdict, which tier reached it, and what the session caches should
-//! remember. [`observe`] turns an allowed read's rows into a trace record,
-//! and [`SessionState::apply`] writes both into the session.
+//! remember. An allowed verdict is a [`Permit`] carrying the plan's
+//! statement: the only way the statement reaches the database
+//! ([`crate::door`]). [`observe`] turns an allowed read's rows into a trace
+//! record, and [`SessionState::apply`] writes both into the session.
 //!
 //! Nothing here touches the database, a clock, a metric or the journal:
 //! phase boundaries leave through a `lap` callback, and the proxy
-//! (`SqlProxy::execute`) executes, applies and counts.
+//! (`SqlProxy::execute`) runs the permit, applies and counts.
 
 use std::mem::size_of;
 use std::sync::Arc;
@@ -23,6 +25,7 @@ use sqlir::{unbound_error, Param, Statement, Value};
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
 use crate::decision::DenyReason;
+use crate::door::Permit;
 use crate::mem::{bindings_heap_bytes, cq_heap_bytes, HeapUsage};
 use crate::obs::{CacheTier, Phase};
 use crate::plan::{PlanBody, SelectPlan, TemplateVerdict, WritePlan};
@@ -49,6 +52,9 @@ pub(crate) struct SessionState {
     /// Its `Cq` byte weight is accounted at insert, so `HeapUsage` and the
     /// byte budget both see it.
     pub(crate) denied_cache: BoundedCache<ConcreteKey, (u64, DenyReason)>,
+    /// The store's write epoch at the last sync ([`crate::door`]): the
+    /// trace holds no fact over a table written before it.
+    pub(crate) synced: u64,
 }
 
 impl SessionState {
@@ -61,7 +67,21 @@ impl SessionState {
             trace: Trace::new(),
             allowed_cache: BoundedCache::new(0, per_tier),
             denied_cache: BoundedCache::new(0, per_tier),
+            synced: 0,
         }
+    }
+
+    /// Brings the session to write epoch `epoch`: its trace revokes what it
+    /// knew about each table `written` since the last sync, and if that
+    /// dropped anything, every remembered allow goes too — an allow is
+    /// monotone in the facts only while they grow. Stamped denials need
+    /// nothing: the revocation moved the trace version.
+    pub(crate) fn sync(&mut self, epoch: u64, written: &[&str]) {
+        if self.trace.revoke(written) {
+            let budget = self.allowed_cache.budget_bytes();
+            self.allowed_cache = BoundedCache::new(0, budget);
+        }
+        self.synced = epoch;
     }
 
     /// Heap bytes owned by this state: the binding list (counted at this
@@ -84,16 +104,23 @@ impl SessionState {
 
     /// Writes one statement's effects into the session: the remembered
     /// verdict (then laps [`Phase::ConcreteLookup`]), and an allowed read's
-    /// observation (then laps [`Phase::TraceRecord`]).
+    /// observation (then laps [`Phase::TraceRecord`]). `epoch` is the write
+    /// epoch the statement was decided and run at: if the session has
+    /// synced past it since (another statement of the session revoked in
+    /// between), the allow and the observation may rest on what that sync
+    /// revoked, so neither is kept.
     pub(crate) fn apply(
         &mut self,
         remember: Option<Remember>,
         record: Option<(Cq, &[Vec<Value>])>,
+        epoch: u64,
         lap: &mut dyn FnMut(Phase),
     ) -> Evicted {
         let mut evicted = Evicted::default();
+        let current = epoch == self.synced;
         if let Some(remember) = remember {
             match remember {
+                Remember::Allow(_) if !current => {}
                 Remember::Allow(key) => {
                     evicted.allow = (self.allowed_cache)
                         .insert(key, (), size_of::<ConcreteKey>())
@@ -106,7 +133,7 @@ impl SessionState {
             }
             lap(Phase::ConcreteLookup);
         }
-        if let Some((query, rows)) = record {
+        if let Some((query, rows)) = record.filter(|_| current) {
             // Compaction keeps the trace O(distinct information):
             // decision-invisible (the fact set stays logically equivalent),
             // and any removal bumps the trace version, so stamped denials
@@ -274,8 +301,9 @@ impl Provenance {
 /// A verdict a fresh concrete proof reached, for the session caches.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Remember {
-    /// Allowed: valid for the rest of the session, since compliance is
-    /// monotone in what the trace entails.
+    /// Allowed: valid until the session's next revocation
+    /// ([`SessionState::sync`]), since compliance is monotone in what the
+    /// trace entails, and between revocations that only grows.
     Allow(ConcreteKey),
     /// Denied at trace version `at`: valid while the version is unchanged.
     Deny {
@@ -287,16 +315,17 @@ pub(crate) enum Remember {
 
 /// The result of [`decide`].
 #[derive(Debug)]
-pub(crate) struct Outcome {
-    pub(crate) verdict: Result<(), DenyReason>,
+pub(crate) struct Outcome<'p> {
+    /// An allowed statement's permit to run, or why it is blocked.
+    pub(crate) verdict: Result<Permit<'p>, DenyReason>,
     pub(crate) prov: Provenance,
     /// What the session caches should learn: the verdict of a fresh
     /// concrete proof.
     pub(crate) remember: Option<Remember>,
 }
 
-impl Outcome {
-    fn new(verdict: Result<(), DenyReason>, prov: Provenance) -> Outcome {
+impl<'p> Outcome<'p> {
+    fn new(verdict: Result<Permit<'p>, DenyReason>, prov: Provenance) -> Outcome<'p> {
         Outcome {
             verdict,
             prov,
@@ -317,15 +346,17 @@ impl Outcome {
 /// 3. the template tier: the session-independent verdict compiled into
 ///    the plan, shared by reads and writes;
 /// 4. the [`concrete`] tier, for a template-undecidable plan.
-pub(crate) fn decide(
+///
+/// An allowed verdict is a [`Permit`] for the plan's statement.
+pub(crate) fn decide<'p>(
     checker: &ComplianceChecker,
-    kind: Kind<'_>,
+    kind: Kind<'p>,
     hash: u64,
     built: bool,
     session: &SessionState,
     bindings: &[(String, Value)],
     lap: &mut dyn FnMut(Phase),
-) -> Outcome {
+) -> Outcome<'p> {
     let deny = |reason| Outcome::new(Err(reason), Provenance::default());
     if let Some(missing) = unbound_error(kind.params(), bindings) {
         return deny(DenyReason::ParseError(missing.to_string()));
@@ -337,20 +368,27 @@ pub(crate) fn decide(
     };
     let template = |verdict| Outcome::new(verdict, Provenance::at(tier));
     match kind {
-        Kind::Passthrough(..) => Outcome::new(Ok(()), Provenance::default()),
+        Kind::Passthrough(stmt, _) => Outcome::new(Ok(Permit::write(stmt)), Provenance::default()),
         Kind::Malformed(msg) => deny(DenyReason::ParseError(msg.to_string())),
         Kind::Read(sp) => match sp.template {
-            TemplateVerdict::Allowed(_) => template(Ok(())),
+            TemplateVerdict::Allowed(_) => template(Ok(Permit::read(&sp.query))),
             TemplateVerdict::Undecidable => {
-                concrete(session, hash, built, bindings, lap, |facts, prov| {
-                    prove_read(checker, sp, bindings, facts, prov)
-                })
+                let permit = Permit::read(&sp.query);
+                concrete(
+                    session,
+                    hash,
+                    built,
+                    bindings,
+                    lap,
+                    permit,
+                    |facts, prov| prove_read(checker, sp, bindings, facts, prov),
+                )
             }
         },
         Kind::Write(wp) => match &wp.template {
             Err(msg) => deny(DenyReason::OutOfFragment(msg.clone())),
             Ok(t) => match t.verdict {
-                WriteTemplateVerdict::Allowed => template(Ok(())),
+                WriteTemplateVerdict::Allowed => template(Ok(Permit::write(&wp.stmt))),
                 // Permanently uncoverable, for any session or history.
                 WriteTemplateVerdict::NeverCovered => {
                     let query = t
@@ -359,7 +397,8 @@ pub(crate) fn decide(
                     template(Err(DenyReason::WriteNotCovered { query }))
                 }
                 WriteTemplateVerdict::Undecidable => {
-                    concrete(session, hash, built, bindings, lap, |facts, _| {
+                    let permit = Permit::write(&wp.stmt);
+                    concrete(session, hash, built, bindings, lap, permit, |facts, _| {
                         let views = checker.policy().views();
                         crate::write::check_write_concrete(t, views, bindings, facts)
                             .map_err(|query| DenyReason::WriteNotCovered { query })
@@ -373,15 +412,16 @@ pub(crate) fn decide(
 /// The concrete tier, shared by reads and writes: the session's allow
 /// cache, its deny cache (only at the trace version the denial was proved
 /// at), then `prove` over the session's facts, whose verdict the outcome
-/// remembers.
-fn concrete(
+/// remembers. An allow carries `permit`.
+fn concrete<'p>(
     session: &SessionState,
     hash: u64,
     built: bool,
     bindings: &[(String, Value)],
     lap: &mut dyn FnMut(Phase),
+    permit: Permit<'p>,
     prove: impl FnOnce(&[Atom], &mut Provenance) -> Result<(), DenyReason>,
-) -> Outcome {
+) -> Outcome<'p> {
     // Known template-undecidable: straight to the concrete tier without
     // re-proving. Sound because the policy is immutable.
     let mut prov = Provenance {
@@ -392,7 +432,7 @@ fn concrete(
     if session.allowed_cache.get(&key).is_some() {
         lap(Phase::ConcreteLookup);
         prov.tier = CacheTier::SessionCache;
-        return Outcome::new(Ok(()), prov);
+        return Outcome::new(Ok(permit), prov);
     }
     // Read before the proof: if the facts change before the denial is
     // written back, its stamp is already stale and it is never served.
@@ -420,7 +460,7 @@ fn concrete(
         Err(_) => None,
     };
     Outcome {
-        verdict,
+        verdict: verdict.map(|()| permit),
         prov,
         remember,
     }
@@ -555,8 +595,9 @@ mod tests {
             (Kind::Read(sp), Some(r)) if verdict.is_ok() => observe(sp, &bindings, r),
             _ => None,
         };
-        session.apply(remember, record, &mut |_| {});
-        (verdict, prov)
+        let epoch = session.synced;
+        session.apply(remember, record, epoch, &mut |_| {});
+        (verdict.map(|_| ()), prov)
     }
 
     #[test]

@@ -1,0 +1,212 @@
+//! The one door to the database.
+//!
+//! A statement reaches the wrapped [`Database`] only through a [`Permit`].
+//! [`decide`](crate::decide::decide) mints one for an allowed statement,
+//! carrying the plan's statement, and `SqlProxy::execute_unchecked` mints
+//! one audited [`Permit::unchecked`]. [`Permit::run`] consumes the
+//! [`Door`]: the one lock a statement takes on the [`Store`], shared for a
+//! `SELECT` and exclusive for anything that may write. So `run` is the one
+//! place a statement touches the database, and the one place a write
+//! revokes what sessions knew.
+//!
+//! # Revocation
+//!
+//! A trace fact is an atom known to hold in the current database
+//! ([`crate::trace`]). An `INSERT` cannot falsify one, because facts are
+//! positive. An `UPDATE` or `DELETE` can falsify any fact over its table,
+//! and over no other: minidb restricts foreign keys and never cascades.
+//! So every `UPDATE` and `DELETE` a permit runs bumps the store's write
+//! epoch and makes it its table's latest, whether it was enforced, passed
+//! through or unchecked, and whether or not minidb refuses it.
+//!
+//! A session remembers the epoch it last synced at. One that is behind
+//! revokes every fact and entry over a table written since
+//! ([`Trace::revoke`](crate::trace::Trace::revoke)) before it decides. The
+//! sync, the decision and the run happen behind one opening of the door,
+//! so no write lands between a session's sync and the read its permit
+//! allows. Keeping up costs one comparison per statement.
+
+use std::ops::Deref;
+
+use minidb::{Database, DbError, ExecResult};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use sqlir::{Delete, Query, Statement, Update, Value};
+
+/// The database, and the write epochs sessions sync their traces to.
+#[derive(Debug)]
+pub(crate) struct Store {
+    pub(crate) db: Database,
+    /// `UPDATE`s and `DELETE`s ever run.
+    epoch: u64,
+    /// Each written table with the epoch of its latest write; a schema has
+    /// a handful of tables.
+    written: Vec<(String, u64)>,
+}
+
+impl Store {
+    pub(crate) fn new(db: Database) -> Store {
+        Store {
+            db,
+            epoch: 0,
+            written: Vec::new(),
+        }
+    }
+
+    /// The number of `UPDATE`s and `DELETE`s ever run: a session synced at
+    /// this epoch knows no fact a write has falsified.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// The tables written after epoch `since`.
+    pub(crate) fn written_since(&self, since: u64) -> Vec<&str> {
+        (self.written.iter())
+            .filter(|(_, at)| *at > since)
+            .map(|(table, _)| table.as_str())
+            .collect()
+    }
+
+    fn bump(&mut self, table: &str) {
+        self.epoch += 1;
+        match self.written.iter_mut().find(|(t, _)| t == table) {
+            Some((_, at)) => *at = self.epoch,
+            None => self.written.push((table.to_string(), self.epoch)),
+        }
+    }
+}
+
+/// The lock one statement holds on the [`Store`], from its sync to its
+/// run.
+pub(crate) enum Door<'a> {
+    /// For a `SELECT`, which reads.
+    Shared(RwLockReadGuard<'a, Store>),
+    /// For anything else, which may write.
+    Exclusive(RwLockWriteGuard<'a, Store>),
+}
+
+impl<'a> Door<'a> {
+    /// Locks the store: exclusively if the statement `writes`, shared
+    /// otherwise. This is the only lock on it a statement takes.
+    pub(crate) fn open(store: &'a RwLock<Store>, writes: bool) -> Door<'a> {
+        if writes {
+            Door::Exclusive(store.write())
+        } else {
+            Door::Shared(store.read())
+        }
+    }
+}
+
+impl Deref for Door<'_> {
+    type Target = Store;
+
+    fn deref(&self) -> &Store {
+        match self {
+            Door::Shared(store) => store,
+            Door::Exclusive(store) => store,
+        }
+    }
+}
+
+/// The right to run one statement: what an allowed decision carries.
+#[derive(Debug)]
+pub(crate) struct Permit<'p>(Run<'p>);
+
+#[derive(Debug)]
+enum Run<'p> {
+    Read(&'p Query),
+    Write(&'p Statement),
+}
+
+impl<'p> Permit<'p> {
+    /// Permits an allowed `SELECT`.
+    pub(crate) fn read(query: &'p Query) -> Permit<'p> {
+        Permit(Run::Read(query))
+    }
+
+    /// Permits an allowed mutation, or a statement that passes through.
+    pub(crate) fn write(stmt: &'p Statement) -> Permit<'p> {
+        Permit(Run::Write(stmt))
+    }
+
+    /// Permits a statement no policy decided: the audited bypass of
+    /// `SqlProxy::execute_unchecked`. Its writes revoke like any other.
+    pub(crate) fn unchecked(stmt: &'p Statement) -> Permit<'p> {
+        match stmt {
+            Statement::Select(query) => Permit::read(query),
+            stmt => Permit::write(stmt),
+        }
+    }
+
+    /// Whether the statement may write, and so needs the exclusive door.
+    pub(crate) fn writes(&self) -> bool {
+        matches!(self.0, Run::Write(_))
+    }
+
+    /// Runs the statement behind `door` with its parameters read from
+    /// `bindings`. An `UPDATE` or `DELETE` bumps its table's write epoch
+    /// first, so it revokes even when minidb refuses it.
+    pub(crate) fn run(
+        self,
+        door: Door<'_>,
+        bindings: &[(String, Value)],
+    ) -> Result<ExecResult, DbError> {
+        match (self.0, door) {
+            (Run::Read(query), door) => door.db.query_with(query, bindings).map(ExecResult::Rows),
+            (Run::Write(stmt), Door::Exclusive(mut store)) => {
+                if let Statement::Update(Update { table, .. })
+                | Statement::Delete(Delete { table, .. }) = stmt
+                {
+                    store.bump(table);
+                }
+                store.db.execute_with(stmt, bindings)
+            }
+            (Run::Write(_), Door::Shared(_)) => Err(DbError::Unsupported(
+                "a statement that may write needs the exclusive door".into(),
+            )),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_updates_and_deletes_move_the_epoch_even_when_refused() {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE T (a INT PRIMARY KEY)")
+            .unwrap();
+        let store = RwLock::new(Store::new(db));
+        let run = |sql: &str| {
+            let stmt = sqlir::parse_statement(sql).unwrap();
+            let permit = Permit::unchecked(&stmt);
+            let door = Door::open(&store, permit.writes());
+            let ok = permit.run(door, &[]).is_ok();
+            let s = store.read();
+            (ok, s.epoch(), s.written_since(0).join(","))
+        };
+        assert_eq!(
+            run("INSERT INTO T (a) VALUES (1), (2)"),
+            (true, 0, "".into())
+        );
+        assert_eq!(run("SELECT a FROM T"), (true, 0, "".into()));
+        assert_eq!(run("UPDATE T SET a = 3 WHERE a = 1"), (true, 1, "T".into()));
+        // A refused write bumps too: the epoch moves before minidb runs it.
+        assert_eq!(
+            run("UPDATE T SET a = 2 WHERE a = 3"),
+            (false, 2, "T".into())
+        );
+        assert_eq!(run("DELETE FROM Nope"), (false, 3, "T,Nope".into()));
+        assert_eq!(store.read().written_since(2), ["Nope"]);
+        assert!(store.read().written_since(3).is_empty());
+    }
+
+    #[test]
+    fn a_write_permit_is_refused_behind_the_shared_door() {
+        let store = RwLock::new(Store::new(Database::new()));
+        let stmt = sqlir::parse_statement("DELETE FROM T").unwrap();
+        let refused = Permit::write(&stmt).run(Door::open(&store, false), &[]);
+        assert!(matches!(refused, Err(DbError::Unsupported(_))));
+        assert_eq!(store.read().epoch(), 0);
+    }
+}

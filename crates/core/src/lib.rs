@@ -24,6 +24,7 @@ pub mod checker;
 pub mod classify;
 mod decide;
 pub mod decision;
+mod door;
 pub mod error;
 pub mod latency;
 pub mod lint;

@@ -39,8 +39,9 @@
 //! * a per-session *concrete cache* of allowed (template, bindings) pairs,
 //!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
 //!   reuse because compliance is monotone in what the trace entails, and
-//!   what a session's trace entails only grows (compaction removes only
-//!   facts implied by the ones it keeps). Concrete *denials* are cached
+//!   what a session's trace entails only grows between revocations
+//!   (compaction removes only facts implied by the ones it keeps; a write
+//!   revokes, and clears the cache). Concrete *denials* are cached
 //!   too, stamped with the [`Trace::version`] they were proved at: new
 //!   facts can flip a denial (never the reverse), so a cached denial is
 //!   served only while the session's trace version is unchanged.
@@ -87,9 +88,13 @@
 //!   that lock while it copies at most one page out (the server caps a
 //!   `journal` page at 512 events), so that copy is the longest a
 //!   decision can wait on it.
-//! * **Database** — the wrapped [`minidb::Database`] sits behind an
-//!   `RwLock`: allowed `SELECT`s share the read lock, DML takes the write
-//!   lock.
+//! * **Database** — the wrapped [`minidb::Database`] and its write epochs
+//!   sit behind one `RwLock`, and a statement takes it once (`door.rs`):
+//!   the read lock for a `SELECT`, the write lock for anything that may
+//!   write. The session's sync to the write epoch, its decision and the
+//!   run of the statement's permit all happen behind that one
+//!   acquisition, so no write lands between a sync and the read it
+//!   allows. The lock is taken before the session's shard, never after.
 //!
 //! ## Soundness under concurrency
 //!
@@ -111,10 +116,12 @@
 //! never a wrong answer.
 //!
 //! *Allow cache*: compliance is monotone in what the trace entails, and
-//! the set of facts a session's trace entails only grows (compaction drops
-//! a fact only when what remains implies it), so an allow proved under
-//! any earlier fact set stays valid forever; write-back needs no validity
-//! stamp.
+//! between two revocations the set of facts a session's trace entails only
+//! grows (compaction drops a fact only when what remains implies it), so
+//! an allow proved under an earlier fact set stays valid until the next
+//! revocation, which clears the cache. A write-back decided at an older
+//! write epoch than the session has synced to since is dropped, so an
+//! allow proved before a revocation is never stored after it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,16 +129,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minidb::{Database, Rows};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use qlogic::Cq;
 use sqlir::{
-    is_lifted_name, lift_literals, params_in_bind_order, parse_statement, unbound_error, Statement,
-    Value,
+    is_lifted_name, lift_literals, params_in_bind_order, parse_statement, unbound_error, Value,
 };
 
 use crate::checker::ComplianceChecker;
 use crate::decide::{decide, observe, Kind, Outcome, Provenance, Remember, SessionState};
 use crate::decision::DenyReason;
+use crate::door::{Door, Permit, Store};
 use crate::error::CoreError;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::mem::HeapUsage;
@@ -139,7 +146,7 @@ use crate::obs::{
     template_hash, CacheTier, Counter, DecisionEvent, EventJournal, Gauge, MemoryGauges,
     MetricsRegistry, Phase, PhaseTimer, Verdict,
 };
-use crate::plan::{compile_plan, PlanCache, TemplatePlan, WritePlan, PLAN_CAPACITY};
+use crate::plan::{compile_plan, PlanCache, TemplatePlan, PLAN_CAPACITY};
 use crate::span::SpanSummary;
 use crate::trace::Trace;
 
@@ -369,7 +376,9 @@ impl ProxyResponse {
 /// The enforcing proxy. `Send + Sync`: share it across worker threads with
 /// `Arc` or scoped borrows and call [`SqlProxy::execute`] concurrently.
 pub struct SqlProxy {
-    db: RwLock<Database>,
+    /// The database and its write epochs: reached only through a
+    /// [`Permit`], behind the one [`Door`] a statement opens.
+    store: RwLock<Store>,
     checker: ComplianceChecker,
     config: ProxyConfig,
     shards: Vec<RwLock<HashMap<u64, SessionState>>>,
@@ -451,7 +460,7 @@ impl SqlProxy {
         let eviction_counters = ["plan", "session-allow", "session-deny"]
             .map(|t| registry.counter("bep_cache_evictions_total", evictions, &[("tier", t)]));
         SqlProxy {
-            db: RwLock::new(db),
+            store: RwLock::new(Store::new(db)),
             checker,
             config,
             shards: (0..SESSION_SHARDS)
@@ -652,7 +661,7 @@ impl SqlProxy {
     /// Runs `f` with shared access to the wrapped database (e.g. for test
     /// assertions). Do not call `execute` from inside `f`.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.db.read())
+        f(&self.store.read().db)
     }
 
     /// A session's trace size: `(entries, facts)`, read under the shard
@@ -751,13 +760,15 @@ impl SqlProxy {
         (plan, built, Vec::new())
     }
 
-    /// Decides one statement, runs it if allowed, and applies its effects
-    /// on the session. A parse error is answered before the session
-    /// lookup, since it never depends on the session. The session's shard
-    /// is locked at most twice, once each way: a read lock for the lookup,
-    /// the binding merge and [`decide`], then — after the store ran, and
-    /// only if there is something to remember or record — a write lock to
-    /// apply it.
+    /// Decides one statement, runs its permit if allowed, and applies its
+    /// effects on the session. A parse error is answered before the
+    /// session lookup, since it never depends on the session. Everything
+    /// else happens behind one opening of the [`Door`]: the session's sync
+    /// to the write epoch, the decision, and the run. The session's shard
+    /// is read-locked for the lookup, the binding merge and [`decide`]
+    /// (write-locked first, only if the session must revoke), then — after
+    /// the store ran, and only if there is something to remember or record
+    /// — write-locked to apply it.
     fn decide_and_run<'p>(
         &self,
         session_id: u64,
@@ -772,8 +783,10 @@ impl SqlProxy {
             let blocked = ProxyResponse::Blocked(DenyReason::ParseError(msg.to_string()));
             return (Some((kind, Provenance::default())), Ok(blocked));
         }
+        let door = Door::open(&self.store, !matches!(kind, Kind::Read(_)));
+        let epoch = door.epoch();
         let (session_bindings, merged, outcome) = {
-            let shard = self.shard(session_id).read();
+            let shard = self.synced_shard(session_id, &door);
             let Some(session) = shard.get(&session_id) else {
                 return (None, Err(CoreError::NoSuchSession(session_id)));
             };
@@ -795,21 +808,18 @@ impl SqlProxy {
             prov,
             remember,
         } = outcome;
-        if let Err(reason) = verdict {
-            self.apply(session_id, remember, None, timer);
-            return (Some((kind, prov)), Ok(ProxyResponse::Blocked(reason)));
-        }
+        let permit = match verdict {
+            Ok(permit) => permit,
+            Err(reason) => {
+                drop(door);
+                self.apply(session_id, remember, None, epoch, timer);
+                return (Some((kind, prov)), Ok(ProxyResponse::Blocked(reason)));
+            }
+        };
         let bindings: &[(String, Value)] = merged.as_deref().unwrap_or(&session_bindings);
-        let result = match kind {
-            Kind::Read(sp) => {
-                (self.db.read().query_with(&sp.query, bindings)).map(ProxyResponse::Rows)
-            }
-            Kind::Write(WritePlan { stmt, .. }) | Kind::Passthrough(stmt, _) => {
-                (self.db.write().execute_with(stmt, bindings)).map(ProxyResponse::from)
-            }
-            Kind::Malformed(_) => unreachable!("blocked before the session lookup"),
-        }
-        .map_err(CoreError::from);
+        let result = (permit.run(door, bindings))
+            .map(ProxyResponse::from)
+            .map_err(CoreError::from);
         timer.lap(Phase::DbExec);
         // Writes never record trace facts: the trace stays a record of what
         // the session *observed*, so read decisions are the same with write
@@ -819,19 +829,42 @@ impl SqlProxy {
             (Kind::Read(sp), Ok(ProxyResponse::Rows(rows))) => observe(sp, bindings, rows),
             _ => None,
         };
-        self.apply(session_id, remember, record, timer);
+        self.apply(session_id, remember, record, epoch, timer);
         (Some((kind, prov)), result)
     }
 
+    /// The session's shard, read-locked, once the session is synced to the
+    /// write epoch of `store`: a session behind it first revokes what it
+    /// knew about each table written since, under the shard's write lock.
+    /// A session that does not exist is left to the caller's lookup.
+    fn synced_shard(
+        &self,
+        session_id: u64,
+        store: &Store,
+    ) -> RwLockReadGuard<'_, HashMap<u64, SessionState>> {
+        let shard = self.shard(session_id);
+        let read = shard.read();
+        let behind = (read.get(&session_id)).is_some_and(|s| s.synced != store.epoch());
+        if !behind {
+            return read;
+        }
+        drop(read);
+        if let Some(session) = shard.write().get_mut(&session_id) {
+            let written = store.written_since(session.synced);
+            self.accounted(session, |s| s.sync(store.epoch(), &written));
+        }
+        shard.read()
+    }
+
     /// Applies a statement's effects on its session under one shard write
-    /// lock, bracketing the session's byte account once. If the session
-    /// ended meanwhile there is nothing to apply them to; the decision
-    /// itself is still valid for this request.
+    /// lock. If the session ended meanwhile there is nothing to apply them
+    /// to; the decision itself is still valid for this request.
     fn apply(
         &self,
         session_id: u64,
         remember: Option<Remember>,
         record: Option<(Cq, &[Vec<Value>])>,
+        epoch: u64,
         timer: &mut PhaseTimer,
     ) {
         if remember.is_none() && record.is_none() {
@@ -841,17 +874,30 @@ impl SqlProxy {
         let Some(session) = shard.get_mut(&session_id) else {
             return;
         };
-        let before = session.heap_bytes();
-        let evicted = session.apply(remember, record, &mut |phase| timer.lap(phase));
-        // A shrinking session adds a negative delta in two's complement.
-        let grown = (session.heap_bytes() as u64).wrapping_sub(before as u64);
-        self.session_bytes.fetch_add(grown, Ordering::Relaxed);
+        let evicted = self.accounted(session, |s| {
+            s.apply(remember, record, epoch, &mut |phase| timer.lap(phase))
+        });
         let [_, allow, deny] = &self.eviction_counters;
         for (counter, n) in [(allow, evicted.allow), (deny, evicted.deny)] {
             if n > 0 {
                 counter.add(n as u64);
             }
         }
+    }
+
+    /// Runs `change` on a session, bracketing the live session byte
+    /// account once around it.
+    fn accounted<R>(
+        &self,
+        session: &mut SessionState,
+        change: impl FnOnce(&mut SessionState) -> R,
+    ) -> R {
+        let before = session.heap_bytes();
+        let out = change(session);
+        // A shrinking session adds a negative delta in two's complement.
+        let grown = (session.heap_bytes() as u64).wrapping_sub(before as u64);
+        self.session_bytes.fetch_add(grown, Ordering::Relaxed);
+        out
     }
 
     /// The tail of [`execute`](Self::execute), and the one place a statement's
@@ -967,7 +1013,9 @@ impl SqlProxy {
         (plan, built)
     }
 
-    /// Executes without any enforcement (the F3 baseline).
+    /// Executes without any enforcement (the F3 baseline), through one
+    /// audited unchecked permit (`door.rs`): an `UPDATE` or `DELETE` run here
+    /// revokes what sessions knew about its table, as any other does.
     pub fn execute_unchecked(
         &self,
         sql: &str,
@@ -978,10 +1026,9 @@ impl SqlProxy {
         if let Some(missing) = unbound_error(&params_in_bind_order(&stmt), bindings) {
             return Err(CoreError::Parse(missing.to_string()));
         }
-        if let Statement::Select(q) = &stmt {
-            return Ok(ProxyResponse::Rows(self.db.read().query_with(q, bindings)?));
-        }
-        Ok(self.db.write().execute_with(&stmt, bindings)?.into())
+        let permit = Permit::unchecked(&stmt);
+        let door = Door::open(&self.store, permit.writes());
+        Ok(permit.run(door, bindings)?.into())
     }
 
     /// The compiled-plan cache (observability and tests).
@@ -1758,6 +1805,16 @@ mod tests {
             )
             .unwrap();
             sessions.push(s);
+        }
+        // A write to Attendance, even of no row, revokes: each session's
+        // next statement drops its Attendance facts and entries first.
+        let write = "UPDATE Attendance SET Notes = 'moved' WHERE UId = 9";
+        p.execute_unchecked(write, &[]).unwrap();
+        for &s in &sessions[1..] {
+            let before = p.session_trace_len(s).unwrap();
+            p.execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
+                .unwrap();
+            assert!(p.session_trace_len(s).unwrap() < before);
         }
         assert_eq!(
             p.sessions_heap_bytes_fast(),

@@ -65,11 +65,16 @@
 //! already entails every fact recording `(q, o)` again would push.
 //!
 //! *Proof.* When the entry was stored, its witness facts `W` were pushed
-//! (or were already there, fact for fact). A fact has since left the store
-//! only as one implied by what stayed, which keeps the store's existential
-//! conjunction logically equivalent, so the store still entails `∃ W`. A
-//! repeat derives `W'`: the same atoms under fresh Skolems, a renaming of
-//! `W`, and `∃ W' ≡ ∃ W`. ∎
+//! (or were already there, fact for fact), so the store entailed `∃ W`. A
+//! fact has since left the store in one of two ways. (1) As one implied by
+//! what stayed, which keeps the store's existential conjunction logically
+//! equivalent. (2) By a revocation, with every fact and every entry over
+//! its relation ("Revocation" below). The entry `(q, o)` is still stored,
+//! so no relation of `q` was revoked: a revocation dropped only facts over
+//! other relations, and a homomorphism from `W` into the store maps each
+//! atom onto a fact of its own relation, so it survives. Either way the
+//! store still entails `∃ W`. A repeat derives `W'`: the same atoms under
+//! fresh Skolems, a renaming of `W`, and `∃ W' ≡ ∃ W`. ∎
 //!
 //! So pushing `W'` and reducing could only return a store equivalent to
 //! the one already held, at the price of deriving, Skolemizing and
@@ -80,6 +85,28 @@
 //! same sequence of entries by construction. It also means a repeated join
 //! probe no longer leaves one block of mutually pinned facts per repeat
 //! (blocks the single-atom test never absorbs).
+//!
+//! # Revocation
+//!
+//! A fact holds in the database it was read from. An `UPDATE` or `DELETE`
+//! of a relation can falsify any fact over it (an `INSERT` falsifies none:
+//! facts are positive), so the proxy has a session whose trace is behind a
+//! write call [`Trace::revoke`] before it decides (`door.rs`). It drops
+//! every fact over a written relation, and every entry whose query reads
+//! one.
+//!
+//! * **Sound.** Every decision is monotone in the facts, so fewer facts
+//!   can only block more. A fact over another relation still holds, even
+//!   one that shared a Skolem with a dropped fact: its existential names
+//!   rows nobody wrote.
+//! * **The entries go too.** Otherwise the repeat rule would turn a
+//!   re-read of a row that survived the write into a no-op, and its fact
+//!   would never come back. With the entry gone, the re-read is news and
+//!   restores it.
+//! * **The version moves**, so a denial stamped before goes stale, and the
+//!   store is marked unreduced: a dropped fact can unpin a Skolem a
+//!   survivor shares, so the next compacting record runs [`Trace::compact`]
+//!   once.
 //!
 //! # Shortcuts: what a fresh row costs
 //!
@@ -183,7 +210,8 @@ pub struct Trace {
     entries: Vec<TraceEntry>,
     facts: Vec<Atom>,
     skolem_counter: u64,
-    /// Bumped whenever the fact set changes (push *or* compaction removal).
+    /// Bumped whenever the fact set changes (push, compaction removal or
+    /// revocation).
     /// Cached decisions that depended on the facts stamp this; a plain
     /// `facts().len()` stamp would be unsound once compaction can shrink the
     /// set (the same count can name a different set).
@@ -192,7 +220,7 @@ pub struct Trace {
     /// two vectors' own buffers excluded): the running byte account.
     element_bytes: usize,
     /// Set by the mutations that do not restore the reduced store (plain
-    /// [`Trace::record`], [`Trace::assume_fact`]), cleared by
+    /// [`Trace::record`], [`Trace::assume_fact`], [`Trace::revoke`]), cleared by
     /// [`Trace::compact`]. While set, the lemma's premise may not hold.
     unreduced: bool,
 }
@@ -554,6 +582,37 @@ impl Trace {
             self.unreduced = true;
             self.push_fact(fact);
         }
+    }
+
+    /// Revokes what the trace knew about the relations in `written`, whose
+    /// rows a write may have changed: drops every fact over one, and every
+    /// entry whose query reads one (module docs, "Revocation"). Returns
+    /// whether anything was dropped; if so, the version moves and the store
+    /// is marked unreduced.
+    pub fn revoke(&mut self, written: &[&str]) -> bool {
+        let over = |atom: &Atom| written.contains(&atom.relation.as_str());
+        let before = (self.entries.len(), self.facts.len());
+        let bytes = &mut self.element_bytes;
+        self.entries.retain(|e| {
+            let keep = !e.query.atoms.iter().any(over);
+            if !keep {
+                *bytes -= entry_bytes(e);
+            }
+            keep
+        });
+        self.facts.retain(|f| {
+            let keep = !over(f);
+            if !keep {
+                *bytes -= atom_heap_bytes(f);
+            }
+            keep
+        });
+        let dropped = (self.entries.len(), self.facts.len()) != before;
+        if dropped {
+            self.version += 1;
+            self.unreduced = true;
+        }
+        dropped
     }
 
     /// Monotone fact-set version: changes (strictly increases) whenever the
@@ -1024,6 +1083,52 @@ mod tests {
         t.compact();
         assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
         assert!(t.heap_bytes() > 0);
+    }
+
+    #[test]
+    fn revoke_drops_every_fact_and_entry_over_a_written_relation() {
+        use crate::mem::HeapUsage;
+        // ans(t) :- Events(e, t), Attendance(1, e, n)
+        let join = Cq::new(
+            vec![Term::var("t")],
+            vec![
+                Atom::new("Events", vec![Term::var("e"), Term::var("t")]),
+                Atom::new(
+                    "Attendance",
+                    vec![Term::int(1), Term::var("e"), Term::var("n")],
+                ),
+            ],
+            vec![],
+        );
+        // ans(t) :- Events(2, t)
+        let title = Cq::new(
+            vec![Term::var("t")],
+            vec![Atom::new("Events", vec![Term::int(2), Term::var("t")])],
+            vec![],
+        );
+        let mut t = Trace::new();
+        t.record_compacting(join, Observation::Rows(vec![vec![Value::str("a")]]));
+        t.record_compacting(q1(), Observation::NonEmpty);
+        t.record_compacting(title, Observation::Rows(vec![vec![Value::str("b")]]));
+        assert_eq!((t.len(), t.facts().len()), (3, 4));
+        let v = t.version();
+        assert!(t.revoke(&["Attendance"]));
+        // The join's entry went with the probe's; its Events fact stays,
+        // Skolem and all: nobody wrote Events.
+        assert_eq!(t.len(), 1);
+        assert!(t.facts().iter().all(|f| f.relation == "Events"));
+        assert_eq!(t.facts().len(), 2);
+        assert!(t.version() > v);
+        assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
+        // Nothing left to drop: nothing moves.
+        let v = t.version();
+        assert!(!t.revoke(&["Attendance", "Nope"]));
+        assert_eq!(t.version(), v);
+        // The probe is news again, and restores its fact; the store is
+        // reduced once more after the record.
+        t.record_compacting(q1(), Observation::NonEmpty);
+        assert_eq!((t.len(), t.facts().len()), (2, 3));
+        assert_eq!(t.clone().compact(), 0);
     }
 
     /// `(dropped, version, facts, Skolems minted)` after one record.

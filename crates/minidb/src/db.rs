@@ -7,6 +7,11 @@
 //! equality index with the candidate row's own cells
 //! ([`Table::has_duplicate_on`], [`Table::contains_on`]), so inserting a
 //! row moves it into the table and copies nothing else.
+//!
+//! Every statement is all or nothing. An `UPDATE` validates its whole
+//! post-state before it writes; a multi-row `INSERT` checks each row
+//! against the ones before it in place, and if one fails, the rows it
+//! appended are taken back. A key holding a `NULL` references nothing.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -168,11 +173,13 @@ impl Database {
     }
 
     /// Inserts literal rows directly (bypassing SQL), with constraint checks.
+    /// Atomic, as SQL `INSERT`: either every row goes in or none does.
     pub fn insert_rows(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize, DbError> {
         let n = rows.len();
-        for row in rows {
-            self.insert_one(table, row)?;
-        }
+        self.atomically(table, |db| {
+            rows.into_iter()
+                .try_for_each(|row| db.insert_one(table, row))
+        })?;
         Ok(n)
     }
 
@@ -187,23 +194,44 @@ impl Database {
             schema.resolve_columns(&ins.columns)?
         };
 
-        let mut count = 0;
-        for row_exprs in &ins.rows {
-            if row_exprs.len() != positions.len() {
-                return Err(DbError::ArityMismatch {
-                    table: ins.table.clone(),
-                    expected: positions.len(),
-                    found: row_exprs.len(),
-                });
+        self.atomically(&ins.table, |db| {
+            for row_exprs in &ins.rows {
+                if row_exprs.len() != positions.len() {
+                    return Err(DbError::ArityMismatch {
+                        table: ins.table.clone(),
+                        expected: positions.len(),
+                        found: row_exprs.len(),
+                    });
+                }
+                let mut row = vec![Value::Null; width];
+                for (pos, e) in positions.iter().zip(row_exprs) {
+                    row[*pos] = db.eval_standalone(e, params)?;
+                }
+                db.insert_one(&ins.table, row)?;
             }
-            let mut row = vec![Value::Null; width];
-            for (pos, e) in positions.iter().zip(row_exprs) {
-                row[*pos] = self.eval_standalone(e, params)?;
-            }
-            self.insert_one(&ins.table, row)?;
-            count += 1;
+            Ok(())
+        })?;
+        Ok(ins.rows.len())
+    }
+
+    /// Runs `append`, which appends rows to `table` one checked row at a
+    /// time, so that it appends all or nothing: if it fails, the rows it
+    /// appended are taken back. Each row is checked against the ones before
+    /// it in place, and only the failure path pays for the rollback.
+    fn atomically(
+        &mut self,
+        table: &str,
+        append: impl FnOnce(&mut Database) -> Result<(), DbError>,
+    ) -> Result<(), DbError> {
+        let len = self.tables.get(table).map(Table::len);
+        let result = append(self);
+        if let (Err(_), Some(len)) = (&result, len) {
+            self.tables
+                .get_mut(table)
+                .expect("it had rows")
+                .truncate(len);
         }
-        Ok(count)
+        result
     }
 
     /// Checks `row` where it lies — every probe reads the candidate's own
@@ -819,5 +847,84 @@ mod tests {
             .unwrap();
         assert_eq!(db.table("Attendance").unwrap().len(), 1);
         assert_eq!(snapshot.table("Attendance").unwrap().len(), 2);
+    }
+
+    /// A parent with a `UNIQUE (u, v)` key holding a `NULL`, and a child
+    /// whose foreign key into it holds a `NULL` too.
+    fn null_keyed_pair() -> Database {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE P (a INT PRIMARY KEY, u INT, v TEXT, UNIQUE (u, v))")
+            .unwrap();
+        db.execute_sql(
+            "CREATE TABLE C (pu INT, pv TEXT, FOREIGN KEY (pu, pv) REFERENCES P (u, v))",
+        )
+        .unwrap();
+        db.execute_sql("INSERT INTO P (a, u, v) VALUES (10, NULL, 'q'), (11, 1, 'q')")
+            .unwrap();
+        db.execute_sql("INSERT INTO C (pu, pv) VALUES (NULL, 'q'), (1, 'q')")
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn a_null_key_references_nothing() {
+        let mut db = null_keyed_pair();
+        // The child's `(NULL, 'q')` references no row, so the parent whose
+        // key is `(NULL, 'q')` may go (as in Postgres)...
+        assert_eq!(
+            db.execute_sql("DELETE FROM P WHERE a = 10").unwrap(),
+            ExecResult::Affected(1)
+        );
+        // ...while the one `(1, 'q')` references is still held.
+        assert!(matches!(
+            db.execute_sql("DELETE FROM P WHERE a = 11"),
+            Err(DbError::ForeignKeyViolation { .. })
+        ));
+        assert_eq!(
+            (db.table("P").unwrap().len(), db.table("C").unwrap().len()),
+            (1, 2)
+        );
+    }
+
+    #[test]
+    fn a_multi_row_insert_is_atomic() {
+        let mut db = Database::new();
+        db.execute_sql("CREATE TABLE P (a INT PRIMARY KEY, u INT, v TEXT)")
+            .unwrap();
+        db.execute_sql("INSERT INTO P (a, u, v) VALUES (1, 1, 'x')")
+            .unwrap();
+        let rows = |db: &Database| -> Vec<Vec<Value>> {
+            db.table("P")
+                .unwrap()
+                .rows()
+                .map(<[Value]>::to_vec)
+                .collect()
+        };
+        let before = rows(&db);
+        // The third row collides with the first: nothing goes in, through
+        // SQL or `insert_rows`, with every index built or none.
+        for build in [false, true] {
+            if build {
+                db.table("P").unwrap().probe(&[0]);
+            }
+            assert!(matches!(
+                db.execute_sql(
+                    "INSERT INTO P (a, u, v) VALUES (2, 2, 'y'), (3, 3, 'y'), (2, 4, 'z')"
+                ),
+                Err(DbError::UniqueViolation { .. })
+            ));
+            assert_eq!(rows(&db), before);
+            let batch = [2, 3, 2].map(|a| vec![Value::Int(a), Value::Null, Value::Null]);
+            assert!(db.insert_rows("P", batch.to_vec()).is_err());
+            assert_eq!(rows(&db), before);
+        }
+        // The taken-back rows left no trace in the key index: the same rows
+        // without the collision go in.
+        assert_eq!(
+            db.execute_sql("INSERT INTO P (a, u, v) VALUES (2, 2, 'y'), (3, 3, 'y')")
+                .unwrap(),
+            ExecResult::Affected(2)
+        );
+        assert_eq!(db.table("P").unwrap().len(), 3);
     }
 }

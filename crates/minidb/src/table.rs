@@ -422,23 +422,14 @@ impl Table {
     /// Returns `true` if some row's columns `cols` equal `row`'s columns
     /// `row_cols`, pairwise.
     ///
-    /// Matching is structural (like the rest of `minidb`'s row comparisons):
-    /// a `NULL` in `row` matches a stored `NULL`, so the `NULL`-excluding
-    /// index only serves the all-non-`NULL` case and the rest falls back to
-    /// a scan.
+    /// As SQL `=`, a key holding a `NULL` matches no row: a foreign key with
+    /// a `NULL` in it references nothing, so it neither needs a parent nor
+    /// keeps one from being deleted.
     pub fn contains_on(&self, cols: &[usize], row: &[Value], row_cols: &[usize]) -> bool {
-        if row_cols.iter().all(|&c| !row[c].is_null()) {
-            return self
-                .probe(cols)
-                .matching_row(row, row_cols)
-                .next()
-                .is_some();
-        }
-        self.rows().any(|stored| {
-            cols.iter()
-                .zip(row_cols)
-                .all(|(&c, &r)| stored[c] == row[r])
-        })
+        self.probe(cols)
+            .matching_row(row, row_cols)
+            .next()
+            .is_some()
     }
 
     /// Appends a shape-checked row (caller is responsible for constraints).
@@ -449,6 +440,16 @@ impl Table {
             Arc::make_mut(index).append(&row, &self.rows);
         }
         self.rows.push(row);
+    }
+
+    /// Keeps the first `len` rows and drops the rest: how a statement that
+    /// appended rows and then failed takes them back. Indexes are dropped
+    /// (they hold the appended rows), as on any mutation but an append.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len < self.rows.len {
+            self.invalidate_indexes();
+            self.rows.truncate(len);
+        }
     }
 
     /// Removes the rows at the given indices (in any order) in one pass;

@@ -144,3 +144,141 @@ fn a_column_named_twice_is_blocked_and_writes_nothing() {
     let stats = p.stats();
     assert_eq!((stats.blocked, stats.write_allowed), (2, 1));
 }
+
+/// The calendar policy (`V1`, `V2`) with `enforce_writes` on, over events
+/// 2 and 7, both attended by user 1.
+fn calendar_with_writes() -> SqlProxy {
+    let mut db = Database::new();
+    db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
+        .unwrap();
+    db.execute_sql(
+        "CREATE TABLE Attendance (UId INT, EId INT, Notes TEXT, PRIMARY KEY (UId, EId))",
+    )
+    .unwrap();
+    db.execute_sql(
+        "INSERT INTO Events (EId, Title, Kind) VALUES (2, 'standup', 'work'), \
+         (7, 'offsite', 'work')",
+    )
+    .unwrap();
+    db.execute_sql("INSERT INTO Attendance (UId, EId, Notes) VALUES (1, 2, NULL), (1, 7, NULL)")
+        .unwrap();
+    let schema = schema_of_database(&db);
+    let policy = Policy::from_sql(
+        &schema,
+        &[
+            ("V1", "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
+            (
+                "V2",
+                "SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId \
+                 WHERE a.UId = ?MyUId",
+            ),
+        ],
+    )
+    .unwrap();
+    let config = ProxyConfig {
+        enforce_writes: true,
+        ..Default::default()
+    };
+    SqlProxy::new(db, ComplianceChecker::new(schema, policy), config)
+}
+
+const USER_1: fn() -> Vec<(String, Value)> = || vec![("MyUId".into(), Value::Int(1))];
+
+/// Who deletes user 1's attendance of event 2 in the revocation probe.
+#[derive(Debug, Clone, Copy)]
+enum Deleter {
+    AnotherSession,
+    TheReadingSession,
+    Unchecked,
+}
+
+/// A session's trace outlived the rows it witnessed: after user 1's
+/// attendance of event 2 was deleted, a session that had read it still
+/// read the event, and then a title written after its access was revoked.
+/// A write revokes what every session knew about its table, whoever runs
+/// it, so both reads are blocked, and so is an allow the session's cache
+/// remembered from before the write.
+#[test]
+fn a_write_revokes_what_the_trace_knew() {
+    const DELETE: &str = "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+    const FETCH: &str = "SELECT * FROM Events WHERE EId = 2";
+    // Empty, so it records nothing: allowed only by the attendance fact,
+    // then by the allow cache.
+    const NOT_FUN: &str = "SELECT * FROM Events WHERE EId = 2 AND Kind = 'fun'";
+    for deleter in [
+        Deleter::AnotherSession,
+        Deleter::TheReadingSession,
+        Deleter::Unchecked,
+    ] {
+        let p = calendar_with_writes();
+        let blocked = |s: u64, sql: &str| {
+            let response = p.execute(s, sql, &[]).unwrap();
+            assert!(
+                matches!(response, ProxyResponse::Blocked(_)),
+                "{deleter:?}: `{sql}` must be blocked, got {response:?}"
+            );
+        };
+        // 1. Session A learns that user 1 attends event 2.
+        let a = p.begin_session(USER_1());
+        let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+        assert_eq!(p.execute(a, probe, &[]).unwrap().rows().unwrap().len(), 1);
+        for _ in 0..2 {
+            let response = p.execute(a, NOT_FUN, &[]).unwrap();
+            assert!(response.rows().unwrap().is_empty(), "{response:?}");
+        }
+        assert_eq!(p.stats().session_cache_hits, 1, "the repeat is remembered");
+        // 2. The attendance row goes.
+        let deleted = match deleter {
+            Deleter::AnotherSession => {
+                let b = p.begin_session(USER_1());
+                p.execute(b, DELETE, &[]).unwrap()
+            }
+            Deleter::TheReadingSession => p.execute(a, DELETE, &[]).unwrap(),
+            Deleter::Unchecked => p.execute_unchecked(DELETE, &USER_1()).unwrap(),
+        };
+        assert_eq!(deleted, ProxyResponse::Affected(1), "{deleter:?}");
+        // 3. A fresh session of user 1 may not read the event...
+        blocked(p.begin_session(USER_1()), FETCH);
+        // 4. ...and neither may session A, nor replay its remembered allow.
+        blocked(a, FETCH);
+        blocked(a, NOT_FUN);
+        // 5. Nor may it read a title written after its access was revoked.
+        let retitle = "UPDATE Events SET Title = 'layoffs' WHERE EId = 2";
+        assert_eq!(
+            p.execute_unchecked(retitle, &[]).unwrap(),
+            ProxyResponse::Affected(1)
+        );
+        blocked(a, "SELECT Title FROM Events WHERE EId = 2");
+    }
+}
+
+/// Revocation drops a session's trace entries with its facts: otherwise
+/// re-reading a row that survived the write would be an exact repeat, a
+/// no-op, and its fact would never come back.
+#[test]
+fn a_read_that_still_holds_restores_its_fact() {
+    let p = calendar_with_writes();
+    let a = p.begin_session(USER_1());
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 7";
+    // Empty, so it records nothing: allowed only by the attendance fact.
+    let not_fun = "SELECT * FROM Events WHERE EId = 7 AND Kind = 'fun'";
+    assert_eq!(p.execute(a, probe, &[]).unwrap().rows().unwrap().len(), 1);
+    assert!(p.execute(a, not_fun, &[]).unwrap().is_allowed());
+    // Another session deletes user 1's attendance of event 2. The
+    // attendance of event 7 still holds, but revocation is coarse: every
+    // Attendance fact of session A goes.
+    let b = p.begin_session(USER_1());
+    assert_eq!(
+        p.execute(
+            b,
+            "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = 2",
+            &[]
+        )
+        .unwrap(),
+        ProxyResponse::Affected(1)
+    );
+    assert!(!p.execute(a, not_fun, &[]).unwrap().is_allowed());
+    // The same probe, read again, is news and restores the fact.
+    assert_eq!(p.execute(a, probe, &[]).unwrap().rows().unwrap().len(), 1);
+    assert!(p.execute(a, not_fun, &[]).unwrap().is_allowed());
+}

@@ -30,6 +30,10 @@
 //!   Losing a trace fact only turns `Allowed` into `Blocked`, which no
 //!   soundness gate can see, so this count is also held under a ceiling:
 //!   it may fall, never rise.
+//!
+//! A second family of scripts interleaves `UPDATE`s, `DELETE`s and
+//! `INSERT`s with the reads, and judges each read against what still
+//! holds of the earlier ones ("Write-interleaved scripts" below).
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -301,16 +305,61 @@ fn database(db: &Db) -> Database {
     out
 }
 
-fn run_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut Tally) {
-    let views: Vec<(&str, Q)> = {
-        let pool = view_pool();
-        let mut chosen = pool[..2].to_vec();
-        chosen.extend(pool[2..].iter().filter(|_| rng.gen_bool(0.5)).cloned());
-        chosen
-    };
-    let live = rng.gen_range(0..oracle.dbs.len());
-    let mut db = oracle.dbs[live].clone();
-    let sql_db = database(&db);
+/// A policy: the first two views of the pool, and each other one with
+/// even odds.
+fn draw_views(rng: &mut SmallRng) -> Vec<(&'static str, Q)> {
+    let pool = view_pool();
+    let mut chosen = pool[..2].to_vec();
+    chosen.extend(pool[2..].iter().filter(|_| rng.gen_bool(0.5)).cloned());
+    chosen
+}
+
+/// A few read shapes per script, so sessions repeat each other's.
+fn draw_reads(rng: &mut SmallRng) -> Vec<Q> {
+    let pool = read_pool();
+    (0..6)
+        .map(|_| pool[rng.gen_range(0..pool.len())].clone())
+        .collect()
+}
+
+/// The next read of a session: follow a value an earlier answer showed,
+/// or any value; now and then repeat an earlier statement exactly.
+fn draw_read(
+    rng: &mut SmallRng,
+    reads: &[Q],
+    seen: &[i64],
+    history: &[(Q, Bindings)],
+) -> (Q, Bindings) {
+    match history.len() {
+        n if n > 0 && rng.gen_bool(0.2) => history[rng.gen_range(0..n)].clone(),
+        _ => {
+            let x = if rng.gen_bool(0.6) {
+                seen[rng.gen_range(0..seen.len())]
+            } else {
+                rng.gen_range(0..DOMAIN)
+            };
+            let mut query = reads[rng.gen_range(0..reads.len())].clone();
+            if rng.gen_bool(0.3) {
+                for (_, args) in &mut query.atoms {
+                    for t in args.iter_mut().filter(|t| **t == X) {
+                        *t = T::C(x);
+                    }
+                }
+            }
+            let mentions_x = query.atoms.iter().any(|(_, a)| a.contains(&X));
+            let req_b: Bindings = if mentions_x {
+                vec![("x".into(), Value::Int(x))]
+            } else {
+                Vec::new()
+            };
+            (query, req_b)
+        }
+    }
+}
+
+/// A proxy enforcing reads and writes under `views` over a copy of `db`.
+fn enforcing_proxy(db: &Db, views: &[(&str, Q)]) -> SqlProxy {
+    let sql_db = database(db);
     let schema = schema_of_database(&sql_db);
     let policy_sql: Vec<(&str, String)> = views.iter().map(|(n, v)| (*n, v.sql())).collect();
     let policy_refs: Vec<(&str, &str)> =
@@ -320,38 +369,43 @@ fn run_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut Tally) {
         enforce_writes: true,
         ..ProxyConfig::default()
     };
-    let proxy = SqlProxy::new(sql_db, ComplianceChecker::new(schema, policy), config);
+    SqlProxy::new(sql_db, ComplianceChecker::new(schema, policy), config)
+}
+
+fn describe(views: &[(&str, Q)], db: &Db) -> String {
+    let names: Vec<&str> = views.iter().map(|(n, _)| *n).collect();
+    format!("policy {names:?}, database R={:?} S={:?}", db[0], db[1])
+}
+
+/// A session's view image: the databases numbered by the answers the
+/// policy's views give it there.
+fn image(oracle: &mut Oracle, views: &[(&str, Q)], session_b: &Bindings) -> Vec<u32> {
+    let per_view: Vec<Vec<u32>> = (views.iter())
+        .map(|(_, v)| oracle.answers(v, session_b).per_db.clone())
+        .collect();
+    let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
+    (0..oracle.dbs.len())
+        .map(|i| {
+            let next = ids.len() as u32;
+            *ids.entry(per_view.iter().map(|v| v[i]).collect())
+                .or_insert(next)
+        })
+        .collect()
+}
+
+fn run_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut Tally) {
+    let views = draw_views(rng);
+    let live = rng.gen_range(0..oracle.dbs.len());
+    let mut db = oracle.dbs[live].clone();
+    let proxy = enforcing_proxy(&db, &views);
     let mut cursor = JournalCursor::default();
-    let describe = |views: &[(&str, Q)], db: &Db| {
-        let names: Vec<&str> = views.iter().map(|(n, _)| *n).collect();
-        format!("policy {names:?}, database R={:?} S={:?}", db[0], db[1])
-    };
-    // A few read shapes per script, so sessions repeat each other's.
-    let reads: Vec<Q> = {
-        let pool = read_pool();
-        (0..6)
-            .map(|_| pool[rng.gen_range(0..pool.len())].clone())
-            .collect()
-    };
+    let reads = draw_reads(rng);
     let sessions = rng.gen_range(2..=3);
     for s in 0..sessions {
         let uid = rng.gen_range(0..DOMAIN);
         let session_b: Bindings = vec![("MyUId".into(), Value::Int(uid))];
         let sid = proxy.begin_session(session_b.clone());
-        // The session's view image per database.
-        let image: Vec<u32> = {
-            let per_view: Vec<Vec<u32>> = (views.iter())
-                .map(|(_, v)| oracle.answers(v, &session_b).per_db.clone())
-                .collect();
-            let mut ids: HashMap<Vec<u32>, u32> = HashMap::new();
-            (0..oracle.dbs.len())
-                .map(|i| {
-                    let next = ids.len() as u32;
-                    *ids.entry(per_view.iter().map(|v| v[i]).collect())
-                        .or_insert(next)
-                })
-                .collect()
-        };
+        let image = image(oracle, &views, &session_b);
         let everything: Vec<usize> = (0..oracle.dbs.len()).collect();
         let mut consistent = everything.clone();
         let mut seen = vec![uid];
@@ -359,33 +413,7 @@ fn run_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut Tally) {
         let mut skipped_repeat = false;
         let mut history: Vec<(Q, Bindings)> = Vec::new();
         for _ in 0..rng.gen_range(6..=12) {
-            // Follow a value an earlier answer showed, or any value; now
-            // and then repeat an earlier statement exactly.
-            let (query, req_b) = match history.len() {
-                n if n > 0 && rng.gen_bool(0.2) => history[rng.gen_range(0..n)].clone(),
-                _ => {
-                    let x = if rng.gen_bool(0.6) {
-                        seen[rng.gen_range(0..seen.len())]
-                    } else {
-                        rng.gen_range(0..DOMAIN)
-                    };
-                    let mut query = reads[rng.gen_range(0..reads.len())].clone();
-                    if rng.gen_bool(0.3) {
-                        for (_, args) in &mut query.atoms {
-                            for t in args.iter_mut().filter(|t| **t == X) {
-                                *t = T::C(x);
-                            }
-                        }
-                    }
-                    let mentions_x = query.atoms.iter().any(|(_, a)| a.contains(&X));
-                    let req_b: Bindings = if mentions_x {
-                        vec![("x".into(), Value::Int(x))]
-                    } else {
-                        Vec::new()
-                    };
-                    (query, req_b)
-                }
-            };
+            let (query, req_b) = draw_read(rng, &reads, &seen, &history);
             history.push((query.clone(), req_b.clone()));
             let all_b: Bindings = session_b.iter().chain(&req_b).cloned().collect();
             let sql = query.sql();
@@ -514,8 +542,8 @@ fn run_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut Tally) {
     }
 }
 
-#[test]
-fn every_allowed_statement_is_compliant_by_definition() {
+/// The judge over the bounded universe.
+fn oracle() -> Oracle {
     let universe = Universe::with_int_domain(
         REL.iter()
             .map(|name| RelationSpec {
@@ -547,10 +575,15 @@ fn every_allowed_statement_is_compliant_by_definition() {
         })
         .collect();
     assert_eq!(dbs.len(), 2_116);
-    let mut oracle = Oracle {
+    Oracle {
         dbs,
         cache: HashMap::new(),
-    };
+    }
+}
+
+#[test]
+fn every_allowed_statement_is_compliant_by_definition() {
+    let mut oracle = oracle();
     let mut rng = SmallRng::seed_from_u64(0x5e_3a_17);
     let mut tally = Tally::default();
     for _ in 0..SCRIPTS {
@@ -572,6 +605,295 @@ fn every_allowed_statement_is_compliant_by_definition() {
     assert!(
         tally.gap <= GAP_CEILING,
         "{} compliant reads blocked (ceiling {GAP_CEILING}), e.g. {:#?}",
+        tally.gap,
+        tally.gap_examples
+    );
+}
+
+// Write-interleaved scripts.
+//
+// Two sessions read in turn while `UPDATE`s, `DELETE`s and `INSERT`s run
+// between their reads: through the reading session, through the other
+// one, and through `execute_unchecked`. A write can falsify what a session
+// read before, so the judge's trace is the part of each past observation
+// that still holds: each earlier allowed read is re-evaluated on the live
+// database, and the rows it returned that are still in its answer are
+// rows every consistent database's answer must hold. This spec does not
+// depend on how the proxy revokes; a proxy that forgets more is still
+// sound against it, and shows up in the gap instead.
+
+/// Write-interleaved scripts, at their own seed.
+const WRITE_SCRIPTS: usize = 48;
+/// Compliant reads the write-interleaved scripts see blocked, at the seed
+/// below: the proxy drops every fact over a written relation, the judge
+/// only the rows a write took out of an answer. A more precise revocation
+/// lowers it; nothing may raise it.
+const WRITE_GAP_CEILING: usize = 5;
+
+/// The writes a script interleaves with its reads, with the relation
+/// each writes.
+fn write_pool() -> [(&'static str, usize); 5] {
+    [
+        ("DELETE FROM R WHERE A = ?MyUId AND B = ?x", 0),
+        ("DELETE FROM S WHERE A = ?x", 1),
+        ("UPDATE R SET B = ?y WHERE A = ?MyUId AND B = ?x", 0),
+        ("UPDATE S SET B = ?y WHERE A = ?x", 1),
+        ("INSERT INTO S (A, B) VALUES (?x, ?y)", 1),
+    ]
+}
+
+/// Who runs a write: the session that reads next, the other one, or
+/// nobody the proxy decides for.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Writer {
+    Reading,
+    Other,
+    Unchecked,
+}
+
+#[derive(Debug, Default)]
+struct WriteTally {
+    reads: usize,
+    allowed: usize,
+    /// Allowed reads after an `UPDATE` or `DELETE` changed a row that
+    /// needed an earlier read of the session to be compliant.
+    trace_dependent_after_a_write: usize,
+    /// `UPDATE`s and `DELETE`s that changed rows of a relation some
+    /// session's trace held a fact over, so its next statement revokes.
+    revoking: usize,
+    /// Compliant reads the proxy blocked.
+    gap: usize,
+    gap_examples: Vec<String>,
+    /// Writes that changed rows, by who ran them, in [`Writer`] order.
+    writes: [usize; 3],
+    writes_blocked: usize,
+}
+
+/// One reading session of a write-interleaved script.
+struct Reader {
+    sid: u64,
+    uid: i64,
+    b: Bindings,
+    image: Vec<u32>,
+    seen: Vec<i64>,
+    history: Vec<(Q, Bindings)>,
+    /// Each allowed read with the rows the proxy returned.
+    observed: Vec<(Q, Bindings, Answer)>,
+}
+
+/// The live database behind `proxy`.
+fn live_db(proxy: &SqlProxy) -> Db {
+    proxy.with_database(|d| {
+        REL.map(|name| {
+            (d.table(name).unwrap().rows())
+                .map(|row| {
+                    row.iter()
+                        .map(|v| match v {
+                            Value::Int(i) => *i,
+                            other => panic!("non-integer cell {other:?}"),
+                        })
+                        .collect::<Vec<_>>()
+                        .try_into()
+                        .unwrap()
+                })
+                .collect()
+        })
+    })
+}
+
+/// The databases consistent with what still holds on `db` of `observed`:
+/// every row an earlier read returned that its query still returns on
+/// `db` must be in that query's answer.
+fn still_consistent(
+    oracle: &mut Oracle,
+    db: &Db,
+    observed: &[(Q, Bindings, Answer)],
+) -> Vec<usize> {
+    let mut consistent: Vec<usize> = (0..oracle.dbs.len()).collect();
+    for (query, b, rows) in observed {
+        let now = query.eval(db, b);
+        let holds: Answer = rows.intersection(&now).cloned().collect();
+        if holds.is_empty() {
+            continue;
+        }
+        let answers = oracle.answers(query, b);
+        let mut fits = vec![false; answers.ids.len()];
+        for (answer, &id) in &answers.ids {
+            fits[id as usize] = holds.is_subset(answer);
+        }
+        consistent.retain(|&i| fits[answers.per_db[i] as usize]);
+    }
+    consistent
+}
+
+fn run_write_script(oracle: &mut Oracle, rng: &mut SmallRng, tally: &mut WriteTally) {
+    let views = draw_views(rng);
+    let mut db = oracle.dbs[rng.gen_range(0..oracle.dbs.len())].clone();
+    let proxy = enforcing_proxy(&db, &views);
+    let mut cursor = JournalCursor::default();
+    // Every script can learn its R rows and follow them into S, the read a
+    // write to R can revoke.
+    let mut reads = draw_reads(rng);
+    let pool = read_pool();
+    reads[..2].clone_from_slice(&[pool[0].clone(), pool[2].clone()]);
+    let mut readers: Vec<Reader> = (0..2)
+        .map(|_| {
+            let uid = rng.gen_range(0..DOMAIN);
+            let b: Bindings = vec![("MyUId".into(), Value::Int(uid))];
+            Reader {
+                sid: proxy.begin_session(b.clone()),
+                uid,
+                image: image(oracle, &views, &b),
+                b,
+                seen: vec![uid],
+                history: Vec::new(),
+                observed: Vec::new(),
+            }
+        })
+        .collect();
+    let everything: Vec<usize> = (0..oracle.dbs.len()).collect();
+    let mut next = rng.gen_range(0..readers.len());
+    // Whether an `UPDATE` or `DELETE` has changed a row yet.
+    let mut destroyed = false;
+    let mut log: Vec<String> = Vec::new();
+    for _ in 0..rng.gen_range(12..=20) {
+        if rng.gen_bool(0.3) {
+            let writer =
+                [Writer::Reading, Writer::Other, Writer::Unchecked][rng.gen_range(0..3usize)];
+            let (sql, rel) = write_pool()[rng.gen_range(0..5usize)];
+            // Mostly at a value a session has seen, where it can revoke.
+            let target = &readers[rng.gen_range(0..2usize)];
+            let seen = &target.seen;
+            let x = match rng.gen_bool(0.6) {
+                true => seen[rng.gen_range(0..seen.len())],
+                false => rng.gen_range(0..DOMAIN),
+            };
+            let req_b: Bindings = vec![
+                ("x".into(), Value::Int(x)),
+                ("y".into(), Value::Int(rng.gen_range(0..DOMAIN))),
+            ];
+            let response = match writer {
+                Writer::Unchecked => {
+                    let mut b = req_b.clone();
+                    b.push(("MyUId".into(), Value::Int(target.uid)));
+                    proxy.execute_unchecked(sql, &b)
+                }
+                Writer::Reading => proxy.execute(readers[next].sid, sql, &req_b),
+                Writer::Other => proxy.execute(readers[1 - next].sid, sql, &req_b),
+            };
+            proxy.journal().poll(&mut cursor, 16);
+            let before = db.clone();
+            db = live_db(&proxy);
+            match response.expect("write executes") {
+                ProxyResponse::Affected(n) => {
+                    log.push(format!("{writer:?} `{sql}` {req_b:?}: {n} rows"));
+                    if n > 0 {
+                        tally.writes[writer as usize] += 1;
+                    }
+                    if n > 0 && !sql.starts_with("INSERT") {
+                        destroyed = true;
+                        let over = |sid| {
+                            let trace = proxy.session_trace(sid).expect("live session");
+                            (trace.facts().iter()).any(|f| f.relation.as_str() == REL[rel])
+                        };
+                        tally.revoking += readers.iter().any(|r| over(r.sid)) as usize;
+                    }
+                }
+                ProxyResponse::Blocked(_) => {
+                    assert_eq!(db, before, "a blocked `{sql}` changed the database");
+                    tally.writes_blocked += 1;
+                }
+                ProxyResponse::Rows(_) => panic!("a write returned rows"),
+            }
+            continue;
+        }
+        let reader = &mut readers[next];
+        next = rng.gen_range(0..2);
+        let (query, req_b) = draw_read(rng, &reads, &reader.seen, &reader.history);
+        reader.history.push((query.clone(), req_b.clone()));
+        let all_b: Bindings = reader.b.iter().chain(&req_b).cloned().collect();
+        let sql = query.sql();
+        let response = proxy
+            .execute(reader.sid, &sql, &req_b)
+            .expect("read executes");
+        proxy.journal().poll(&mut cursor, 16);
+        let consistent = still_consistent(oracle, &db, &reader.observed);
+        let answers = oracle.answers(&query, &all_b);
+        let compliant = determined(&consistent, &reader.image, &answers.per_db);
+        tally.reads += 1;
+        log.push(format!("session {} `{sql}` {req_b:?}", reader.uid));
+        let context = || {
+            format!(
+                "MyUId = {} `{sql}` {req_b:?}; {}; script so far: {log:#?}",
+                reader.uid,
+                describe(&views, &db)
+            )
+        };
+        match response {
+            ProxyResponse::Rows(rows) => {
+                let observed = rows_answer(&rows);
+                assert_eq!(
+                    observed,
+                    query.eval(&db, &all_b),
+                    "the database and the judge disagree on {}",
+                    context()
+                );
+                assert!(
+                    compliant,
+                    "UNSOUND: allowed a read that is not compliant after a write: {}",
+                    context()
+                );
+                tally.allowed += 1;
+                let needs_trace = !determined(&everything, &reader.image, &answers.per_db);
+                tally.trace_dependent_after_a_write += (needs_trace && destroyed) as usize;
+                for row in &observed {
+                    reader
+                        .seen
+                        .extend(row.iter().filter(|v| (0..DOMAIN).contains(*v)));
+                }
+                reader.observed.push((query, all_b, observed));
+            }
+            ProxyResponse::Blocked(reason) => {
+                assert!(
+                    matches!(reason, DenyReason::NotDetermined { .. }),
+                    "{reason:?}: {}",
+                    context()
+                );
+                if compliant {
+                    tally.gap += 1;
+                    if tally.gap_examples.len() < 5 {
+                        tally.gap_examples.push(context());
+                    }
+                }
+            }
+            ProxyResponse::Affected(_) => panic!("a read reported affected rows"),
+        }
+    }
+}
+
+#[test]
+fn every_allowed_read_after_a_write_is_compliant() {
+    let mut oracle = oracle();
+    let mut rng = SmallRng::seed_from_u64(0x3e_1a_b1);
+    let mut tally = WriteTally::default();
+    for _ in 0..WRITE_SCRIPTS {
+        run_write_script(&mut oracle, &mut rng, &mut tally);
+    }
+    tally.gap_examples.truncate(2);
+    println!("{tally:#?}");
+    assert!(
+        tally.writes.iter().all(|&n| n > 0),
+        "every kind of writer changed rows: {tally:?}"
+    );
+    assert!(tally.writes_blocked > 0, "{tally:?}");
+    assert!(tally.revoking > 0, "no write revoked a fact: {tally:?}");
+    assert!(
+        tally.trace_dependent_after_a_write > 0,
+        "no read after a write needed the trace: {tally:?}"
+    );
+    assert!(
+        tally.gap <= WRITE_GAP_CEILING,
+        "{} compliant reads blocked after writes (ceiling {WRITE_GAP_CEILING}), e.g. {:#?}",
         tally.gap,
         tally.gap_examples
     );
