@@ -11,20 +11,24 @@
 //! passes). SIEVE is scan-resistant (a one-pass scan cannot flush the
 //! working set: scanned-once entries are never re-visited, so the hand
 //! takes them first) and lock-light: a hit is a single relaxed atomic
-//! store, so reads stay reads under the proxy's `RwLock` sharding — no
-//! per-hit LRU reordering, no write lock on the read path.
+//! store, so a lookup needs only a read lock (the plan cache's `RwLock`, a
+//! session shard's) — no per-hit LRU reordering, no write lock on the read
+//! path.
 //!
 //! Observational contract (property-tested in `tests/bounded_cache.rs`):
 //! a hit always returns exactly the value originally inserted — the cache
 //! differs from an unbounded map only by *misses*, never by wrong values —
-//! and `inserted_total - evicted_total - removed == len()` at all times.
+//! and `inserted_total - evicted_total == len()` at all times.
+//!
+//! An entry's weight is fixed when it is inserted: a value whose footprint
+//! changes is re-inserted under its key with its new weight.
 
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// One resident entry: the value, its accounted byte weight, and the SIEVE
+/// One resident entry: the value, its byte weight, and the SIEVE
 /// visited bit (atomic so hits can set it through a shared reference).
 #[derive(Debug)]
 struct Slot<V> {
@@ -106,27 +110,6 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         })
     }
 
-    /// Mutable lookup; also a SIEVE hit. Callers that change the value's
-    /// footprint must follow up with [`BoundedCache::set_bytes`].
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.map.get_mut(key).map(|s| {
-            s.visited.store(true, Ordering::Relaxed);
-            &mut s.value
-        })
-    }
-
-    /// Whether the key is resident, *without* marking it visited.
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Looks a key up *without* marking it visited — for maintenance scans
-    /// (byte re-accounting, persistence walks) that should not count as
-    /// recency signal.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|s| &s.value)
-    }
-
     /// Inserts (or updates) an entry with the given byte weight, then
     /// enforces both bounds. Returns the evicted `(key, value)` pairs
     /// (usually empty — no allocation on the happy path). The key just
@@ -156,37 +139,13 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         self.enforce(&key)
     }
 
-    /// Removes an entry outright (not counted as an eviction).
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        let slot = self.map.remove(key)?;
-        if let Some(pos) = self.order.iter().position(|k| k == key) {
-            self.order.remove(pos);
-            if pos < self.hand {
-                self.hand -= 1;
-            }
-        }
-        self.resident_bytes -= slot.bytes;
-        Some(slot.value)
-    }
-
-    /// Re-accounts an entry's byte weight (for values whose footprint is
-    /// only known lazily, e.g. plans compiled after insertion), then
-    /// enforces the byte budget. The re-accounted key itself is protected.
-    pub fn set_bytes(&mut self, key: &K, bytes: usize) -> Vec<(K, V)> {
-        if let Some(slot) = self.map.get_mut(key) {
-            self.resident_bytes = self.resident_bytes - slot.bytes + bytes;
-            slot.bytes = bytes;
-        }
-        self.enforce(key)
-    }
-
     /// Iterates resident entries in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.map.iter().map(|(k, s)| (k, &s.value))
     }
 
-    /// Structural heap bytes (ring + table) plus the accounted resident
-    /// bytes of the values themselves.
+    /// Structural heap bytes (ring + table) plus the byte weights the
+    /// resident values were inserted with.
     pub fn heap_bytes(&self) -> usize {
         self.resident_bytes
             + self.order.capacity() * size_of::<K>()
@@ -326,11 +285,7 @@ mod tests {
             c.insert(k, k, 8);
         }
         c.insert(5, 50, 8); // update, not an insert
-        let removed = u64::from(c.remove(&9).is_some());
-        assert_eq!(
-            c.inserted_total() - c.evicted_total() - removed,
-            c.len() as u64
-        );
+        assert_eq!(c.inserted_total() - c.evicted_total(), c.len() as u64);
     }
 
     #[test]
@@ -341,28 +296,5 @@ mod tests {
         assert_eq!(c.get(&1).map(String::as_str), Some("b"));
         assert_eq!(c.resident_bytes(), 25);
         assert_eq!(c.inserted_total(), 1);
-    }
-
-    #[test]
-    fn set_bytes_reaccounts_and_enforces() {
-        let mut c: BoundedCache<u64, u64> = BoundedCache::new(0, 100);
-        c.insert(1, 1, 10);
-        c.insert(2, 2, 10);
-        let evicted = c.set_bytes(&1, 95);
-        assert_eq!(evicted.len(), 1, "re-accounting 1 pushed 2 out");
-        assert_eq!(evicted[0].0, 2);
-        assert!(c.get(&1).is_some(), "re-accounted key is protected");
-    }
-
-    #[test]
-    fn remove_adjusts_hand() {
-        let mut c: BoundedCache<u64, u64> = BoundedCache::new(0, 0);
-        for k in 0..4 {
-            c.insert(k, k, 1);
-        }
-        c.remove(&0);
-        c.remove(&3);
-        assert_eq!(c.len(), 2);
-        assert!(c.get(&1).is_some() && c.get(&2).is_some());
     }
 }

@@ -49,7 +49,7 @@ pub(crate) struct SessionState {
     /// never served — a plain fact count would be ambiguous once compaction
     /// can shrink the set). The stored reason is replayed on a hit, so
     /// diagnosis consumers see the disjunct or written row that failed.
-    /// Its `Cq` byte weight is accounted at insert, so `HeapUsage` and the
+    /// Its `Cq` byte weight is counted at insert, so `HeapUsage` and the
     /// byte budget both see it.
     pub(crate) denied_cache: BoundedCache<ConcreteKey, (u64, DenyReason)>,
     /// The store's write epoch at the last sync ([`crate::door`]): the
@@ -86,20 +86,14 @@ impl SessionState {
 
     /// Heap bytes owned by this state: the binding list (counted at this
     /// holder even though it is shared by `Arc` — see [`crate::mem`]), the
-    /// trace, and both concrete caches (structural tables plus accounted
-    /// entry weights, deny-cache counterexample CQs included). Every term is
-    /// a running account, so the before/after brackets around a mutation
-    /// cost nothing that grows with the session.
+    /// trace, and both concrete caches (structural tables plus the entries'
+    /// byte weights, deny-cache counterexample CQs included). The trace is
+    /// walked.
     pub(crate) fn heap_bytes(&self) -> usize {
         bindings_heap_bytes(&self.bindings)
             + self.trace.heap_bytes()
             + self.allowed_cache.heap_bytes()
             + self.denied_cache.heap_bytes()
-    }
-
-    /// The same sum with the trace *walked* ([`Trace::heap_bytes_exact`]).
-    pub(crate) fn heap_bytes_exact(&self) -> usize {
-        self.heap_bytes() - self.trace.heap_bytes() + self.trace.heap_bytes_exact()
     }
 
     /// Writes one statement's effects into the session: the remembered

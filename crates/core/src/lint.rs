@@ -91,7 +91,7 @@ fn writable_positions(checker: &ComplianceChecker) -> Exported {
 /// never be covered. Extraction failures (unknown table, arity mismatch)
 /// produce no warnings — the decision path reports those as denials.
 fn lint_mutation(checker: &ComplianceChecker, stmt: &Statement) -> Vec<String> {
-    let Ok((atoms, _)) = crate::write::extract_written_atoms(stmt, checker.schema()) else {
+    let Ok((atoms, _, _)) = crate::write::extract_written_atoms(stmt, checker.schema()) else {
         return Vec::new();
     };
     let writable = writable_positions(checker);

@@ -17,11 +17,10 @@
 //! statements) are approximated by their source text, and the
 //! approximation is documented at the implementation site.
 //!
-//! A component read on a hot path answers from a running account it
-//! adjusts at each mutation instead of walking itself (the bounded caches'
-//! resident bytes, the trace's element bytes); the walk it must equal is
-//! then kept beside it as the tested ground truth
-//! ([`Trace::heap_bytes_exact`](crate::trace::Trace::heap_bytes_exact)).
+//! A component answers by walking itself when asked: a gauge refresh, a
+//! session's end. The one running account is a [`crate::BoundedCache`]'s
+//! resident bytes, which its byte budget is enforced against at every
+//! insert; each entry is weighed once, when it is inserted.
 
 use std::mem::size_of;
 

@@ -32,16 +32,17 @@
 //! in session A allows nothing in session B that B's facts do not already
 //! support, and a replay that does not verify falls back to the search.
 //!
-//! [`PlanCache`] is the sharded, hash-keyed home of compiled plans. Its
-//! double-checked insert publishes an empty [`OnceLock`] cell under a
-//! brief write lock and compiles *outside* all locks: concurrent misses on
-//! the same template prove once (the losers block on the cell, not on a
-//! shard lock), and no lock is ever held across a proof. Distinct
-//! templates colliding on the 64-bit FNV hash chain under one key and are
-//! told apart by full-SQL comparison, so a collision costs a string
-//! compare, never a wrong plan.
+//! [`PlanCache`] is the hash-keyed home of compiled plans: one `RwLock`
+//! around one SIEVE-bounded map. A hit is a read lock. A miss takes the
+//! write lock, looks again and compiles under it, so concurrent misses on
+//! the same template prove once; the cost is that a cold miss holds up
+//! lookups of other templates while it compiles, which only an embedding
+//! deciding on several threads would notice. Distinct templates colliding
+//! on the 64-bit FNV hash chain under one key and are told apart by
+//! full-SQL comparison, so a collision costs a string compare, never a
+//! wrong plan.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use parking_lot::RwLock;
 use qlogic::{candidate_view_indices, const_to_param, Atom, CVal, Cq, Term};
@@ -53,10 +54,6 @@ use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
 use crate::obs::{template_hash, Counter, Phase};
 use crate::write::{WriteTemplate, WriteTemplateVerdict};
-
-/// Number of plan-cache shards (power of two; the shard index is the low
-/// bits of the template hash, which FNV-1a mixes well).
-const PLAN_SHARDS: usize = 16;
 
 /// One disjunct of a template's UCQ translation, with the candidate views
 /// that survived the relation-signature pre-filter.
@@ -432,46 +429,27 @@ fn lifts_faithfully(checker: &ComplianceChecker, d: &Cq) -> bool {
     }) && !d.atoms.iter().any(|a| lifts_unfaithfully(checker, a))
 }
 
-/// One cache slot: the template's SQL (for exact matching under hash
-/// collisions) and the prove-once cell its plan is published through.
-struct PlanEntry {
-    sql: String,
-    cell: Arc<OnceLock<Arc<TemplatePlan>>>,
-}
-
-struct PlanShard {
-    /// Collision chains keyed by template hash: distinct templates sharing
-    /// a 64-bit hash live in one bucket and are told apart by full-SQL
-    /// comparison. Bounded (count and bytes) with SIEVE eviction at bucket
-    /// granularity — a hit is one visited-bit store under the read lock.
-    chains: BoundedCache<u64, Vec<PlanEntry>>,
-    /// Total entries across all chains in this shard.
-    entries: usize,
-    /// Buckets holding cells published but not yet compiled: their plan
-    /// bytes are unknown at insert time, so they are re-accounted on the
-    /// next write-lock acquisition ("lazy" because compilation happens
-    /// outside all locks).
-    pending: Vec<u64>,
-}
-
 /// Compiled templates a proxy's cache retains before SIEVE eviction (the
 /// byte budget, [`crate::ProxyConfig::plan_budget_bytes`], binds first only
 /// for unusually large plans).
 pub const PLAN_CAPACITY: usize = 1024;
 
-/// Sharded, hash-keyed cache of compiled template plans with bounded
-/// count *and* bytes (SIEVE eviction, scan-resistant) and prove-once
-/// misses.
+/// Collision chains keyed by template hash: distinct templates sharing a
+/// 64-bit hash live in one chain and are told apart by full-SQL
+/// comparison.
+type Chains = BoundedCache<u64, Vec<Arc<TemplatePlan>>>;
+
+/// Hash-keyed cache of compiled template plans with bounded count *and*
+/// bytes (SIEVE eviction at chain granularity, scan-resistant).
 ///
 /// The lookup key is the 64-bit [`template_hash`] — computed without
-/// allocating — and the warm path is one shard read lock plus one string
+/// allocating — and the warm path is one read lock plus one string
 /// *comparison* (never a string allocation) plus one relaxed visited-bit
-/// store. See the module docs for the insert protocol.
+/// store. A miss compiles under the write lock; see the module docs.
 pub struct PlanCache {
-    shards: Vec<RwLock<PlanShard>>,
-    per_shard_capacity: usize,
+    chains: RwLock<Chains>,
     /// Optional eviction counter (`bep_cache_evictions_total{tier="plan"}`)
-    /// bumped once per evicted template entry.
+    /// bumped once per evicted template.
     evictions: Option<Arc<Counter>>,
 }
 
@@ -479,55 +457,34 @@ impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("len", &self.len())
-            .field("capacity", &(self.per_shard_capacity * self.shards.len()))
             .finish()
     }
 }
 
 impl PlanCache {
-    /// Creates a cache retaining at most `capacity` compiled templates
-    /// (rounded up to a multiple of the shard count), with no byte budget
-    /// and no eviction counter.
+    /// Creates a cache retaining at most `capacity` template hashes, with
+    /// no byte budget and no eviction counter.
     pub fn new(capacity: usize) -> PlanCache {
         PlanCache::with_budget(capacity, 0, None)
     }
 
-    /// Creates a cache bounded by `capacity` entries and `budget_bytes`
-    /// resident bytes (`0` = count-bounded only; the budget is split evenly
-    /// across shards), reporting evictions to `evictions` when given.
+    /// Creates a cache bounded by `capacity` template hashes and
+    /// `budget_bytes` resident bytes (`0` = count-bounded only), reporting
+    /// evictions to `evictions` when given.
     pub fn with_budget(
         capacity: usize,
         budget_bytes: usize,
         evictions: Option<Arc<Counter>>,
     ) -> PlanCache {
-        let per_shard_capacity = capacity.div_ceil(PLAN_SHARDS).max(1);
-        let per_shard_budget = budget_bytes.div_ceil(PLAN_SHARDS);
         PlanCache {
-            shards: (0..PLAN_SHARDS)
-                .map(|_| {
-                    RwLock::new(PlanShard {
-                        // +1: BoundedCache evicts *after* insert, protecting
-                        // the newcomer, so `> capacity` means at most
-                        // `capacity` survivors — match the old semantics of
-                        // "at most capacity retained".
-                        chains: BoundedCache::new(per_shard_capacity, per_shard_budget),
-                        entries: 0,
-                        pending: Vec::new(),
-                    })
-                })
-                .collect(),
-            per_shard_capacity,
+            chains: RwLock::new(BoundedCache::new(capacity.max(1), budget_bytes)),
             evictions,
         }
     }
 
-    fn shard(&self, hash: u64) -> &RwLock<PlanShard> {
-        &self.shards[(hash as usize) & (PLAN_SHARDS - 1)]
-    }
-
-    /// Number of cached templates (including cells still being compiled).
+    /// Number of cached templates.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().entries).sum()
+        self.chains.read().iter().map(|(_, c)| c.len()).sum()
     }
 
     /// `true` when no template is cached.
@@ -535,101 +492,12 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lifetime count of evicted template entries across all shards.
+    /// Lifetime count of evicted collision chains.
     pub fn evicted_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.read().chains.evicted_total())
-            .sum()
+        self.chains.read().evicted_total()
     }
 
-    /// Books evicted chains out of the shard's entry count and into the
-    /// eviction counter.
-    fn book_evictions(&self, s: &mut PlanShard, evicted: Vec<(u64, Vec<PlanEntry>)>) {
-        for (_, chain) in evicted {
-            s.entries -= chain.len();
-            if let Some(c) = &self.evictions {
-                c.add(chain.len() as u64);
-            }
-        }
-    }
-
-    /// Re-accounts buckets whose plans have compiled since insertion.
-    /// Called with the shard write lock held; cheap when nothing is
-    /// pending.
-    fn sweep_pending(&self, s: &mut PlanShard) {
-        if s.pending.is_empty() {
-            return;
-        }
-        let pending = std::mem::take(&mut s.pending);
-        for hash in pending {
-            let Some(chain) = s.chains.peek(&hash) else {
-                continue; // bucket evicted before it compiled
-            };
-            if chain.iter().any(|e| e.cell.get().is_none()) {
-                s.pending.push(hash); // still compiling; try again later
-                continue;
-            }
-            let bytes = chain_heap_bytes(chain);
-            let evicted = s.chains.set_bytes(&hash, bytes);
-            self.book_evictions(s, evicted);
-        }
-    }
-
-    /// The prove-once cell for a template: `(cell, existed)`. When
-    /// `existed` is false this call published a fresh empty cell and the
-    /// caller is expected to `get_or_init` it (concurrent callers of
-    /// `get_or_init` block on the cell — never on a shard lock — and
-    /// exactly one compiles). The write lock is held only for the
-    /// double-checked map insert, never across compilation.
-    pub fn entry(&self, sql: &str) -> (Arc<OnceLock<Arc<TemplatePlan>>>, bool) {
-        self.entry_hashed(template_hash(sql), sql)
-    }
-
-    /// [`PlanCache::entry`] with a caller-supplied hash. The proxy uses
-    /// this to hash once per request; tests use it to force two distinct
-    /// templates onto one hash and exercise the collision chain.
-    pub fn entry_hashed(&self, hash: u64, sql: &str) -> (Arc<OnceLock<Arc<TemplatePlan>>>, bool) {
-        let shard = self.shard(hash);
-        {
-            let s = shard.read();
-            if let Some(chain) = s.chains.get(&hash) {
-                if let Some(e) = chain.iter().find(|e| e.sql == sql) {
-                    return (e.cell.clone(), true);
-                }
-            }
-        }
-        let mut s = shard.write();
-        self.sweep_pending(&mut s);
-        // Double-check: another thread may have inserted while we upgraded.
-        if let Some(chain) = s.chains.get(&hash) {
-            if let Some(e) = chain.iter().find(|e| e.sql == sql) {
-                return (e.cell.clone(), true);
-            }
-        }
-        let cell = Arc::new(OnceLock::new());
-        let entry = PlanEntry {
-            sql: sql.to_string(),
-            cell: cell.clone(),
-        };
-        let evicted = match s.chains.get_mut(&hash) {
-            Some(chain) => {
-                chain.push(entry);
-                let bytes = chain_heap_bytes(s.chains.peek(&hash).expect("just updated"));
-                s.chains.set_bytes(&hash, bytes)
-            }
-            None => {
-                let bytes = chain_heap_bytes(std::slice::from_ref(&entry));
-                s.chains.insert(hash, vec![entry], bytes)
-            }
-        };
-        s.entries += 1;
-        s.pending.push(hash);
-        self.book_evictions(&mut s, evicted);
-        (cell, false)
-    }
-
-    /// The cached plan for a template, if present and fully compiled.
+    /// The cached plan for a template, if present.
     pub fn get(&self, sql: &str) -> Option<Arc<TemplatePlan>> {
         self.get_hashed(template_hash(sql), sql)
     }
@@ -637,26 +505,51 @@ impl PlanCache {
     /// [`PlanCache::get`] with a caller-supplied hash. A hit counts as a
     /// use for eviction; a miss inserts nothing.
     pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
-        let s = self.shard(hash).read();
-        s.chains
-            .get(&hash)?
-            .iter()
-            .find(|e| e.sql == sql)
-            .and_then(|e| e.cell.get().cloned())
+        find(&self.chains.read(), hash, sql)
+    }
+
+    /// The plan for a template, compiling it with `compile` on a miss:
+    /// `(plan, built)`, where `built` says this call compiled it. A miss
+    /// takes the write lock, looks again (another thread may have compiled
+    /// the template while this one waited) and compiles under the lock, so
+    /// a template compiles once however many threads miss on it together.
+    /// The hash is the caller's, so the proxy hashes once per request and
+    /// tests can force two templates onto one hash.
+    pub fn get_or_compile(
+        &self,
+        hash: u64,
+        sql: &str,
+        compile: impl FnOnce() -> TemplatePlan,
+    ) -> (Arc<TemplatePlan>, bool) {
+        if let Some(plan) = self.get_hashed(hash, sql) {
+            return (plan, false);
+        }
+        let mut chains = self.chains.write();
+        if let Some(plan) = find(&chains, hash, sql) {
+            return (plan, false);
+        }
+        let plan = Arc::new(compile());
+        let mut chain = chains.get(&hash).cloned().unwrap_or_default();
+        chain.push(plan.clone());
+        let bytes = chain_heap_bytes(&chain);
+        for (_, evicted) in chains.insert(hash, chain, bytes) {
+            if let Some(c) = &self.evictions {
+                c.add(evicted.len() as u64);
+            }
+        }
+        (plan, true)
     }
 }
 
-/// Accounted heap bytes of one collision chain: entry slots, template SQL,
-/// and each compiled plan (uncompiled cells count their SQL only; the
-/// pending sweep re-accounts them once compiled).
-fn chain_heap_bytes(chain: &[PlanEntry]) -> usize {
-    std::mem::size_of_val(chain)
-        + chain
-            .iter()
-            .map(|e| {
-                e.sql.capacity() + e.cell.get().map(|p| plan_heap_bytes(p)).unwrap_or_default()
-            })
-            .sum::<usize>()
+/// The plan compiled from `sql` in `hash`'s chain.
+fn find(chains: &Chains, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
+    chains.get(&hash)?.iter().find(|p| p.sql == sql).cloned()
+}
+
+/// Heap bytes of one collision chain: its slots and each compiled plan.
+fn chain_heap_bytes(chain: &Vec<Arc<TemplatePlan>>) -> usize {
+    chain.capacity() * std::mem::size_of::<Arc<TemplatePlan>>()
+        + chain.iter().map(|p| plan_heap_bytes(p)).sum::<usize>()
 }
 
 /// Heap bytes owned by one compiled plan. The parsed [`Statement`] is
@@ -719,27 +612,12 @@ fn certificate_heap_bytes(c: &Certificate) -> usize {
 }
 
 impl crate::mem::HeapUsage for PlanCache {
-    /// Walks every shard under its read lock: entry chains, template SQL,
-    /// and each compiled plan's translation and certificates. This is the
-    /// exact walk; the per-shard `BoundedCache` accounting it cross-checks
-    /// may briefly lag for plans compiled but not yet swept.
+    /// Walks every chain under the read lock: its slots and each compiled
+    /// plan's translation and certificates, learned ones included (which
+    /// the cache's byte weights, taken at insert, do not see).
     fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let mut total = 0;
-        for shard in &self.shards {
-            let s = shard.read();
-            total += s.pending.capacity() * size_of::<u64>();
-            for (_, chain) in s.chains.iter() {
-                total += chain.capacity() * size_of::<PlanEntry>();
-                for e in chain {
-                    total += e.sql.capacity();
-                    if let Some(plan) = e.cell.get() {
-                        total += plan_heap_bytes(plan);
-                    }
-                }
-            }
-        }
-        total
+        let chains = self.chains.read();
+        chains.iter().map(|(_, c)| chain_heap_bytes(c)).sum()
     }
 }
 
@@ -916,27 +794,17 @@ mod tests {
     }
 
     #[test]
-    fn cache_entry_is_prove_once() {
+    fn a_cached_plan_compiles_once() {
         let cache = PlanCache::new(64);
         let c = checker();
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let (cell, existed) = cache.entry(sql);
-        assert!(!existed);
-        let mut built = false;
-        cell.get_or_init(|| {
-            built = true;
-            Arc::new(compile(&c, sql, true))
-        });
+        let hash = template_hash(sql);
+        let (plan, built) = cache.get_or_compile(hash, sql, || compile(&c, sql, true));
         assert!(built);
-        let (cell2, existed2) = cache.entry(sql);
-        assert!(existed2);
-        assert!(Arc::ptr_eq(&cell, &cell2));
-        let mut rebuilt = false;
-        cell2.get_or_init(|| {
-            rebuilt = true;
-            Arc::new(compile(&c, sql, true))
-        });
-        assert!(!rebuilt, "second entry reuses the compiled plan");
+        let (again, built) = cache.get_or_compile(hash, sql, || unreachable!("cached"));
+        assert!(!built, "second lookup reuses the compiled plan");
+        assert!(Arc::ptr_eq(&plan, &again));
+        assert!(Arc::ptr_eq(&plan, &cache.get(sql).unwrap()));
         assert_eq!(cache.len(), 1);
     }
 
@@ -951,13 +819,10 @@ mod tests {
             for _ in 0..8 {
                 let (cache, c, compiles) = (&cache, &c, &compiles);
                 scope.spawn(move || {
-                    let (cell, _) = cache.entry(sql);
-                    let plan = cell
-                        .get_or_init(|| {
-                            compiles.fetch_add(1, Ordering::Relaxed);
-                            Arc::new(compile(c, sql, true))
-                        })
-                        .clone();
+                    let (plan, _) = cache.get_or_compile(template_hash(sql), sql, || {
+                        compiles.fetch_add(1, Ordering::Relaxed);
+                        compile(c, sql, true)
+                    });
                     assert_eq!(plan.sql(), sql);
                 });
             }
@@ -966,80 +831,66 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    /// Compiles `sql` into `cache` unless it is there.
+    fn fill(cache: &PlanCache, c: &ComplianceChecker, sql: &str, attempt: bool) -> bool {
+        cache
+            .get_or_compile(template_hash(sql), sql, || compile(c, sql, attempt))
+            .1
+    }
+
     #[test]
     fn capacity_bounds_the_cache_with_sieve_eviction() {
-        // Per-shard SIEVE: total retained entries never exceed the rounded
-        // capacity, and re-asking for an evicted template recompiles it.
-        // With no hits between inserts every entry is unvisited, so the
-        // hand takes the oldest each time (FIFO degenerate case).
-        let cache = PlanCache::new(1); // rounds to 1 per shard
+        // Retained templates never exceed the capacity, and re-asking for
+        // an evicted template recompiles it. With no hits between inserts
+        // every entry is unvisited, so the hand takes the oldest each time
+        // (FIFO degenerate case).
+        let cache = PlanCache::new(4);
         let c = checker();
         let sqls: Vec<String> = (0..200)
             .map(|i| format!("SELECT * FROM Events WHERE EId = {i}"))
             .collect();
         for sql in &sqls {
-            let (cell, _) = cache.entry(sql);
-            cell.get_or_init(|| Arc::new(compile(&c, sql, false)));
+            fill(&cache, &c, sql, false);
         }
-        assert!(
-            cache.len() <= PLAN_SHARDS,
-            "len {} exceeds capacity",
-            cache.len()
-        );
-        assert!(cache.evicted_total() > 0);
-        // The newest template of some shard is still present; the oldest
-        // overall is gone and comes back as a fresh (uncompiled) cell.
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.evicted_total(), 196);
         assert!(cache.get(&sqls[199]).is_some());
-        let (_, existed) = cache.entry(&sqls[0]);
-        assert!(!existed, "evicted template must be re-inserted");
+        assert!(cache.get(&sqls[195]).is_none());
+        let recompiled = fill(&cache, &c, &sqls[0], false);
+        assert!(recompiled, "an evicted template recompiles");
     }
 
     #[test]
     fn byte_budget_bounds_resident_plans() {
         use crate::mem::HeapUsage;
         // A tiny byte budget with a huge count capacity: the budget alone
-        // must bound residency, and the eviction counter must report it.
+        // bounds residency, and the eviction counter reports it.
         let evictions = Arc::new(Counter::default());
         let cache = PlanCache::with_budget(1_000_000, 8 * 1024, Some(evictions.clone()));
         let c = checker();
         for i in 0..200 {
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            let (cell, _) = cache.entry(&sql);
-            cell.get_or_init(|| Arc::new(compile(&c, &sql, true)));
-        }
-        // Force the lazy re-accounting sweep in every shard, then check the
-        // exact walk against the budget (generous slack: per-shard split,
-        // one protected entry per shard, and sweep laziness).
-        for i in 200..232 {
-            let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            let (cell, _) = cache.entry(&sql);
-            cell.get_or_init(|| Arc::new(compile(&c, &sql, true)));
+            fill(&cache, &c, &sql, true);
         }
         assert!(evictions.get() > 0, "budget must force evictions");
-        assert!(
-            cache.len() < 200,
-            "resident count {} not bounded",
-            cache.len()
-        );
+        assert_eq!(evictions.get(), cache.evicted_total());
+        assert_eq!(cache.len() as u64, 200 - evictions.get());
+        // Each plan is weighed exactly when it is inserted, and none has
+        // learned a certificate since, so the walk is the budgeted sum.
         let walked = cache.heap_bytes();
-        assert!(
-            walked < 64 * 1024,
-            "heap bytes {walked} far exceed an 8 KiB budget"
-        );
+        assert!(walked <= 8 * 1024, "heap bytes {walked} over budget");
     }
 
     #[test]
     fn frequently_hit_plans_survive_one_shot_scans() {
-        let cache = PlanCache::new(32); // 2 per shard
+        let cache = PlanCache::new(2);
         let c = checker();
         let hot = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let (cell, _) = cache.entry(hot);
-        cell.get_or_init(|| Arc::new(compile(&c, hot, false)));
+        fill(&cache, &c, hot, false);
         for i in 0..400 {
             assert!(cache.get(hot).is_some(), "hot plan evicted at scan {i}");
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            let (cell, _) = cache.entry(&sql);
-            cell.get_or_init(|| Arc::new(compile(&c, &sql, false)));
+            fill(&cache, &c, &sql, false);
         }
         assert!(cache.get(hot).is_some(), "scan-resistance violated");
     }
@@ -1051,18 +902,14 @@ mod tests {
         let a = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         let b = "SELECT * FROM Events WHERE EId = ?e";
         let forced = 0xdead_beef_u64; // same hash for both templates
-        let (cell_a, _) = cache.entry_hashed(forced, a);
-        cell_a.get_or_init(|| Arc::new(compile(&c, a, true)));
-        let (cell_b, existed_b) = cache.entry_hashed(forced, b);
-        assert!(!existed_b, "colliding template is a distinct entry");
-        cell_b.get_or_init(|| Arc::new(compile(&c, b, true)));
-        assert!(!Arc::ptr_eq(&cell_a, &cell_b));
-        assert_eq!(cell_a.get().unwrap().sql(), a);
-        assert_eq!(cell_b.get().unwrap().sql(), b);
+        let (plan_a, _) = cache.get_or_compile(forced, a, || compile(&c, a, true));
+        let (plan_b, built_b) = cache.get_or_compile(forced, b, || compile(&c, b, true));
+        assert!(built_b, "colliding template is a distinct entry");
+        assert_eq!(plan_a.sql(), a);
+        assert_eq!(plan_b.sql(), b);
         assert_eq!(cache.len(), 2);
         // Both remain retrievable through the same forced hash.
-        let (again_a, existed) = cache.entry_hashed(forced, a);
-        assert!(existed);
-        assert!(Arc::ptr_eq(&again_a, &cell_a));
+        assert!(Arc::ptr_eq(&cache.get_hashed(forced, a).unwrap(), &plan_a));
+        assert!(Arc::ptr_eq(&cache.get_hashed(forced, b).unwrap(), &plan_b));
     }
 }

@@ -14,7 +14,7 @@
 //! once and reused. A [`TemplatePlan`] (see [`crate::plan`]) captures the
 //! parsed statement, the UCQ translation, the per-disjunct candidate views
 //! that survive the relation-signature pre-filter, and the symbolic
-//! verdict itself with its rewriting certificates. Plans live in a sharded,
+//! verdict itself with its rewriting certificates. Plans live in a
 //! bounded [`PlanCache`] keyed by the 64-bit template hash; a warm request
 //! performs no tokenizing, no parsing, no translation, and allocates no
 //! `String` for any cache key.
@@ -30,8 +30,8 @@
 //!   global template cache (proven with parameters symbolic, valid for
 //!   every session and history); `Undecidable` plays the role of the old
 //!   negative template cache, so the expensive symbolic proof runs at most
-//!   once per template (the plan cache's `OnceLock` cells make that
-//!   literal: racing misses block on the winner instead of proving twice).
+//!   once per template (the plan cache compiles a miss under its write
+//!   lock: racing misses wait for the winner instead of proving twice).
 //!   An `Undecidable` plan replays the certificates earlier concrete
 //!   proofs taught it — in any session — through a verification-only
 //!   check before falling back to the full rewriting search; acceptance is
@@ -67,16 +67,18 @@
 //!   the cache write-back and the trace record together. Sessions in
 //!   different shards never contend, and sessions in the same shard
 //!   contend only with that shard's brief writers.
-//! * **Plan cache** — sharded by template hash; the steady-state path is a
-//!   single shard read lock plus one string *comparison*. A miss publishes
-//!   an empty `OnceLock` cell under a brief write lock (double-checked, so
-//!   concurrent misses get the same cell) and compiles outside all locks:
-//!   the template is parsed/translated/proved exactly once no matter how
-//!   many threads race, and no write lock is ever held across a proof.
+//! * **Plan cache** — one `RwLock` around one SIEVE-bounded map keyed by
+//!   template hash; the steady-state path is its read lock plus one string
+//!   *comparison*. A miss takes the write lock, looks again and compiles
+//!   under it: the template is parsed/translated/proved exactly once no
+//!   matter how many threads race, at the price of holding up other
+//!   templates' lookups while it compiles. Every decision in this
+//!   repository runs on one thread (the reactor, or an embedding's caller),
+//!   so nothing waits on it there.
 //! * **Statistics** — per-field atomic counters registered in the proxy's
 //!   [`MetricsRegistry`], so [`SqlProxy::stats`] and the Prometheus
 //!   exposition read the very same atomics; see [`SqlProxy::stats`] for
-//!   the snapshot-consistency contract. One function (`SqlProxy::finish`)
+//!   when a snapshot is exact. One function (`SqlProxy::finish`)
 //!   writes them, from the statement's kind, its decision's `Outcome`
 //!   provenance and what the store returned; the decision itself counts
 //!   nothing.
@@ -301,7 +303,7 @@ impl AtomicProxyStats {
         }
     }
 
-    fn load(&self) -> ProxyStats {
+    fn snapshot(&self) -> ProxyStats {
         ProxyStats {
             allowed: self.allowed.get(),
             blocked: self.blocked.get(),
@@ -318,22 +320,6 @@ impl AtomicProxyStats {
             unchecked_statements: self.unchecked_statements.get(),
             latency: self.latency.snapshot(),
         }
-    }
-
-    /// A snapshot that is internally consistent whenever the counters are
-    /// momentarily quiescent: all fields are re-read until two consecutive
-    /// passes agree (bounded retries; the last pass is returned if traffic
-    /// never pauses, which is still field-wise exact and monotone).
-    fn snapshot(&self) -> ProxyStats {
-        let mut prev = self.load();
-        for _ in 0..4 {
-            let next = self.load();
-            if next == prev {
-                return next;
-            }
-            prev = next;
-        }
-        prev
     }
 }
 
@@ -410,12 +396,6 @@ pub struct SqlProxy {
     /// Cache evictions (`bep_cache_evictions_total{tier=...}`): plan,
     /// session-allow, session-deny — in that order.
     eviction_counters: [Arc<Counter>; 3],
-    /// Live session-state heap bytes, maintained incrementally: every
-    /// session mutation adjusts this by the before/after delta of
-    /// `session_state_bytes`, and session end subtracts the final size —
-    /// so the `bep_mem_bytes{component="session-state"}` gauge is O(shards)
-    /// to refresh instead of an O(sessions) walk.
-    session_bytes: AtomicU64,
 }
 
 impl SqlProxy {
@@ -484,7 +464,6 @@ impl SqlProxy {
             session_state_bytes_hist,
             lint_warnings,
             eviction_counters,
-            session_bytes: AtomicU64::new(0),
         }
     }
 
@@ -501,20 +480,14 @@ impl SqlProxy {
     pub fn begin_session(&self, bindings: Vec<(String, Value)>) -> u64 {
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let state = SessionState::new(bindings, self.config.session_cache_budget_bytes);
-        let bytes = state.heap_bytes();
         self.shard(id).write().insert(id, state);
-        self.session_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
         id
     }
 
     /// Ends a session, discarding its trace. Idempotent: ending an already
     /// ended (or never begun) session is a no-op, and the return value says
-    /// whether the session was live. The session's final state size is
-    /// recorded into the `bep_session_state_bytes` histogram and subtracted
-    /// from the live session-state byte account (the
-    /// `bep_mem_bytes{component="session-state"}` gauge path), so ended
-    /// sessions stop weighing on the gauge immediately.
+    /// whether the session was live. The session's final state size,
+    /// walked, is recorded into the `bep_session_state_bytes` histogram.
     pub fn end_session(&self, id: u64) -> bool {
         let state = self.shard(id).write().remove(&id);
         match state {
@@ -522,8 +495,6 @@ impl SqlProxy {
                 let bytes = state.heap_bytes();
                 self.session_state_bytes_hist
                     .record(Duration::from_nanos(bytes as u64));
-                self.session_bytes
-                    .fetch_sub(bytes as u64, Ordering::Relaxed);
                 true
             }
             None => false,
@@ -542,10 +513,11 @@ impl SqlProxy {
         self.shards.iter().map(|s| s.read().len()).sum()
     }
 
-    /// Execution counters. The snapshot is exact whenever the proxy is
-    /// quiescent (e.g. after worker threads join); under live traffic the
-    /// fields are individually exact and monotone, and the proxy re-reads
-    /// until two passes agree to keep cross-field skew negligible.
+    /// Execution counters, read in one pass. The snapshot is exact when no
+    /// statement is deciding (after worker threads join, or between a
+    /// client's requests); every caller in this repository reads it then.
+    /// Read under live traffic, each field is exact and monotone, but two
+    /// fields may straddle a statement.
     pub fn stats(&self) -> ProxyStats {
         self.stats.snapshot()
     }
@@ -579,12 +551,13 @@ impl SqlProxy {
 
     /// Point-in-time heap bytes per retaining component, in the same
     /// order as the `bep_mem_bytes{component=...}` gauges, then their
-    /// `total` (which has no gauge of its own). Session state comes from
-    /// the incremental account plus the shard tables: O(shards), not
-    /// O(sessions) — a scrape must not walk a million sessions.
+    /// `total` (which has no gauge of its own). Every component is walked
+    /// when asked, session state included: a call costs a pass over every
+    /// live session's trace and caches, and nothing is kept up to date
+    /// between calls.
     pub fn component_heap_bytes(&self) -> [(&'static str, usize); 4] {
         let plan = self.plans.heap_bytes();
-        let sessions = self.sessions_heap_bytes_fast();
+        let sessions = self.sessions_heap_bytes();
         let journal = self.journal.heap_bytes();
         [
             ("plan-cache", plan),
@@ -628,34 +601,17 @@ impl SqlProxy {
     }
 
     /// Heap bytes owned by all live session state, including the shard
-    /// tables themselves. The exact O(sessions) walk — the gauges use
-    /// [`SqlProxy::sessions_heap_bytes_fast`] instead; this stays as the
-    /// ground truth the incremental account is tested against.
+    /// tables themselves: a walk of every session, one shard read lock at
+    /// a time.
     pub fn sessions_heap_bytes(&self) -> usize {
         self.shards
             .iter()
             .map(|shard| {
                 let shard = shard.read();
                 shard.capacity() * std::mem::size_of::<(u64, SessionState)>()
-                    + shard
-                        .values()
-                        .map(SessionState::heap_bytes_exact)
-                        .sum::<usize>()
+                    + shard.values().map(SessionState::heap_bytes).sum::<usize>()
             })
             .sum()
-    }
-
-    /// Heap bytes owned by all live session state, from the incremental
-    /// per-mutation account plus the shard tables: O(shards) and
-    /// scrape-safe at any session count. Equals
-    /// [`SqlProxy::sessions_heap_bytes`] whenever the proxy is quiescent.
-    pub fn sessions_heap_bytes_fast(&self) -> usize {
-        self.session_bytes.load(Ordering::Relaxed) as usize
-            + self
-                .shards
-                .iter()
-                .map(|shard| shard.read().capacity() * std::mem::size_of::<(u64, SessionState)>())
-                .sum::<usize>()
     }
 
     /// Runs `f` with shared access to the wrapped database (e.g. for test
@@ -851,7 +807,7 @@ impl SqlProxy {
         drop(read);
         if let Some(session) = shard.write().get_mut(&session_id) {
             let written = store.written_since(session.synced);
-            self.accounted(session, |s| s.sync(store.epoch(), &written));
+            session.sync(store.epoch(), &written);
         }
         shard.read()
     }
@@ -874,30 +830,13 @@ impl SqlProxy {
         let Some(session) = shard.get_mut(&session_id) else {
             return;
         };
-        let evicted = self.accounted(session, |s| {
-            s.apply(remember, record, epoch, &mut |phase| timer.lap(phase))
-        });
+        let evicted = session.apply(remember, record, epoch, &mut |phase| timer.lap(phase));
         let [_, allow, deny] = &self.eviction_counters;
         for (counter, n) in [(allow, evicted.allow), (deny, evicted.deny)] {
             if n > 0 {
                 counter.add(n as u64);
             }
         }
-    }
-
-    /// Runs `change` on a session, bracketing the live session byte
-    /// account once around it.
-    fn accounted<R>(
-        &self,
-        session: &mut SessionState,
-        change: impl FnOnce(&mut SessionState) -> R,
-    ) -> R {
-        let before = session.heap_bytes();
-        let out = change(session);
-        // A shrinking session adds a negative delta in two's complement.
-        let grown = (session.heap_bytes() as u64).wrapping_sub(before as u64);
-        self.session_bytes.fetch_add(grown, Ordering::Relaxed);
-        out
     }
 
     /// The tail of [`execute`](Self::execute), and the one place a statement's
@@ -995,16 +934,9 @@ impl SqlProxy {
     /// threads: `(plan, built)` where `built` says this call did the
     /// compilation (and its `Parse`/`Proof` laps are already attributed).
     fn plan_for(&self, sql: &str, hash: u64, timer: &mut PhaseTimer) -> (Arc<TemplatePlan>, bool) {
-        let (cell, _) = self.plans.entry_hashed(hash, sql);
-        let mut built = false;
-        let plan = cell
-            .get_or_init(|| {
-                built = true;
-                Arc::new(compile_plan(&self.checker, sql, hash, true, &mut |ph| {
-                    timer.lap(ph)
-                }))
-            })
-            .clone();
+        let (plan, built) = self.plans.get_or_compile(hash, sql, || {
+            compile_plan(&self.checker, sql, hash, true, &mut |ph| timer.lap(ph))
+        });
         if !built {
             // Cache hit, or this thread waited out another thread's build:
             // either way the time was spent looking the template up.
@@ -1785,57 +1717,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_session_accounting_matches_exact_walk() {
-        let p = proxy(ProxyConfig::default());
-        let mut sessions = Vec::new();
-        for uid in 1..=3 {
-            let s = p.begin_session(vec![("MyUId".into(), Value::Int(uid))]);
-            // A mix of allows, denials (deny-cache writes, counterexample
-            // CQ retained), probes (trace facts), and repeats (cache hits).
-            p.execute(s, "SELECT EId FROM Attendance WHERE UId = ?MyUId", &[])
-                .unwrap();
-            p.execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
-                .unwrap();
-            p.execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
-                .unwrap();
-            p.execute(
-                s,
-                "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2",
-                &[],
-            )
-            .unwrap();
-            sessions.push(s);
-        }
-        // A write to Attendance, even of no row, revokes: each session's
-        // next statement drops its Attendance facts and entries first.
-        let write = "UPDATE Attendance SET Notes = 'moved' WHERE UId = 9";
-        p.execute_unchecked(write, &[]).unwrap();
-        for &s in &sessions[1..] {
-            let before = p.session_trace_len(s).unwrap();
-            p.execute(s, "SELECT * FROM Events WHERE EId = 3", &[])
-                .unwrap();
-            assert!(p.session_trace_len(s).unwrap() < before);
-        }
-        assert_eq!(
-            p.sessions_heap_bytes_fast(),
-            p.sessions_heap_bytes(),
-            "incremental account drifts from the exact walk"
-        );
-        // Ending sessions must subtract their bytes (the gauge regression
-        // this PR fixes): after all end, only empty shard tables remain.
-        for s in sessions {
-            assert!(p.end_session(s));
-        }
-        assert_eq!(p.sessions_heap_bytes_fast(), p.sessions_heap_bytes());
-        assert_eq!(p.session_count(), 0);
-        let residual = p.sessions_heap_bytes();
-        let tables_only: usize = (0..SESSION_SHARDS)
-            .map(|i| p.shards[i].read().capacity() * std::mem::size_of::<(u64, SessionState)>())
-            .sum();
-        assert_eq!(residual, tables_only, "ended sessions left bytes behind");
-    }
-
-    #[test]
     fn compaction_does_not_resurrect_stale_denials() {
         // With the deny cache stamped by fact *count* this sequence could
         // go stale: duplicate probes push then compact away facts, so the
@@ -1954,15 +1835,8 @@ mod tests {
         // template on this thread: the `execute` that finds it is a cache
         // hit and must not be charged that proof.
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2";
-        let (cell, _) = p.plan_cache().entry(sql);
-        cell.get_or_init(|| {
-            Arc::new(compile_plan(
-                &p.checker,
-                sql,
-                template_hash(sql),
-                true,
-                &mut |_| {},
-            ))
+        p.plan_cache().get_or_compile(template_hash(sql), sql, || {
+            compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
         });
         assert!(qlogic::probe::peek().containment_checks > 0);
         let proofs = p.stats().template_proofs;

@@ -57,8 +57,8 @@
 //! # Repeats: the no-op rule
 //!
 //! An observation whose `(query, observation)` equals a stored entry is
-//! not recorded at all — no fact derived, no Skolem minted, byte account
-//! and [`Trace::version`] untouched — and that is decided before anything
+//! not recorded at all — no fact derived, no Skolem minted,
+//! [`Trace::version`] untouched — and that is decided before anything
 //! else, in [`Trace::is_repeat`], which every recording method asks first.
 //!
 //! **Lemma (repeat).** If an entry equal to `(q, o)` is stored, the store
@@ -148,10 +148,10 @@
 //!
 //! # Byte account
 //!
-//! The trace carries a running sum of the heap bytes its elements own,
-//! adjusted wherever a fact or entry is pushed or removed, so
-//! [`HeapUsage::heap_bytes`](crate::mem::HeapUsage) is two capacities plus
-//! that sum. [`Trace::heap_bytes_exact`] is the walk it must equal.
+//! [`HeapUsage::heap_bytes`](crate::mem::HeapUsage) walks the trace: two
+//! vector capacities plus what each entry and fact owns. Nothing is kept
+//! up to date between calls; the proxy asks when a gauge is read or a
+//! session ends.
 
 use std::mem::size_of;
 
@@ -205,7 +205,7 @@ pub struct TraceEntry {
 }
 
 /// A session's query history with derived facts.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
     facts: Vec<Atom>,
@@ -216,28 +216,10 @@ pub struct Trace {
     /// `facts().len()` stamp would be unsound once compaction can shrink the
     /// set (the same count can name a different set).
     version: u64,
-    /// Heap bytes owned by the stored entries and facts themselves (the
-    /// two vectors' own buffers excluded): the running byte account.
-    element_bytes: usize,
     /// Set by the mutations that do not restore the reduced store (plain
     /// [`Trace::record`], [`Trace::assume_fact`], [`Trace::revoke`]), cleared by
     /// [`Trace::compact`]. While set, the lemma's premise may not hold.
     unreduced: bool,
-}
-
-impl Clone for Trace {
-    /// A clone's vectors are allocated at their lengths, not the
-    /// original's capacities, so its byte account is taken afresh.
-    fn clone(&self) -> Trace {
-        let mut t = Trace {
-            entries: self.entries.clone(),
-            facts: self.facts.clone(),
-            element_bytes: 0,
-            ..*self
-        };
-        t.element_bytes = t.walk_element_bytes();
-        t
-    }
 }
 
 /// Maximum rows per observation that contribute facts (keeps fact sets and
@@ -350,7 +332,7 @@ impl Trace {
     fn store(&mut self, query: Cq, observation: Observation, compacting: bool) -> usize {
         let first_new = self.facts.len();
         self.witness_observation(&query, &observation);
-        self.push_entry(TraceEntry { query, observation });
+        self.entries.push(TraceEntry { query, observation });
         if !compacting {
             self.unreduced = true;
             0
@@ -538,19 +520,13 @@ impl Trace {
     }
 
     fn push_fact(&mut self, fact: Atom) {
-        self.element_bytes += atom_heap_bytes(&fact);
         self.facts.push(fact);
         self.version += 1;
     }
 
     fn remove_fact(&mut self, i: usize) {
-        self.element_bytes -= atom_heap_bytes(&self.facts.remove(i));
+        self.facts.remove(i);
         self.version += 1;
-    }
-
-    fn push_entry(&mut self, entry: TraceEntry) {
-        self.element_bytes += entry_bytes(&entry);
-        self.entries.push(entry);
     }
 
     /// The derived facts.
@@ -592,21 +568,8 @@ impl Trace {
     pub fn revoke(&mut self, written: &[&str]) -> bool {
         let over = |atom: &Atom| written.contains(&atom.relation.as_str());
         let before = (self.entries.len(), self.facts.len());
-        let bytes = &mut self.element_bytes;
-        self.entries.retain(|e| {
-            let keep = !e.query.atoms.iter().any(over);
-            if !keep {
-                *bytes -= entry_bytes(e);
-            }
-            keep
-        });
-        self.facts.retain(|f| {
-            let keep = !over(f);
-            if !keep {
-                *bytes -= atom_heap_bytes(f);
-            }
-            keep
-        });
+        self.entries.retain(|e| !e.query.atoms.iter().any(over));
+        self.facts.retain(|f| !over(f));
         let dropped = (self.entries.len(), self.facts.len()) != before;
         if dropped {
             self.version += 1;
@@ -658,31 +621,17 @@ impl Trace {
         self.unreduced = false;
         dropped
     }
-
-    /// Heap bytes by walking every entry and fact: the ground truth the
-    /// running account behind [`HeapUsage::heap_bytes`](crate::mem::HeapUsage)
-    /// is tested against.
-    pub fn heap_bytes_exact(&self) -> usize {
-        self.buffer_bytes() + self.walk_element_bytes()
-    }
-
-    /// The two vectors' own buffers, from their capacities.
-    fn buffer_bytes(&self) -> usize {
-        self.entries.capacity() * size_of::<TraceEntry>()
-            + self.facts.capacity() * size_of::<Atom>()
-    }
-
-    fn walk_element_bytes(&self) -> usize {
-        self.facts.iter().map(atom_heap_bytes).sum::<usize>()
-            + self.entries.iter().map(entry_bytes).sum::<usize>()
-    }
 }
 
 impl crate::mem::HeapUsage for Trace {
     /// Entries (query CQs plus recorded observation rows) and derived
-    /// facts, from vector capacities and the running element account: O(1).
+    /// facts, walked: the two vectors' buffers from their capacities, then
+    /// what each element owns.
     fn heap_bytes(&self) -> usize {
-        self.buffer_bytes() + self.element_bytes
+        self.entries.capacity() * size_of::<TraceEntry>()
+            + self.facts.capacity() * size_of::<Atom>()
+            + self.facts.iter().map(atom_heap_bytes).sum::<usize>()
+            + self.entries.iter().map(entry_bytes).sum::<usize>()
     }
 }
 
@@ -1049,45 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn running_byte_account_matches_the_walk() {
-        use crate::mem::HeapUsage;
-        let rows = Observation::Rows(vec![
-            vec![Value::Int(4)],
-            vec![Value::str("a string cell")],
-            vec![Value::Null],
-        ]);
-        let by_event = |user: i64| {
-            Cq::new(
-                vec![Term::var("e")],
-                vec![Atom::new(
-                    "Attendance",
-                    vec![Term::int(user), Term::var("e"), Term::var("n")],
-                )],
-                vec![],
-            )
-        };
-        let mut t = Trace::new();
-        assert_eq!(t.heap_bytes(), 0);
-        for step in 0..6 {
-            match step % 3 {
-                0 => {
-                    t.record_compacting(by_event(step), rows.clone());
-                }
-                1 => t.record(q1_headed(step), Observation::NonEmpty),
-                _ => t.assume_fact(Atom::new("R", vec![Term::int(step)])),
-            }
-            assert_eq!(t.heap_bytes(), t.heap_bytes_exact(), "after step {step}");
-            let c = t.clone();
-            assert_eq!(c.heap_bytes(), c.heap_bytes_exact(), "clone at {step}");
-        }
-        t.compact();
-        assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
-        assert!(t.heap_bytes() > 0);
-    }
-
-    #[test]
     fn revoke_drops_every_fact_and_entry_over_a_written_relation() {
-        use crate::mem::HeapUsage;
         // ans(t) :- Events(e, t), Attendance(1, e, n)
         let join = Cq::new(
             vec![Term::var("t")],
@@ -1119,7 +1030,6 @@ mod tests {
         assert!(t.facts().iter().all(|f| f.relation == "Events"));
         assert_eq!(t.facts().len(), 2);
         assert!(t.version() > v);
-        assert_eq!(t.heap_bytes(), t.heap_bytes_exact());
         // Nothing left to drop: nothing moves.
         let v = t.version();
         assert!(!t.revoke(&["Attendance", "Nope"]));

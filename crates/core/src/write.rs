@@ -4,9 +4,13 @@
 //! The read path asks "is this query's *answer* determined by the views?";
 //! the write path asks the dual question: "are the rows this statement
 //! writes (or deletes) *contained* in a view the session may write
-//! through?" Containment is decided by CQ reasoning over the hypothetical
-//! post-state — the trace's known facts plus the written rows themselves —
-//! reusing the same homomorphism engine the read path runs on.
+//! through?" Containment is decided by CQ reasoning — a row the statement
+//! writes over the hypothetical post-state (the trace's known facts plus
+//! the written rows themselves), a row it removes over the pre-state (the
+//! facts plus the removed rows) — reusing the same homomorphism engine the
+//! read path runs on. An `UPDATE` does both: its pre-image leaves the
+//! table as a `DELETE` with the same `WHERE` would remove it, and its
+//! post-image enters it, so each must be covered.
 //!
 //! Like reads, writes are decided at two levels:
 //!
@@ -57,9 +61,14 @@ pub enum WriteTemplateVerdict {
 /// the concrete tier needs to finish the decision.
 #[derive(Debug, Clone)]
 pub struct WriteTemplate {
-    /// One atom per written (or deleted) row pattern, parameters symbolic,
-    /// arguments in schema column order.
+    /// One atom per row pattern the statement writes, then one per pattern
+    /// it removes, parameters symbolic, arguments in schema column order.
     pub atoms: Vec<Atom>,
+    /// Where the removed patterns start in `atoms`: an `INSERT` removes
+    /// none, a `DELETE` writes none, and an `UPDATE` writes its post-image
+    /// and removes its pre-image. Each atom is covered against the facts
+    /// plus the atoms on its own side of this index.
+    pub removed_from: usize,
     /// Fresh variables minted during extraction (pinned to themselves in
     /// containment proofs — they stand for one unknown value each).
     pub fresh: Vec<Sym>,
@@ -170,15 +179,28 @@ fn where_pins(where_clause: &Option<Expr>, fresh: &mut FreshVars) -> Vec<(String
     pins
 }
 
-/// Extracts the written-row atoms of a mutation. Arguments follow schema
-/// column order. Errors (unknown table/column, arity mismatch) deny the
-/// statement as out-of-fragment.
+/// The row a `DELETE` (or an `UPDATE`'s pre-image) removes: each column
+/// the `WHERE` clause pins, else a fresh variable.
+fn removed_row(columns: &[String], pins: &[(String, Term)], fresh: &mut FreshVars) -> Vec<Term> {
+    (columns.iter())
+        .map(|col| match pins.iter().find(|(c, _)| c == col) {
+            Some((_, t)) => *t,
+            None => fresh.next(),
+        })
+        .collect()
+}
+
+/// Extracts the row atoms of a mutation: `(atoms, removed_from, fresh)`,
+/// the rows it writes, then from `removed_from` on the rows it removes
+/// (see [`WriteTemplate::removed_from`]), and the fresh variables minted.
+/// Arguments follow schema column order. Errors (unknown table/column,
+/// arity mismatch) deny the statement as out-of-fragment.
 pub fn extract_written_atoms(
     stmt: &Statement,
     schema: &RelSchema,
-) -> Result<(Vec<Atom>, Vec<Sym>), WriteError> {
+) -> Result<(Vec<Atom>, usize, Vec<Sym>), WriteError> {
     let mut fresh = FreshVars::new();
-    let atoms = match stmt {
+    let (atoms, removed_from) = match stmt {
         Statement::Insert(ins) => {
             let columns = schema
                 .columns(&ins.table)
@@ -212,7 +234,8 @@ pub fn extract_written_atoms(
                     .collect();
                 atoms.push(Atom::new(ins.table.as_str(), args));
             }
-            atoms
+            let n = atoms.len();
+            (atoms, n)
         }
         Statement::Update(upd) => {
             let columns = schema
@@ -242,27 +265,23 @@ pub fn extract_written_atoms(
                     }
                 })
                 .collect();
-            vec![Atom::new(upd.table.as_str(), args)]
+            let pre = removed_row(columns, &pins, &mut fresh);
+            let table = upd.table.as_str();
+            (vec![Atom::new(table, args), Atom::new(table, pre)], 1)
         }
         Statement::Delete(del) => {
             let columns = schema
                 .columns(&del.table)
                 .map_err(|e| format!("DELETE target: {e}"))?;
             let pins = where_pins(&del.where_clause, &mut fresh);
-            let args = columns
-                .iter()
-                .map(|col| match pins.iter().find(|(c, _)| c == col) {
-                    Some((_, t)) => *t,
-                    None => fresh.next(),
-                })
-                .collect();
-            vec![Atom::new(del.table.as_str(), args)]
+            let args = removed_row(columns, &pins, &mut fresh);
+            (vec![Atom::new(del.table.as_str(), args)], 0)
         }
         Statement::Select(_) | Statement::CreateTable(_) => {
             return Err("not a row mutation".to_string());
         }
     };
-    Ok((atoms, fresh.minted))
+    Ok((atoms, removed_from, fresh.minted))
 }
 
 // ---------------------------------------------------------------------------
@@ -290,8 +309,9 @@ fn mismatch_is_soft(a: &Term, b: &Term) -> bool {
 }
 
 /// Tries to cover `written` with view `view` (its CQ and exported head
-/// variables), given the containment target `target` (known facts plus all
-/// written atoms) and the identity pins for fresh variables.
+/// variables), given the containment target `target` (known facts plus the
+/// atoms on `written`'s side of [`WriteTemplate::removed_from`]) and the
+/// identity pins for fresh variables.
 ///
 /// `symbolic` selects the template level: mismatches involving parameters
 /// and failed fact-implications degrade to [`Cover::Maybe`] instead of
@@ -411,7 +431,7 @@ pub fn compile_write_template(
     views: &[ViewDef],
     schema: &RelSchema,
 ) -> Result<WriteTemplate, WriteError> {
-    let (atoms, fresh) = extract_written_atoms(stmt, schema)?;
+    let (atoms, removed_from, fresh) = extract_written_atoms(stmt, schema)?;
     let candidates: Vec<Vec<usize>> = atoms
         .iter()
         .map(|w| {
@@ -433,12 +453,17 @@ pub fn compile_write_template(
     let mut verdict = WriteTemplateVerdict::Allowed;
     let mut uncovered = None;
     for (i, written) in atoms.iter().enumerate() {
+        let side = if i < removed_from {
+            &atoms[..removed_from]
+        } else {
+            &atoms[removed_from..]
+        };
         let mut best = Cover::Dead;
         for &vi in &candidates[i] {
             let view = &views[vi];
             let head = view.cq.head_vars();
             best = best.max(cover_with_view(
-                written, &view.cq, &head, &atoms, &ctx, &pins, true,
+                written, &view.cq, &head, side, &ctx, &pins, true,
             ));
             if best == Cover::Covered {
                 break;
@@ -460,6 +485,7 @@ pub fn compile_write_template(
     }
     Ok(WriteTemplate {
         atoms,
+        removed_from,
         fresh,
         candidates,
         verdict,
@@ -496,10 +522,10 @@ fn instantiate_atom(atom: &Atom, bindings: &[(String, Value)]) -> Atom {
     }
 }
 
-/// The concrete write decision: every written atom must be covered by some
+/// The concrete write decision: every atom must be covered by some
 /// candidate view, with parameters instantiated and the trace's known
-/// facts joining the containment target. Returns the first uncovered
-/// written row (instantiated) on failure.
+/// facts joining its side's containment target. Returns the first
+/// uncovered row (instantiated) on failure.
 pub fn check_write_concrete(
     template: &WriteTemplate,
     views: &[ViewDef],
@@ -511,24 +537,25 @@ pub fn check_write_concrete(
         .iter()
         .map(|a| instantiate_atom(a, bindings))
         .collect();
-    let mut target: Vec<Atom> = Vec::with_capacity(facts.len() + atoms.len());
-    target.extend_from_slice(facts);
-    target.extend(atoms.iter().cloned());
     let pins = fresh_pins(&template.fresh);
     let ctx = CmpContext::new(&[]);
-    for (i, written) in atoms.iter().enumerate() {
-        let mut covered = false;
-        for &vi in &template.candidates[i] {
-            let view = views[vi].cq.instantiate(bindings);
-            let head = view.head_vars();
-            if cover_with_view(written, &view, &head, &target, &ctx, &pins, false) == Cover::Covered
-            {
-                covered = true;
-                break;
-            }
+    let (written, removed) = atoms.split_at(template.removed_from);
+    for (start, side) in [(0, written), (written.len(), removed)] {
+        if side.is_empty() {
+            continue;
         }
-        if !covered {
-            return Err(atom_query(written));
+        let mut target: Vec<Atom> = Vec::with_capacity(facts.len() + side.len());
+        target.extend_from_slice(facts);
+        target.extend_from_slice(side);
+        for (i, atom) in (start..).zip(side) {
+            let covered = template.candidates[i].iter().any(|&vi| {
+                let view = views[vi].cq.instantiate(bindings);
+                let head = view.head_vars();
+                cover_with_view(atom, &view, &head, &target, &ctx, &pins, false) == Cover::Covered
+            });
+            if !covered {
+                return Err(atom_query(atom));
+            }
         }
     }
     Ok(())
@@ -622,6 +649,56 @@ mod tests {
         // fresh variable can never be proven equal to a parameter.
         let t = template("UPDATE Attendance SET Notes = 'x' WHERE EId = 3");
         assert_eq!(t.verdict, WriteTemplateVerdict::NeverCovered);
+    }
+
+    #[test]
+    fn an_update_must_cover_the_row_it_takes() {
+        // User 1 takes user 2's attendance: the post-image is user 1's row,
+        // but the pre-image is user 2's, which a DELETE with the same WHERE
+        // could not remove.
+        let s = schema();
+        let p = policy(&s);
+        let sql = "UPDATE Attendance SET UId = ?MyUId WHERE UId = 2 AND EId = 3";
+        let t = compile_write_template(&parse_statement(sql).unwrap(), p.views(), &s).unwrap();
+        assert_eq!((t.atoms.len(), t.removed_from), (2, 1));
+        assert_eq!(t.verdict, WriteTemplateVerdict::Undecidable);
+        let me = vec![("MyUId".to_string(), Value::Int(1))];
+        let denied = check_write_concrete(&t, p.views(), &me, &[]).unwrap_err();
+        assert_eq!(denied.atoms[0].args[..2], [Term::int(2), Term::int(3)]);
+        let delete = parse_statement("DELETE FROM Attendance WHERE UId = 2 AND EId = 3").unwrap();
+        let d = compile_write_template(&delete, p.views(), &s).unwrap();
+        assert!(check_write_concrete(&d, p.views(), &me, &[]).is_err());
+        // User 2 moving their own row to themselves is covered both ways.
+        let owner = vec![("MyUId".to_string(), Value::Int(2))];
+        assert!(check_write_concrete(&t, p.views(), &owner, &[]).is_ok());
+        assert!(check_write_concrete(&d, p.views(), &owner, &[]).is_ok());
+    }
+
+    #[test]
+    fn a_pre_image_is_covered_without_the_post_image() {
+        // The attendance of anyone at an event I attend. Taking user 2's
+        // row would put user 1 at event 3, which would make user 2's row
+        // visible; but the row leaves the state in which user 1 is not
+        // there, so only a fact that user 1 attends may cover it.
+        let s = schema();
+        let mut p = Policy::empty();
+        p.add_view(
+            &s,
+            "VCoAttendees",
+            "SELECT a.UId, a.EId, a.Notes FROM Attendance a JOIN Attendance b \
+             ON a.EId = b.EId WHERE b.UId = ?MyUId",
+        )
+        .unwrap();
+        let sql = "UPDATE Attendance SET UId = ?MyUId WHERE UId = 2 AND EId = 3";
+        let t = compile_write_template(&parse_statement(sql).unwrap(), p.views(), &s).unwrap();
+        let me = vec![("MyUId".to_string(), Value::Int(1))];
+        let denied = check_write_concrete(&t, p.views(), &me, &[]).unwrap_err();
+        assert_eq!(denied.atoms[0].args[0], Term::int(2), "the pre-image");
+        let attends = Atom::new(
+            "Attendance",
+            vec![Term::int(1), Term::int(3), Term::var("sk1")],
+        );
+        assert!(check_write_concrete(&t, p.views(), &me, &[attends]).is_ok());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! unbounded `HashMap` model driven by the same operations, every hit
 //! must return exactly the value the model holds for that key (evictions
 //! only ever manifest as misses), the counters must account for every
-//! entry (`inserted - evicted - removed = len`), and the byte budget must
+//! entry (`inserted - evicted = len`), and the byte budget must
 //! hold whenever more than one entry is resident.
 
 use std::collections::HashMap;
@@ -14,17 +14,13 @@ use bep_core::BoundedCache;
 use proptest::prelude::*;
 
 /// One generated cache operation. Keys are drawn from a small range so
-/// workloads revisit them (hits, updates, and removes all actually fire).
+/// workloads revisit them (hits and updates both actually fire).
 #[derive(Debug, Clone)]
 enum Op {
     /// `insert(key, value, bytes)`
     Insert(u8, u32, usize),
     /// `get(&key)` — marks visited on a hit.
     Get(u8),
-    /// `remove(&key)`
-    Remove(u8),
-    /// `set_bytes(&key, bytes)` — re-weighs an entry in place.
-    SetBytes(u8, usize),
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -36,8 +32,6 @@ fn op() -> impl Strategy<Value = Op> {
         (0u8..24, any::<u32>(), 1usize..512).prop_map(|(k, v, b)| Op::Insert(k, v, b)),
         (0u8..24).prop_map(Op::Get),
         (0u8..24).prop_map(Op::Get),
-        (0u8..24).prop_map(Op::Remove),
-        (0u8..24, 1usize..512).prop_map(|(k, b)| Op::SetBytes(k, b)),
     ]
 }
 
@@ -52,20 +46,19 @@ proptest! {
     ) {
         let mut cache: BoundedCache<u8, u32> = BoundedCache::new(max_entries, budget);
         let mut model: HashMap<u8, u32> = HashMap::new();
-        let mut evicted_or_removed: HashMap<u8, ()> = HashMap::new();
-        let mut removed_present = 0u64;
+        let mut evicted: HashMap<u8, ()> = HashMap::new();
 
         for op in &ops {
             match *op {
                 Op::Insert(k, v, b) => {
-                    let evicted = cache.insert(k, v, b);
+                    let out = cache.insert(k, v, b);
                     model.insert(k, v);
                     // Evicted pairs must carry the value the model knew —
                     // eviction hands back truth, it doesn't corrupt it.
-                    for (ek, ev) in evicted {
+                    for (ek, ev) in out {
                         prop_assert_eq!(model.get(&ek), Some(&ev),
                             "evicted pair ({}, {}) disagrees with the model", ek, ev);
-                        evicted_or_removed.insert(ek, ());
+                        evicted.insert(ek, ());
                     }
                 }
                 Op::Get(k) => {
@@ -76,25 +69,11 @@ proptest! {
                         Some(v) => prop_assert_eq!(Some(v), model.get(&k),
                             "hit on {} returned a value the model never held", k),
                         // A miss is only legal if the key was never
-                        // inserted, or left via eviction/removal.
+                        // inserted, or left via eviction.
                         None => prop_assert!(
-                            !model.contains_key(&k) || evicted_or_removed.contains_key(&k),
-                            "key {} vanished without an eviction or removal", k
+                            !model.contains_key(&k) || evicted.contains_key(&k),
+                            "key {} vanished without an eviction", k
                         ),
-                    }
-                }
-                Op::Remove(k) => {
-                    if let Some(v) = cache.remove(&k) {
-                        prop_assert_eq!(Some(&v), model.get(&k));
-                        removed_present += 1;
-                    }
-                    evicted_or_removed.insert(k, ());
-                    model.remove(&k);
-                }
-                Op::SetBytes(k, b) => {
-                    for (ek, ev) in cache.set_bytes(&k, b) {
-                        prop_assert_eq!(model.get(&ek), Some(&ev));
-                        evicted_or_removed.insert(ek, ());
                     }
                 }
             }
@@ -102,10 +81,10 @@ proptest! {
             // Counters account for every entry at every step: what came
             // in minus what provably left is what is resident.
             prop_assert_eq!(
-                cache.inserted_total() - cache.evicted_total() - removed_present,
+                cache.inserted_total() - cache.evicted_total(),
                 cache.len() as u64,
-                "inserted {} - evicted {} - removed {} != len {}",
-                cache.inserted_total(), cache.evicted_total(), removed_present, cache.len()
+                "inserted {} - evicted {} != len {}",
+                cache.inserted_total(), cache.evicted_total(), cache.len()
             );
             // Bounds hold whenever they can: a single oversized entry is
             // deliberately retained (a cache that can hold nothing would

@@ -68,12 +68,19 @@ fn hostile_statements_are_blocked_not_errors() {
     assert_eq!(p.stats().blocked, hostile.len() as u64);
 }
 
-/// A column named twice in an `INSERT` column list or an `UPDATE` `SET`
-/// list is refused at parse time. Write coverage reads the first value and
-/// the store keeps the last, so before the refusal a session of user 1 wrote
-/// rows owned by user 2 under a policy that admits only its own rows.
-#[test]
-fn a_column_named_twice_is_blocked_and_writes_nothing() {
+/// The calendar policy plus `V3`, each user's own attendance rows, with
+/// `enforce_writes` on: user 1 attends events 2 and 7, user 2 event 3.
+fn calendar_with_own_rows() -> SqlProxy {
+    let (db, checker) = calendar_with_own_rows_parts();
+    let config = ProxyConfig {
+        enforce_writes: true,
+        ..Default::default()
+    };
+    SqlProxy::new(db, checker, config)
+}
+
+/// The database and checker of [`calendar_with_own_rows`].
+fn calendar_with_own_rows_parts() -> (Database, ComplianceChecker) {
     let mut db = Database::new();
     db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
         .unwrap();
@@ -105,20 +112,27 @@ fn a_column_named_twice_is_blocked_and_writes_nothing() {
         ],
     )
     .unwrap();
-    let config = ProxyConfig {
-        enforce_writes: true,
-        ..Default::default()
-    };
-    let p = SqlProxy::new(db, ComplianceChecker::new(schema, policy), config);
+    (db, ComplianceChecker::new(schema, policy))
+}
+
+/// Attendance rows, ordered.
+fn attendance(p: &SqlProxy) -> Vec<Vec<Value>> {
+    p.with_database(|db| {
+        db.query_sql("SELECT UId, EId, Notes FROM Attendance ORDER BY UId, EId")
+            .unwrap()
+            .rows
+    })
+}
+
+/// A column named twice in an `INSERT` column list or an `UPDATE` `SET`
+/// list is refused at parse time. Write coverage reads the first value and
+/// the store keeps the last, so before the refusal a session of user 1 wrote
+/// rows owned by user 2 under a policy that admits only its own rows.
+#[test]
+fn a_column_named_twice_is_blocked_and_writes_nothing() {
+    let p = calendar_with_own_rows();
     let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-    let attendance = || {
-        p.with_database(|db| {
-            db.query_sql("SELECT UId, EId, Notes FROM Attendance ORDER BY UId, EId")
-                .unwrap()
-                .rows
-        })
-    };
-    let before = attendance();
+    let before = attendance(&p);
 
     for sql in [
         "INSERT INTO Attendance (UId, EId, Notes, UId) VALUES (?MyUId, 9, 'sneaky', 2)",
@@ -128,7 +142,7 @@ fn a_column_named_twice_is_blocked_and_writes_nothing() {
             Ok(ProxyResponse::Blocked(DenyReason::ParseError(_))) => {}
             other => panic!("{sql:?} must be Blocked(ParseError), got {other:?}"),
         }
-        assert_eq!(attendance(), before, "{sql:?} changed the table");
+        assert_eq!(attendance(&p), before, "{sql:?} changed the table");
     }
     // Each statement without its repeated column is the session's own
     // write, and is allowed.
@@ -143,6 +157,85 @@ fn a_column_named_twice_is_blocked_and_writes_nothing() {
     );
     let stats = p.stats();
     assert_eq!((stats.blocked, stats.write_allowed), (2, 1));
+}
+
+/// An `UPDATE` removes the rows its `WHERE` matches as surely as a
+/// `DELETE` does. Write coverage once held only the rows it wrote, so user
+/// 1 took user 2's attendance of event 3 by moving it to user 1, which a
+/// `DELETE` with the same `WHERE` could not have removed.
+#[test]
+fn an_update_cannot_take_another_users_row() {
+    let p = calendar_with_own_rows();
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let before = attendance(&p);
+    for sql in [
+        "UPDATE Attendance SET UId = ?MyUId WHERE UId = 2 AND EId = 3",
+        "DELETE FROM Attendance WHERE UId = 2 AND EId = 3",
+    ] {
+        match p.execute(s, sql, &[]) {
+            Ok(ProxyResponse::Blocked(DenyReason::WriteNotCovered { .. })) => {}
+            other => panic!("{sql:?} must be Blocked(WriteNotCovered), got {other:?}"),
+        }
+        assert_eq!(attendance(&p), before, "{sql:?} changed the table");
+    }
+    // An update of the session's own row is still allowed.
+    let own = "UPDATE Attendance SET Notes = 'moved' WHERE UId = ?MyUId AND EId = 7";
+    assert_eq!(p.execute(s, own, &[]).unwrap(), ProxyResponse::Affected(1));
+}
+
+/// A row a write names only by a column it does not pin may be any row:
+/// the fresh variable standing for its key is one unknown value, not
+/// whichever one the trace happens to know. User 1 knows it attends event
+/// 2, and that covers deleting event 2, but not deleting whatever event is
+/// titled 'party' (event 3, which user 1 does not attend).
+#[test]
+fn a_row_named_by_an_unpinned_column_is_not_a_known_row() {
+    let p = calendar_with_own_rows();
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+    assert_eq!(p.execute(s, probe, &[]).unwrap().rows().unwrap().len(), 1);
+    let events = || p.with_database(|db| db.query_sql("SELECT EId FROM Events").unwrap().rows);
+    let before = events();
+    match p.execute(s, "DELETE FROM Events WHERE Title = 'party'", &[]) {
+        Ok(ProxyResponse::Blocked(DenyReason::WriteNotCovered { .. })) => {}
+        other => panic!("the delete must be Blocked(WriteNotCovered), got {other:?}"),
+    }
+    assert_eq!(events(), before, "the delete changed the table");
+    let known = "DELETE FROM Events WHERE EId = 2";
+    assert_eq!(
+        p.execute(s, known, &[]).unwrap(),
+        ProxyResponse::Affected(1)
+    );
+}
+
+/// FNV-1a is not collision-resistant: a client can craft a text whose
+/// template hash equals another template's. The plan cache chains texts by
+/// hash and tells them apart by comparing them, so a text is never decided
+/// (or run) by the plan of another on its hash. Here a plan for user 1's
+/// own rows sits under the hash of a read of every row.
+#[test]
+fn a_text_on_another_templates_hash_keeps_its_own_plan() {
+    let (db, checker) = calendar_with_own_rows_parts();
+    let p = SqlProxy::new(db, checker.clone(), ProxyConfig::default());
+    let everyone = "SELECT * FROM Attendance";
+    let own = "SELECT * FROM Attendance WHERE UId = ?MyUId";
+    let hash = template_hash(everyone);
+    let (planted, built) = p.plan_cache().get_or_compile(hash, own, || {
+        beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {})
+    });
+    assert!(built);
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    match p.execute(s, everyone, &[]) {
+        Ok(ProxyResponse::Blocked(_)) => {}
+        other => panic!("reading every row must be blocked, got {other:?}"),
+    }
+    assert_eq!(p.plan_cache().len(), 2, "each text has a plan of its own");
+    let found = p.plan_cache().get_hashed(hash, own).expect("still cached");
+    assert!(std::sync::Arc::ptr_eq(&found, &planted));
+    assert_eq!(
+        p.plan_cache().get_hashed(hash, everyone).unwrap().sql(),
+        everyone
+    );
 }
 
 /// The calendar policy (`V1`, `V2`) with `enforce_writes` on, over events

@@ -30,7 +30,6 @@ use minidb::Database;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sqlir::Value;
-use std::sync::Arc;
 
 type Bindings = Vec<(String, Value)>;
 
@@ -89,15 +88,9 @@ impl Twins {
     ) -> Result<ProxyResponse, CoreError> {
         let lifted = self.lifted.execute(a, sql, bindings);
         // `resolve` takes a text's own plan before it tries to lift.
-        let (cell, _) = self.exact.plan_cache().entry(sql);
-        cell.get_or_init(|| {
-            Arc::new(compile_plan(
-                &self.checker,
-                sql,
-                template_hash(sql),
-                true,
-                &mut |_| {},
-            ))
+        let hash = template_hash(sql);
+        (self.exact.plan_cache()).get_or_compile(hash, sql, || {
+            compile_plan(&self.checker, sql, hash, true, &mut |_| {})
         });
         let exact = self.exact.execute(b, sql, bindings);
         assert_eq!(lifted, exact, "{sql} with {bindings:?}");
