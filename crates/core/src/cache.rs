@@ -11,9 +11,8 @@
 //! passes). SIEVE is scan-resistant (a one-pass scan cannot flush the
 //! working set: scanned-once entries are never re-visited, so the hand
 //! takes them first) and lock-light: a hit is a single relaxed atomic
-//! store, so a lookup needs only a read lock (the plan cache's `RwLock`, a
-//! session shard's) — no per-hit LRU reordering, no write lock on the read
-//! path.
+//! store, so a lookup needs only a read lock (the plan cache's `RwLock`) —
+//! no per-hit LRU reordering, no write lock on the read path.
 //!
 //! Observational contract (property-tested in `tests/bounded_cache.rs`):
 //! a hit always returns exactly the value originally inserted — the cache

@@ -13,10 +13,12 @@
 //!
 //! Nothing here touches the database, a clock, a metric or the journal:
 //! phase boundaries leave through a `lap` callback, and the proxy
-//! (`SqlProxy::execute`) runs the permit, applies and counts.
+//! (`SqlProxy::execute`) runs the permit, applies and counts. The proxy
+//! holds one lock from the session's sync through [`SessionState::apply`],
+//! so a session changes only between its statements, never between a
+//! decision and its write-back.
 
 use std::mem::size_of;
-use std::sync::Arc;
 
 use minidb::Rows;
 use qlogic::{Atom, Cq};
@@ -32,16 +34,17 @@ use crate::plan::{PlanBody, SelectPlan, TemplateVerdict, WritePlan};
 use crate::trace::Trace;
 use crate::write::WriteTemplateVerdict;
 
-/// One application session (a logged-in user).
+/// One application session (a logged-in user). The proxy keeps every
+/// session behind its one state lock, which a statement holds from the
+/// session's sync to its write-back: a session's statements run one at a
+/// time, in order.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionState {
-    /// Policy-parameter bindings, shared so a statement can use them
-    /// without copying (sessions never rebind; the `Arc` is cloned per
-    /// request).
-    pub(crate) bindings: Arc<Vec<(String, Value)>>,
+    /// Policy-parameter bindings (sessions never rebind); a statement
+    /// reads them in place.
+    pub(crate) bindings: Vec<(String, Value)>,
     pub(crate) trace: Trace,
-    /// Allowals keyed by concrete fingerprint; SIEVE-bounded. A hit is a
-    /// visited-bit store, so it works under the shard *read* lock.
+    /// Allowals keyed by concrete fingerprint; SIEVE-bounded.
     pub(crate) allowed_cache: BoundedCache<ConcreteKey, ()>,
     /// Denials keyed by concrete fingerprint, stamped with the trace's
     /// fact-set *version* they were proved at (more facts can flip a
@@ -63,7 +66,7 @@ impl SessionState {
     pub(crate) fn new(bindings: Vec<(String, Value)>, cache_budget_bytes: usize) -> SessionState {
         let per_tier = cache_budget_bytes / 2;
         SessionState {
-            bindings: Arc::new(bindings),
+            bindings,
             trace: Trace::new(),
             allowed_cache: BoundedCache::new(0, per_tier),
             denied_cache: BoundedCache::new(0, per_tier),
@@ -84,10 +87,9 @@ impl SessionState {
         self.synced = epoch;
     }
 
-    /// Heap bytes owned by this state: the binding list (counted at this
-    /// holder even though it is shared by `Arc` — see [`crate::mem`]), the
-    /// trace, and both concrete caches (structural tables plus the entries'
-    /// byte weights, deny-cache counterexample CQs included). The trace is
+    /// Heap bytes owned by this state: the binding list, the trace, and
+    /// both concrete caches (structural tables plus the entries' byte
+    /// weights, deny-cache counterexample CQs included). The trace is
     /// walked.
     pub(crate) fn heap_bytes(&self) -> usize {
         bindings_heap_bytes(&self.bindings)
@@ -98,23 +100,18 @@ impl SessionState {
 
     /// Writes one statement's effects into the session: the remembered
     /// verdict (then laps [`Phase::ConcreteLookup`]), and an allowed read's
-    /// observation (then laps [`Phase::TraceRecord`]). `epoch` is the write
-    /// epoch the statement was decided and run at: if the session has
-    /// synced past it since (another statement of the session revoked in
-    /// between), the allow and the observation may rest on what that sync
-    /// revoked, so neither is kept.
+    /// observation (then laps [`Phase::TraceRecord`]). The proxy applies
+    /// under the lock the statement was synced and decided under, so no
+    /// revocation lands in between.
     pub(crate) fn apply(
         &mut self,
         remember: Option<Remember>,
         record: Option<(Cq, &[Vec<Value>])>,
-        epoch: u64,
         lap: &mut dyn FnMut(Phase),
     ) -> Evicted {
         let mut evicted = Evicted::default();
-        let current = epoch == self.synced;
         if let Some(remember) = remember {
             match remember {
-                Remember::Allow(_) if !current => {}
                 Remember::Allow(key) => {
                     evicted.allow = (self.allowed_cache)
                         .insert(key, (), size_of::<ConcreteKey>())
@@ -127,7 +124,7 @@ impl SessionState {
             }
             lap(Phase::ConcreteLookup);
         }
-        if let Some((query, rows)) = record.filter(|_| current) {
+        if let Some((query, rows)) = record {
             // Compaction keeps the trace O(distinct information):
             // decision-invisible (the fact set stays logically equivalent),
             // and any removal bumps the trace version, so stamped denials
@@ -428,8 +425,8 @@ fn concrete<'p>(
         prov.tier = CacheTier::SessionCache;
         return Outcome::new(Ok(permit), prov);
     }
-    // Read before the proof: if the facts change before the denial is
-    // written back, its stamp is already stale and it is never served.
+    // The fact set the proof runs against: a denial is served only while
+    // the session's trace is still at this version.
     let at = session.trace.version();
     if let Some((_, reason)) = session.denied_cache.get(&key).filter(|(v, _)| *v == at) {
         lap(Phase::ConcreteLookup);
@@ -589,8 +586,7 @@ mod tests {
             (Kind::Read(sp), Some(r)) if verdict.is_ok() => observe(sp, &bindings, r),
             _ => None,
         };
-        let epoch = session.synced;
-        session.apply(remember, record, epoch, &mut |_| {});
+        session.apply(remember, record, &mut |_| {});
         (verdict.map(|_| ()), prov)
     }
 

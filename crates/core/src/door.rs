@@ -3,11 +3,10 @@
 //! A statement reaches the wrapped [`Database`] only through a [`Permit`].
 //! [`decide`](crate::decide::decide) mints one for an allowed statement,
 //! carrying the plan's statement, and `SqlProxy::execute_unchecked` mints
-//! one audited [`Permit::unchecked`]. [`Permit::run`] consumes the
-//! [`Door`]: the one lock a statement takes on the [`Store`], shared for a
-//! `SELECT` and exclusive for anything that may write. So `run` is the one
-//! place a statement touches the database, and the one place a write
-//! revokes what sessions knew.
+//! one audited [`Permit::unchecked`]. [`Permit::run`] takes the [`Store`]
+//! by `&mut`, which the caller holds only under the proxy's one state
+//! lock. So `run` is the one place a statement touches the database, and
+//! the one place a write revokes what sessions knew.
 //!
 //! # Revocation
 //!
@@ -22,14 +21,12 @@
 //! A session remembers the epoch it last synced at. One that is behind
 //! revokes every fact and entry over a table written since
 //! ([`Trace::revoke`](crate::trace::Trace::revoke)) before it decides. The
-//! sync, the decision and the run happen behind one opening of the door,
-//! so no write lands between a session's sync and the read its permit
-//! allows. Keeping up costs one comparison per statement.
-
-use std::ops::Deref;
+//! sync, the decision, the run and the write-back happen under one
+//! acquisition of the state lock, so no write lands between a session's
+//! sync and the read its permit allows. Keeping up costs one comparison
+//! per statement.
 
 use minidb::{Database, DbError, ExecResult};
-use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use sqlir::{Delete, Query, Statement, Update, Value};
 
 /// The database, and the write epochs sessions sync their traces to.
@@ -75,38 +72,6 @@ impl Store {
     }
 }
 
-/// The lock one statement holds on the [`Store`], from its sync to its
-/// run.
-pub(crate) enum Door<'a> {
-    /// For a `SELECT`, which reads.
-    Shared(RwLockReadGuard<'a, Store>),
-    /// For anything else, which may write.
-    Exclusive(RwLockWriteGuard<'a, Store>),
-}
-
-impl<'a> Door<'a> {
-    /// Locks the store: exclusively if the statement `writes`, shared
-    /// otherwise. This is the only lock on it a statement takes.
-    pub(crate) fn open(store: &'a RwLock<Store>, writes: bool) -> Door<'a> {
-        if writes {
-            Door::Exclusive(store.write())
-        } else {
-            Door::Shared(store.read())
-        }
-    }
-}
-
-impl Deref for Door<'_> {
-    type Target = Store;
-
-    fn deref(&self) -> &Store {
-        match self {
-            Door::Shared(store) => store,
-            Door::Exclusive(store) => store,
-        }
-    }
-}
-
 /// The right to run one statement: what an allowed decision carries.
 #[derive(Debug)]
 pub(crate) struct Permit<'p>(Run<'p>);
@@ -137,22 +102,17 @@ impl<'p> Permit<'p> {
         }
     }
 
-    /// Whether the statement may write, and so needs the exclusive door.
-    pub(crate) fn writes(&self) -> bool {
-        matches!(self.0, Run::Write(_))
-    }
-
-    /// Runs the statement behind `door` with its parameters read from
+    /// Runs the statement on `store` with its parameters read from
     /// `bindings`. An `UPDATE` or `DELETE` bumps its table's write epoch
     /// first, so it revokes even when minidb refuses it.
     pub(crate) fn run(
         self,
-        door: Door<'_>,
+        store: &mut Store,
         bindings: &[(String, Value)],
     ) -> Result<ExecResult, DbError> {
-        match (self.0, door) {
-            (Run::Read(query), door) => door.db.query_with(query, bindings).map(ExecResult::Rows),
-            (Run::Write(stmt), Door::Exclusive(mut store)) => {
+        match self.0 {
+            Run::Read(query) => store.db.query_with(query, bindings).map(ExecResult::Rows),
+            Run::Write(stmt) => {
                 if let Statement::Update(Update { table, .. })
                 | Statement::Delete(Delete { table, .. }) = stmt
                 {
@@ -160,9 +120,6 @@ impl<'p> Permit<'p> {
                 }
                 store.db.execute_with(stmt, bindings)
             }
-            (Run::Write(_), Door::Shared(_)) => Err(DbError::Unsupported(
-                "a statement that may write needs the exclusive door".into(),
-            )),
         }
     }
 }
@@ -176,14 +133,11 @@ mod tests {
         let mut db = Database::new();
         db.execute_sql("CREATE TABLE T (a INT PRIMARY KEY)")
             .unwrap();
-        let store = RwLock::new(Store::new(db));
-        let run = |sql: &str| {
+        let mut store = Store::new(db);
+        let mut run = |sql: &str| {
             let stmt = sqlir::parse_statement(sql).unwrap();
-            let permit = Permit::unchecked(&stmt);
-            let door = Door::open(&store, permit.writes());
-            let ok = permit.run(door, &[]).is_ok();
-            let s = store.read();
-            (ok, s.epoch(), s.written_since(0).join(","))
+            let ok = Permit::unchecked(&stmt).run(&mut store, &[]).is_ok();
+            (ok, store.epoch(), store.written_since(0).join(","))
         };
         assert_eq!(
             run("INSERT INTO T (a) VALUES (1), (2)"),
@@ -197,16 +151,7 @@ mod tests {
             (false, 2, "T".into())
         );
         assert_eq!(run("DELETE FROM Nope"), (false, 3, "T,Nope".into()));
-        assert_eq!(store.read().written_since(2), ["Nope"]);
-        assert!(store.read().written_since(3).is_empty());
-    }
-
-    #[test]
-    fn a_write_permit_is_refused_behind_the_shared_door() {
-        let store = RwLock::new(Store::new(Database::new()));
-        let stmt = sqlir::parse_statement("DELETE FROM T").unwrap();
-        let refused = Permit::write(&stmt).run(Door::open(&store, false), &[]);
-        assert!(matches!(refused, Err(DbError::Unsupported(_))));
-        assert_eq!(store.read().epoch(), 0);
+        assert_eq!(store.written_since(2), ["Nope"]);
+        assert!(store.written_since(3).is_empty());
     }
 }

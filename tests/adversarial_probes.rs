@@ -375,3 +375,24 @@ fn a_read_that_still_holds_restores_its_fact() {
     assert_eq!(p.execute(a, probe, &[]).unwrap().rows().unwrap().len(), 1);
     assert!(p.execute(a, not_fun, &[]).unwrap().is_allowed());
 }
+
+/// Compaction drops a fact only when the facts it keeps imply it. User 1's
+/// read of the titles of the events it attends witnesses, per row, an
+/// event and an attendance tied by one unknown event id. That attendance
+/// maps onto the known `Attendance(1, 2, _)` only if its event id moves,
+/// and the event it is tied to holds it in place, so it is not implied and
+/// stays: that someone attends an event titled 'offsite' follows from the
+/// trace.
+#[test]
+fn a_fact_tied_to_another_by_an_unknown_is_not_implied() {
+    let p = calendar_with_writes();
+    let s = p.begin_session(USER_1());
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+    assert_eq!(p.execute(s, probe, &[]).unwrap().rows().unwrap().len(), 1);
+    let titles = "SELECT e.Title FROM Events e JOIN Attendance a ON e.EId = a.EId \
+                  WHERE a.UId = ?MyUId";
+    assert_eq!(p.execute(s, titles, &[]).unwrap().rows().unwrap().len(), 2);
+    let anyone = "SELECT 1 FROM Events e JOIN Attendance a ON e.EId = a.EId \
+                  WHERE e.Title = 'offsite'";
+    assert!(p.execute(s, anyone, &[]).unwrap().is_allowed());
+}

@@ -52,7 +52,7 @@ const FETCH_2: &str = "SELECT * FROM Events WHERE EId = 2";
 /// unlocks its fetch via the probe, while user 2 (who does not attend)
 /// hammers the same fetch from concurrent threads and must be blocked every
 /// single time — a session must never benefit from another session's trace,
-/// no matter how the shard locks interleave.
+/// no matter how the threads' statements interleave under the state lock.
 #[test]
 fn parallel_sessions_never_leak_traces() {
     let proxy = calendar_proxy();
