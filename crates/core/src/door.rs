@@ -14,9 +14,17 @@
 //! ([`crate::trace`]). An `INSERT` cannot falsify one, because facts are
 //! positive. An `UPDATE` or `DELETE` can falsify any fact over its table,
 //! and over no other: minidb restricts foreign keys and never cascades.
-//! So every `UPDATE` and `DELETE` a permit runs bumps the store's write
-//! epoch and makes it its table's latest, whether it was enforced, passed
-//! through or unchecked, and whether or not minidb refuses it.
+//! It can do so only if it changed a row, and minidb statements are all
+//! or nothing: `update` computes and validates its whole post-state before
+//! it writes a row (`db.rs`'s `update_unique_conflict_is_atomic`,
+//! `update_colliding_with_an_unchanged_row_fails_atomically`), `delete`
+//! runs its restrict check before it removes one (`delete_restricted_by_fk`),
+//! and `tests/constraint_model.rs` holds every refused statement's tables
+//! to a reference that leaves them as they were. So every `UPDATE` and
+//! `DELETE` a permit runs that minidb reports changed rows (`Affected(n)`,
+//! `n > 0`) bumps the store's write epoch and makes it its table's latest,
+//! whether it was enforced, passed through or unchecked; a refused write,
+//! or one that matched no row, falsified nothing and revokes nothing.
 //!
 //! A session remembers the epoch it last synced at. One that is behind
 //! revokes every fact and entry over a table written since
@@ -103,8 +111,8 @@ impl<'p> Permit<'p> {
     }
 
     /// Runs the statement on `store` with its parameters read from
-    /// `bindings`. An `UPDATE` or `DELETE` bumps its table's write epoch
-    /// first, so it revokes even when minidb refuses it.
+    /// `bindings`. An `UPDATE` or `DELETE` that changed a row then bumps
+    /// its table's write epoch (module docs, "Revocation").
     pub(crate) fn run(
         self,
         store: &mut Store,
@@ -113,12 +121,16 @@ impl<'p> Permit<'p> {
         match self.0 {
             Run::Read(query) => store.db.query_with(query, bindings).map(ExecResult::Rows),
             Run::Write(stmt) => {
-                if let Statement::Update(Update { table, .. })
-                | Statement::Delete(Delete { table, .. }) = stmt
+                let result = store.db.execute_with(stmt, bindings);
+                if let (
+                    Statement::Update(Update { table, .. })
+                    | Statement::Delete(Delete { table, .. }),
+                    Ok(ExecResult::Affected(1..)),
+                ) = (stmt, &result)
                 {
                     store.bump(table);
                 }
-                store.db.execute_with(stmt, bindings)
+                result
             }
         }
     }
@@ -129,7 +141,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn only_updates_and_deletes_move_the_epoch_even_when_refused() {
+    fn only_updates_and_deletes_that_change_rows_move_the_epoch() {
         let mut db = Database::new();
         db.execute_sql("CREATE TABLE T (a INT PRIMARY KEY)")
             .unwrap();
@@ -145,13 +157,15 @@ mod tests {
         );
         assert_eq!(run("SELECT a FROM T"), (true, 0, "".into()));
         assert_eq!(run("UPDATE T SET a = 3 WHERE a = 1"), (true, 1, "T".into()));
-        // A refused write bumps too: the epoch moves before minidb runs it.
+        // A refused write, or one that matched no row, changed nothing.
         assert_eq!(
             run("UPDATE T SET a = 2 WHERE a = 3"),
-            (false, 2, "T".into())
+            (false, 1, "T".into())
         );
-        assert_eq!(run("DELETE FROM Nope"), (false, 3, "T,Nope".into()));
-        assert_eq!(store.written_since(2), ["Nope"]);
-        assert!(store.written_since(3).is_empty());
+        assert_eq!(run("DELETE FROM Nope"), (false, 1, "T".into()));
+        assert_eq!(run("DELETE FROM T WHERE a = 9"), (true, 1, "T".into()));
+        assert_eq!(run("UPDATE T SET a = 4 WHERE a = 9"), (true, 1, "T".into()));
+        assert_eq!(run("DELETE FROM T WHERE a = 2"), (true, 2, "T".into()));
+        assert!(store.written_since(2).is_empty());
     }
 }

@@ -46,9 +46,8 @@ pub use latency::{LatencyHistogram, LatencySnapshot};
 pub use lint::{lint_template, lint_templates};
 pub use mem::HeapUsage;
 pub use obs::{
-    read_process_memory, template_hash, CacheTier, Counter, DecisionEvent, EventJournal, Gauge,
-    JournalCursor, MemoryGauges, MetricsRegistry, Phase, PhaseTimer, ProcessMemory, Verdict,
-    PHASE_COUNT,
+    read_process_memory, template_hash, write_family, CacheTier, DecisionEvent, EventJournal,
+    JournalCursor, Phase, PhaseTimer, ProcessMemory, Verdict, PHASE_COUNT,
 };
 pub use plan::{
     compile_plan, DisjunctPlan, PlanBody, PlanCache, SelectPlan, TemplatePlan, TemplateVerdict,

@@ -1,5 +1,5 @@
-//! Decision-provenance observability: the event journal and the metrics
-//! registry.
+//! Decision-provenance observability: the event journal and the text
+//! exposition's writers.
 //!
 //! Enforcement alone is an opaque allow/deny; the paper's whole pitch (§5)
 //! is that operators must be able to see *why* a decision came out the way
@@ -13,11 +13,14 @@
 //! * [`EventJournal`] — a fixed-capacity ring of events behind one lock.
 //!   The proxy takes it once per statement, to copy in one event.
 //!   Overflow evicts the oldest events and is *counted*, never silent;
-//! * [`MetricsRegistry`] — named counters, gauges, and latency histograms
-//!   with a Prometheus-style text exposition, so a live server can be
-//!   scraped without any external crate.
+//! * [`write_family`] — writes one family of the Prometheus-style text
+//!   exposition, so a live server can be scraped without any external
+//!   crate. The counters are plain integers in the proxy's locked state,
+//!   and [`SqlProxy::metrics_text`] writes each family from them by name
+//!   (the server appends its reactor's four).
 //!
 //! [`SqlProxy::execute`]: crate::proxy::SqlProxy::execute
+//! [`SqlProxy::metrics_text`]: crate::proxy::SqlProxy::metrics_text
 //!
 //! # Ring-buffer semantics
 //!
@@ -31,13 +34,12 @@
 //! `max` events (the server caps a `journal` page at 512), so that copy
 //! is the longest a decision can wait on a reader.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::fmt::Write;
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
-use crate::latency::{LatencyHistogram, LatencySnapshot};
+use crate::latency::LatencySnapshot;
 use crate::span::SpanSummary;
 
 /// Number of timed decision phases.
@@ -392,273 +394,35 @@ impl PhaseTimer {
     }
 }
 
-/// A monotone counter metric.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// A settable gauge metric.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Release);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-}
-
-/// The value side of one labelled series.
-#[derive(Debug, Clone)]
-enum Handle {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<LatencyHistogram>),
-}
-
-impl Handle {
-    fn kind(&self) -> &'static str {
-        match self {
-            Handle::Counter(_) => "counter",
-            Handle::Gauge(_) => "gauge",
-            Handle::Histogram(_) => "summary",
-        }
-    }
-}
-
-struct Series {
-    labels: Vec<(String, String)>,
-    handle: Handle,
-}
-
-struct Family {
-    name: String,
-    help: String,
-    series: Vec<Series>,
-}
-
-/// A registry of named metrics with a Prometheus-style text exposition.
-///
-/// Families are registered once (idempotently — re-registering the same
-/// name + labels returns the existing handle) and rendered in
-/// registration order. Histograms are exposed as summaries: one
-/// `{quantile="…"}` series per percentile plus `_sum` and `_count`,
-/// sourced from the same [`LatencyHistogram`] snapshots the benches read.
-pub struct MetricsRegistry {
-    families: RwLock<Vec<Family>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let families = self.families.read();
-        f.debug_struct("MetricsRegistry")
-            .field("families", &families.len())
-            .finish()
-    }
-}
-
-fn labels_of(labels: &[(&str, &str)]) -> Vec<(String, String)> {
-    labels
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry {
-            families: RwLock::new(Vec::new()),
-        }
-    }
-
-    fn register(&self, name: &str, help: &str, labels: &[(&str, &str)], make: Handle) -> Handle {
-        let labels = labels_of(labels);
-        let mut families = self.families.write();
-        let family = match families.iter_mut().find(|f| f.name == name) {
-            Some(f) => f,
-            None => {
-                families.push(Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    series: Vec::new(),
-                });
-                families.last_mut().expect("just pushed")
-            }
-        };
-        if let Some(existing) = family.series.iter().find(|s| s.labels == labels) {
-            assert_eq!(
-                existing.handle.kind(),
-                make.kind(),
-                "metric {name:?} re-registered with a different kind"
-            );
-            return existing.handle.clone();
-        }
-        assert!(
-            family
-                .series
-                .first()
-                .map(|s| s.handle.kind() == make.kind())
-                .unwrap_or(true),
-            "metric family {name:?} mixes kinds"
-        );
-        family.series.push(Series {
-            labels,
-            handle: make.clone(),
-        });
-        make
-    }
-
-    /// Registers (or retrieves) a counter series.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        match self.register(
-            name,
-            help,
-            labels,
-            Handle::Counter(Arc::new(Counter::default())),
-        ) {
-            Handle::Counter(c) => c,
-            _ => unreachable!("kind asserted in register"),
-        }
-    }
-
-    /// Registers (or retrieves) a gauge series.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        match self.register(
-            name,
-            help,
-            labels,
-            Handle::Gauge(Arc::new(Gauge::default())),
-        ) {
-            Handle::Gauge(g) => g,
-            _ => unreachable!("kind asserted in register"),
-        }
-    }
-
-    /// Registers (or retrieves) a latency-histogram series (exposed as a
-    /// summary).
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<LatencyHistogram> {
-        match self.register(
-            name,
-            help,
-            labels,
-            Handle::Histogram(Arc::new(LatencyHistogram::new())),
-        ) {
-            Handle::Histogram(h) => h,
-            _ => unreachable!("kind asserted in register"),
-        }
-    }
-
-    /// Renders the Prometheus text exposition.
-    pub fn render(&self) -> String {
-        let families = self.families.read();
-        let mut out = String::new();
-        for family in families.iter() {
-            let kind = family
-                .series
-                .first()
-                .map(|s| s.handle.kind())
-                .unwrap_or("counter");
-            out.push_str(&format!("# HELP {} {}\n", family.name, family.help));
-            out.push_str(&format!("# TYPE {} {}\n", family.name, kind));
-            for series in &family.series {
-                match &series.handle {
-                    Handle::Counter(c) => {
-                        render_sample(&mut out, &family.name, &series.labels, &[], c.get());
-                    }
-                    Handle::Gauge(g) => {
-                        render_sample(&mut out, &family.name, &series.labels, &[], g.get());
-                    }
-                    Handle::Histogram(h) => {
-                        let s: LatencySnapshot = h.snapshot();
-                        for (q, v) in [("0.5", s.p50_ns), ("0.95", s.p95_ns), ("0.99", s.p99_ns)] {
-                            render_sample(
-                                &mut out,
-                                &family.name,
-                                &series.labels,
-                                &[("quantile", q)],
-                                v,
-                            );
-                        }
-                        render_sample(
-                            &mut out,
-                            &format!("{}_sum", family.name),
-                            &series.labels,
-                            &[],
-                            s.sum_ns,
-                        );
-                        render_sample(
-                            &mut out,
-                            &format!("{}_count", family.name),
-                            &series.labels,
-                            &[],
-                            s.count,
-                        );
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-fn render_sample(
+/// Writes one counter or gauge family (`kind`) of the Prometheus text
+/// exposition: its `# HELP` and `# TYPE` lines, then one sample per
+/// `(label value, value)` pair, labelled `label="…"`, or one unlabelled
+/// sample when `label` is empty.
+pub fn write_family(
     out: &mut String,
     name: &str,
-    labels: &[(String, String)],
-    extra: &[(&str, &str)],
-    value: u64,
+    help: &str,
+    kind: &str,
+    label: &str,
+    samples: &[(&str, u64)],
 ) {
-    out.push_str(name);
-    if !labels.is_empty() || !extra.is_empty() {
-        out.push('{');
-        let mut first = true;
-        for (k, v) in labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .chain(extra.iter().copied())
-        {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("{k}=\"{v}\""));
-        }
-        out.push('}');
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+    for (at, value) in samples {
+        let _ = match label {
+            "" => writeln!(out, "{name} {value}"),
+            _ => writeln!(out, "{name}{{{label}=\"{at}\"}} {value}"),
+        };
     }
-    out.push_str(&format!(" {value}\n"));
+}
+
+/// Writes one histogram as a summary family: a `{quantile="…"}` sample per
+/// percentile, then `_sum` and `_count`.
+pub(crate) fn write_summary(out: &mut String, name: &str, help: &str, s: LatencySnapshot) {
+    let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
+    for (q, v) in [("0.5", s.p50_ns), ("0.95", s.p95_ns), ("0.99", s.p99_ns)] {
+        let _ = writeln!(out, "{name}{{quantile=\"{q}\"}} {v}");
+    }
+    let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", s.sum_ns, s.count);
 }
 
 /// Point-in-time process memory readings from the kernel.
@@ -692,8 +456,8 @@ fn page_size() -> u64 {
 }
 
 /// Reads the current process's memory from procfs. On platforms without
-/// `/proc` both readings are zero (the gauges then report 0 rather than
-/// failing).
+/// `/proc` both readings are zero (the `bep_process_resident_bytes` and
+/// `bep_process_vm_hwm_bytes` gauges then report 0 rather than failing).
 pub fn read_process_memory() -> ProcessMemory {
     let resident_pages = std::fs::read_to_string("/proc/self/statm")
         .ok()
@@ -715,43 +479,6 @@ pub fn read_process_memory() -> ProcessMemory {
     ProcessMemory {
         resident_bytes: resident_pages * page_size(),
         peak_resident_bytes: peak_kb * 1024,
-    }
-}
-
-/// The process-memory gauge pair (`bep_process_resident_bytes`,
-/// `bep_process_vm_hwm_bytes`), registered on a [`MetricsRegistry`] and
-/// refreshed by [`MemoryGauges::sample`]. The soak bench and the serving
-/// front-end's `--metrics` exposition both read memory through this one
-/// source.
-#[derive(Debug, Clone)]
-pub struct MemoryGauges {
-    resident: Arc<Gauge>,
-    peak: Arc<Gauge>,
-}
-
-impl MemoryGauges {
-    /// Registers the gauge pair on `registry`.
-    pub fn register(registry: &MetricsRegistry) -> MemoryGauges {
-        MemoryGauges {
-            resident: registry.gauge(
-                "bep_process_resident_bytes",
-                "Resident set size (RSS) of this process in bytes",
-                &[],
-            ),
-            peak: registry.gauge(
-                "bep_process_vm_hwm_bytes",
-                "Peak resident set size (VmHWM) of this process in bytes",
-                &[],
-            ),
-        }
-    }
-
-    /// Reads procfs, refreshes both gauges, and returns the reading.
-    pub fn sample(&self) -> ProcessMemory {
-        let m = read_process_memory();
-        self.resident.set(m.resident_bytes);
-        self.peak.set(m.peak_resident_bytes);
-        m
     }
 }
 
@@ -1061,63 +788,5 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(template_hash(""), 0xcbf2_9ce4_8422_2325);
-    }
-
-    #[test]
-    fn registry_renders_prometheus_text() {
-        let r = MetricsRegistry::new();
-        let allowed = r.counter(
-            "bep_decisions_total",
-            "Decisions by verdict",
-            &[("decision", "allowed")],
-        );
-        let blocked = r.counter(
-            "bep_decisions_total",
-            "Decisions by verdict",
-            &[("decision", "blocked")],
-        );
-        let sessions = r.gauge("bep_sessions", "Live sessions", &[]);
-        let lat = r.histogram("bep_decision_latency_ns", "Decision latency", &[]);
-        allowed.add(3);
-        blocked.inc();
-        sessions.set(2);
-        lat.record(std::time::Duration::from_micros(10));
-
-        let text = r.render();
-        assert!(text.contains("# HELP bep_decisions_total Decisions by verdict\n"));
-        assert!(text.contains("# TYPE bep_decisions_total counter\n"));
-        assert!(text.contains("bep_decisions_total{decision=\"allowed\"} 3\n"));
-        assert!(text.contains("bep_decisions_total{decision=\"blocked\"} 1\n"));
-        assert!(text.contains("# TYPE bep_sessions gauge\n"));
-        assert!(text.contains("bep_sessions 2\n"));
-        assert!(text.contains("# TYPE bep_decision_latency_ns summary\n"));
-        assert!(text.contains("bep_decision_latency_ns{quantile=\"0.5\"}"));
-        assert!(text.contains("bep_decision_latency_ns_count 1\n"));
-        // HELP/TYPE appear once per family even with several series.
-        assert_eq!(text.matches("# TYPE bep_decisions_total").count(), 1);
-    }
-
-    #[test]
-    fn registry_registration_is_idempotent() {
-        let r = MetricsRegistry::new();
-        let a = r.counter("x_total", "x", &[("k", "v")]);
-        let b = r.counter("x_total", "x", &[("k", "v")]);
-        a.inc();
-        b.inc();
-        assert_eq!(a.get(), 2, "same series, same counter");
-        assert!(Arc::ptr_eq(&a, &b));
-    }
-
-    #[test]
-    fn labels_render_stable_order() {
-        let r = MetricsRegistry::new();
-        let h = r.histogram("p_ns", "phase", &[("phase", "parse")]);
-        h.record(std::time::Duration::from_nanos(100));
-        let text = r.render();
-        assert!(
-            text.contains("p_ns{phase=\"parse\",quantile=\"0.5\"}"),
-            "{text}"
-        );
-        assert!(text.contains("p_ns_sum{phase=\"parse\"} 100\n"), "{text}");
     }
 }

@@ -52,7 +52,7 @@ use sqlir::{
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
-use crate::obs::{template_hash, Counter, Phase};
+use crate::obs::{template_hash, Phase};
 use crate::write::{WriteTemplate, WriteTemplateVerdict};
 
 /// One disjunct of a template's UCQ translation, with the candidate views
@@ -447,10 +447,15 @@ type Chains = BoundedCache<u64, Vec<Arc<TemplatePlan>>>;
 /// *comparison* (never a string allocation) plus one relaxed visited-bit
 /// store. A miss compiles under the write lock; see the module docs.
 pub struct PlanCache {
-    chains: RwLock<Chains>,
-    /// Optional eviction counter (`bep_cache_evictions_total{tier="plan"}`)
-    /// bumped once per evicted template.
-    evictions: Option<Arc<Counter>>,
+    resident: RwLock<Resident>,
+}
+
+/// What the plan cache's lock guards.
+struct Resident {
+    chains: Chains,
+    /// Plans ever evicted (`bep_cache_evictions_total{tier="plan"}`): a
+    /// chain's every plan, not the chain.
+    evicted_plans: u64,
 }
 
 impl std::fmt::Debug for PlanCache {
@@ -463,28 +468,26 @@ impl std::fmt::Debug for PlanCache {
 
 impl PlanCache {
     /// Creates a cache retaining at most `capacity` template hashes, with
-    /// no byte budget and no eviction counter.
+    /// no byte budget.
     pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_budget(capacity, 0, None)
+        PlanCache::with_budget(capacity, 0)
     }
 
     /// Creates a cache bounded by `capacity` template hashes and
-    /// `budget_bytes` resident bytes (`0` = count-bounded only), reporting
-    /// evictions to `evictions` when given.
-    pub fn with_budget(
-        capacity: usize,
-        budget_bytes: usize,
-        evictions: Option<Arc<Counter>>,
-    ) -> PlanCache {
+    /// `budget_bytes` resident bytes (`0` = count-bounded only).
+    pub fn with_budget(capacity: usize, budget_bytes: usize) -> PlanCache {
         PlanCache {
-            chains: RwLock::new(BoundedCache::new(capacity.max(1), budget_bytes)),
-            evictions,
+            resident: RwLock::new(Resident {
+                chains: BoundedCache::new(capacity.max(1), budget_bytes),
+                evicted_plans: 0,
+            }),
         }
     }
 
     /// Number of cached templates.
     pub fn len(&self) -> usize {
-        self.chains.read().iter().map(|(_, c)| c.len()).sum()
+        let resident = self.resident.read();
+        resident.chains.iter().map(|(_, c)| c.len()).sum()
     }
 
     /// `true` when no template is cached.
@@ -494,7 +497,12 @@ impl PlanCache {
 
     /// Lifetime count of evicted collision chains.
     pub fn evicted_total(&self) -> u64 {
-        self.chains.read().evicted_total()
+        self.resident.read().chains.evicted_total()
+    }
+
+    /// Lifetime count of evicted plans: every plan of each evicted chain.
+    pub fn evicted_plans(&self) -> u64 {
+        self.resident.read().evicted_plans
     }
 
     /// The cached plan for a template, if present.
@@ -505,7 +513,7 @@ impl PlanCache {
     /// [`PlanCache::get`] with a caller-supplied hash. A hit counts as a
     /// use for eviction; a miss inserts nothing.
     pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
-        find(&self.chains.read(), hash, sql)
+        find(&self.resident.read().chains, hash, sql)
     }
 
     /// The plan for a template, compiling it with `compile` on a miss:
@@ -524,8 +532,12 @@ impl PlanCache {
         if let Some(plan) = self.get_hashed(hash, sql) {
             return (plan, false);
         }
-        let mut chains = self.chains.write();
-        if let Some(plan) = find(&chains, hash, sql) {
+        let mut resident = self.resident.write();
+        let Resident {
+            chains,
+            evicted_plans,
+        } = &mut *resident;
+        if let Some(plan) = find(chains, hash, sql) {
             return (plan, false);
         }
         let plan = Arc::new(compile());
@@ -533,9 +545,7 @@ impl PlanCache {
         chain.push(plan.clone());
         let bytes = chain_heap_bytes(&chain);
         for (_, evicted) in chains.insert(hash, chain, bytes) {
-            if let Some(c) = &self.evictions {
-                c.add(evicted.len() as u64);
-            }
+            *evicted_plans += evicted.len() as u64;
         }
         (plan, true)
     }
@@ -616,8 +626,12 @@ impl crate::mem::HeapUsage for PlanCache {
     /// plan's translation and certificates, learned ones included (which
     /// the cache's byte weights, taken at insert, do not see).
     fn heap_bytes(&self) -> usize {
-        let chains = self.chains.read();
-        chains.iter().map(|(_, c)| chain_heap_bytes(c)).sum()
+        let resident = self.resident.read();
+        resident
+            .chains
+            .iter()
+            .map(|(_, c)| chain_heap_bytes(c))
+            .sum()
     }
 }
 
@@ -864,17 +878,17 @@ mod tests {
     fn byte_budget_bounds_resident_plans() {
         use crate::mem::HeapUsage;
         // A tiny byte budget with a huge count capacity: the budget alone
-        // bounds residency, and the eviction counter reports it.
-        let evictions = Arc::new(Counter::default());
-        let cache = PlanCache::with_budget(1_000_000, 8 * 1024, Some(evictions.clone()));
+        // bounds residency, and the eviction count reports it.
+        let cache = PlanCache::with_budget(1_000_000, 8 * 1024);
         let c = checker();
         for i in 0..200 {
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
             fill(&cache, &c, &sql, true);
         }
-        assert!(evictions.get() > 0, "budget must force evictions");
-        assert_eq!(evictions.get(), cache.evicted_total());
-        assert_eq!(cache.len() as u64, 200 - evictions.get());
+        let evicted = cache.evicted_plans();
+        assert!(evicted > 0, "budget must force evictions");
+        assert_eq!(evicted, cache.evicted_total());
+        assert_eq!(cache.len() as u64, 200 - evicted);
         // Each plan is weighed exactly when it is inserted, and none has
         // learned a certificate since, so the walk is the budgeted sum.
         let walked = cache.heap_bytes();

@@ -79,18 +79,22 @@
 //! * **Checker** — [`ComplianceChecker`] is immutable after construction and
 //!   shared freely. A concrete proof runs under the state lock; the one
 //!   lock it takes, a disjunct's learned-certificate slot, is innermost.
-//! * **Statistics** — per-field atomic counters registered in the proxy's
-//!   [`MetricsRegistry`], so [`SqlProxy::stats`] and the Prometheus
-//!   exposition read the very same atomics; see [`SqlProxy::stats`] for
-//!   when a snapshot is exact. One function (`SqlProxy::finish`)
-//!   writes them, from the statement's kind, its decision's `Outcome`
-//!   provenance and what the store returned; the decision itself counts
-//!   nothing.
+//! * **Statistics** — plain integers in the locked state, beside the
+//!   store and the sessions. A statement counts them inside the one
+//!   acquisition it decides under, so [`SqlProxy::stats`] and
+//!   [`SqlProxy::metrics_text`] copy the same integers, and a snapshot
+//!   never holds half a statement. One function (`Counts::count`) writes
+//!   them, from the statement's kind, its decision's `Outcome` provenance,
+//!   what the store returned and its solver work; the decision itself
+//!   counts nothing. The two histograms (decision latency, ended sessions'
+//!   sizes) are lock-free and sit beside the lock; the point-in-time
+//!   gauges (live sessions, journal, memory) are read when the exposition
+//!   is written.
 //! * **Provenance** — each `execute` laps a [`PhaseTimer`] across the
 //!   decision phases (`decide` reports its boundaries through a callback),
-//!   rolls up the solver work it did, and `finish` publishes one
-//!   [`DecisionEvent`] into the [`EventJournal`], after the state lock is
-//!   released: it takes the journal's lock once per statement, for the
+//!   rolls up the solver work it did under the state lock, and `finish`
+//!   publishes one [`DecisionEvent`] into the [`EventJournal`], after the
+//!   state lock is released: it takes the journal's lock once per statement, for the
 //!   copy of one event. A reader holds that lock while it copies at most
 //!   one page out (the server caps a `journal` page at 512 events), so that
 //!   copy is the longest a decision can wait on it.
@@ -140,8 +144,8 @@ use crate::error::CoreError;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::mem::HeapUsage;
 use crate::obs::{
-    template_hash, CacheTier, Counter, DecisionEvent, EventJournal, Gauge, MemoryGauges,
-    MetricsRegistry, Phase, PhaseTimer, Verdict,
+    read_process_memory, template_hash, write_family, write_summary, CacheTier, DecisionEvent,
+    EventJournal, Phase, PhaseTimer, Verdict,
 };
 use crate::plan::{compile_plan, PlanCache, TemplatePlan, PLAN_CAPACITY};
 use crate::span::SpanSummary;
@@ -181,8 +185,8 @@ impl Default for ProxyConfig {
     }
 }
 
-/// Counters for reporting. A value of this type is a snapshot;
-/// the live counters are atomics inside the proxy.
+/// Counters for reporting. A value of this type is a snapshot; the live
+/// counters are plain integers in the proxy's locked state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProxyStats {
     /// Queries allowed.
@@ -218,98 +222,6 @@ pub struct ProxyStats {
     /// the exact sample; the exposition's `bep_decision_latency_ns`
     /// summary reports these).
     pub latency: LatencySnapshot,
-}
-
-/// The live, thread-safe counters behind [`ProxyStats`]. Every counter is
-/// a series in the proxy's [`MetricsRegistry`], so `stats()` snapshots and
-/// the metrics exposition read the very same atomics — there is no second
-/// bookkeeping path to drift.
-struct AtomicProxyStats {
-    allowed: Arc<Counter>,
-    blocked: Arc<Counter>,
-    template_cache_hits: Arc<Counter>,
-    template_proofs: Arc<Counter>,
-    template_negative_hits: Arc<Counter>,
-    session_cache_hits: Arc<Counter>,
-    deny_cache_hits: Arc<Counter>,
-    concrete_proofs: Arc<Counter>,
-    /// Fresh concrete proofs that denied. Registry-only: `ProxyStats` is
-    /// built by struct literal outside this crate, so it has no field.
-    concrete_denied: Arc<Counter>,
-    writes: Arc<Counter>,
-    write_allowed: Arc<Counter>,
-    write_blocked: Arc<Counter>,
-    write_passthrough: Arc<Counter>,
-    unchecked_statements: Arc<Counter>,
-    latency: Arc<LatencyHistogram>,
-}
-
-impl AtomicProxyStats {
-    fn register(r: &MetricsRegistry) -> AtomicProxyStats {
-        let decisions = "Decisions by final verdict";
-        let hits = "Cache hits by the tier that short-circuited the work";
-        let proofs = "Fresh proofs by kind";
-        AtomicProxyStats {
-            allowed: r.counter("bep_decisions_total", decisions, &[("decision", "allowed")]),
-            blocked: r.counter("bep_decisions_total", decisions, &[("decision", "blocked")]),
-            template_cache_hits: r.counter("bep_cache_hits_total", hits, &[("tier", "template")]),
-            template_proofs: r.counter("bep_proofs_total", proofs, &[("kind", "template")]),
-            template_negative_hits: r.counter(
-                "bep_cache_hits_total",
-                hits,
-                &[("tier", "negative-template")],
-            ),
-            session_cache_hits: r.counter("bep_cache_hits_total", hits, &[("tier", "session")]),
-            deny_cache_hits: r.counter("bep_cache_hits_total", hits, &[("tier", "deny")]),
-            concrete_proofs: r.counter("bep_proofs_total", proofs, &[("kind", "concrete")]),
-            concrete_denied: r.counter("bep_proofs_total", proofs, &[("kind", "concrete-denied")]),
-            writes: r.counter("bep_writes_total", "DML statements passed through", &[]),
-            write_allowed: r.counter(
-                "bep_write_decisions_total",
-                "Write decisions by verdict",
-                &[("verdict", "allowed")],
-            ),
-            write_blocked: r.counter(
-                "bep_write_decisions_total",
-                "Write decisions by verdict",
-                &[("verdict", "blocked")],
-            ),
-            write_passthrough: r.counter(
-                "bep_write_decisions_total",
-                "Write decisions by verdict",
-                &[("verdict", "passthrough")],
-            ),
-            unchecked_statements: r.counter(
-                "bep_unchecked_statements_total",
-                "Statements executed with enforcement bypassed",
-                &[],
-            ),
-            latency: r.histogram(
-                "bep_decision_latency_ns",
-                "End-to-end execute latency in nanoseconds",
-                &[],
-            ),
-        }
-    }
-
-    fn snapshot(&self) -> ProxyStats {
-        ProxyStats {
-            allowed: self.allowed.get(),
-            blocked: self.blocked.get(),
-            template_cache_hits: self.template_cache_hits.get(),
-            template_proofs: self.template_proofs.get(),
-            template_negative_hits: self.template_negative_hits.get(),
-            session_cache_hits: self.session_cache_hits.get(),
-            deny_cache_hits: self.deny_cache_hits.get(),
-            concrete_proofs: self.concrete_proofs.get(),
-            writes: self.writes.get(),
-            write_allowed: self.write_allowed.get(),
-            write_blocked: self.write_blocked.get(),
-            write_passthrough: self.write_passthrough.get(),
-            unchecked_statements: self.unchecked_statements.get(),
-            latency: self.latency.snapshot(),
-        }
-    }
 }
 
 /// The response to a proxied statement.
@@ -352,38 +264,20 @@ impl ProxyResponse {
 /// `Arc` or scoped borrows; statements decide one at a time under its state
 /// lock (module docs, "Concurrency model").
 pub struct SqlProxy {
-    /// The database and every live session, behind the one lock a
-    /// statement holds from its sync to its write-back.
+    /// The database, every live session and the counters, behind the one
+    /// lock a statement holds from its sync to its write-back.
     state: Mutex<State>,
     checker: ComplianceChecker,
     config: ProxyConfig,
     plans: PlanCache,
-    stats: AtomicProxyStats,
-    registry: MetricsRegistry,
     journal: EventJournal,
-    /// Point-in-time gauges refreshed by [`SqlProxy::metrics_text`].
-    sessions_gauge: Arc<Gauge>,
-    journal_published: Arc<Gauge>,
-    journal_evicted: Arc<Gauge>,
-    /// Process RSS/VmHWM gauges refreshed by [`SqlProxy::metrics_text`].
-    memory: MemoryGauges,
-    /// `bep_span_solver_total{counter=...}` series, fed from the journaled
-    /// events' span summaries: rewrite iterations, containment checks, hom
-    /// nodes, hom backtracks — in that order.
-    span_counters: [Arc<Counter>; 4],
-    /// Component heap gauges (`bep_mem_bytes{component=...}`), refreshed
-    /// by [`SqlProxy::metrics_text`]: plan cache, session state, journal —
-    /// in that order.
-    mem_gauges: [Arc<Gauge>; 3],
+    /// End-to-end `execute` latency (`bep_decision_latency_ns`), recorded
+    /// after the state lock is released.
+    latency: LatencyHistogram,
     /// Heap bytes of each session's state at the moment it ended
     /// (`bep_session_state_bytes`; recorded once per session, so scrapes
     /// never double-count a live session).
-    session_state_bytes_hist: Arc<LatencyHistogram>,
-    /// Policy-lint warnings emitted (`bep_policy_lint_warnings`).
-    lint_warnings: Arc<Counter>,
-    /// Cache evictions (`bep_cache_evictions_total{tier=...}`): plan,
-    /// session-allow, session-deny — in that order.
-    eviction_counters: [Arc<Counter>; 3],
+    session_state_bytes: LatencyHistogram,
 }
 
 /// What statements read and write besides the plan cache.
@@ -394,6 +288,99 @@ struct State {
     sessions: Sessions,
     /// The id the next session is given.
     next_session: u64,
+    counts: Counts,
+}
+
+/// The proxy's lifetime counters. A statement counts under the state lock
+/// it decides under, so [`SqlProxy::stats`] and [`SqlProxy::metrics_text`]
+/// copy the same integers, and never half a statement.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    /// Every [`ProxyStats`] counter; its `latency` stays empty (the
+    /// histogram sits beside the lock, in [`SqlProxy`]).
+    stats: ProxyStats,
+    /// Fresh concrete proofs that denied
+    /// (`bep_proofs_total{kind="concrete-denied"}`). `ProxyStats` is built
+    /// by struct literal outside this crate, so it has no field.
+    concrete_denied: u64,
+    /// Solver work of the statements that ran
+    /// (`bep_span_solver_total{counter=...}`): rewrite iterations,
+    /// containment checks, hom nodes, hom backtracks — in that order.
+    solver: [u64; 4],
+    /// Session allow- and deny-cache evictions, in that order.
+    session_evictions: [u64; 2],
+    /// Policy-lint warnings emitted (`bep_policy_lint_warnings`).
+    lint_warnings: u64,
+}
+
+impl Counts {
+    /// Counts one statement from its kind, its decision's provenance, what
+    /// the store returned and the solver work it did; returns what to
+    /// publish, or `None` for a statement that did not run. Only an allowed
+    /// statement reaches the store, so a store error is an allowed verdict
+    /// that did not run: it counts its tier and `write_allowed`, not
+    /// `allowed`, `writes` or its solver work.
+    fn count(
+        &mut self,
+        kind: Kind<'_>,
+        prov: Provenance,
+        result: &Result<ProxyResponse, CoreError>,
+        span: SpanSummary,
+    ) -> Decided {
+        let s = &mut self.stats;
+        let response = result.as_ref().ok();
+        let allowed = response.is_none_or(ProxyResponse::is_allowed);
+        match prov.tier {
+            // A template verdict that blocks (a never-covered write) is no
+            // proof or hit of the allowing kind these count.
+            CacheTier::TemplateProof if allowed => s.template_proofs += 1,
+            CacheTier::TemplateCache if allowed => s.template_cache_hits += 1,
+            CacheTier::SessionCache => s.session_cache_hits += 1,
+            CacheTier::DenyCache => s.deny_cache_hits += 1,
+            CacheTier::ConcreteProof if allowed => s.concrete_proofs += 1,
+            CacheTier::ConcreteProof => self.concrete_denied += 1,
+            _ => {}
+        }
+        s.template_negative_hits += prov.negative_template_hit as u64;
+        let ran = response.is_some();
+        match (kind, response) {
+            (kind, Some(ProxyResponse::Blocked(reason))) => {
+                s.blocked += 1;
+                // A malformed write (an unbound parameter) is blocked
+                // before any tier, so it is no write decision.
+                let malformed = matches!(reason, DenyReason::ParseError(_));
+                if matches!(kind, Kind::Write(_)) && !malformed {
+                    s.write_blocked += 1;
+                }
+            }
+            (Kind::Read(_), _) => s.allowed += ran as u64,
+            // A write or a passthrough: malformed text is always blocked.
+            (kind, _) => {
+                match kind {
+                    Kind::Write(_) => s.write_allowed += 1,
+                    _ => s.write_passthrough += 1,
+                }
+                s.writes += ran as u64;
+            }
+        }
+        if !ran {
+            return None;
+        }
+        let solver = [
+            span.rewrite_iterations,
+            span.containment_checks,
+            span.hom_nodes,
+            span.hom_backtracks,
+        ];
+        for (total, n) in self.solver.iter_mut().zip(solver) {
+            *total += u64::from(n);
+        }
+        let verdict = match allowed {
+            true => Verdict::Allowed,
+            false => Verdict::Blocked,
+        };
+        Some((verdict, prov, span))
+    }
 }
 
 /// Live sessions by id. The proxy mints every id, so the table needs no
@@ -405,69 +392,19 @@ type Sessions = HashMap<u64, SessionState, BuildHasherDefault<DefaultHasher>>;
 impl SqlProxy {
     /// Wraps a database with enforcement.
     pub fn new(db: Database, checker: ComplianceChecker, config: ProxyConfig) -> SqlProxy {
-        let registry = MetricsRegistry::new();
-        let stats = AtomicProxyStats::register(&registry);
-        let sessions_gauge = registry.gauge("bep_sessions", "Live sessions", &[]);
-        let journal_published = registry.gauge(
-            "bep_journal_published",
-            "Decision events ever published to the journal",
-            &[],
-        );
-        let journal_evicted = registry.gauge(
-            "bep_journal_evicted",
-            "Journal events evicted by ring wrap-around",
-            &[],
-        );
-        let memory = MemoryGauges::register(&registry);
-        let solver = "Solver work rolled up from decision span summaries";
-        let span_counters = [
-            "rewrite-iterations",
-            "containment-checks",
-            "hom-nodes",
-            "hom-backtracks",
-        ]
-        .map(|c| registry.counter("bep_span_solver_total", solver, &[("counter", c)]));
-        let heap = "Heap bytes currently owned, by component";
-        let mem_gauges = ["plan-cache", "session-state", "journal"]
-            .map(|c| registry.gauge("bep_mem_bytes", heap, &[("component", c)]));
-        let session_state_bytes_hist = registry.histogram(
-            "bep_session_state_bytes",
-            "Heap bytes of a session's state when it ended",
-            &[],
-        );
-        let lint_warnings = registry.counter(
-            "bep_policy_lint_warnings",
-            "Startup policy-lint warnings (handler columns missing from view heads)",
-            &[],
-        );
-        let evictions = "Bounded-cache evictions by tier (SIEVE)";
-        let eviction_counters = ["plan", "session-allow", "session-deny"]
-            .map(|t| registry.counter("bep_cache_evictions_total", evictions, &[("tier", t)]));
         SqlProxy {
             state: Mutex::new(State {
                 store: Store::new(db),
                 sessions: Sessions::default(),
                 next_session: 1,
+                counts: Counts::default(),
             }),
             checker,
             config,
-            plans: PlanCache::with_budget(
-                PLAN_CAPACITY,
-                config.plan_budget_bytes,
-                Some(eviction_counters[0].clone()),
-            ),
-            stats,
-            registry,
+            plans: PlanCache::with_budget(PLAN_CAPACITY, config.plan_budget_bytes),
             journal: EventJournal::with_capacity(config.journal_capacity),
-            sessions_gauge,
-            journal_published,
-            journal_evicted,
-            memory,
-            span_counters,
-            mem_gauges,
-            session_state_bytes_hist,
-            lint_warnings,
-            eviction_counters,
+            latency: LatencyHistogram::new(),
+            session_state_bytes: LatencyHistogram::new(),
         }
     }
 
@@ -491,8 +428,7 @@ impl SqlProxy {
         match state {
             Some(state) => {
                 let bytes = state.heap_bytes();
-                self.session_state_bytes_hist
-                    .record(Duration::from_nanos(bytes as u64));
+                (self.session_state_bytes).record(Duration::from_nanos(bytes as u64));
                 true
             }
             None => false,
@@ -511,13 +447,18 @@ impl SqlProxy {
         self.state.lock().sessions.len()
     }
 
-    /// Execution counters, read in one pass. The snapshot is exact when no
-    /// statement is deciding (after worker threads join, or between a
-    /// client's requests); every caller in this repository reads it then.
-    /// Read under live traffic, each field is exact and monotone, but two
-    /// fields may straddle a statement.
+    /// Execution counters: an exact snapshot, copied under the state lock,
+    /// so it never holds half a statement even under live traffic (every
+    /// counter of a statement moves under the one lock acquisition it
+    /// decides under). The `latency` histogram is recorded after that lock
+    /// is released, so a snapshot taken while statements run may not hold
+    /// their samples yet.
     pub fn stats(&self) -> ProxyStats {
-        self.stats.snapshot()
+        let stats = self.state.lock().counts.stats;
+        ProxyStats {
+            latency: self.latency.snapshot(),
+            ..stats
+        }
     }
 
     /// The decision-event journal: one [`DecisionEvent`] per decided
@@ -526,29 +467,156 @@ impl SqlProxy {
         &self.journal
     }
 
-    /// The proxy's metrics registry, for registering extra series next to
-    /// the built-in ones (the server layer adds its own).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Renders the Prometheus text exposition, refreshing the
-    /// point-in-time gauges (live sessions, journal accounting, component
-    /// heap bytes) first.
+    /// Renders the Prometheus text exposition. The counters are copied
+    /// under one acquisition of the state lock, with the live sessions and
+    /// their heap bytes; the journal, the process memory and the other
+    /// components are read as the text is written.
     pub fn metrics_text(&self) -> String {
-        let (live, sessions) = {
+        let (counts, live, sessions) = {
             let state = self.state.lock();
-            (state.sessions.len(), sessions_heap_bytes(&state.sessions))
+            let bytes = sessions_heap_bytes(&state.sessions);
+            (state.counts, state.sessions.len(), bytes)
         };
-        self.sessions_gauge.set(live as u64);
-        self.journal_published.set(self.journal.published());
-        self.journal_evicted.set(self.journal.evicted());
-        self.memory.sample();
+        let s = &counts.stats;
+        let memory = read_process_memory();
         let components = self.components_with(sessions);
-        for (gauge, (_, bytes)) in self.mem_gauges.iter().zip(components) {
-            gauge.set(bytes as u64);
-        }
-        self.registry.render()
+        let [plan, allow, deny] = self.eviction_counts(&counts);
+        let mut out = String::new();
+        let counter = |out: &mut String, name, help, label, samples: &[(&str, u64)]| {
+            write_family(out, name, help, "counter", label, samples)
+        };
+        let gauge = |out: &mut String, name, help, value| {
+            write_family(out, name, help, "gauge", "", &[("", value)])
+        };
+        counter(
+            &mut out,
+            "bep_decisions_total",
+            "Decisions by final verdict",
+            "decision",
+            &[("allowed", s.allowed), ("blocked", s.blocked)],
+        );
+        counter(
+            &mut out,
+            "bep_cache_hits_total",
+            "Cache hits by the tier that short-circuited the work",
+            "tier",
+            &[
+                ("template", s.template_cache_hits),
+                ("negative-template", s.template_negative_hits),
+                ("session", s.session_cache_hits),
+                ("deny", s.deny_cache_hits),
+            ],
+        );
+        counter(
+            &mut out,
+            "bep_proofs_total",
+            "Fresh proofs by kind",
+            "kind",
+            &[
+                ("template", s.template_proofs),
+                ("concrete", s.concrete_proofs),
+                ("concrete-denied", counts.concrete_denied),
+            ],
+        );
+        counter(
+            &mut out,
+            "bep_writes_total",
+            "DML statements passed through",
+            "",
+            &[("", s.writes)],
+        );
+        counter(
+            &mut out,
+            "bep_write_decisions_total",
+            "Write decisions by verdict",
+            "verdict",
+            &[
+                ("allowed", s.write_allowed),
+                ("blocked", s.write_blocked),
+                ("passthrough", s.write_passthrough),
+            ],
+        );
+        counter(
+            &mut out,
+            "bep_unchecked_statements_total",
+            "Statements executed with enforcement bypassed",
+            "",
+            &[("", s.unchecked_statements)],
+        );
+        write_summary(
+            &mut out,
+            "bep_decision_latency_ns",
+            "End-to-end execute latency in nanoseconds",
+            self.latency.snapshot(),
+        );
+        gauge(&mut out, "bep_sessions", "Live sessions", live as u64);
+        gauge(
+            &mut out,
+            "bep_journal_published",
+            "Decision events ever published to the journal",
+            self.journal.published(),
+        );
+        gauge(
+            &mut out,
+            "bep_journal_evicted",
+            "Journal events evicted by ring wrap-around",
+            self.journal.evicted(),
+        );
+        gauge(
+            &mut out,
+            "bep_process_resident_bytes",
+            "Resident set size (RSS) of this process in bytes",
+            memory.resident_bytes,
+        );
+        gauge(
+            &mut out,
+            "bep_process_vm_hwm_bytes",
+            "Peak resident set size (VmHWM) of this process in bytes",
+            memory.peak_resident_bytes,
+        );
+        let [rw, cc, hn, hb] = counts.solver;
+        counter(
+            &mut out,
+            "bep_span_solver_total",
+            "Solver work rolled up from decision span summaries",
+            "counter",
+            &[
+                ("rewrite-iterations", rw),
+                ("containment-checks", cc),
+                ("hom-nodes", hn),
+                ("hom-backtracks", hb),
+            ],
+        );
+        let [plan_cache, session_state, journal, _] = components.map(|(c, b)| (c, b as u64));
+        write_family(
+            &mut out,
+            "bep_mem_bytes",
+            "Heap bytes currently owned, by component",
+            "gauge",
+            "component",
+            &[plan_cache, session_state, journal],
+        );
+        write_summary(
+            &mut out,
+            "bep_session_state_bytes",
+            "Heap bytes of a session's state when it ended",
+            self.session_state_bytes.snapshot(),
+        );
+        counter(
+            &mut out,
+            "bep_policy_lint_warnings",
+            "Startup policy-lint warnings (handler columns missing from view heads)",
+            "",
+            &[("", counts.lint_warnings)],
+        );
+        counter(
+            &mut out,
+            "bep_cache_evictions_total",
+            "Bounded-cache evictions by tier (SIEVE)",
+            "tier",
+            &[plan, allow, deny],
+        );
+        out
     }
 
     /// Point-in-time heap bytes per retaining component, in the same
@@ -577,11 +645,18 @@ impl SqlProxy {
     /// Lifetime cache evictions per tier, in `bep_cache_evictions_total`
     /// label order: plan, session-allow, session-deny.
     pub fn cache_eviction_counts(&self) -> [(&'static str, u64); 3] {
-        let [plan, allow, deny] = &self.eviction_counters;
+        let counts = self.state.lock().counts;
+        self.eviction_counts(&counts)
+    }
+
+    /// [`cache_eviction_counts`](Self::cache_eviction_counts) with the
+    /// counters already copied.
+    fn eviction_counts(&self, counts: &Counts) -> [(&'static str, u64); 3] {
+        let [allow, deny] = counts.session_evictions;
         [
-            ("plan", plan.get()),
-            ("session-allow", allow.get()),
-            ("session-deny", deny.get()),
+            ("plan", self.plans.evicted_plans()),
+            ("session-allow", allow),
+            ("session-deny", deny),
         ]
     }
 
@@ -589,7 +664,7 @@ impl SqlProxy {
     /// when it ends. The histogram reuses the latency machinery, so every
     /// `_ns` field of the snapshot reads as **bytes**.
     pub fn session_state_size_snapshot(&self) -> LatencySnapshot {
-        self.session_state_bytes_hist.snapshot()
+        self.session_state_bytes.snapshot()
     }
 
     /// Runs the startup policy lints over a set of SQL templates (e.g. an
@@ -597,7 +672,7 @@ impl SqlProxy {
     /// `bep_policy_lint_warnings`. Advisory: enforcement is unchanged.
     pub fn lint_templates<'a>(&self, templates: impl IntoIterator<Item = &'a str>) -> Vec<String> {
         let warnings = crate::lint::lint_templates(&self.checker, templates);
-        self.lint_warnings.add(warnings.len() as u64);
+        self.state.lock().counts.lint_warnings += warnings.len() as u64;
         warnings
     }
 
@@ -619,7 +694,8 @@ impl SqlProxy {
 
     /// Runs `f` with shared access to the wrapped database (e.g. for test
     /// assertions), under the state lock. Do not call the proxy from
-    /// inside `f`.
+    /// inside `f`: the lock is not reentrant, so any call that takes it —
+    /// `execute`, `stats()` and `metrics_text()` among them — deadlocks.
     pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
         f(&self.state.lock().store.db)
     }
@@ -654,8 +730,8 @@ impl SqlProxy {
     /// One statement from clock start to published event: `resolve` yields
     /// the plan, whether this request compiled it (its laps already
     /// attributed) and any lifted literals' bindings; `decide_and_run`
-    /// decides, executes and applies; `finish` derives every counter and
-    /// the event from the outcome.
+    /// decides, executes, applies and counts; `finish` records the latency
+    /// and publishes the event.
     ///
     /// Takes `&self` and may be called from any thread: the plan lookup
     /// runs under the plan cache's lock alone, and the rest of the
@@ -667,16 +743,17 @@ impl SqlProxy {
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
         let hash = template_hash(sql);
-        // The decision runs on this thread, so the solver counters `finish`
-        // takes are this decision's work alone once whatever accumulated
-        // before it (any other solver use on this thread) is discarded here.
+        // The decision runs on this thread, so the solver counters
+        // `decide_and_run` takes are this decision's work alone once
+        // whatever accumulated before it (any other solver use on this
+        // thread) is discarded here.
         qlogic::probe::take();
         let t0 = Instant::now();
         let mut timer = PhaseTimer::start();
         let (plan, built, lifted) = self.resolve(sql, hash, &mut timer);
         let (decided, result) =
             self.decide_and_run(session_id, &plan, built, extra_bindings, lifted, &mut timer);
-        self.finish(session_id, plan.hash(), t0, &timer, decided, &result);
+        self.finish(session_id, plan.hash(), t0, &timer, decided);
         result
     }
 
@@ -719,30 +796,41 @@ impl SqlProxy {
         (plan, built, Vec::new())
     }
 
-    /// Decides one statement, runs its permit if allowed, and applies its
-    /// effects on the session. A parse error is answered before the
-    /// session lookup, since it never depends on the session. Everything
-    /// else happens under one acquisition of the state lock, in order: the
-    /// session's sync to the write epoch, its lookup and the binding
-    /// merge, [`decide`], the permit's run, [`observe`] and
-    /// [`SessionState::apply`].
-    fn decide_and_run<'p>(
+    /// Decides one statement, runs its permit if allowed, applies its
+    /// effects on the session and counts it. A parse error is answered
+    /// before the session lookup, since it never depends on the session,
+    /// and takes the state lock only to count. Everything else happens
+    /// under one acquisition of the state lock, in order: the session's
+    /// sync to the write epoch, its lookup and the binding merge,
+    /// [`decide`], the permit's run, [`observe`], [`SessionState::apply`]
+    /// and [`Counts::count`].
+    fn decide_and_run(
         &self,
         session_id: u64,
-        plan: &'p TemplatePlan,
+        plan: &TemplatePlan,
         built: bool,
         extra_bindings: &[(String, Value)],
         lifted: Vec<(String, Value)>,
         timer: &mut PhaseTimer,
-    ) -> (Decided<'p>, Result<ProxyResponse, CoreError>) {
+    ) -> (Decided, Result<ProxyResponse, CoreError>) {
         let kind = Kind::of(plan.body(), self.config.enforce_writes);
         if let Kind::Malformed(msg) = kind {
-            let blocked = ProxyResponse::Blocked(DenyReason::ParseError(msg.to_string()));
-            return (Some((kind, Provenance::default())), Ok(blocked));
+            let result = Ok(ProxyResponse::Blocked(DenyReason::ParseError(
+                msg.to_string(),
+            )));
+            let span = SpanSummary::new(qlogic::probe::take(), 0, 0);
+            let counts = &mut self.state.lock().counts;
+            return (
+                counts.count(kind, Provenance::default(), &result, span),
+                result,
+            );
         }
         let mut state = self.state.lock();
         let State {
-            store, sessions, ..
+            store,
+            sessions,
+            counts,
+            ..
         } = &mut *state;
         let Some(session) = sessions.get_mut(&session_id) else {
             return (None, Err(CoreError::NoSuchSession(session_id)));
@@ -784,92 +872,33 @@ impl SqlProxy {
             _ => None,
         };
         let evicted = session.apply(remember, record, &mut |phase| timer.lap(phase));
-        let [_, allow, deny] = &self.eviction_counters;
-        for (counter, n) in [(allow, evicted.allow), (deny, evicted.deny)] {
-            if n > 0 {
-                counter.add(n as u64);
-            }
-        }
-        (Some((kind, prov)), result)
+        let [allow, deny] = &mut counts.session_evictions;
+        *allow += evicted.allow as u64;
+        *deny += evicted.deny as u64;
+        let span = SpanSummary::new(
+            qlogic::probe::take(),
+            prov.cert_replays,
+            prov.cert_fallbacks,
+        );
+        (counts.count(kind, prov, &result, span), result)
     }
 
-    /// The tail of [`execute`](Self::execute), and the one place a statement's
-    /// counters come from: latency, the tier and verdict counters derived
-    /// from `(kind, provenance, result)`, the solver roll-up and the
-    /// journal event. `decided` is `None` when the session does not exist:
-    /// that is the caller's bug, not a decision, so only latency is
-    /// recorded. Only an allowed statement reaches the store, so a store
-    /// error is an allowed verdict that did not run: it counts its tier
-    /// and `write_allowed`, not `allowed` or `writes`, and publishes no
-    /// event.
+    /// The tail of [`execute`](Self::execute), after the state lock is
+    /// released: records the latency, and publishes the journal event of a
+    /// statement that ran (`decided` is `None` for one that did not: a
+    /// store error, or a session that does not exist).
     fn finish(
         &self,
         session_id: u64,
         hash: u64,
         t0: Instant,
         timer: &PhaseTimer,
-        decided: Decided<'_>,
-        result: &Result<ProxyResponse, CoreError>,
+        decided: Decided,
     ) {
-        let s = &self.stats;
         let total = t0.elapsed();
-        s.latency.record(total);
-        let solver = qlogic::probe::take();
-        let Some((kind, prov)) = decided else {
+        self.latency.record(total);
+        let Some((verdict, prov, span)) = decided else {
             return;
-        };
-        let response = result.as_ref().ok();
-        let allowed = response.is_none_or(ProxyResponse::is_allowed);
-        match prov.tier {
-            // A template verdict that blocks (a never-covered write) is no
-            // proof or hit of the allowing kind these count.
-            CacheTier::TemplateProof if allowed => s.template_proofs.inc(),
-            CacheTier::TemplateCache if allowed => s.template_cache_hits.inc(),
-            CacheTier::SessionCache => s.session_cache_hits.inc(),
-            CacheTier::DenyCache => s.deny_cache_hits.inc(),
-            CacheTier::ConcreteProof if allowed => s.concrete_proofs.inc(),
-            CacheTier::ConcreteProof => s.concrete_denied.inc(),
-            _ => {}
-        }
-        if prov.negative_template_hit {
-            s.template_negative_hits.inc();
-        }
-        let ran = response.is_some();
-        match (kind, response) {
-            (kind, Some(ProxyResponse::Blocked(reason))) => {
-                s.blocked.inc();
-                // A malformed write (an unbound parameter) is blocked
-                // before any tier, so it is no write decision.
-                let malformed = matches!(reason, DenyReason::ParseError(_));
-                if matches!(kind, Kind::Write(_)) && !malformed {
-                    s.write_blocked.inc();
-                }
-            }
-            (Kind::Read(_), _) => s.allowed.add(ran as u64),
-            // A write or a passthrough: malformed text is always blocked.
-            (kind, _) => {
-                match kind {
-                    Kind::Write(_) => s.write_allowed.inc(),
-                    _ => s.write_passthrough.inc(),
-                }
-                s.writes.add(ran as u64);
-            }
-        }
-        if !ran {
-            return;
-        }
-        let span = SpanSummary::new(solver, prov.cert_replays, prov.cert_fallbacks);
-        if !span.is_empty() {
-            let [rw, cc, hn, hb] = &self.span_counters;
-            rw.add(span.rewrite_iterations as u64);
-            cc.add(span.containment_checks as u64);
-            hn.add(span.hom_nodes as u64);
-            hb.add(span.hom_backtracks as u64);
-        }
-        let verdict = if allowed {
-            Verdict::Allowed
-        } else {
-            Verdict::Blocked
         };
         self.journal.record(DecisionEvent {
             seq: 0, // assigned on publication
@@ -907,12 +936,18 @@ impl SqlProxy {
         sql: &str,
         bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
-        self.stats.unchecked_statements.inc();
-        let stmt = parse_statement(sql).map_err(|e| CoreError::Parse(e.to_string()))?;
-        if let Some(missing) = unbound_error(&params_in_bind_order(&stmt), bindings) {
-            return Err(CoreError::Parse(missing.to_string()));
-        }
-        let result = Permit::unchecked(&stmt).run(&mut self.state.lock().store, bindings);
+        let stmt = parse_statement(sql)
+            .map_err(|e| CoreError::Parse(e.to_string()))
+            .and_then(
+                |stmt| match unbound_error(&params_in_bind_order(&stmt), bindings) {
+                    Some(missing) => Err(CoreError::Parse(missing.to_string())),
+                    None => Ok(stmt),
+                },
+            );
+        // Counted whether or not it parses: the bypass was asked for.
+        let mut state = self.state.lock();
+        state.counts.stats.unchecked_statements += 1;
+        let result = Permit::unchecked(&stmt?).run(&mut state.store, bindings);
         Ok(result?.into())
     }
 
@@ -931,10 +966,9 @@ fn sessions_heap_bytes(sessions: &Sessions) -> usize {
             .sum::<usize>()
 }
 
-/// What [`SqlProxy::finish`] counts a statement by: its kind and its
-/// decision's provenance; `None` when the session does not exist, which is
-/// the caller's bug, not a decision.
-type Decided<'p> = Option<(Kind<'p>, Provenance)>;
+/// What [`SqlProxy::finish`] publishes for a statement that ran: its
+/// verdict, its decision's provenance and its solver work.
+type Decided = Option<(Verdict, Provenance, SpanSummary)>;
 
 /// Merged request-over-session bindings, and the lifted literals' over
 /// both: neither the statement nor a policy view may name a lifted

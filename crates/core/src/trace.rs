@@ -89,11 +89,12 @@
 //! # Revocation
 //!
 //! A fact holds in the database it was read from. An `UPDATE` or `DELETE`
-//! of a relation can falsify any fact over it (an `INSERT` falsifies none:
-//! facts are positive), so the proxy has a session whose trace is behind a
-//! write call [`Trace::revoke`] before it decides (`door.rs`). It drops
-//! every fact over a written relation, and every entry whose query reads
-//! one.
+//! that changes rows of a relation can falsify any fact over it (an
+//! `INSERT` falsifies none: facts are positive; a write minidb refuses, or
+//! one that matches no row, changes nothing), so the proxy has a session
+//! whose trace is behind such a write call [`Trace::revoke`] before it
+//! decides (`door.rs`). It drops every fact over a written relation, and
+//! every entry whose query reads one.
 //!
 //! * **Sound.** Every decision is monotone in the facts, so fewer facts
 //!   can only block more. A fact over another relation still holds, even

@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use bep_core::{CoreError, DenyReason, ProxyResponse, SqlProxy};
 
+use crate::event_loop::ReactorMetrics;
 use crate::protocol::{ErrorKind, Request, Response, PROTOCOL_VERSION};
 use crate::server::ServerConfig;
 
@@ -96,8 +97,13 @@ impl ConnCore {
     }
 
     /// Answers one decoded request, deciding `execute` inline; the flag says whether the connection
-    /// should close after sending the response.
-    pub(crate) fn classify(&mut self, request: Request) -> (Response, bool) {
+    /// should close after sending the response. A `metrics` answer carries
+    /// the reactor's counters after the proxy's.
+    pub(crate) fn classify(
+        &mut self,
+        request: Request,
+        reactor: &ReactorMetrics,
+    ) -> (Response, bool) {
         if !self.greeted {
             return match request {
                 Request::Hello { version } if version == PROTOCOL_VERSION => {
@@ -128,11 +134,11 @@ impl ConnCore {
             };
         }
         let close = matches!(request, Request::Shutdown);
-        (self.answer(request), close)
+        (self.answer(request, reactor), close)
     }
 
     /// [`classify`](Self::classify) past the handshake.
-    fn answer(&mut self, request: Request) -> Response {
+    fn answer(&mut self, request: Request, reactor: &ReactorMetrics) -> Response {
         let shared = &self.shared;
         match request {
             Request::Hello { .. } => Response::Error {
@@ -169,9 +175,11 @@ impl ConnCore {
                     Err(e) => core_error(e),
                 }
             }
-            Request::Metrics => Response::Metrics {
-                text: shared.proxy.metrics_text(),
-            },
+            Request::Metrics => {
+                let mut text = shared.proxy.metrics_text();
+                reactor.write(&mut text);
+                Response::Metrics { text }
+            }
             Request::Journal { after, max } => {
                 let journal = shared.proxy.journal();
                 let max = (max as usize).min(JOURNAL_BATCH_MAX);

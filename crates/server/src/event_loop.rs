@@ -84,39 +84,48 @@ impl Conn {
     }
 }
 
-/// Reactor instrumentation, registered into the proxy's metrics registry
-/// so `metrics` responses and the Prometheus exposition carry it.
-struct ReactorMetrics {
-    connections: Arc<bep_core::Gauge>,
-    accepted: Arc<bep_core::Counter>,
-    frames: Arc<bep_core::Counter>,
-    ticks: Arc<bep_core::Counter>,
+/// The reactor's counters, plain integers the reactor thread owns: the
+/// `metrics` frame, answered on that thread, appends them after the
+/// proxy's exposition.
+#[derive(Debug, Default)]
+pub(crate) struct ReactorMetrics {
+    /// Connections currently held.
+    connections: u64,
+    accepted: u64,
+    frames: u64,
+    ticks: u64,
 }
 
 impl ReactorMetrics {
-    fn new(shared: &ConnShared) -> ReactorMetrics {
-        let reg = shared.proxy.registry();
-        ReactorMetrics {
-            connections: reg.gauge(
+    /// Appends the four reactor families to an exposition.
+    pub(crate) fn write(&self, out: &mut String) {
+        for (name, help, kind, value) in [
+            (
                 "bep_reactor_connections",
                 "Connections currently held by the event loop",
-                &[],
+                "gauge",
+                self.connections,
             ),
-            accepted: reg.counter(
+            (
                 "bep_reactor_accepted_total",
                 "Connections accepted by the event loop",
-                &[],
+                "counter",
+                self.accepted,
             ),
-            frames: reg.counter(
+            (
                 "bep_reactor_frames_total",
                 "Request frames decoded by the event loop",
-                &[],
+                "counter",
+                self.frames,
             ),
-            ticks: reg.counter(
+            (
                 "bep_reactor_ticks_total",
                 "Event-loop iterations (poll wakeups and timeouts)",
-                &[],
+                "counter",
+                self.ticks,
             ),
+        ] {
+            bep_core::write_family(out, name, help, kind, "", &[("", value)]);
         }
     }
 }
@@ -149,7 +158,7 @@ pub(crate) fn run(
         return;
     }
 
-    let metrics = ReactorMetrics::new(&shared);
+    let mut metrics = ReactorMetrics::default();
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = TOKEN_FIRST_CONN;
     // Connections that still hold complete-but-undecoded frames after the
@@ -172,9 +181,9 @@ pub(crate) fn run(
         if poller.wait(timeout, &mut events).is_err() {
             return;
         }
-        metrics.ticks.inc();
+        metrics.ticks += 1;
         if shared.shutdown.load(Ordering::Acquire) {
-            farewell(&mut conns, &metrics);
+            farewell(&mut conns);
             return;
         }
 
@@ -185,7 +194,7 @@ pub(crate) fn run(
         // no readiness event will re-announce.
         for token in std::mem::take(&mut hot) {
             if let Some(conn) = conns.get_mut(&token) {
-                drain_frames(conn, &metrics, &mut hot);
+                drain_frames(conn, &mut metrics, &mut hot);
                 touched.push(token);
             }
         }
@@ -206,7 +215,7 @@ pub(crate) fn run(
                             dead.push(token);
                             continue;
                         }
-                        drain_frames(conn, &metrics, &mut hot);
+                        drain_frames(conn, &mut metrics, &mut hot);
                     }
                     touched.push(token);
                 }
@@ -225,7 +234,7 @@ pub(crate) fn run(
         }
 
         for token in dead {
-            drop_conn(&mut conns, token, &poller, &metrics);
+            drop_conn(&mut conns, token, &poller, &mut metrics);
         }
 
         if accept_pending {
@@ -235,7 +244,7 @@ pub(crate) fn run(
                 &poller,
                 &mut conns,
                 &mut next_token,
-                &metrics,
+                &mut metrics,
                 &busy_rejections,
             );
         }
@@ -259,7 +268,7 @@ pub(crate) fn run(
                         let _ = conn.stream.write_all(&bye);
                     }
                 }
-                drop_conn(&mut conns, token, &poller, &metrics);
+                drop_conn(&mut conns, token, &poller, &mut metrics);
             }
         }
     }
@@ -299,7 +308,7 @@ fn read_ready(conn: &mut Conn, scratch: &mut [u8]) -> bool {
 /// Decodes up to the fairness cap of frames from one connection,
 /// answering each (decisions included) into the connection's write buffer
 /// before decoding the next.
-fn drain_frames(conn: &mut Conn, metrics: &ReactorMetrics, hot: &mut Vec<u64>) {
+fn drain_frames(conn: &mut Conn, metrics: &mut ReactorMetrics, hot: &mut Vec<u64>) {
     for _ in 0..FRAMES_PER_CONN_PER_TICK {
         let payload = match conn.decoder.next_frame() {
             Ok(Some(p)) => p,
@@ -318,7 +327,7 @@ fn drain_frames(conn: &mut Conn, metrics: &ReactorMetrics, hot: &mut Vec<u64>) {
                 return;
             }
         };
-        metrics.frames.inc();
+        metrics.frames += 1;
         conn.last_activity = Instant::now();
         let request = match ConnCore::parse(&payload) {
             Ok(r) => r,
@@ -328,7 +337,7 @@ fn drain_frames(conn: &mut Conn, metrics: &ReactorMetrics, hot: &mut Vec<u64>) {
                 continue;
             }
         };
-        let (response, close) = conn.core.classify(request);
+        let (response, close) = conn.core.classify(request, metrics);
         conn.push_response(&response);
         if close {
             conn.close_after_flush = true;
@@ -384,7 +393,7 @@ fn accept_burst(
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
-    metrics: &ReactorMetrics,
+    metrics: &mut ReactorMetrics,
     busy_rejections: &AtomicU64,
 ) {
     loop {
@@ -431,8 +440,8 @@ fn accept_burst(
                 want_write: false,
             },
         );
-        metrics.accepted.inc();
-        metrics.connections.set(conns.len() as u64);
+        metrics.accepted += 1;
+        metrics.connections = conns.len() as u64;
     }
 }
 
@@ -442,17 +451,17 @@ fn drop_conn(
     conns: &mut HashMap<u64, Conn>,
     token: u64,
     poller: &Poller,
-    metrics: &ReactorMetrics,
+    metrics: &mut ReactorMetrics,
 ) {
     if let Some(conn) = conns.remove(&token) {
         let _ = poller.deregister(fd_of(&conn.stream));
-        metrics.connections.set(conns.len() as u64);
+        metrics.connections = conns.len() as u64;
     }
 }
 
 /// Shutdown drain: best-effort `bye` to every connection, then close all
 /// (each [`ConnCore`] sweeps its sessions on drop).
-fn farewell(conns: &mut HashMap<u64, Conn>, metrics: &ReactorMetrics) {
+fn farewell(conns: &mut HashMap<u64, Conn>) {
     let bye = frame_bytes(Response::Bye.to_wire().as_bytes());
     for conn in conns.values_mut() {
         if conn.pending_out() {
@@ -462,5 +471,4 @@ fn farewell(conns: &mut HashMap<u64, Conn>, metrics: &ReactorMetrics) {
         let _ = conn.stream.shutdown(Shutdown::Write);
     }
     conns.clear();
-    metrics.connections.set(0);
 }

@@ -10,7 +10,7 @@
 //! | `begin` | `bindings` | open a session with policy-parameter bindings |
 //! | `execute` | `session`, `sql`, `bindings` | run one statement under enforcement |
 //! | `trace` | `session` | summarize the session's trace: entries and facts |
-//! | `metrics` | | Prometheus text exposition of the proxy's registry (every counter, gauge and latency quantile) |
+//! | `metrics` | | Prometheus text exposition: the proxy's counters, gauges and latency quantiles, then the reactor's four |
 //! | `journal` | `after`, `max` | drain decision events with sequence ≥ `after` |
 //! | `end` | `session` | end a session (idempotent) |
 //! | `shutdown` | | ask the whole server to drain and stop |

@@ -75,8 +75,9 @@ fn idle_connections_do_not_grow_the_thread_count() {
     assert!(late.execute(late_session, sql, &[]).unwrap().is_allowed());
     assert!(client.execute(session, sql, &[]).unwrap().is_allowed());
     assert!(
-        proxy
-            .metrics_text()
+        client
+            .metrics()
+            .unwrap()
             .contains(&format!("bep_reactor_connections {}\n", n + 2)),
         "the reactor holds the {n} idle connections and the two clients"
     );

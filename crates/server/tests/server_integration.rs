@@ -1030,3 +1030,193 @@ fn journal_paging_delivers_each_event_once_or_counts_it_lost() {
     assert_eq!(ahead.dropped(), 0);
     server.shutdown();
 }
+
+/// The exposition's skeleton: every `# HELP`/`# TYPE` line and every
+/// sample's name with its labels, in order, with the values masked.
+fn skeleton(text: &str) -> Vec<String> {
+    text.lines()
+        .map(|l| match l.starts_with('#') {
+            true => l.to_string(),
+            false => l
+                .rsplit_once(' ')
+                .expect("a sample has a value")
+                .0
+                .to_string(),
+        })
+        .collect()
+}
+
+#[test]
+fn the_exposition_keeps_its_families_order_help_and_labels() {
+    // A fixed script that moves every family: a template allow, a concrete
+    // allow and a concrete denial, an enforced write, a passthrough, an
+    // unchecked statement, one lint warning and one ended session.
+    // The calendar, plus a table no view exports, for the lint to flag.
+    let mut db = calendar_db();
+    db.execute_sql("CREATE TABLE Lonely (X INT PRIMARY KEY)")
+        .unwrap();
+    let schema = schema_of_database(&db);
+    let views = [
+        ("V1", "SELECT EId FROM Attendance WHERE UId = ?MyUId"),
+        (
+            "V2",
+            "SELECT * FROM Events e JOIN Attendance a ON e.EId = a.EId WHERE a.UId = ?MyUId",
+        ),
+    ];
+    let policy = Policy::from_sql(&schema, &views).unwrap();
+    let config = ProxyConfig {
+        enforce_writes: true,
+        ..ProxyConfig::default()
+    };
+    let checker = ComplianceChecker::new(schema, policy);
+    let proxy = Arc::new(SqlProxy::new(db, checker, config));
+    let server =
+        Server::start(Arc::clone(&proxy), ServerConfig::default(), "127.0.0.1:0").expect("bind");
+    let mut c = Client::connect(server.addr(), IO).unwrap();
+    let s = c.begin(uid_bindings(1)).unwrap();
+    let allowed = [
+        "SELECT EId FROM Attendance WHERE UId = ?MyUId",
+        "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2",
+        "SELECT * FROM Events WHERE EId = 2",
+        "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = 2",
+        "CREATE TABLE Scratch (X INT PRIMARY KEY)",
+    ];
+    for sql in allowed {
+        assert!(c.execute(s, sql, &[]).unwrap().is_allowed(), "{sql}");
+    }
+    let denied = "SELECT * FROM Events WHERE EId = 3";
+    assert!(!c.execute(s, denied, &[]).unwrap().is_allowed());
+    proxy
+        .execute_unchecked("SELECT 1 FROM Events", &[])
+        .unwrap();
+    let warnings = proxy.lint_templates(["SELECT X FROM Lonely"]);
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(c.end(s).unwrap());
+
+    let text = c.metrics().unwrap();
+    let summary = |name: &str| {
+        [
+            format!("{name}{{quantile=\"0.5\"}}"),
+            format!("{name}{{quantile=\"0.95\"}}"),
+            format!("{name}{{quantile=\"0.99\"}}"),
+            format!("{name}_sum"),
+            format!("{name}_count"),
+        ]
+    };
+    let mut expected: Vec<String> = [
+        "# HELP bep_decisions_total Decisions by final verdict",
+        "# TYPE bep_decisions_total counter",
+        "bep_decisions_total{decision=\"allowed\"}",
+        "bep_decisions_total{decision=\"blocked\"}",
+        "# HELP bep_cache_hits_total Cache hits by the tier that short-circuited the work",
+        "# TYPE bep_cache_hits_total counter",
+        "bep_cache_hits_total{tier=\"template\"}",
+        "bep_cache_hits_total{tier=\"negative-template\"}",
+        "bep_cache_hits_total{tier=\"session\"}",
+        "bep_cache_hits_total{tier=\"deny\"}",
+        "# HELP bep_proofs_total Fresh proofs by kind",
+        "# TYPE bep_proofs_total counter",
+        "bep_proofs_total{kind=\"template\"}",
+        "bep_proofs_total{kind=\"concrete\"}",
+        "bep_proofs_total{kind=\"concrete-denied\"}",
+        "# HELP bep_writes_total DML statements passed through",
+        "# TYPE bep_writes_total counter",
+        "bep_writes_total",
+        "# HELP bep_write_decisions_total Write decisions by verdict",
+        "# TYPE bep_write_decisions_total counter",
+        "bep_write_decisions_total{verdict=\"allowed\"}",
+        "bep_write_decisions_total{verdict=\"blocked\"}",
+        "bep_write_decisions_total{verdict=\"passthrough\"}",
+        "# HELP bep_unchecked_statements_total Statements executed with enforcement bypassed",
+        "# TYPE bep_unchecked_statements_total counter",
+        "bep_unchecked_statements_total",
+        "# HELP bep_decision_latency_ns End-to-end execute latency in nanoseconds",
+        "# TYPE bep_decision_latency_ns summary",
+    ]
+    .map(String::from)
+    .to_vec();
+    expected.extend(summary("bep_decision_latency_ns"));
+    expected.extend(
+        [
+            "# HELP bep_sessions Live sessions",
+            "# TYPE bep_sessions gauge",
+            "bep_sessions",
+            "# HELP bep_journal_published Decision events ever published to the journal",
+            "# TYPE bep_journal_published gauge",
+            "bep_journal_published",
+            "# HELP bep_journal_evicted Journal events evicted by ring wrap-around",
+            "# TYPE bep_journal_evicted gauge",
+            "bep_journal_evicted",
+            "# HELP bep_process_resident_bytes Resident set size (RSS) of this process in bytes",
+            "# TYPE bep_process_resident_bytes gauge",
+            "bep_process_resident_bytes",
+            "# HELP bep_process_vm_hwm_bytes Peak resident set size (VmHWM) of this process in bytes",
+            "# TYPE bep_process_vm_hwm_bytes gauge",
+            "bep_process_vm_hwm_bytes",
+            "# HELP bep_span_solver_total Solver work rolled up from decision span summaries",
+            "# TYPE bep_span_solver_total counter",
+            "bep_span_solver_total{counter=\"rewrite-iterations\"}",
+            "bep_span_solver_total{counter=\"containment-checks\"}",
+            "bep_span_solver_total{counter=\"hom-nodes\"}",
+            "bep_span_solver_total{counter=\"hom-backtracks\"}",
+            "# HELP bep_mem_bytes Heap bytes currently owned, by component",
+            "# TYPE bep_mem_bytes gauge",
+            "bep_mem_bytes{component=\"plan-cache\"}",
+            "bep_mem_bytes{component=\"session-state\"}",
+            "bep_mem_bytes{component=\"journal\"}",
+            "# HELP bep_session_state_bytes Heap bytes of a session's state when it ended",
+            "# TYPE bep_session_state_bytes summary",
+        ]
+        .map(String::from),
+    );
+    expected.extend(summary("bep_session_state_bytes"));
+    expected.extend(
+        [
+            "# HELP bep_policy_lint_warnings Startup policy-lint warnings (handler columns missing from view heads)",
+            "# TYPE bep_policy_lint_warnings counter",
+            "bep_policy_lint_warnings",
+            "# HELP bep_cache_evictions_total Bounded-cache evictions by tier (SIEVE)",
+            "# TYPE bep_cache_evictions_total counter",
+            "bep_cache_evictions_total{tier=\"plan\"}",
+            "bep_cache_evictions_total{tier=\"session-allow\"}",
+            "bep_cache_evictions_total{tier=\"session-deny\"}",
+            "# HELP bep_reactor_connections Connections currently held by the event loop",
+            "# TYPE bep_reactor_connections gauge",
+            "bep_reactor_connections",
+            "# HELP bep_reactor_accepted_total Connections accepted by the event loop",
+            "# TYPE bep_reactor_accepted_total counter",
+            "bep_reactor_accepted_total",
+            "# HELP bep_reactor_frames_total Request frames decoded by the event loop",
+            "# TYPE bep_reactor_frames_total counter",
+            "bep_reactor_frames_total",
+            "# HELP bep_reactor_ticks_total Event-loop iterations (poll wakeups and timeouts)",
+            "# TYPE bep_reactor_ticks_total counter",
+            "bep_reactor_ticks_total",
+        ]
+        .map(String::from),
+    );
+    assert_eq!(skeleton(&text), expected, "{text}");
+
+    // The script moved what it was written to move.
+    for (series, value) in [
+        ("bep_decisions_total{decision=\"allowed\"}", 3),
+        ("bep_decisions_total{decision=\"blocked\"}", 1),
+        ("bep_cache_hits_total{tier=\"negative-template\"}", 1),
+        ("bep_proofs_total{kind=\"concrete\"}", 1),
+        ("bep_proofs_total{kind=\"concrete-denied\"}", 1),
+        ("bep_writes_total", 2),
+        ("bep_write_decisions_total{verdict=\"allowed\"}", 1),
+        ("bep_write_decisions_total{verdict=\"passthrough\"}", 1),
+        ("bep_unchecked_statements_total", 1),
+        ("bep_decision_latency_ns_count", 6),
+        ("bep_sessions", 0),
+        ("bep_journal_published", 6),
+        ("bep_session_state_bytes_count", 1),
+        ("bep_policy_lint_warnings", 1),
+        ("bep_reactor_connections", 1),
+        ("bep_reactor_accepted_total", 1),
+    ] {
+        assert_eq!(sample(&text, series), value, "{series} in:\n{text}");
+    }
+    server.shutdown();
+}

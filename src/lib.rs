@@ -72,8 +72,8 @@ pub mod prelude {
     pub use appdsl::{parse_app, parse_handler, run_handler, Limits, Outcome, Request};
     pub use bep_core::{
         schema_of_database, template_hash, CacheTier, ComplianceChecker, Decision, DecisionEvent,
-        DenyReason, EventJournal, JournalCursor, MetricsRegistry, Observation, Phase, Policy,
-        ProxyConfig, ProxyResponse, SqlProxy, Trace, Verdict, PHASE_COUNT,
+        DenyReason, EventJournal, JournalCursor, Observation, Phase, Policy, ProxyConfig,
+        ProxyResponse, SqlProxy, Trace, Verdict, PHASE_COUNT,
     };
     pub use bep_diagnose::{diagnose, diagnose_write, DiagnosisInput, DiagnosisReport, Patch};
     pub use bep_disclose::{audit, BayesConfig, RelationSpec, Universe};

@@ -376,6 +376,28 @@ fn a_read_that_still_holds_restores_its_fact() {
     assert!(p.execute(a, not_fun, &[]).unwrap().is_allowed());
 }
 
+/// A write revokes only what it could have falsified: another session's
+/// `DELETE` that matches no row changed nothing, so session A keeps its
+/// attendance fact, and its first read of the event, which rests on that
+/// fact alone, is allowed.
+#[test]
+fn a_write_that_changed_no_row_revokes_nothing() {
+    let p = calendar_with_writes();
+    let a = p.begin_session(USER_1());
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
+    assert_eq!(p.execute(a, probe, &[]).unwrap().rows().unwrap().len(), 1);
+    let b = p.begin_session(USER_1());
+    let nothing = "DELETE FROM Attendance WHERE UId = ?MyUId AND EId = 5";
+    assert_eq!(
+        p.execute(b, nothing, &[]).unwrap(),
+        ProxyResponse::Affected(0)
+    );
+    let fetch = p
+        .execute(a, "SELECT * FROM Events WHERE EId = 2", &[])
+        .unwrap();
+    assert_eq!(fetch.rows().map(|r| r.len()), Some(1), "{fetch:?}");
+}
+
 /// Compaction drops a fact only when the facts it keeps imply it. User 1's
 /// read of the titles of the events it attends witnesses, per row, an
 /// event and an attendance tied by one unknown event id. That attendance

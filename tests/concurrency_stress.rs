@@ -1,6 +1,6 @@
 //! Concurrency stress tests for the shared (`&self`) proxy: session
-//! isolation must survive parallel load, and the atomic statistics must
-//! account for every statement exactly once.
+//! isolation must survive parallel load, and the statistics must account
+//! for every statement exactly once, in every snapshot.
 
 use beyond_enforcement::prelude::*;
 use minidb::Database;
@@ -97,7 +97,7 @@ fn parallel_sessions_never_leak_traces() {
 
 /// Every statement issued from any thread lands in exactly one of the
 /// `allowed` / `blocked` counters, and DML is tallied separately: after the
-/// workers join, the atomic statistics reconcile to the exact totals.
+/// workers join, the statistics reconcile to the exact totals.
 #[test]
 fn stats_account_for_every_statement() {
     let proxy = calendar_proxy();
@@ -189,4 +189,60 @@ fn concurrent_writes_are_counted_exactly() {
     assert_eq!(stats.writes, (WORKERS * ITERS) as u64);
     let total = proxy.with_database(|db| db.total_rows());
     assert_eq!(total, 2 + 2 + WORKERS * ITERS);
+}
+
+/// `stats()` copies the counters under the state lock each statement
+/// counts under, so a snapshot taken while other threads decide never
+/// holds half a statement: every template-allowed read is `allowed` and
+/// exactly one of a template proof or a template-cache hit, together.
+#[test]
+fn stats_are_exact_under_live_traffic() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let proxy = calendar_proxy();
+    let done = AtomicBool::new(false);
+    const WORKERS: usize = 3;
+    const ITERS: u64 = 400;
+    let read = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
+    let snapshots = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let proxy = &proxy;
+                scope.spawn(move || {
+                    let uid = 1 + (w as i64 % 2);
+                    let s = proxy.begin_session(vec![("MyUId".into(), Value::Int(uid))]);
+                    for _ in 0..ITERS {
+                        assert!(proxy.execute(s, read, &[]).unwrap().is_allowed());
+                    }
+                })
+            })
+            .collect();
+        let poller = scope.spawn(|| {
+            let mut snapshots = 0u64;
+            let mut last = 0;
+            loop {
+                let finished = done.load(Ordering::Acquire);
+                let st = proxy.stats();
+                assert_eq!(
+                    st.allowed,
+                    st.template_cache_hits + st.template_proofs,
+                    "a snapshot straddled a statement: {st:?}"
+                );
+                assert!(st.allowed >= last, "{st:?}");
+                last = st.allowed;
+                snapshots += 1;
+                if finished {
+                    return snapshots;
+                }
+            }
+        });
+        for w in workers {
+            w.join().unwrap();
+        }
+        done.store(true, Ordering::Release);
+        poller.join().unwrap()
+    });
+    assert!(snapshots > 1);
+    let st = proxy.stats();
+    assert_eq!(st.allowed, WORKERS as u64 * ITERS, "{st:?}");
+    assert_eq!(st.template_proofs, 1, "{st:?}");
 }

@@ -98,10 +98,10 @@ fn journal_stats_and_exposition_agree_after_a_workload() {
         stats.deny_cache_hits
     );
 
-    // The exposition renders the same atomics the stats snapshot read.
+    // The exposition renders the same counters the stats snapshot read.
     let text = proxy.metrics_text();
     // Every fresh concrete proof is counted once, allowed or denied; the
-    // denied series lives only in the registry.
+    // denied series lives only in the exposition.
     let series = |name: &str| -> u64 {
         let line = text
             .lines()

@@ -630,10 +630,10 @@ fn every_allowed_statement_is_compliant_by_definition() {
 /// Write-interleaved scripts, at their own seed.
 const WRITE_SCRIPTS: usize = 48;
 /// Compliant reads the write-interleaved scripts see blocked, at the seed
-/// below: the proxy drops every fact over a written relation, the judge
-/// only the rows a write took out of an answer. A more precise revocation
-/// lowers it; nothing may raise it.
-const WRITE_GAP_CEILING: usize = 3;
+/// below: the proxy drops every fact over a relation a write changed rows
+/// of, the judge only the rows a write took out of an answer. A more
+/// precise revocation lowers it; nothing may raise it.
+const WRITE_GAP_CEILING: usize = 1;
 
 /// The writes a script interleaves with its reads, with the relation
 /// each writes. The last two reach what the first five cannot: an
