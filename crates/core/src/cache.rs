@@ -10,9 +10,8 @@
 //! the hand evicts the first unvisited entry it meets (clearing bits as it
 //! passes). SIEVE is scan-resistant (a one-pass scan cannot flush the
 //! working set: scanned-once entries are never re-visited, so the hand
-//! takes them first) and lock-light: a hit is a single relaxed atomic
-//! store, so a lookup needs only a read lock (the plan cache's `RwLock`) —
-//! no per-hit LRU reordering, no write lock on the read path.
+//! takes them first) and cheap to hit: a hit only sets the entry's bit,
+//! through a `Cell`, so a lookup takes `&self` and reorders nothing.
 //!
 //! Observational contract (property-tested in `tests/bounded_cache.rs`):
 //! a hit always returns exactly the value originally inserted — the cache
@@ -22,23 +21,23 @@
 //! An entry's weight is fixed when it is inserted: a value whose footprint
 //! changes is re-inserted under its key with its new weight.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// One resident entry: the value, its byte weight, and the SIEVE
-/// visited bit (atomic so hits can set it through a shared reference).
-#[derive(Debug)]
+/// visited bit (a `Cell` so hits can set it through a shared reference).
+#[derive(Debug, Clone)]
 struct Slot<V> {
     value: V,
     bytes: usize,
-    visited: AtomicBool,
+    visited: Cell<bool>,
 }
 
 /// A bounded map with SIEVE eviction. See the module docs for the policy
 /// and the observational contract.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BoundedCache<K, V> {
     map: HashMap<K, Slot<V>>,
     /// Insertion order, oldest first — the SIEVE ring.
@@ -100,11 +99,10 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         self.evicted
     }
 
-    /// Looks a key up, marking the entry visited (the SIEVE hit path — a
-    /// relaxed store, safe under a shared/read lock).
+    /// Looks a key up, marking the entry visited (the SIEVE hit path).
     pub fn get(&self, key: &K) -> Option<&V> {
         self.map.get(key).map(|s| {
-            s.visited.store(true, Ordering::Relaxed);
+            s.visited.set(true);
             &s.value
         })
     }
@@ -119,7 +117,7 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
                 self.resident_bytes = self.resident_bytes - slot.bytes + bytes;
                 slot.value = value;
                 slot.bytes = bytes;
-                slot.visited.store(true, Ordering::Relaxed);
+                slot.visited.set(true);
             }
             None => {
                 self.map.insert(
@@ -127,7 +125,7 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
                     Slot {
                         value,
                         bytes,
-                        visited: AtomicBool::new(false),
+                        visited: Cell::new(false),
                     },
                 );
                 self.order.push(key.clone());
@@ -176,7 +174,7 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
                 .get(&key)
                 .expect("order and map agree")
                 .visited
-                .swap(false, Ordering::Relaxed);
+                .replace(false);
             if visited {
                 self.hand += 1;
                 continue;
@@ -188,34 +186,6 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
             out.push((key, slot.value));
         }
         out
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Clone for BoundedCache<K, V> {
-    fn clone(&self) -> BoundedCache<K, V> {
-        BoundedCache {
-            map: self
-                .map
-                .iter()
-                .map(|(k, s)| {
-                    (
-                        k.clone(),
-                        Slot {
-                            value: s.value.clone(),
-                            bytes: s.bytes,
-                            visited: AtomicBool::new(s.visited.load(Ordering::Relaxed)),
-                        },
-                    )
-                })
-                .collect(),
-            order: self.order.clone(),
-            hand: self.hand,
-            max_entries: self.max_entries,
-            budget_bytes: self.budget_bytes,
-            resident_bytes: self.resident_bytes,
-            inserted: self.inserted,
-            evicted: self.evicted,
-        }
     }
 }
 

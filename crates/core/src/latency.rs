@@ -1,9 +1,10 @@
-//! Lock-free per-decision latency histogram.
+//! Per-decision latency histogram.
 //!
-//! [`LatencyHistogram`] is a fixed array of log-linear `AtomicU64`
-//! counters: recording a sample is one `leading_zeros`, one relaxed
-//! `fetch_add`, and one relaxed `fetch_max` — cheap enough for the
-//! `execute` hot path, and wait-free so concurrent sessions never contend.
+//! [`LatencyHistogram`] is a fixed array of log-linear `u64` counters:
+//! recording a sample is one `leading_zeros`, one increment and one `max`
+//! — cheap enough for the `execute` hot path. The proxy keeps its
+//! histograms in its locked state and records under the lock a statement
+//! already holds, so a histogram needs no synchronization of its own.
 //! Values below 64 ns get a bucket each; above that, each octave
 //! `[2^k, 2^(k+1))` is split into 32 equal-width buckets. Percentile
 //! queries walk the cumulative counts and report the midpoint of the
@@ -15,7 +16,6 @@
 //! exposition's `bep_decision_latency_ns` summary) and every ended
 //! session's state size into another (`bep_session_state_bytes`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Linear sub-buckets per octave, as a power of two.
@@ -26,20 +26,20 @@ const SUB_BITS: u32 = 5;
 /// saturates into the last bucket.
 const BUCKETS: usize = 1280;
 
-/// Fixed log-linear latency counters. All methods take `&self`.
+/// Fixed log-linear latency counters.
 #[derive(Debug)]
 pub struct LatencyHistogram {
-    buckets: [AtomicU64; BUCKETS],
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
+    buckets: [u64; BUCKETS],
+    sum_ns: u64,
+    max_ns: u64,
 }
 
 impl Default for LatencyHistogram {
     fn default() -> LatencyHistogram {
         LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
+            buckets: [0; BUCKETS],
+            sum_ns: 0,
+            max_ns: 0,
         }
     }
 }
@@ -71,25 +71,17 @@ impl LatencyHistogram {
         LatencyHistogram::default()
     }
 
-    /// Records one sample. Wait-free; `Relaxed` ordering — the counters
-    /// carry no synchronization duties.
-    pub fn record(&self, elapsed: Duration) {
+    /// Records one sample.
+    pub fn record(&mut self, elapsed: Duration) {
         let ns = elapsed.as_nanos().min(u64::MAX as u128) as u64;
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+        self.buckets[bucket_of(ns)] += 1;
+        self.sum_ns = self.sum_ns.wrapping_add(ns);
+        self.max_ns = self.max_ns.max(ns);
     }
 
-    /// A consistent-enough snapshot: counts are individually exact and
-    /// monotone; under live traffic the percentiles lag by whatever arrived
-    /// during the walk.
+    /// The samples recorded so far, summarized.
     pub fn snapshot(&self) -> LatencySnapshot {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Acquire))
-            .collect();
-        let count: u64 = counts.iter().sum();
+        let count: u64 = self.buckets.iter().sum();
         let percentile = |pct: u64| -> u64 {
             if count == 0 {
                 return 0;
@@ -100,7 +92,7 @@ impl LatencyHistogram {
             // floating point, whose ceiling is 20, one whole rank high.)
             let rank = ((u128::from(count) * u128::from(pct)).div_ceil(100) as u64).clamp(1, count);
             let mut cumulative = 0u64;
-            for (i, c) in counts.iter().enumerate() {
+            for (i, c) in self.buckets.iter().enumerate() {
                 cumulative += c;
                 if cumulative >= rank {
                     return bucket_mid_ns(i);
@@ -110,8 +102,8 @@ impl LatencyHistogram {
         };
         LatencySnapshot {
             count,
-            sum_ns: self.sum_ns.load(Ordering::Acquire),
-            max_ns: self.max_ns.load(Ordering::Acquire),
+            sum_ns: self.sum_ns,
+            max_ns: self.max_ns,
             p50_ns: percentile(50),
             p95_ns: percentile(95),
             p99_ns: percentile(99),
@@ -179,7 +171,7 @@ mod tests {
 
     #[test]
     fn percentiles_pick_the_bucket_of_their_rank() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         // 90 fast samples at ~1 µs, 10 slow at ~1 ms.
         for _ in 0..90 {
             h.record(Duration::from_nanos(1_100));
@@ -199,7 +191,7 @@ mod tests {
 
     #[test]
     fn p100_is_last_nonempty_bucket() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         h.record(Duration::from_nanos(7));
         let s = h.snapshot();
         assert_eq!(s.count, 1);
@@ -212,7 +204,7 @@ mod tests {
         // 19, which is still a fast sample. The old float-based rank
         // computed ceil(19.000000000000004) = 20 and jumped to the slow
         // bucket — a whole-octave error at an exact boundary.
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         for _ in 0..19 {
             h.record(Duration::from_nanos(1_100));
         }
@@ -226,7 +218,7 @@ mod tests {
     fn single_sample_percentiles_coincide() {
         // With one sample every percentile has rank 1: all three report
         // the same bucket and the mean is the sample itself.
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         h.record(Duration::from_nanos(777));
         let s = h.snapshot();
         assert_eq!(s.count, 1);
@@ -238,7 +230,7 @@ mod tests {
 
     #[test]
     fn zero_duration_samples_are_counted_not_lost() {
-        let h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::new();
         for _ in 0..3 {
             h.record(Duration::from_nanos(0));
         }
@@ -255,7 +247,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         for seed in 0..32u64 {
             let mut rng = SmallRng::seed_from_u64(seed);
-            let h = LatencyHistogram::new();
+            let mut h = LatencyHistogram::new();
             let n = rng.gen_range(1usize..400);
             let mut samples = Vec::with_capacity(n);
             for _ in 0..n {
@@ -291,20 +283,5 @@ mod tests {
             );
             assert!(s.mean_ns() <= s.max_ns, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn concurrent_records_all_land() {
-        let h = LatencyHistogram::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for i in 0..1000u64 {
-                        h.record(Duration::from_nanos(i));
-                    }
-                });
-            }
-        });
-        assert_eq!(h.snapshot().count, 4000);
     }
 }

@@ -32,15 +32,12 @@
 //! in session A allows nothing in session B that B's facts do not already
 //! support, and a replay that does not verify falls back to the search.
 //!
-//! [`PlanCache`] is the hash-keyed home of compiled plans: one `RwLock`
-//! around one SIEVE-bounded map. A hit is a read lock. A miss takes the
-//! write lock, looks again and compiles under it, so concurrent misses on
-//! the same template prove once; the cost is that a cold miss holds up
-//! lookups of other templates while it compiles, which only an embedding
-//! deciding on several threads would notice. Distinct templates colliding
-//! on the 64-bit FNV hash chain under one key and are told apart by
-//! full-SQL comparison, so a collision costs a string compare, never a
-//! wrong plan.
+//! [`PlanCache`] is the hash-keyed home of compiled plans: one
+//! SIEVE-bounded map, owned by the proxy's locked state, so a statement
+//! looks its plan up, and compiles it on a miss, under the lock it decides
+//! under. Distinct templates colliding on the 64-bit FNV hash chain under
+//! one key and are told apart by full-SQL comparison, so a collision costs
+//! a string compare, never a wrong plan.
 
 use std::sync::Arc;
 
@@ -443,27 +440,14 @@ type Chains = BoundedCache<u64, Vec<Arc<TemplatePlan>>>;
 /// bytes (SIEVE eviction at chain granularity, scan-resistant).
 ///
 /// The lookup key is the 64-bit [`template_hash`] — computed without
-/// allocating — and the warm path is one read lock plus one string
-/// *comparison* (never a string allocation) plus one relaxed visited-bit
-/// store. A miss compiles under the write lock; see the module docs.
+/// allocating — and the warm path is one string *comparison* (never a
+/// string allocation) plus one visited-bit store.
+#[derive(Debug)]
 pub struct PlanCache {
-    resident: RwLock<Resident>,
-}
-
-/// What the plan cache's lock guards.
-struct Resident {
     chains: Chains,
     /// Plans ever evicted (`bep_cache_evictions_total{tier="plan"}`): a
     /// chain's every plan, not the chain.
     evicted_plans: u64,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("len", &self.len())
-            .finish()
-    }
 }
 
 impl PlanCache {
@@ -477,17 +461,14 @@ impl PlanCache {
     /// `budget_bytes` resident bytes (`0` = count-bounded only).
     pub fn with_budget(capacity: usize, budget_bytes: usize) -> PlanCache {
         PlanCache {
-            resident: RwLock::new(Resident {
-                chains: BoundedCache::new(capacity.max(1), budget_bytes),
-                evicted_plans: 0,
-            }),
+            chains: BoundedCache::new(capacity.max(1), budget_bytes),
+            evicted_plans: 0,
         }
     }
 
     /// Number of cached templates.
     pub fn len(&self) -> usize {
-        let resident = self.resident.read();
-        resident.chains.iter().map(|(_, c)| c.len()).sum()
+        self.chains.iter().map(|(_, c)| c.len()).sum()
     }
 
     /// `true` when no template is cached.
@@ -495,14 +476,9 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Lifetime count of evicted collision chains.
-    pub fn evicted_total(&self) -> u64 {
-        self.resident.read().chains.evicted_total()
-    }
-
     /// Lifetime count of evicted plans: every plan of each evicted chain.
     pub fn evicted_plans(&self) -> u64 {
-        self.resident.read().evicted_plans
+        self.evicted_plans
     }
 
     /// The cached plan for a template, if present.
@@ -513,18 +489,19 @@ impl PlanCache {
     /// [`PlanCache::get`] with a caller-supplied hash. A hit counts as a
     /// use for eviction; a miss inserts nothing.
     pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
-        find(&self.resident.read().chains, hash, sql)
+        self.chains
+            .get(&hash)?
+            .iter()
+            .find(|p| p.sql == sql)
+            .cloned()
     }
 
     /// The plan for a template, compiling it with `compile` on a miss:
-    /// `(plan, built)`, where `built` says this call compiled it. A miss
-    /// takes the write lock, looks again (another thread may have compiled
-    /// the template while this one waited) and compiles under the lock, so
-    /// a template compiles once however many threads miss on it together.
-    /// The hash is the caller's, so the proxy hashes once per request and
-    /// tests can force two templates onto one hash.
+    /// `(plan, built)`, where `built` says this call compiled it. The hash
+    /// is the caller's, so the proxy hashes once per request and tests can
+    /// force two templates onto one hash.
     pub fn get_or_compile(
-        &self,
+        &mut self,
         hash: u64,
         sql: &str,
         compile: impl FnOnce() -> TemplatePlan,
@@ -532,28 +509,15 @@ impl PlanCache {
         if let Some(plan) = self.get_hashed(hash, sql) {
             return (plan, false);
         }
-        let mut resident = self.resident.write();
-        let Resident {
-            chains,
-            evicted_plans,
-        } = &mut *resident;
-        if let Some(plan) = find(chains, hash, sql) {
-            return (plan, false);
-        }
         let plan = Arc::new(compile());
-        let mut chain = chains.get(&hash).cloned().unwrap_or_default();
+        let mut chain = self.chains.get(&hash).cloned().unwrap_or_default();
         chain.push(plan.clone());
         let bytes = chain_heap_bytes(&chain);
-        for (_, evicted) in chains.insert(hash, chain, bytes) {
-            *evicted_plans += evicted.len() as u64;
+        for (_, evicted) in self.chains.insert(hash, chain, bytes) {
+            self.evicted_plans += evicted.len() as u64;
         }
         (plan, true)
     }
-}
-
-/// The plan compiled from `sql` in `hash`'s chain.
-fn find(chains: &Chains, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
-    chains.get(&hash)?.iter().find(|p| p.sql == sql).cloned()
 }
 
 /// Heap bytes of one collision chain: its slots and each compiled plan.
@@ -622,16 +586,11 @@ fn certificate_heap_bytes(c: &Certificate) -> usize {
 }
 
 impl crate::mem::HeapUsage for PlanCache {
-    /// Walks every chain under the read lock: its slots and each compiled
-    /// plan's translation and certificates, learned ones included (which
-    /// the cache's byte weights, taken at insert, do not see).
+    /// Walks every chain: its slots and each compiled plan's translation
+    /// and certificates, learned ones included (which the cache's byte
+    /// weights, taken at insert, do not see).
     fn heap_bytes(&self) -> usize {
-        let resident = self.resident.read();
-        resident
-            .chains
-            .iter()
-            .map(|(_, c)| chain_heap_bytes(c))
-            .sum()
+        self.chains.iter().map(|(_, c)| chain_heap_bytes(c)).sum()
     }
 }
 
@@ -809,7 +768,7 @@ mod tests {
 
     #[test]
     fn a_cached_plan_compiles_once() {
-        let cache = PlanCache::new(64);
+        let mut cache = PlanCache::new(64);
         let c = checker();
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         let hash = template_hash(sql);
@@ -822,31 +781,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    #[test]
-    fn concurrent_misses_compile_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache = PlanCache::new(64);
-        let c = checker();
-        let sql = "SELECT * FROM Events WHERE EId = ?e";
-        let compiles = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let (cache, c, compiles) = (&cache, &c, &compiles);
-                scope.spawn(move || {
-                    let (plan, _) = cache.get_or_compile(template_hash(sql), sql, || {
-                        compiles.fetch_add(1, Ordering::Relaxed);
-                        compile(c, sql, true)
-                    });
-                    assert_eq!(plan.sql(), sql);
-                });
-            }
-        });
-        assert_eq!(compiles.load(Ordering::Relaxed), 1, "one proof, 8 winners");
-        assert_eq!(cache.len(), 1);
-    }
-
     /// Compiles `sql` into `cache` unless it is there.
-    fn fill(cache: &PlanCache, c: &ComplianceChecker, sql: &str, attempt: bool) -> bool {
+    fn fill(cache: &mut PlanCache, c: &ComplianceChecker, sql: &str, attempt: bool) -> bool {
         cache
             .get_or_compile(template_hash(sql), sql, || compile(c, sql, attempt))
             .1
@@ -858,19 +794,19 @@ mod tests {
         // an evicted template recompiles it. With no hits between inserts
         // every entry is unvisited, so the hand takes the oldest each time
         // (FIFO degenerate case).
-        let cache = PlanCache::new(4);
+        let mut cache = PlanCache::new(4);
         let c = checker();
         let sqls: Vec<String> = (0..200)
             .map(|i| format!("SELECT * FROM Events WHERE EId = {i}"))
             .collect();
         for sql in &sqls {
-            fill(&cache, &c, sql, false);
+            fill(&mut cache, &c, sql, false);
         }
         assert_eq!(cache.len(), 4);
-        assert_eq!(cache.evicted_total(), 196);
+        assert_eq!(cache.evicted_plans(), 196);
         assert!(cache.get(&sqls[199]).is_some());
         assert!(cache.get(&sqls[195]).is_none());
-        let recompiled = fill(&cache, &c, &sqls[0], false);
+        let recompiled = fill(&mut cache, &c, &sqls[0], false);
         assert!(recompiled, "an evicted template recompiles");
     }
 
@@ -879,15 +815,14 @@ mod tests {
         use crate::mem::HeapUsage;
         // A tiny byte budget with a huge count capacity: the budget alone
         // bounds residency, and the eviction count reports it.
-        let cache = PlanCache::with_budget(1_000_000, 8 * 1024);
+        let mut cache = PlanCache::with_budget(1_000_000, 8 * 1024);
         let c = checker();
         for i in 0..200 {
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            fill(&cache, &c, &sql, true);
+            fill(&mut cache, &c, &sql, true);
         }
         let evicted = cache.evicted_plans();
         assert!(evicted > 0, "budget must force evictions");
-        assert_eq!(evicted, cache.evicted_total());
         assert_eq!(cache.len() as u64, 200 - evicted);
         // Each plan is weighed exactly when it is inserted, and none has
         // learned a certificate since, so the walk is the budgeted sum.
@@ -897,21 +832,21 @@ mod tests {
 
     #[test]
     fn frequently_hit_plans_survive_one_shot_scans() {
-        let cache = PlanCache::new(2);
+        let mut cache = PlanCache::new(2);
         let c = checker();
         let hot = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        fill(&cache, &c, hot, false);
+        fill(&mut cache, &c, hot, false);
         for i in 0..400 {
             assert!(cache.get(hot).is_some(), "hot plan evicted at scan {i}");
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            fill(&cache, &c, &sql, false);
+            fill(&mut cache, &c, &sql, false);
         }
         assert!(cache.get(hot).is_some(), "scan-resistance violated");
     }
 
     #[test]
     fn hash_collisions_fall_back_to_full_sql_comparison() {
-        let cache = PlanCache::new(64);
+        let mut cache = PlanCache::new(64);
         let c = checker();
         let a = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         let b = "SELECT * FROM Events WHERE EId = ?e";

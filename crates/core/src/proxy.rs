@@ -30,8 +30,8 @@
 //!   global template cache (proven with parameters symbolic, valid for
 //!   every session and history); `Undecidable` plays the role of the old
 //!   negative template cache, so the expensive symbolic proof runs at most
-//!   once per template (the plan cache compiles a miss under its write
-//!   lock: racing misses wait for the winner instead of proving twice).
+//!   once per template (a miss compiles under the state lock, so a racing
+//!   statement finds the plan instead of proving it twice).
 //!   An `Undecidable` plan replays the certificates earlier concrete
 //!   proofs taught it — in any session — through a verification-only
 //!   check before falling back to the full rewriting search; acceptance is
@@ -54,31 +54,27 @@
 //! # Concurrency model
 //!
 //! The whole decision path takes `&self`, and `SqlProxy` is `Send + Sync`:
-//! any thread may call it. Two locks guard what statements share; a
-//! statement is done with the first before it takes the second, once:
+//! any thread may call it. A statement decides under one lock and
+//! publishes its event under a second, after it releases the first:
 //!
-//! * **Plan cache** — one `RwLock` around one SIEVE-bounded map keyed by
-//!   template hash; the steady-state path is its read lock plus one string
-//!   *comparison*. A miss takes the write lock, looks again and compiles
-//!   under it: the template is parsed/translated/proved exactly once no
-//!   matter how many threads race, at the price of holding up other
-//!   templates' lookups while it compiles. `execute` releases it before it
-//!   takes the state lock, and nothing takes it under the state lock.
 //! * **State** — the wrapped [`minidb::Database`] with its write epochs
-//!   (`door.rs`'s `Store`) and every live session's [`SessionState`], behind
-//!   one `Mutex`. A statement takes it once, after its plan lookup, and
-//!   holds it through the whole statement: the session's sync to the write
-//!   epoch, the session lookup and binding merge, [`decide`], the permit's
-//!   run, [`observe`] and [`SessionState::apply`]. So no write lands
-//!   between a session's sync and the read its permit allows, and nothing
-//!   lands between a decision and its write-back. Statements decide one at
-//!   a time. Every decision in this repository runs on one thread (the
-//!   reactor, or an embedding's caller), so nothing waits on it there; the
-//!   sharded design this lock replaced never measured a parallel speed-up
-//!   (EXPERIMENTS.md T7).
+//!   (`door.rs`'s `Store`), every live session's [`SessionState`], the
+//!   [`PlanCache`], the counters and both histograms, behind one `Mutex`.
+//!   `execute` takes it once, before its plan lookup, and holds it through
+//!   the whole statement: the lookup (lifting and compiling on a miss),
+//!   the session's sync to the write epoch, the session lookup and
+//!   binding merge, [`decide`], the permit's run, [`observe`],
+//!   [`SessionState::apply`], the counting and the latency sample. So no
+//!   write lands between a session's sync and the read its permit allows,
+//!   nothing lands between a decision and its write-back, and a template
+//!   compiles once however many statements miss on it together.
+//!   Statements decide one at a time. Every decision in this repository
+//!   runs on one thread (the reactor, or an embedding's caller), so
+//!   nothing waits on it there; the sharded design this lock replaced
+//!   never measured a parallel speed-up (EXPERIMENTS.md T7).
 //! * **Checker** — [`ComplianceChecker`] is immutable after construction and
-//!   shared freely. A concrete proof runs under the state lock; the one
-//!   lock it takes, a disjunct's learned-certificate slot, is innermost.
+//!   shared freely. A proof runs under the state lock; the one lock it
+//!   takes, a disjunct's learned-certificate slot, is innermost.
 //! * **Statistics** — plain integers in the locked state, beside the
 //!   store and the sessions. A statement counts them inside the one
 //!   acquisition it decides under, so [`SqlProxy::stats`] and
@@ -87,17 +83,17 @@
 //!   them, from the statement's kind, its decision's `Outcome` provenance,
 //!   what the store returned and its solver work; the decision itself
 //!   counts nothing. The two histograms (decision latency, ended sessions'
-//!   sizes) are lock-free and sit beside the lock; the point-in-time
-//!   gauges (live sessions, journal, memory) are read when the exposition
-//!   is written.
+//!   sizes) are recorded under the same lock; the point-in-time gauges
+//!   (live sessions, journal, memory) are read when the exposition is
+//!   written.
 //! * **Provenance** — each `execute` laps a [`PhaseTimer`] across the
 //!   decision phases (`decide` reports its boundaries through a callback),
-//!   rolls up the solver work it did under the state lock, and `finish`
-//!   publishes one [`DecisionEvent`] into the [`EventJournal`], after the
-//!   state lock is released: it takes the journal's lock once per statement, for the
-//!   copy of one event. A reader holds that lock while it copies at most
-//!   one page out (the server caps a `journal` page at 512 events), so that
-//!   copy is the longest a decision can wait on it.
+//!   rolls up the solver work it did under the state lock, and `publish`
+//!   hands one [`DecisionEvent`] to the [`EventJournal`], after the state
+//!   lock is released: it takes the journal's lock once per statement, for
+//!   the copy of one event. A reader holds that lock while it copies at
+//!   most one page out (the server caps a `journal` page at 512 events),
+//!   so that copy is the longest a decision can wait on it.
 //!
 //! ## Soundness under concurrency
 //!
@@ -217,10 +213,11 @@ pub struct ProxyStats {
     /// Statements run through [`SqlProxy::execute_unchecked`] — traffic
     /// invisible to enforcement, audited during migration.
     pub unchecked_statements: u64,
-    /// Per-decision latency of [`SqlProxy::execute`], from the lock-free
-    /// histogram behind `bep_decision_latency_ns` (percentiles within 2% of
-    /// the exact sample; the exposition's `bep_decision_latency_ns`
-    /// summary reports these).
+    /// Per-decision latency of [`SqlProxy::execute`], from the histogram
+    /// behind `bep_decision_latency_ns` (percentiles within 2% of the exact
+    /// sample; the exposition's `bep_decision_latency_ns` summary reports
+    /// these). Every `execute` records one sample, under the lock it
+    /// counts under.
     pub latency: LatencySnapshot,
 }
 
@@ -264,23 +261,16 @@ impl ProxyResponse {
 /// `Arc` or scoped borrows; statements decide one at a time under its state
 /// lock (module docs, "Concurrency model").
 pub struct SqlProxy {
-    /// The database, every live session and the counters, behind the one
-    /// lock a statement holds from its sync to its write-back.
+    /// The database, every live session, the compiled plans and the
+    /// counters, behind the one lock a statement holds from its plan
+    /// lookup to its latency sample.
     state: Mutex<State>,
     checker: ComplianceChecker,
     config: ProxyConfig,
-    plans: PlanCache,
     journal: EventJournal,
-    /// End-to-end `execute` latency (`bep_decision_latency_ns`), recorded
-    /// after the state lock is released.
-    latency: LatencyHistogram,
-    /// Heap bytes of each session's state at the moment it ended
-    /// (`bep_session_state_bytes`; recorded once per session, so scrapes
-    /// never double-count a live session).
-    session_state_bytes: LatencyHistogram,
 }
 
-/// What statements read and write besides the plan cache.
+/// Everything statements read and write but the journal.
 struct State {
     /// The database and its write epochs: reached only through a
     /// [`Permit`].
@@ -288,7 +278,32 @@ struct State {
     sessions: Sessions,
     /// The id the next session is given.
     next_session: u64,
+    plans: PlanCache,
     counts: Counts,
+    /// End-to-end `execute` latency (`bep_decision_latency_ns`).
+    latency: LatencyHistogram,
+    /// Heap bytes of each session's state at the moment it ended
+    /// (`bep_session_state_bytes`; recorded once per session, so scrapes
+    /// never double-count a live session).
+    session_state_bytes: LatencyHistogram,
+}
+
+impl State {
+    /// Heap bytes of the plan cache and of every live session, walked.
+    fn heap_bytes(&self) -> [usize; 2] {
+        [self.plans.heap_bytes(), sessions_heap_bytes(&self.sessions)]
+    }
+
+    /// Lifetime cache evictions per tier, in `bep_cache_evictions_total`
+    /// label order: plan, session-allow, session-deny.
+    fn eviction_counts(&self) -> [(&'static str, u64); 3] {
+        let [allow, deny] = self.counts.session_evictions;
+        [
+            ("plan", self.plans.evicted_plans()),
+            ("session-allow", allow),
+            ("session-deny", deny),
+        ]
+    }
 }
 
 /// The proxy's lifetime counters. A statement counts under the state lock
@@ -297,7 +312,7 @@ struct State {
 #[derive(Debug, Clone, Copy, Default)]
 struct Counts {
     /// Every [`ProxyStats`] counter; its `latency` stays empty (the
-    /// histogram sits beside the lock, in [`SqlProxy`]).
+    /// histogram is [`State::latency`]).
     stats: ProxyStats,
     /// Fresh concrete proofs that denied
     /// (`bep_proofs_total{kind="concrete-denied"}`). `ProxyStats` is built
@@ -397,14 +412,14 @@ impl SqlProxy {
                 store: Store::new(db),
                 sessions: Sessions::default(),
                 next_session: 1,
+                plans: PlanCache::with_budget(PLAN_CAPACITY, config.plan_budget_bytes),
                 counts: Counts::default(),
+                latency: LatencyHistogram::new(),
+                session_state_bytes: LatencyHistogram::new(),
             }),
             checker,
             config,
-            plans: PlanCache::with_budget(PLAN_CAPACITY, config.plan_budget_bytes),
             journal: EventJournal::with_capacity(config.journal_capacity),
-            latency: LatencyHistogram::new(),
-            session_state_bytes: LatencyHistogram::new(),
         }
     }
 
@@ -424,15 +439,15 @@ impl SqlProxy {
     /// whether the session was live. The session's final state size,
     /// walked, is recorded into the `bep_session_state_bytes` histogram.
     pub fn end_session(&self, id: u64) -> bool {
-        let state = self.state.lock().sessions.remove(&id);
-        match state {
-            Some(state) => {
-                let bytes = state.heap_bytes();
-                (self.session_state_bytes).record(Duration::from_nanos(bytes as u64));
-                true
-            }
-            None => false,
-        }
+        let mut state = self.state.lock();
+        let Some(session) = state.sessions.remove(&id) else {
+            return false;
+        };
+        let bytes = session.heap_bytes() as u64;
+        state
+            .session_state_bytes
+            .record(Duration::from_nanos(bytes));
+        true
     }
 
     /// Ends every session in `ids`, returning how many were live. The
@@ -449,15 +464,13 @@ impl SqlProxy {
 
     /// Execution counters: an exact snapshot, copied under the state lock,
     /// so it never holds half a statement even under live traffic (every
-    /// counter of a statement moves under the one lock acquisition it
-    /// decides under). The `latency` histogram is recorded after that lock
-    /// is released, so a snapshot taken while statements run may not hold
-    /// their samples yet.
+    /// counter of a statement, and its latency sample, moves under the one
+    /// lock acquisition it decides under).
     pub fn stats(&self) -> ProxyStats {
-        let stats = self.state.lock().counts.stats;
+        let state = self.state.lock();
         ProxyStats {
-            latency: self.latency.snapshot(),
-            ..stats
+            latency: state.latency.snapshot(),
+            ..state.counts.stats
         }
     }
 
@@ -467,20 +480,24 @@ impl SqlProxy {
         &self.journal
     }
 
-    /// Renders the Prometheus text exposition. The counters are copied
-    /// under one acquisition of the state lock, with the live sessions and
-    /// their heap bytes; the journal, the process memory and the other
-    /// components are read as the text is written.
+    /// Renders the Prometheus text exposition. The counters, histograms,
+    /// live sessions and the plan cache's and sessions' heap bytes are
+    /// copied under one acquisition of the state lock; the journal and the
+    /// process memory are read as the text is written.
     pub fn metrics_text(&self) -> String {
-        let (counts, live, sessions) = {
-            let state = self.state.lock();
-            let bytes = sessions_heap_bytes(&state.sessions);
-            (state.counts, state.sessions.len(), bytes)
-        };
+        let state = self.state.lock();
+        let counts = state.counts;
+        let live = state.sessions.len() as u64;
+        let heap = state.heap_bytes();
+        let [plan, allow, deny] = state.eviction_counts();
+        let (latency, sizes) = (
+            state.latency.snapshot(),
+            state.session_state_bytes.snapshot(),
+        );
+        drop(state);
         let s = &counts.stats;
         let memory = read_process_memory();
-        let components = self.components_with(sessions);
-        let [plan, allow, deny] = self.eviction_counts(&counts);
+        let components = self.components(heap);
         let mut out = String::new();
         let counter = |out: &mut String, name, help, label, samples: &[(&str, u64)]| {
             write_family(out, name, help, "counter", label, samples)
@@ -547,9 +564,9 @@ impl SqlProxy {
             &mut out,
             "bep_decision_latency_ns",
             "End-to-end execute latency in nanoseconds",
-            self.latency.snapshot(),
+            latency,
         );
-        gauge(&mut out, "bep_sessions", "Live sessions", live as u64);
+        gauge(&mut out, "bep_sessions", "Live sessions", live);
         gauge(
             &mut out,
             "bep_journal_published",
@@ -600,7 +617,7 @@ impl SqlProxy {
             &mut out,
             "bep_session_state_bytes",
             "Heap bytes of a session's state when it ended",
-            self.session_state_bytes.snapshot(),
+            sizes,
         );
         counter(
             &mut out,
@@ -626,13 +643,13 @@ impl SqlProxy {
     /// live session's trace and caches, and nothing is kept up to date
     /// between calls.
     pub fn component_heap_bytes(&self) -> [(&'static str, usize); 4] {
-        self.components_with(self.sessions_heap_bytes())
+        let heap = self.state.lock().heap_bytes();
+        self.components(heap)
     }
 
-    /// [`component_heap_bytes`](Self::component_heap_bytes) with the
-    /// session state already walked.
-    fn components_with(&self, sessions: usize) -> [(&'static str, usize); 4] {
-        let plan = self.plans.heap_bytes();
+    /// [`component_heap_bytes`](Self::component_heap_bytes) with the plan
+    /// cache and the session state already walked.
+    fn components(&self, [plan, sessions]: [usize; 2]) -> [(&'static str, usize); 4] {
         let journal = self.journal.heap_bytes();
         [
             ("plan-cache", plan),
@@ -645,26 +662,14 @@ impl SqlProxy {
     /// Lifetime cache evictions per tier, in `bep_cache_evictions_total`
     /// label order: plan, session-allow, session-deny.
     pub fn cache_eviction_counts(&self) -> [(&'static str, u64); 3] {
-        let counts = self.state.lock().counts;
-        self.eviction_counts(&counts)
-    }
-
-    /// [`cache_eviction_counts`](Self::cache_eviction_counts) with the
-    /// counters already copied.
-    fn eviction_counts(&self, counts: &Counts) -> [(&'static str, u64); 3] {
-        let [allow, deny] = counts.session_evictions;
-        [
-            ("plan", self.plans.evicted_plans()),
-            ("session-allow", allow),
-            ("session-deny", deny),
-        ]
+        self.state.lock().eviction_counts()
     }
 
     /// Distribution of per-session state sizes, recorded once per session
     /// when it ends. The histogram reuses the latency machinery, so every
     /// `_ns` field of the snapshot reads as **bytes**.
     pub fn session_state_size_snapshot(&self) -> LatencySnapshot {
-        self.session_state_bytes.snapshot()
+        self.state.lock().session_state_bytes.snapshot()
     }
 
     /// Runs the startup policy lints over a set of SQL templates (e.g. an
@@ -700,6 +705,13 @@ impl SqlProxy {
         f(&self.state.lock().store.db)
     }
 
+    /// Runs `f` with the compiled-plan cache (observability and tests),
+    /// under the state lock. As with [`with_database`](Self::with_database),
+    /// do not call the proxy from inside `f`.
+    pub fn with_plan_cache<R>(&self, f: impl FnOnce(&mut PlanCache) -> R) -> R {
+        f(&mut self.state.lock().plans)
+    }
+
     /// A session's trace size: `(entries, facts)`, read under the state
     /// lock without copying the trace.
     pub fn session_trace_len(&self, id: u64) -> Result<(usize, usize), CoreError> {
@@ -727,15 +739,11 @@ impl SqlProxy {
     /// statement for every value it inlines; the decision is the literal
     /// text's, and the journal records the shape's template hash.
     ///
-    /// One statement from clock start to published event: `resolve` yields
-    /// the plan, whether this request compiled it (its laps already
-    /// attributed) and any lifted literals' bindings; `decide_and_run`
-    /// decides, executes, applies and counts; `finish` records the latency
-    /// and publishes the event.
-    ///
-    /// Takes `&self` and may be called from any thread: the plan lookup
-    /// runs under the plan cache's lock alone, and the rest of the
-    /// statement under one acquisition of the state lock.
+    /// One statement from clock start to published event: under one
+    /// acquisition of the state lock, `decide_and_run` looks up (or
+    /// compiles) the plan, decides, executes, applies and counts, and the
+    /// latency is recorded; after the lock is released, `publish` hands the
+    /// event to the journal. May be called from any thread.
     pub fn execute(
         &self,
         session_id: u64,
@@ -750,10 +758,19 @@ impl SqlProxy {
         qlogic::probe::take();
         let t0 = Instant::now();
         let mut timer = PhaseTimer::start();
-        let (plan, built, lifted) = self.resolve(sql, hash, &mut timer);
-        let (decided, result) =
-            self.decide_and_run(session_id, &plan, built, extra_bindings, lifted, &mut timer);
-        self.finish(session_id, plan.hash(), t0, &timer, decided);
+        let mut state = self.state.lock();
+        let (shape_hash, decided, result) = self.decide_and_run(
+            &mut state,
+            session_id,
+            sql,
+            hash,
+            extra_bindings,
+            &mut timer,
+        );
+        let total = t0.elapsed();
+        state.latency.record(total);
+        drop(state);
+        self.publish(session_id, shape_hash, total, &timer, decided);
         result
     }
 
@@ -773,11 +790,12 @@ impl SqlProxy {
     /// [`exact_only`](TemplatePlan::exact_only).
     fn resolve(
         &self,
+        plans: &mut PlanCache,
         sql: &str,
         hash: u64,
         timer: &mut PhaseTimer,
     ) -> (Arc<TemplatePlan>, bool, Vec<(String, Value)>) {
-        if let Some(plan) = self.plans.get_hashed(hash, sql) {
+        if let Some(plan) = plans.get_hashed(hash, sql) {
             timer.lap(Phase::TemplateLookup);
             return (plan, false, Vec::new());
         }
@@ -787,53 +805,52 @@ impl SqlProxy {
         });
         timer.lap(Phase::Parse);
         if let Some(lifted) = lifted {
-            let (plan, built) = self.plan_for(&lifted.shape, template_hash(&lifted.shape), timer);
+            let shape_hash = template_hash(&lifted.shape);
+            let (plan, built) = self.plan_for(plans, &lifted.shape, shape_hash, timer);
             if !plan.exact_only() {
                 return (plan, built, lifted.bindings);
             }
         }
-        let (plan, built) = self.plan_for(sql, hash, timer);
+        let (plan, built) = self.plan_for(plans, sql, hash, timer);
         (plan, built, Vec::new())
     }
 
-    /// Decides one statement, runs its permit if allowed, applies its
-    /// effects on the session and counts it. A parse error is answered
-    /// before the session lookup, since it never depends on the session,
-    /// and takes the state lock only to count. Everything else happens
-    /// under one acquisition of the state lock, in order: the session's
-    /// sync to the write epoch, its lookup and the binding merge,
-    /// [`decide`], the permit's run, [`observe`], [`SessionState::apply`]
-    /// and [`Counts::count`].
+    /// Resolves the plan of one statement, decides it, runs its permit if
+    /// allowed, applies its effects on the session and counts it, in
+    /// order: [`resolve`](Self::resolve); a parse error is answered before
+    /// the session lookup, since it never depends on the session;
+    /// otherwise the session's sync to the write epoch, its lookup and the
+    /// binding merge, [`decide`], the permit's run, [`observe`],
+    /// [`SessionState::apply`] and [`Counts::count`]. Returns the template
+    /// hash the journal records with what it publishes.
     fn decide_and_run(
         &self,
+        state: &mut State,
         session_id: u64,
-        plan: &TemplatePlan,
-        built: bool,
+        sql: &str,
+        hash: u64,
         extra_bindings: &[(String, Value)],
-        lifted: Vec<(String, Value)>,
         timer: &mut PhaseTimer,
-    ) -> (Decided, Result<ProxyResponse, CoreError>) {
+    ) -> (u64, Decided, Result<ProxyResponse, CoreError>) {
+        let State {
+            store,
+            sessions,
+            plans,
+            counts,
+            ..
+        } = state;
+        let (plan, built, lifted) = self.resolve(plans, sql, hash, timer);
         let kind = Kind::of(plan.body(), self.config.enforce_writes);
         if let Kind::Malformed(msg) = kind {
             let result = Ok(ProxyResponse::Blocked(DenyReason::ParseError(
                 msg.to_string(),
             )));
             let span = SpanSummary::new(qlogic::probe::take(), 0, 0);
-            let counts = &mut self.state.lock().counts;
-            return (
-                counts.count(kind, Provenance::default(), &result, span),
-                result,
-            );
+            let decided = counts.count(kind, Provenance::default(), &result, span);
+            return (plan.hash(), decided, result);
         }
-        let mut state = self.state.lock();
-        let State {
-            store,
-            sessions,
-            counts,
-            ..
-        } = &mut *state;
         let Some(session) = sessions.get_mut(&session_id) else {
-            return (None, Err(CoreError::NoSuchSession(session_id)));
+            return (plan.hash(), None, Err(CoreError::NoSuchSession(session_id)));
         };
         if session.synced != store.epoch() {
             session.sync(store.epoch(), &store.written_since(session.synced));
@@ -880,23 +897,21 @@ impl SqlProxy {
             prov.cert_replays,
             prov.cert_fallbacks,
         );
-        (counts.count(kind, prov, &result, span), result)
+        (plan.hash(), counts.count(kind, prov, &result, span), result)
     }
 
     /// The tail of [`execute`](Self::execute), after the state lock is
-    /// released: records the latency, and publishes the journal event of a
-    /// statement that ran (`decided` is `None` for one that did not: a
-    /// store error, or a session that does not exist).
-    fn finish(
+    /// released: publishes the journal event of a statement that ran
+    /// (`decided` is `None` for one that did not: a store error, or a
+    /// session that does not exist).
+    fn publish(
         &self,
         session_id: u64,
         hash: u64,
-        t0: Instant,
+        total: Duration,
         timer: &PhaseTimer,
         decided: Decided,
     ) {
-        let total = t0.elapsed();
-        self.latency.record(total);
         let Some((verdict, prov, span)) = decided else {
             return;
         };
@@ -913,16 +928,20 @@ impl SqlProxy {
         });
     }
 
-    /// The compiled plan for a template, proving at most once across all
-    /// threads: `(plan, built)` where `built` says this call did the
-    /// compilation (and its `Parse`/`Proof` laps are already attributed).
-    fn plan_for(&self, sql: &str, hash: u64, timer: &mut PhaseTimer) -> (Arc<TemplatePlan>, bool) {
-        let (plan, built) = self.plans.get_or_compile(hash, sql, || {
+    /// The compiled plan for a template, compiled into `plans` on a miss:
+    /// `(plan, built)` where `built` says this call did the compilation
+    /// (and its `Parse`/`Proof` laps are already attributed).
+    fn plan_for(
+        &self,
+        plans: &mut PlanCache,
+        sql: &str,
+        hash: u64,
+        timer: &mut PhaseTimer,
+    ) -> (Arc<TemplatePlan>, bool) {
+        let (plan, built) = plans.get_or_compile(hash, sql, || {
             compile_plan(&self.checker, sql, hash, true, &mut |ph| timer.lap(ph))
         });
         if !built {
-            // Cache hit, or this thread waited out another thread's build:
-            // either way the time was spent looking the template up.
             timer.lap(Phase::TemplateLookup);
         }
         (plan, built)
@@ -950,11 +969,6 @@ impl SqlProxy {
         let result = Permit::unchecked(&stmt?).run(&mut state.store, bindings);
         Ok(result?.into())
     }
-
-    /// The compiled-plan cache (observability and tests).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plans
-    }
 }
 
 /// Heap bytes of every session in `sessions`, and of the table holding them.
@@ -966,7 +980,7 @@ fn sessions_heap_bytes(sessions: &Sessions) -> usize {
             .sum::<usize>()
 }
 
-/// What [`SqlProxy::finish`] publishes for a statement that ran: its
+/// What [`SqlProxy::publish`] publishes for a statement that ran: its
 /// verdict, its decision's provenance and its solver work.
 type Decided = Option<(Verdict, Provenance, SpanSummary)>;
 
@@ -1744,7 +1758,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_metrics_read_the_same_atomics() {
+    fn stats_and_metrics_read_the_same_counts() {
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
         for _ in 0..3 {
@@ -1831,8 +1845,10 @@ mod tests {
         // template on this thread: the `execute` that finds it is a cache
         // hit and must not be charged that proof.
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2";
-        p.plan_cache().get_or_compile(template_hash(sql), sql, || {
-            compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
+        p.with_plan_cache(|plans| {
+            plans.get_or_compile(template_hash(sql), sql, || {
+                compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
+            })
         });
         assert!(qlogic::probe::peek().containment_checks > 0);
         let proofs = p.stats().template_proofs;

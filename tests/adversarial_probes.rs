@@ -220,8 +220,10 @@ fn a_text_on_another_templates_hash_keeps_its_own_plan() {
     let everyone = "SELECT * FROM Attendance";
     let own = "SELECT * FROM Attendance WHERE UId = ?MyUId";
     let hash = template_hash(everyone);
-    let (planted, built) = p.plan_cache().get_or_compile(hash, own, || {
-        beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {})
+    let (planted, built) = p.with_plan_cache(|plans| {
+        plans.get_or_compile(hash, own, || {
+            beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {})
+        })
     });
     assert!(built);
     let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -229,13 +231,12 @@ fn a_text_on_another_templates_hash_keeps_its_own_plan() {
         Ok(ProxyResponse::Blocked(_)) => {}
         other => panic!("reading every row must be blocked, got {other:?}"),
     }
-    assert_eq!(p.plan_cache().len(), 2, "each text has a plan of its own");
-    let found = p.plan_cache().get_hashed(hash, own).expect("still cached");
-    assert!(std::sync::Arc::ptr_eq(&found, &planted));
-    assert_eq!(
-        p.plan_cache().get_hashed(hash, everyone).unwrap().sql(),
-        everyone
-    );
+    p.with_plan_cache(|plans| {
+        assert_eq!(plans.len(), 2, "each text has a plan of its own");
+        let found = plans.get_hashed(hash, own).expect("still cached");
+        assert!(std::sync::Arc::ptr_eq(&found, &planted));
+        assert_eq!(plans.get_hashed(hash, everyone).unwrap().sql(), everyone);
+    });
 }
 
 /// The calendar policy (`V1`, `V2`) with `enforce_writes` on, over events

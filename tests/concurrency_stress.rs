@@ -193,8 +193,9 @@ fn concurrent_writes_are_counted_exactly() {
 
 /// `stats()` copies the counters under the state lock each statement
 /// counts under, so a snapshot taken while other threads decide never
-/// holds half a statement: every template-allowed read is `allowed` and
-/// exactly one of a template proof or a template-cache hit, together.
+/// holds half a statement: every template-allowed read is `allowed`,
+/// exactly one of a template proof or a template-cache hit, and one
+/// latency sample, together.
 #[test]
 fn stats_are_exact_under_live_traffic() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -227,6 +228,10 @@ fn stats_are_exact_under_live_traffic() {
                     st.template_cache_hits + st.template_proofs,
                     "a snapshot straddled a statement: {st:?}"
                 );
+                assert_eq!(
+                    st.latency.count, st.allowed,
+                    "a snapshot straddled a latency sample: {st:?}"
+                );
                 assert!(st.allowed >= last, "{st:?}");
                 last = st.allowed;
                 snapshots += 1;
@@ -244,5 +249,6 @@ fn stats_are_exact_under_live_traffic() {
     assert!(snapshots > 1);
     let st = proxy.stats();
     assert_eq!(st.allowed, WORKERS as u64 * ITERS, "{st:?}");
+    assert_eq!(st.latency.count, WORKERS as u64 * ITERS, "{st:?}");
     assert_eq!(st.template_proofs, 1, "{st:?}");
 }

@@ -89,8 +89,10 @@ impl Twins {
         let lifted = self.lifted.execute(a, sql, bindings);
         // `resolve` takes a text's own plan before it tries to lift.
         let hash = template_hash(sql);
-        (self.exact.plan_cache()).get_or_compile(hash, sql, || {
-            compile_plan(&self.checker, sql, hash, true, &mut |_| {})
+        self.exact.with_plan_cache(|plans| {
+            plans.get_or_compile(hash, sql, || {
+                compile_plan(&self.checker, sql, hash, true, &mut |_| {})
+            })
         });
         let exact = self.exact.execute(b, sql, bindings);
         assert_eq!(lifted, exact, "{sql} with {bindings:?}");
@@ -371,8 +373,8 @@ fn generated_literals_decide_as_their_exact_texts() {
     // an exact-only shape costs it a plan for the shape and one for the
     // text.
     let (lifted, exact) = (
-        twins.lifted.plan_cache().len(),
-        twins.exact.plan_cache().len(),
+        twins.lifted.with_plan_cache(|plans| plans.len()),
+        twins.exact.with_plan_cache(|plans| plans.len()),
     );
     assert!(lifted < exact, "{lifted} plans lifted vs {exact} exact");
 }

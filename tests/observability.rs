@@ -4,6 +4,7 @@
 //! all agree with each other and with the proxy's counters.
 
 use appsim::{seed_app, workload_for, ProxyPort, Scale, CALENDAR};
+use beyond_enforcement::core::CoreError;
 use beyond_enforcement::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -206,4 +207,39 @@ fn event_hashes_join_to_query_text() {
     assert_eq!(events[0].template_hash, template_hash(sql));
     assert_eq!(events[0].verdict, Verdict::Allowed);
     assert_eq!(events[0].session, session);
+}
+
+/// Every `execute` records exactly one latency sample, whatever becomes of
+/// the statement: a compile, a plan hit, a lifted shape, malformed text, a
+/// session that does not exist and a store error each move
+/// `ProxyStats::latency.count` by one, as `bep_decision_latency_ns_count`.
+#[test]
+fn every_execute_records_one_latency_sample() {
+    let proxy = calendar_proxy();
+    let session = proxy.begin_session(vec![("MyUId".into(), Value::Int(appsim::FIRST_UID))]);
+    let own = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
+    let lifted = "SELECT Title FROM Events WHERE EId = 1";
+    let insert = "INSERT INTO Events (EId, Title, Kind) VALUES (1000000, 'x', 'y')";
+    let statements: [(&str, u64, &str); 7] = [
+        ("compile", session, own),
+        ("plan hit", session, own),
+        ("lifted shape", session, lifted),
+        ("malformed", session, "SELEC whoops"),
+        ("no such session", 999_999, own),
+        ("passthrough insert", session, insert),
+        ("store error", session, insert),
+    ];
+    for (i, (label, id, sql)) in statements.into_iter().enumerate() {
+        let result = proxy.execute(id, sql, &[]);
+        match label {
+            "no such session" => assert_eq!(result, Err(CoreError::NoSuchSession(id))),
+            "store error" => assert!(matches!(result, Err(CoreError::Db(_))), "{result:?}"),
+            _ => assert!(result.is_ok(), "{label}: {result:?}"),
+        }
+        let count = proxy.stats().latency.count;
+        assert_eq!(count, i as u64 + 1, "{label}");
+        let text = proxy.metrics_text();
+        let line = format!("bep_decision_latency_ns_count {count}\n");
+        assert!(text.contains(&line), "{label}: {text}");
+    }
 }
