@@ -107,6 +107,12 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         })
     }
 
+    /// Looks a key up to change its value in place: not a use (the visited
+    /// bit stays), and the entry keeps its weight.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key).map(|s| &mut s.value)
+    }
+
     /// Inserts (or updates) an entry with the given byte weight, then
     /// enforces both bounds. Returns the evicted `(key, value)` pairs
     /// (usually empty — no allocation on the happy path). The key just

@@ -5,18 +5,18 @@
 //! followed by two effects: run the statement, and record what it
 //! returned. [`decide`] is the function. It reads a compiled plan, the
 //! bindings and a [`SessionState`], and returns an [`Outcome`]: the
-//! verdict, which tier reached it, and what the session caches should
-//! remember. An allowed verdict is a [`Permit`] carrying the plan's
-//! statement: the only way the statement reaches the database
+//! verdict, which tier reached it, and what the session caches and the
+//! plan should remember. An allowed verdict is a [`Permit`] carrying the
+//! plan's statement: the only way the statement reaches the database
 //! ([`crate::door`]). [`observe`] turns an allowed read's rows into a trace
 //! record, and [`SessionState::apply`] writes both into the session.
 //!
-//! Nothing here touches the database, a clock, a metric or the journal:
-//! phase boundaries leave through a `lap` callback, and the proxy
-//! (`SqlProxy::execute`) runs the permit, applies and counts. The proxy
-//! holds one lock from the session's sync through [`SessionState::apply`],
-//! so a session changes only between its statements, never between a
-//! decision and its write-back.
+//! Nothing here touches the database, a clock, a metric, the journal or
+//! the plan: phase boundaries leave through a `lap` callback, and the proxy
+//! (`SqlProxy::execute`) runs the permit, applies, counts and writes back
+//! what was learned. The proxy holds one lock from the session's sync
+//! through that write-back, so a session or a plan changes only between
+//! statements, never between a decision and its write-back.
 
 use std::mem::size_of;
 
@@ -30,7 +30,7 @@ use crate::decision::DenyReason;
 use crate::door::Permit;
 use crate::mem::{bindings_heap_bytes, cq_heap_bytes, HeapUsage};
 use crate::obs::{CacheTier, Phase};
-use crate::plan::{PlanBody, SelectPlan, TemplateVerdict, WritePlan};
+use crate::plan::{Certificate, PlanBody, SelectPlan, TemplateVerdict, WritePlan};
 use crate::trace::Trace;
 use crate::write::WriteTemplateVerdict;
 
@@ -46,15 +46,14 @@ pub(crate) struct SessionState {
     pub(crate) trace: Trace,
     /// Allowals keyed by concrete fingerprint; SIEVE-bounded.
     pub(crate) allowed_cache: BoundedCache<ConcreteKey, ()>,
-    /// Denials keyed by concrete fingerprint, stamped with the trace's
-    /// fact-set *version* they were proved at (more facts can flip a
-    /// denial; compaction changes the version too, so a stale stamp is
-    /// never served — a plain fact count would be ambiguous once compaction
-    /// can shrink the set). The stored reason is replayed on a hit, so
-    /// diagnosis consumers see the disjunct or written row that failed.
-    /// Its `Cq` byte weight is counted at insert, so `HeapUsage` and the
-    /// byte budget both see it.
-    pub(crate) denied_cache: BoundedCache<ConcreteKey, (u64, DenyReason)>,
+    /// Denials keyed by concrete fingerprint, all proved at the trace's
+    /// current fact-set *version*: more facts can flip a denial, so the
+    /// tier is emptied whenever the version moves (a record, compaction or
+    /// revocation). The stored reason is replayed on a hit, so diagnosis
+    /// consumers see the disjunct or written row that failed. Its `Cq`
+    /// byte weight is counted at insert, so `HeapUsage` and the byte
+    /// budget both see it.
+    pub(crate) denied_cache: BoundedCache<ConcreteKey, DenyReason>,
     /// The store's write epoch at the last sync ([`crate::door`]): the
     /// trace holds no fact over a table written before it.
     pub(crate) synced: u64,
@@ -76,13 +75,13 @@ impl SessionState {
 
     /// Brings the session to write epoch `epoch`: its trace revokes what it
     /// knew about each table `written` since the last sync, and if that
-    /// dropped anything, every remembered allow goes too — an allow is
-    /// monotone in the facts only while they grow. Stamped denials need
-    /// nothing: the revocation moved the trace version.
+    /// dropped anything, every remembered verdict goes too — an allow is
+    /// monotone in the facts only while they grow, and the revocation moved
+    /// the trace version every denial was proved at.
     pub(crate) fn sync(&mut self, epoch: u64, written: &[&str]) {
         if self.trace.revoke(written) {
-            let budget = self.allowed_cache.budget_bytes();
-            self.allowed_cache = BoundedCache::new(0, budget);
+            self.allowed_cache = BoundedCache::new(0, self.allowed_cache.budget_bytes());
+            self.denied_cache = BoundedCache::new(0, self.denied_cache.budget_bytes());
         }
         self.synced = epoch;
     }
@@ -102,46 +101,43 @@ impl SessionState {
     /// verdict (then laps [`Phase::ConcreteLookup`]), and an allowed read's
     /// observation (then laps [`Phase::TraceRecord`]). The proxy applies
     /// under the lock the statement was synced and decided under, so no
-    /// revocation lands in between.
+    /// revocation lands in between. Returns the entries the allow and the
+    /// deny cache evicted, in that order.
     pub(crate) fn apply(
         &mut self,
         remember: Option<Remember>,
         record: Option<(Cq, &[Vec<Value>])>,
         lap: &mut dyn FnMut(Phase),
-    ) -> Evicted {
-        let mut evicted = Evicted::default();
+    ) -> [usize; 2] {
+        let mut evicted = [0; 2];
         if let Some(remember) = remember {
-            match remember {
+            evicted = match remember {
                 Remember::Allow(key) => {
-                    evicted.allow = (self.allowed_cache)
-                        .insert(key, (), size_of::<ConcreteKey>())
-                        .len();
+                    let bytes = size_of::<ConcreteKey>();
+                    [self.allowed_cache.insert(key, (), bytes).len(), 0]
                 }
-                Remember::Deny { key, at, reason } => {
+                Remember::Deny { key, reason } => {
                     let bytes = deny_entry_bytes(&reason);
-                    evicted.deny = self.denied_cache.insert(key, (at, reason), bytes).len();
+                    [0, self.denied_cache.insert(key, reason, bytes).len()]
                 }
-            }
+            };
             lap(Phase::ConcreteLookup);
         }
         if let Some((query, rows)) = record {
             // Compaction keeps the trace O(distinct information):
             // decision-invisible (the fact set stays logically equivalent),
-            // and any removal bumps the trace version, so stamped denials
-            // never serve stale. A repeated observation changes nothing,
-            // the version included (`Trace`, "Repeats").
+            // and any removal moves the trace version, which empties the
+            // deny tier. A repeated observation changes nothing, the
+            // version included (`Trace`, "Repeats").
+            let version = self.trace.version();
             self.trace.record_rows(query, rows, true);
+            if self.trace.version() != version {
+                self.denied_cache = BoundedCache::new(0, self.denied_cache.budget_bytes());
+            }
             lap(Phase::TraceRecord);
         }
         evicted
     }
-}
-
-/// Entries one [`SessionState::apply`] evicted, per concrete-cache tier.
-#[derive(Debug, Default)]
-pub(crate) struct Evicted {
-    pub(crate) allow: usize,
-    pub(crate) deny: usize,
 }
 
 /// Accounted weight of one deny-cache entry: the slot plus the stored
@@ -154,7 +150,7 @@ fn deny_entry_bytes(reason: &DenyReason) -> usize {
         }
         DenyReason::OutOfFragment(_) | DenyReason::ParseError(_) => 0,
     };
-    size_of::<(ConcreteKey, (u64, DenyReason))>() + query
+    size_of::<(ConcreteKey, DenyReason)>() + query
 }
 
 /// Fingerprint of one (template, bindings) pair — the session-cache key.
@@ -296,10 +292,9 @@ pub(crate) enum Remember {
     /// ([`SessionState::sync`]), since compliance is monotone in what the
     /// trace entails, and between revocations that only grows.
     Allow(ConcreteKey),
-    /// Denied at trace version `at`: valid while the version is unchanged.
+    /// Denied: valid while the trace version is unchanged.
     Deny {
         key: ConcreteKey,
-        at: u64,
         reason: DenyReason,
     },
 }
@@ -313,6 +308,9 @@ pub(crate) struct Outcome<'p> {
     /// What the session caches should learn: the verdict of a fresh
     /// concrete proof.
     pub(crate) remember: Option<Remember>,
+    /// What the plan should learn, whatever the verdict: the certificates
+    /// a fresh concrete proof of a read found, by disjunct.
+    pub(crate) learned: Vec<(usize, Certificate)>,
 }
 
 impl<'p> Outcome<'p> {
@@ -321,6 +319,7 @@ impl<'p> Outcome<'p> {
             verdict,
             prov,
             remember: None,
+            learned: Vec::new(),
         }
     }
 }
@@ -365,15 +364,17 @@ pub(crate) fn decide<'p>(
             TemplateVerdict::Allowed(_) => template(Ok(Permit::read(&sp.query))),
             TemplateVerdict::Undecidable => {
                 let permit = Permit::read(&sp.query);
-                concrete(
+                let mut learned = Vec::new();
+                let outcome = concrete(
                     session,
                     hash,
                     built,
                     bindings,
                     lap,
                     permit,
-                    |facts, prov| prove_read(checker, sp, bindings, facts, prov),
-                )
+                    |facts, prov| prove_read(checker, sp, bindings, facts, prov, &mut learned),
+                );
+                Outcome { learned, ..outcome }
             }
         },
         Kind::Write(wp) => match &wp.template {
@@ -401,9 +402,9 @@ pub(crate) fn decide<'p>(
 }
 
 /// The concrete tier, shared by reads and writes: the session's allow
-/// cache, its deny cache (only at the trace version the denial was proved
-/// at), then `prove` over the session's facts, whose verdict the outcome
-/// remembers. An allow carries `permit`.
+/// cache, its deny cache (of the current trace version), then `prove`
+/// over the session's facts, whose verdict the outcome remembers. An
+/// allow carries `permit`.
 fn concrete<'p>(
     session: &SessionState,
     hash: u64,
@@ -425,10 +426,7 @@ fn concrete<'p>(
         prov.tier = CacheTier::SessionCache;
         return Outcome::new(Ok(permit), prov);
     }
-    // The fact set the proof runs against: a denial is served only while
-    // the session's trace is still at this version.
-    let at = session.trace.version();
-    if let Some((_, reason)) = session.denied_cache.get(&key).filter(|(v, _)| *v == at) {
+    if let Some(reason) = session.denied_cache.get(&key) {
         lap(Phase::ConcreteLookup);
         prov.tier = CacheTier::DenyCache;
         return Outcome::new(Err(reason.clone()), prov);
@@ -444,16 +442,14 @@ fn concrete<'p>(
         Err(reason @ (DenyReason::NotDetermined { .. } | DenyReason::WriteNotCovered { .. })) => {
             Some(Remember::Deny {
                 key,
-                at,
                 reason: reason.clone(),
             })
         }
         Err(_) => None,
     };
     Outcome {
-        verdict: verdict.map(|()| permit),
-        prov,
         remember,
+        ..Outcome::new(verdict.map(|()| permit), prov)
     }
 }
 
@@ -466,16 +462,17 @@ fn concrete<'p>(
 /// *this* session's facts. Verification gates acceptance and the fallback
 /// search preserves completeness, so replay only amortizes candidate
 /// generation, view instantiation and expansion. What the search proves
-/// is learned onto the plan.
+/// is pushed onto `learned`, for the proxy to keep in the plan.
 fn prove_read(
     checker: &ComplianceChecker,
     sp: &SelectPlan,
     bindings: &[(String, Value)],
     facts: &[Atom],
     prov: &mut Provenance,
+    learned: &mut Vec<(usize, Certificate)>,
 ) -> Result<(), DenyReason> {
     let disjuncts = (sp.translation.as_ref()).map_err(|m| DenyReason::OutOfFragment(m.clone()))?;
-    for d in disjuncts {
+    for (i, d) in disjuncts.iter().enumerate() {
         let inst = d.template.instantiate(bindings);
         let replayed = d.learned().and_then(|c| {
             let expansion = c.expansion.as_ref()?;
@@ -496,7 +493,7 @@ fn prove_read(
                 .instantiate_subset(&d.view_indices, bindings);
             let proved = checker.prove_disjunct(&inst, &views, facts);
             if let Some(rw) = &proved {
-                d.learn(checker, &inst, rw, bindings, facts);
+                learned.extend(d.learn(checker, &inst, rw, bindings, facts).map(|c| (i, c)));
             }
             proved.is_some()
         };
@@ -562,11 +559,12 @@ mod tests {
     }
 
     /// One statement through `decide`, then — if allowed and `returned` is
-    /// given — `observe`, then `apply`: the proxy's order, with no
-    /// database, proxy, clock or counter.
+    /// given — `observe`, then `apply`, then the plan keeps what was
+    /// learned: the proxy's order, with no database, proxy, clock or
+    /// counter.
     fn step(
         c: &ComplianceChecker,
-        plan: &TemplatePlan,
+        plan: &mut TemplatePlan,
         built: bool,
         session: &mut SessionState,
         e: i64,
@@ -581,23 +579,26 @@ mod tests {
             verdict,
             prov,
             remember,
+            learned,
         } = decide(c, kind, plan.hash(), built, session, &bindings, &mut |_| {});
         let record = match (kind, returned) {
             (Kind::Read(sp), Some(r)) if verdict.is_ok() => observe(sp, &bindings, r),
             _ => None,
         };
         session.apply(remember, record, &mut |_| {});
-        (verdict.map(|_| ()), prov)
+        let verdict = verdict.map(|_| ());
+        plan.keep_learned(learned);
+        (verdict, prov)
     }
 
     #[test]
     fn decide_walks_every_tier_without_a_database() {
         let c = checker();
-        let probe = compile(
+        let mut probe = compile(
             &c,
             "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?e",
         );
-        let fetch = compile(&c, "SELECT * FROM Events WHERE EId = ?e");
+        let mut fetch = compile(&c, "SELECT * FROM Events WHERE EId = ?e");
         let mut session = SessionState::new(vec![("MyUId".into(), Value::Int(1))], 0);
         let tier = |r: &(Result<(), DenyReason>, Provenance)| (r.0.is_ok(), r.1.tier);
         let one_row = rows(vec![vec![Value::Int(1)]]);
@@ -609,34 +610,34 @@ mod tests {
 
         // Template tier: the probe is allowed for every session, and its
         // row becomes a trace fact.
-        let r = step(&c, &probe, true, &mut session, 2, Some(&one_row));
+        let r = step(&c, &mut probe, true, &mut session, 2, Some(&one_row));
         assert_eq!(tier(&r), (true, CacheTier::TemplateProof));
         assert_eq!(session.trace.facts().len(), 1);
         // A concrete proof over that fact allows the fetch; applying the
         // outcome remembers it, and the repeat is an allow-cache hit.
-        let r = step(&c, &fetch, true, &mut session, 2, Some(&event));
+        let r = step(&c, &mut fetch, true, &mut session, 2, Some(&event));
         assert_eq!(tier(&r), (true, CacheTier::ConcreteProof));
         assert!(!r.1.negative_template_hit);
-        let r = step(&c, &fetch, false, &mut session, 2, None);
+        let r = step(&c, &mut fetch, false, &mut session, 2, None);
         assert_eq!(tier(&r), (true, CacheTier::SessionCache));
         assert!(r.1.negative_template_hit);
 
         // Event 3 is not known to be attended: denied, and the repeat is a
         // deny-cache hit replaying the same reason.
-        let denied = step(&c, &fetch, false, &mut session, 3, None);
+        let denied = step(&c, &mut fetch, false, &mut session, 3, None);
         assert_eq!(tier(&denied), (false, CacheTier::ConcreteProof));
         assert!(matches!(denied.0, Err(DenyReason::NotDetermined { .. })));
-        let replayed = step(&c, &fetch, false, &mut session, 3, None);
+        let replayed = step(&c, &mut fetch, false, &mut session, 3, None);
         assert_eq!(tier(&replayed), (false, CacheTier::DenyCache));
         assert_eq!(replayed.0, denied.0);
         // A new fact moves the trace version, so the cached denial is not
         // served: a fresh proof allows, replaying the certificate the
         // first fetch's proof taught the plan.
         let version = session.trace.version();
-        let r = step(&c, &probe, false, &mut session, 3, Some(&one_row));
+        let r = step(&c, &mut probe, false, &mut session, 3, Some(&one_row));
         assert_eq!(tier(&r), (true, CacheTier::TemplateCache));
         assert_ne!(session.trace.version(), version);
-        let r = step(&c, &fetch, false, &mut session, 3, None);
+        let r = step(&c, &mut fetch, false, &mut session, 3, None);
         assert_eq!(tier(&r), (true, CacheTier::ConcreteProof));
         assert_eq!((r.1.cert_replays, r.1.cert_fallbacks), (1, 0));
     }

@@ -21,8 +21,9 @@
 //!   decision-identical for every binding, fact set, and search mode), and
 //! * the template-level verdict, and
 //! * for a template-*undecidable* plan, the certificate each disjunct's
-//!   concrete proofs last learned (`DisjunctPlan::learn`), so the next
-//!   session's proof is a check of a known rewriting, not a search for one.
+//!   concrete proofs last learned (`DisjunctPlan::learn`; the proxy writes
+//!   it back with the statement's other effects), so the next session's
+//!   proof is a check of a known rewriting, not a search for one.
 //!
 //! A learned certificate is only ever a candidate. Replay accepts it
 //! through [`ComplianceChecker::replay_certificate`], which proves the
@@ -32,16 +33,13 @@
 //! in session A allows nothing in session B that B's facts do not already
 //! support, and a replay that does not verify falls back to the search.
 //!
-//! [`PlanCache`] is the hash-keyed home of compiled plans: one
+//! [`PlanCache`] is the hash-keyed home of compiled plans, by value: one
 //! SIEVE-bounded map, owned by the proxy's locked state, so a statement
 //! looks its plan up, and compiles it on a miss, under the lock it decides
 //! under. Distinct templates colliding on the 64-bit FNV hash chain under
 //! one key and are told apart by full-SQL comparison, so a collision costs
 //! a string compare, never a wrong plan.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
 use qlogic::{candidate_view_indices, const_to_param, Atom, CVal, Cq, Term};
 use sqlir::{
     is_lifted_name, params_in_bind_order, parse_statement, Param, Query, Statement, Value,
@@ -49,7 +47,7 @@ use sqlir::{
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
-use crate::obs::{template_hash, Phase};
+use crate::obs::Phase;
 use crate::write::{WriteTemplate, WriteTemplateVerdict};
 
 /// One disjunct of a template's UCQ translation, with the candidate views
@@ -66,24 +64,23 @@ pub struct DisjunctPlan {
     /// (template-undecidable plans only). One slot: learning runs only
     /// after the held certificate failed to replay, and on the benchmark's
     /// workloads no disjunct learns more than one.
-    /// Readers clone the `Arc`, so a replay holds no lock.
-    learned: RwLock<Option<Arc<Certificate>>>,
+    learned: Option<Box<Certificate>>,
 }
 
 impl DisjunctPlan {
     /// The learned certificate, if any.
-    pub(crate) fn learned(&self) -> Option<Arc<Certificate>> {
-        self.learned.read().clone()
+    pub(crate) fn learned(&self) -> Option<&Certificate> {
+        self.learned.as_deref()
     }
 
-    /// Learns a certificate from a concrete proof of this disjunct: `rw`
+    /// The certificate a concrete proof of this disjunct teaches it: `rw`
     /// proved `inst` (this disjunct under `bindings`) over `facts`.
     ///
     /// Each constant of `rw` that equals exactly one binding's value
-    /// becomes that binding's parameter; the symbolic expansion is
-    /// recomputed over the candidate views; and the certificate replaces
-    /// the held one only if it replays for the request that found it. A
-    /// value two bindings share is ambiguous, and nothing is learned.
+    /// becomes that binding's parameter, and the symbolic expansion is
+    /// recomputed over the candidate views. The certificate is returned
+    /// only if it replays for the request that found it. A value two
+    /// bindings share is ambiguous, and nothing is learned.
     pub(crate) fn learn(
         &self,
         checker: &ComplianceChecker,
@@ -91,7 +88,7 @@ impl DisjunctPlan {
         rw: &Cq,
         bindings: &[(String, Value)],
         facts: &[Atom],
-    ) {
+    ) -> Option<Certificate> {
         let mut rewriting = rw.clone();
         for (name, value) in bindings {
             let lifted = const_to_param(&rewriting, value, name);
@@ -99,26 +96,22 @@ impl DisjunctPlan {
                 continue; // the rewriting does not mention this value
             }
             if bindings.iter().any(|(n, v)| n != name && v == value) {
-                return;
+                return None;
             }
             rewriting = lifted;
         }
         let views = checker.policy().symbolic_subset(&self.view_indices);
-        let Ok(expansion) = qlogic::expand(&rewriting, &views) else {
-            return;
-        };
-        let replays = checker.replay_certificate(
+        let expansion = qlogic::expand(&rewriting, &views).ok()?;
+        checker.replay_certificate(
             inst,
             rewriting.instantiate(bindings),
             &expansion.instantiate(bindings),
             facts,
-        );
-        if replays.is_some() {
-            *self.learned.write() = Some(Arc::new(Certificate {
-                rewriting,
-                expansion: Some(expansion),
-            }));
-        }
+        )?;
+        Some(Certificate {
+            rewriting,
+            expansion: Some(expansion),
+        })
     }
 }
 
@@ -231,7 +224,7 @@ impl TemplatePlan {
         &self.sql
     }
 
-    /// The 64-bit FNV-1a template hash ([`template_hash`]) — the plan's
+    /// The 64-bit FNV-1a template hash ([`template_hash`](crate::obs::template_hash)) — the plan's
     /// cache key and its identity in decision events.
     pub fn hash(&self) -> u64 {
         self.hash
@@ -242,11 +235,17 @@ impl TemplatePlan {
         &self.body
     }
 
-    /// The select plan, if this template is a `SELECT`.
-    pub fn select(&self) -> Option<&SelectPlan> {
-        match &self.body {
-            PlanBody::Select(s) => Some(s),
-            _ => None,
+    /// Keeps the certificates a concrete proof by this plan learned, by
+    /// disjunct: each replaces the one its disjunct held.
+    pub(crate) fn keep_learned(&mut self, learned: Vec<(usize, Certificate)>) {
+        if let PlanBody::Select(SelectPlan {
+            translation: Ok(ds),
+            ..
+        }) = &mut self.body
+        {
+            for (i, c) in learned {
+                ds[i].learned = Some(Box::new(c));
+            }
         }
     }
 }
@@ -333,7 +332,7 @@ pub fn compile_plan(
                 DisjunctPlan {
                     template: d,
                     view_indices,
-                    learned: RwLock::default(),
+                    learned: None,
                 }
             })
             .collect::<Vec<_>>()),
@@ -434,12 +433,12 @@ pub const PLAN_CAPACITY: usize = 1024;
 /// Collision chains keyed by template hash: distinct templates sharing a
 /// 64-bit hash live in one chain and are told apart by full-SQL
 /// comparison.
-type Chains = BoundedCache<u64, Vec<Arc<TemplatePlan>>>;
+type Chains = BoundedCache<u64, Vec<TemplatePlan>>;
 
 /// Hash-keyed cache of compiled template plans with bounded count *and*
 /// bytes (SIEVE eviction at chain granularity, scan-resistant).
 ///
-/// The lookup key is the 64-bit [`template_hash`] — computed without
+/// The lookup key is the 64-bit template hash — computed without
 /// allocating — and the warm path is one string *comparison* (never a
 /// string allocation) plus one visited-bit store.
 #[derive(Debug)]
@@ -451,12 +450,6 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// Creates a cache retaining at most `capacity` template hashes, with
-    /// no byte budget.
-    pub fn new(capacity: usize) -> PlanCache {
-        PlanCache::with_budget(capacity, 0)
-    }
-
     /// Creates a cache bounded by `capacity` template hashes and
     /// `budget_bytes` resident bytes (`0` = count-bounded only).
     pub fn with_budget(capacity: usize, budget_bytes: usize) -> PlanCache {
@@ -481,57 +474,60 @@ impl PlanCache {
         self.evicted_plans
     }
 
-    /// The cached plan for a template, if present.
-    pub fn get(&self, sql: &str) -> Option<Arc<TemplatePlan>> {
-        self.get_hashed(template_hash(sql), sql)
+    /// The cached plan for a template whose template hash is `hash`, if
+    /// present. A hit counts as a use for eviction; a miss inserts nothing.
+    pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<&TemplatePlan> {
+        self.chains.get(&hash)?.iter().find(|p| p.sql == sql)
     }
 
-    /// [`PlanCache::get`] with a caller-supplied hash. A hit counts as a
-    /// use for eviction; a miss inserts nothing.
-    pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<Arc<TemplatePlan>> {
-        self.chains
-            .get(&hash)?
-            .iter()
-            .find(|p| p.sql == sql)
-            .cloned()
+    /// [`PlanCache::get_hashed`] for a statement to decide by and write
+    /// back to. Not a use: the lookup that resolved the plan counted.
+    pub(crate) fn get_mut(&mut self, hash: u64, sql: &str) -> Option<&mut TemplatePlan> {
+        let chain = self.chains.get_mut(&hash)?;
+        chain.iter_mut().find(|p| p.sql == sql)
     }
 
     /// The plan for a template, compiling it with `compile` on a miss:
     /// `(plan, built)`, where `built` says this call compiled it. The hash
     /// is the caller's, so the proxy hashes once per request and tests can
-    /// force two templates onto one hash.
+    /// force two templates onto one hash. A plan just compiled is not yet
+    /// a use for eviction.
     pub fn get_or_compile(
         &mut self,
         hash: u64,
         sql: &str,
         compile: impl FnOnce() -> TemplatePlan,
-    ) -> (Arc<TemplatePlan>, bool) {
-        if let Some(plan) = self.get_hashed(hash, sql) {
-            return (plan, false);
+    ) -> (&TemplatePlan, bool) {
+        let built = self.get_hashed(hash, sql).is_none();
+        if built {
+            let chain = self.chains.get_mut(&hash).map(std::mem::take);
+            let mut chain = chain.unwrap_or_default();
+            chain.reserve_exact(1);
+            chain.push(compile());
+            let bytes = chain_heap_bytes(&chain);
+            for (_, evicted) in self.chains.insert(hash, chain, bytes) {
+                self.evicted_plans += evicted.len() as u64;
+            }
         }
-        let plan = Arc::new(compile());
-        let mut chain = self.chains.get(&hash).cloned().unwrap_or_default();
-        chain.push(plan.clone());
-        let bytes = chain_heap_bytes(&chain);
-        for (_, evicted) in self.chains.insert(hash, chain, bytes) {
-            self.evicted_plans += evicted.len() as u64;
-        }
-        (plan, true)
+        let plan = self.get_mut(hash, sql).expect("found or just inserted");
+        (plan, built)
     }
 }
 
-/// Heap bytes of one collision chain: its slots and each compiled plan.
-fn chain_heap_bytes(chain: &Vec<Arc<TemplatePlan>>) -> usize {
-    chain.capacity() * std::mem::size_of::<Arc<TemplatePlan>>()
-        + chain.iter().map(|p| plan_heap_bytes(p)).sum::<usize>()
+/// Heap bytes of one collision chain: its slots, which hold the plans, and
+/// what each plan owns.
+fn chain_heap_bytes(chain: &Vec<TemplatePlan>) -> usize {
+    chain.capacity() * std::mem::size_of::<TemplatePlan>()
+        + chain.iter().map(plan_heap_bytes).sum::<usize>()
 }
 
-/// Heap bytes owned by one compiled plan. The parsed [`Statement`] is
-/// opaque to this crate, so it is approximated by the template's source
-/// text (an AST over interned operators is the same order of magnitude as
-/// its source); everything else — translation CQs, candidate-view lists,
-/// certificates — is counted exactly from vector capacities.
-pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
+/// Heap bytes owned by one compiled plan, beside its slot. The parsed
+/// [`Statement`] is opaque to this crate, so it is approximated by the
+/// template's source text (an AST over interned operators is the same
+/// order of magnitude as its source); everything else — translation CQs,
+/// candidate-view lists, certificates — is counted exactly from vector
+/// capacities.
+fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
     use crate::mem::cq_heap_bytes;
     use std::mem::size_of;
     let params_bytes = |params: &Vec<Param>| {
@@ -541,7 +537,7 @@ pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
         });
         params.capacity() * size_of::<Param>() + names.sum::<usize>()
     };
-    let mut b = size_of::<TemplatePlan>() + plan.sql.capacity();
+    let mut b = plan.sql.capacity();
     match &plan.body {
         PlanBody::ParseError(m) => b += m.capacity(),
         PlanBody::Other(_) => b += plan.sql.len(),
@@ -561,10 +557,7 @@ pub(crate) fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
                         b += cq_heap_bytes(&d.template)
                             + d.view_indices.capacity() * size_of::<usize>();
                         if let Some(c) = d.learned() {
-                            // The `Arc`'s two counts, then the certificate.
-                            b += 2 * size_of::<usize>()
-                                + size_of::<Certificate>()
-                                + certificate_heap_bytes(&c);
+                            b += size_of::<Certificate>() + certificate_heap_bytes(c);
                         }
                     }
                 }
@@ -597,6 +590,7 @@ impl crate::mem::HeapUsage for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::template_hash;
     use crate::policy::Policy;
     use qlogic::RelSchema;
 
@@ -621,6 +615,13 @@ mod tests {
         ComplianceChecker::new(s, policy)
     }
 
+    fn select(plan: &TemplatePlan) -> &SelectPlan {
+        match plan.body() {
+            PlanBody::Select(s) => s,
+            other => panic!("expected a select body, got {other:?}"),
+        }
+    }
+
     fn compile(c: &ComplianceChecker, sql: &str, attempt: bool) -> TemplatePlan {
         compile_plan(c, sql, template_hash(sql), attempt, &mut |_| {})
     }
@@ -629,7 +630,7 @@ mod tests {
     fn select_plan_prunes_candidate_views() {
         let c = checker();
         let plan = compile(&c, "SELECT * FROM Events WHERE EId = ?e", true);
-        let select = plan.select().expect("select body");
+        let select = select(&plan);
         let disjuncts = select.translation.as_ref().expect("in fragment");
         assert_eq!(disjuncts.len(), 1);
         // Only V2 mentions Events; V1 (Attendance) and VL (Lonely) prune.
@@ -641,7 +642,7 @@ mod tests {
     fn template_allowed_plan_carries_certificates() {
         let c = checker();
         let plan = compile(&c, "SELECT EId FROM Attendance WHERE UId = ?MyUId", true);
-        let select = plan.select().unwrap();
+        let select = select(&plan);
         match &select.template {
             TemplateVerdict::Allowed(certs) => {
                 assert_eq!(certs.len(), 1);
@@ -658,8 +659,8 @@ mod tests {
     fn a_disjunct_learns_one_unambiguous_certificate_that_replays() {
         use crate::trace::{Observation, Trace};
         let c = checker();
-        let plan = compile(&c, "SELECT * FROM Events WHERE EId = ?e", true);
-        let d = &plan.select().unwrap().translation.as_ref().unwrap()[0];
+        let mut plan = compile(&c, "SELECT * FROM Events WHERE EId = ?e", true);
+        let d = &select(&plan).translation.as_ref().unwrap()[0];
         let bound = [
             ("MyUId".to_string(), Value::Int(1)),
             ("e".into(), Value::Int(2)),
@@ -677,28 +678,33 @@ mod tests {
             .prove_disjunct(&inst, &views, trace.facts())
             .expect("allowed");
         // Without the trace fact the certificate does not replay, so it is
-        // not kept.
-        d.learn(&c, &inst, &rw, &bound, &[]);
-        assert!(d.learned().is_none());
+        // not learned.
+        assert!(d.learn(&c, &inst, &rw, &bound, &[]).is_none());
         // A value two bindings share is ambiguous.
         let shared = [
             bound[0].clone(),
             ("f".into(), Value::Int(1)),
             bound[1].clone(),
         ];
-        d.learn(&c, &inst, &rw, &shared, trace.facts());
+        assert!(d.learn(&c, &inst, &rw, &shared, trace.facts()).is_none());
+        // The proof with its values lifted back to parameters is learned,
+        // with its expansion; learning writes nothing into the plan...
+        let learned = d.learn(&c, &inst, &rw, &bound, trace.facts());
+        let learned = learned.expect("learned");
+        assert!(learned.rewriting.params().contains(&"e".into()));
+        assert!(learned.expansion.is_some());
         assert!(d.learned().is_none());
-        // The proof with its values lifted back to parameters is kept, with
-        // its expansion...
-        d.learn(&c, &inst, &rw, &bound, trace.facts());
-        let held = d.learned().expect("kept");
-        assert!(held.rewriting.params().contains(&"e".into()));
-        assert!(held.expansion.is_some());
-        // ...and the next one learned replaces it.
         let renamed = [bound[0].clone(), ("e2".into(), Value::Int(2))];
-        d.learn(&c, &inst, &rw, &renamed, trace.facts());
-        let held = d.learned().expect("kept");
-        assert!(held.rewriting.params().contains(&"e2".into()));
+        let next = d.learn(&c, &inst, &rw, &renamed, trace.facts());
+        // ...keeping it does, and the next one kept replaces it.
+        let held = |plan: &TemplatePlan| {
+            let d = &select(plan).translation.as_ref().unwrap()[0];
+            d.learned().expect("kept").rewriting.params()
+        };
+        plan.keep_learned(vec![(0, learned)]);
+        assert!(held(&plan).contains(&"e".into()));
+        plan.keep_learned(vec![(0, next.expect("learned"))]);
+        assert!(held(&plan).contains(&"e2".into()));
     }
 
     #[test]
@@ -706,7 +712,7 @@ mod tests {
         let c = checker();
         let plan = compile(&c, "SELECT EId FROM Attendance WHERE UId = ?MyUId", false);
         assert!(matches!(
-            plan.select().unwrap().template,
+            select(&plan).template,
             TemplateVerdict::Undecidable
         ));
     }
@@ -761,24 +767,30 @@ mod tests {
     fn out_of_fragment_translation_is_replayable() {
         let c = checker();
         let plan = compile(&c, "SELECT COUNT(*) FROM Events", true);
-        let select = plan.select().unwrap();
+        let select = select(&plan);
         assert!(select.translation.is_err());
         assert!(matches!(select.template, TemplateVerdict::Undecidable));
     }
 
     #[test]
     fn a_cached_plan_compiles_once() {
-        let mut cache = PlanCache::new(64);
+        let mut cache = PlanCache::with_budget(64, 0);
         let c = checker();
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         let hash = template_hash(sql);
         let (plan, built) = cache.get_or_compile(hash, sql, || compile(&c, sql, true));
         assert!(built);
+        assert_eq!(plan.sql(), sql);
         let (again, built) = cache.get_or_compile(hash, sql, || unreachable!("cached"));
         assert!(!built, "second lookup reuses the compiled plan");
-        assert!(Arc::ptr_eq(&plan, &again));
-        assert!(Arc::ptr_eq(&plan, &cache.get(sql).unwrap()));
+        assert_eq!(again.sql(), sql);
+        assert_eq!(cache.get_hashed(hash, sql).unwrap().sql(), sql);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The cached plan for `sql`, by its own hash.
+    fn get<'c>(cache: &'c PlanCache, sql: &str) -> Option<&'c TemplatePlan> {
+        cache.get_hashed(template_hash(sql), sql)
     }
 
     /// Compiles `sql` into `cache` unless it is there.
@@ -794,7 +806,7 @@ mod tests {
         // an evicted template recompiles it. With no hits between inserts
         // every entry is unvisited, so the hand takes the oldest each time
         // (FIFO degenerate case).
-        let mut cache = PlanCache::new(4);
+        let mut cache = PlanCache::with_budget(4, 0);
         let c = checker();
         let sqls: Vec<String> = (0..200)
             .map(|i| format!("SELECT * FROM Events WHERE EId = {i}"))
@@ -804,8 +816,8 @@ mod tests {
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.evicted_plans(), 196);
-        assert!(cache.get(&sqls[199]).is_some());
-        assert!(cache.get(&sqls[195]).is_none());
+        assert!(get(&cache, &sqls[199]).is_some());
+        assert!(get(&cache, &sqls[195]).is_none());
         let recompiled = fill(&mut cache, &c, &sqls[0], false);
         assert!(recompiled, "an evicted template recompiles");
     }
@@ -832,33 +844,44 @@ mod tests {
 
     #[test]
     fn frequently_hit_plans_survive_one_shot_scans() {
-        let mut cache = PlanCache::new(2);
+        let mut cache = PlanCache::with_budget(2, 0);
         let c = checker();
         let hot = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         fill(&mut cache, &c, hot, false);
         for i in 0..400 {
-            assert!(cache.get(hot).is_some(), "hot plan evicted at scan {i}");
+            assert!(get(&cache, hot).is_some(), "hot plan evicted at scan {i}");
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
             fill(&mut cache, &c, &sql, false);
         }
-        assert!(cache.get(hot).is_some(), "scan-resistance violated");
+        assert!(get(&cache, hot).is_some(), "scan-resistance violated");
     }
 
     #[test]
     fn hash_collisions_fall_back_to_full_sql_comparison() {
-        let mut cache = PlanCache::new(64);
+        let mut cache = PlanCache::with_budget(64, 0);
         let c = checker();
         let a = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         let b = "SELECT * FROM Events WHERE EId = ?e";
         let forced = 0xdead_beef_u64; // same hash for both templates
         let (plan_a, _) = cache.get_or_compile(forced, a, || compile(&c, a, true));
+        assert_eq!(plan_a.sql(), a);
         let (plan_b, built_b) = cache.get_or_compile(forced, b, || compile(&c, b, true));
         assert!(built_b, "colliding template is a distinct entry");
-        assert_eq!(plan_a.sql(), a);
         assert_eq!(plan_b.sql(), b);
         assert_eq!(cache.len(), 2);
-        // Both remain retrievable through the same forced hash.
-        assert!(Arc::ptr_eq(&cache.get_hashed(forced, a).unwrap(), &plan_a));
-        assert!(Arc::ptr_eq(&cache.get_hashed(forced, b).unwrap(), &plan_b));
+        // Both remain retrievable through the same forced hash, each by its
+        // own text, with its own compiled body.
+        let found_a = cache.get_hashed(forced, a).unwrap();
+        assert_eq!(found_a.sql(), a);
+        assert!(matches!(
+            select(found_a).template,
+            TemplateVerdict::Allowed(_)
+        ));
+        let found_b = cache.get_hashed(forced, b).unwrap();
+        assert_eq!(found_b.sql(), b);
+        assert!(matches!(
+            select(found_b).template,
+            TemplateVerdict::Undecidable
+        ));
     }
 }

@@ -42,9 +42,9 @@
 //!   what a session's trace entails only grows between revocations
 //!   (compaction removes only facts implied by the ones it keeps; a write
 //!   revokes, and clears the cache). Concrete *denials* are cached
-//!   too, stamped with the [`Trace::version`] they were proved at: new
-//!   facts can flip a denial (never the reverse), so a cached denial is
-//!   served only while the session's trace version is unchanged.
+//!   too, for the [`Trace::version`] they were proved at: new facts can
+//!   flip a denial (never the reverse), so the deny tier is emptied
+//!   whenever the session's trace version moves.
 //!
 //! Every request takes this one path. The specification it is tested
 //! against is the cache-free [`ComplianceChecker`] (`check_template`,
@@ -64,17 +64,17 @@
 //!   the whole statement: the lookup (lifting and compiling on a miss),
 //!   the session's sync to the write epoch, the session lookup and
 //!   binding merge, [`decide`], the permit's run, [`observe`],
-//!   [`SessionState::apply`], the counting and the latency sample. So no
-//!   write lands between a session's sync and the read its permit allows,
-//!   nothing lands between a decision and its write-back, and a template
-//!   compiles once however many statements miss on it together.
+//!   [`SessionState::apply`], the counting, the learned certificates'
+//!   write-back and the latency sample. So no write lands between a
+//!   session's sync and the read its permit allows, nothing lands between
+//!   a decision and its write-back, and a template compiles once however
+//!   many statements miss on it together.
 //!   Statements decide one at a time. Every decision in this repository
 //!   runs on one thread (the reactor, or an embedding's caller), so
 //!   nothing waits on it there; the sharded design this lock replaced
 //!   never measured a parallel speed-up (EXPERIMENTS.md T7).
 //! * **Checker** — [`ComplianceChecker`] is immutable after construction and
-//!   shared freely. A proof runs under the state lock; the one lock it
-//!   takes, a disjunct's learned-certificate slot, is innermost.
+//!   shared freely. A proof runs under the state lock and takes no lock.
 //! * **Statistics** — plain integers in the locked state, beside the
 //!   store and the sessions. A statement counts them inside the one
 //!   acquisition it decides under, so [`SqlProxy::stats`] and
@@ -104,12 +104,11 @@
 //! likewise cost-only: recompiling a template reproduces the identical
 //! plan, and session caches keyed by its hash stay valid.
 //!
-//! *Deny cache*: a denial is recorded together with the trace's
-//! [`Trace::version`] it was proved at, and is replayed only while the
-//! session's version still equals that value. The version moves on every
-//! fact the trace adds *and* every fact compaction or revocation removes,
-//! so an equal version means the identical fact set, i.e. the identical
-//! proof obligation.
+//! *Deny cache*: every denial in it was proved at the trace's current
+//! [`Trace::version`], since the tier is emptied whenever the version
+//! moves. The version moves on every fact the trace adds *and* every fact
+//! compaction or revocation removes, so a denial is replayed only over the
+//! identical fact set, i.e. the identical proof obligation.
 //!
 //! *Allow cache*: compliance is monotone in what the trace entails, and
 //! between two revocations the set of facts a session's trace entails only
@@ -120,10 +119,10 @@
 //! writes back under, so an allow is always stored at the epoch it was
 //! proved at.
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use minidb::{Database, Rows};
@@ -681,33 +680,15 @@ impl SqlProxy {
         warnings
     }
 
-    /// Heap bytes currently owned by one live session's state (bindings,
-    /// trace, concrete caches), or `None` if the session is not live.
-    pub fn session_heap_bytes(&self, id: u64) -> Option<usize> {
-        self.state
-            .lock()
-            .sessions
-            .get(&id)
-            .map(SessionState::heap_bytes)
-    }
-
-    /// Heap bytes owned by all live session state, including the session
-    /// table itself: a walk of every session under the state lock.
-    pub fn sessions_heap_bytes(&self) -> usize {
-        sessions_heap_bytes(&self.state.lock().sessions)
-    }
-
-    /// Runs `f` with shared access to the wrapped database (e.g. for test
-    /// assertions), under the state lock. Do not call the proxy from
-    /// inside `f`: the lock is not reentrant, so any call that takes it —
-    /// `execute`, `stats()` and `metrics_text()` among them — deadlocks.
-    pub fn with_database<R>(&self, f: impl FnOnce(&Database) -> R) -> R {
-        f(&self.state.lock().store.db)
+    /// A copy of the wrapped database (e.g. for test assertions), cloned
+    /// under the state lock and returned after it is released.
+    pub fn database(&self) -> Database {
+        self.state.lock().store.db.clone()
     }
 
     /// Runs `f` with the compiled-plan cache (observability and tests),
-    /// under the state lock. As with [`with_database`](Self::with_database),
-    /// do not call the proxy from inside `f`.
+    /// under the state lock, which is not reentrant: a proxy call from
+    /// inside `f` deadlocks.
     pub fn with_plan_cache<R>(&self, f: impl FnOnce(&mut PlanCache) -> R) -> R {
         f(&mut self.state.lock().plans)
     }
@@ -774,9 +755,9 @@ impl SqlProxy {
         result
     }
 
-    /// The plan `execute` decides `sql` (whose template hash is `hash`)
-    /// through, whether this request compiled it, and the lifted literals'
-    /// bindings it needs.
+    /// Which plan in `plans` `execute` decides `sql` (whose template hash
+    /// is `hash`) by: its hash and text, whether this request compiled it,
+    /// and the lifted literals' bindings it needs.
     ///
     /// A text that has a plan of its own — it inlines nothing liftable, or
     /// it is decided by its exact text — takes it at once. Otherwise its
@@ -788,16 +769,16 @@ impl SqlProxy {
     /// proof may join on that equality; the shape's parameters are
     /// distinct symbols), or when the shape is
     /// [`exact_only`](TemplatePlan::exact_only).
-    fn resolve(
+    fn resolve<'s>(
         &self,
         plans: &mut PlanCache,
-        sql: &str,
+        sql: &'s str,
         hash: u64,
         timer: &mut PhaseTimer,
-    ) -> (Arc<TemplatePlan>, bool, Vec<(String, Value)>) {
-        if let Some(plan) = plans.get_hashed(hash, sql) {
+    ) -> (u64, Cow<'s, str>, bool, Vec<(String, Value)>) {
+        if plans.get_hashed(hash, sql).is_some() {
             timer.lap(Phase::TemplateLookup);
-            return (plan, false, Vec::new());
+            return (hash, Cow::Borrowed(sql), false, Vec::new());
         }
         let lifted = lift_literals(sql).filter(|l| {
             let b = &l.bindings;
@@ -808,21 +789,22 @@ impl SqlProxy {
             let shape_hash = template_hash(&lifted.shape);
             let (plan, built) = self.plan_for(plans, &lifted.shape, shape_hash, timer);
             if !plan.exact_only() {
-                return (plan, built, lifted.bindings);
+                return (shape_hash, Cow::Owned(lifted.shape), built, lifted.bindings);
             }
         }
-        let (plan, built) = self.plan_for(plans, sql, hash, timer);
-        (plan, built, Vec::new())
+        let built = self.plan_for(plans, sql, hash, timer).1;
+        (hash, Cow::Borrowed(sql), built, Vec::new())
     }
 
     /// Resolves the plan of one statement, decides it, runs its permit if
-    /// allowed, applies its effects on the session and counts it, in
-    /// order: [`resolve`](Self::resolve); a parse error is answered before
-    /// the session lookup, since it never depends on the session;
-    /// otherwise the session's sync to the write epoch, its lookup and the
-    /// binding merge, [`decide`], the permit's run, [`observe`],
-    /// [`SessionState::apply`] and [`Counts::count`]. Returns the template
-    /// hash the journal records with what it publishes.
+    /// allowed, applies its effects and counts it, in order:
+    /// [`resolve`](Self::resolve) and one borrow of the plan it names; a
+    /// parse error is answered before the session lookup, since it never
+    /// depends on the session; otherwise the session's sync to the write
+    /// epoch, its lookup and the binding merge, [`decide`], the permit's
+    /// run, [`observe`], [`SessionState::apply`], [`Counts::count`] and
+    /// [`TemplatePlan::keep_learned`]. Returns the template hash the
+    /// journal records with what it publishes.
     fn decide_and_run(
         &self,
         state: &mut State,
@@ -839,7 +821,8 @@ impl SqlProxy {
             counts,
             ..
         } = state;
-        let (plan, built, lifted) = self.resolve(plans, sql, hash, timer);
+        let (hash, text, built, lifted) = self.resolve(plans, sql, hash, timer);
+        let plan = plans.get_mut(hash, &text).expect("resolved");
         let kind = Kind::of(plan.body(), self.config.enforce_writes);
         if let Kind::Malformed(msg) = kind {
             let result = Ok(ProxyResponse::Blocked(DenyReason::ParseError(
@@ -847,10 +830,10 @@ impl SqlProxy {
             )));
             let span = SpanSummary::new(qlogic::probe::take(), 0, 0);
             let decided = counts.count(kind, Provenance::default(), &result, span);
-            return (plan.hash(), decided, result);
+            return (hash, decided, result);
         }
         let Some(session) = sessions.get_mut(&session_id) else {
-            return (plan.hash(), None, Err(CoreError::NoSuchSession(session_id)));
+            return (hash, None, Err(CoreError::NoSuchSession(session_id)));
         };
         if session.synced != store.epoch() {
             session.sync(store.epoch(), &store.written_since(session.synced));
@@ -861,10 +844,11 @@ impl SqlProxy {
             verdict,
             prov,
             remember,
+            learned,
         } = decide(
             &self.checker,
             kind,
-            plan.hash(),
+            hash,
             built,
             session,
             bindings,
@@ -889,15 +873,17 @@ impl SqlProxy {
             _ => None,
         };
         let evicted = session.apply(remember, record, &mut |phase| timer.lap(phase));
-        let [allow, deny] = &mut counts.session_evictions;
-        *allow += evicted.allow as u64;
-        *deny += evicted.deny as u64;
+        for (total, n) in counts.session_evictions.iter_mut().zip(evicted) {
+            *total += n as u64;
+        }
         let span = SpanSummary::new(
             qlogic::probe::take(),
             prov.cert_replays,
             prov.cert_fallbacks,
         );
-        (plan.hash(), counts.count(kind, prov, &result, span), result)
+        let decided = counts.count(kind, prov, &result, span);
+        plan.keep_learned(learned);
+        (hash, decided, result)
     }
 
     /// The tail of [`execute`](Self::execute), after the state lock is
@@ -931,13 +917,13 @@ impl SqlProxy {
     /// The compiled plan for a template, compiled into `plans` on a miss:
     /// `(plan, built)` where `built` says this call did the compilation
     /// (and its `Parse`/`Proof` laps are already attributed).
-    fn plan_for(
+    fn plan_for<'c>(
         &self,
-        plans: &mut PlanCache,
+        plans: &'c mut PlanCache,
         sql: &str,
         hash: u64,
         timer: &mut PhaseTimer,
-    ) -> (Arc<TemplatePlan>, bool) {
+    ) -> (&'c TemplatePlan, bool) {
         let (plan, built) = plans.get_or_compile(hash, sql, || {
             compile_plan(&self.checker, sql, hash, true, &mut |ph| timer.lap(ph))
         });
@@ -1407,7 +1393,7 @@ mod tests {
                 assert_eq!(unchecked, Err(CoreError::Parse(expected)), "{sql}");
             }
             assert_eq!(p.stats().writes, 0, "nothing reached the store");
-            assert_eq!(p.with_database(|db| db.total_rows()), 4);
+            assert_eq!(p.database().total_rows(), 4);
         }
     }
 
@@ -1491,15 +1477,16 @@ mod tests {
             let t = p.session_trace(s).unwrap();
             (t.facts().to_vec(), t.len(), t.version(), t.heap_bytes())
         };
-        let (before, state_bytes) = (state(&p), p.sessions_heap_bytes());
+        let sessions_bytes = |p: &SqlProxy| p.component_heap_bytes()[1].1;
+        let (before, state_bytes) = (state(&p), sessions_bytes(&p));
         assert!(!before.0.is_empty());
 
         for sql in reads.iter().cycle().take(9) {
             assert!(p.execute(s, sql, &[]).unwrap().is_allowed());
         }
         assert_eq!(state(&p), before);
-        assert_eq!(p.sessions_heap_bytes(), state_bytes);
-        // The stamp still matches: no proof, the cache answers.
+        assert_eq!(sessions_bytes(&p), state_bytes);
+        // The version has not moved: no proof, the deny tier answers.
         let (hits, proofs) = (p.stats().deny_cache_hits, p.stats().concrete_proofs);
         assert!(!p.execute(s, fetch, &[]).unwrap().is_allowed());
         assert_eq!(p.stats().deny_cache_hits, hits + 1);
@@ -1728,10 +1715,11 @@ mod tests {
 
     #[test]
     fn compaction_does_not_resurrect_stale_denials() {
-        // With the deny cache stamped by fact *count* this sequence could
+        // Had the deny tier been kept by fact *count* this sequence could
         // go stale: duplicate probes push then compact away facts, so the
-        // count can repeat while the knowledge changed. The version stamp
-        // is monotone through both pushes and compaction removals.
+        // count can repeat while the knowledge changed. The version is
+        // monotone through both pushes and compaction removals, and every
+        // move empties the tier.
         let p = proxy(ProxyConfig::default());
         let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
         // Template-undecidable: the fetch reaches the deny cache.
@@ -1848,7 +1836,7 @@ mod tests {
         p.with_plan_cache(|plans| {
             plans.get_or_compile(template_hash(sql), sql, || {
                 compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
-            })
+            });
         });
         assert!(qlogic::probe::peek().containment_checks > 0);
         let proofs = p.stats().template_proofs;
@@ -1869,11 +1857,18 @@ mod tests {
             &[("event".into(), Value::Int(2))],
         )
         .unwrap();
-        let live = p.session_heap_bytes(s).expect("session is live");
+        let heap = |p: &SqlProxy| {
+            p.state
+                .lock()
+                .sessions
+                .get(&s)
+                .map(SessionState::heap_bytes)
+        };
+        let live = heap(&p).expect("session is live");
         assert!(live > 0, "a traced session owns heap");
-        assert!(p.sessions_heap_bytes() >= live);
+        assert!(p.component_heap_bytes()[1].1 >= live);
         assert!(p.end_session(s));
-        assert_eq!(p.session_heap_bytes(s), None);
+        assert_eq!(heap(&p), None);
         let text = p.metrics_text();
         assert!(text.contains("bep_session_state_bytes_count 1\n"), "{text}");
         // The recorded size is the session's final footprint (p50 of one

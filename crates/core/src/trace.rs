@@ -78,8 +78,8 @@
 //!
 //! So pushing `W'` and reducing could only return a store equivalent to
 //! the one already held, at the price of deriving, Skolemizing and
-//! re-absorbing it; and because nothing changed, a cached denial stamped
-//! with the trace version stays servable. The rule is not part of
+//! re-absorbing it; and because nothing changed, a cached denial proved
+//! at the trace version stays servable. The rule is not part of
 //! compaction; plain [`Trace::record`] obeys it too, so a compacting store,
 //! a never-compacted one and the [`Trace::compact`] specification see the
 //! same sequence of entries by construction. It also means a repeated join
@@ -104,7 +104,7 @@
 //!   re-read of a row that survived the write into a no-op, and its fact
 //!   would never come back. With the entry gone, the re-read is news and
 //!   restores it.
-//! * **The version moves**, so a denial stamped before goes stale, and the
+//! * **The version moves**, so a denial proved before goes stale, and the
 //!   store is marked unreduced: a dropped fact can unpin a Skolem a
 //!   survivor shares, so the next compacting record runs [`Trace::compact`]
 //!   once.
@@ -213,9 +213,9 @@ pub struct Trace {
     skolem_counter: u64,
     /// Bumped whenever the fact set changes (push, compaction removal or
     /// revocation).
-    /// Cached decisions that depended on the facts stamp this; a plain
-    /// `facts().len()` stamp would be unsound once compaction can shrink the
-    /// set (the same count can name a different set).
+    /// Cached decisions that depended on the facts are kept only while this
+    /// is unchanged; `facts().len()` would be unsound once compaction can
+    /// shrink the set (the same count can name a different set).
     version: u64,
     /// Set by the mutations that do not restore the reduced store (plain
     /// [`Trace::record`], [`Trace::assume_fact`], [`Trace::revoke`]), cleared by
@@ -580,7 +580,7 @@ impl Trace {
     }
 
     /// Monotone fact-set version: changes (strictly increases) whenever the
-    /// fact set changes in any way. Decision caches stamp this instead of
+    /// fact set changes in any way. Decision caches key on this instead of
     /// `facts().len()`, which compaction can make ambiguous.
     pub fn version(&self) -> u64 {
         self.version

@@ -36,6 +36,8 @@ pub(crate) struct ConnShared {
     pub config: ServerConfig,
     /// Server-wide shutdown flag.
     pub shutdown: Arc<AtomicBool>,
+    /// Cloned by each live reject thread (`server::reject`).
+    pub rejecting: Arc<()>,
 }
 
 /// Ends every still-live session this connection began, on any exit path

@@ -1,8 +1,8 @@
 //! The server's front-end: one reactor thread, every connection.
 //!
 //! A single thread owns a level-triggered [`Poller`] holding the listener,
-//! a shutdown [`Waker`], and every live connection's nonblocking socket.
-//! Each loop iteration:
+//! a shutdown [`Waker`](crate::reactor::Waker), and every live
+//! connection's nonblocking socket. Each loop iteration:
 //!
 //! 1. **Wait** for readiness (with the configured poll tick as timeout, or
 //!    zero when fairness-capped connections still hold buffered frames or
@@ -413,7 +413,7 @@ fn accept_burst(
                     queue_depth: conns.len() as u64,
                     workers: 1,
                 },
-                shared.config.write_timeout,
+                &shared.rejecting,
             );
             continue;
         }

@@ -38,8 +38,6 @@ pub struct ServerConfig {
     pub max_frame: usize,
     /// The reactor's poll tick; paces the shutdown flag and the idle clock.
     pub poll_interval: Duration,
-    /// Write timeout for the terminal frame on a turned-away connection.
-    pub write_timeout: Duration,
     /// A connection silent this long is reaped and its sessions ended.
     pub idle_timeout: Duration,
 }
@@ -50,7 +48,6 @@ impl Default for ServerConfig {
             max_connections: 12_288,
             max_frame: MAX_FRAME,
             poll_interval: Duration::from_millis(20),
-            write_timeout: Duration::from_secs(2),
             idle_timeout: Duration::from_secs(30),
         }
     }
@@ -83,6 +80,7 @@ impl Server {
             proxy,
             config,
             shutdown: Arc::clone(&shutdown),
+            rejecting: Arc::default(),
         });
 
         let (waker, waker_rx) = waker_pair()?;
@@ -144,19 +142,33 @@ impl Drop for Server {
     }
 }
 
+/// Reject threads one server may have live at once; past them a
+/// turned-away connection is closed at once, without its `busy` frame.
+pub const MAX_REJECT_THREADS: usize = 32;
+
+/// Write timeout for the terminal frame on a turned-away connection.
+const REJECT_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Writes one terminal response on a connection the server will not
 /// serve, then closes it politely. "Politely" matters: the client has
 /// usually pipelined its `hello` already, and closing a socket with
 /// unread data sends an RST that destroys the very `busy` frame we just
 /// wrote. So the rejection drains the client's bytes until FIN (briefly),
 /// and runs on its own short-lived thread to keep the event loop free.
-pub(crate) fn reject(mut stream: TcpStream, response: &Response, write_timeout: Duration) {
+/// Each such thread holds a clone of `live`, and only the reactor calls
+/// this, so no more than [`MAX_REJECT_THREADS`] run at once.
+pub(crate) fn reject(mut stream: TcpStream, response: &Response, live: &Arc<()>) {
+    if Arc::strong_count(live) > MAX_REJECT_THREADS {
+        return;
+    }
+    let live = Arc::clone(live);
     let wire = response.to_wire();
     let _ = std::thread::Builder::new()
         .name("bep-server-reject".into())
         .spawn(move || {
+            let _live = live;
             let _ = stream.set_nonblocking(false);
-            let _ = stream.set_write_timeout(Some(write_timeout));
+            let _ = stream.set_write_timeout(Some(REJECT_WRITE_TIMEOUT));
             let _ = stream.set_nodelay(true);
             let _ = write_frame(&mut stream, wire.as_bytes());
             let _ = stream.shutdown(std::net::Shutdown::Write);

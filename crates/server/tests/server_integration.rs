@@ -344,8 +344,13 @@ fn sessions_are_connection_scoped_capabilities() {
     server.shutdown();
 }
 
+/// Held by each test that makes a server turn connections away, so a
+/// count of this process's reject threads sees one server's.
+static REJECTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[test]
 fn connection_cap_answers_busy_with_the_server_load() {
+    let _one_at_a_time = REJECTING.lock().unwrap_or_else(|e| e.into_inner());
     let config = ServerConfig {
         max_connections: 1,
         ..Default::default()
@@ -385,6 +390,59 @@ fn connection_cap_answers_busy_with_the_server_load() {
             other => panic!("expected eventual admission, got {other:?}"),
         }
     }
+    server.shutdown();
+}
+
+/// Threads of this process named as reject threads (Linux keeps the first
+/// 15 bytes of a thread's name).
+#[cfg(target_os = "linux")]
+fn reject_threads() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return 0;
+    };
+    (tasks.flatten())
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .filter(|name| name.starts_with("bep-server-rej"))
+        .count()
+}
+
+/// Past the admission cap every connection is turned away on a thread of
+/// its own that drains the client for up to half a second. A flood of
+/// connections held open must not buy one thread each: at most
+/// `MAX_REJECT_THREADS` are live at once, and every connection past them
+/// is closed at once, still counted as a busy rejection.
+#[cfg(target_os = "linux")]
+#[test]
+fn rejected_connections_cost_a_bounded_number_of_threads() {
+    use bep_server::server::MAX_REJECT_THREADS;
+    const FLOOD: u64 = 200;
+    let _one_at_a_time = REJECTING.lock().unwrap_or_else(|e| e.into_inner());
+    let config = ServerConfig {
+        max_connections: 1,
+        ..Default::default()
+    };
+    let (server, _proxy) = start(config);
+    let holder = Client::connect(server.addr(), IO).unwrap();
+    let mut most = 0;
+    let mut turned_away = Vec::new();
+    for _ in 0..FLOOD {
+        turned_away.push(std::net::TcpStream::connect(server.addr()).unwrap());
+        most = most.max(reject_threads());
+    }
+    let deadline = std::time::Instant::now() + IO;
+    while server.busy_rejections() < FLOOD && std::time::Instant::now() < deadline {
+        most = most.max(reject_threads());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    most = most.max(reject_threads());
+    assert_eq!(server.busy_rejections(), FLOOD);
+    assert!(most > 0, "no reject thread was ever seen");
+    assert!(
+        most <= MAX_REJECT_THREADS,
+        "{most} reject threads live at once, over the cap of {MAX_REJECT_THREADS}"
+    );
+    drop(turned_away);
+    drop(holder);
     server.shutdown();
 }
 

@@ -117,11 +117,10 @@ fn calendar_with_own_rows_parts() -> (Database, ComplianceChecker) {
 
 /// Attendance rows, ordered.
 fn attendance(p: &SqlProxy) -> Vec<Vec<Value>> {
-    p.with_database(|db| {
-        db.query_sql("SELECT UId, EId, Notes FROM Attendance ORDER BY UId, EId")
-            .unwrap()
-            .rows
-    })
+    (p.database())
+        .query_sql("SELECT UId, EId, Notes FROM Attendance ORDER BY UId, EId")
+        .unwrap()
+        .rows
 }
 
 /// A column named twice in an `INSERT` column list or an `UPDATE` `SET`
@@ -194,7 +193,12 @@ fn a_row_named_by_an_unpinned_column_is_not_a_known_row() {
     let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
     let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = 2";
     assert_eq!(p.execute(s, probe, &[]).unwrap().rows().unwrap().len(), 1);
-    let events = || p.with_database(|db| db.query_sql("SELECT EId FROM Events").unwrap().rows);
+    let events = || {
+        p.database()
+            .query_sql("SELECT EId FROM Events")
+            .unwrap()
+            .rows
+    };
     let before = events();
     match p.execute(s, "DELETE FROM Events WHERE Title = 'party'", &[]) {
         Ok(ProxyResponse::Blocked(DenyReason::WriteNotCovered { .. })) => {}
@@ -220,10 +224,10 @@ fn a_text_on_another_templates_hash_keeps_its_own_plan() {
     let everyone = "SELECT * FROM Attendance";
     let own = "SELECT * FROM Attendance WHERE UId = ?MyUId";
     let hash = template_hash(everyone);
-    let (planted, built) = p.with_plan_cache(|plans| {
-        plans.get_or_compile(hash, own, || {
-            beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {})
-        })
+    let built = p.with_plan_cache(|plans| {
+        let compile =
+            || beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {});
+        plans.get_or_compile(hash, own, compile).1
     });
     assert!(built);
     let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
@@ -233,10 +237,50 @@ fn a_text_on_another_templates_hash_keeps_its_own_plan() {
     }
     p.with_plan_cache(|plans| {
         assert_eq!(plans.len(), 2, "each text has a plan of its own");
-        let found = plans.get_hashed(hash, own).expect("still cached");
-        assert!(std::sync::Arc::ptr_eq(&found, &planted));
+        assert_eq!(
+            plans.get_hashed(hash, own).expect("still cached").sql(),
+            own
+        );
         assert_eq!(plans.get_hashed(hash, everyone).unwrap().sql(), everyone);
     });
+}
+
+/// A certificate a proof learned on one disjunct is kept even when another
+/// disjunct of the same statement blocks it: the plan learns from the proof,
+/// whatever the verdict. User 1 knows only that it attends event 2, so the
+/// union over events 2 and 7 proves its first disjunct by search, learns
+/// that certificate, and is blocked on the second; the next statement by
+/// the same plan replays the certificate instead of searching again.
+#[test]
+fn a_certificate_learned_before_a_block_is_replayed() {
+    let p = calendar_with_own_rows();
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?e";
+    let e2 = [("e".to_string(), Value::Int(2))];
+    assert_eq!(p.execute(s, probe, &e2).unwrap().rows().unwrap().len(), 1);
+    let union = "SELECT Title FROM Events WHERE EId IN (?a, ?b)";
+    let last = || p.journal().events_since(p.journal().published() - 1, 1)[0];
+    let pair = |a: i64, b: i64| {
+        [
+            ("a".to_string(), Value::Int(a)),
+            ("b".into(), Value::Int(b)),
+        ]
+    };
+    match p.execute(s, union, &pair(2, 7)) {
+        Ok(ProxyResponse::Blocked(DenyReason::NotDetermined { .. })) => {}
+        other => panic!("event 7 is not known to user 1 yet, got {other:?}"),
+    }
+    let blocked = last().span;
+    assert_eq!((blocked.cert_replays, blocked.cert_fallbacks), (0, 2));
+    let rows = p.execute(s, union, &pair(2, 2)).unwrap();
+    assert_eq!(rows.rows().unwrap().len(), 1);
+    let allowed = last();
+    assert_eq!(allowed.tier, CacheTier::ConcreteProof);
+    assert_eq!(
+        (allowed.span.cert_replays, allowed.span.cert_fallbacks),
+        (1, 1),
+        "the first disjunct replays what the blocked statement learned"
+    );
 }
 
 /// The calendar policy (`V1`, `V2`) with `enforce_writes` on, over events

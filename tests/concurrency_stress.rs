@@ -187,7 +187,7 @@ fn concurrent_writes_are_counted_exactly() {
 
     let stats = proxy.stats();
     assert_eq!(stats.writes, (WORKERS * ITERS) as u64);
-    let total = proxy.with_database(|db| db.total_rows());
+    let total = proxy.database().total_rows();
     assert_eq!(total, 2 + 2 + WORKERS * ITERS);
 }
 

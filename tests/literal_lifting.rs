@@ -92,7 +92,7 @@ impl Twins {
         self.exact.with_plan_cache(|plans| {
             plans.get_or_compile(hash, sql, || {
                 compile_plan(&self.checker, sql, hash, true, &mut |_| {})
-            })
+            });
         });
         let exact = self.exact.execute(b, sql, bindings);
         assert_eq!(lifted, exact, "{sql} with {bindings:?}");

@@ -695,21 +695,20 @@ struct Reader {
 
 /// The live database behind `proxy`.
 fn live_db(proxy: &SqlProxy) -> Db {
-    proxy.with_database(|d| {
-        REL.map(|name| {
-            (d.table(name).unwrap().rows())
-                .map(|row| {
-                    row.iter()
-                        .map(|v| match v {
-                            Value::Int(i) => *i,
-                            other => panic!("non-integer cell {other:?}"),
-                        })
-                        .collect::<Vec<_>>()
-                        .try_into()
-                        .unwrap()
-                })
-                .collect()
-        })
+    let d = proxy.database();
+    REL.map(|name| {
+        (d.table(name).unwrap().rows())
+            .map(|row| {
+                row.iter()
+                    .map(|v| match v {
+                        Value::Int(i) => *i,
+                        other => panic!("non-integer cell {other:?}"),
+                    })
+                    .collect::<Vec<_>>()
+                    .try_into()
+                    .unwrap()
+            })
+            .collect()
     })
 }
 
