@@ -21,6 +21,7 @@
 //! An entry's weight is fixed when it is inserted: a value whose footprint
 //! changes is re-inserted under its key with its new weight.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -99,8 +100,13 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
         self.evicted
     }
 
-    /// Looks a key up, marking the entry visited (the SIEVE hit path).
-    pub fn get(&self, key: &K) -> Option<&V> {
+    /// Looks a key up, marking the entry visited (the SIEVE hit path). A
+    /// `String`-keyed cache is looked up by `&str`, allocating nothing.
+    pub fn get<Q>(&self, key: &Q) -> Option<&V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.get(key).map(|s| {
             s.visited.set(true);
             &s.value
@@ -109,7 +115,11 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
 
     /// Looks a key up to change its value in place: not a use (the visited
     /// bit stays), and the entry keeps its weight.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         self.map.get_mut(key).map(|s| &mut s.value)
     }
 
@@ -170,23 +180,13 @@ impl<K: Eq + Hash + Clone, V> BoundedCache<K, V> {
             if self.hand >= self.order.len() {
                 self.hand = 0;
             }
-            let key = self.order[self.hand].clone();
-            if key == *protect {
+            let key = &self.order[self.hand];
+            if key == protect || self.map[key].visited.replace(false) {
                 self.hand += 1;
                 continue;
             }
-            let visited = self
-                .map
-                .get(&key)
-                .expect("order and map agree")
-                .visited
-                .replace(false);
-            if visited {
-                self.hand += 1;
-                continue;
-            }
+            let key = self.order.remove(self.hand); // successor shifts into `hand`
             let slot = self.map.remove(&key).expect("order and map agree");
-            self.order.remove(self.hand); // successor shifts into `hand`
             self.resident_bytes -= slot.bytes;
             self.evicted += 1;
             out.push((key, slot.value));

@@ -40,8 +40,8 @@ use crate::write::WriteTemplateVerdict;
 /// time, in order.
 #[derive(Debug, Clone)]
 pub(crate) struct SessionState {
-    /// Policy-parameter bindings (sessions never rebind); a statement
-    /// reads them in place.
+    /// Policy-parameter bindings, one per name (sessions never rebind,
+    /// and a request may not either); a statement reads them in place.
     pub(crate) bindings: Vec<(String, Value)>,
     pub(crate) trace: Trace,
     /// Allowals keyed by concrete fingerprint; SIEVE-bounded.
@@ -61,8 +61,18 @@ pub(crate) struct SessionState {
 
 impl SessionState {
     /// A session with an empty trace; each concrete-cache tier gets half of
-    /// `cache_budget_bytes` (0 = unbounded).
-    pub(crate) fn new(bindings: Vec<(String, Value)>, cache_budget_bytes: usize) -> SessionState {
+    /// `cache_budget_bytes` (0 = unbounded). Of bindings sharing a name,
+    /// only the first is kept: the checker would read the first, and the
+    /// database the last.
+    pub(crate) fn new(
+        mut bindings: Vec<(String, Value)>,
+        cache_budget_bytes: usize,
+    ) -> SessionState {
+        for i in (1..bindings.len()).rev() {
+            if bindings[..i].iter().any(|(n, _)| *n == bindings[i].0) {
+                bindings.remove(i);
+            }
+        }
         let per_tier = cache_budget_bytes / 2;
         SessionState {
             bindings,
@@ -153,20 +163,20 @@ fn deny_entry_bytes(reason: &DenyReason) -> usize {
     size_of::<(ConcreteKey, DenyReason)>() + query
 }
 
-/// Fingerprint of one (template, bindings) pair — the session-cache key.
+/// Fingerprint of one (plan, bindings) pair — the session-cache key.
 ///
-/// Three `u64`s, computed with zero allocation: the template hash, the
-/// binding count, and a commutative digest of the bindings (sum and
-/// sum-of-squares of each pair's FNV-1a hash), so binding *order* never
-/// splits cache entries — the old string key sorted by name for the same
-/// reason. The key is probabilistic where the old string key was exact,
-/// but it is scoped to one session *and* one exact template hash: a wrong
-/// cache answer needs two binding sets of the same session and template to
-/// collide on both 64-bit digests, and the worst consequence is replaying
-/// that session's own earlier decision for the template.
+/// Four `u64`s, computed with zero allocation: the plan's id
+/// ([`TemplatePlan::id`](crate::plan::TemplatePlan::id), which no other
+/// plan ever has, so no other text shares it), the binding count, and a
+/// commutative digest of the bindings (sum and sum-of-squares of each
+/// pair's FNV-1a hash), so binding *order* never splits cache entries. The
+/// bindings digest is probabilistic: a wrong cache answer needs two binding
+/// sets of the same session and plan to collide on both 64-bit sums, and
+/// its worst consequence is replaying that session's own earlier decision
+/// for the same text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct ConcreteKey {
-    template: u64,
+    plan: u64,
     len: u64,
     sum: u64,
     sum_sq: u64,
@@ -208,7 +218,7 @@ fn binding_hash(name: &str, v: &Value) -> u64 {
 }
 
 impl ConcreteKey {
-    pub(crate) fn new(template: u64, bindings: &[(String, Value)]) -> ConcreteKey {
+    pub(crate) fn new(plan: u64, bindings: &[(String, Value)]) -> ConcreteKey {
         let mut sum = 0u64;
         let mut sum_sq = 0u64;
         for (k, v) in bindings {
@@ -217,7 +227,7 @@ impl ConcreteKey {
             sum_sq = sum_sq.wrapping_add(h.wrapping_mul(h));
         }
         ConcreteKey {
-            template,
+            plan,
             len: bindings.len() as u64,
             sum,
             sum_sq,
@@ -326,7 +336,7 @@ impl<'p> Outcome<'p> {
 
 /// Decides one statement for one session.
 ///
-/// `hash` is the plan's template hash and `built` says this request
+/// `plan` is the plan's id and `built` says this request
 /// compiled the plan (so its template verdict is a fresh proof, not a
 /// cache hit). `bindings` are the session's merged with the request's.
 /// The tiers, in order:
@@ -341,7 +351,7 @@ impl<'p> Outcome<'p> {
 pub(crate) fn decide<'p>(
     checker: &ComplianceChecker,
     kind: Kind<'p>,
-    hash: u64,
+    plan: u64,
     built: bool,
     session: &SessionState,
     bindings: &[(String, Value)],
@@ -367,7 +377,7 @@ pub(crate) fn decide<'p>(
                 let mut learned = Vec::new();
                 let outcome = concrete(
                     session,
-                    hash,
+                    plan,
                     built,
                     bindings,
                     lap,
@@ -390,7 +400,7 @@ pub(crate) fn decide<'p>(
                 }
                 WriteTemplateVerdict::Undecidable => {
                     let permit = Permit::write(&wp.stmt);
-                    concrete(session, hash, built, bindings, lap, permit, |facts, _| {
+                    concrete(session, plan, built, bindings, lap, permit, |facts, _| {
                         let views = checker.policy().views();
                         crate::write::check_write_concrete(t, views, bindings, facts)
                             .map_err(|query| DenyReason::WriteNotCovered { query })
@@ -407,7 +417,7 @@ pub(crate) fn decide<'p>(
 /// allow carries `permit`.
 fn concrete<'p>(
     session: &SessionState,
-    hash: u64,
+    plan: u64,
     built: bool,
     bindings: &[(String, Value)],
     lap: &mut dyn FnMut(Phase),
@@ -420,7 +430,7 @@ fn concrete<'p>(
         negative_template_hit: !built,
         ..Default::default()
     };
-    let key = ConcreteKey::new(hash, bindings);
+    let key = ConcreteKey::new(plan, bindings);
     if session.allowed_cache.get(&key).is_some() {
         lap(Phase::ConcreteLookup);
         prov.tier = CacheTier::SessionCache;
@@ -580,7 +590,7 @@ mod tests {
             prov,
             remember,
             learned,
-        } = decide(c, kind, plan.hash(), built, session, &bindings, &mut |_| {});
+        } = decide(c, kind, plan.id(), built, session, &bindings, &mut |_| {});
         let record = match (kind, returned) {
             (Kind::Read(sp), Some(r)) if verdict.is_ok() => observe(sp, &bindings, r),
             _ => None,
@@ -644,7 +654,7 @@ mod tests {
 
     #[test]
     fn concrete_key_is_order_insensitive_and_discriminates() {
-        let h = template_hash("SELECT * FROM Events WHERE EId = ?e");
+        let h = 7;
         let a = ("a".to_string(), Value::Int(1));
         let b = ("b".to_string(), Value::str("x"));
         let k1 = ConcreteKey::new(h, &[a.clone(), b.clone()]);

@@ -21,7 +21,6 @@
 
 pub mod cache;
 pub mod checker;
-pub mod classify;
 mod decide;
 pub mod decision;
 mod door;
@@ -39,7 +38,6 @@ pub mod write;
 
 pub use cache::BoundedCache;
 pub use checker::ComplianceChecker;
-pub use classify::StatementClass;
 pub use decision::{Decision, DenyReason};
 pub use error::CoreError;
 pub use latency::{LatencyHistogram, LatencySnapshot};

@@ -124,10 +124,7 @@ fn lint_mutation(checker: &ComplianceChecker, stmt: &Statement) -> Vec<String> {
 pub fn lint_template(checker: &ComplianceChecker, sql: &str) -> Vec<String> {
     let q = match parse_statement(sql) {
         Ok(Statement::Select(q)) => q,
-        Ok(stmt)
-            if crate::classify::StatementClass::of(&stmt)
-                == crate::classify::StatementClass::Write =>
-        {
+        Ok(stmt @ (Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_))) => {
             return lint_mutation(checker, &stmt);
         }
         _ => return Vec::new(),

@@ -33,12 +33,13 @@
 //! in session A allows nothing in session B that B's facts do not already
 //! support, and a replay that does not verify falls back to the search.
 //!
-//! [`PlanCache`] is the hash-keyed home of compiled plans, by value: one
-//! SIEVE-bounded map, owned by the proxy's locked state, so a statement
-//! looks its plan up, and compiles it on a miss, under the lock it decides
-//! under. Distinct templates colliding on the 64-bit FNV hash chain under
-//! one key and are told apart by full-SQL comparison, so a collision costs
-//! a string compare, never a wrong plan.
+//! [`PlanCache`] is the home of compiled plans, by value: one SIEVE-bounded
+//! map from a template's SQL text to its plan, owned by the proxy's locked
+//! state, so a statement looks its plan up, and compiles it on a miss,
+//! under the lock it decides under. Two texts are two keys, whatever their
+//! hashes. Each plan the cache inserts gets an id no other plan has had,
+//! and the session caches key their verdicts on it
+//! ([`TemplatePlan::id`]).
 
 use qlogic::{candidate_view_indices, const_to_param, Atom, CVal, Cq, Term};
 use sqlir::{
@@ -194,8 +195,8 @@ pub enum PlanBody {
 /// depend on the session, the bindings, or the trace.
 #[derive(Debug)]
 pub struct TemplatePlan {
-    sql: String,
     hash: u64,
+    id: u64,
     body: PlanBody,
     exact_only: bool,
 }
@@ -219,15 +220,18 @@ impl TemplatePlan {
         self.exact_only
     }
 
-    /// The template SQL this plan was compiled from.
-    pub fn sql(&self) -> &str {
-        &self.sql
-    }
-
-    /// The 64-bit FNV-1a template hash ([`template_hash`](crate::obs::template_hash)) — the plan's
-    /// cache key and its identity in decision events.
+    /// The 64-bit FNV-1a template hash
+    /// ([`template_hash`](crate::obs::template_hash)): the plan's label in
+    /// decision events. No decision reads it.
     pub fn hash(&self) -> u64 {
         self.hash
+    }
+
+    /// The id the [`PlanCache`] gave this plan when it inserted it (`0` for
+    /// a plan compiled outside a cache). Ids are never reused, so a session
+    /// cache entry keyed on one is a verdict for this plan's text alone.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The compiled body.
@@ -273,8 +277,8 @@ pub fn compile_plan(
         Ok(s) => s,
         Err(e) => {
             return TemplatePlan {
-                sql: sql.to_string(),
                 hash,
+                id: 0,
                 body: PlanBody::ParseError(e.to_string()),
                 exact_only: true,
             }
@@ -288,9 +292,7 @@ pub fn compile_plan(
         .any(|p| matches!(p, Param::Named(n) if is_lifted_name(n)));
     let query = match stmt {
         Statement::Select(q) => q,
-        stmt if crate::classify::StatementClass::of(&stmt)
-            == crate::classify::StatementClass::Write =>
-        {
+        stmt @ (Statement::Insert(_) | Statement::Update(_) | Statement::Delete(_)) => {
             let template = crate::write::compile_write_template(
                 &stmt,
                 checker.policy().views(),
@@ -303,8 +305,8 @@ pub fn compile_plan(
                         || t.atoms.iter().any(|a| lifts_unfaithfully(checker, a))
                 });
             return TemplatePlan {
-                sql: sql.to_string(),
                 hash,
+                id: 0,
                 body: PlanBody::Write(WritePlan {
                     stmt,
                     template,
@@ -315,8 +317,8 @@ pub fn compile_plan(
         }
         stmt => {
             return TemplatePlan {
-                sql: sql.to_string(),
                 hash,
+                id: 0,
                 body: PlanBody::Other(stmt),
                 exact_only: false,
             }
@@ -377,8 +379,8 @@ pub fn compile_plan(
     };
 
     TemplatePlan {
-        sql: sql.to_string(),
         hash,
+        id: 0,
         body: PlanBody::Select(SelectPlan {
             query,
             params,
@@ -430,104 +432,83 @@ fn lifts_faithfully(checker: &ComplianceChecker, d: &Cq) -> bool {
 /// for unusually large plans).
 pub const PLAN_CAPACITY: usize = 1024;
 
-/// Collision chains keyed by template hash: distinct templates sharing a
-/// 64-bit hash live in one chain and are told apart by full-SQL
-/// comparison.
-type Chains = BoundedCache<u64, Vec<TemplatePlan>>;
-
-/// Hash-keyed cache of compiled template plans with bounded count *and*
-/// bytes (SIEVE eviction at chain granularity, scan-resistant).
-///
-/// The lookup key is the 64-bit template hash — computed without
-/// allocating — and the warm path is one string *comparison* (never a
-/// string allocation) plus one visited-bit store.
+/// Cache of compiled template plans, keyed by their SQL text, with bounded
+/// count *and* bytes (SIEVE eviction, scan-resistant). A lookup hashes the
+/// text and compares it, allocating nothing.
 #[derive(Debug)]
 pub struct PlanCache {
-    chains: Chains,
-    /// Plans ever evicted (`bep_cache_evictions_total{tier="plan"}`): a
-    /// chain's every plan, not the chain.
-    evicted_plans: u64,
+    plans: BoundedCache<String, TemplatePlan>,
+    /// The id the next plan inserted is given.
+    next_id: u64,
 }
 
 impl PlanCache {
-    /// Creates a cache bounded by `capacity` template hashes and
-    /// `budget_bytes` resident bytes (`0` = count-bounded only).
+    /// Creates a cache bounded by `capacity` templates and `budget_bytes`
+    /// resident bytes (`0` = count-bounded only).
     pub fn with_budget(capacity: usize, budget_bytes: usize) -> PlanCache {
         PlanCache {
-            chains: BoundedCache::new(capacity.max(1), budget_bytes),
-            evicted_plans: 0,
+            plans: BoundedCache::new(capacity.max(1), budget_bytes),
+            next_id: 1,
         }
     }
 
     /// Number of cached templates.
     pub fn len(&self) -> usize {
-        self.chains.iter().map(|(_, c)| c.len()).sum()
+        self.plans.len()
     }
 
     /// `true` when no template is cached.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.plans.is_empty()
     }
 
-    /// Lifetime count of evicted plans: every plan of each evicted chain.
+    /// Lifetime count of evicted plans.
     pub fn evicted_plans(&self) -> u64 {
-        self.evicted_plans
+        self.plans.evicted_total()
     }
 
-    /// The cached plan for a template whose template hash is `hash`, if
-    /// present. A hit counts as a use for eviction; a miss inserts nothing.
-    pub fn get_hashed(&self, hash: u64, sql: &str) -> Option<&TemplatePlan> {
-        self.chains.get(&hash)?.iter().find(|p| p.sql == sql)
+    /// The cached plan for the template `sql`, if present. A hit counts as
+    /// a use for eviction; a miss inserts nothing.
+    pub fn get(&self, sql: &str) -> Option<&TemplatePlan> {
+        self.plans.get(sql)
     }
 
-    /// [`PlanCache::get_hashed`] for a statement to decide by and write
-    /// back to. Not a use: the lookup that resolved the plan counted.
-    pub(crate) fn get_mut(&mut self, hash: u64, sql: &str) -> Option<&mut TemplatePlan> {
-        let chain = self.chains.get_mut(&hash)?;
-        chain.iter_mut().find(|p| p.sql == sql)
+    /// [`PlanCache::get`] for a statement to decide by and write back to.
+    /// Not a use: the lookup that resolved the plan counted.
+    pub(crate) fn get_mut(&mut self, sql: &str) -> Option<&mut TemplatePlan> {
+        self.plans.get_mut(sql)
     }
 
     /// The plan for a template, compiling it with `compile` on a miss:
-    /// `(plan, built)`, where `built` says this call compiled it. The hash
-    /// is the caller's, so the proxy hashes once per request and tests can
-    /// force two templates onto one hash. A plan just compiled is not yet
-    /// a use for eviction.
+    /// `(plan, built)`, where `built` says this call compiled it. A plan
+    /// just compiled gets the next id and is not yet a use for eviction.
     pub fn get_or_compile(
         &mut self,
-        hash: u64,
         sql: &str,
         compile: impl FnOnce() -> TemplatePlan,
     ) -> (&TemplatePlan, bool) {
-        let built = self.get_hashed(hash, sql).is_none();
+        let built = self.plans.get(sql).is_none();
         if built {
-            let chain = self.chains.get_mut(&hash).map(std::mem::take);
-            let mut chain = chain.unwrap_or_default();
-            chain.reserve_exact(1);
-            chain.push(compile());
-            let bytes = chain_heap_bytes(&chain);
-            for (_, evicted) in self.chains.insert(hash, chain, bytes) {
-                self.evicted_plans += evicted.len() as u64;
-            }
+            let plan = TemplatePlan {
+                id: self.next_id,
+                ..compile()
+            };
+            self.next_id += 1;
+            let bytes = entry_heap_bytes(sql, &plan);
+            self.plans.insert(sql.to_string(), plan, bytes);
         }
-        let plan = self.get_mut(hash, sql).expect("found or just inserted");
+        let plan = self.plans.get_mut(sql).expect("found or just inserted");
         (plan, built)
     }
 }
 
-/// Heap bytes of one collision chain: its slots, which hold the plans, and
-/// what each plan owns.
-fn chain_heap_bytes(chain: &Vec<TemplatePlan>) -> usize {
-    chain.capacity() * std::mem::size_of::<TemplatePlan>()
-        + chain.iter().map(plan_heap_bytes).sum::<usize>()
-}
-
-/// Heap bytes owned by one compiled plan, beside its slot. The parsed
-/// [`Statement`] is opaque to this crate, so it is approximated by the
-/// template's source text (an AST over interned operators is the same
-/// order of magnitude as its source); everything else — translation CQs,
-/// candidate-view lists, certificates — is counted exactly from vector
-/// capacities.
-fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
+/// Heap bytes of one cache entry: its slot, its key's text `sql` and what
+/// the plan owns. The parsed [`Statement`] is opaque to this crate, so it
+/// is approximated by the template's source text (an AST over interned
+/// operators is the same order of magnitude as its source); everything
+/// else — translation CQs, candidate-view lists, certificates — is counted
+/// exactly from vector capacities.
+fn entry_heap_bytes(sql: &str, plan: &TemplatePlan) -> usize {
     use crate::mem::cq_heap_bytes;
     use std::mem::size_of;
     let params_bytes = |params: &Vec<Param>| {
@@ -537,19 +518,19 @@ fn plan_heap_bytes(plan: &TemplatePlan) -> usize {
         });
         params.capacity() * size_of::<Param>() + names.sum::<usize>()
     };
-    let mut b = plan.sql.capacity();
+    let mut b = size_of::<(String, TemplatePlan)>() + sql.len();
     match &plan.body {
         PlanBody::ParseError(m) => b += m.capacity(),
-        PlanBody::Other(_) => b += plan.sql.len(),
+        PlanBody::Other(_) => b += sql.len(),
         PlanBody::Write(wp) => {
-            b += plan.sql.len() + params_bytes(&wp.params); // Statement approximated
+            b += sql.len() + params_bytes(&wp.params); // Statement approximated
             match &wp.template {
                 Ok(t) => b += t.heap_bytes(),
                 Err(m) => b += m.capacity(),
             }
         }
         PlanBody::Select(sp) => {
-            b += plan.sql.len() + params_bytes(&sp.params); // Statement approximated
+            b += sql.len() + params_bytes(&sp.params); // Statement approximated
             match &sp.translation {
                 Ok(ds) => {
                     b += ds.capacity() * size_of::<DisjunctPlan>();
@@ -579,11 +560,13 @@ fn certificate_heap_bytes(c: &Certificate) -> usize {
 }
 
 impl crate::mem::HeapUsage for PlanCache {
-    /// Walks every chain: its slots and each compiled plan's translation
-    /// and certificates, learned ones included (which the cache's byte
-    /// weights, taken at insert, do not see).
+    /// Walks every entry: its slot, its key and each compiled plan's
+    /// translation and certificates, learned ones included (which the
+    /// cache's byte weights, taken at insert, do not see).
     fn heap_bytes(&self) -> usize {
-        self.chains.iter().map(|(_, c)| chain_heap_bytes(c)).sum()
+        (self.plans.iter())
+            .map(|(sql, plan)| entry_heap_bytes(sql, plan))
+            .sum()
     }
 }
 
@@ -777,27 +760,19 @@ mod tests {
         let mut cache = PlanCache::with_budget(64, 0);
         let c = checker();
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let hash = template_hash(sql);
-        let (plan, built) = cache.get_or_compile(hash, sql, || compile(&c, sql, true));
+        let (plan, built) = cache.get_or_compile(sql, || compile(&c, sql, true));
         assert!(built);
-        assert_eq!(plan.sql(), sql);
-        let (again, built) = cache.get_or_compile(hash, sql, || unreachable!("cached"));
+        let id = plan.id();
+        let (again, built) = cache.get_or_compile(sql, || unreachable!("cached"));
         assert!(!built, "second lookup reuses the compiled plan");
-        assert_eq!(again.sql(), sql);
-        assert_eq!(cache.get_hashed(hash, sql).unwrap().sql(), sql);
+        assert_eq!(again.id(), id);
+        assert_eq!(cache.get(sql).unwrap().id(), id);
         assert_eq!(cache.len(), 1);
-    }
-
-    /// The cached plan for `sql`, by its own hash.
-    fn get<'c>(cache: &'c PlanCache, sql: &str) -> Option<&'c TemplatePlan> {
-        cache.get_hashed(template_hash(sql), sql)
     }
 
     /// Compiles `sql` into `cache` unless it is there.
     fn fill(cache: &mut PlanCache, c: &ComplianceChecker, sql: &str, attempt: bool) -> bool {
-        cache
-            .get_or_compile(template_hash(sql), sql, || compile(c, sql, attempt))
-            .1
+        cache.get_or_compile(sql, || compile(c, sql, attempt)).1
     }
 
     #[test]
@@ -816,10 +791,12 @@ mod tests {
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.evicted_plans(), 196);
-        assert!(get(&cache, &sqls[199]).is_some());
-        assert!(get(&cache, &sqls[195]).is_none());
+        assert!(cache.get(&sqls[199]).is_some());
+        assert!(cache.get(&sqls[195]).is_none());
         let recompiled = fill(&mut cache, &c, &sqls[0], false);
         assert!(recompiled, "an evicted template recompiles");
+        // Under an id no plan has had: 200 were given out before it.
+        assert_eq!(cache.get(&sqls[0]).unwrap().id(), 201);
     }
 
     #[test]
@@ -849,39 +826,10 @@ mod tests {
         let hot = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
         fill(&mut cache, &c, hot, false);
         for i in 0..400 {
-            assert!(get(&cache, hot).is_some(), "hot plan evicted at scan {i}");
+            assert!(cache.get(hot).is_some(), "hot plan evicted at scan {i}");
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
             fill(&mut cache, &c, &sql, false);
         }
-        assert!(get(&cache, hot).is_some(), "scan-resistance violated");
-    }
-
-    #[test]
-    fn hash_collisions_fall_back_to_full_sql_comparison() {
-        let mut cache = PlanCache::with_budget(64, 0);
-        let c = checker();
-        let a = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let b = "SELECT * FROM Events WHERE EId = ?e";
-        let forced = 0xdead_beef_u64; // same hash for both templates
-        let (plan_a, _) = cache.get_or_compile(forced, a, || compile(&c, a, true));
-        assert_eq!(plan_a.sql(), a);
-        let (plan_b, built_b) = cache.get_or_compile(forced, b, || compile(&c, b, true));
-        assert!(built_b, "colliding template is a distinct entry");
-        assert_eq!(plan_b.sql(), b);
-        assert_eq!(cache.len(), 2);
-        // Both remain retrievable through the same forced hash, each by its
-        // own text, with its own compiled body.
-        let found_a = cache.get_hashed(forced, a).unwrap();
-        assert_eq!(found_a.sql(), a);
-        assert!(matches!(
-            select(found_a).template,
-            TemplateVerdict::Allowed(_)
-        ));
-        let found_b = cache.get_hashed(forced, b).unwrap();
-        assert_eq!(found_b.sql(), b);
-        assert!(matches!(
-            select(found_b).template,
-            TemplateVerdict::Undecidable
-        ));
+        assert!(cache.get(hot).is_some(), "scan-resistance violated");
     }
 }

@@ -15,9 +15,9 @@
 //! parsed statement, the UCQ translation, the per-disjunct candidate views
 //! that survive the relation-signature pre-filter, and the symbolic
 //! verdict itself with its rewriting certificates. Plans live in a
-//! bounded [`PlanCache`] keyed by the 64-bit template hash; a warm request
-//! performs no tokenizing, no parsing, no translation, and allocates no
-//! `String` for any cache key.
+//! bounded [`PlanCache`] keyed by their SQL text, each under an id the
+//! cache never gives out again; a warm request performs no tokenizing, no
+//! parsing, no translation, and allocates no `String` for any cache key.
 //!
 //! A text that inlines its values is a template too: `execute` lifts its
 //! literals into reserved parameters and decides its *shape* with them
@@ -36,15 +36,15 @@
 //!   proofs taught it — in any session — through a verification-only
 //!   check before falling back to the full rewriting search; acceptance is
 //!   still a proof over the requesting session's facts. And
-//! * a per-session *concrete cache* of allowed (template, bindings) pairs,
-//!   keyed by the allocation-free `ConcreteKey` fingerprint — sound to
-//!   reuse because compliance is monotone in what the trace entails, and
-//!   what a session's trace entails only grows between revocations
-//!   (compaction removes only facts implied by the ones it keeps; a write
-//!   revokes, and clears the cache). Concrete *denials* are cached
-//!   too, for the [`Trace::version`] they were proved at: new facts can
-//!   flip a denial (never the reverse), so the deny tier is emptied
-//!   whenever the session's trace version moves.
+//! * a per-session *concrete cache* of allowed (plan, bindings) pairs,
+//!   keyed by the allocation-free `ConcreteKey` fingerprint of the plan's
+//!   id and the bindings — sound to reuse because compliance is monotone
+//!   in what the trace entails, and what a session's trace entails only
+//!   grows between revocations (compaction removes only facts implied by
+//!   the ones it keeps; a write revokes, and clears the cache). Concrete
+//!   *denials* are cached too, for the [`Trace::version`] they were proved
+//!   at: new facts can flip a denial (never the reverse), so the deny tier
+//!   is emptied whenever the session's trace version moves.
 //!
 //! Every request takes this one path. The specification it is tested
 //! against is the cache-free [`ComplianceChecker`] (`check_template`,
@@ -58,13 +58,13 @@
 //! publishes its event under a second, after it releases the first:
 //!
 //! * **State** — the wrapped [`minidb::Database`] with its write epochs
-//!   (`door.rs`'s `Store`), every live session's [`SessionState`], the
+//!   (`door.rs`'s `Store`), every live session's `SessionState`, the
 //!   [`PlanCache`], the counters and both histograms, behind one `Mutex`.
 //!   `execute` takes it once, before its plan lookup, and holds it through
 //!   the whole statement: the lookup (lifting and compiling on a miss),
 //!   the session's sync to the write epoch, the session lookup and
-//!   binding merge, [`decide`], the permit's run, [`observe`],
-//!   [`SessionState::apply`], the counting, the learned certificates'
+//!   binding merge, `decide`, the permit's run, `observe`,
+//!   `SessionState::apply`, the counting, the learned certificates'
 //!   write-back and the latency sample. So no write lands between a
 //!   session's sync and the read its permit allows, nothing lands between
 //!   a decision and its write-back, and a template compiles once however
@@ -102,7 +102,8 @@
 //! lifetime — a compiled `Undecidable` is permanent, so never re-proving
 //! it cannot change any decision, only its cost. Plan *eviction* is
 //! likewise cost-only: recompiling a template reproduces the identical
-//! plan, and session caches keyed by its hash stay valid.
+//! plan under a new id, so it starts with no session-cache entries, and no
+//! entry of the evicted plan's id is ever read again.
 //!
 //! *Deny cache*: every denial in it was proved at the trace's current
 //! [`Trace::version`], since the tier is emptied whenever the version
@@ -731,7 +732,6 @@ impl SqlProxy {
         sql: &str,
         extra_bindings: &[(String, Value)],
     ) -> Result<ProxyResponse, CoreError> {
-        let hash = template_hash(sql);
         // The decision runs on this thread, so the solver counters
         // `decide_and_run` takes are this decision's work alone once
         // whatever accumulated before it (any other solver use on this
@@ -740,45 +740,37 @@ impl SqlProxy {
         let t0 = Instant::now();
         let mut timer = PhaseTimer::start();
         let mut state = self.state.lock();
-        let (shape_hash, decided, result) = self.decide_and_run(
-            &mut state,
-            session_id,
-            sql,
-            hash,
-            extra_bindings,
-            &mut timer,
-        );
+        let (hash, decided, result) =
+            self.decide_and_run(&mut state, session_id, sql, extra_bindings, &mut timer);
         let total = t0.elapsed();
         state.latency.record(total);
         drop(state);
-        self.publish(session_id, shape_hash, total, &timer, decided);
+        self.publish(session_id, hash, total, &timer, decided);
         result
     }
 
-    /// Which plan in `plans` `execute` decides `sql` (whose template hash
-    /// is `hash`) by: its hash and text, whether this request compiled it,
-    /// and the lifted literals' bindings it needs.
+    /// Which plan in `plans` `execute` decides `sql` by: its text, whether
+    /// this request compiled it, and the lifted literals' bindings it needs.
     ///
     /// A text that has a plan of its own — it inlines nothing liftable, or
     /// it is decided by its exact text — takes it at once. Otherwise its
     /// literals are lifted and its *shape*'s plan decides, bound to the
     /// lifted values: the instantiated shape is the statement, so the
-    /// verdict is the literal text's, and the shape's hash is the one the
-    /// journal records. The exact text is compiled instead, as without
-    /// lifting, when nothing lifts, when two lifted literals are equal (a
-    /// proof may join on that equality; the shape's parameters are
+    /// verdict is the literal text's, and the shape's template hash is the
+    /// one the journal records. The exact text is compiled instead, as
+    /// without lifting, when nothing lifts, when two lifted literals are
+    /// equal (a proof may join on that equality; the shape's parameters are
     /// distinct symbols), or when the shape is
     /// [`exact_only`](TemplatePlan::exact_only).
     fn resolve<'s>(
         &self,
         plans: &mut PlanCache,
         sql: &'s str,
-        hash: u64,
         timer: &mut PhaseTimer,
-    ) -> (u64, Cow<'s, str>, bool, Vec<(String, Value)>) {
-        if plans.get_hashed(hash, sql).is_some() {
+    ) -> (Cow<'s, str>, bool, Vec<(String, Value)>) {
+        if plans.get(sql).is_some() {
             timer.lap(Phase::TemplateLookup);
-            return (hash, Cow::Borrowed(sql), false, Vec::new());
+            return (Cow::Borrowed(sql), false, Vec::new());
         }
         let lifted = lift_literals(sql).filter(|l| {
             let b = &l.bindings;
@@ -786,14 +778,13 @@ impl SqlProxy {
         });
         timer.lap(Phase::Parse);
         if let Some(lifted) = lifted {
-            let shape_hash = template_hash(&lifted.shape);
-            let (plan, built) = self.plan_for(plans, &lifted.shape, shape_hash, timer);
+            let (plan, built) = self.plan_for(plans, &lifted.shape, timer);
             if !plan.exact_only() {
-                return (shape_hash, Cow::Owned(lifted.shape), built, lifted.bindings);
+                return (Cow::Owned(lifted.shape), built, lifted.bindings);
             }
         }
-        let built = self.plan_for(plans, sql, hash, timer).1;
-        (hash, Cow::Borrowed(sql), built, Vec::new())
+        let built = self.plan_for(plans, sql, timer).1;
+        (Cow::Borrowed(sql), built, Vec::new())
     }
 
     /// Resolves the plan of one statement, decides it, runs its permit if
@@ -801,16 +792,16 @@ impl SqlProxy {
     /// [`resolve`](Self::resolve) and one borrow of the plan it names; a
     /// parse error is answered before the session lookup, since it never
     /// depends on the session; otherwise the session's sync to the write
-    /// epoch, its lookup and the binding merge, [`decide`], the permit's
-    /// run, [`observe`], [`SessionState::apply`], [`Counts::count`] and
-    /// [`TemplatePlan::keep_learned`]. Returns the template hash the
-    /// journal records with what it publishes.
+    /// epoch, its lookup and the binding merge (a request binding that
+    /// rebinds a session binding is answered there), [`decide`], the
+    /// permit's run, [`observe`], [`SessionState::apply`], [`Counts::count`]
+    /// and [`TemplatePlan::keep_learned`]. Returns the plan's template hash,
+    /// which the journal records with what it publishes.
     fn decide_and_run(
         &self,
         state: &mut State,
         session_id: u64,
         sql: &str,
-        hash: u64,
         extra_bindings: &[(String, Value)],
         timer: &mut PhaseTimer,
     ) -> (u64, Decided, Result<ProxyResponse, CoreError>) {
@@ -821,16 +812,19 @@ impl SqlProxy {
             counts,
             ..
         } = state;
-        let (hash, text, built, lifted) = self.resolve(plans, sql, hash, timer);
-        let plan = plans.get_mut(hash, &text).expect("resolved");
+        let (text, built, lifted) = self.resolve(plans, sql, timer);
+        let plan = plans.get_mut(&text).expect("resolved");
+        let hash = plan.hash();
         let kind = Kind::of(plan.body(), self.config.enforce_writes);
-        if let Kind::Malformed(msg) = kind {
-            let result = Ok(ProxyResponse::Blocked(DenyReason::ParseError(
-                msg.to_string(),
-            )));
+        // Blocked before any tier counts or caches a verdict for it.
+        let mut malformed = |msg: String| {
+            let result = Ok(ProxyResponse::Blocked(DenyReason::ParseError(msg)));
             let span = SpanSummary::new(qlogic::probe::take(), 0, 0);
             let decided = counts.count(kind, Provenance::default(), &result, span);
-            return (hash, decided, result);
+            (hash, decided, result)
+        };
+        if let Kind::Malformed(msg) = kind {
+            return malformed(msg.to_string());
         }
         let Some(session) = sessions.get_mut(&session_id) else {
             return (hash, None, Err(CoreError::NoSuchSession(session_id)));
@@ -838,7 +832,10 @@ impl SqlProxy {
         if session.synced != store.epoch() {
             session.sync(store.epoch(), &store.written_since(session.synced));
         }
-        let merged = merge_bindings(&session.bindings, extra_bindings, lifted);
+        let merged = match merge_bindings(&session.bindings, extra_bindings, lifted) {
+            Ok(merged) => merged,
+            Err(msg) => return malformed(msg),
+        };
         let bindings = merged.as_deref().unwrap_or(&session.bindings);
         let Outcome {
             verdict,
@@ -848,7 +845,7 @@ impl SqlProxy {
         } = decide(
             &self.checker,
             kind,
-            hash,
+            plan.id(),
             built,
             session,
             bindings,
@@ -921,10 +918,10 @@ impl SqlProxy {
         &self,
         plans: &'c mut PlanCache,
         sql: &str,
-        hash: u64,
         timer: &mut PhaseTimer,
     ) -> (&'c TemplatePlan, bool) {
-        let (plan, built) = plans.get_or_compile(hash, sql, || {
+        let (plan, built) = plans.get_or_compile(sql, || {
+            let hash = template_hash(sql);
             compile_plan(&self.checker, sql, hash, true, &mut |ph| timer.lap(ph))
         });
         if !built {
@@ -970,30 +967,40 @@ fn sessions_heap_bytes(sessions: &Sessions) -> usize {
 /// verdict, its decision's provenance and its solver work.
 type Decided = Option<(Verdict, Provenance, SpanSummary)>;
 
-/// Merged request-over-session bindings, and the lifted literals' over
-/// both: neither the statement nor a policy view may name a lifted
-/// parameter, so a caller's binding in that namespace means nothing.
-/// Fast path: with neither request parameters nor lifted literals the
-/// session bindings are read in place — no per-statement copy, no `String`
-/// clone.
+/// The session bindings with the request's added, and the lifted
+/// literals' over both: neither the statement nor a policy view may name a
+/// lifted parameter, so a caller's binding in that namespace means nothing.
+/// A request binding may repeat a session binding, but not rebind it: the
+/// session's bindings are the request context the policy views are
+/// instantiated with, so a different value is refused with the message
+/// returned. `None` when nothing is added: the session bindings are read
+/// in place, with no per-statement copy and no `String` clone.
 fn merge_bindings(
     session_bindings: &[(String, Value)],
     extra_bindings: &[(String, Value)],
     lifted: Vec<(String, Value)>,
-) -> Option<Vec<(String, Value)>> {
-    if extra_bindings.is_empty() && lifted.is_empty() {
-        return None;
-    }
-    let mut m = session_bindings.to_vec();
+) -> Result<Option<Vec<(String, Value)>>, String> {
+    let mut merged: Option<Vec<(String, Value)>> = None;
     for (k, v) in extra_bindings {
+        match session_bindings.iter().find(|(n, _)| n == k) {
+            Some((_, own)) if own == v => continue,
+            Some((_, own)) => {
+                return Err(format!(
+                    "request binding ?{k} = {v} rebinds the session's ?{k} = {own}"
+                ))
+            }
+            None => {}
+        }
+        let m = merged.get_or_insert_with(|| session_bindings.to_vec());
         m.retain(|(n, _)| n != k);
         m.push((k.clone(), v.clone()));
     }
     if !lifted.is_empty() {
+        let m = merged.get_or_insert_with(|| session_bindings.to_vec());
         m.retain(|(n, _)| !is_lifted_name(n));
         m.extend(lifted);
     }
-    Some(m)
+    Ok(merged)
 }
 
 #[cfg(test)]
@@ -1834,7 +1841,7 @@ mod tests {
         // hit and must not be charged that proof.
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2";
         p.with_plan_cache(|plans| {
-            plans.get_or_compile(template_hash(sql), sql, || {
+            plans.get_or_compile(sql, || {
                 compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
             });
         });

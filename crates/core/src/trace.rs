@@ -59,7 +59,7 @@
 //! An observation whose `(query, observation)` equals a stored entry is
 //! not recorded at all — no fact derived, no Skolem minted,
 //! [`Trace::version`] untouched — and that is decided before anything
-//! else, in [`Trace::is_repeat`], which every recording method asks first.
+//! else, in `Trace::is_repeat`, which every recording method asks first.
 //!
 //! **Lemma (repeat).** If an entry equal to `(q, o)` is stored, the store
 //! already entails every fact recording `(q, o)` again would push.

@@ -17,9 +17,9 @@
 //!   ([`framing::FrameReader`]) and push ([`framing::FrameDecoder`]) form;
 //! * [`reactor`] — a minimal level-triggered epoll abstraction (raw
 //!   syscalls against the libc `std` already links: no external deps);
-//! * [`event_loop`] — the front-end: one reactor thread holding
+//! * `event_loop` — the front-end: one reactor thread holding
 //!   every connection, pipelined frames decided inline in frame order;
-//! * [`conn`] — per-connection protocol state: handshake enforcement,
+//! * `conn` — per-connection protocol state: handshake enforcement,
 //!   connection-scoped session ownership, typed errors for malformed
 //!   frames, and a drop guard that sweeps orphaned sessions;
 //! * [`server`] — admission control (a connection cap: past it the

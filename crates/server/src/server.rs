@@ -2,7 +2,7 @@
 //!
 //! [`Server::start`] binds a listener and launches the one front-end: a
 //! single reactor thread running the epoll readiness loop in
-//! [`crate::event_loop`] — nonblocking sockets, pipelined frames decided
+//! `event_loop` — nonblocking sockets, pipelined frames decided
 //! inline in frame order, 10k+ idle connections with no thread growth.
 //! Admission control is the `max_connections` cap; past it the acceptor
 //! answers `busy` with a load snapshot.

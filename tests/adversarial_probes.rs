@@ -213,36 +213,92 @@ fn a_row_named_by_an_unpinned_column_is_not_a_known_row() {
 }
 
 /// FNV-1a is not collision-resistant: a client can craft a text whose
-/// template hash equals another template's. The plan cache chains texts by
-/// hash and tells them apart by comparing them, so a text is never decided
-/// (or run) by the plan of another on its hash. Here a plan for user 1's
-/// own rows sits under the hash of a read of every row.
+/// template hash equals another template's. The two texts below hash alike
+/// (`1e442dd71d3da49e`; `?pfobdonnjepaliao` and `?hhampelnogiloldp` are
+/// another such pair, at `3a3f8ed9156dd446`). A plan is cached by its text
+/// and a session's verdicts by its plan's id, so once the first text is
+/// allowed for event 2 the second, run with the same bindings, is still
+/// decided for event 3 by a plan of its own, and blocked.
 #[test]
 fn a_text_on_another_templates_hash_keeps_its_own_plan() {
-    let (db, checker) = calendar_with_own_rows_parts();
-    let p = SqlProxy::new(db, checker.clone(), ProxyConfig::default());
-    let everyone = "SELECT * FROM Attendance";
-    let own = "SELECT * FROM Attendance WHERE UId = ?MyUId";
-    let hash = template_hash(everyone);
-    let built = p.with_plan_cache(|plans| {
-        let compile =
-            || beyond_enforcement::core::compile_plan(&checker, own, hash, true, &mut |_| {});
-        plans.get_or_compile(hash, own, compile).1
-    });
-    assert!(built);
+    let p = calendar_with_own_rows();
+    let first = "SELECT * FROM Events WHERE EId = ?bmnemdkddehijkae";
+    let second = "SELECT * FROM Events WHERE EId = ?jgcgilkggpmlchga";
+    assert_eq!(template_hash(first), template_hash(second));
     let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
-    match p.execute(s, everyone, &[]) {
-        Ok(ProxyResponse::Blocked(_)) => {}
-        other => panic!("reading every row must be blocked, got {other:?}"),
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?event";
+    let e2 = [("event".to_string(), Value::Int(2))];
+    assert_eq!(p.execute(s, probe, &e2).unwrap().rows().unwrap().len(), 1);
+    let bindings = [
+        ("bmnemdkddehijkae".to_string(), Value::Int(2)),
+        ("jgcgilkggpmlchga".to_string(), Value::Int(3)),
+    ];
+    let rows = p.execute(s, first, &bindings).unwrap();
+    assert_eq!(rows.rows().unwrap().rows[0][0], Value::Int(2));
+    match p.execute(s, second, &bindings) {
+        Ok(ProxyResponse::Blocked(DenyReason::NotDetermined { .. })) => {}
+        other => panic!("user 1 does not attend event 3, got {other:?}"),
     }
     p.with_plan_cache(|plans| {
-        assert_eq!(plans.len(), 2, "each text has a plan of its own");
-        assert_eq!(
-            plans.get_hashed(hash, own).expect("still cached").sql(),
-            own
-        );
-        assert_eq!(plans.get_hashed(hash, everyone).unwrap().sql(), everyone);
+        let id = |sql| plans.get(sql).expect("cached").id();
+        assert_ne!(id(first), id(second), "each text has a plan of its own");
     });
+}
+
+/// Plan ids are never reused: a template compiled after another was
+/// evicted does not inherit the evicted plan's session-cache entries. The
+/// plan budget here is one byte, so each compile evicts every other plan.
+#[test]
+fn a_plan_compiled_after_an_eviction_inherits_no_verdict() {
+    let (db, checker) = calendar_with_own_rows_parts();
+    let config = ProxyConfig {
+        plan_budget_bytes: 1,
+        ..Default::default()
+    };
+    let p = SqlProxy::new(db, checker, config);
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let e2 = [("e".to_string(), Value::Int(2))];
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?e";
+    assert_eq!(p.execute(s, probe, &e2).unwrap().rows().unwrap().len(), 1);
+    let fetch = "SELECT * FROM Events WHERE EId = ?e";
+    assert!(p.execute(s, fetch, &e2).unwrap().is_allowed());
+    match p.execute(s, "SELECT * FROM Attendance WHERE EId = ?e", &e2) {
+        Ok(ProxyResponse::Blocked(DenyReason::NotDetermined { .. })) => {}
+        other => panic!("other users' rows of event 2 must be blocked, got {other:?}"),
+    }
+    assert_eq!(p.cache_eviction_counts()[0], ("plan", 2));
+}
+
+/// A session's bindings are the request context its policy views are
+/// instantiated with, so a request may repeat one but not rebind it: a
+/// different value is blocked before any tier decides, counts or caches
+/// it. A session begun with one name twice keeps the first.
+#[test]
+fn a_request_binding_cannot_rebind_the_session() {
+    let p = calendar_with_own_rows();
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let own = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
+    let as_user = |uid| [("MyUId".to_string(), Value::Int(uid))];
+    let mine = vec![vec![Value::Int(2)], vec![Value::Int(7)]];
+    let rows = p.execute(s, own, &as_user(1)).unwrap();
+    assert_eq!(rows.rows().unwrap().rows, mine, "an equal value passes");
+    let before = p.stats();
+    match p.execute(s, own, &as_user(2)) {
+        Ok(ProxyResponse::Blocked(DenyReason::ParseError(_))) => {}
+        other => panic!("user 1 must not read as user 2, got {other:?}"),
+    }
+    let after = p.stats();
+    assert_eq!(after.blocked, before.blocked + 1);
+    assert_eq!(after.template_cache_hits, before.template_cache_hits);
+    let last = p.journal().events_since(p.journal().published() - 1, 1)[0];
+    assert_eq!(last.tier, CacheTier::Uncached);
+    let twice = vec![
+        ("MyUId".to_string(), Value::Int(1)),
+        ("MyUId".to_string(), Value::Int(2)),
+    ];
+    let s = p.begin_session(twice);
+    let rows = p.execute(s, own, &[]).unwrap();
+    assert_eq!(rows.rows().unwrap().rows, mine, "the first binding holds");
 }
 
 /// A certificate a proof learned on one disjunct is kept even when another

@@ -88,10 +88,9 @@ impl Twins {
     ) -> Result<ProxyResponse, CoreError> {
         let lifted = self.lifted.execute(a, sql, bindings);
         // `resolve` takes a text's own plan before it tries to lift.
-        let hash = template_hash(sql);
         self.exact.with_plan_cache(|plans| {
-            plans.get_or_compile(hash, sql, || {
-                compile_plan(&self.checker, sql, hash, true, &mut |_| {})
+            plans.get_or_compile(sql, || {
+                compile_plan(&self.checker, sql, template_hash(sql), true, &mut |_| {})
             });
         });
         let exact = self.exact.execute(b, sql, bindings);
