@@ -477,7 +477,7 @@ impl Parser {
     fn primary(&mut self) -> Result<DExpr, DslError> {
         match self.bump() {
             Tok::Int(i) => Ok(DExpr::Lit(Value::Int(i))),
-            Tok::Str(s) => Ok(DExpr::Lit(Value::Str(s))),
+            Tok::Str(s) => Ok(DExpr::Lit(Value::str(s))),
             Tok::LParen => {
                 let e = self.expr()?;
                 self.expect(Tok::RParen)?;

@@ -7,7 +7,7 @@
 
 use minidb::{Database, DbError};
 use rand::Rng;
-use sqlir::Value;
+use sqlir::{Text, Value};
 
 /// Data-set scale knobs.
 #[derive(Debug, Clone, Copy)]
@@ -115,8 +115,8 @@ fn int(v: i64) -> Value {
     Value::Int(v)
 }
 
-fn text(s: impl Into<String>) -> Value {
-    Value::Str(s.into())
+fn text(s: impl Into<Text>) -> Value {
+    Value::str(s)
 }
 
 /// Streams the calendar schema's rows.

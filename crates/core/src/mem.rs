@@ -48,10 +48,12 @@ pub fn cq_heap_bytes(q: &Cq) -> usize {
         + q.comparisons.capacity() * size_of::<Comparison>()
 }
 
-/// Heap bytes owned by one SQL value (string payloads only).
+/// Heap bytes owned by one SQL value: a string longer than
+/// [`sqlir::text::INLINE_CAP`] bytes owns its length, and a shorter one
+/// nothing.
 pub fn value_heap_bytes(v: &Value) -> usize {
     match v {
-        Value::Str(s) => s.capacity(),
+        Value::Str(s) => s.heap_bytes(),
         _ => 0,
     }
 }
@@ -103,5 +105,14 @@ mod tests {
             Value::Str("a-reasonably-long-session-token".into()),
         )];
         assert!(bindings_heap_bytes(&with_str) > bindings_heap_bytes(&b));
+    }
+
+    #[test]
+    fn a_short_string_owns_no_heap_and_a_long_one_its_length() {
+        let short = "x".repeat(sqlir::text::INLINE_CAP);
+        let long = "x".repeat(sqlir::text::INLINE_CAP + 1);
+        assert_eq!(value_heap_bytes(&Value::str(short.as_str())), 0);
+        assert_eq!(value_heap_bytes(&Value::str(long.as_str())), long.len());
+        assert_eq!(value_heap_bytes(&Value::Int(7)), 0);
     }
 }

@@ -479,19 +479,23 @@ impl PlanCache {
         self.plans.get_mut(sql)
     }
 
-    /// The plan for a template, compiling it with `compile` on a miss:
-    /// `(plan, built)`, where `built` says this call compiled it. A plan
-    /// just compiled gets the next id and is not yet a use for eviction.
+    /// The plan for the template `sql`, which `checker` compiles from `sql`
+    /// itself on a miss ([`compile_plan`], template proof attempted, its
+    /// phase boundaries sent to `lap`), so no plan is filed under another
+    /// text: `(plan, built)`, where `built` says this call compiled it. A
+    /// plan just compiled gets the next id and is not yet a use for
+    /// eviction.
     pub fn get_or_compile(
         &mut self,
+        checker: &ComplianceChecker,
         sql: &str,
-        compile: impl FnOnce() -> TemplatePlan,
+        lap: &mut dyn FnMut(Phase),
     ) -> (&TemplatePlan, bool) {
         let built = self.plans.get(sql).is_none();
         if built {
             let plan = TemplatePlan {
                 id: self.next_id,
-                ..compile()
+                ..compile_plan(checker, sql, crate::obs::template_hash(sql), true, lap)
             };
             self.next_id += 1;
             let bytes = entry_heap_bytes(sql, &plan);
@@ -760,19 +764,36 @@ mod tests {
         let mut cache = PlanCache::with_budget(64, 0);
         let c = checker();
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        let (plan, built) = cache.get_or_compile(sql, || compile(&c, sql, true));
+        let (plan, built) = cache.get_or_compile(&c, sql, &mut |_| {});
         assert!(built);
         let id = plan.id();
-        let (again, built) = cache.get_or_compile(sql, || unreachable!("cached"));
+        let mut laps = 0;
+        let (again, built) = cache.get_or_compile(&c, sql, &mut |_| laps += 1);
         assert!(!built, "second lookup reuses the compiled plan");
         assert_eq!(again.id(), id);
+        assert_eq!(laps, 0, "a hit compiles nothing");
         assert_eq!(cache.get(sql).unwrap().id(), id);
         assert_eq!(cache.len(), 1);
     }
 
+    #[test]
+    fn a_plan_is_filed_under_the_text_it_was_compiled_from() {
+        let mut cache = PlanCache::with_budget(64, 0);
+        let c = checker();
+        for sql in [
+            "SELECT EId FROM Attendance WHERE UId = ?MyUId",
+            "SELECT * FROM Events WHERE EId = ?e",
+            "DELETE FROM Events WHERE EId = 1",
+            "SELEC whoops",
+        ] {
+            fill(&mut cache, &c, sql);
+            assert_eq!(cache.get(sql).expect("filed").hash(), template_hash(sql));
+        }
+    }
+
     /// Compiles `sql` into `cache` unless it is there.
-    fn fill(cache: &mut PlanCache, c: &ComplianceChecker, sql: &str, attempt: bool) -> bool {
-        cache.get_or_compile(sql, || compile(c, sql, attempt)).1
+    fn fill(cache: &mut PlanCache, c: &ComplianceChecker, sql: &str) -> bool {
+        cache.get_or_compile(c, sql, &mut |_| {}).1
     }
 
     #[test]
@@ -787,13 +808,13 @@ mod tests {
             .map(|i| format!("SELECT * FROM Events WHERE EId = {i}"))
             .collect();
         for sql in &sqls {
-            fill(&mut cache, &c, sql, false);
+            fill(&mut cache, &c, sql);
         }
         assert_eq!(cache.len(), 4);
         assert_eq!(cache.evicted_plans(), 196);
         assert!(cache.get(&sqls[199]).is_some());
         assert!(cache.get(&sqls[195]).is_none());
-        let recompiled = fill(&mut cache, &c, &sqls[0], false);
+        let recompiled = fill(&mut cache, &c, &sqls[0]);
         assert!(recompiled, "an evicted template recompiles");
         // Under an id no plan has had: 200 were given out before it.
         assert_eq!(cache.get(&sqls[0]).unwrap().id(), 201);
@@ -808,7 +829,7 @@ mod tests {
         let c = checker();
         for i in 0..200 {
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            fill(&mut cache, &c, &sql, true);
+            fill(&mut cache, &c, &sql);
         }
         let evicted = cache.evicted_plans();
         assert!(evicted > 0, "budget must force evictions");
@@ -824,11 +845,11 @@ mod tests {
         let mut cache = PlanCache::with_budget(2, 0);
         let c = checker();
         let hot = "SELECT EId FROM Attendance WHERE UId = ?MyUId";
-        fill(&mut cache, &c, hot, false);
+        fill(&mut cache, &c, hot);
         for i in 0..400 {
             assert!(cache.get(hot).is_some(), "hot plan evicted at scan {i}");
             let sql = format!("SELECT * FROM Events WHERE EId = {i}");
-            fill(&mut cache, &c, &sql, false);
+            fill(&mut cache, &c, &sql);
         }
         assert!(cache.get(hot).is_some(), "scan-resistance violated");
     }

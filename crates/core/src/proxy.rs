@@ -140,10 +140,10 @@ use crate::error::CoreError;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
 use crate::mem::HeapUsage;
 use crate::obs::{
-    read_process_memory, template_hash, write_family, write_summary, CacheTier, DecisionEvent,
-    EventJournal, Phase, PhaseTimer, Verdict,
+    read_process_memory, write_family, write_summary, CacheTier, DecisionEvent, EventJournal,
+    Phase, PhaseTimer, Verdict,
 };
-use crate::plan::{compile_plan, PlanCache, TemplatePlan, PLAN_CAPACITY};
+use crate::plan::{PlanCache, TemplatePlan, PLAN_CAPACITY};
 use crate::span::SpanSummary;
 use crate::trace::Trace;
 
@@ -437,22 +437,29 @@ impl SqlProxy {
     /// Ends a session, discarding its trace. Idempotent: ending an already
     /// ended (or never begun) session is a no-op, and the return value says
     /// whether the session was live. The session's final state size,
-    /// walked, is recorded into the `bep_session_state_bytes` histogram.
+    /// walked, is recorded into the `bep_session_state_bytes` histogram
+    /// under the state lock; the session is freed after the lock is
+    /// released, so no other statement waits for its trace to be dropped.
     pub fn end_session(&self, id: u64) -> bool {
-        let mut state = self.state.lock();
-        let Some(session) = state.sessions.remove(&id) else {
-            return false;
+        let ended = {
+            let mut state = self.state.lock();
+            let Some(session) = state.sessions.remove(&id) else {
+                return false;
+            };
+            let bytes = session.heap_bytes() as u64;
+            state
+                .session_state_bytes
+                .record(Duration::from_nanos(bytes));
+            session
         };
-        let bytes = session.heap_bytes() as u64;
-        state
-            .session_state_bytes
-            .record(Duration::from_nanos(bytes));
+        drop(ended);
         true
     }
 
-    /// Ends every session in `ids`, returning how many were live. The
-    /// server's connection teardown and orphan sweep use this to reclaim
-    /// sessions whose client vanished without `End`ing them.
+    /// Ends every session in `ids`, returning how many were live, each as
+    /// [`end_session`](Self::end_session) does: freed outside the lock.
+    /// The server's connection teardown and orphan sweep use this to
+    /// reclaim sessions whose client vanished without `End`ing them.
     pub fn end_sessions(&self, ids: impl IntoIterator<Item = u64>) -> usize {
         ids.into_iter().filter(|&id| self.end_session(id)).count()
     }
@@ -482,8 +489,11 @@ impl SqlProxy {
 
     /// Renders the Prometheus text exposition. The counters, histograms,
     /// live sessions and the plan cache's and sessions' heap bytes are
-    /// copied under one acquisition of the state lock; the journal and the
-    /// process memory are read as the text is written.
+    /// copied under one acquisition of the state lock; the journal, the
+    /// process memory and the symbol interner's resident bytes
+    /// (`bep_mem_bytes{component="symbols"}`, process-wide and outside
+    /// [`component_heap_bytes`](Self::component_heap_bytes)) are read as
+    /// the text is written.
     pub fn metrics_text(&self) -> String {
         let state = self.state.lock();
         let counts = state.counts;
@@ -605,13 +615,14 @@ impl SqlProxy {
             ],
         );
         let [plan_cache, session_state, journal, _] = components.map(|(c, b)| (c, b as u64));
+        let symbols = ("symbols", qlogic::sym::resident_bytes() as u64);
         write_family(
             &mut out,
             "bep_mem_bytes",
             "Heap bytes currently owned, by component",
             "gauge",
             "component",
-            &[plan_cache, session_state, journal],
+            &[plan_cache, session_state, journal, symbols],
         );
         write_summary(
             &mut out,
@@ -920,10 +931,7 @@ impl SqlProxy {
         sql: &str,
         timer: &mut PhaseTimer,
     ) -> (&'c TemplatePlan, bool) {
-        let (plan, built) = plans.get_or_compile(sql, || {
-            let hash = template_hash(sql);
-            compile_plan(&self.checker, sql, hash, true, &mut |ph| timer.lap(ph))
-        });
+        let (plan, built) = plans.get_or_compile(&self.checker, sql, &mut |ph| timer.lap(ph));
         if !built {
             timer.lap(Phase::TemplateLookup);
         }
@@ -1006,6 +1014,7 @@ fn merge_bindings(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::template_hash;
     use crate::policy::{schema_of_database, Policy};
 
     fn calendar_db() -> Database {
@@ -1807,6 +1816,7 @@ mod tests {
         assert!(text.contains("bep_mem_bytes{component=\"plan-cache\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"session-state\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"journal\"}"));
+        assert!(text.contains("bep_mem_bytes{component=\"symbols\"}"));
         assert!(text.contains("bep_policy_lint_warnings 0\n"));
     }
 
@@ -1841,9 +1851,7 @@ mod tests {
         // hit and must not be charged that proof.
         let sql = "SELECT EId FROM Attendance WHERE UId = ?MyUId AND EId = 2";
         p.with_plan_cache(|plans| {
-            plans.get_or_compile(sql, || {
-                compile_plan(&p.checker, sql, template_hash(sql), true, &mut |_| {})
-            });
+            plans.get_or_compile(&p.checker, sql, &mut |_| {});
         });
         assert!(qlogic::probe::peek().containment_checks > 0);
         let proofs = p.stats().template_proofs;

@@ -251,7 +251,7 @@ fn is_value(c: CVal, v: &Value) -> bool {
     match (c, v) {
         (CVal::Null, Value::Null) => true,
         (CVal::Int(a), Value::Int(b)) => a == *b,
-        (CVal::Str(a), Value::Str(b)) => a.as_str() == b,
+        (CVal::Str(a), Value::Str(b)) => a.as_str() == b.as_str(),
         (CVal::Bool(a), Value::Bool(b)) => a == *b,
         _ => false,
     }

@@ -221,7 +221,7 @@ fn mutate_column(
 fn scrambled(v: &Value) -> Value {
     match v {
         Value::Int(i) => Value::Int(i.wrapping_mul(7919).wrapping_add(1_000_003)),
-        Value::Str(s) => Value::Str(format!("scrambled·{s}·{}", s.len())),
+        Value::Str(s) => Value::str(format!("scrambled·{s}·{}", s.len())),
         Value::Bool(b) => Value::Bool(!b),
         Value::Null => Value::Null,
     }

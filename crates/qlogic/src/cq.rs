@@ -62,7 +62,7 @@ impl CVal {
         match self {
             CVal::Null => Value::Null,
             CVal::Int(i) => Value::Int(i),
-            CVal::Str(s) => Value::Str(s.as_str().to_string()),
+            CVal::Str(s) => Value::str(s.as_str()),
             CVal::Bool(b) => Value::Bool(b),
         }
     }

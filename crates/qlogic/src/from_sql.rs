@@ -534,7 +534,7 @@ fn to_dnf(
                         CmpOp::Eq
                     };
                     return Ok(vec![LeafConj {
-                        comparisons: vec![Comparison::new(t, op, Term::str(p.clone()))],
+                        comparisons: vec![Comparison::new(t, op, Term::str(p.as_str()))],
                         extra_atoms: vec![],
                     }]);
                 }

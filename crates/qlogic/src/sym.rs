@@ -27,6 +27,7 @@
 //! about `len + 4` of text, 8 of slot and 5 of set entry (before the
 //! tables' growth slack), where a boxed `String`, its buffer and a
 //! `(&str, u32)` map entry came to about three times that.
+//! [`resident_bytes`] reports the total.
 //!
 //! # Ordering
 //!
@@ -68,7 +69,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Writer-side shard count (power of two).
@@ -89,6 +90,9 @@ static NEXT_ID: AtomicU32 = AtomicU32::new(0);
 /// Bytes per text block. A text longer than a quarter of one gets an
 /// allocation of its own, so a block's abandoned tail stays small.
 const BLOCK: usize = 32 * 1024;
+
+/// Bytes of text stored so far: `4 + len` per symbol ([`Shard::store`]).
+static TEXT_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// An interned id inside a shard's set, standing for the string it
 /// resolves to: hashed as that string and findable by it (`Borrow<str>`),
@@ -136,6 +140,7 @@ impl Shard {
         };
         text[..4].copy_from_slice(&len.to_ne_bytes());
         text[4..].copy_from_slice(s.as_bytes());
+        TEXT_BYTES.fetch_add(need, Ordering::Relaxed);
         text.as_mut_ptr()
     }
 }
@@ -243,6 +248,25 @@ pub fn intern(s: &str) -> Sym {
     // Hashes by resolving `id`: the slot is published, on this thread.
     shard.ids.insert(ById(id));
     Sym(id)
+}
+
+/// Resident bytes of the interner, which only grow: the text of every
+/// symbol (`4 + len` each, as stored; the unwritten tail of an open block
+/// is not counted), the published id → text chunks, and the writer
+/// shards' sets (an id and a control byte per slot of usable capacity;
+/// the sets' bucket arrays are up to an eighth larger). Takes each shard
+/// lock in turn.
+pub fn resident_bytes() -> usize {
+    let slot = std::mem::size_of::<AtomicPtr<u8>>();
+    let chunks: usize = (CHUNKS.iter().enumerate())
+        .filter(|(_, c)| !c.load(Ordering::Acquire).is_null())
+        .map(|(c, _)| slot << (FIRST_CHUNK_BITS as usize + c))
+        .sum();
+    let capacity: usize = (shards().iter())
+        .map(|s| s.lock().expect("interner shard poisoned").ids.capacity())
+        .sum();
+    let sets = capacity * (std::mem::size_of::<ById>() + 1);
+    TEXT_BYTES.load(Ordering::Relaxed) + chunks + sets
 }
 
 /// Resolves an id minted by [`intern`].
@@ -487,6 +511,21 @@ mod tests {
     use std::collections::HashSet;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
+
+    #[test]
+    fn resident_bytes_count_every_new_text() {
+        let before = resident_bytes();
+        let texts: Vec<String> = (0..500)
+            .map(|i| format!("resident-bytes-probe-{i}"))
+            .collect();
+        for t in &texts {
+            Sym::new(t);
+        }
+        // Other tests intern concurrently; the figure only grows.
+        let grown = resident_bytes() - before;
+        let stored: usize = texts.iter().map(|t| 4 + t.len()).sum();
+        assert!(grown >= stored, "grew {grown} for {stored} bytes of text");
+    }
 
     #[test]
     fn interning_is_canonical() {

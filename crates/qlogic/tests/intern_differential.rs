@@ -181,7 +181,7 @@ proptest! {
                 proptest::sample::select(&["UId", "Me", "Other"][..]),
                 prop_oneof![
                     (0i64..3).prop_map(Value::Int),
-                    proptest::sample::select(&["a", "b"][..]).prop_map(|s| Value::Str(s.into())),
+                    proptest::sample::select(&["a", "b"][..]).prop_map(Value::str),
                 ],
             ),
             0..4,

@@ -11,7 +11,7 @@ use appdsl::Request;
 use appsim::BatchSink;
 use minidb::DbError;
 use rand::Rng;
-use sqlir::Value;
+use sqlir::{Text, Value};
 
 const TAG_AUTHOR: u64 = 21;
 const TAG_CONFLICT: u64 = 22;
@@ -181,7 +181,10 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
     for i in 0..users {
         sink.push(
             "Users",
-            vec![Value::Int(uid(i)), Value::str(format!("user{i}"))],
+            vec![
+                Value::Int(uid(i)),
+                Value::Str(Text::format(format_args!("user{i}"))),
+            ],
         )?;
     }
     for i in 0..users {
@@ -190,7 +193,7 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
                 "Papers",
                 vec![
                     Value::Int(pid),
-                    Value::str(format!("paper {pid}")),
+                    Value::Str(Text::format(format_args!("paper {pid}"))),
                     Value::Int(track_of(pid, users)),
                 ],
             )?;

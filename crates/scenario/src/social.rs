@@ -18,7 +18,7 @@ use appdsl::Request;
 use appsim::BatchSink;
 use minidb::DbError;
 use rand::Rng;
-use sqlir::Value;
+use sqlir::{Text, Value};
 
 const TAG_FOLLOW: u64 = 1;
 const TAG_BLOCK: u64 = 2;
@@ -151,7 +151,10 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
     for i in 0..users {
         sink.push(
             "Users",
-            vec![Value::Int(uid(i)), Value::str(format!("user{i}"))],
+            vec![
+                Value::Int(uid(i)),
+                Value::Str(Text::format(format_args!("user{i}"))),
+            ],
         )?;
     }
     for i in 0..users {
@@ -171,7 +174,7 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
                 vec![
                     Value::Int(uid(i) * 16 + k as i64),
                     Value::Int(uid(i)),
-                    Value::str(format!("post {k} of user{i}")),
+                    Value::Str(Text::format(format_args!("post {k} of user{i}"))),
                     Value::str("lorem ipsum"),
                 ],
             )?;

@@ -12,7 +12,7 @@ use appdsl::Request;
 use appsim::BatchSink;
 use minidb::DbError;
 use rand::Rng;
-use sqlir::Value;
+use sqlir::{Text, Value};
 
 const TAG_STAFF: u64 = 11;
 const TAG_PROD: u64 = 12;
@@ -160,13 +160,19 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
     for i in 0..users {
         sink.push(
             "Users",
-            vec![Value::Int(uid(i)), Value::str(format!("user{i}"))],
+            vec![
+                Value::Int(uid(i)),
+                Value::Str(Text::format(format_args!("user{i}"))),
+            ],
         )?;
     }
     for j in 0..m {
         sink.push(
             "Merchants",
-            vec![Value::Int(mid(j)), Value::str(format!("shop{j}"))],
+            vec![
+                Value::Int(mid(j)),
+                Value::Str(Text::format(format_args!("shop{j}"))),
+            ],
         )?;
     }
     for i in 0..users {
@@ -181,7 +187,7 @@ pub(crate) fn populate(sink: &mut BatchSink, seed: u64, users: u64) -> Result<()
                 vec![
                     Value::Int(pid),
                     Value::Int(mid(j)),
-                    Value::str(format!("item {pid}")),
+                    Value::Str(Text::format(format_args!("item {pid}"))),
                     Value::Int(price),
                     Value::Bool(active),
                 ],

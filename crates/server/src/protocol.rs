@@ -225,7 +225,7 @@ fn value_to_json(v: &Value) -> Json {
     match v {
         Value::Null => Json::Null,
         Value::Int(n) => Json::obj([("i", Json::Int(*n))]),
-        Value::Str(s) => Json::obj([("s", Json::str(s.clone()))]),
+        Value::Str(s) => Json::obj([("s", Json::str(s.as_str()))]),
         Value::Bool(b) => Json::obj([("b", Json::Bool(*b))]),
     }
 }
@@ -237,7 +237,7 @@ fn value_from_json(j: &Json) -> Result<Value, ProtocolError> {
             let (k, v) = &pairs[0];
             match (k.as_str(), v) {
                 ("i", Json::Int(n)) => Ok(Value::Int(*n)),
-                ("s", Json::Str(s)) => Ok(Value::Str(s.clone())),
+                ("s", Json::Str(s)) => Ok(Value::str(s.as_str())),
                 ("b", Json::Bool(b)) => Ok(Value::Bool(*b)),
                 _ => Err(ProtocolError(format!("bad value tag {k:?}"))),
             }

@@ -1,5 +1,6 @@
 //! Typed AST for the supported SQL subset.
 
+use crate::text::Text;
 use crate::value::{SqlType, Value};
 
 /// A complete SQL statement.
@@ -410,8 +411,8 @@ impl Expr {
     }
 
     /// A string literal.
-    pub fn string(v: impl Into<String>) -> Expr {
-        Expr::Literal(Value::Str(v.into()))
+    pub fn string(v: impl Into<Text>) -> Expr {
+        Expr::Literal(Value::str(v))
     }
 
     /// An unqualified column reference.

@@ -41,6 +41,7 @@ pub mod lift;
 pub mod params;
 pub mod parser;
 pub mod printer;
+pub mod text;
 pub mod token;
 pub mod value;
 
@@ -53,4 +54,5 @@ pub use error::{ParseError, SqlError};
 pub use lift::{is_lifted_name, lift_literals, Lifted, LIFTED_PREFIX};
 pub use params::{bind_statement, lookup, params_in_bind_order, unbound_error, ParamBindings};
 pub use parser::{parse_expr, parse_query, parse_statement, parse_statements};
+pub use text::Text;
 pub use value::{CmpResult, SqlType, Value};

@@ -135,7 +135,7 @@ pub fn lift_literals(sql: &str) -> Option<Lifted> {
                     lifted.shape.push_str(&name);
                     let value = match tok {
                         Tok::Int(v) => Value::Int(*v),
-                        Tok::Str(s) => Value::Str(s.clone()),
+                        Tok::Str(s) => Value::str(s.as_str()),
                         _ => unreachable!("only literals are lifted"),
                     };
                     lifted.bindings.push((name, value));

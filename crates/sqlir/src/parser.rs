@@ -692,7 +692,7 @@ impl Parser {
             }
             Tok::Str(s) => {
                 self.bump();
-                Ok(Expr::Literal(Value::Str(s)))
+                Ok(Expr::Literal(Value::str(s)))
             }
             Tok::NamedParam(n) => {
                 self.bump();

@@ -8,6 +8,8 @@
 use std::cmp::Ordering;
 use std::fmt;
 
+use crate::text::Text;
+
 /// A SQL scalar type.
 ///
 /// `minidb` uses these for column declarations and type checking; the parser
@@ -121,15 +123,19 @@ pub enum Value {
     Null,
     /// A 64-bit signed integer.
     Int(i64),
-    /// A UTF-8 string.
-    Str(String),
+    /// A UTF-8 string, inline up to [`crate::text::INLINE_CAP`] bytes.
+    Str(Text),
     /// A boolean.
     Bool(bool),
 }
 
+// A `Value` is as large as its `Text`: the other variants live in the
+// text's spare tag values.
+const _: () = assert!(std::mem::size_of::<Value>() == 24);
+
 impl Value {
     /// Returns a string value from anything string-like.
-    pub fn str(s: impl Into<String>) -> Value {
+    pub fn str(s: impl Into<Text>) -> Value {
         Value::Str(s.into())
     }
 
@@ -159,7 +165,7 @@ impl Value {
     /// Returns the string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -230,7 +236,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => f.write_str("NULL"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Str(s) => f.write_str(s),
+            Value::Str(s) => f.write_str(s.as_str()),
             Value::Bool(b) => f.write_str(if *b { "TRUE" } else { "FALSE" }),
         }
     }
@@ -250,13 +256,13 @@ impl From<i32> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Value {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(v)
+        Value::Str(v.into())
     }
 }
 

@@ -17,8 +17,8 @@ fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         any::<i32>().prop_map(|i| Value::Int(i64::from(i))),
-        "[ -~&&[^']]{0,8}".prop_map(Value::Str),
-        "[a-z '☃]{0,8}".prop_map(Value::Str),
+        "[ -~&&[^']]{0,8}".prop_map(Value::from),
+        "[a-z '☃]{0,8}".prop_map(Value::from),
         any::<bool>().prop_map(Value::Bool),
     ]
 }

@@ -3,11 +3,11 @@
 //! `SqlProxy::execute` lifts a statement's literals into parameters and
 //! decides its *shape*, unless the text has a plan of its own in the plan
 //! cache. The reference compiles the exact text's plan into its cache
-//! first (`compile_plan`), so its `execute` decides the exact text, as
-//! every statement was decided before lifting. Twin
-//! proxies over one database and policy take the same statements in the
-//! same sessions, one through each path, and must agree on every answer:
-//! rows, affected counts, and the deny reason with its detail.
+//! first (`PlanCache::get_or_compile`), so its `execute` decides the exact
+//! text, as every statement was decided before lifting. Twin proxies over
+//! one database and policy take the same statements in the same sessions,
+//! one through each path, and must agree on every answer: rows, affected
+//! counts, and the deny reason with its detail.
 //!
 //! Beyond the answers, every statement must keep its tier (a template
 //! verdict stays a template verdict), and every application handler
@@ -22,8 +22,8 @@
 use appdsl::{run_handler, DslError, Limits, PortOutcome, QueryPort};
 use appsim::{AppSpec, Scale};
 use bep_core::{
-    compile_plan, template_hash, CacheTier, ComplianceChecker, CoreError, Policy, ProxyConfig,
-    ProxyResponse, SqlProxy,
+    template_hash, CacheTier, ComplianceChecker, CoreError, Policy, ProxyConfig, ProxyResponse,
+    SqlProxy,
 };
 use bep_scenario::{fleet, TrafficConfig, TrafficEngine, TrafficOp};
 use minidb::Database;
@@ -89,9 +89,7 @@ impl Twins {
         let lifted = self.lifted.execute(a, sql, bindings);
         // `resolve` takes a text's own plan before it tries to lift.
         self.exact.with_plan_cache(|plans| {
-            plans.get_or_compile(sql, || {
-                compile_plan(&self.checker, sql, template_hash(sql), true, &mut |_| {})
-            });
+            plans.get_or_compile(&self.checker, sql, &mut |_| {});
         });
         let exact = self.exact.execute(b, sql, bindings);
         assert_eq!(lifted, exact, "{sql} with {bindings:?}");

@@ -243,3 +243,35 @@ fn every_execute_records_one_latency_sample() {
         assert!(text.contains(&line), "{label}: {text}");
     }
 }
+
+/// The symbol interner's memory is in the exposition: every distinct
+/// string literal a statement carries is interned for the life of the
+/// process, and `bep_mem_bytes{component="symbols"}` rises by at least the
+/// literals' total length.
+#[test]
+fn distinct_literals_raise_the_symbols_gauge_by_their_length() {
+    let proxy = calendar_proxy();
+    let symbols = |p: &SqlProxy| -> usize {
+        let text = p.metrics_text();
+        let name = "bep_mem_bytes{component=\"symbols\"}";
+        let line = (text.lines())
+            .find(|l| l.starts_with(name))
+            .unwrap_or_else(|| panic!("exposition carries {name}"));
+        line[name.len()..].trim().parse().unwrap()
+    };
+    let before = symbols(&proxy);
+    let session = proxy.begin_session(vec![("MyUId".into(), Value::Int(appsim::FIRST_UID))]);
+    let literals: Vec<String> = (0..200).map(|i| format!("symbols-gauge-{i}")).collect();
+    for literal in &literals {
+        let sql = format!("SELECT Title FROM Events WHERE Title = '{literal}'");
+        proxy.execute(session, &sql, &[]).unwrap();
+    }
+    proxy.end_session(session);
+    // Other tests intern concurrently; the gauge only grows.
+    let grown = symbols(&proxy) - before;
+    let total: usize = literals.iter().map(String::len).sum();
+    assert!(
+        grown >= total,
+        "grew {grown} bytes for {total} bytes of literals"
+    );
+}
