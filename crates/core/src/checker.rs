@@ -28,7 +28,7 @@ use qlogic::sym::Sym;
 use qlogic::{
     equivalent_rewriting_deps, sql_to_ucq, Cq, Dependencies, RelSchema, Term, Ucq, ViewSet,
 };
-use sqlir::{Query, Value};
+use sqlir::{Param, Query, Value};
 
 use crate::decision::{Decision, DenyReason};
 use crate::error::CoreError;
@@ -48,6 +48,7 @@ pub struct ComplianceChecker {
     deps: Dependencies,
     symbolic: Result<Arc<ViewSet>, CoreError>,
     pinned: Vec<(Sym, usize)>,
+    view_params: Vec<Param>,
 }
 
 impl ComplianceChecker {
@@ -56,13 +57,20 @@ impl ComplianceChecker {
         let deps = schema.dependencies();
         let symbolic = policy.symbolic_views().map(Arc::new);
         let pinned = pinned_columns(&policy);
+        let view_params = policy.params().into_iter().map(Param::Named).collect();
         ComplianceChecker {
             schema,
             policy,
             deps,
             symbolic,
             pinned,
+            view_params,
         }
+    }
+
+    /// The parameters the policy's views name ([`Policy::params`]).
+    pub(crate) fn view_params(&self) -> &[Param] {
+        &self.view_params
     }
 
     /// Whether some view's selection compares column `column` of

@@ -18,17 +18,17 @@
 //! through that write-back, so a session or a plan changes only between
 //! statements, never between a decision and its write-back.
 
-use std::mem::size_of;
+use std::mem::{size_of, size_of_val};
 
 use minidb::Rows;
 use qlogic::{Atom, Cq};
-use sqlir::{unbound_error, Param, Statement, Value};
+use sqlir::{lookup, unbound_error, Param, Statement, Value};
 
 use crate::cache::BoundedCache;
 use crate::checker::ComplianceChecker;
 use crate::decision::DenyReason;
 use crate::door::Permit;
-use crate::mem::{bindings_heap_bytes, cq_heap_bytes, HeapUsage};
+use crate::mem::{bindings_heap_bytes, cq_heap_bytes, value_heap_bytes, HeapUsage};
 use crate::obs::{CacheTier, Phase};
 use crate::plan::{Certificate, PlanBody, SelectPlan, TemplateVerdict, WritePlan};
 use crate::trace::Trace;
@@ -44,15 +44,16 @@ pub(crate) struct SessionState {
     /// and a request may not either); a statement reads them in place.
     pub(crate) bindings: Vec<(String, Value)>,
     pub(crate) trace: Trace,
-    /// Allowals keyed by concrete fingerprint; SIEVE-bounded.
+    /// Allowals, keyed by the plan and the values the decision read
+    /// ([`ConcreteKey`]); SIEVE-bounded.
     pub(crate) allowed_cache: BoundedCache<ConcreteKey, ()>,
-    /// Denials keyed by concrete fingerprint, all proved at the trace's
+    /// Denials, keyed as the allowals, all proved at the trace's
     /// current fact-set *version*: more facts can flip a denial, so the
     /// tier is emptied whenever the version moves (a record, compaction or
     /// revocation). The stored reason is replayed on a hit, so diagnosis
     /// consumers see the disjunct or written row that failed. Its `Cq`
-    /// byte weight is counted at insert, so `HeapUsage` and the byte
-    /// budget both see it.
+    /// byte weight, and its key's, is counted at insert, so `HeapUsage` and
+    /// the byte budget both see it.
     pub(crate) denied_cache: BoundedCache<ConcreteKey, DenyReason>,
     /// The store's write epoch at the last sync ([`crate::door`]): the
     /// trace holds no fact over a table written before it.
@@ -123,11 +124,11 @@ impl SessionState {
         if let Some(remember) = remember {
             evicted = match remember {
                 Remember::Allow(key) => {
-                    let bytes = size_of::<ConcreteKey>();
+                    let bytes = entry_bytes::<()>(&key, 0);
                     [self.allowed_cache.insert(key, (), bytes).len(), 0]
                 }
                 Remember::Deny { key, reason } => {
-                    let bytes = deny_entry_bytes(&reason);
+                    let bytes = deny_entry_bytes(&key, &reason);
                     [0, self.denied_cache.insert(key, reason, bytes).len()]
                 }
             };
@@ -150,88 +151,65 @@ impl SessionState {
     }
 }
 
-/// Accounted weight of one deny-cache entry: the slot plus the stored
-/// counterexample CQ's heap bytes (interned-id vectors — invisible to a
-/// capacity-only walk, so it must ride on the entry weight).
-fn deny_entry_bytes(reason: &DenyReason) -> usize {
+/// Accounted weight of one concrete-cache entry holding a `V` that owns
+/// `value_heap` bytes: the slot, plus the key's heap twice (the table and
+/// the SIEVE ring each hold a copy of the key).
+fn entry_bytes<V>(key: &ConcreteKey, value_heap: usize) -> usize {
+    size_of::<(ConcreteKey, V)>() + 2 * key.heap_bytes() + value_heap
+}
+
+/// Accounted weight of one deny-cache entry: [`entry_bytes`] with the
+/// stored counterexample CQ's heap bytes (interned-id vectors — invisible
+/// to a capacity-only walk, so it must ride on the entry weight).
+fn deny_entry_bytes(key: &ConcreteKey, reason: &DenyReason) -> usize {
     let query = match reason {
         DenyReason::NotDetermined { query } | DenyReason::WriteNotCovered { query } => {
             cq_heap_bytes(query)
         }
         DenyReason::OutOfFragment(_) | DenyReason::ParseError(_) => 0,
     };
-    size_of::<(ConcreteKey, DenyReason)>() + query
+    entry_bytes::<DenyReason>(key, query)
 }
 
-/// Fingerprint of one (plan, bindings) pair — the session-cache key.
-///
-/// Four `u64`s, computed with zero allocation: the plan's id
+/// The session-cache key of one (plan, bindings) pair: the plan's id
 /// ([`TemplatePlan::id`](crate::plan::TemplatePlan::id), which no other
-/// plan ever has, so no other text shares it), the binding count, and a
-/// commutative digest of the bindings (sum and sum-of-squares of each
-/// pair's FNV-1a hash), so binding *order* never splits cache entries. The
-/// bindings digest is probabilistic: a wrong cache answer needs two binding
-/// sets of the same session and plan to collide on both 64-bit sums, and
-/// its worst consequence is replaying that session's own earlier decision
-/// for the same text.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// plan ever has) and, compared exactly, the value or the absence of each
+/// parameter the decision can read. The order is fixed by the plan: its
+/// statement's parameters (lifted ones included), then each policy-view
+/// parameter the statement does not name. A concrete decision reads no
+/// other binding: the statement's instantiation reads its own parameters,
+/// and the views (`instantiate_subset`, a certificate's expansion,
+/// `check_write_concrete`) read theirs. So a binding nothing reads leaves
+/// the key alone, and binding order never splits an entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ConcreteKey {
     plan: u64,
-    len: u64,
-    sum: u64,
-    sum_sq: u64,
-}
-
-/// FNV-1a over one binding: name bytes, a separator, the value's
-/// discriminant, then the value's bytes. No intermediate `String`.
-fn binding_hash(name: &str, v: &Value) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let step = |h: &mut u64, b: u8| {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(PRIME);
-    };
-    for &b in name.as_bytes() {
-        step(&mut h, b);
-    }
-    step(&mut h, 0);
-    match v {
-        Value::Null => step(&mut h, 0),
-        Value::Int(i) => {
-            step(&mut h, 1);
-            for b in i.to_le_bytes() {
-                step(&mut h, b);
-            }
-        }
-        Value::Str(s) => {
-            step(&mut h, 2);
-            for &b in s.as_bytes() {
-                step(&mut h, b);
-            }
-        }
-        Value::Bool(b) => {
-            step(&mut h, 3);
-            step(&mut h, *b as u8);
-        }
-    }
-    h
+    values: Box<[Option<Value>]>,
 }
 
 impl ConcreteKey {
-    pub(crate) fn new(plan: u64, bindings: &[(String, Value)]) -> ConcreteKey {
-        let mut sum = 0u64;
-        let mut sum_sq = 0u64;
-        for (k, v) in bindings {
-            let h = binding_hash(k, v);
-            sum = sum.wrapping_add(h);
-            sum_sq = sum_sq.wrapping_add(h.wrapping_mul(h));
-        }
-        ConcreteKey {
-            plan,
-            len: bindings.len() as u64,
-            sum,
-            sum_sq,
-        }
+    /// The key of plan `plan`, whose statement names `params`, under a
+    /// policy whose views name `view_params`. Each name occurs once in
+    /// `bindings` (session bindings are deduplicated, and a merge replaces).
+    pub(crate) fn new(
+        plan: u64,
+        params: &[Param],
+        view_params: &[Param],
+        bindings: &[(String, Value)],
+    ) -> ConcreteKey {
+        let views = view_params.iter().filter(|p| !params.contains(p));
+        let values = (params.iter().chain(views))
+            .map(|p| lookup(bindings, p).cloned())
+            .collect();
+        ConcreteKey { plan, values }
+    }
+
+    /// Heap bytes the key owns: its value slice and each value's own heap.
+    fn heap_bytes(&self) -> usize {
+        size_of_val(&*self.values)
+            + (self.values.iter().flatten())
+                .map(value_heap_bytes)
+                .sum::<usize>()
     }
 }
 
@@ -367,6 +345,7 @@ pub(crate) fn decide<'p>(
         CacheTier::TemplateCache
     };
     let template = |verdict| Outcome::new(verdict, Provenance::at(tier));
+    let key = || ConcreteKey::new(plan, kind.params(), checker.view_params(), bindings);
     match kind {
         Kind::Passthrough(stmt, _) => Outcome::new(Ok(Permit::write(stmt)), Provenance::default()),
         Kind::Malformed(msg) => deny(DenyReason::ParseError(msg.to_string())),
@@ -375,15 +354,9 @@ pub(crate) fn decide<'p>(
             TemplateVerdict::Undecidable => {
                 let permit = Permit::read(&sp.query);
                 let mut learned = Vec::new();
-                let outcome = concrete(
-                    session,
-                    plan,
-                    built,
-                    bindings,
-                    lap,
-                    permit,
-                    |facts, prov| prove_read(checker, sp, bindings, facts, prov, &mut learned),
-                );
+                let outcome = concrete(session, key(), built, lap, permit, |facts, prov| {
+                    prove_read(checker, sp, bindings, facts, prov, &mut learned)
+                });
                 Outcome { learned, ..outcome }
             }
         },
@@ -400,7 +373,7 @@ pub(crate) fn decide<'p>(
                 }
                 WriteTemplateVerdict::Undecidable => {
                     let permit = Permit::write(&wp.stmt);
-                    concrete(session, plan, built, bindings, lap, permit, |facts, _| {
+                    concrete(session, key(), built, lap, permit, |facts, _| {
                         let views = checker.policy().views();
                         crate::write::check_write_concrete(t, views, bindings, facts)
                             .map_err(|query| DenyReason::WriteNotCovered { query })
@@ -413,13 +386,12 @@ pub(crate) fn decide<'p>(
 
 /// The concrete tier, shared by reads and writes: the session's allow
 /// cache, its deny cache (of the current trace version), then `prove`
-/// over the session's facts, whose verdict the outcome remembers. An
-/// allow carries `permit`.
+/// over the session's facts, whose verdict the outcome remembers under
+/// `key`. An allow carries `permit`.
 fn concrete<'p>(
     session: &SessionState,
-    plan: u64,
+    key: ConcreteKey,
     built: bool,
-    bindings: &[(String, Value)],
     lap: &mut dyn FnMut(Phase),
     permit: Permit<'p>,
     prove: impl FnOnce(&[Atom], &mut Provenance) -> Result<(), DenyReason>,
@@ -430,7 +402,6 @@ fn concrete<'p>(
         negative_template_hit: !built,
         ..Default::default()
     };
-    let key = ConcreteKey::new(plan, bindings);
     if session.allowed_cache.get(&key).is_some() {
         lap(Phase::ConcreteLookup);
         prov.tier = CacheTier::SessionCache;
@@ -652,24 +623,71 @@ mod tests {
         assert_eq!((r.1.cert_replays, r.1.cert_fallbacks), (1, 0));
     }
 
+    /// The values a [`ConcreteKey`] property draws from: `None` is an
+    /// absent binding, and `1`, `true` and `"1"` share no type.
+    fn pool(i: usize) -> Option<Value> {
+        [
+            None,
+            Some(Value::Null),
+            Some(Value::Int(1)),
+            Some(Value::Bool(true)),
+            Some(Value::str("1")),
+        ][i]
+            .clone()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+
+        /// Two keys are equal exactly when their plans are and every
+        /// parameter the decision reads has one value (or is absent in
+        /// both); an unread binding (`z`) and binding order change nothing.
+        #[test]
+        fn concrete_keys_are_equal_exactly_when_the_read_values_are(
+            plans in (0u64..2, 0u64..2),
+            drawn in proptest::collection::vec((0usize..5, 0usize..5), 5),
+        ) {
+            let named = |n: &str| Param::Named(n.to_string());
+            let params = |plan: u64| match plan {
+                0 => vec![named("a"), named("b")],
+                _ => vec![named("c"), named("b")],
+            };
+            let view_params = [named("MyUId"), named("b")];
+            let names = ["a", "b", "c", "MyUId", "z"];
+            let bind = |pick: fn(&(usize, usize)) -> usize| -> Vec<(String, Value)> {
+                (names.iter().zip(&drawn))
+                    .filter_map(|(n, d)| Some((n.to_string(), pool(pick(d))?)))
+                    .collect()
+            };
+            let (b1, b2) = (bind(|d| d.0), bind(|d| d.1));
+            let key = |plan, b: &[(String, Value)]| {
+                ConcreteKey::new(plan, &params(plan), &view_params, b)
+            };
+            let (k1, k2) = (key(plans.0, &b1), key(plans.1, &b2));
+            let read = ["a", "b", "c", "MyUId"].iter().all(|n| {
+                let p = named(n);
+                let read_by = |plan| params(plan).contains(&p) || view_params.contains(&p);
+                let value = |b: &[(String, Value)]| lookup(b, &p).cloned();
+                !read_by(plans.0) || value(&b1) == value(&b2)
+            });
+            proptest::prop_assert_eq!(k1 == k2, plans.0 == plans.1 && read);
+            let reversed: Vec<_> = b1.iter().rev().cloned().collect();
+            proptest::prop_assert_eq!(&key(plans.0, &reversed), &k1);
+        }
+    }
+
     #[test]
-    fn concrete_key_is_order_insensitive_and_discriminates() {
-        let h = 7;
-        let a = ("a".to_string(), Value::Int(1));
-        let b = ("b".to_string(), Value::str("x"));
-        let k1 = ConcreteKey::new(h, &[a.clone(), b.clone()]);
-        let k2 = ConcreteKey::new(h, &[b.clone(), a.clone()]);
-        assert_eq!(k1, k2, "binding order must not split cache entries");
-        assert_ne!(k1, ConcreteKey::new(h ^ 1, &[a.clone(), b.clone()]));
-        assert_ne!(
-            k1,
-            ConcreteKey::new(h, &[a.clone(), ("b".to_string(), Value::str("y"))])
-        );
-        assert_ne!(k1, ConcreteKey::new(h, std::slice::from_ref(&a)));
-        // Value type matters, not just bytes: Int(1) vs Bool(true) vs "1".
-        assert_ne!(
-            ConcreteKey::new(h, &[("a".to_string(), Value::Int(1))]),
-            ConcreteKey::new(h, &[("a".to_string(), Value::Bool(true))])
-        );
+    fn a_key_tells_types_and_absence_apart() {
+        let read = [Param::Named("a".to_string())];
+        let key = |v: Option<Value>| {
+            let bindings: Vec<_> = v.into_iter().map(|v| ("a".to_string(), v)).collect();
+            ConcreteKey::new(7, &read, &[], &bindings)
+        };
+        let keys: Vec<_> = (0..5).map(|i| key(pool(i))).collect();
+        for (i, k) in keys.iter().enumerate() {
+            for (j, other) in keys.iter().enumerate() {
+                assert_eq!(k == other, i == j, "{:?} vs {:?}", pool(i), pool(j));
+            }
+        }
     }
 }

@@ -129,11 +129,6 @@ pub struct LatencySnapshot {
 }
 
 impl LatencySnapshot {
-    /// Mean sample in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> u64 {
-        self.sum_ns.checked_div(self.count).unwrap_or(0)
-    }
-
     /// Median in microseconds.
     pub fn p50_us(&self) -> f64 {
         self.p50_ns as f64 / 1e3
@@ -149,7 +144,6 @@ mod tests {
         let h = LatencyHistogram::new();
         let s = h.snapshot();
         assert_eq!(s, LatencySnapshot::default());
-        assert_eq!(s.mean_ns(), 0);
     }
 
     #[test]
@@ -186,7 +180,7 @@ mod tests {
         assert_eq!(s.p99_ns, bucket_mid_ns(bucket_of(1_050_000)));
         assert!(s.p50_ns < s.p95_ns || s.p95_ns == s.p50_ns);
         assert_eq!(s.max_ns, 1_050_000);
-        assert_eq!(s.mean_ns(), (90 * 1_100 + 10 * 1_050_000) / 100);
+        assert_eq!(s.sum_ns, 90 * 1_100 + 10 * 1_050_000);
     }
 
     #[test]
@@ -217,14 +211,14 @@ mod tests {
     #[test]
     fn single_sample_percentiles_coincide() {
         // With one sample every percentile has rank 1: all three report
-        // the same bucket and the mean is the sample itself.
+        // the same bucket and the sum is the sample itself.
         let mut h = LatencyHistogram::new();
         h.record(Duration::from_nanos(777));
         let s = h.snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.p50_ns, s.p95_ns);
         assert_eq!(s.p95_ns, s.p99_ns);
-        assert_eq!(s.mean_ns(), 777);
+        assert_eq!(s.sum_ns, 777);
         assert_eq!(s.max_ns, 777);
     }
 
@@ -236,7 +230,7 @@ mod tests {
         }
         let s = h.snapshot();
         assert_eq!(s.count, 3);
-        assert_eq!(s.mean_ns(), 0);
+        assert_eq!(s.sum_ns, 0);
         assert_eq!(s.p50_ns, bucket_mid_ns(0));
         assert_eq!(s.p99_ns, bucket_mid_ns(0));
     }
@@ -281,7 +275,7 @@ mod tests {
                 s.p99_ns <= s.max_ns.max(bucket_mid_ns(bucket_of(s.max_ns))),
                 "seed {seed}: p99 beyond the max sample's bucket midpoint"
             );
-            assert!(s.mean_ns() <= s.max_ns, "seed {seed}");
+            assert_eq!(s.sum_ns, samples.iter().sum::<u64>(), "seed {seed}");
         }
     }
 }

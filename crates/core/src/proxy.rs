@@ -37,8 +37,10 @@
 //!   check before falling back to the full rewriting search; acceptance is
 //!   still a proof over the requesting session's facts. And
 //! * a per-session *concrete cache* of allowed (plan, bindings) pairs,
-//!   keyed by the allocation-free `ConcreteKey` fingerprint of the plan's
-//!   id and the bindings — sound to reuse because compliance is monotone
+//!   keyed by `ConcreteKey`: the plan's id and the value of each parameter
+//!   the decision can read (the statement's and the policy views'),
+//!   compared exactly, so a binding nothing reads shares the entry — sound
+//!   to reuse because compliance is monotone
 //!   in what the trace entails, and what a session's trace entails only
 //!   grows between revocations (compaction removes only facts implied by
 //!   the ones it keeps; a write revokes, and clears the cache). Concrete

@@ -124,12 +124,12 @@
 //! only grows, so:
 //!
 //! 1. **A fact holding a freshly minted Skolem is new to the store.** No
-//!    stored fact holds that Skolem: facts pushed earlier hold earlier
-//!    Skolems, and an assumed fact's nulls are never spelled like a
-//!    Skolem ([`Trace::assume_fact`]). So it can equal only a fact the
-//!    same call pushed — `ans(x, y) :- R(x, z), R(y, z)` on row `(5, 5)`
-//!    makes both atoms `R(5, sk)` — and `witness` scans the call's own
-//!    facts for it; only a ground fact is looked up in the whole store.
+//!    stored fact holds that Skolem: every stored fact was witnessed, and
+//!    facts pushed earlier hold earlier Skolems. So it can equal only a
+//!    fact the same call pushed — `ans(x, y) :- R(x, z), R(y, z)` on row
+//!    `(5, 5)` makes both atoms `R(5, sk)` — and `witness` scans the
+//!    call's own facts for it; only a ground fact is looked up in the
+//!    whole store.
 //! 2. **A ground fact is never implied.** With no variable to move, it
 //!    maps only onto an equal fact, and no two stored facts are equal
 //!    (every push is checked, removals make no duplicates). So `absorb`
@@ -187,7 +187,7 @@ impl Observation {
 
     /// Whether [`Observation::from_rows`]`(rows, keep)` would equal `self`,
     /// decided without cloning a row.
-    pub fn is_from_rows(&self, rows: &[Vec<Value>], keep: usize) -> bool {
+    fn is_from_rows(&self, rows: &[Vec<Value>], keep: usize) -> bool {
         match self {
             Observation::Empty => rows.is_empty(),
             Observation::NonEmpty => rows.len() > keep,
@@ -218,7 +218,7 @@ pub struct Trace {
     /// shrink the set (the same count can name a different set).
     version: u64,
     /// Set by the mutations that do not restore the reduced store (plain
-    /// [`Trace::record`], [`Trace::assume_fact`], [`Trace::revoke`]), cleared by
+    /// [`Trace::record`], [`Trace::revoke`]), cleared by
     /// [`Trace::compact`]. While set, the lemma's premise may not hold.
     unreduced: bool,
 }
@@ -299,7 +299,7 @@ impl Trace {
     /// facts were dropped. An entry equal to a stored one is a no-op and
     /// returns 0.
     ///
-    /// A trace that plain [`Trace::record`] or [`Trace::assume_fact`] has
+    /// A trace that plain [`Trace::record`] or [`Trace::revoke`] has
     /// touched is first brought to the fixpoint by [`Trace::compact`], once.
     pub fn record_compacting(&mut self, query: Cq, observation: Observation) -> usize {
         if self.is_repeat(&query, |o| *o == observation) {
@@ -548,17 +548,6 @@ impl Trace {
     /// `true` if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Injects an externally known fact (used by diagnosis when proposing
-    /// access-check patches: "if this check passed, the fact holds"). Its
-    /// variables are labeled nulls of the caller's naming and must not be
-    /// spelled like this trace's Skolems (`sk<n>`).
-    pub fn assume_fact(&mut self, fact: Atom) {
-        if !self.facts.contains(&fact) {
-            self.unreduced = true;
-            self.push_fact(fact);
-        }
     }
 
     /// Revokes what the trace knew about the relations in `written`, whose
@@ -985,17 +974,22 @@ mod tests {
         let mut t = Trace::new();
         t.record(q1(), Observation::NonEmpty);
         t.record(q1_headed(2), Observation::NonEmpty);
-        t.assume_fact(Atom::new("Events", vec![Term::int(2), Term::var("t")]));
-        assert_eq!((t.len(), t.facts().len()), (2, 3));
+        // ans(2) :- Events(2, t): a fact no other one implies.
+        let event = Atom::new("Events", vec![Term::int(2), Term::var("t")]);
+        t.record(
+            Cq::new(vec![Term::int(2)], vec![event], vec![]),
+            Observation::NonEmpty,
+        );
+        assert_eq!((t.len(), t.facts().len()), (3, 3));
         // A repeat leaves even an unreduced trace alone.
         assert_eq!(t.record_compacting(q1(), Observation::NonEmpty), 0);
-        assert_eq!((t.len(), t.facts().len()), (2, 3));
+        assert_eq!((t.len(), t.facts().len()), (3, 3));
         // One full compaction on the way in, incremental from then on.
         assert_eq!(t.record_compacting(q1_headed(3), Observation::NonEmpty), 2);
-        assert_eq!((t.len(), t.facts().len()), (3, 2));
+        assert_eq!((t.len(), t.facts().len()), (4, 2));
         assert_eq!(t.clone().compact(), 0);
         assert_eq!(t.record_compacting(q1_headed(4), Observation::NonEmpty), 1);
-        assert_eq!((t.len(), t.facts().len()), (4, 2));
+        assert_eq!((t.len(), t.facts().len()), (5, 2));
     }
 
     #[test]

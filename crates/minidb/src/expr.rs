@@ -388,7 +388,7 @@ pub fn value_to_cmp(v: &Value) -> Result<CmpResult, DbError> {
 }
 
 /// Converts a predicate result back to a value (`Unknown` becomes `NULL`).
-pub fn cmp_to_value(c: CmpResult) -> Value {
+fn cmp_to_value(c: CmpResult) -> Value {
     match c {
         CmpResult::True => Value::Bool(true),
         CmpResult::False => Value::Bool(false),

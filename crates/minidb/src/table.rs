@@ -8,7 +8,7 @@
 //! — 15 to 25 bytes for a unique key before `Vec` slack, less for a
 //! repeated one — where a key-owning hash map took 132.
 //!
-//! The rows themselves are stored flat ([`RowStore`]): chunks of [`CHUNK`]
+//! The rows themselves are stored flat (`RowStore`): chunks of `CHUNK`
 //! rows, each row `arity` consecutive values, so a row costs its values and
 //! nothing else — no pointer, no length, no allocation of its own.
 //!

@@ -117,7 +117,7 @@ const ROUNDS: usize = 4;
 /// two atoms that agree on a key are one row, so their other positions
 /// unify — alternated with the inclusion (IND) chase — each child row
 /// spawns its missing parent row, its undetermined columns labeled nulls
-/// drawn from `fresh` — until neither applies or [`ROUNDS`] rounds ran.
+/// drawn from `fresh` — until neither applies or `ROUNDS` rounds ran.
 ///
 /// The canonical order is the naive one: the lowest pair of atoms (by
 /// position, first atom first) that some key forces together unifies at its
@@ -126,7 +126,7 @@ const ROUNDS: usize = 4;
 /// order matters only when a parameter sits in a dependent position (see
 /// the module docs: whichever term a variable meets first is the one it
 /// becomes), and there this function decides exactly as that scan would.
-/// What makes it cheap is that it never rescans: [`Chase`] keeps every
+/// What makes it cheap is that it never rescans: `Chase` keeps every
 /// atom under each key it can be found by, so a pair is met by lookup, a
 /// binding rewrites only the atoms that mention the variable, and the scan
 /// visits only atoms that share a key with another, resuming at the lowest

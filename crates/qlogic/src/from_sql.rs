@@ -187,9 +187,12 @@ fn translate_query(
     if q.has_aggregates() || !q.group_by.is_empty() || q.having.is_some() {
         return Err(LogicError::OutOfFragment("aggregation".into()));
     }
-    // ORDER BY and LIMIT do not change what information a query can reveal
-    // upward (the unlimited answer determines the limited one), so both are
-    // ignored for logical purposes.
+    // A `LIMIT` answer depends on the order the store meets rows in, which
+    // no set-valued view determines. `ORDER BY` alone reorders a set, so it
+    // reveals nothing more and is ignored for logical purposes.
+    if q.limit.is_some() {
+        return Err(LogicError::OutOfFragment("LIMIT".into()));
+    }
 
     let scope_id = *fresh;
     *fresh += 1;

@@ -154,18 +154,6 @@ pub fn canonicalize_vars(cq: &Cq) -> Cq {
     cq.substitute(&subst)
 }
 
-/// Counts the rigid (constant or parameter) positions in a query — a rough
-/// measure of how specialized it still is.
-pub fn rigidity(cq: &Cq) -> usize {
-    let head = cq.head.iter().filter(|t| t.is_rigid()).count();
-    let atoms: usize = cq
-        .atoms
-        .iter()
-        .map(|a| a.args.iter().filter(|t| t.is_rigid()).count())
-        .sum();
-    head + atoms
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,10 +231,5 @@ mod tests {
             anti_unify_all([&trace_query(1, 2), &trace_query(1, 3), &trace_query(1, 4)]).unwrap();
         assert_eq!(g.atoms[0].args[0], Term::int(1));
         assert!(matches!(g.atoms[0].args[1], Term::Var(_)));
-    }
-
-    #[test]
-    fn rigidity_counts() {
-        assert_eq!(rigidity(&trace_query(1, 2)), 3); // head 1 + two consts
     }
 }

@@ -15,7 +15,7 @@
 //!   facts (the trace-awareness of the Blockaid-style checker);
 //! * [`rewrite`] — MiniCon-style answering-queries-using-views: contained,
 //!   maximally-contained, and equivalent rewritings;
-//! * [`minimize`] — CQ cores;
+//! * [`minimize`](mod@minimize) — CQ cores;
 //! * [`generalize`] — anti-unification for specification mining;
 //! * [`probe`] — thread-local solver work counters (rewrite iterations,
 //!   containment calls, homomorphism nodes/backtracks) that introspection

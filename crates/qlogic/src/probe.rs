@@ -31,13 +31,6 @@ pub struct SolverCounters {
     pub hom_backtracks: u64,
 }
 
-impl SolverCounters {
-    /// `true` if every counter is zero.
-    pub fn is_zero(&self) -> bool {
-        *self == SolverCounters::default()
-    }
-}
-
 struct Counters {
     rewrite_iterations: Cell<u64>,
     containment_checks: Cell<u64>,
@@ -113,7 +106,7 @@ mod tests {
         let got = peek();
         assert_eq!(got.rewrite_iterations, 2);
         assert_eq!(take(), got);
-        assert!(take().is_zero(), "take resets");
+        assert_eq!(take(), SolverCounters::default(), "take resets");
     }
 
     #[test]
@@ -145,7 +138,12 @@ mod tests {
         take();
         bump_hom_node();
         std::thread::spawn(|| {
-            assert!(take().is_zero(), "fresh thread starts at zero");
+            let fresh = take();
+            assert_eq!(
+                fresh,
+                SolverCounters::default(),
+                "fresh thread starts at zero"
+            );
         })
         .join()
         .unwrap();

@@ -81,7 +81,7 @@ impl ViewSet {
 /// This is the cheap relation-signature pre-filter behind compiled
 /// template plans. It is *decision-preserving* for
 /// [`equivalent_rewriting_deps`]: an MCD requires a query atom and a view
-/// atom with the same relation name and arity ([`mcds_for_view`]), so a
+/// atom with the same relation name and arity (`mcds_for_view`), so a
 /// view sharing no relation with `q` yields zero MCDs in both strict and
 /// relaxed mode and can never appear in a candidate; dropping it leaves
 /// the MCD accumulation sequence (and hence every `MAX_MCDS` /

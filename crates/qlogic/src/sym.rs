@@ -19,7 +19,7 @@
 //!
 //! The string → id direction is 16 writer shards, each a mutex around a
 //! set of ids that hash and compare as the strings they resolve to
-//! ([`ById`]) — the text is stored once, not again as a key. Only interning
+//! (`ById`) — the text is stored once, not again as a key. Only interning
 //! new-or-unknown strings takes a lock; [`Sym::as_str`] never does.
 //!
 //! A long-lived proxy interns every distinct string cell it has witnessed,

@@ -455,7 +455,7 @@ impl Expr {
     }
 
     /// Returns `true` if this expression (transitively) contains an aggregate.
-    pub fn contains_aggregate(&self) -> bool {
+    fn contains_aggregate(&self) -> bool {
         match self {
             Expr::Agg { .. } => true,
             Expr::Literal(_) | Expr::Param(_) | Expr::Column(_) => false,

@@ -48,20 +48,9 @@ impl ParamBindings {
         self.positional.push(value.into());
     }
 
-    /// Appends a positional binding and returns `self` for chaining.
-    pub fn with_positional(mut self, value: impl Into<Value>) -> ParamBindings {
-        self.push(value);
-        self
-    }
-
     /// Looks up a named binding.
     pub fn get(&self, name: &str) -> Option<&Value> {
         self.named.iter().find(|(n, _)| n == name).map(|(_, v)| v)
-    }
-
-    /// Looks up a positional binding.
-    pub fn get_positional(&self, index: usize) -> Option<&Value> {
-        self.positional.get(index)
     }
 
     fn resolve(&self, p: &Param) -> Result<Value, SqlError> {
@@ -69,8 +58,7 @@ impl ParamBindings {
             Param::Named(n) => lookup(&self.named, p)
                 .cloned()
                 .ok_or_else(|| SqlError::UnboundParameter(n.clone())),
-            Param::Positional(i) => self
-                .get_positional(*i)
+            Param::Positional(i) => (self.positional.get(*i))
                 .cloned()
                 .ok_or(SqlError::UnboundPositional(*i)),
         }
@@ -324,9 +312,9 @@ mod tests {
     #[test]
     fn binds_positional_in_order() {
         let stmt = parse_statement("SELECT 1 FROM t WHERE a = ? AND b = ?").unwrap();
-        let b = ParamBindings::new()
-            .with_positional(10)
-            .with_positional("x");
+        let mut b = ParamBindings::new();
+        b.push(10);
+        b.push("x");
         let bound = bind_statement(&stmt, &b).unwrap();
         assert_eq!(
             bound.to_string(),

@@ -519,3 +519,93 @@ fn a_fact_tied_to_another_by_an_unknown_is_not_implied() {
                   WHERE e.Title = 'offsite'";
     assert!(p.execute(s, anyone, &[]).unwrap().is_allowed());
 }
+
+/// A request binding that neither the statement nor a policy view reads
+/// does not split the allow cache: the repeat with an extra binding is a
+/// hit, not a second proof.
+#[test]
+fn a_binding_nothing_reads_shares_the_cached_allow() {
+    let p = calendar_with_own_rows();
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let probe = "SELECT 1 FROM Attendance WHERE UId = ?MyUId AND EId = ?e";
+    let e2 = [("e".to_string(), Value::Int(2))];
+    assert_eq!(p.execute(s, probe, &e2).unwrap().rows().unwrap().len(), 1);
+    let fetch = "SELECT * FROM Events WHERE EId = ?e";
+    assert!(p.execute(s, fetch, &e2).unwrap().is_allowed());
+    let before = p.stats();
+    assert_eq!(
+        before.concrete_proofs, 1,
+        "the fetch reached the concrete tier"
+    );
+    let padded = [e2[0].clone(), ("unused".to_string(), Value::str("x"))];
+    assert!(p.execute(s, fetch, &padded).unwrap().is_allowed());
+    let after = p.stats();
+    assert_eq!(after.session_cache_hits, before.session_cache_hits + 1);
+    assert_eq!(after.concrete_proofs, before.concrete_proofs);
+}
+
+/// A view parameter the session leaves unbound is read from the request,
+/// so its value keys the cached verdict: the statement below is `VK`
+/// itself when `?Kind` and `?k` agree, and is not determined by the view
+/// of another kind's events.
+#[test]
+fn a_request_bound_view_parameter_keys_the_cached_verdict() {
+    let (db, _) = calendar_with_own_rows_parts();
+    let schema = schema_of_database(&db);
+    let policy = Policy::from_sql(
+        &schema,
+        &[("VK", "SELECT EId, Title FROM Events WHERE Kind = ?Kind")],
+    )
+    .unwrap();
+    let p = SqlProxy::new(
+        db,
+        ComplianceChecker::new(schema, policy),
+        ProxyConfig::default(),
+    );
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    let of_kind = "SELECT EId, Title FROM Events WHERE Kind = ?k";
+    let with_view = |kind: &str| {
+        [
+            ("k".to_string(), Value::str("work")),
+            ("Kind".to_string(), Value::str(kind)),
+        ]
+    };
+    let rows = p.execute(s, of_kind, &with_view("work")).unwrap();
+    assert_eq!(rows.rows().unwrap().len(), 2);
+    assert_eq!(p.stats().concrete_proofs, 1);
+    match p.execute(s, of_kind, &with_view("fun")) {
+        Ok(ProxyResponse::Blocked(DenyReason::NotDetermined { .. })) => {}
+        other => panic!("the 'fun' view does not reveal 'work' events, got {other:?}"),
+    }
+}
+
+/// `LIMIT` without an `ORDER BY` returns whichever rows the store meets
+/// first, so its answer depends on insertion order, which no set-valued
+/// view determines: the statement is out of the fragment.
+#[test]
+fn a_limit_is_out_of_fragment() {
+    let mut db = Database::new();
+    db.execute_sql("CREATE TABLE Events (EId INT PRIMARY KEY, Title TEXT, Kind TEXT)")
+        .unwrap();
+    db.execute_sql(
+        "INSERT INTO Events (EId, Title, Kind) VALUES (2, 'standup', 'work'), \
+         (1, 'party', 'fun')",
+    )
+    .unwrap();
+    let schema = schema_of_database(&db);
+    let policy = Policy::from_sql(&schema, &[("V5", "SELECT EId FROM Events")]).unwrap();
+    let p = SqlProxy::new(
+        db,
+        ComplianceChecker::new(schema, policy),
+        ProxyConfig::default(),
+    );
+    let s = p.begin_session(vec![("MyUId".into(), Value::Int(1))]);
+    assert!(p
+        .execute(s, "SELECT EId FROM Events", &[])
+        .unwrap()
+        .is_allowed());
+    match p.execute(s, "SELECT EId FROM Events LIMIT 1", &[]) {
+        Ok(ProxyResponse::Blocked(DenyReason::OutOfFragment(_))) => {}
+        other => panic!("a LIMIT must be out of fragment, got {other:?}"),
+    }
+}
