@@ -207,7 +207,7 @@ fn key_chase() {
     let db = FORUM.empty_db();
     for name in db.table_names() {
         let table = db.table(&name).unwrap();
-        schema.add_table(name.clone(), table.schema.column_names());
+        schema.add_table(name.clone(), table.schema().column_names());
         // Keys deliberately not declared.
     }
     let checker = bep_core::ComplianceChecker::new(schema, FORUM.policy().unwrap());

@@ -212,22 +212,22 @@ pub fn schema_of_database(db: &Database) -> RelSchema {
     // referenced table's arity and primary key.
     for name in db.table_names() {
         if let Ok(table) = db.table(&name) {
-            schema.add_table(name.clone(), table.schema.column_names());
-            if !table.schema.primary_key.is_empty() {
-                schema.set_key(name.clone(), table.schema.primary_key.clone());
+            schema.add_table(name.clone(), table.schema().column_names());
+            if !table.schema().primary_key.is_empty() {
+                schema.set_key(name.clone(), table.schema().primary_key.clone());
             }
         }
     }
     for name in db.table_names() {
         if let Ok(table) = db.table(&name) {
-            for fk in &table.schema.foreign_keys {
+            for fk in &table.schema().foreign_keys {
                 let Ok(target) = db.table(&fk.ref_table) else {
                     continue;
                 };
                 let parent_cols: Vec<usize> = if fk.ref_columns.is_empty() {
-                    target.schema.primary_key.clone()
+                    target.schema().primary_key.clone()
                 } else {
-                    match target.schema.resolve_columns(&fk.ref_columns) {
+                    match target.schema().resolve_columns(&fk.ref_columns) {
                         Ok(cols) => cols,
                         Err(_) => continue,
                     }

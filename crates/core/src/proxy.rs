@@ -490,17 +490,20 @@ impl SqlProxy {
     }
 
     /// Renders the Prometheus text exposition. The counters, histograms,
-    /// live sessions and the plan cache's and sessions' heap bytes are
+    /// live sessions, the plan cache's and sessions' heap bytes and the
+    /// database's (`bep_mem_bytes{component="database"}`, counted from its
+    /// chunks and indexes, no cell read: [`Database::heap_bytes`]) are
     /// copied under one acquisition of the state lock; the journal, the
     /// process memory and the symbol interner's resident bytes
-    /// (`bep_mem_bytes{component="symbols"}`, process-wide and outside
-    /// [`component_heap_bytes`](Self::component_heap_bytes)) are read as
-    /// the text is written.
+    /// (`bep_mem_bytes{component="symbols"}`, process-wide) are read as
+    /// the text is written. Neither `symbols` nor `database` is in
+    /// [`component_heap_bytes`](Self::component_heap_bytes) or its `total`.
     pub fn metrics_text(&self) -> String {
         let state = self.state.lock();
         let counts = state.counts;
         let live = state.sessions.len() as u64;
         let heap = state.heap_bytes();
+        let database = ("database", state.store.db.heap_bytes() as u64);
         let [plan, allow, deny] = state.eviction_counts();
         let (latency, sizes) = (
             state.latency.snapshot(),
@@ -624,7 +627,7 @@ impl SqlProxy {
             "Heap bytes currently owned, by component",
             "gauge",
             "component",
-            &[plan_cache, session_state, journal, symbols],
+            &[plan_cache, session_state, journal, symbols, database],
         );
         write_summary(
             &mut out,
@@ -1819,6 +1822,7 @@ mod tests {
         assert!(text.contains("bep_mem_bytes{component=\"session-state\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"journal\"}"));
         assert!(text.contains("bep_mem_bytes{component=\"symbols\"}"));
+        assert!(text.contains("bep_mem_bytes{component=\"database\"}"));
         assert!(text.contains("bep_policy_lint_warnings 0\n"));
     }
 

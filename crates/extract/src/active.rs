@@ -204,14 +204,14 @@ fn mutate_column(
     let t = out
         .table_mut_unchecked(table)
         .map_err(|e| ExtractError::Execution(e.to_string()))?;
-    let Some(idx) = t.schema.column_index(column) else {
+    let Some(idx) = t.schema().column_index(column) else {
         return Ok(out);
     };
     let fresh = scrambled(value);
     for i in 0..t.len() {
-        let cell = &mut t.row_mut(i)[idx];
-        if cell == value {
-            *cell = fresh.clone();
+        if *t.cell(i, idx) == *value {
+            t.set_cell(i, idx, fresh.clone())
+                .map_err(|e| ExtractError::Execution(e.to_string()))?;
         }
     }
     Ok(out)

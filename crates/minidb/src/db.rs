@@ -147,7 +147,7 @@ impl Database {
         // later inserts can't hit a missing table mid-check. Tables are never
         // dropped or altered, so the resolution stays true.
         for fk in &mut schema.foreign_keys {
-            let target = &self.table(&fk.ref_table)?.schema;
+            let target = self.table(&fk.ref_table)?.schema();
             let ref_cols = if fk.ref_columns.is_empty() {
                 if target.primary_key.is_empty() {
                     return Err(DbError::BadSchema(format!(
@@ -184,7 +184,7 @@ impl Database {
     }
 
     fn insert(&mut self, ins: &Insert, params: Params<'_>) -> Result<usize, DbError> {
-        let schema = &self.table(&ins.table)?.schema;
+        let schema = self.table(&ins.table)?.schema();
         let width = schema.columns.len();
 
         // Map the statement's column list onto schema order.
@@ -225,11 +225,11 @@ impl Database {
     ) -> Result<(), DbError> {
         let len = self.tables.get(table).map(Table::len);
         let result = append(self);
-        if let (Err(_), Some(len)) = (&result, len) {
-            self.tables
-                .get_mut(table)
-                .expect("it had rows")
-                .truncate(len);
+        if result.is_err() {
+            // Tables are never dropped: the one measured above is there.
+            if let (Some(len), Some(t)) = (len, self.tables.get_mut(table)) {
+                t.truncate(len);
+            }
         }
         result
     }
@@ -239,7 +239,7 @@ impl Database {
     fn insert_one(&mut self, table_name: &str, row: Vec<Value>) -> Result<(), DbError> {
         let table = self.table(table_name)?;
         table.check_row_shape(&row)?;
-        let schema = &table.schema;
+        let schema = table.schema();
 
         // PK / UNIQUE.
         if !schema.primary_key.is_empty() {
@@ -282,16 +282,12 @@ impl Database {
             }
         }
 
-        self.tables
-            .get_mut(table_name)
-            .expect("existence checked above")
-            .push_row(row);
-        Ok(())
+        self.table_mut(table_name)?.push_row(row)
     }
 
     fn update(&mut self, u: &Update, params: Params<'_>) -> Result<usize, DbError> {
         let table = self.table(&u.table)?;
-        let schema = &table.schema;
+        let schema = table.schema();
         let assignments: Vec<(usize, &Expr)> = u
             .assignments
             .iter()
@@ -316,16 +312,15 @@ impl Database {
             .map(|(col, e)| (*col, Bound::bind(e, &scope, None, params)))
             .collect();
         for &idx in &matching {
-            let old = table.row(idx);
-            let rows = [old];
+            let rows = [idx as u32];
             let ctx = EvalCtx {
                 db: self,
                 scope: &scope,
-                rows: &rows,
+                rows: Some(&rows),
                 outer: None,
                 params,
             };
-            let mut new = old.to_vec();
+            let mut new = table.row(idx);
             for (col, value) in &values {
                 new[*col] = value.eval(&ctx)?.into_owned();
             }
@@ -385,11 +380,15 @@ impl Database {
         // values being changed must not be referenced elsewhere.
         self.check_not_referenced(&u.table, &matching, Some(&new_rows))?;
 
+        // Only assigned cells are written; each was shape-checked above, so
+        // no `set_cell` below fails and the update stays all or nothing.
         let count = new_rows.len();
-        let table = self.tables.get_mut(&u.table).expect("checked");
-        for (idx, new) in matching.into_iter().zip(new_rows) {
-            for (stored, v) in table.row_mut(idx).iter_mut().zip(new) {
-                *stored = v;
+        let assigned: Vec<usize> = values.iter().map(|(col, _)| *col).collect();
+        let table = self.table_mut(&u.table)?;
+        for (idx, mut new) in matching.into_iter().zip(new_rows) {
+            for &col in &assigned {
+                let v = std::mem::replace(&mut new[col], Value::Null);
+                table.set_cell(idx, col, v)?;
             }
         }
         Ok(count)
@@ -399,10 +398,7 @@ impl Database {
         let matching = matching_row_ids(self, &d.table, d.where_clause.as_ref(), params)?;
         self.check_not_referenced(&d.table, &matching, None)?;
         let count = matching.len();
-        self.tables
-            .get_mut(&d.table)
-            .expect("checked by matching_row_ids")
-            .remove_rows(matching);
+        self.table_mut(&d.table)?.remove_rows(matching);
         Ok(count)
     }
 
@@ -417,19 +413,20 @@ impl Database {
     ) -> Result<(), DbError> {
         let target = self.table(table_name)?;
         for (other_name, other) in &self.tables {
-            for fk in &other.schema.foreign_keys {
+            for fk in &other.schema().foreign_keys {
                 if fk.ref_table != table_name {
                     continue;
                 }
+                let probe = other.probe(&fk.columns);
                 for (i, &ri) in row_indices.iter().enumerate() {
-                    let old_row = target.row(ri);
                     // Updates only violate if the key actually changes.
                     if let Some(new_row) = replacements.map(|reps| &reps[i]) {
-                        if fk.ref_indices.iter().all(|&c| new_row[c] == old_row[c]) {
+                        if (fk.ref_indices.iter()).all(|&c| *target.cell(ri, c) == new_row[c]) {
                             continue;
                         }
                     }
-                    if other.contains_on(&fk.columns, old_row, &fk.ref_indices) {
+                    let mut referencing = probe.matching_cells(target, ri, &fk.ref_indices);
+                    if referencing.next().is_some() {
                         return Err(DbError::ForeignKeyViolation {
                             table: other_name.clone(),
                             ref_table: table_name.to_string(),
@@ -447,7 +444,7 @@ impl Database {
         let ctx = EvalCtx {
             db: self,
             scope: &[],
-            rows: &[],
+            rows: Some(&[]),
             outer: None,
             params,
         };
@@ -459,14 +456,27 @@ impl Database {
         self.tables.values().map(|t| t.len()).sum()
     }
 
-    /// Direct mutable access to a table's rows, bypassing constraints.
+    /// The heap bytes of every table's cells, chunk lists and indexes,
+    /// counted from their capacities: O(chunks + indexes), no cell is
+    /// read. A string cell's own heap (a `Text` past its inline bound) is
+    /// not counted, nor are the schemas.
+    pub fn heap_bytes(&self) -> usize {
+        self.tables.values().map(Table::heap_bytes).sum()
+    }
+
+    fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
+        self.tables
+            .get_mut(name)
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    /// Direct mutable access to a table's rows, bypassing constraints (the
+    /// schema still types every cell: [`Table::set_cell`]).
     ///
     /// Used by diagnosis/counterexample search, which explores hypothetical
     /// databases and re-validates separately.
     pub fn table_mut_unchecked(&mut self, name: &str) -> Result<&mut Table, DbError> {
-        self.tables
-            .get_mut(name)
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+        self.table_mut(name)
     }
 }
 
@@ -893,13 +903,7 @@ mod tests {
             .unwrap();
         db.execute_sql("INSERT INTO P (a, u, v) VALUES (1, 1, 'x')")
             .unwrap();
-        let rows = |db: &Database| -> Vec<Vec<Value>> {
-            db.table("P")
-                .unwrap()
-                .rows()
-                .map(<[Value]>::to_vec)
-                .collect()
-        };
+        let rows = |db: &Database| -> Vec<Vec<Value>> { db.table("P").unwrap().rows().collect() };
         let before = rows(&db);
         // The third row collides with the first: nothing goes in, through
         // SQL or `insert_rows`, with every index built or none.

@@ -2,9 +2,9 @@
 //!
 //! A join candidate is a tuple of **row ids**, one per stage (`FROM` table
 //! or `JOIN`), never a concatenated row: predicates are bound once per
-//! query (`expr::Bound`) and read the borrowed table rows, and values are
-//! cloned only into the projected output of tuples that survived every
-//! predicate.
+//! query (`expr::Bound`) and read the tuple's cells where they lie, and
+//! values are cloned only into the projected output of tuples that
+//! survived every predicate.
 //!
 //! **Stage order.** When every `ON` is a total predicate over its own and
 //! earlier stages, the `ON`s and the pushed `WHERE` conjuncts are one
@@ -292,29 +292,13 @@ impl<'a> Source<'a> {
         self.scope[stage].table
     }
 
-    /// The row of stage `stage` a tuple selects.
-    fn row(&self, stage: usize, tuple: &[u32]) -> &'a [Value] {
-        self.table(stage).row(tuple[stage] as usize)
-    }
-
-    /// A row buffer for [`Source::ctx`], one (empty) row per stage.
-    fn row_buffer(&self) -> Vec<&'a [Value]> {
-        vec![&[]; self.scope.len()]
-    }
-
-    /// Points `rows` at the rows a complete tuple selects.
-    fn load(&self, tuple: &[u32], rows: &mut [&'a [Value]]) {
-        for (stage, row) in rows.iter_mut().enumerate() {
-            *row = self.row(stage, tuple);
-        }
-    }
-
-    /// An evaluation context over the first `stages` stages.
-    fn ctx<'r>(&'r self, stages: usize, rows: &'r [&'r [Value]]) -> EvalCtx<'r> {
+    /// An evaluation context over the first `stages` stages of `tuple`;
+    /// `None` for the all-`NULL` row of an empty group.
+    fn ctx<'r>(&'r self, stages: usize, tuple: Option<&'r [u32]>) -> EvalCtx<'r> {
         EvalCtx {
             db: self.db,
             scope: &self.scope[..stages],
-            rows,
+            rows: tuple,
             outer: self.outer,
             params: self.params,
         }
@@ -432,7 +416,6 @@ impl<'a> Source<'a> {
             len: 1,
             ids: vec![0; n],
         };
-        let mut rows = self.row_buffer();
         let mut candidate = vec![0; n];
         for (step, &stage) in order.iter().enumerate() {
             let table = self.table(stage);
@@ -470,29 +453,24 @@ impl<'a> Source<'a> {
 
             let mut next = Tuples::new(n);
             for base in tuples.iter() {
-                for &bound in &order[..step] {
-                    rows[bound] = self.row(bound, base);
-                }
                 candidate.copy_from_slice(base);
                 let ids = match &access {
                     None => Candidates::Scan(0..table.len() as u32),
-                    Some((probe, key)) => {
-                        let key = match *key {
-                            KeySource::Literal(v) => v,
-                            KeySource::Column(s, c) => &rows[s][c],
-                        };
-                        Candidates::Chain(probe.matching(std::slice::from_ref(key)))
+                    Some((probe, KeySource::Literal(v))) => {
+                        Candidates::Chain(probe.matching(std::slice::from_ref(*v)))
                     }
+                    Some((probe, KeySource::Column(s, c))) => Candidates::Chain(
+                        probe.matching_cells(self.table(*s), base[*s] as usize, &[*c]),
+                    ),
                 };
                 'rows: for id in ids {
-                    rows[stage] = table.row(id as usize);
-                    let ctx = self.ctx(stage + 1, &rows);
+                    candidate[stage] = id;
+                    let ctx = self.ctx(stage + 1, Some(&candidate));
                     for pred in &here {
                         if !pred.test(&ctx)?.is_true() {
                             continue 'rows;
                         }
                     }
-                    candidate[stage] = id;
                     next.push(&candidate);
                 }
             }
@@ -515,8 +493,7 @@ impl<'a> Source<'a> {
         }
         let mut kept = Tuples::new(n);
         for tuple in tuples.iter() {
-            self.load(tuple, &mut rows);
-            let ctx = self.ctx(n, &rows);
+            let ctx = self.ctx(n, Some(tuple));
             let mut keep = true;
             for pred in &residual {
                 match pred.test(&ctx)? {
@@ -574,6 +551,7 @@ fn stage_order(counts: &[usize], edges: &[(usize, usize)]) -> Vec<usize> {
                 .any(|&(a, b)| (a == s && order.contains(&b)) || (b == s && order.contains(&a)))
         });
         let next = joined.or_else(|| unbound.min_by_key(|&s| counts[s]));
+        // `order.len() < n`, so `unbound` is not empty and `next` is a stage.
         order.push(next.expect("an unbound stage remains"));
     }
     order
@@ -753,7 +731,7 @@ fn output_alias(key: &Expr, names: &[String]) -> Option<usize> {
     }
 }
 
-/// Plain (non-aggregate) projection, straight from the borrowed table rows.
+/// Plain (non-aggregate) projection, straight from the tables' cells.
 /// Returns `(names, [(row, sort_keys)])`.
 fn project_plain(
     src: &Source<'_>,
@@ -780,7 +758,7 @@ fn project_plain(
         for stage in stages {
             for (c, column) in src.scope[stage].columns().iter().enumerate() {
                 names.push(column.name.clone());
-                exprs.push(Bound::Col(stage, c));
+                exprs.push(Bound::Col(stage, src.table(stage).column(c)));
             }
         }
     }
@@ -791,10 +769,8 @@ fn project_plain(
         .collect();
 
     let mut out = Vec::with_capacity(tuples.len);
-    let mut rows = src.row_buffer();
     for tuple in tuples.iter() {
-        src.load(tuple, &mut rows);
-        let ctx = src.ctx(rows.len(), &rows);
+        let ctx = src.ctx(tuple.len(), Some(tuple));
         let mut row = Vec::with_capacity(exprs.len());
         for e in &exprs {
             row.push(e.eval(&ctx)?.into_owned());
@@ -829,10 +805,8 @@ fn project_grouped(
     // Group tuples by the GROUP BY key values.
     let group_by: Vec<Bound<'_>> = q.group_by.iter().map(|g| src.bind(g)).collect();
     let mut groups: Vec<(Vec<Value>, Tuples)> = Vec::new();
-    let mut rows = src.row_buffer();
     for tuple in tuples.iter() {
-        src.load(tuple, &mut rows);
-        let ctx = src.ctx(rows.len(), &rows);
+        let ctx = src.ctx(tuple.len(), Some(tuple));
         let key: Vec<Value> = group_by
             .iter()
             .map(|g| g.eval(&ctx).map(Cow::into_owned))
@@ -890,18 +864,9 @@ fn project_grouped(
 /// (all `NULL`s for the empty group).
 fn eval_in_group(src: &Source<'_>, members: &Tuples, expr: &Expr) -> Result<Value, DbError> {
     let materialized = materialize_aggs(src, members, expr)?;
-    let nulls: Vec<Vec<Value>>;
-    let mut rows = src.row_buffer();
-    if members.len > 0 {
-        src.load(members.get(0), &mut rows);
-    } else {
-        nulls = (src.scope.iter())
-            .map(|e| vec![Value::Null; e.columns().len()])
-            .collect();
-        rows = nulls.iter().map(Vec::as_slice).collect();
-    }
+    let first = (members.len > 0).then(|| members.get(0));
     let bound = src.bind(&materialized);
-    let value = bound.eval(&src.ctx(rows.len(), &rows))?;
+    let value = bound.eval(&src.ctx(src.scope.len(), first))?;
     Ok(value.into_owned())
 }
 
@@ -983,10 +948,8 @@ fn compute_aggregate(
     };
     let arg = src.bind(arg);
     let mut vals = Vec::with_capacity(members.len);
-    let mut rows = src.row_buffer();
     for tuple in members.iter() {
-        src.load(tuple, &mut rows);
-        let v = arg.eval(&src.ctx(rows.len(), &rows))?;
+        let v = arg.eval(&src.ctx(tuple.len(), Some(tuple)))?;
         if !v.is_null() {
             vals.push(v.into_owned());
         }

@@ -6,8 +6,9 @@
 //! runs — to its value. A `?name` parameter is resolved the same way, to
 //! its value borrowed from the statement's bindings ([`Params`]), so a
 //! statement runs with its parameters in place, never as a bound copy.
-//! Evaluation then reads the borrowed table rows of the current candidate
-//! directly; no row is concatenated or cloned to evaluate a predicate.
+//! A column reference binds to its column's cells, so evaluation reads the
+//! current candidate's cell by row id where it lies; no row is
+//! concatenated or cloned to evaluate a predicate.
 //!
 //! Predicates evaluate to [`Value::Bool`] or [`Value::Null`] (unknown); the
 //! executor treats anything but `TRUE` as filtering a row out, matching SQL
@@ -21,7 +22,7 @@ use sqlir::{BinaryOp, CmpResult, ColumnRef, Expr, Param, Query, UnaryOp, Value};
 use crate::db::Database;
 use crate::error::DbError;
 use crate::schema::Column;
-use crate::table::Table;
+use crate::table::{Cells, Table};
 
 /// A statement's named parameter bindings, read through [`sqlir::lookup`].
 pub type Params<'a> = &'a [(String, Value)];
@@ -38,7 +39,7 @@ pub(crate) struct ScopeEntry<'a> {
 impl<'a> ScopeEntry<'a> {
     /// The bound table's columns.
     pub fn columns(&self) -> &'a [Column] {
-        &self.table.schema.columns
+        &self.table.schema().columns
     }
 }
 
@@ -72,28 +73,39 @@ pub(crate) fn resolve(
     }
 }
 
-/// Evaluation context: a scope, the current candidate's row at each of its
-/// stages (borrowed from the tables), and an optional outer context for
-/// correlated subqueries.
+/// Evaluation context: a scope, the current candidate's row id at each of
+/// its stages, and an optional outer context for correlated subqueries.
 pub(crate) struct EvalCtx<'a> {
     /// The database (needed to run subqueries).
     pub db: &'a Database,
     /// The bindings `rows` are the rows of.
     pub scope: &'a [ScopeEntry<'a>],
-    /// The current row of each stage.
-    pub rows: &'a [&'a [Value]],
+    /// The current row id of each stage; `None` for the one row of an empty
+    /// group, every cell of which is `NULL`.
+    pub rows: Option<&'a [u32]>,
     /// Enclosing context, if this is a subquery.
     pub outer: Option<&'a EvalCtx<'a>>,
     /// The statement's parameters, which its subqueries inherit.
     pub params: Params<'a>,
 }
 
-impl EvalCtx<'_> {
+impl<'a> EvalCtx<'a> {
+    /// The current row of stage `stage`'s cell among `cells`.
+    #[inline]
+    fn cell(&self, stage: usize, cells: &'a Cells) -> Cow<'a, Value> {
+        match self.rows {
+            Some(ids) => cells.get(ids[stage] as usize),
+            None => Cow::Owned(Value::Null),
+        }
+    }
+
     /// The value a column reference has in this context or, failing that,
     /// an enclosing one.
     fn lookup(&self, col: &ColumnRef) -> Result<Value, DbError> {
         match resolve(self.scope, col)? {
-            Some((stage, i)) => Ok(self.rows[stage][i].clone()),
+            Some((stage, i)) => Ok(self
+                .cell(stage, self.scope[stage].table.column(i))
+                .into_owned()),
             None => lookup_outer(self.outer, col),
         }
     }
@@ -119,8 +131,9 @@ pub(crate) enum Bound<'q> {
     /// A literal, a bound parameter, or an enclosing query's column
     /// (constant while this query runs).
     Value(Cow<'q, Value>),
-    /// Column `.1` of the current row of stage `.0`.
-    Col(usize, usize),
+    /// The cell in column `.1` (resolved once, at binding) of the current
+    /// row of stage `.0`.
+    Col(usize, &'q Cells),
     /// Evaluating this node is an error.
     Fail(DbError),
     Unary(UnaryOp, Box<Bound<'q>>),
@@ -138,7 +151,7 @@ impl<'q> Bound<'q> {
     /// its parameters to their values in `params`.
     pub fn bind(
         expr: &'q Expr,
-        scope: &[ScopeEntry<'_>],
+        scope: &[ScopeEntry<'q>],
         outer: Option<&EvalCtx<'_>>,
         params: Params<'q>,
     ) -> Bound<'q> {
@@ -153,7 +166,7 @@ impl<'q> Bound<'q> {
                 })),
             },
             Expr::Column(c) => match resolve(scope, c) {
-                Ok(Some((stage, i))) => Bound::Col(stage, i),
+                Ok(Some((stage, i))) => Bound::Col(stage, scope[stage].table.column(i)),
                 Ok(None) => match lookup_outer(outer, c) {
                     Ok(v) => Bound::Value(Cow::Owned(v)),
                     Err(e) => Bound::Fail(e),
@@ -197,12 +210,13 @@ impl<'q> Bound<'q> {
         }
     }
 
-    /// Evaluates to a value, borrowed where it is a literal or a column.
+    /// Evaluates to a value, borrowed where it is a literal or a stored
+    /// value (an `INT NOT NULL` cell is made on the spot).
     pub fn eval<'a>(&'a self, ctx: &EvalCtx<'a>) -> Result<Cow<'a, Value>, DbError> {
         let owned = |v: Value| Ok(Cow::Owned(v));
         match self {
             Bound::Value(v) => Ok(Cow::Borrowed(v.as_ref())),
-            Bound::Col(stage, i) => Ok(Cow::Borrowed(&ctx.rows[*stage][*i])),
+            Bound::Col(stage, cells) => Ok(ctx.cell(*stage, cells)),
             Bound::Fail(e) => Err(e.clone()),
             Bound::Unary(op, expr) => {
                 let v = expr.eval(ctx)?;

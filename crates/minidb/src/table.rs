@@ -1,29 +1,39 @@
-//! Row storage for one table, and its equality indexes.
+//! Column storage for one table, and its equality indexes.
+//!
+//! A table stores **each column in its own chunks** (`Cells`): an
+//! `INT NOT NULL` column as 8-byte `i64` cells, every other column as
+//! 24-byte [`Value`] cells, `CHUNK` rows to a chunk. No row exists as a
+//! slice, so a reader asks for one cell by row id and column
+//! ([`Table::cell`]): a stored `Value` is borrowed, an integer cell's
+//! `Value::Int` is made on the spot (it owns no heap). [`Table::row`] and
+//! [`Table::rows`] materialise whole rows for the few callers that want
+//! them, and [`Table::set_cell`] writes one cell once the schema admits it,
+//! so no caller can store a value of the wrong type or a `NULL` in a
+//! `NOT NULL` column.
 //!
 //! An index stores **row ids only**. The keys it groups by are already in
-//! the rows, so a lookup hashes the probe key, finds the slot carrying
-//! that hash's tag, confirms against one *row's own columns*, and walks a
+//! the cells, so a lookup hashes the probe key, finds the slot carrying
+//! that hash's tag, confirms against one *row's own cells*, and walks a
 //! chain of row ids; nothing is cloned into the index. An indexed row costs
 //! 8-byte slots at a load factor between 3/8 and 3/4 plus one 4-byte link
 //! — 15 to 25 bytes for a unique key before `Vec` slack, less for a
 //! repeated one — where a key-owning hash map took 132.
 //!
-//! The rows themselves are stored flat (`RowStore`): chunks of `CHUNK`
-//! rows, each row `arity` consecutive values, so a row costs its values and
-//! nothing else — no pointer, no length, no allocation of its own.
-//!
 //! A key is read where it lies on the probing side too: a constraint check
 //! hands the index the candidate row and the columns its key sits in
-//! ([`Probe::matching_row`]), so checking a row copies none of its values.
+//! ([`Probe::matching_row`]), or a stored row's id (`matching_cells`), so
+//! checking a row copies none of its values.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::sync::{Arc, RwLock};
 
-use sqlir::Value;
+use sqlir::{SqlType, Value};
 
 use crate::error::DbError;
-use crate::schema::TableSchema;
+use crate::schema::{Column, TableSchema};
 
 /// "No row": the tail of an empty slot.
 const NONE: u32 = u32::MAX;
@@ -62,36 +72,40 @@ struct EqIndex {
 /// The odd multiplier of the key hash (2^64 / φ).
 const MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Hashes a key tuple to a slot tag. `Int` keys — every PK and FK in the
-/// fleet — are mixed multiplicatively: a bulk load hashes every row into
-/// every index, and SipHash there was most of populate. Other values go
-/// through the standard hasher. The tag is the *high* half, where a
-/// multiplicative hash puts its entropy.
-fn tag_of<'k>(key: impl Iterator<Item = &'k Value>) -> u32 {
+/// The 64 bits a key value contributes to its tag. `Int` keys — every PK
+/// and FK in the fleet — are their own bits: a bulk load hashes every row
+/// into every index, and SipHash there was most of populate. Other values
+/// go through the standard hasher.
+fn word(v: &Value) -> u64 {
+    match v {
+        Value::Int(i) => *i as u64,
+        other => {
+            let mut s = DefaultHasher::new();
+            other.hash(&mut s);
+            s.finish()
+        }
+    }
+}
+
+/// Hashes a key tuple to a slot tag: its words mixed multiplicatively,
+/// and the *high* half kept, where a multiplicative hash puts its entropy.
+fn tag_of<K: Borrow<Value>>(key: impl Iterator<Item = K>) -> u32 {
     let hash = key.fold(0, |h: u64, v| {
-        let x = match v {
-            Value::Int(i) => *i as u64,
-            other => {
-                let mut s = DefaultHasher::new();
-                other.hash(&mut s);
-                s.finish()
-            }
-        };
-        (h.rotate_left(5) ^ x).wrapping_mul(MIX)
+        (h.rotate_left(5) ^ word(v.borrow())).wrapping_mul(MIX)
     });
     (hash >> 32) as u32
 }
 
 impl EqIndex {
-    fn build(cols: &[usize], rows: &RowStore) -> EqIndex {
+    fn build(cols: &[usize], cells: &[Cells], len: usize) -> EqIndex {
         let mut index = EqIndex {
             cols: cols.to_vec(),
             slots: vec![Slot { tag: 0, tail: NONE }; 2],
-            next: Vec::with_capacity(rows.len),
+            next: Vec::with_capacity(len),
             groups: 0,
         };
-        for i in 0..rows.len {
-            index.append(rows.row(i), rows);
+        for id in 0..len {
+            index.append(|c| cells[c].get(id), cells);
         }
         index
     }
@@ -111,11 +125,12 @@ impl EqIndex {
         }
     }
 
-    /// Indexes `row` under the next row id; `rows` hold the rows before it.
-    fn append(&mut self, row: &[Value], rows: &RowStore) {
+    /// Indexes the next row id, whose cell in each column `c` is `cell(c)`;
+    /// `cells` hold the rows before it.
+    fn append<K: Borrow<Value>>(&mut self, cell: impl Fn(usize) -> K, cells: &[Cells]) {
         let id = self.next.len() as u32;
         self.next.push(id);
-        if self.cols.iter().any(|&c| row[c].is_null()) {
+        if self.cols.iter().any(|&c| cell(c).borrow().is_null()) {
             return;
         }
         // Load factor at most 3/4: a probe run always ends at an empty slot
@@ -123,10 +138,9 @@ impl EqIndex {
         if (self.groups + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
-        let tag = tag_of(self.cols.iter().map(|&c| &row[c]));
+        let tag = tag_of(self.cols.iter().map(|&c| cell(c)));
         let i = self.slot_of(tag, |stored| {
-            let stored = rows.row(stored as usize);
-            self.cols.iter().all(|&c| stored[c] == row[c])
+            (self.cols.iter()).all(|&c| cells[c].holds(stored as usize, cell(c).borrow()))
         });
         let tail = std::mem::replace(&mut self.slots[i], Slot { tag, tail: id }).tail;
         if tail == NONE {
@@ -147,6 +161,15 @@ impl EqIndex {
             self.slots[i] = slot;
         }
     }
+
+    /// The heap bytes of the index and of its `Arc`.
+    fn heap_bytes(&self) -> usize {
+        2 * size_of::<usize>()
+            + size_of::<EqIndex>()
+            + self.cols.capacity() * size_of::<usize>()
+            + self.slots.capacity() * size_of::<Slot>()
+            + self.next.capacity() * size_of::<u32>()
+    }
 }
 
 /// A borrowed equality index of a [`Table`] over one column set, from
@@ -154,7 +177,7 @@ impl EqIndex {
 #[derive(Debug)]
 pub struct Probe<'a> {
     index: Arc<EqIndex>,
-    rows: &'a RowStore,
+    cells: &'a [Cells],
 }
 
 impl Probe<'_> {
@@ -162,7 +185,7 @@ impl Probe<'_> {
     /// is insertion order). A key containing `NULL` matches nothing.
     pub fn matching(&self, key: &[Value]) -> Matches<'_> {
         debug_assert_eq!(key.len(), self.index.cols.len());
-        self.lookup(key.iter())
+        self.lookup(|j| &key[j])
     }
 
     /// [`Probe::matching`] for the key that `row`'s columns `cols` hold,
@@ -170,18 +193,24 @@ impl Probe<'_> {
     /// check probes with the candidate row itself and copies no key.
     pub fn matching_row(&self, row: &[Value], cols: &[usize]) -> Matches<'_> {
         debug_assert_eq!(cols.len(), self.index.cols.len());
-        self.lookup(cols.iter().map(|&c| &row[c]))
+        self.lookup(|j| &row[cols[j]])
     }
 
-    fn lookup<'k>(&self, key: impl Iterator<Item = &'k Value> + Clone) -> Matches<'_> {
+    /// [`Probe::matching`] for the key that stored row `id` of `table`
+    /// holds in its columns `cols`: a join probes with the bound row's
+    /// cell, a referential check with the row it would remove or rekey.
+    pub(crate) fn matching_cells(&self, table: &Table, id: usize, cols: &[usize]) -> Matches<'_> {
+        debug_assert_eq!(cols.len(), self.index.cols.len());
+        self.lookup(|j| table.cell(id, cols[j]))
+    }
+
+    /// The rows whose key equals the one whose `j`th value is `key(j)`.
+    fn lookup<K: Borrow<Value>>(&self, key: impl Fn(usize) -> K) -> Matches<'_> {
         let index = &*self.index;
-        let i = index.slot_of(tag_of(key.clone()), |stored| {
-            let stored = self.rows.row(stored as usize);
-            index
-                .cols
-                .iter()
-                .zip(key.clone())
-                .all(|(&c, k)| stored[c] == *k)
+        let tag = tag_of((0..index.cols.len()).map(&key));
+        let i = index.slot_of(tag, |stored| {
+            (index.cols.iter().enumerate())
+                .all(|(j, &c)| self.cells[c].holds(stored as usize, key(j).borrow()))
         });
         let tail = index.slots[i].tail;
         Matches {
@@ -219,78 +248,185 @@ impl Iterator for Matches<'_> {
     }
 }
 
-/// Rows per chunk of a [`RowStore`].
+/// Rows per chunk of a column.
 const CHUNK: usize = 1024;
 
-/// A table's rows, `arity` values each, in chunks of [`CHUNK`] rows: row
-/// `i` is the `i % CHUNK`th run of `arity` values in chunk `i / CHUNK`.
+/// One column's cells in chunks of [`CHUNK`]: row `i` is cell `i % CHUNK`
+/// of chunk `i / CHUNK`.
 ///
-/// Chunks, not one vector: a vector of a whole table moves on every
+/// Chunks, not one vector: a vector of a whole column moves on every
 /// doubling, and under glibc a freed multi-MiB buffer raises the mmap
-/// threshold, so the next one grows on the heap by copying. Every chunk
-/// but the first is allocated at its full size once and never moves; the
-/// first grows like a `Vec`, so a small table stays small (as does a
-/// clone's partial last chunk, which is cloned at its length).
+/// threshold, so the next one grows on the heap by copying. A chunk never
+/// holds more than `CHUNK` cells. Every chunk but the first is allocated at
+/// its full size once and never moves; the first doubles from 4 cells, so a
+/// small table stays small. A clone's chunks are cloned at their length,
+/// and a partial one that grows again goes to its full size at once. The
+/// list of chunks holds no spare room.
 #[derive(Debug, Clone)]
-struct RowStore {
-    arity: usize,
-    len: usize,
-    chunks: Vec<Vec<Value>>,
+pub(crate) struct Chunks<T> {
+    chunks: Vec<Vec<T>>,
 }
 
-impl RowStore {
-    fn new(arity: usize) -> RowStore {
-        RowStore {
-            arity,
-            len: 0,
-            chunks: Vec::new(),
+impl<T> Chunks<T> {
+    fn get(&self, i: usize) -> &T {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    fn get_mut(&mut self, i: usize) -> &mut T {
+        &mut self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    fn push(&mut self, cell: T) {
+        let n = self.chunks.len();
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => {
+                if last.len() == last.capacity() {
+                    let room = if n == 1 {
+                        (2 * last.len()).clamp(4, CHUNK)
+                    } else {
+                        CHUNK
+                    };
+                    last.reserve_exact(room - last.len());
+                }
+                last.push(cell);
+            }
+            _ => {
+                let mut chunk = Vec::with_capacity(if n == 0 { 4 } else { CHUNK });
+                chunk.push(cell);
+                // One chunk per kilo-row: the list grows by exactly one.
+                self.chunks.reserve_exact(1);
+                self.chunks.push(chunk);
+            }
         }
     }
 
-    fn span(&self, i: usize) -> (usize, std::ops::Range<usize>) {
-        debug_assert!(i < self.len, "row {i} of {}", self.len);
-        let at = i % CHUNK * self.arity;
-        (i / CHUNK, at..at + self.arity)
-    }
-
-    fn row(&self, i: usize) -> &[Value] {
-        let (chunk, values) = self.span(i);
-        &self.chunks[chunk][values]
-    }
-
-    fn row_mut(&mut self, i: usize) -> &mut [Value] {
-        let (chunk, values) = self.span(i);
-        &mut self.chunks[chunk][values]
-    }
-
-    fn push(&mut self, row: Vec<Value>) {
-        assert_eq!(row.len(), self.arity, "row arity");
-        if self.len.is_multiple_of(CHUNK) {
-            let capacity = if self.chunks.is_empty() {
-                0
-            } else {
-                CHUNK * self.arity
-            };
-            self.chunks.push(Vec::with_capacity(capacity));
-        }
-        self.chunks
-            .last_mut()
-            .expect("a chunk with room")
-            .extend(row);
-        self.len += 1;
-    }
-
-    /// Keeps the first `len` rows.
+    /// Keeps the first `len` cells.
     fn truncate(&mut self, len: usize) {
         self.chunks.truncate(len.div_ceil(CHUNK));
         if let Some(last) = self.chunks.last_mut() {
-            last.truncate((len - (len - 1) / CHUNK * CHUNK) * self.arity);
+            last.truncate(len - (len - 1) / CHUNK * CHUNK);
         }
-        self.len = len;
+    }
+
+    /// Drops the cells at `doomed` (ascending, distinct) of the first `len`;
+    /// the rest move down in order, each once.
+    fn remove(&mut self, doomed: &[usize], len: usize) {
+        let mut doomed = doomed.iter().peekable();
+        let mut kept = 0;
+        for at in 0..len {
+            if doomed.next_if_eq(&&at).is_some() {
+                continue;
+            }
+            if kept < at {
+                self.swap(kept, at);
+            }
+            kept += 1;
+        }
+        self.truncate(kept);
+    }
+
+    /// Swaps cells `a < b`.
+    fn swap(&mut self, a: usize, b: usize) {
+        let (ca, cb) = (a / CHUNK, b / CHUNK);
+        if ca == cb {
+            self.chunks[ca].swap(a % CHUNK, b % CHUNK);
+        } else {
+            let (low, high) = self.chunks.split_at_mut(cb);
+            std::mem::swap(&mut low[ca][a % CHUNK], &mut high[0][b % CHUNK]);
+        }
+    }
+
+    /// The bytes of the chunks and of the list holding them.
+    fn heap_bytes(&self) -> usize {
+        self.chunks.capacity() * size_of::<Vec<T>>()
+            + self.chunks.iter().map(Vec::capacity).sum::<usize>() * size_of::<T>()
     }
 }
 
-/// A stored table: schema plus rows.
+/// A column's cells, typed by its schema.
+#[derive(Debug, Clone)]
+pub(crate) enum Cells {
+    /// An `INT NOT NULL` column: every cell is an integer.
+    Int(Chunks<i64>),
+    /// Any other column.
+    Value(Chunks<Value>),
+}
+
+/// The integer an `INT NOT NULL` cell is written with.
+fn int_cell(v: Value) -> i64 {
+    match v {
+        Value::Int(i) => i,
+        // `Table::check_cell` admits nothing else into an INT NOT NULL column.
+        other => unreachable!("an INT NOT NULL cell written with {other:?}"),
+    }
+}
+
+impl Cells {
+    fn new(column: &Column) -> Cells {
+        if column.ty == SqlType::Int && column.not_null {
+            Cells::Int(Chunks { chunks: Vec::new() })
+        } else {
+            Cells::Value(Chunks { chunks: Vec::new() })
+        }
+    }
+
+    /// Cell `i`, borrowed where it is stored as a value.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> Cow<'_, Value> {
+        match self {
+            Cells::Int(c) => Cow::Owned(Value::Int(*c.get(i))),
+            Cells::Value(c) => Cow::Borrowed(c.get(i)),
+        }
+    }
+
+    /// Whether cell `i` equals `v` (`Value`'s `==`, so `NULL` equals `NULL`).
+    #[inline]
+    fn holds(&self, i: usize, v: &Value) -> bool {
+        match self {
+            Cells::Int(c) => matches!(v, Value::Int(x) if x == c.get(i)),
+            Cells::Value(c) => c.get(i) == v,
+        }
+    }
+
+    /// Appends a cell the schema admitted.
+    fn push(&mut self, v: Value) {
+        match self {
+            Cells::Int(c) => c.push(int_cell(v)),
+            Cells::Value(c) => c.push(v),
+        }
+    }
+
+    /// Overwrites cell `i` with a value the schema admitted.
+    fn set(&mut self, i: usize, v: Value) {
+        match self {
+            Cells::Int(c) => *c.get_mut(i) = int_cell(v),
+            Cells::Value(c) => *c.get_mut(i) = v,
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        match self {
+            Cells::Int(c) => c.truncate(len),
+            Cells::Value(c) => c.truncate(len),
+        }
+    }
+
+    fn remove(&mut self, doomed: &[usize], len: usize) {
+        match self {
+            Cells::Int(c) => c.remove(doomed, len),
+            Cells::Value(c) => c.remove(doomed, len),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Cells::Int(c) => c.heap_bytes(),
+            Cells::Value(c) => c.heap_bytes(),
+        }
+    }
+}
+
+/// A stored table: its schema, and its rows stored column by column.
 ///
 /// Rows are kept in insertion order; `minidb` has no clustered storage, but
 /// equality lookups (PK/UNIQUE/FK checks, `col = literal` selections, and
@@ -300,9 +436,11 @@ impl RowStore {
 /// and dropped on any other mutation.
 #[derive(Debug)]
 pub struct Table {
-    /// The table's schema.
-    pub schema: TableSchema,
-    rows: RowStore,
+    schema: TableSchema,
+    len: usize,
+    /// One per schema column, typed by it; the schema is private so that
+    /// the two cannot drift apart.
+    cells: Vec<Cells>,
     // A table has a handful of indexes: a list searched by column set.
     indexes: RwLock<Vec<Arc<EqIndex>>>,
 }
@@ -312,7 +450,8 @@ impl Clone for Table {
         // Indexes are a cache: a clone starts cold and rebuilds on demand.
         Table {
             schema: self.schema.clone(),
-            rows: self.rows.clone(),
+            len: self.len,
+            cells: self.cells.clone(),
             indexes: RwLock::new(Vec::new()),
         }
     }
@@ -322,19 +461,27 @@ impl Table {
     /// Creates an empty table.
     pub fn new(schema: TableSchema) -> Table {
         Table {
-            rows: RowStore::new(schema.columns.len()),
+            len: 0,
+            cells: schema.columns.iter().map(Cells::new).collect(),
             schema,
             indexes: RwLock::new(Vec::new()),
         }
     }
 
+    /// The table's schema.
+    pub fn schema(&self) -> &TableSchema {
+        &self.schema
+    }
+
     /// The equality index over `cols`, building it on first use.
     pub fn probe(&self, cols: &[usize]) -> Probe<'_> {
         let find = |list: &[Arc<EqIndex>]| list.iter().find(|i| i.cols == cols).map(Arc::clone);
-        let cached = find(&self.indexes.read().expect("index lock"));
+        // A poisoned lock still guards a whole list: an index is pushed
+        // complete, and no other write to the list can panic midway.
+        let cached = find(&self.indexes.read().unwrap_or_else(|e| e.into_inner()));
         let index = cached.unwrap_or_else(|| {
-            let built = Arc::new(EqIndex::build(cols, &self.rows));
-            let mut list = self.indexes.write().expect("index lock");
+            let built = Arc::new(EqIndex::build(cols, &self.cells, self.len));
+            let mut list = self.indexes.write().unwrap_or_else(|e| e.into_inner());
             // Another reader may have built it meanwhile: keep the first.
             find(&list).unwrap_or_else(|| {
                 list.push(Arc::clone(&built));
@@ -343,33 +490,65 @@ impl Table {
         });
         Probe {
             index,
-            rows: &self.rows,
+            cells: &self.cells,
         }
     }
 
-    /// Drops every cached index (any mutation other than an append).
-    fn invalidate_indexes(&mut self) {
-        self.indexes.get_mut().expect("index lock").clear();
+    /// The cached indexes, for a caller holding the table mutably.
+    fn indexes_mut(&mut self) -> &mut Vec<Arc<EqIndex>> {
+        self.indexes.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 
     /// The number of rows.
     pub fn len(&self) -> usize {
-        self.rows.len
+        self.len
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.len == 0
+        self.len == 0
     }
 
-    /// Iterates over rows.
-    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.rows.len).map(|i| self.rows.row(i))
+    /// Row `i`'s cell in column `col` (row ids are positions in insertion
+    /// order): borrowed, or made on the spot for an `INT NOT NULL` column.
+    #[inline]
+    pub fn cell(&self, i: usize, col: usize) -> Cow<'_, Value> {
+        debug_assert!(i < self.len, "row {i} of {}", self.len);
+        self.cells[col].get(i)
     }
 
-    /// Row `i` (row ids are positions in insertion order).
-    pub fn row(&self, i: usize) -> &[Value] {
-        self.rows.row(i)
+    /// Column `col`'s cells, for an expression to read without going
+    /// through the table again.
+    pub(crate) fn column(&self, col: usize) -> &Cells {
+        &self.cells[col]
+    }
+
+    /// Row `i`, materialised.
+    pub fn row(&self, i: usize) -> Vec<Value> {
+        (0..self.cells.len())
+            .map(|c| self.cell(i, c).into_owned())
+            .collect()
+    }
+
+    /// Every row, materialised one at a time.
+    pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Type- and NULL-checks one value against column `col`.
+    fn check_cell(&self, col: &Column, v: &Value) -> Result<(), DbError> {
+        match v.sql_type() {
+            None if col.not_null => Err(DbError::NullViolation(format!(
+                "{}.{}",
+                self.schema.name, col.name
+            ))),
+            Some(t) if t != col.ty => Err(DbError::TypeMismatch {
+                column: format!("{}.{}", self.schema.name, col.name),
+                expected: col.ty.name().to_string(),
+                found: format!("{v:?}"),
+            }),
+            _ => Ok(()),
+        }
     }
 
     /// Type- and NULL-checks a row against the schema (no constraint checks).
@@ -382,24 +561,7 @@ impl Table {
             });
         }
         for (col, v) in self.schema.columns.iter().zip(row) {
-            match v.sql_type() {
-                None => {
-                    if col.not_null {
-                        return Err(DbError::NullViolation(format!(
-                            "{}.{}",
-                            self.schema.name, col.name
-                        )));
-                    }
-                }
-                Some(t) if t != col.ty => {
-                    return Err(DbError::TypeMismatch {
-                        column: format!("{}.{}", self.schema.name, col.name),
-                        expected: col.ty.name().to_string(),
-                        found: format!("{v:?}"),
-                    });
-                }
-                Some(_) => {}
-            }
+            self.check_cell(col, v)?;
         }
         Ok(())
     }
@@ -432,80 +594,111 @@ impl Table {
             .is_some()
     }
 
-    /// Appends a shape-checked row (caller is responsible for constraints).
-    /// Already built indexes are kept current, so bulk loads that check
-    /// constraints per row stay linear.
-    pub fn push_row(&mut self, row: Vec<Value>) {
-        for index in self.indexes.get_mut().expect("index lock") {
-            Arc::make_mut(index).append(&row, &self.rows);
+    /// Appends a row after checking its shape ([`Table::check_row_shape`];
+    /// the caller is responsible for constraints). Already built indexes
+    /// are kept current, so bulk loads that check constraints per row stay
+    /// linear.
+    pub fn push_row(&mut self, row: Vec<Value>) -> Result<(), DbError> {
+        self.check_row_shape(&row)?;
+        let cells = &self.cells;
+        for index in self.indexes.get_mut().unwrap_or_else(|e| e.into_inner()) {
+            Arc::make_mut(index).append(|c| &row[c], cells);
         }
-        self.rows.push(row);
+        for (column, v) in self.cells.iter_mut().zip(row) {
+            column.push(v);
+        }
+        self.len += 1;
+        Ok(())
     }
 
     /// Keeps the first `len` rows and drops the rest: how a statement that
     /// appended rows and then failed takes them back. Indexes are dropped
     /// (they hold the appended rows), as on any mutation but an append.
     pub(crate) fn truncate(&mut self, len: usize) {
-        if len < self.rows.len {
-            self.invalidate_indexes();
-            self.rows.truncate(len);
+        if len < self.len {
+            self.indexes_mut().clear();
+            for column in &mut self.cells {
+                column.truncate(len);
+            }
+            self.len = len;
         }
     }
 
-    /// Removes the rows at the given indices (in any order) in one pass;
-    /// the remaining rows keep their relative order.
+    /// Removes the rows at the given indices (in any order) in one pass per
+    /// column; the remaining rows keep their relative order.
     pub fn remove_rows(&mut self, mut indices: Vec<usize>) {
-        self.invalidate_indexes();
+        self.indexes_mut().clear();
         indices.sort_unstable();
         indices.dedup();
-        let mut doomed = indices.into_iter().peekable();
-        let mut kept = 0;
-        for at in 0..self.rows.len {
-            if doomed.next_if_eq(&at).is_some() {
-                continue;
-            }
-            if kept < at {
-                for c in 0..self.rows.arity {
-                    let v = std::mem::replace(&mut self.rows.row_mut(at)[c], Value::Null);
-                    self.rows.row_mut(kept)[c] = v;
-                }
-            }
-            kept += 1;
+        indices.retain(|&i| i < self.len);
+        for column in &mut self.cells {
+            column.remove(&indices, self.len);
         }
-        self.rows.truncate(kept);
+        self.len -= indices.len();
     }
 
-    /// Mutable access to one row.
-    pub fn row_mut(&mut self, idx: usize) -> &mut [Value] {
-        self.invalidate_indexes();
-        self.rows.row_mut(idx)
+    /// Writes `v` into row `i`'s column `col`, if the column admits it: a
+    /// value of another type is a [`DbError::TypeMismatch`], a `NULL` in a
+    /// `NOT NULL` column a [`DbError::NullViolation`], and either leaves
+    /// the table as it was. Constraints are the caller's to check.
+    ///
+    /// # Panics
+    ///
+    /// If row `i` or column `col` does not exist.
+    pub fn set_cell(&mut self, i: usize, col: usize, v: Value) -> Result<(), DbError> {
+        assert!(i < self.len, "row {i} of {}", self.len);
+        self.check_cell(&self.schema.columns[col], &v)?;
+        self.indexes_mut().clear();
+        self.cells[col].set(i, v);
+        Ok(())
+    }
+
+    /// The heap bytes of the table's cells, its chunk lists and its
+    /// indexes, counted from their capacities: O(chunks + indexes), no
+    /// cell is read. A string cell's own heap (a `Text` past its inline
+    /// bound) is not counted, nor is the schema.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let indexes = self.indexes.read().unwrap_or_else(|e| e.into_inner());
+        self.cells.iter().map(Cells::heap_bytes).sum::<usize>()
+            + indexes.capacity() * size_of::<Arc<EqIndex>>()
+            + indexes.iter().map(|i| i.heap_bytes()).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Column;
-    use sqlir::SqlType;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    fn column(name: &str, ty: SqlType, not_null: bool) -> Column {
+        Column {
+            name: name.into(),
+            ty,
+            not_null,
+        }
+    }
 
     fn two_col_schema() -> TableSchema {
         TableSchema {
             name: "t".into(),
             columns: vec![
-                Column {
-                    name: "a".into(),
-                    ty: SqlType::Int,
-                    not_null: true,
-                },
-                Column {
-                    name: "b".into(),
-                    ty: SqlType::Text,
-                    not_null: false,
-                },
+                column("a", SqlType::Int, true),
+                column("b", SqlType::Text, false),
             ],
             primary_key: vec![0],
             uniques: vec![],
             foreign_keys: vec![],
+        }
+    }
+
+    impl Table {
+        /// The number of chunks of column `col`.
+        fn chunk_count(&self, col: usize) -> usize {
+            match &self.cells[col] {
+                Cells::Int(c) => c.chunks.len(),
+                Cells::Value(c) => c.chunks.len(),
+            }
         }
     }
 
@@ -529,9 +722,23 @@ mod tests {
     }
 
     #[test]
+    fn push_row_checks_the_shape() {
+        let mut t = Table::new(two_col_schema());
+        assert!(matches!(
+            t.push_row(vec![Value::str("no"), Value::Null]),
+            Err(DbError::TypeMismatch { .. })
+        ));
+        assert!(matches!(
+            t.push_row(vec![Value::Null, Value::Null]),
+            Err(DbError::NullViolation(_))
+        ));
+        assert!(t.is_empty());
+    }
+
+    #[test]
     fn duplicate_detection_ignores_null() {
         let mut t = Table::new(two_col_schema());
-        t.push_row(vec![Value::Int(1), Value::str("x")]);
+        t.push_row(vec![Value::Int(1), Value::str("x")]).unwrap();
         assert!(t.has_duplicate_on(&[0], &[Value::Int(1), Value::Null], None));
         assert!(!t.has_duplicate_on(&[0], &[Value::Int(2), Value::Null], None));
         assert!(!t.has_duplicate_on(&[1], &[Value::Int(9), Value::Null], None));
@@ -542,7 +749,7 @@ mod tests {
     fn table_of(rows: impl IntoIterator<Item = Vec<Value>>) -> Table {
         let mut t = Table::new(two_col_schema());
         for row in rows {
-            t.push_row(row);
+            t.push_row(row).unwrap();
         }
         t
     }
@@ -553,14 +760,15 @@ mod tests {
 
     #[test]
     fn index_keeps_insertion_order_for_unique_and_repeated_keys() {
-        let mut t = Table::new(two_col_schema());
-        t.push_row(vec![Value::Int(1), Value::str("x")]);
-        t.push_row(vec![Value::Int(2), Value::str("y")]);
-        t.push_row(vec![Value::Int(3), Value::Null]);
+        let mut t = table_of([
+            vec![Value::Int(1), Value::str("x")],
+            vec![Value::Int(2), Value::str("y")],
+            vec![Value::Int(3), Value::Null],
+        ]);
         // Built from stored rows, then kept current by appends.
         assert_eq!(ids(&t, &[1], &[Value::str("x")]), [0]);
-        t.push_row(vec![Value::Int(4), Value::str("x")]);
-        t.push_row(vec![Value::Int(5), Value::str("x")]);
+        t.push_row(vec![Value::Int(4), Value::str("x")]).unwrap();
+        t.push_row(vec![Value::Int(5), Value::str("x")]).unwrap();
         assert_eq!(ids(&t, &[1], &[Value::str("x")]), [0, 3, 4]);
         assert_eq!(ids(&t, &[1], &[Value::str("y")]), [1]);
         assert!(ids(&t, &[1], &[Value::str("z")]).is_empty());
@@ -570,6 +778,15 @@ mod tests {
         assert_eq!(ids(&t, &[0, 1], &[Value::Int(4), Value::str("x")]), [3]);
         assert!(ids(&t, &[0, 1], &[Value::Int(4), Value::str("y")]).is_empty());
         assert!(ids(&t, &[0, 1], &[Value::Int(3), Value::Null]).is_empty());
+        // An integer cell equals no value of another type.
+        assert!(ids(&t, &[0], &[Value::str("4")]).is_empty());
+        // A stored row's cells probe another index (or its own).
+        let probe = t.probe(&[1]);
+        assert_eq!(
+            probe.matching_cells(&t, 4, &[1]).collect::<Vec<_>>(),
+            [0, 3, 4]
+        );
+        assert!(probe.matching_cells(&t, 2, &[1]).next().is_none());
     }
 
     /// Every key is found with exactly its rows, in insertion order, whether
@@ -597,12 +814,12 @@ mod tests {
         appended.probe(&[1]); // built empty: every row arrives by `append`
         appended.probe(&[0]);
         for i in 0..600 {
-            appended.push_row(row(i));
+            appended.push_row(row(i)).unwrap();
         }
         let mut built = table_of((0..300).map(row));
         built.probe(&[1]); // built over 300 rows, then grown mid-way
         for i in 300..600 {
-            built.push_row(row(i));
+            built.push_row(row(i)).unwrap();
         }
         for t in [&appended, &built] {
             for k in 0..200 {
@@ -616,8 +833,8 @@ mod tests {
     }
 
     /// Keys that share a home slot, and keys that share a whole *tag* (so
-    /// only the comparison with a stored row tells them apart), stay
-    /// distinguishable through a growth of the table.
+    /// only the comparison with a stored integer cell tells them apart),
+    /// stay distinguishable through a growth of the table.
     #[test]
     fn index_separates_keys_that_collide() {
         // `MIX` is odd, so it has an inverse mod 2^64 (Newton's iteration);
@@ -634,21 +851,17 @@ mod tests {
             .iter()
             .all(|k| tag_of([Value::Int(*k)].iter()) == 0));
 
-        let mut rows = RowStore::new(2);
-        let mut index = EqIndex::build(&[0], &rows);
+        let mut t = Table::new(two_col_schema());
+        t.probe(&[0]); // every row arrives by `append`
         for round in 0..2 {
             for &k in &keys {
-                let row = vec![Value::Int(k), Value::Int(round)];
-                index.append(&row, &rows);
-                rows.push(row);
+                t.push_row(vec![Value::Int(k), Value::str(format!("{round}"))])
+                    .unwrap();
             }
         }
-        assert!(index.slots.len() >= 8, "the table grew mid-build");
-        assert_eq!(index.groups, keys.len());
-        let probe = Probe {
-            index: Arc::new(index),
-            rows: &rows,
-        };
+        let probe = t.probe(&[0]);
+        assert!(probe.index.slots.len() >= 8, "the table grew mid-build");
+        assert_eq!(probe.index.groups, keys.len());
         for (i, &k) in keys.iter().enumerate() {
             let found: Vec<u32> = probe.matching(&[Value::Int(k)]).collect();
             assert_eq!(found, [i as u32, (i + keys.len()) as u32]);
@@ -663,10 +876,7 @@ mod tests {
 
     #[test]
     fn remove_rows_descending_safe() {
-        let mut t = Table::new(two_col_schema());
-        for i in 0..5 {
-            t.push_row(vec![Value::Int(i), Value::Null]);
-        }
+        let mut t = table_of((0..5).map(|i| vec![Value::Int(i), Value::Null]));
         t.remove_rows(vec![0, 2, 4]);
         let left: Vec<i64> = t.rows().map(|r| r[0].as_int().unwrap()).collect();
         assert_eq!(left, vec![1, 3]);
@@ -674,10 +884,7 @@ mod tests {
 
     #[test]
     fn remove_rows_takes_any_order_and_keeps_the_rest_in_order() {
-        let mut t = Table::new(two_col_schema());
-        for i in 0..10_000 {
-            t.push_row(vec![Value::Int(i), Value::str(format!("r{i}"))]);
-        }
+        let mut t = table_of((0..10_000).map(|i| vec![Value::Int(i), Value::str(format!("r{i}"))]));
         // A third of the table, handed over in descending order with a
         // repeat; the old `Vec::remove` per row was quadratic here.
         let mut doomed: Vec<usize> = (0..10_000).filter(|i| i % 3 == 1).rev().collect();
@@ -705,9 +912,9 @@ mod tests {
     /// column 0 finds every row at its position.
     fn assert_holds(t: &Table, model: &[Vec<Value>]) {
         assert_eq!(t.len(), model.len());
-        assert!(t.rows().eq(model.iter().map(Vec::as_slice)));
+        assert!(t.rows().eq(model.iter().cloned()));
         for (i, row) in model.iter().enumerate() {
-            assert_eq!(t.row(i), &row[..]);
+            assert_eq!(&t.row(i), row);
             assert_eq!(ids(t, &[0], &row[..1]), [i as u32], "row {i}");
         }
     }
@@ -719,9 +926,9 @@ mod tests {
         t.probe(&[1]);
         let model: Vec<Vec<Value>> = (0..2 * CHUNK + 5).map(keyed).collect();
         for row in &model {
-            t.push_row(row.clone());
+            t.push_row(row.clone()).unwrap();
         }
-        assert_eq!(t.rows.chunks.len(), 3);
+        assert_eq!((t.chunk_count(0), t.chunk_count(1)), (3, 3));
         assert_holds(&t, &model);
         let k3: Vec<u32> = (0..model.len() as u32).filter(|i| i % 7 == 3).collect();
         assert_eq!(ids(&t, &[1], &[Value::str("k3")]), k3);
@@ -740,6 +947,7 @@ mod tests {
             ),
             ("duplicate ids", vec![5, CHUNK, 5, CHUNK, 5]),
             ("every row", (0..n).rev().collect()),
+            ("ids past the end", vec![n, n + CHUNK, 3]),
         ];
         for (what, doomed) in cases {
             let mut model: Vec<Vec<Value>> = (0..n).map(keyed).collect();
@@ -754,21 +962,59 @@ mod tests {
             assert_holds(&t, &model);
             // Appending after the removal lands at the new end.
             model.push(keyed(n));
-            t.push_row(keyed(n));
+            t.push_row(keyed(n)).unwrap();
             assert_holds(&t, &model);
-            assert!(t.rows.chunks.len() <= model.len().div_ceil(CHUNK), "{what}");
+            assert!(t.chunk_count(0) <= model.len().div_ceil(CHUNK), "{what}");
         }
     }
 
     #[test]
-    fn row_mut_drops_the_index() {
+    fn set_cell_drops_the_index() {
         let mut t = table_of((0..CHUNK + 10).map(keyed));
         let id = (CHUNK + 3) as u32; // in the second chunk
-        let old = t.row(id as usize)[1].clone();
+        let old = t.cell(id as usize, 1).into_owned();
         assert!(ids(&t, &[1], std::slice::from_ref(&old)).contains(&id));
-        t.row_mut(id as usize)[1] = Value::str("moved");
+        t.set_cell(id as usize, 1, Value::str("moved")).unwrap();
         assert_eq!(ids(&t, &[1], &[Value::str("moved")]), [id]);
         assert!(!ids(&t, &[1], &[old]).contains(&id));
+        // An integer cell, too.
+        assert_eq!(ids(&t, &[0], &[Value::Int(5)]), [5]);
+        t.set_cell(5, 0, Value::Int(-5)).unwrap();
+        assert_eq!(ids(&t, &[0], &[Value::Int(-5)]), [5]);
+        assert!(ids(&t, &[0], &[Value::Int(5)]).is_empty());
+    }
+
+    #[test]
+    fn set_cell_refuses_a_value_of_another_type() {
+        let mut t = table_of((0..3).map(keyed));
+        let before: Vec<Vec<Value>> = t.rows().collect();
+        for (col, v) in [
+            (0, Value::str("7")),
+            (0, Value::Bool(true)),
+            (1, Value::Int(7)),
+        ] {
+            assert!(
+                matches!(
+                    t.set_cell(1, col, v.clone()),
+                    Err(DbError::TypeMismatch { .. })
+                ),
+                "{v:?} into column {col}"
+            );
+        }
+        assert!(t.rows().eq(before));
+    }
+
+    #[test]
+    fn set_cell_refuses_null_in_a_not_null_column() {
+        let mut t = table_of((0..3).map(keyed));
+        assert!(matches!(
+            t.set_cell(2, 0, Value::Null),
+            Err(DbError::NullViolation(c)) if c == "t.a"
+        ));
+        assert_eq!(t.row(2), keyed(2));
+        // The nullable column takes it.
+        t.set_cell(2, 1, Value::Null).unwrap();
+        assert_eq!(t.row(2), [Value::Int(2), Value::Null]);
     }
 
     #[test]
@@ -781,34 +1027,186 @@ mod tests {
         let mut copy = t.clone();
         let mut grown = model.clone();
         for i in model.len()..2 * CHUNK + 1 {
-            copy.push_row(keyed(i));
+            copy.push_row(keyed(i)).unwrap();
             grown.push(keyed(i));
         }
         assert_holds(&copy, &grown);
         assert_holds(&t, &model);
     }
 
-    #[test]
-    fn a_table_of_arity_one() {
-        let mut t = Table::new(TableSchema {
+    fn one_int_column() -> Table {
+        Table::new(TableSchema {
             name: "one".into(),
-            columns: vec![Column {
-                name: "a".into(),
-                ty: SqlType::Int,
-                not_null: true,
-            }],
+            columns: vec![column("a", SqlType::Int, true)],
             primary_key: vec![0],
             uniques: vec![],
             foreign_keys: vec![],
-        });
+        })
+    }
+
+    #[test]
+    fn a_table_of_arity_one() {
+        let mut t = one_int_column();
         let mut model: Vec<Vec<Value>> =
             (0..2 * CHUNK + 1).map(|i| keyed(i)[..1].to_vec()).collect();
         for row in &model {
-            t.push_row(row.clone());
+            t.push_row(row.clone()).unwrap();
         }
         assert_holds(&t, &model);
         t.remove_rows((0..CHUNK + 1).collect());
         model.drain(..CHUNK + 1);
         assert_holds(&t, &model);
+    }
+
+    /// An `INT NOT NULL` column of `n` rows owns 8 bytes a cell: `n`
+    /// rounded up to its chunks' room (a power of two from 4 in the first
+    /// chunk, whole chunks after it), plus the chunk list. A clone's
+    /// chunks are cut to their length, so it owns exactly `8 n` and the
+    /// list. A nullable column pays 24 bytes a cell.
+    #[test]
+    fn an_int_not_null_cell_is_eight_bytes() {
+        let list = |chunks: usize| chunks * size_of::<Vec<i64>>();
+        for n in [0, 1, 4, 5, 1000, CHUNK, CHUNK + 1, 3 * CHUNK - 1, 10_000] {
+            let mut t = one_int_column();
+            for i in 0..n {
+                t.push_row(vec![Value::Int(i as i64)]).unwrap();
+            }
+            let chunks = n.div_ceil(CHUNK);
+            let room = match n {
+                0 => 0,
+                1..=CHUNK => n.next_power_of_two().max(4),
+                _ => chunks * CHUNK,
+            };
+            assert_eq!(t.heap_bytes(), 8 * room + list(chunks), "{n} rows");
+            assert_eq!(t.clone().heap_bytes(), 8 * n + list(chunks), "{n} rows");
+        }
+        let mut nullable = Table::new(TableSchema {
+            columns: vec![column("a", SqlType::Int, false)],
+            ..one_int_column().schema
+        });
+        for i in 0..CHUNK {
+            nullable.push_row(vec![Value::Int(i as i64)]).unwrap();
+        }
+        let value_list = size_of::<Vec<Value>>();
+        assert_eq!(nullable.heap_bytes(), 24 * CHUNK + value_list);
+        // An index adds its own bytes, and a clone starts without it.
+        nullable.probe(&[0]);
+        assert!(nullable.heap_bytes() > 24 * CHUNK + value_list + 4 * CHUNK);
+        assert_eq!(nullable.clone().heap_bytes(), 24 * CHUNK + value_list);
+    }
+
+    /// A mixed table — `INT NOT NULL`, nullable `INT`, `TEXT`, `BOOL` —
+    /// against a `Vec<Vec<Value>>` model, under random appends, batches
+    /// taken back by `truncate`, removals, cell writes (refused ones
+    /// included) and clones, across chunk boundaries, with integer-key
+    /// indexes built at random points and probed after every step.
+    #[test]
+    fn a_mixed_table_holds_its_model() {
+        let schema = TableSchema {
+            name: "m".into(),
+            columns: vec![
+                column("id", SqlType::Int, true),
+                column("n", SqlType::Int, false),
+                column("s", SqlType::Text, false),
+                column("b", SqlType::Bool, false),
+            ],
+            primary_key: vec![],
+            uniques: vec![],
+            foreign_keys: vec![],
+        };
+        let value = |rng: &mut SmallRng, col: usize| -> Value {
+            if col > 0 && rng.gen_bool(0.2) {
+                return Value::Null;
+            }
+            match col {
+                0 | 1 => Value::Int(rng.gen_range(-20..60)),
+                2 => Value::str(format!("s{}", rng.gen_range(0..9))),
+                _ => Value::Bool(rng.gen_bool(0.5)),
+            }
+        };
+        let row = |rng: &mut SmallRng| -> Vec<Value> { (0..4).map(|c| value(rng, c)).collect() };
+        let keys = [vec![0], vec![1], vec![0, 1]];
+        for seed in 0..12u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut t = Table::new(schema.clone());
+            let mut model: Vec<Vec<Value>> = Vec::new();
+            for step in 0..30 {
+                match rng.gen_range(0..10) {
+                    0..=2 => {
+                        for _ in 0..rng.gen_range(1..700) {
+                            let r = row(&mut rng);
+                            t.push_row(r.clone()).unwrap();
+                            model.push(r);
+                        }
+                    }
+                    3 => {
+                        // A batch that failed part-way is taken back.
+                        let len = t.len();
+                        for _ in 0..rng.gen_range(1..1500) {
+                            t.push_row(row(&mut rng)).unwrap();
+                        }
+                        t.truncate(len);
+                    }
+                    4 => {
+                        let doomed: Vec<usize> = (0..rng.gen_range(0..300))
+                            .map(|_| rng.gen_range(0..model.len() + 3))
+                            .collect();
+                        t.remove_rows(doomed.clone());
+                        let doomed: std::collections::HashSet<usize> = doomed.into_iter().collect();
+                        let mut at = 0;
+                        model.retain(|_| {
+                            at += 1;
+                            !doomed.contains(&(at - 1))
+                        });
+                    }
+                    5 | 6 if !model.is_empty() => {
+                        for _ in 0..rng.gen_range(1..20) {
+                            let (i, col) = (rng.gen_range(0..model.len()), rng.gen_range(0..4));
+                            let v = if rng.gen_bool(0.2) {
+                                value(&mut rng, (col + 1) % 4)
+                            } else {
+                                value(&mut rng, col)
+                            };
+                            let admitted = v
+                                .sql_type()
+                                .map_or(col > 0, |ty| ty == schema.columns[col].ty);
+                            assert_eq!(t.set_cell(i, col, v.clone()).is_ok(), admitted, "{v:?}");
+                            if admitted {
+                                model[i][col] = v;
+                            }
+                        }
+                    }
+                    7 => {
+                        t = t.clone();
+                        for _ in 0..rng.gen_range(0..300) {
+                            let r = row(&mut rng);
+                            t.push_row(r.clone()).unwrap();
+                            model.push(r);
+                        }
+                    }
+                    _ => {
+                        t.probe(&keys[rng.gen_range(0..keys.len())]);
+                    }
+                }
+                let what = format!("seed {seed}, step {step}");
+                assert_eq!(t.len(), model.len(), "{what}");
+                assert!(t.rows().eq(model.iter().cloned()), "{what}");
+                for cols in &keys {
+                    let probe = t.probe(cols);
+                    for _ in 0..8 {
+                        let key: Vec<Value> = cols.iter().map(|&c| value(&mut rng, c)).collect();
+                        let expected: Vec<u32> = (0..model.len() as u32)
+                            .filter(|&i| {
+                                let stored = &model[i as usize];
+                                (cols.iter().zip(&key))
+                                    .all(|(&c, k)| !k.is_null() && stored[c] == *k)
+                            })
+                            .collect();
+                        let found: Vec<u32> = probe.matching(&key).collect();
+                        assert_eq!(found, expected, "{what}: {cols:?} = {key:?}");
+                    }
+                }
+            }
+        }
     }
 }

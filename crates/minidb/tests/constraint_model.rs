@@ -671,12 +671,7 @@ fn run_case(seed: u64, large: bool, tally: &mut Tally) {
     }
 
     for table in &model {
-        let stored: Vec<Vec<Value>> = db
-            .table(table.name)
-            .unwrap()
-            .rows()
-            .map(<[Value]>::to_vec)
-            .collect();
+        let stored: Vec<Vec<Value>> = db.table(table.name).unwrap().rows().collect();
         assert!(
             stored == table.rows,
             "case {seed:#x}: table {} holds {} rows, the reference {}",

@@ -1223,6 +1223,7 @@ fn the_exposition_keeps_its_families_order_help_and_labels() {
             "bep_mem_bytes{component=\"session-state\"}",
             "bep_mem_bytes{component=\"journal\"}",
             "bep_mem_bytes{component=\"symbols\"}",
+            "bep_mem_bytes{component=\"database\"}",
             "# HELP bep_session_state_bytes Heap bytes of a session's state when it ended",
             "# TYPE bep_session_state_bytes summary",
         ]
